@@ -1,0 +1,64 @@
+"""Golden reports: the CLI's stdout must match the committed bytes exactly.
+
+Each file under ``tests/golden/`` holds the stdout of one invocation of
+``slly.cli.main``.  Reports are deterministic (sorted keys, floats at 17
+significant digits), so a refactor of the exact calculus that keeps every
+float operation in the same order must leave these bytes unchanged.
+
+After a deliberate change of a report, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from slly import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    # README examples (bethe and susy)
+    "bethe_collision_n3": ["bethe", "collision", "--n", "3", "--k", "1.5,0.2,-0.9", "--c", "2"],
+    "bethe_trimer": ["bethe", "trimer", "--p", "0", "--c", "-1"],
+    "susy_census_n3": ["susy", "census", "--n", "3", "--c", "1"],
+    "susy_algebra_n4": ["susy", "algebra", "--n", "4", "--c", "0.7", "--trials", "50", "--seed", "7"],
+    "susy_sector_n3_g1": ["susy", "sector", "--n", "3", "--grade", "1", "--c", "1"],
+    "susy_partner_n2": ["susy", "partner", "--n", "2", "--c", "1", "--k", "1.3,-0.4"],
+    # largest-N matching and multi-component jumps
+    "bethe_collision_n4": ["bethe", "collision", "--n", "4", "--k=1.7,0.6,-0.3,-1.2", "--c=-1.3"],
+    "bethe_dimer_state": ["bethe", "dimer", "--p", "0.5", "--c=-2", "--emit-state"],
+    "bethe_monomer_dimer_state": [
+        "bethe", "monomer-dimer", "--p", "0.8", "--q=-0.4", "--c=-1.5", "--emit-state",
+    ],
+    "susy_zero_modes_n5": ["susy", "zero-modes", "--n", "5", "--c", "1.2"],
+    "susy_partner_n3_lower": [
+        "susy", "partner", "--n", "3", "--c", "0.9", "--k=1.1,0.3,-0.8", "--direction", "lower",
+    ],
+}
+
+
+def _stdout(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_bytes(name):
+    code, out = _stdout(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        code, out = _stdout(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN / f"{name}.json").write_text(out)
