@@ -404,8 +404,9 @@ def matching_report(state: pw.RegionFunction, c: float, e: float) -> MatchingRep
     cont = 0.0
     jump = 0.0
     for iface in pw.interfaces(state.n):
-        cont = max(cont, pw.continuity_residual(state, iface))
-        jump = max(jump, pw.jump_residual([state], iface, [[2.0 * c]]))
+        wall_cont, wall_jump = pw.wall_residuals([state], iface, [[2.0 * c]])
+        cont = max(cont, wall_cont)
+        jump = max(jump, wall_jump)
     return MatchingReport(
         max_continuity=cont, max_jump=jump, max_bulk=bulk_energy_residual(state, e)
     )

@@ -19,6 +19,8 @@ parallelism for the whole process.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 import tempfile
@@ -64,9 +66,7 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, complex):
         return render_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -118,18 +118,27 @@ def _merge_config(args: argparse.Namespace) -> None:
         return
     file_values = _read_config(args.config)
     for key, raw in file_values.items():
-        if getattr(args, key, None) is None:
+        if not hasattr(args, key):
+            raise ValueError(f"{args.config}: unknown config key {key!r}")
+        if getattr(args, key) is None:
             setattr(args, key, raw)
+
+
+def _finite(value, name: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
+    return x
 
 
 def _float(value, name: str) -> float:
     if value is None:
         raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    return float(value)
+    return _finite(value, name)
 
 
 def _tolerance(args, default: float) -> float:
-    tol = float(args.tol) if args.tol is not None else default
+    tol = _finite(args.tol, "tol") if args.tol is not None else default
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     return tol
@@ -145,8 +154,8 @@ def _float_list(value, name: str) -> tuple[float, ...]:
     if value is None:
         raise ValueError(f"missing required option --{name.replace('_', '-')}")
     if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(v) for v in str(value).split(","))
+        return tuple(_finite(v, name) for v in value)
+    return tuple(_finite(v, name) for v in str(value).split(","))
 
 
 def _int_list(value, name: str) -> tuple[int, ...]:
@@ -413,7 +422,7 @@ def _cmd_lattice(args) -> tuple[dict, dict, bool, str | None]:
 
     if sub == "converge":
         sector = _int(args.sector, "sector")
-        box = float(args.box) if args.box is not None else 24.0
+        box = _float(args.box, "box") if args.box is not None else 24.0
         points_list = (
             _int_list(args.points_list, "points_list")
             if args.points_list is not None
@@ -562,6 +571,8 @@ def main(argv=None) -> int:
             command = f"lattice {args.subcommand}"
     except ConvergenceError as exc:
         sys.stderr.write(f"slly: eigensolver did not converge: {exc}\n")
+        diagnostics = json.dumps(exc.diagnostics, sort_keys=True, default=str)
+        sys.stderr.write(f"slly: diagnostics: {diagnostics}\n")
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"slly: {exc}\n")

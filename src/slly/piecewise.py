@@ -332,11 +332,69 @@ def _sum_max_coefficient(raw) -> float:
     return max((abs(t.coef) for t in merged), default=0.0)
 
 
+def _limit_gap(left: tuple[ExpTerm, ...], right: tuple[ExpTerm, ...]) -> float:
+    return _sum_max_coefficient(list(_sum_scale(left, 1.0)) + list(_sum_scale(right, -1.0)))
+
+
 def continuity_residual(f: RegionFunction, iface: Interface) -> float:
     """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
-    left = restrict_to_interface(f, iface, "left")
-    right = restrict_to_interface(f, iface, "right")
-    return _sum_max_coefficient(list(_sum_scale(left, 1.0)) + list(_sum_scale(right, -1.0)))
+    return _limit_gap(
+        restrict_to_interface(f, iface, "left"), restrict_to_interface(f, iface, "right")
+    )
+
+
+def wall_residuals(
+    funcs: Sequence[RegionFunction],
+    iface: Interface,
+    coupling: Sequence[Sequence[complex]] | np.ndarray,
+) -> tuple[float, float]:
+    """Continuity and delta-potential matching residuals of one wall.
+
+    For the component vector F the jump condition is
+
+        [(d/dx_a - d/dx_b) F]_{x_a-x_b -> 0+}  -  [same]_{x_a-x_b -> 0-}
+            =  C . F|_{x_a = x_b},
+
+    with C the square coupling matrix (scalar case C = [[2c]]).  Returns
+    ``(continuity, jump)``: the worst coefficient-wise mismatch of the two
+    one-sided limits over the components, and the max coefficient magnitude
+    of the jump defect after canonicalisation.  Every component must be
+    continuous across the wall (within ``JUMP_CONTINUITY_TOL``), otherwise
+    ``DiscontinuityError`` names the first one that is not.
+
+    Only the wall's two chambers are read: each input is cut down to them
+    before differentiating, and since ``build`` merges every chamber on its
+    own the result is bit-identical to differentiating the whole function.
+    """
+    mat = np.asarray(coupling, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != len(funcs):
+        raise ValueError("coupling must be square with dimension = number of components")
+    a, b = iface.pair
+    bases = []
+    continuity = 0.0
+    for i, f in enumerate(funcs):
+        left = restrict_to_interface(f, iface, "left")
+        gap = _limit_gap(left, restrict_to_interface(f, iface, "right"))
+        if gap > JUMP_CONTINUITY_TOL:
+            raise DiscontinuityError(
+                f"component {i} is discontinuous across interface pair {iface.pair}"
+            )
+        continuity = max(continuity, gap)
+        bases.append(left)
+    jump = 0.0
+    for i, f in enumerate(funcs):
+        local = RegionFunction(
+            n=f.n, terms={r: f.terms[r] for r in (iface.left, iface.right) if r in f.terms}
+        )
+        d = add(differentiate(local, a), scale(differentiate(local, b), -1.0))
+        raw = list(_sum_scale(restrict_to_interface(d, iface, "right"), 1.0))
+        raw += _sum_scale(restrict_to_interface(d, iface, "left"), -1.0)
+        for j in range(len(funcs)):
+            cij = mat[i, j]
+            if cij != 0:
+                raw += _sum_scale(bases[j], -cij)
+        jump = max(jump, _sum_max_coefficient(raw))
+    return continuity, jump
 
 
 def jump_residual(
@@ -344,38 +402,8 @@ def jump_residual(
     iface: Interface,
     coupling: Sequence[Sequence[complex]] | np.ndarray,
 ) -> float:
-    """Residual of the delta-potential matching condition on one wall.
-
-    For the component vector F the condition is
-
-        [(d/dx_a - d/dx_b) F]_{x_a-x_b -> 0+}  -  [same]_{x_a-x_b -> 0-}
-            =  C . F|_{x_a = x_b},
-
-    with C the square coupling matrix (scalar case C = [[2c]]).  Returns the
-    max coefficient magnitude of the defect after canonicalisation.  Inputs
-    must individually be continuous across the wall.
-    """
-    mat = np.asarray(coupling, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != len(funcs):
-        raise ValueError("coupling must be square with dimension = number of components")
-    a, b = iface.pair
-    for i, f in enumerate(funcs):
-        if continuity_residual(f, iface) > JUMP_CONTINUITY_TOL:
-            raise DiscontinuityError(
-                f"component {i} is discontinuous across interface pair {iface.pair}"
-            )
-    bases = [restrict_to_interface(f, iface, "left") for f in funcs]
-    worst = 0.0
-    for i, f in enumerate(funcs):
-        d = add(differentiate(f, a), scale(differentiate(f, b), -1.0))
-        raw = list(_sum_scale(restrict_to_interface(d, iface, "right"), 1.0))
-        raw += _sum_scale(restrict_to_interface(d, iface, "left"), -1.0)
-        for j in range(len(funcs)):
-            cij = mat[i, j]
-            if cij != 0:
-                raw += _sum_scale(bases[j], -cij)
-        worst = max(worst, _sum_max_coefficient(raw))
-    return worst
+    """Jump part of ``wall_residuals``: the matching-condition defect on one wall."""
+    return wall_residuals(funcs, iface, coupling)[1]
 
 
 # ---------------------------------------------------------------------------

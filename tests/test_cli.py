@@ -180,6 +180,56 @@ class TestReportPlumbing:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bethe", "collision", "--n", "2", "--k", "1.0,-0.25", "--c", "nan"],
+            ["bethe", "collision", "--n", "2", "--k", "1.0,-0.25", "--c", "inf"],
+            ["bethe", "collision", "--n", "2", "--k=1,nan", "--c", "1.5"],
+            ["bethe", "collision", "--n", "2", "--k", "1.0,-0.25", "--c", "1.5", "--tol", "nan"],
+            ["bethe", "collision", "--n", "2", "--k", "1.0,-0.25", "--c", "1.5", "--tol", "inf"],
+            ["bethe", "dimer", "--p", "inf", "--c=-2"],
+            ["bethe", "monomer-dimer", "--p", "0.8", "--q=-inf", "--c=-1.5"],
+            ["susy", "zero-modes", "--n", "3", "--c", "nan"],
+            ["lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--box", "inf",
+             "--seed", "1"],
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("slly: --") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
+    def test_unknown_config_key_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = -1\np = 0.25\ntypo = 5\n")
+        code = cli.main(["bethe", "trimer", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown config key 'typo'" in captured.err
+
+    def test_discontinuous_state_is_config_error(self, capsys, monkeypatch):
+        from slly import piecewise as pw
+        from slly import susy
+
+        original = susy.zero_mode_top
+
+        def broken_top(sp):
+            mode = original(sp)
+            (mask, f), = mode.components.items()
+            kink = pw.build(sp.n, {pw.Region((2, 1, 3)): [(0.5, (0j,) * sp.n)]})
+            return susy.spinor_from_scalar(pw.add(f, kink), mask)
+
+        monkeypatch.setattr(susy, "zero_mode_top", broken_top)
+        code = cli.main(["susy", "zero-modes", "--n", "3", "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "discontinuous" in captured.err
+
     def test_report_carries_version_and_config_echo(self, capsys):
         _, out = run(["susy", "census", "--n", "2", "--c", "1"], capsys)
         report = json.loads(out)
@@ -195,11 +245,13 @@ class TestReportPlumbing:
             raise ConvergenceError("stalled", {"converged": 0})
 
         monkeypatch.setattr(lattice, "lowest_eigenvalues", explode)
-        code, _ = run(
+        code = cli.main(
             [
                 "lattice", "spectrum", "--n", "2", "--sector", "0", "--c", "1",
                 "--box", "8", "--points", "20", "--eigs", "2", "--seed", "1",
-            ],
-            capsys,
+            ]
         )
+        captured = capsys.readouterr()
         assert code == 3
+        assert captured.out == ""
+        assert 'slly: diagnostics: {"converged": 0}\n' in captured.err

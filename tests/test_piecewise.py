@@ -3,11 +3,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slly import bethe
+from slly import bethe, susy
 from slly import piecewise as pw
 from slly.errors import AmbiguousPointError, DiscontinuityError
 
@@ -261,6 +262,139 @@ class TestMatchingResiduals:
         iface = pw.enumerate_interfaces(2)[0]
         with pytest.raises(DiscontinuityError):
             pw.jump_residual([f], iface, [[1.0]])
+
+
+def full_function_jump(funcs, iface, coupling):
+    """Reference jump residual: differentiates every chamber of every component."""
+    mat = np.asarray(coupling, dtype=complex)
+    a, b = iface.pair
+    for i, f in enumerate(funcs):
+        if pw.continuity_residual(f, iface) > pw.JUMP_CONTINUITY_TOL:
+            raise DiscontinuityError(f"component {i}")
+    bases = [pw.restrict_to_interface(f, iface, "left") for f in funcs]
+    worst = 0.0
+    for i, f in enumerate(funcs):
+        d = pw.add(pw.differentiate(f, a), pw.scale(pw.differentiate(f, b), -1.0))
+        raw = list(pw._sum_scale(pw.restrict_to_interface(d, iface, "right"), 1.0))
+        raw += pw._sum_scale(pw.restrict_to_interface(d, iface, "left"), -1.0)
+        for j in range(len(funcs)):
+            cij = mat[i, j]
+            if cij != 0:
+                raw += pw._sum_scale(bases[j], -cij)
+        worst = max(worst, pw._sum_max_coefficient(raw))
+    return worst
+
+
+def _random_kappa(rng, n):
+    return tuple(complex(rng.standard_normal(), rng.standard_normal()) for _ in range(n))
+
+
+def _random_terms(rng, n, count):
+    return [(complex(rng.standard_normal(), rng.standard_normal()), _random_kappa(rng, n))
+            for _ in range(count)]
+
+
+def _continuous_at(rng, iface, pool):
+    """Random function that is continuous across ``iface``.
+
+    Every chamber gets random terms.  On the wall's chambers the kappas come
+    from ``pool``, so terms (and components sharing the pool) merge and the
+    derivative jump meets the coupling terms.  The right chamber repeats the
+    left chamber's terms and adds pairs d*(exp(kappa.x) - exp(kappa'.x)),
+    with kappa' the a<->b swap of kappa, which vanish on the wall x_a = x_b.
+    """
+    n = len(pool[0])
+    a, b = iface.pair
+
+    def from_pool(count):
+        coefs = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(count)]
+        return [(z, pool[int(rng.integers(len(pool)))]) for z in coefs]
+
+    data = {r: _random_terms(rng, n, int(rng.integers(0, 4))) for r in pw.regions(n)}
+    left = from_pool(int(rng.integers(1, 4)))
+    right = list(left)
+    for coef, kappa in from_pool(int(rng.integers(0, 3))):
+        swapped = list(kappa)
+        swapped[a - 1], swapped[b - 1] = kappa[b - 1], kappa[a - 1]
+        right += [(coef, kappa), (-coef, tuple(swapped))]
+    data[iface.left], data[iface.right] = left, right
+    return pw.build(n, data)
+
+
+def _random_coupling(rng, size):
+    mat = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return np.where(rng.random((size, size)) < 0.3, 0.0, mat)
+
+
+class TestWallLocalKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        components=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equals_full_function_formula(self, n, components, seed, data):
+        rng = np.random.default_rng(seed)
+        iface = data.draw(st.sampled_from(pw.interfaces(n)))
+        pool = [_random_kappa(rng, n) for _ in range(3)]
+        funcs = [_continuous_at(rng, iface, pool) for _ in range(components)]
+        coupling = _random_coupling(rng, components)
+        reference = full_function_jump(funcs, iface, coupling)
+        continuity = max(pw.continuity_residual(f, iface) for f in funcs)
+        assert pw.wall_residuals(funcs, iface, coupling) == (continuity, reference)
+        assert pw.jump_residual(funcs, iface, coupling) == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        components=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_chambers_off_the_wall_are_never_read(self, n, components, seed, data):
+        rng = np.random.default_rng(seed)
+        iface = data.draw(st.sampled_from(pw.interfaces(n)))
+        pool = [_random_kappa(rng, n) for _ in range(3)]
+        funcs = [_continuous_at(rng, iface, pool) for _ in range(components)]
+        coupling = _random_coupling(rng, components)
+        off_wall = [r for r in pw.regions(n) if r not in (iface.left, iface.right)]
+        noisy = [
+            pw.add(f, pw.build(n, {r: _random_terms(rng, n, 2) for r in off_wall}))
+            for f in funcs
+        ]
+        assert pw.wall_residuals(noisy, iface, coupling) == pw.wall_residuals(
+            funcs, iface, coupling
+        )
+
+    def test_discontinuity_named_by_component_and_pair(self):
+        rng = np.random.default_rng(11)
+        iface = pw.interfaces(3)[2]
+        good = _continuous_at(rng, iface, [_random_kappa(rng, 3)])
+        bad = pw.add(good, pw.build(3, {iface.left: [(0.5, (0j, 0j, 0j))]}))
+        pair = rf"\({iface.pair[0]}, {iface.pair[1]}\)"
+        with pytest.raises(DiscontinuityError, match=rf"component 1 .*pair {pair}"):
+            pw.wall_residuals([good, bad], iface, np.eye(2))
+        with pytest.raises(DiscontinuityError):
+            pw.jump_residual([good, bad], iface, np.eye(2))
+
+    def test_matching_report_rejects_discontinuous_state(self):
+        ks, c = (1.2, 0.1, -0.7), 1.4
+        state = bethe.collision_state(ks, c)
+        region = pw.Region((2, 1, 3))
+        broken = pw.add(state, pw.build(3, {region: [(0.25, (0j, 0j, 0j))]}))
+        with pytest.raises(DiscontinuityError):
+            bethe.matching_report(broken, c, bethe.energy(ks))
+
+    def test_verify_eigenstate_rejects_discontinuous_component(self):
+        sp = susy.Superpotential(n=3, c=1.0)
+        mode = susy.zero_mode_alternating(sp)
+        mask = min(mode.components)
+        region = pw.Region((1, 3, 2))
+        broken = dict(mode.components)
+        broken[mask] = pw.add(broken[mask], pw.build(3, {region: [(0.25, (0j, 0j, 0j))]}))
+        with pytest.raises(DiscontinuityError, match=r"component \d+ .*pair \(\d, \d\)"):
+            susy.verify_eigenstate(susy.SpinorFunction(3, broken), 0.0, sp)
 
 
 class TestSerialization:
