@@ -1,9 +1,12 @@
 """Golden reports: the CLI's stdout must match the committed bytes exactly.
 
-Each file under ``tests/golden/`` holds the stdout of one invocation of
-``slly.cli.main``.  Reports are deterministic (sorted keys, floats at 17
-significant digits), so a refactor of the exact calculus that keeps every
-float operation in the same order must leave these bytes unchanged.
+Each ``.json`` file under ``tests/golden/`` holds the stdout of one
+invocation of ``slly.cli.main``; a case whose argv writes a CSV table also
+has a ``.csv`` file with the table's bytes.  Reports are deterministic
+(sorted keys, floats at 17 significant digits), so a refactor that keeps
+every float operation in the same order must leave these bytes unchanged.
+``CONFIG_CASES`` feed the options of a flag-driven case through
+``--config`` instead and must reproduce its golden report.
 
 After a deliberate change of a report, rewrite the files with
 
@@ -38,10 +41,35 @@ CASES = {
     "susy_partner_n3_lower": [
         "susy", "partner", "--n", "3", "--c", "0.9", "--k=1.1,0.3,-0.8", "--direction", "lower",
     ],
+    # lattice examples (README diagnostic; spectrum and converge on smaller grids)
+    "lattice_diagnostic_n2": [
+        "lattice", "diagnostic", "--n", "2", "--c", "2", "--box", "16", "--points", "60",
+        "--seed", "1",
+    ],
+    "lattice_spectrum_n2_s2": [
+        "lattice", "spectrum", "--n", "2", "--sector", "2", "--c", "2", "--box", "12",
+        "--points", "60", "--eigs", "4", "--seed", "1",
+    ],
+    "lattice_converge_n2_s2": [
+        "lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--box", "12",
+        "--points-list", "59,119", "--seed", "1", "--csv", "{csv}",
+    ],
 }
 
+#: name of a flag-driven case -> (command, config file text) giving the same options
+CONFIG_CASES = {
+    "bethe_collision_n4": (["bethe", "collision"], "n = 4\nk = 1.7,0.6,-0.3,-1.2\nc = -1.3\n"),
+    "susy_partner_n3_lower": (
+        ["susy", "partner"],
+        "# same options as the flags\nn = 3\nc = 0.9\nk = 1.1,0.3,-0.8\ndirection = lower\n",
+    ),
+}
 
-def _stdout(argv) -> tuple[int, str]:
+CSV = "{csv}"
+
+
+def _stdout(argv, csv_path=None) -> tuple[int, str]:
+    argv = [str(csv_path) if arg == CSV else arg for arg in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
@@ -49,8 +77,21 @@ def _stdout(argv) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden_bytes(name):
-    code, out = _stdout(CASES[name])
+def test_report_matches_golden_bytes(name, tmp_path):
+    csv_path = tmp_path / "table.csv"
+    code, out = _stdout(CASES[name], csv_path)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+    if CSV in CASES[name]:
+        assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+def test_config_file_reproduces_golden_bytes(name, tmp_path):
+    command, text = CONFIG_CASES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out = _stdout([*command, "--config", str(cfg)])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
 
@@ -58,7 +99,7 @@ def test_report_matches_golden_bytes(name):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        code, out = _stdout(argv)
+        code, out = _stdout(argv, GOLDEN / f"{name}.csv")
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
         (GOLDEN / f"{name}.json").write_text(out)
