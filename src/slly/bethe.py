@@ -197,6 +197,7 @@ def bethe_coefficients(k: "MomentumSet | Sequence[complex]", c: float) -> BetheC
     """
     ks = _values(k)
     n = len(ks)
+    pw._guard_size(n)  # before walking all n! orderings
     table = _pairwise_s(ks, c)  # raises PoleError on any string pair
     alpha_id = 1.0 + 0.0j
     for val in table.values():

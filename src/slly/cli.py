@@ -11,9 +11,11 @@ with floats printed to 17 significant digits so identical configurations and
 seeds produce byte-identical bytes.  Exit codes: 0 all checks passed,
 1 verification failure, 2 configuration error, 3 eigensolver non-convergence.
 
-A key=value config file (``--config``) may replace flags; flags win on
-conflict.  The environment variable ``SLLY_THREADS`` caps BLAS/OpenMP
-parallelism for the whole process.
+Options are typed: argparse converts every number, and a key=value config
+file (``--config``) becomes the command's defaults, so its values pass
+through the same conversions as flags and flags win on conflict.  The
+environment variable ``SLLY_THREADS`` caps BLAS/OpenMP parallelism for the
+whole process.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 
 def _apply_thread_cap() -> None:
@@ -95,8 +98,16 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# typed options and config files
 # ---------------------------------------------------------------------------
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -112,138 +123,109 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _read_config(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            raise ValueError(f"{args.config}: unknown config key {key!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, raw)
+def _load_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of the command's parser.
+
+    argparse converts a string default through the option's ``type=`` and
+    lets an explicit flag win; it checks neither ``choices`` nor the
+    ``true``/``false`` of a flag option for defaults, so those are checked here.
+    """
+    options = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    defaults: dict[str, object] = {}
+    for key, raw in _read_config(path).items():
+        action = options.get(key)
+        if action is None:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        if action.nargs == 0:
+            if raw not in ("true", "false"):
+                raise ValueError(f"{path}: {key} must be true or false, got {raw!r}")
+            defaults[key] = raw == "true"
+        elif action.choices is not None and raw not in action.choices:
+            allowed = ", ".join(action.choices)
+            raise ValueError(f"{path}: {key} must be one of {allowed}, got {raw!r}")
+        else:
+            defaults[key] = raw
+    parser.set_defaults(**defaults)
 
 
-def _finite(value, name: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
-    return x
+#: options a command cannot run without, keyed by group, by command and by
+#: the state family (the bethe family or the susy partner --state-family)
+_REQUIRED = {
+    "bethe": ("c",),
+    "susy": ("n", "c"),
+    "lattice": ("n", "c", "seed"),
+    "susy algebra": ("trials", "seed"),
+    "susy sector": ("grade",),
+    "lattice spectrum": ("sector", "box", "points"),
+    "lattice converge": ("sector",),
+    "lattice diagnostic": ("box", "points"),
+    "collision": ("k",),
+    "dimer": ("p",),
+    "trimer": ("p",),
+    "monomer-dimer": ("p", "q"),
+}
 
 
-def _float(value, name: str) -> float:
-    if value is None:
-        raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    return _finite(value, name)
+def _check_options(args, command: str) -> None:
+    """Reject non-finite numbers and missing options before any work starts."""
+    for dest, value in vars(args).items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {v}")
+    keys = [args.group, command]
+    if args.group == "bethe":
+        keys.append(args.family)
+    elif command == "susy partner":
+        keys.append(args.state_family)
+    for key in keys:
+        for name in _REQUIRED.get(key, ()):
+            if getattr(args, name) is None:
+                raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _tolerance(args, default: float) -> float:
-    tol = _finite(args.tol, "tol") if args.tol is not None else default
+def _tolerance(tol: float) -> float:
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     return tol
-
-
-def _int(value, name: str) -> int:
-    if value is None:
-        raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    return int(value)
-
-
-def _float_list(value, name: str) -> tuple[float, ...]:
-    if value is None:
-        raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    if isinstance(value, (list, tuple)):
-        return tuple(_finite(v, name) for v in value)
-    return tuple(_finite(v, name) for v in str(value).split(","))
-
-
-def _int_list(value, name: str) -> tuple[int, ...]:
-    if value is None:
-        raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(v) for v in str(value).split(","))
-
-
-# ---------------------------------------------------------------------------
-# report plumbing
-# ---------------------------------------------------------------------------
-
-def _emit(command: str, config: dict, results: dict, passed: bool, output: str | None) -> None:
-    from . import __version__
-
-    report = {
-        "artifact": "slly",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "results": results,
-        "pass": passed,
-    }
-    text = render_json(report) + "\n"
-    sys.stdout.write(text)
-    if output:
-        _atomic_write(output, text)
-
-
-def _spectrum_dict(rep) -> dict:
-    return {
-        "sector": rep.sector,
-        "eigenvalues": list(rep.eigenvalues),
-        "residuals": list(rep.residuals),
-        "box": rep.box,
-        "points": rep.points,
-        "h": rep.h,
-        "seed": rep.seed,
-    }
 
 
 # ---------------------------------------------------------------------------
 # bethe commands
 # ---------------------------------------------------------------------------
 
-def _cmd_bethe(args) -> tuple[dict, dict, bool]:
+def _cmd_bethe(args) -> tuple[dict, dict, bool, None]:
     from . import bethe
 
-    tol = _tolerance(args, 1e-10)
-    c = _float(args.c, "c")
-    family = args.family
+    tol = _tolerance(args.tol)
+    c, family = args.c, args.family
     config: dict = {"family": family, "c": c, "tol": tol}
+    extra = {}
 
     if family == "collision":
-        ks = _float_list(args.k, "k")
-        n = _int(args.n, "n") if args.n is not None else len(ks)
+        ks = args.k
+        n = len(ks) if args.n is None else args.n
         if n != len(ks):
             raise ValueError(f"--n {n} does not match {len(ks)} momenta")
         config.update({"n": n, "k": list(ks)})
         state = bethe.collision_state(ks, c)
         e = bethe.energy(ks)
-        s_table = [
+        extra["s_matrix"] = [
             {"i": i + 1, "j": j + 1, "s": bethe.s_matrix(ks[i], ks[j], c)}
             for i in range(n)
             for j in range(i + 1, n)
         ]
-        extra = {"s_matrix": s_table}
     elif family == "dimer":
-        p = _float(args.p, "p")
-        config.update({"p": p})
-        state = bethe.dimer_state(p, c)
-        e = bethe.energy(bethe.dimer_momenta(p, c))
-        extra = {}
+        config["p"] = args.p
+        state = bethe.dimer_state(args.p, c)
+        e = bethe.energy(bethe.dimer_momenta(args.p, c))
     elif family == "trimer":
-        p = _float(args.p, "p")
-        config.update({"p": p})
-        state = bethe.trimer_state(p, c)
-        e = bethe.energy(bethe.trimer_momenta(p, c))
-        extra = {}
+        config["p"] = args.p
+        state = bethe.trimer_state(args.p, c)
+        e = bethe.energy(bethe.trimer_momenta(args.p, c))
     else:  # monomer-dimer
-        p = _float(args.p, "p")
-        q = _float(args.q, "q")
-        config.update({"p": p, "q": q})
-        state = bethe.monomer_dimer_state(p, q, c)
-        e = bethe.energy(bethe.monomer_dimer_momenta(p, q, c))
-        extra = {}
+        config.update({"p": args.p, "q": args.q})
+        state = bethe.monomer_dimer_state(args.p, args.q, c)
+        e = bethe.energy(bethe.monomer_dimer_momenta(args.p, args.q, c))
 
     report = bethe.matching_report(state, c, e)
     results = {
@@ -257,42 +239,32 @@ def _cmd_bethe(args) -> tuple[dict, dict, bool]:
         from . import piecewise
 
         results["state"] = piecewise.to_json_obj(state)
-    return config, results, report.passed(tol)
+    return config, results, report.passed(tol), None
 
 
 # ---------------------------------------------------------------------------
 # susy commands
 # ---------------------------------------------------------------------------
 
-def _susy_setup(args):
-    from . import susy
-
-    n = _int(args.n, "n")
-    c = _float(args.c, "c")
-    if n > 5 and args.subcommand in ("algebra", "zero-modes", "census", "partner"):
-        raise ValueError("symbolic SUSY commands are limited to N <= 5")
-    return susy.Superpotential(n=n, c=c)
-
-
-def _cmd_susy(args) -> tuple[dict, dict, bool]:
+def _cmd_susy(args) -> tuple[dict, dict, bool, None]:
     import numpy as np
 
     from . import bethe, susy
 
     sub = args.subcommand
-    sp = _susy_setup(args)
+    if args.n > 5 and sub != "sector":
+        raise ValueError("symbolic SUSY commands are limited to N <= 5")
+    sp = susy.Superpotential(n=args.n, c=args.c)
     config: dict = {"subcommand": sub, "n": sp.n, "c": sp.c}
 
     if sub == "algebra":
-        trials = _int(args.trials, "trials")
-        if args.seed is None:
-            raise ValueError("--seed is mandatory for stochastic commands")
-        seed = _int(args.seed, "seed")
-        tol = _tolerance(args, 1e-12)
-        config.update({"trials": trials, "seed": seed, "tol": tol})
-        rng = np.random.default_rng(seed)
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        tol = _tolerance(args.tol)
+        config.update({"trials": args.trials, "seed": args.seed, "tol": tol})
+        rng = np.random.default_rng(args.seed)
         worst_nil = worst_nil_dag = worst_anti = 0.0
-        for _ in range(trials):
+        for _ in range(args.trials):
             s = susy.random_spinor(sp, rng)
             worst_nil = max(worst_nil, susy.q_nilpotency_residual(s, sp))
             worst_nil_dag = max(worst_nil_dag, susy.q_nilpotency_residual(s, sp, dagger=True))
@@ -302,7 +274,7 @@ def _cmd_susy(args) -> tuple[dict, dict, bool]:
             "max_q_dagger_squared": worst_nil_dag,
             "max_anticommutator_residual": worst_anti,
         }
-        return config, results, max(worst_nil, worst_nil_dag, worst_anti) <= tol
+        return config, results, max(worst_nil, worst_nil_dag, worst_anti) <= tol, None
 
     if sub == "zero-modes":
         results = {}
@@ -321,49 +293,30 @@ def _cmd_susy(args) -> tuple[dict, dict, bool]:
                 "interface_residual": rep.interface_residual,
             }
             passed = passed and max(rq, rqd) < susy.ZERO_MODE_TOL and rep.accepted
-        return config, results, passed
+        return config, results, passed, None
 
     if sub == "census":
         census = susy.witten_census(sp)
-        results = {
-            "n_b": census.n_b,
-            "n_f": census.n_f,
-            "index": census.index,
-            "completeness": census.completeness,
-            "modes": [
-                {
-                    "grade": m.grade,
-                    "q_residual": m.q_residual,
-                    "q_dagger_residual": m.q_dagger_residual,
-                    "klein_parity": m.klein_parity,
-                }
-                for m in census.modes
-            ],
-        }
-        return config, results, census.index == 0 and census.n_b == 1 and census.n_f == 1
+        passed = census.index == 0 and census.n_b == 1 and census.n_f == 1
+        return config, asdict(census), passed, None
 
     if sub == "partner":
-        direction = args.direction or "raise"
-        family = args.state_family or "collision"
+        direction, family = args.direction, args.state_family
         config.update({"direction": direction, "state_family": family})
+        top = (1 << sp.n) - 1
         if family == "collision":
-            ks = _float_list(args.k, "k")
-            config["k"] = list(ks)
+            config["k"] = list(args.k)
             if direction == "raise":
-                state = susy.spinor_from_scalar(bethe.collision_state(ks, sp.c), 0)
+                state = susy.spinor_from_scalar(bethe.collision_state(args.k, sp.c), 0)
             else:
-                state = susy.spinor_from_scalar(
-                    bethe.collision_state(ks, -sp.c), (1 << sp.n) - 1
-                )
+                state = susy.spinor_from_scalar(bethe.collision_state(args.k, -sp.c), top)
         elif family == "trimer":
-            p = _float(args.p, "p")
-            config["p"] = p
-            state = susy.spinor_from_scalar(bethe.trimer_state(p, -sp.c), (1 << sp.n) - 1)
+            config["p"] = args.p
+            state = susy.spinor_from_scalar(bethe.trimer_state(args.p, -sp.c), top)
         else:  # monomer-dimer
-            p, q = _float(args.p, "p"), _float(args.q, "q")
-            config.update({"p": p, "q": q})
+            config.update({"p": args.p, "q": args.q})
             state = susy.spinor_from_scalar(
-                bethe.monomer_dimer_state(p, q, -sp.c), (1 << sp.n) - 1
+                bethe.monomer_dimer_state(args.p, args.q, -sp.c), top
             )
         result = susy.susy_partner(state, direction, sp)
         results = {
@@ -373,24 +326,21 @@ def _cmd_susy(args) -> tuple[dict, dict, bool]:
             "bulk_residual": result.report.bulk_residual,
             "interface_residual": result.report.interface_residual,
         }
-        return config, results, result.report.accepted
+        return config, results, result.report.accepted, None
 
-    if sub == "sector":
-        grade = _int(args.grade, "grade")
-        config["grade"] = grade
-        sector = susy.sector_hamiltonian(grade, sp)
-        results = {
-            "grade": grade,
-            "shift": sector.shift,
-            "basis_masks": list(sector.masks),
-            "couplings": {
-                f"{a},{b}": [[float(v.real) for v in row] for row in block]
-                for (a, b), block in sector.couplings.items()
-            },
-        }
-        return config, results, True
-
-    raise ValueError(f"unknown susy subcommand {sub!r}")
+    # sector
+    config["grade"] = args.grade
+    sector = susy.sector_hamiltonian(args.grade, sp)
+    results = {
+        "grade": args.grade,
+        "shift": sector.shift,
+        "basis_masks": list(sector.masks),
+        "couplings": {
+            f"{a},{b}": [[float(v.real) for v in row] for row in block]
+            for (a, b), block in sector.couplings.items()
+        },
+    }
+    return config, results, True, None
 
 
 # ---------------------------------------------------------------------------
@@ -400,49 +350,26 @@ def _cmd_susy(args) -> tuple[dict, dict, bool]:
 def _cmd_lattice(args) -> tuple[dict, dict, bool, str | None]:
     from . import lattice, susy
 
-    sub = args.subcommand
-    n = _int(args.n, "n")
-    c = _float(args.c, "c")
-    if args.seed is None:
-        raise ValueError("--seed is mandatory for stochastic commands")
-    seed = _int(args.seed, "seed")
-    sp = susy.Superpotential(n=n, c=c)
-    config: dict = {"subcommand": sub, "n": n, "c": c, "seed": seed}
+    sub, n, seed = args.subcommand, args.n, args.seed
+    sp = susy.Superpotential(n=n, c=args.c)
+    config: dict = {"subcommand": sub, "n": n, "c": args.c, "seed": seed}
 
     if sub == "spectrum":
-        sector = _int(args.sector, "sector")
-        box = _float(args.box, "box")
-        points = _int(args.points, "points")
-        k = _int(args.eigs, "eigs") if args.eigs is not None else 6
-        config.update({"sector": sector, "box": box, "points": points, "eigs": k})
-        grid = lattice.Grid(box=box, points=points, n=n)
-        rep = lattice.sector_spectrum(sector, grid, sp, k, seed=seed)
-        results = {"spectrum": _spectrum_dict(rep)}
-        return config, results, max(rep.residuals) < lattice.RESIDUAL_TOL, None
+        k = 6 if args.eigs is None else args.eigs
+        config.update({"sector": args.sector, "box": args.box, "points": args.points, "eigs": k})
+        grid = lattice.Grid(box=args.box, points=args.points, n=n)
+        rep = lattice.sector_spectrum(args.sector, grid, sp, k, seed=seed)
+        return config, {"spectrum": asdict(rep)}, max(rep.residuals) < lattice.RESIDUAL_TOL, None
 
     if sub == "converge":
-        sector = _int(args.sector, "sector")
-        box = _float(args.box, "box") if args.box is not None else 24.0
-        points_list = (
-            _int_list(args.points_list, "points_list")
-            if args.points_list is not None
-            else (119, 239, 479)
-        )
-        k = _int(args.eigs, "eigs") if args.eigs is not None else 1
+        box = 24.0 if args.box is None else args.box
+        k = 1 if args.eigs is None else args.eigs
         config.update(
-            {"sector": sector, "box": box, "points_list": list(points_list), "eigs": k}
+            {"sector": args.sector, "box": box, "points_list": list(args.points_list), "eigs": k}
         )
-        rep = lattice.convergence_study(sector, sp, box, points_list, k=k, seed=seed)
+        rep = lattice.convergence_study(args.sector, sp, box, args.points_list, k=k, seed=seed)
         results = {
-            "rows": [
-                {
-                    "h": row.h,
-                    "points": row.points,
-                    "eigenvalues": list(row.eigenvalues),
-                    "residuals": list(row.residuals),
-                }
-                for row in rep.rows
-            ],
+            "rows": [asdict(row) for row in rep.rows],
             "orders": list(rep.orders),
             "monotone_decreasing": rep.monotone_decreasing,
         }
@@ -455,38 +382,28 @@ def _cmd_lattice(args) -> tuple[dict, dict, bool, str | None]:
                 + ",".join(f"res_{i+1}" for i in range(k))
             ]
             for row in rep.rows:
-                cells = [_fmt_float(row.h), _fmt_float(box), str(sector)]
+                cells = [_fmt_float(row.h), _fmt_float(box), str(args.sector)]
                 cells += [_fmt_float(v) for v in row.eigenvalues]
                 cells += [_fmt_float(v) for v in row.residuals]
                 lines.append(",".join(cells))
             csv_text = "\n".join(lines) + "\n"
         return config, results, rep.monotone_decreasing, csv_text
 
-    if sub == "diagnostic":
-        box = _float(args.box, "box")
-        points = _int(args.points, "points")
-        config.update({"box": box, "points": points})
-        grid = lattice.Grid(box=box, points=points, n=n)
-        rep = lattice.lattice_q_diagnostic(grid, sp, seed=seed)
-        results = {
-            "min_eigenvalue": rep.min_eigenvalue,
-            "q_squared_max": rep.q_squared_max,
-            "q_squared_nnz": rep.q_squared_nnz,
-            "band_width": rep.band_width,
-        }
-        return config, results, rep.positive_semidefinite, None
-
-    raise ValueError(f"unknown lattice subcommand {sub!r}")
+    # diagnostic
+    config.update({"box": args.box, "points": args.points})
+    grid = lattice.Grid(box=args.box, points=args.points, n=n)
+    rep = lattice.lattice_q_diagnostic(grid, sp, seed=seed)
+    return config, asdict(rep), rep.positive_semidefinite, None
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, tol: float | None) -> None:
     p.add_argument("--config", help="key = value file; flags win on conflict")
     p.add_argument("--output", "-o", help="write the JSON report here (atomically)")
-    p.add_argument("--tol", help="residual tolerance override")
+    p.add_argument("--tol", type=float, default=tol, help="residual tolerance override")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -499,76 +416,88 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bethe", help="exact eigenstates and matching residuals")
     b.add_argument("family", choices=["collision", "dimer", "trimer", "monomer-dimer"])
-    b.add_argument("--n")
-    b.add_argument("--k", help="comma-separated momenta, strictly decreasing")
-    b.add_argument("--c", help="coupling strength (negative = attractive)")
-    b.add_argument("--p", help="pair/string momentum")
-    b.add_argument("--q", help="monomer momentum")
+    b.add_argument("--n", type=int)
+    b.add_argument("--k", type=_floats, help="comma-separated momenta, strictly decreasing")
+    b.add_argument("--c", type=float, help="coupling strength (negative = attractive)")
+    b.add_argument("--p", type=float, help="pair/string momentum")
+    b.add_argument("--q", type=float, help="monomer momentum")
     b.add_argument(
         "--emit-state",
         action="store_true",
         dest="emit_state",
         help="include the chamber-by-chamber exponential data in the report",
     )
-    _add_common(b)
+    _add_common(b, tol=1e-10)
+    b.set_defaults(run=_cmd_bethe, group_parser=b)
 
     s = sub.add_parser("susy", help="supersymmetry algebra and ground-state checks")
     s.add_argument(
         "subcommand", choices=["algebra", "zero-modes", "census", "partner", "sector"]
     )
-    s.add_argument("--n")
-    s.add_argument("--c")
-    s.add_argument("--grade")
-    s.add_argument("--trials")
-    s.add_argument("--seed")
-    s.add_argument("--k", help="collision momenta for partner states")
-    s.add_argument("--p")
-    s.add_argument("--q")
-    s.add_argument("--direction", choices=["raise", "lower"])
+    s.add_argument("--n", type=int)
+    s.add_argument("--c", type=float)
+    s.add_argument("--grade", type=int)
+    s.add_argument("--trials", type=int)
+    s.add_argument("--seed", type=int)
+    s.add_argument("--k", type=_floats, help="collision momenta for partner states")
+    s.add_argument("--p", type=float)
+    s.add_argument("--q", type=float)
+    s.add_argument("--direction", choices=["raise", "lower"], default="raise")
     s.add_argument(
-        "--state-family", choices=["collision", "trimer", "monomer-dimer"], dest="state_family"
+        "--state-family",
+        choices=["collision", "trimer", "monomer-dimer"],
+        dest="state_family",
+        default="collision",
     )
-    _add_common(s)
+    _add_common(s, tol=1e-12)
+    s.set_defaults(run=_cmd_susy, group_parser=s)
 
     l = sub.add_parser("lattice", help="finite-difference oracle on a Dirichlet box")
     l.add_argument("subcommand", choices=["spectrum", "converge", "diagnostic"])
-    l.add_argument("--n")
-    l.add_argument("--c")
-    l.add_argument("--sector")
-    l.add_argument("--box")
-    l.add_argument("--points")
-    l.add_argument("--points-list", dest="points_list")
-    l.add_argument("--eigs")
-    l.add_argument("--seed")
+    l.add_argument("--n", type=int)
+    l.add_argument("--c", type=float)
+    l.add_argument("--sector", type=int)
+    l.add_argument("--box", type=float)
+    l.add_argument("--points", type=int)
+    l.add_argument("--points-list", type=_ints, dest="points_list", default=(119, 239, 479))
+    l.add_argument("--eigs", type=int)
+    l.add_argument("--seed", type=int)
     l.add_argument("--csv", help="write the convergence table here")
-    _add_common(l)
+    _add_common(l, tol=None)
+    l.set_defaults(run=_cmd_lattice, group_parser=l)
 
     return parser
 
 
 def main(argv=None) -> int:
     _apply_thread_cap()
+    from . import __version__
+    from .errors import ConvergenceError
+
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.config:
+            _load_config(args.group_parser, args.config)
+            args = parser.parse_args(argv)
+        command = f"{args.group} {args.family if args.group == 'bethe' else args.subcommand}"
+        _check_options(args, command)
+        config, results, passed, csv_text = args.run(args)
+        report = {
+            "artifact": "slly",
+            "version": __version__,
+            "command": command,
+            "config": config,
+            "results": results,
+            "pass": passed,
+        }
+        text = render_json(report) + "\n"
+        if csv_text is not None:
+            _atomic_write(args.csv, csv_text)
+        if args.output:
+            _atomic_write(args.output, text)
+    except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)
-
-    from .errors import ConvergenceError
-
-    try:
-        _merge_config(args)
-        if args.group == "bethe":
-            config, results, passed = _cmd_bethe(args)
-            command = f"bethe {args.family}"
-            csv_text = None
-        elif args.group == "susy":
-            config, results, passed = _cmd_susy(args)
-            command = f"susy {args.subcommand}"
-            csv_text = None
-        else:
-            config, results, passed, csv_text = _cmd_lattice(args)
-            command = f"lattice {args.subcommand}"
     except ConvergenceError as exc:
         sys.stderr.write(f"slly: eigensolver did not converge: {exc}\n")
         diagnostics = json.dumps(exc.diagnostics, sort_keys=True, default=str)
@@ -578,11 +507,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"slly: {exc}\n")
         return 2
 
-    if csv_text is not None and args.csv:
-        _atomic_write(args.csv, csv_text)
-    _emit(command, config, results, passed, args.output)
+    sys.stdout.write(text)
     return 0 if passed else 1
-
 
 def entrypoint() -> None:
     raise SystemExit(main())

@@ -42,10 +42,6 @@ def basis_index(n_modes: int) -> dict[int, int]:
     return {mask: i for i, mask in enumerate(fock_basis(n_modes))}
 
 
-def grade_of(mask: int) -> int:
-    return mask.bit_count()
-
-
 @lru_cache(maxsize=None)
 def grade_slice(n_modes: int, grade: int) -> slice:
     """Index range of the grade block in the fixed basis order."""
@@ -174,25 +170,25 @@ def _diagonal(n_modes: int, values) -> FockOperator:
 def fermi_number(n_modes: int) -> FockOperator:
     """F = sum_j b_j^dag b_j; diagonal with integer eigenvalue = grade."""
     _guard_modes(n_modes)
-    return _diagonal(n_modes, (grade_of(m) for m in fock_basis(n_modes)))
+    return _diagonal(n_modes, (m.bit_count() for m in fock_basis(n_modes)))
 
 
 def bose_number(n_modes: int) -> FockOperator:
     """B = sum_j b_j b_j^dag; diagonal with eigenvalue N - grade."""
     _guard_modes(n_modes)
-    return _diagonal(n_modes, (n_modes - grade_of(m) for m in fock_basis(n_modes)))
+    return _diagonal(n_modes, (n_modes - m.bit_count() for m in fock_basis(n_modes)))
 
 
 def klein_f(n_modes: int) -> FockOperator:
     """K_F = (-1)^F, the grading (Klein) operator."""
     _guard_modes(n_modes)
-    return _diagonal(n_modes, ((-1.0) ** grade_of(m) for m in fock_basis(n_modes)))
+    return _diagonal(n_modes, ((-1.0) ** m.bit_count() for m in fock_basis(n_modes)))
 
 
 def klein_b(n_modes: int) -> FockOperator:
     """K_B = (-1)^{N-F}."""
     _guard_modes(n_modes)
-    return _diagonal(n_modes, ((-1.0) ** (n_modes - grade_of(m)) for m in fock_basis(n_modes)))
+    return _diagonal(n_modes, ((-1.0) ** (n_modes - m.bit_count()) for m in fock_basis(n_modes)))
 
 
 def gamma_matrices(n_modes: int) -> list[FockOperator]:

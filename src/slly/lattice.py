@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -118,17 +119,23 @@ def build_sector_matrix(
 # eigensolver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Lowest eigenvalues of one sector matrix, ascending, with residuals."""
+class Eigenvalues(NamedTuple):
+    """Lowest eigenvalues of a sparse symmetric matrix, ascending, with residuals."""
 
-    sector: int | None
     eigenvalues: tuple[float, ...]
     residuals: tuple[float, ...]
-    n: int | None
-    box: float | None
-    points: int | None
-    h: float | None
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Lowest eigenvalues of one sector on a grid, ascending, with residuals."""
+
+    sector: int
+    eigenvalues: tuple[float, ...]
+    residuals: tuple[float, ...]
+    box: float
+    points: int
+    h: float
     seed: int
 
     @property
@@ -136,12 +143,23 @@ class SpectrumReport:
         return self.eigenvalues[0]
 
 
+def _eigsh(a_mat, k: int, **kwargs):
+    """``spla.eigsh`` with ARPACK non-convergence raised as ConvergenceError."""
+    try:
+        return spla.eigsh(a_mat, k=k, **kwargs)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            "eigensolver did not converge",
+            diagnostics={"converged": len(exc.eigenvalues), "requested": k},
+        ) from exc
+
+
 def lowest_eigenvalues(
     a_mat: sparse.csr_matrix,
     k: int,
     seed: int = 0,
     maxiter: int | None = None,
-) -> SpectrumReport:
+) -> Eigenvalues:
     """k smallest eigenvalues of a sparse symmetric matrix.
 
     Shift-invert Lanczos anchored below the spectrum via a Gershgorin bound;
@@ -156,15 +174,7 @@ def lowest_eigenvalues(
     row_abs = np.asarray(abs(a_mat).sum(axis=1)).ravel()
     sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    try:
-        vals, vecs = spla.eigsh(
-            a_mat, k=k, sigma=sigma, which="LM", v0=v0, maxiter=maxiter, tol=0
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            "eigensolver did not converge",
-            diagnostics={"converged": len(exc.eigenvalues), "requested": k},
-        ) from exc
+    vals, vecs = _eigsh(a_mat, k, sigma=sigma, which="LM", v0=v0, maxiter=maxiter, tol=0)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -177,29 +187,18 @@ def lowest_eigenvalues(
             "eigenpair residual above tolerance",
             diagnostics={"residuals": residuals},
         )
-    return SpectrumReport(
-        sector=None,
-        eigenvalues=tuple(float(v) for v in vals),
-        residuals=tuple(residuals),
-        n=None,
-        box=None,
-        points=None,
-        h=None,
-        seed=seed,
-    )
+    return Eigenvalues(tuple(float(v) for v in vals), tuple(residuals))
 
 
 def sector_spectrum(
     grade: int, grid: Grid, sp: susy.Superpotential, k: int, seed: int = 0
 ) -> SpectrumReport:
     """Assemble one sector and solve for its k lowest eigenvalues."""
-    mat = build_sector_matrix(grade, grid, sp)
-    raw = lowest_eigenvalues(mat, k, seed=seed)
+    raw = lowest_eigenvalues(build_sector_matrix(grade, grid, sp), k, seed=seed)
     return SpectrumReport(
         sector=grade,
         eigenvalues=raw.eigenvalues,
         residuals=raw.residuals,
-        n=grid.n,
         box=grid.box,
         points=grid.points,
         h=grid.h,
@@ -369,9 +368,7 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
     h_mat = 0.5 * (h_mat + h_mat.T)
 
     v0 = np.random.default_rng(seed).standard_normal(h_mat.shape[0])
-    vals = spla.eigsh(
-        h_mat, k=1, sigma=-0.1, which="LM", v0=v0, return_eigenvectors=False
-    )
+    vals = _eigsh(h_mat, 1, sigma=-0.1, which="LM", v0=v0, return_eigenvectors=False)
     q2 = (q_mat @ q_mat).tocoo()
     q2.eliminate_zeros()
     band = 0

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -148,11 +149,6 @@ def enumerate_interfaces(n: int) -> list[Interface]:
             if s < t:  # region is the left (x_s < x_t) side; emit once
                 out.append(Interface(left=region, right=region.swap_adjacent(slot), pair=(s, t)))
     return out
-
-
-def sign_value(region: Region, a: int, b: int) -> int:
-    """Chamber-constant value of the sign of x_a - x_b."""
-    return region.sign(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +441,13 @@ def from_json_obj(obj: Mapping) -> RegionFunction:
     return build(n, data)
 
 
-_IFACE_CACHE: dict[int, list[Interface]] = {}
-_REGION_CACHE: dict[int, list[Region]] = {}
+@lru_cache(maxsize=None)
+def interfaces(n: int) -> tuple[Interface, ...]:
+    """Cached enumerate_interfaces, as a tuple since every caller shares it."""
+    return tuple(enumerate_interfaces(n))
 
 
-def interfaces(n: int) -> list[Interface]:
-    """Cached enumerate_interfaces (interfaces are immutable)."""
-    if n not in _IFACE_CACHE:
-        _IFACE_CACHE[n] = enumerate_interfaces(n)
-    return _IFACE_CACHE[n]
-
-
-def regions(n: int) -> list[Region]:
-    """Cached enumerate_regions."""
-    if n not in _REGION_CACHE:
-        _REGION_CACHE[n] = enumerate_regions(n)
-    return _REGION_CACHE[n]
+@lru_cache(maxsize=None)
+def regions(n: int) -> tuple[Region, ...]:
+    """Cached enumerate_regions, as a tuple since every caller shares it."""
+    return tuple(enumerate_regions(n))

@@ -1,6 +1,10 @@
 """Command-line driver: exit codes, report shape, determinism, config files."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +40,19 @@ class TestBetheCommands:
         code, _ = run(["bethe", "pentamer", "--c", "-1"], capsys)
         assert code == 2
 
+    def test_too_many_particles_exits_before_enumerating(self):
+        # 11! orderings would take hours; the particle-count guard must come first
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = ["bethe", "collision", "--n", "11", "--k=11,10,9,8,7,6,5,4,3,2,1", "--c", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "slly.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "particle count 11" in proc.stderr
+
 
 class TestSusyCommands:
     def test_census(self, capsys):
@@ -47,6 +64,16 @@ class TestSusyCommands:
     def test_algebra_requires_seed(self, capsys):
         code, _ = run(["susy", "algebra", "--n", "2", "--c", "0.7", "--trials", "3"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_algebra_needs_a_trial(self, capsys, trials):
+        code = cli.main(
+            ["susy", "algebra", "--n", "2", "--c", "0.7", f"--trials={trials}", "--seed", "7"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--trials must be at least 1" in captured.err
 
     def test_algebra_fuzz_passes(self, capsys):
         code, out = run(
@@ -203,6 +230,66 @@ class TestReportPlumbing:
         assert captured.err.startswith("slly: --") and captured.err.count("\n") == 1
         assert "finite" in captured.err
 
+    def test_non_finite_config_value_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = nan\np = 0.25\n")
+        code = cli.main(["bethe", "trimer", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "slly: --c must be a finite number, got nan\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bethe", "collision", "--n", "2", "--k=1e200,-1e200", "--c", "1"],
+            ["bethe", "dimer", "--p", "1e200", "--c=-1"],
+        ],
+    )
+    def test_non_finite_result_is_config_error(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        code = cli.main([*argv, "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "slly: reports must not contain NaN or infinities\n"
+        assert not out_path.exists()
+
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing-dir" / "report.json"
+        code = cli.main(["bethe", "dimer", "--p", "0.5", "--c=-2", "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("slly: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value, emitted", [("true", True), ("false", False)])
+    def test_emit_state_from_config(self, capsys, tmp_path, value, emitted):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"c = -2\np = 0.5\nemit_state = {value}\n")
+        code, out = run(["bethe", "dimer", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert ("state" in json.loads(out)["results"]) is emitted
+
+    @pytest.mark.parametrize("value", ["yes", "1", "True", ""])
+    def test_bad_boolean_config_value_is_config_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"c = -2\np = 0.5\nemit_state = {value}\n")
+        code = cli.main(["bethe", "dimer", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "emit_state must be true or false" in captured.err
+
+    def test_config_choice_is_validated(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 2\nc = 1\nk = 1.3,-0.4\ndirection = sideways\n")
+        code = cli.main(["susy", "partner", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "direction must be one of raise, lower" in captured.err
+
     def test_unknown_config_key_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("c = -1\np = 0.25\ntypo = 5\n")
@@ -238,6 +325,8 @@ class TestReportPlumbing:
         assert report["config"]["n"] == 2
 
     def test_solver_non_convergence_exit_code(self, capsys, monkeypatch):
+        import numpy as np
+
         from slly import lattice
         from slly.errors import ConvergenceError
 
@@ -255,3 +344,19 @@ class TestReportPlumbing:
         assert code == 3
         assert captured.out == ""
         assert 'slly: diagnostics: {"converged": 0}\n' in captured.err
+
+        # the supercharge diagnostic's own solve maps ARPACK failure the same way
+        def no_convergence(*args, **kwargs):
+            raise lattice.spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
+
+        monkeypatch.setattr(lattice.spla, "eigsh", no_convergence)
+        code = cli.main(
+            [
+                "lattice", "diagnostic", "--n", "2", "--c", "2",
+                "--box", "8", "--points", "24", "--seed", "3",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert 'slly: diagnostics: {"converged": 0, "requested": 1}\n' in captured.err

@@ -63,15 +63,15 @@ class TestEnumeration:
 class TestSign:
     def test_identity_region(self):
         r = pw.Region((1, 2, 3))
-        assert pw.sign_value(r, 1, 2) == -1
+        assert r.sign(1, 2) == -1
 
     def test_reversed_region(self):
         r = pw.Region((3, 2, 1))
-        assert pw.sign_value(r, 1, 3) == 1
+        assert r.sign(1, 3) == 1
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
-            pw.sign_value(pw.Region((1, 2)), 1, 1)
+            pw.Region((1, 2)).sign(1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(perm=st.permutations(list(range(1, 5))))
