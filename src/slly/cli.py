@@ -510,6 +510,7 @@ def main(argv=None) -> int:
     sys.stdout.write(text)
     return 0 if passed else 1
 
+
 def entrypoint() -> None:
     raise SystemExit(main())
 

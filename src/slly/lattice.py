@@ -194,7 +194,8 @@ def sector_spectrum(
     grade: int, grid: Grid, sp: susy.Superpotential, k: int, seed: int = 0
 ) -> SpectrumReport:
     """Assemble one sector and solve for its k lowest eigenvalues."""
-    raw = lowest_eigenvalues(build_sector_matrix(grade, grid, sp), k, seed=seed)
+    mat = build_sector_matrix(grade, grid, sp)
+    raw = lowest_eigenvalues(mat, k, seed=seed)
     return SpectrumReport(
         sector=grade,
         eigenvalues=raw.eigenvalues,
