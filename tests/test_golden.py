@@ -41,6 +41,13 @@ CASES = {
     "susy_partner_n3_lower": [
         "susy", "partner", "--n", "3", "--c", "0.9", "--k=1.1,0.3,-0.8", "--direction", "lower",
     ],
+    # non-zero residuals, so reordered coefficient arithmetic changes the bytes
+    "susy_algebra_n4_residuals": [
+        "susy", "algebra", "--n", "4", "--c", "1.9", "--trials", "4", "--seed", "11",
+    ],
+    "susy_partner_n3_raise": [
+        "susy", "partner", "--n", "3", "--c", "1.4", "--k=1.1,0.3,-0.8", "--direction", "raise",
+    ],
     # lattice examples (README diagnostic; spectrum and converge on smaller grids)
     "lattice_diagnostic_n2": [
         "lattice", "diagnostic", "--n", "2", "--c", "2", "--box", "16", "--points", "60",
