@@ -84,16 +84,41 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".slly-")
+def _atomic_write(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text) atomically, all of them or none.
+
+    Every text first goes to a temporary file beside its path, with the mode
+    a plain ``open`` would create (0o666 less the umask); only when all are
+    written are they moved into place.  If any step fails, no file of this
+    call is left behind and the error names the path as given.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    staged: list[tuple[str, str]] = []
+    placed: list[str] = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            directory = os.path.dirname(os.path.abspath(path))
+            try:
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".slly-")
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+        for tmp, path in staged:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
+            placed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        for path in placed:
+            os.unlink(path)
         raise
 
 
@@ -166,12 +191,25 @@ _REQUIRED = {
 }
 
 
+#: default --tol of the commands that read it (by group or command); every
+#: other command rejects the option rather than ignore it
+_TOL_DEFAULTS = {"bethe": 1e-10, "susy algebra": 1e-12}
+
+
 def _check_options(args, command: str) -> None:
-    """Reject non-finite numbers and missing options before any work starts."""
+    """Reject non-finite numbers, missing options and an unused --tol before any work starts.
+
+    Fills in the default --tol of the commands that read it.
+    """
     for dest, value in vars(args).items():
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {v}")
+    tol = _TOL_DEFAULTS.get(args.group, _TOL_DEFAULTS.get(command))
+    if tol is None and args.tol is not None:
+        raise ValueError(f"--tol is not used by {command}")
+    if args.tol is None:
+        args.tol = tol
     keys = [args.group, command]
     if args.group == "bethe":
         keys.append(args.family)
@@ -400,10 +438,12 @@ def _cmd_lattice(args) -> tuple[dict, dict, bool, str | None]:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, tol: float | None) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file; flags win on conflict")
     p.add_argument("--output", "-o", help="write the JSON report here (atomically)")
-    p.add_argument("--tol", type=float, default=tol, help="residual tolerance override")
+    p.add_argument(
+        "--tol", type=float, help="residual tolerance (bethe commands and susy algebra only)"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="emit_state",
         help="include the chamber-by-chamber exponential data in the report",
     )
-    _add_common(b, tol=1e-10)
+    _add_common(b)
     b.set_defaults(run=_cmd_bethe, group_parser=b)
 
     s = sub.add_parser("susy", help="supersymmetry algebra and ground-state checks")
@@ -449,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="state_family",
         default="collision",
     )
-    _add_common(s, tol=1e-12)
+    _add_common(s)
     s.set_defaults(run=_cmd_susy, group_parser=s)
 
     l = sub.add_parser("lattice", help="finite-difference oracle on a Dirichlet box")
@@ -463,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--eigs", type=int)
     l.add_argument("--seed", type=int)
     l.add_argument("--csv", help="write the convergence table here")
-    _add_common(l, tol=None)
+    _add_common(l)
     l.set_defaults(run=_cmd_lattice, group_parser=l)
 
     return parser
@@ -492,10 +532,10 @@ def main(argv=None) -> int:
             "pass": passed,
         }
         text = render_json(report) + "\n"
-        if csv_text is not None:
-            _atomic_write(args.csv, csv_text)
+        files = [] if csv_text is None else [(args.csv, csv_text)]
         if args.output:
-            _atomic_write(args.output, text)
+            files.append((args.output, text))
+        _atomic_write(files)
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)
     except ConvergenceError as exc:

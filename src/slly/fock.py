@@ -229,19 +229,23 @@ def delta_coupling(a: int, b: int, c: float, n_modes: int) -> FockOperator:
     +2c on the empty pair / symmetric hop and -2c on the full pair /
     antisymmetric hop (multiplicity 2^{N-1} each).
     """
+    return delta_coupling_unit(a, b, n_modes) * (2.0 * c)
+
+
+def delta_coupling_unit(a: int, b: int, n_modes: int) -> FockOperator:
+    """Lambda_ab / (2c) = I - n_a - n_b + b_a^dag b_b + b_b^dag b_a, which does not depend on c."""
     if not a < b:
         raise ValueError("delta coupling needs ordered pair a < b")
     _guard_mode_index(b, n_modes)
     ba = annihilation(a, n_modes)
     bb = annihilation(b, n_modes)
-    core = (
+    return (
         identity(n_modes)
         - ba.adjoint() @ ba
         - bb.adjoint() @ bb
         + ba.adjoint() @ bb
         + bb.adjoint() @ ba
     )
-    return core * (2.0 * c)
 
 
 def grade_project(op: FockOperator, grade: int) -> np.ndarray:

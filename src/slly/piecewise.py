@@ -24,7 +24,7 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,6 +115,17 @@ class RegionFunction:
 
     ``terms`` maps a Region to a canonical tuple of ExpTerms; absent regions
     are identically zero there.  Instances are treated as immutable.
+
+    Canonical invariant: every non-empty instance comes from ``build`` (the
+    coefficient maps and ``add`` below return exactly what ``build`` would)
+    or is a chamber subset of one, as the wall-local cut in
+    ``wall_residuals`` is.  So each chamber is sorted by ``_sort_key``, holds
+    no coefficient of magnitude at most ``DROP_TOL``, and consecutive kappas
+    are further apart than ``KAPPA_TOL`` -- unless ``build`` dropped a term
+    that sat between them, which ``_separated`` detects.  On a separated
+    chamber an operation that leaves the kappas unchanged needs no re-sort
+    or re-merge: re-merging it could only drop coefficients of at most
+    ``DROP_TOL``.
     """
 
     n: int
@@ -178,6 +189,44 @@ def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpT
     return tuple(ExpTerm(c, k) for c, k in merged if abs(c) > DROP_TOL)
 
 
+def _separated(terms: Iterable[tuple[complex, tuple[complex, ...]]]) -> bool:
+    """True when no two consecutive kappas agree componentwise within KAPPA_TOL."""
+    prev = None
+    for _, kappa in terms:
+        if prev is not None:
+            for k, r in zip(kappa, prev):
+                if abs(k - r) > KAPPA_TOL:
+                    break
+            else:
+                return False
+        prev = kappa
+    return True
+
+
+def _merge_parts(
+    parts: Sequence[Sequence[tuple[complex, tuple[complex, ...]]]]
+) -> tuple[ExpTerm, ...]:
+    """``_merge_terms`` of the concatenated parts, each a sorted canonical chamber.
+
+    When every part holds the same kappas position by position and they are
+    separated, the stable sort puts each position's terms next to each other
+    in part order, so the merge is a position-wise sum in that order; any
+    other input takes the general merge.
+    """
+    first, rest = parts[0], parts[1:]
+    kappas = [k for _, k in first]
+    if all([k for _, k in p] == kappas for p in rest) and _separated(first):
+        out = []
+        for i, (coef, kappa) in enumerate(first):
+            acc = complex(coef)
+            for p in rest:
+                acc += complex(p[i][0])
+            if abs(acc) > DROP_TOL:
+                out.append(ExpTerm(acc, kappa))
+        return tuple(out)
+    return _merge_terms(itertools.chain.from_iterable(parts))
+
+
 def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex]]]]) -> RegionFunction:
     """Assemble and canonicalise a RegionFunction from raw (coef, kappa) pairs."""
     terms = {}
@@ -205,18 +254,57 @@ def zero_function(n: int) -> RegionFunction:
     return RegionFunction(n=n, terms={})
 
 
+def map_coefficients(
+    f: RegionFunction, fn: Callable[[Region, ExpTerm], complex]
+) -> RegionFunction:
+    """Replace each coefficient by ``fn(region, term)``, keeping every kappa.
+
+    Equal to ``build`` of the mapped terms: on a separated chamber (see
+    ``RegionFunction``) that only drops coefficients of magnitude at most
+    ``DROP_TOL``, so nothing is sorted or merged; any other chamber takes
+    the general merge.
+    """
+    terms = {}
+    for r, ts in f.terms.items():
+        if _separated(ts):
+            mapped = tuple(
+                ExpTerm(c, t.kappa) for t in ts if abs(c := complex(fn(r, t))) > DROP_TOL
+            )
+        else:
+            mapped = _merge_terms((fn(r, t), t.kappa) for t in ts)
+        if mapped:
+            terms[r] = mapped
+    return RegionFunction(n=f.n, terms=terms)
+
+
 def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
+    """Sum of two functions; equal to ``build`` of the concatenated chambers.
+
+    A chamber held by one input only passes through unchanged, and one whose
+    kappas agree position by position is summed pairwise (``_merge_parts``).
+    """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    data: dict[Region, list] = {}
-    for h in (f, g):
-        for region, ts in h.terms.items():
-            data.setdefault(region, []).extend((t.coef, t.kappa) for t in ts)
-    return build(f.n, data)
+    terms = {}
+    for region, ts in f.terms.items():
+        us = g.terms.get(region)
+        merged = _merge_parts((ts, us)) if us else _pass_through(ts)
+        if merged:
+            terms[region] = merged
+    for region, us in g.terms.items():
+        if region not in f.terms:
+            merged = _pass_through(us)
+            if merged:
+                terms[region] = merged
+    return RegionFunction(n=f.n, terms=terms)
+
+
+def _pass_through(ts: tuple[ExpTerm, ...]) -> tuple[ExpTerm, ...]:
+    return ts if _separated(ts) else _merge_terms(ts)
 
 
 def scale(f: RegionFunction, z: complex) -> RegionFunction:
-    return build(f.n, {r: [(z * t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()})
+    return map_coefficients(f, lambda r, t: z * t.coef)
 
 
 def is_zero(f: RegionFunction, tol: float = 0.0) -> bool:
@@ -240,31 +328,19 @@ def differentiate(f: RegionFunction, j: int) -> RegionFunction:
     """Exact d/dx_j, chamber by chamber (no distributional interface terms)."""
     if not 1 <= j <= f.n:
         raise ValueError(f"coordinate index {j} out of range 1..{f.n}")
-    return build(
-        f.n,
-        {r: [(t.coef * t.kappa[j - 1], t.kappa) for t in ts] for r, ts in f.terms.items()},
-    )
+    return map_coefficients(f, lambda r, t: t.coef * t.kappa[j - 1])
 
 
 def laplacian(f: RegionFunction) -> RegionFunction:
     """Sum of second derivatives; per term a multiplication by sum kappa_j^2."""
-    return build(
-        f.n,
-        {
-            r: [(t.coef * sum(k * k for k in t.kappa), t.kappa) for t in ts]
-            for r, ts in f.terms.items()
-        },
-    )
+    return map_coefficients(f, lambda r, t: t.coef * sum(k * k for k in t.kappa))
 
 
 def multiply_sign(f: RegionFunction, a: int, b: int) -> RegionFunction:
     """Multiply by the chamber-constant sign of x_a - x_b."""
     if a == b:
         raise ValueError("multiply_sign needs a != b")
-    return build(
-        f.n,
-        {r: [(r.sign(a, b) * t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()},
-    )
+    return map_coefficients(f, lambda r, t: r.sign(a, b) * t.coef)
 
 
 def evaluate(f: RegionFunction, x: Sequence[float]) -> complex:
@@ -323,13 +399,12 @@ def _sum_scale(terms: Iterable[ExpTerm], z: complex):
     return [(z * t.coef, t.kappa) for t in terms]
 
 
-def _sum_max_coefficient(raw) -> float:
-    merged = _merge_terms(raw)
-    return max((abs(t.coef) for t in merged), default=0.0)
+def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
+    return max((abs(t.coef) for t in terms), default=0.0)
 
 
 def _limit_gap(left: tuple[ExpTerm, ...], right: tuple[ExpTerm, ...]) -> float:
-    return _sum_max_coefficient(list(_sum_scale(left, 1.0)) + list(_sum_scale(right, -1.0)))
+    return _max_coefficient(_merge_parts((_sum_scale(left, 1.0), _sum_scale(right, -1.0))))
 
 
 def continuity_residual(f: RegionFunction, iface: Interface) -> float:
@@ -361,6 +436,9 @@ def wall_residuals(
     Only the wall's two chambers are read: each input is cut down to them
     before differentiating, and since ``build`` merges every chamber on its
     own the result is bit-identical to differentiating the whole function.
+    The weighted sums are accumulated in the order right, -left, then
+    -C_ij * base_j by ascending j, position by position where the parts hold
+    the same kappas (``_merge_parts``), exactly as the general merge sums them.
     """
     mat = np.asarray(coupling, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != len(funcs):
@@ -383,13 +461,15 @@ def wall_residuals(
             n=f.n, terms={r: f.terms[r] for r in (iface.left, iface.right) if r in f.terms}
         )
         d = add(differentiate(local, a), scale(differentiate(local, b), -1.0))
-        raw = list(_sum_scale(restrict_to_interface(d, iface, "right"), 1.0))
-        raw += _sum_scale(restrict_to_interface(d, iface, "left"), -1.0)
+        parts = [
+            _sum_scale(restrict_to_interface(d, iface, "right"), 1.0),
+            _sum_scale(restrict_to_interface(d, iface, "left"), -1.0),
+        ]
         for j in range(len(funcs)):
             cij = mat[i, j]
             if cij != 0:
-                raw += _sum_scale(bases[j], -cij)
-        jump = max(jump, _sum_max_coefficient(raw))
+                parts.append(_sum_scale(bases[j], -cij))
+        jump = max(jump, _max_coefficient(_merge_parts(parts)))
     return continuity, jump
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, Mapping
 
 import numpy as np
@@ -126,13 +127,7 @@ def _prune(s: SpinorFunction) -> SpinorFunction:
 
 
 def _gradw_multiply(f: pw.RegionFunction, j: int, sp: Superpotential, sgn: float) -> pw.RegionFunction:
-    return pw.build(
-        f.n,
-        {
-            r: [(t.coef * sgn * grad_w(r, j, sp), t.kappa) for t in ts]
-            for r, ts in f.terms.items()
-        },
-    )
+    return pw.map_coefficients(f, lambda r, t: t.coef * sgn * grad_w(r, j, sp))
 
 
 def _covariant(f: pw.RegionFunction, j: int, sp: Superpotential, sgn: float) -> pw.RegionFunction:
@@ -193,15 +188,34 @@ class SectorHamiltonian:
         return self.couplings[(a, b)]
 
 
+@lru_cache(maxsize=None)
+def _unit_blocks(n: int, grade: int) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
+    """Read-only grade blocks of Lambda_ab / (2c) for every pair a < b.
+
+    They do not depend on c, so the sparse products and the Fermi-number
+    check of ``fock.grade_project`` run once per (n, grade).
+    """
+    out = []
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            block = fock.grade_project(fock.delta_coupling_unit(a, b, n), grade)
+            block.flags.writeable = False
+            out.append(((a, b), block))
+    return tuple(out)
+
+
 def sector_hamiltonian(grade: int, sp: Superpotential) -> SectorHamiltonian:
-    """Assemble the grade block: shift constant plus one Lambda block per pair."""
+    """Assemble the grade block: shift constant plus one Lambda block per pair.
+
+    Each block is a new array: the cached unit block times 2c, the same one
+    multiply per entry that ``fock.delta_coupling`` does on the sparse matrix,
+    plus 0.0 because ``toarray`` accumulates into zeros (so -0.0 reads 0.0).
+    """
     if not 0 <= grade <= sp.n:
         raise ValueError(f"grade {grade} out of range 0..{sp.n}")
-    couplings = {}
-    for a in range(1, sp.n + 1):
-        for b in range(a + 1, sp.n + 1):
-            lam = fock.delta_coupling(a, b, sp.c, sp.n)
-            couplings[(a, b)] = fock.grade_project(lam, grade)
+    couplings = {
+        pair: block * (2.0 * sp.c) + 0.0 for pair, block in _unit_blocks(sp.n, grade)
+    }
     masks = tuple(fock.fock_basis(sp.n)[fock.grade_slice(sp.n, grade)])
     return SectorHamiltonian(
         n=sp.n, grade=grade, c=sp.c, shift=shift_constant(sp), couplings=couplings, masks=masks

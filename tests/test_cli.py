@@ -3,12 +3,18 @@
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
 import pytest
 
 from slly import cli
+
+
+#: a quick two-grid convergence study that writes a CSV table
+SMALL_CONVERGE = ["lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--box", "8",
+                  "--points-list", "19,39", "--seed", "1"]
 
 
 def run(argv, capsys):
@@ -262,6 +268,75 @@ class TestReportPlumbing:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("slly: ") and captured.err.count("\n") == 1
+
+    def test_unwritable_output_error_names_the_given_path(self, capsys, tmp_path):
+        out_path = tmp_path / "missing-dir" / "report.json"
+        code = cli.main(["bethe", "dimer", "--p", "0.5", "--c=-2", "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"slly: [Errno 2] No such file or directory: '{out_path}'\n"
+
+    @pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+    def test_failing_output_leaves_no_csv_behind(self, capsys, tmp_path, target):
+        # "." is a directory: the report's temporary file is written, the move fails
+        out_path = tmp_path / target
+        code = cli.main([*SMALL_CONVERGE, "--csv", str(tmp_path / "t.csv"),
+                         "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(out_path) in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_written_files_get_the_umask_mode(self, capsys, tmp_path):
+        old = os.umask(0o027)
+        try:
+            code = cli.main([*SMALL_CONVERGE, "--csv", str(tmp_path / "t.csv"),
+                             "--output", str(tmp_path / "r.json")])
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert code == 0
+        for name in ("t.csv", "r.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "diagnostic", "--n", "2", "--c", "2", "--box", "8", "--points", "24",
+             "--seed", "3"],
+            ["lattice", "spectrum", "--n", "2", "--sector", "0", "--c", "1", "--box", "8",
+             "--points", "20", "--seed", "1"],
+            ["lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--seed", "1"],
+            ["susy", "zero-modes", "--n", "3", "--c", "1"],
+            ["susy", "census", "--n", "3", "--c", "1"],
+            ["susy", "partner", "--n", "2", "--c", "1", "--k", "1.3,-0.4"],
+            ["susy", "sector", "--n", "3", "--grade", "1", "--c", "1"],
+        ],
+    )
+    def test_tol_is_rejected_where_unused(self, capsys, argv):
+        command = " ".join(argv[:2])
+        for extra in (["--tol", "5"], ["--tol", "1e-300"]):
+            code = cli.main([*argv, *extra])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"slly: --tol is not used by {command}\n"
+
+    def test_tol_in_config_is_rejected_where_unused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nc = 1\ntol = 1e-5\n")
+        code = cli.main(["susy", "census", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "slly: --tol is not used by susy census\n"
+
+    def test_tol_defaults_are_echoed(self, capsys):
+        _, out = run(["bethe", "dimer", "--p", "0.5", "--c=-2"], capsys)
+        assert json.loads(out)["config"]["tol"] == 1e-10
+        _, out = run(["susy", "algebra", "--n", "2", "--c", "1", "--trials", "1", "--seed", "1"],
+                     capsys)
+        assert json.loads(out)["config"]["tol"] == 1e-12
 
     @pytest.mark.parametrize("value, emitted", [("true", True), ("false", False)])
     def test_emit_state_from_config(self, capsys, tmp_path, value, emitted):

@@ -264,24 +264,58 @@ class TestMatchingResiduals:
             pw.jump_residual([f], iface, [[1.0]])
 
 
+# The formulas below re-merge every result with ``build``/``_merge_terms``,
+# as the calculus did before its canonical fast paths; the fast paths must
+# reproduce them exactly.
+
+def old_map(f, fn):
+    return pw.build(f.n, {r: [(fn(r, t), t.kappa) for t in ts] for r, ts in f.terms.items()})
+
+
+def old_add(f, g):
+    data = {}
+    for h in (f, g):
+        for region, ts in h.terms.items():
+            data.setdefault(region, []).extend((t.coef, t.kappa) for t in ts)
+    return pw.build(f.n, data)
+
+
+def old_scale(f, z):
+    return old_map(f, lambda r, t: z * t.coef)
+
+
+def old_differentiate(f, j):
+    return old_map(f, lambda r, t: t.coef * t.kappa[j - 1])
+
+
+def old_sum_max(raw):
+    return max((abs(t.coef) for t in pw._merge_terms(raw)), default=0.0)
+
+
+def old_continuity(f, iface):
+    left = pw.restrict_to_interface(f, iface, "left")
+    right = pw.restrict_to_interface(f, iface, "right")
+    return old_sum_max(pw._sum_scale(left, 1.0) + pw._sum_scale(right, -1.0))
+
+
 def full_function_jump(funcs, iface, coupling):
     """Reference jump residual: differentiates every chamber of every component."""
     mat = np.asarray(coupling, dtype=complex)
     a, b = iface.pair
     for i, f in enumerate(funcs):
-        if pw.continuity_residual(f, iface) > pw.JUMP_CONTINUITY_TOL:
+        if old_continuity(f, iface) > pw.JUMP_CONTINUITY_TOL:
             raise DiscontinuityError(f"component {i}")
     bases = [pw.restrict_to_interface(f, iface, "left") for f in funcs]
     worst = 0.0
     for i, f in enumerate(funcs):
-        d = pw.add(pw.differentiate(f, a), pw.scale(pw.differentiate(f, b), -1.0))
+        d = old_add(old_differentiate(f, a), old_scale(old_differentiate(f, b), -1.0))
         raw = list(pw._sum_scale(pw.restrict_to_interface(d, iface, "right"), 1.0))
         raw += pw._sum_scale(pw.restrict_to_interface(d, iface, "left"), -1.0)
         for j in range(len(funcs)):
             cij = mat[i, j]
             if cij != 0:
                 raw += pw._sum_scale(bases[j], -cij)
-        worst = max(worst, pw._sum_max_coefficient(raw))
+        worst = max(worst, old_sum_max(raw))
     return worst
 
 
@@ -341,7 +375,7 @@ class TestWallLocalKernel:
         funcs = [_continuous_at(rng, iface, pool) for _ in range(components)]
         coupling = _random_coupling(rng, components)
         reference = full_function_jump(funcs, iface, coupling)
-        continuity = max(pw.continuity_residual(f, iface) for f in funcs)
+        continuity = max(old_continuity(f, iface) for f in funcs)
         assert pw.wall_residuals(funcs, iface, coupling) == (continuity, reference)
         assert pw.jump_residual(funcs, iface, coupling) == reference
 
@@ -395,6 +429,154 @@ class TestWallLocalKernel:
         broken[mask] = pw.add(broken[mask], pw.build(3, {region: [(0.25, (0j, 0j, 0j))]}))
         with pytest.raises(DiscontinuityError, match=r"component \d+ .*pair \(\d, \d\)"):
             susy.verify_eigenstate(susy.SpinorFunction(3, broken), 0.0, sp)
+
+
+#: offsets of the first kappa component around KAPPA_TOL (1e-12): near-equal
+#: kappas merge or stay apart depending on which side of the tolerance they fall
+NEAR_TOL = (0.0, 0.4e-12, 0.9e-12, 1.0e-12, 1.1e-12, 1.6e-12, 2.5e-12)
+
+
+def _kappa_pool(rng, n):
+    """Random kappas with exact zero components and near-duplicates around KAPPA_TOL.
+
+    A near-duplicate shifts the real part of the first component of a base
+    kappa by one of ``NEAR_TOL``; some also move another component far away,
+    so they sort between a base and its close neighbour without merging.
+    """
+    pool = []
+    for _ in range(int(rng.integers(1, 4))):
+        base = tuple(
+            0j if rng.random() < 0.3 else complex(rng.standard_normal(), rng.standard_normal())
+            for _ in range(n)
+        )
+        pool.append(base)
+        for _ in range(int(rng.integers(0, 4))):
+            kappa = list(base)
+            kappa[0] += NEAR_TOL[int(rng.integers(len(NEAR_TOL)))]
+            if n > 1 and rng.random() < 0.4:
+                kappa[int(rng.integers(1, n))] += 3.0
+            pool.append(tuple(kappa))
+    return pool
+
+
+def _coef(rng):
+    """Random coefficient; some sit near DROP_TOL, so sums and maps drop them."""
+    size = (1.0, 1.0, 1e-13, 1e-14, 1e-15)[int(rng.integers(5))]
+    return size * complex(rng.standard_normal(), rng.standard_normal())
+
+
+def _canonical_pair(rng, n):
+    """Two canonical functions whose chambers share all, some or none of their kappas.
+
+    Per chamber: present in f only, in g only, in both with the same raw
+    kappas (position-wise equal after the merge unless a drop differs), in
+    both with g cancelling part of f exactly, in both with unrelated kappas,
+    or in neither.
+    """
+    data_f, data_g = {}, {}
+    for region in pw.regions(n):
+        pool = _kappa_pool(rng, n)
+        kappas = pool + [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(3)))]
+        raw_f = [(_coef(rng), k) for k in kappas]
+        mode = int(rng.integers(6))
+        if mode in (0, 2, 3, 4):
+            data_f[region] = raw_f
+        if mode == 1:
+            data_g[region] = raw_f
+        elif mode == 2:
+            data_g[region] = [(_coef(rng), k) for k in kappas]
+        elif mode == 3:
+            data_g[region] = [(-c if rng.random() < 0.5 else _coef(rng), k) for c, k in raw_f]
+        elif mode == 4:
+            data_g[region] = [(_coef(rng), k) for k in _kappa_pool(rng, n)]
+    return pw.build(n, data_f), pw.build(n, data_g)
+
+
+def _canonical_parts(rng, n, count):
+    """Canonical chambers (term tuples) for ``_merge_parts``: equal kappa lists or not."""
+    pool = _kappa_pool(rng, n)
+    kappas = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 6)))]
+    parts = []
+    region = pw.Region(tuple(range(1, n + 1)))
+    for _ in range(count):
+        own = kappas if rng.random() < 0.8 else _kappa_pool(rng, n)
+        raw = [(_coef(rng) * 10.0 ** int(rng.integers(-3, 4)), k) for k in own]
+        parts.append(pw.build(n, {region: raw}).region_terms(region))
+    return parts
+
+
+class TestCanonicalFastPaths:
+    """The coefficient maps, ``add`` and the wall sums equal the build-based formulas."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_maps_and_add_equal_build(self, n, seed):
+        rng = np.random.default_rng(seed)
+        f, g = _canonical_pair(rng, n)
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        z *= 10.0 ** int(rng.integers(-14, 2))
+        j = int(rng.integers(1, n + 1))
+        sp = susy.Superpotential(n=n, c=float(rng.uniform(0.0, 3.0)))
+        cases = [
+            (pw.add(f, g), old_add(f, g)),
+            (pw.add(g, f), old_add(g, f)),
+            (pw.scale(f, z), old_scale(f, z)),
+            (pw.scale(f, -1.0), old_scale(f, -1.0)),
+            (pw.differentiate(f, j), old_differentiate(f, j)),
+            (pw.laplacian(f), old_map(f, lambda r, t: t.coef * sum(k * k for k in t.kappa))),
+            (susy._gradw_multiply(f, j, sp, -1.0),
+             old_map(f, lambda r, t: t.coef * -1.0 * susy.grad_w(r, j, sp))),
+        ]
+        if n > 1:
+            a, b = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist())
+            cases.append(
+                (pw.multiply_sign(f, a, b), old_map(f, lambda r, t: r.sign(a, b) * t.coef))
+            )
+        for fast, old in cases:
+            assert fast.terms == old.terms
+            assert list(fast.terms) == list(old.terms)  # chamber order too
+            for ts in fast.terms.values():
+                assert all(type(t.coef) is complex for t in ts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_merge_parts_equals_merge_of_concatenation(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        parts = _canonical_parts(rng, n, count)
+        weights = [1.0, -1.0] + [complex(rng.standard_normal(), rng.standard_normal())
+                                 for _ in range(count)]
+        scaled = [pw._sum_scale(p, w) for p, w in zip(parts, weights)]
+        assert pw._merge_parts(scaled) == pw._merge_terms([t for p in scaled for t in p])
+
+    def test_inputs_reach_both_branches(self):
+        """The random inputs take the fast paths, the general merge and the drops."""
+        rng = np.random.default_rng(5)
+        chambers = unseparated = shared = dropped = 0
+        for _ in range(300):
+            f, g = _canonical_pair(rng, 3)
+            df = pw.differentiate(f, 2)
+            for region, ts in f.terms.items():
+                chambers += 1
+                unseparated += not pw._separated(ts)
+                us = g.terms.get(region, ())
+                shared += [t.kappa for t in us] == [t.kappa for t in ts]
+                dropped += len(df.region_terms(region)) < len(ts)
+        assert 0 < unseparated < chambers // 2
+        assert shared > chambers // 10 and dropped > chambers // 10
+
+    def test_non_separated_chamber_takes_the_general_merge(self):
+        """``build`` can leave two close kappas adjacent when it drops the term between them."""
+        region = pw.Region((1, 2))
+        near, apart, close = (0j, 0j), (0.3e-12 + 0j, 3 + 0j), (0.6e-12 + 0j, 0j)
+        f = pw.build(2, {region: [(1.0, near), (1e-15, apart), (2.0, close)]})
+        ts = f.terms[region]
+        assert [t.kappa for t in ts] == [near, close] and not pw._separated(ts)
+        # re-merging joins the two: every operation must do what build does
+        assert pw.canonicalize(f).terms[region] == (pw.ExpTerm(3.0 + 0j, near),)
+        assert pw.scale(f, 2.0).terms == old_scale(f, 2.0).terms
+        assert pw.add(f, pw.zero_function(2)).terms == old_add(f, pw.zero_function(2)).terms
+        assert pw.add(f, f).terms == old_add(f, f).terms
+        assert pw.differentiate(f, 1).terms == old_differentiate(f, 1).terms
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from slly import bethe, susy
+from slly import bethe, fock, susy
 from slly import piecewise as pw
 from slly.errors import SingletError
 
@@ -134,6 +134,31 @@ class TestSectorHamiltonian:
         sp = susy.Superpotential(n=2, c=1.0)
         with pytest.raises(ValueError):
             susy.sector_hamiltonian(3, sp)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_couplings_equal_sparse_projection_exactly(self, n):
+        """Cached blocks times 2c carry the bytes of the sparse product, signed zeros included."""
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for c in (0.0, 0.7, 2.3):
+            sp = susy.Superpotential(n=n, c=c)
+            for grade in range(n + 1):
+                sector = susy.sector_hamiltonian(grade, sp)
+                assert list(sector.couplings) == pairs
+                for (a, b), block in sector.couplings.items():
+                    ref = fock.grade_project(fock.delta_coupling(a, b, c, n), grade)
+                    assert block.dtype == ref.dtype and block.shape == ref.shape
+                    assert block.tobytes() == ref.tobytes()
+
+    def test_mutating_a_block_leaves_the_next_call_alone(self):
+        sp = susy.Superpotential(n=3, c=1.3)
+        first = susy.sector_hamiltonian(1, sp)
+        expected = {pair: block.copy() for pair, block in first.couplings.items()}
+        for block in first.couplings.values():
+            block[...] = 99.0
+        second = susy.sector_hamiltonian(1, sp)
+        for pair, block in second.couplings.items():
+            assert block is not first.couplings[pair]
+            assert block.tobytes() == expected[pair].tobytes()
 
 
 class TestVerifyEigenstate:
