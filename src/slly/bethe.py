@@ -402,12 +402,10 @@ def bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
 
 def matching_report(state: pw.RegionFunction, c: float, e: float) -> MatchingReport:
     """Continuity, scalar jump (coupling 2c) and bulk residuals of a state."""
-    cont = 0.0
-    jump = 0.0
-    for iface in pw.interfaces(state.n):
-        wall_cont, wall_jump = pw.wall_residuals([state], iface, [[2.0 * c]])
-        cont = max(cont, wall_cont)
-        jump = max(jump, wall_jump)
+    coupling = [[2.0 * c]]
+    cont, jump = pw.matching_residuals(
+        [state], {iface.pair: coupling for iface in pw.interfaces(state.n)}
+    )
     return MatchingReport(
         max_continuity=cont, max_jump=jump, max_bulk=bulk_energy_residual(state, e)
     )

@@ -134,6 +134,52 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that also reads a negative value given as its own argument.
+
+    argparse takes an argument that starts with "-" and is not a plain
+    negative number (``-0.9,-1.2``, ``-1e-3``) for an option, so ``--k
+    -0.9,-1.2`` fails with "expected one argument".  Every option with a
+    numeric type keeps its converter here, and an argument after such an
+    option that the converter accepts is joined to it (``--k=-0.9,-1.2``)
+    before argparse sees it.  Subparsers are made of this class too, and
+    each joins its own options.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.numeric_options: dict[str, object] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.type in (int, float, _ints, _floats):
+            self.numeric_options.update(dict.fromkeys(action.option_strings, action.type))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        joined: list[str] = []
+        i = 0
+        while i < len(args):
+            arg = args[i]
+            if arg == "--":
+                joined += args[i:]
+                break
+            convert = self.numeric_options.get(arg)
+            if convert is not None and i + 1 < len(args) and args[i + 1].startswith("-"):
+                try:
+                    convert(args[i + 1])
+                except ValueError:
+                    pass
+                else:
+                    joined.append(f"{arg}={args[i + 1]}")
+                    i += 2
+                    continue
+            joined.append(arg)
+            i += 1
+        return super().parse_known_args(joined, namespace)
+
+
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as fh:
@@ -447,7 +493,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slly",
         description="exact and numerical verification of the contact-boson "
         "system and its N=2 supersymmetric extension",

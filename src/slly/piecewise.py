@@ -118,11 +118,12 @@ class RegionFunction:
 
     Canonical invariant: every non-empty instance comes from ``build`` (the
     coefficient maps and ``add`` below return exactly what ``build`` would)
-    or is a chamber subset of one, as the wall-local cut in
-    ``wall_residuals`` is.  So each chamber is sorted by ``_sort_key``, holds
-    no coefficient of magnitude at most ``DROP_TOL``, and consecutive kappas
-    are further apart than ``KAPPA_TOL`` -- unless ``build`` dropped a term
-    that sat between them, which ``_separated`` detects.  On a separated
+    or is a chamber subset of one, as the one-chamber cut in the general
+    path of ``wall_residuals`` is.  So each chamber is sorted by
+    ``_sort_key``, holds no coefficient of magnitude at most ``DROP_TOL``,
+    and consecutive kappas are further apart than ``KAPPA_TOL`` -- unless
+    ``build`` dropped a term that sat between them, which ``_separated``
+    detects.  On a separated
     chamber an operation that leaves the kappas unchanged needs no re-sort
     or re-merge: re-merging it could only drop coefficients of at most
     ``DROP_TOL``.
@@ -166,8 +167,7 @@ def enumerate_interfaces(n: int) -> list[Interface]:
 # canonicalisation and construction
 # ---------------------------------------------------------------------------
 
-def _sort_key(item: tuple[complex, tuple[complex, ...]]):
-    _, kappa = item
+def _sort_key(kappa: tuple[complex, ...]) -> tuple[float, ...]:
     key: list[float] = []
     for z in kappa:
         key.append(z.real)
@@ -175,18 +175,68 @@ def _sort_key(item: tuple[complex, tuple[complex, ...]]):
     return tuple(key)
 
 
+#: positions of a kappa list grouped the way ``_merge_terms`` merges them:
+#: (first, rest, the kappa the group keeps) per group, in merge order
+_Groups = tuple[tuple[int, tuple[int, ...], tuple[complex, ...]], ...]
+
+#: a merge's result: (groups, one sum per group) when no sum is at most
+#: ``DROP_TOL``, else (None, the terms that survive the drop)
+_Sums = tuple["_Groups | None", Sequence]
+
+
+def _merge_groups(kappas: Sequence[tuple[complex, ...]]) -> _Groups:
+    """Group positions as ``_merge_terms`` joins their kappas.
+
+    Positions are sorted stably by ``_sort_key``; one joins the current group
+    when its kappa agrees componentwise within ``KAPPA_TOL`` with the group's
+    first, whose kappa the group keeps.  Only kappas are read, so the groups
+    serve any coefficients on the same kappa list.
+    """
+    keys = [_sort_key(k) for k in kappas]
+    groups: list[tuple[int, list[int], tuple[complex, ...]]] = []
+    ref = None
+    for pos in sorted(range(len(kappas)), key=keys.__getitem__):
+        kappa = kappas[pos]
+        if ref is not None and all(abs(k - r) <= KAPPA_TOL for k, r in zip(kappa, ref)):
+            groups[-1][1].append(pos)
+        else:
+            groups.append((pos, [], kappa))
+            ref = kappa
+    return tuple((first, tuple(rest), kappa) for first, rest, kappa in groups)
+
+
+def _group_sums(groups: _Groups, coefs: Sequence[complex]) -> _Sums:
+    """Sum each group's coefficients in merge order, as ``_merge_terms`` does."""
+    sums = []
+    complete = True
+    for first, rest, _ in groups:
+        acc = coefs[first]
+        for pos in rest:
+            acc += coefs[pos]
+        sums.append(acc)
+        if abs(acc) <= DROP_TOL:
+            complete = False
+    if complete:
+        return groups, sums
+    return None, tuple(
+        ExpTerm(acc, group[2]) for acc, group in zip(sums, groups) if abs(acc) > DROP_TOL
+    )
+
+
+def _sums_terms(sums: _Sums) -> tuple[ExpTerm, ...]:
+    groups, payload = sums
+    if groups is None:
+        return payload
+    return tuple(ExpTerm(acc, group[2]) for acc, group in zip(payload, groups))
+
+
 def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpTerm, ...]:
     """Merge terms with kappa equal componentwise within KAPPA_TOL, drop tiny ones."""
-    items = sorted(((complex(c), tuple(complex(k) for k in kap)) for c, kap in raw), key=_sort_key)
-    merged: list[list] = []
-    for coef, kappa in items:
-        if merged:
-            ref = merged[-1][1]
-            if all(abs(k - r) <= KAPPA_TOL for k, r in zip(kappa, ref)):
-                merged[-1][0] += coef
-                continue
-        merged.append([coef, kappa])
-    return tuple(ExpTerm(c, k) for c, k in merged if abs(c) > DROP_TOL)
+    coefs, kappas = [], []
+    for c, kap in raw:
+        coefs.append(complex(c))
+        kappas.append(tuple(complex(k) for k in kap))
+    return _sums_terms(_group_sums(_merge_groups(kappas), coefs))
 
 
 def _separated(terms: Iterable[tuple[complex, tuple[complex, ...]]]) -> bool:
@@ -240,7 +290,13 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
 
 
 def canonicalize(f: RegionFunction) -> RegionFunction:
-    """Re-merge and re-sort every chamber; idempotent."""
+    """Re-merge and re-sort every chamber.
+
+    Idempotent on separated chambers (see ``RegionFunction``) only: where
+    ``build`` dropped a term that sorted between two kappas within
+    ``KAPPA_TOL``, re-merging joins those two, so the canonical form of a
+    function can depend on how it was built.
+    """
     return build(f.n, {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()})
 
 
@@ -403,15 +459,209 @@ def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
     return max((abs(t.coef) for t in terms), default=0.0)
 
 
-def _limit_gap(left: tuple[ExpTerm, ...], right: tuple[ExpTerm, ...]) -> float:
+def continuity_residual(f: RegionFunction, iface: Interface) -> float:
+    """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
+    left = restrict_to_interface(f, iface, "left")
+    right = restrict_to_interface(f, iface, "right")
     return _max_coefficient(_merge_parts((_sum_scale(left, 1.0), _sum_scale(right, -1.0))))
 
 
-def continuity_residual(f: RegionFunction, iface: Interface) -> float:
-    """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
-    return _limit_gap(
-        restrict_to_interface(f, iface, "left"), restrict_to_interface(f, iface, "right")
-    )
+class _Plan(NamedTuple):
+    """How one chamber kappa layout restricts to the wall of one pair (a, b).
+
+    ``groups`` are the ``_merge_groups`` of the reduced kappas, so any
+    coefficients on the layout restrict through ``_group_sums``; ``separated``
+    is ``_separated`` of the layout itself.
+    """
+
+    separated: bool
+    groups: _Groups
+
+
+def _make_plan(layout: tuple[tuple[complex, ...], ...], a: int, b: int) -> _Plan:
+    reduced = []
+    for kappa in layout:
+        kap = list(kappa)
+        kap[a - 1] = kap[a - 1] + kap[b - 1]
+        reduced.append(tuple(complex(k) for j, k in enumerate(kap) if j != b - 1))
+    return _Plan(_separated((None, k) for k in layout), _merge_groups(reduced))
+
+
+def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
+    """Max coefficient of ``_merge_parts`` of the restrictions, each scaled by its weight.
+
+    Restrictions summed over the same groups with no sum dropped hold the
+    groups' kappas, which are separated by construction, so ``_merge_parts``
+    would sum them position by position; that sum is done here directly.
+    """
+    groups = parts[0][1][0]
+    if groups is None or any(sums[0] is not groups for _, sums in parts):
+        return _max_coefficient(_merge_parts([_sum_scale(_sums_terms(s), w) for w, s in parts]))
+    (w0, (_, first)), rest = parts[0], [(w, sums) for w, (_, sums) in parts[1:]]
+    worst = 0.0
+    for pos, coef in enumerate(first):
+        acc = complex(w0 * coef)
+        for w, sums in rest:
+            acc += complex(w * sums[pos])
+        size = abs(acc)
+        if size > DROP_TOL and size > worst:
+            worst = size
+    return worst
+
+
+def _wall_derivative(
+    coefs: Sequence[complex], layout: Sequence[tuple[complex, ...]], a: int, b: int
+) -> list[complex] | None:
+    """Coefficients of (d/dx_a - d/dx_b) on one chamber, or None to take the general path.
+
+    Each is computed as ``add(differentiate(f, a), scale(differentiate(f,
+    b), -1.0))`` computes it on a separated chamber: complex(c*kappa_a),
+    then -1.0 * complex(c*kappa_b), then their sum in that order.  That
+    keeps the chamber's kappas, hence its plan, only if no term drops on the
+    way, so any drop returns None.  The coefficients are Python complex
+    numbers, so every product already is one and ``complex()`` would return
+    it unchanged.  ``scale``'s own drop test on -1.0 * (c*kappa_b) is the
+    test on c*kappa_b: negating changes no magnitude, and an infinite or NaN
+    part stays so.
+    """
+    ia, ib = a - 1, b - 1
+    tol = DROP_TOL
+    out = []
+    for coef, kappa in zip(coefs, layout):
+        da = coef * kappa[ia]
+        db = coef * kappa[ib]
+        if abs(da) <= tol or abs(db) <= tol:
+            return None
+        acc = da
+        acc += -1.0 * db
+        if abs(acc) <= tol:
+            return None
+        out.append(acc)
+    return out
+
+
+def _coupling_matrices(
+    couplings: Mapping[tuple[int, int], Sequence[Sequence[complex]] | np.ndarray],
+    pairs: Iterable[tuple[int, int]],
+    size: int,
+) -> dict[tuple[int, int], np.ndarray]:
+    mats = {}
+    for pair in pairs:
+        if pair in mats:
+            continue
+        if pair not in couplings:
+            raise ValueError(f"no coupling matrix for pair {pair}")
+        mat = np.asarray(couplings[pair], dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != size:
+            raise ValueError("coupling must be square with dimension = number of components")
+        mats[pair] = mat
+    return mats
+
+
+class _Chamber(NamedTuple):
+    """One component's chamber as a sweep sees it."""
+
+    layout_id: int  # equal kappa layouts get one id per sweep
+    layout: tuple[tuple[complex, ...], ...]
+    terms: tuple[ExpTerm, ...]
+    coefs: list[complex]
+
+
+def _sweep(
+    funcs: Sequence[RegionFunction],
+    walls: Sequence[Interface],
+    couplings: Mapping[tuple[int, int], Sequence[Sequence[complex]] | np.ndarray],
+) -> tuple[float, float]:
+    """The residual engine of ``matching_residuals`` and ``wall_residuals``.
+
+    Only the walls' chambers are read, each one's kappa layout once.  Each
+    (layout, pair) gets one ``_Plan``, shared by every chamber and component
+    holding that layout, which restricts both f and its wall derivative
+    there.  Plans live for this call only.  A derivative that does not fit
+    its plan (non-separated chamber, or a dropped term) is built and
+    restricted the general way.
+    """
+    mats = _coupling_matrices(couplings, (iface.pair for iface in walls), len(funcs))
+    read = {region for iface in walls for region in (iface.left, iface.right)}
+    layout_ids: dict[tuple[tuple[complex, ...], ...], int] = {}
+    chambers: list[dict[Region, _Chamber]] = []
+    for f in funcs:
+        own = {}
+        for region in read:
+            ts = f.terms.get(region)
+            if ts is not None:
+                layout = tuple(t.kappa for t in ts)
+                layout_id = layout_ids.setdefault(layout, len(layout_ids))
+                own[region] = _Chamber(layout_id, layout, ts, [complex(t.coef) for t in ts])
+        chambers.append(own)
+    plans: dict[tuple[int, tuple[int, int]], _Plan] = {}
+
+    def plan_of(chamber: _Chamber, pair: tuple[int, int]) -> _Plan:
+        key = (chamber.layout_id, pair)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _make_plan(chamber.layout, *pair)
+        return plan
+
+    def restrict(chamber: _Chamber | None, pair: tuple[int, int]) -> _Sums:
+        if chamber is None:
+            return None, ()
+        return _group_sums(plan_of(chamber, pair).groups, chamber.coefs)
+
+    def restrict_derivative(chamber: _Chamber | None, region: Region, pair) -> _Sums:
+        if chamber is None:
+            return None, ()
+        plan = plan_of(chamber, pair)
+        if plan.separated:
+            coefs = _wall_derivative(chamber.coefs, chamber.layout, *pair)
+            if coefs is not None:
+                return _group_sums(plan.groups, coefs)
+        local = RegionFunction(n=len(region.order), terms={region: chamber.terms})
+        d = add(differentiate(local, pair[0]), scale(differentiate(local, pair[1]), -1.0))
+        return None, _restrict_terms(d.region_terms(region), *pair, local.n)
+
+    continuity = jump = 0.0
+    for iface in walls:
+        pair, mat = iface.pair, mats[iface.pair]
+        sides = [(own.get(iface.left), own.get(iface.right)) for own in chambers]
+        bases = []
+        for i, (left_ch, right_ch) in enumerate(sides):
+            left = restrict(left_ch, pair)
+            gap = _weighted_max(((1.0, left), (-1.0, restrict(right_ch, pair))))
+            if gap > JUMP_CONTINUITY_TOL:
+                raise DiscontinuityError(
+                    f"component {i} is discontinuous across interface pair {pair}"
+                )
+            continuity = max(continuity, gap)
+            bases.append(left)
+        for i, (left_ch, right_ch) in enumerate(sides):
+            parts = [
+                (1.0, restrict_derivative(right_ch, iface.right, pair)),
+                (-1.0, restrict_derivative(left_ch, iface.left, pair)),
+            ]
+            for j in range(len(funcs)):
+                cij = mat[i, j]
+                if cij != 0:
+                    parts.append((-cij, bases[j]))
+            jump = max(jump, _weighted_max(parts))
+    return continuity, jump
+
+
+def matching_residuals(
+    funcs: Sequence[RegionFunction],
+    couplings: Mapping[tuple[int, int], Sequence[Sequence[complex]] | np.ndarray],
+) -> tuple[float, float]:
+    """``wall_residuals`` over every wall, in ``interfaces`` order, in one sweep.
+
+    ``couplings[(a, b)]`` is the coupling matrix of the walls x_a = x_b.
+    Returns the worst ``(continuity, jump)`` over all walls; the first wall
+    (in that order) with a discontinuous component raises
+    ``DiscontinuityError``.  Chambers sharing a kappa layout (every chamber
+    of a Bethe state does) share its wall restriction plans.
+    """
+    if not funcs:
+        raise ValueError("matching_residuals needs at least one component")
+    return _sweep(funcs, interfaces(funcs[0].n), couplings)
 
 
 def wall_residuals(
@@ -433,44 +683,15 @@ def wall_residuals(
     continuous across the wall (within ``JUMP_CONTINUITY_TOL``), otherwise
     ``DiscontinuityError`` names the first one that is not.
 
-    Only the wall's two chambers are read: each input is cut down to them
-    before differentiating, and since ``build`` merges every chamber on its
-    own the result is bit-identical to differentiating the whole function.
-    The weighted sums are accumulated in the order right, -left, then
-    -C_ij * base_j by ascending j, position by position where the parts hold
-    the same kappas (``_merge_parts``), exactly as the general merge sums them.
+    Only the wall's two chambers are read, and every number is the one the
+    whole-function formula gives: the derivative is computed term by term
+    as ``differentiate``/``scale``/``add`` compute it, restrictions merge
+    as ``restrict_to_interface`` does, and the weighted sums are accumulated
+    in the order right, -left, then -C_ij * base_j by ascending j, position
+    by position where the parts hold the same kappas (``_merge_parts``),
+    exactly as the general merge sums them.
     """
-    mat = np.asarray(coupling, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != len(funcs):
-        raise ValueError("coupling must be square with dimension = number of components")
-    a, b = iface.pair
-    bases = []
-    continuity = 0.0
-    for i, f in enumerate(funcs):
-        left = restrict_to_interface(f, iface, "left")
-        gap = _limit_gap(left, restrict_to_interface(f, iface, "right"))
-        if gap > JUMP_CONTINUITY_TOL:
-            raise DiscontinuityError(
-                f"component {i} is discontinuous across interface pair {iface.pair}"
-            )
-        continuity = max(continuity, gap)
-        bases.append(left)
-    jump = 0.0
-    for i, f in enumerate(funcs):
-        local = RegionFunction(
-            n=f.n, terms={r: f.terms[r] for r in (iface.left, iface.right) if r in f.terms}
-        )
-        d = add(differentiate(local, a), scale(differentiate(local, b), -1.0))
-        parts = [
-            _sum_scale(restrict_to_interface(d, iface, "right"), 1.0),
-            _sum_scale(restrict_to_interface(d, iface, "left"), -1.0),
-        ]
-        for j in range(len(funcs)):
-            cij = mat[i, j]
-            if cij != 0:
-                parts.append(_sum_scale(bases[j], -cij))
-        jump = max(jump, _max_coefficient(_merge_parts(parts)))
-    return continuity, jump
+    return _sweep(funcs, (iface,), {iface.pair: coupling})
 
 
 def jump_residual(

@@ -56,6 +56,8 @@ class Superpotential:
     c: float
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"superpotential strength must be finite, got {self.c}")
         if self.c < 0:
             raise ValueError("superpotential strength must be nonnegative; "
                              "attraction/repulsion is carried by the sector")
@@ -254,9 +256,7 @@ def verify_eigenstate(
         bulk = max(bulk, bethe.bulk_energy_residual(f, e - shift))
 
     comps = [s.component(mask) for mask in sector.masks]
-    wall = 0.0
-    for iface in pw.interfaces(sp.n):
-        wall = max(wall, pw.wall_residuals(comps, iface, sector.block(*iface.pair))[1])
+    wall = pw.matching_residuals(comps, sector.couplings)[1]
     return EigenstateReport(
         grade=grade, energy=e, bulk_residual=bulk, interface_residual=wall, tol=tol
     )

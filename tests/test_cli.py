@@ -236,6 +236,33 @@ class TestReportPlumbing:
         assert captured.err.startswith("slly: --") and captured.err.count("\n") == 1
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (["bethe", "collision", "--n", "2", "--k", "-0.9,-1.2", "--c", "1"],
+             ["bethe", "collision", "--n", "2", "--k=-0.9,-1.2", "--c", "1"]),
+            (["bethe", "collision", "--n", "2", "--k", "0.9,-1.2", "--c", "-1e-1"],
+             ["bethe", "collision", "--n", "2", "--k", "0.9,-1.2", "--c=-1e-1"]),
+            (["susy", "partner", "--n", "2", "--c", "1", "--k", "-0.4,-1.3"],
+             ["susy", "partner", "--n", "2", "--c", "1", "--k=-0.4,-1.3"]),
+            (SMALL_CONVERGE[:-4] + ["--points-list", "-19,39", "--seed", "1"],
+             SMALL_CONVERGE[:-4] + ["--points-list=-19,39", "--seed", "1"]),
+            (["bethe", "collision", "--n", "2", "--k", "-inf,-1", "--c", "1"],
+             ["bethe", "collision", "--n", "2", "--k=-inf,-1", "--c", "1"]),
+        ],
+    )
+    def test_negative_value_as_its_own_argument(self, capsys, spaced, joined):
+        """A value starting with "-" after a numeric option reads as with "=" (same bytes)."""
+        first = (cli.main(spaced), *capsys.readouterr())
+        second = (cli.main(joined), *capsys.readouterr())
+        assert first == second
+        assert "expected one argument" not in first[2]
+
+    def test_option_after_numeric_option_is_not_a_value(self, capsys):
+        code = cli.main(["bethe", "collision", "--n", "2", "--k", "--c", "1"])
+        assert code == 2
+        assert "argument --k: expected one argument" in capsys.readouterr().err
+
     def test_non_finite_config_value_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("c = nan\np = 0.25\n")

@@ -579,6 +579,219 @@ class TestCanonicalFastPaths:
         assert pw.differentiate(f, 1).terms == old_differentiate(f, 1).terms
 
 
+def reference_sweep(funcs, couplings):
+    """Every wall in ``interfaces`` order through the old per-wall formulas."""
+    continuity = jump = 0.0
+    for iface in pw.interfaces(funcs[0].n):
+        for i, f in enumerate(funcs):
+            gap = old_continuity(f, iface)
+            if gap > pw.JUMP_CONTINUITY_TOL:
+                raise DiscontinuityError(
+                    f"component {i} is discontinuous across interface pair {iface.pair}"
+                )
+            continuity = max(continuity, gap)
+        jump = max(jump, full_function_jump(funcs, iface, couplings[iface.pair]))
+    return continuity, jump
+
+
+def assert_same_outcome(run, reference):
+    """``run()`` returns what ``reference()`` returns, or raises the same discontinuity."""
+    try:
+        expected = reference()
+    except DiscontinuityError as exc:
+        with pytest.raises(DiscontinuityError) as got:
+            run()
+        assert str(got.value) == str(exc)
+        return
+    assert run() == expected
+
+
+def _bethe_momenta(rng, n):
+    """Complex momenta; some equal, zero, or a NEAR_TOL step apart.
+
+    Equal momenta give terms with kappa_a == kappa_b, whose wall derivative
+    vanishes; a zero momentum gives kappa_a == 0; near-equal ones give kappas
+    that merge, or that stay apart only while a term between them survives.
+    """
+    ks = []
+    for _ in range(n):
+        r = rng.random()
+        if ks and r < 0.15:
+            near = NEAR_TOL[int(rng.integers(len(NEAR_TOL)))]
+            ks.append(ks[int(rng.integers(len(ks)))] + 1j * near)
+        elif r < 0.2:
+            ks.append(0j)
+        else:
+            ks.append(complex(rng.standard_normal(), rng.standard_normal()))
+    return ks
+
+
+def _bethe_like(rng, n, ks):
+    """``bethe_sum`` with random exchange coefficients.
+
+    Any coefficients give a function that is continuous on every wall, and
+    every chamber holds permutations of one kappa set, so the chambers share
+    kappa layouts unless a tiny coefficient (dropped by ``build``, or by the
+    derivative) removes a different term on each of them.
+    """
+    perms = list(itertools.permutations(range(1, n + 1)))
+    alpha = {perm: complex(rng.standard_normal(), rng.standard_normal()) for perm in perms}
+    for _ in range(int(rng.integers(3)) if rng.random() < 0.4 else 0):
+        alpha[perms[int(rng.integers(len(perms)))]] *= (1e-13, 1e-14, 1e-15)[int(rng.integers(3))]
+    return bethe.bethe_sum(alpha, ks, n)
+
+
+def _sweep_case(rng, n, components):
+    """Components sharing one momentum set (some with their own) and random couplings."""
+    shared = _bethe_momenta(rng, n)
+    funcs = [
+        _bethe_like(rng, n, shared if rng.random() < 0.75 else _bethe_momenta(rng, n))
+        for _ in range(components)
+    ]
+    couplings = {
+        (a, b): _random_coupling(rng, components)
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+    }
+    return funcs, couplings
+
+
+def _break_continuity(rng, funcs):
+    """Add a constant term to one chamber of one component."""
+    i = int(rng.integers(len(funcs)))
+    n = funcs[i].n
+    region = pw.regions(n)[int(rng.integers(len(pw.regions(n))))]
+    out = list(funcs)
+    out[i] = pw.add(funcs[i], pw.build(n, {region: [(0.5, (0j,) * n)]}))
+    return out
+
+
+class TestPlanSweep:
+    """``matching_residuals`` over all walls equals the per-wall reference formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 3, 4]),
+        components=st.integers(1, 3),
+        broken=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_reference_sweep(self, n, components, broken, seed):
+        rng = np.random.default_rng(seed)
+        funcs, couplings = _sweep_case(rng, n, components)
+        if broken:
+            funcs = _break_continuity(rng, funcs)
+        assert_same_outcome(
+            lambda: pw.matching_residuals(funcs, couplings),
+            lambda: reference_sweep(funcs, couplings),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matching_report_equals_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        state = _bethe_like(rng, n, _bethe_momenta(rng, n))
+        c = float(rng.uniform(-2.5, 2.5))
+        couplings = {iface.pair: [[2.0 * c]] for iface in pw.interfaces(n)}
+
+        def run():
+            report = bethe.matching_report(state, c, 0.0)
+            return report.max_continuity, report.max_jump
+
+        assert_same_outcome(run, lambda: reference_sweep([state], couplings))
+
+    @settings(max_examples=15, deadline=None)
+    @given(grade=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_verify_eigenstate_equals_reference(self, grade, seed):
+        rng = np.random.default_rng(seed)
+        sp = susy.Superpotential(n=3, c=float(rng.uniform(0.2, 2.5)))
+        sector = susy.sector_hamiltonian(grade, sp)
+        ks = _bethe_momenta(rng, 3)
+        comps = {mask: _bethe_like(rng, 3, ks) for mask in sector.masks}
+        spinor = susy.SpinorFunction(3, comps)
+        assert_same_outcome(
+            lambda: susy.verify_eigenstate(spinor, 0.0, sp).interface_residual,
+            lambda: reference_sweep([comps[m] for m in sector.masks], sector.couplings)[1],
+        )
+
+    def test_single_wall_is_the_sweep_on_one_interface(self):
+        rng = np.random.default_rng(7)
+        ks = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(3)]
+        funcs = [_bethe_like(rng, 3, ks) for _ in range(2)]
+        couplings = {(a, b): _random_coupling(rng, 2) for a, b in ((1, 2), (1, 3), (2, 3))}
+        walls = [pw.wall_residuals(funcs, iface, couplings[iface.pair])
+                 for iface in pw.interfaces(3)]
+        swept = pw.matching_residuals(funcs, couplings)
+        assert swept == (max(w[0] for w in walls), max(w[1] for w in walls))
+
+    def test_missing_or_misshapen_coupling_rejected(self):
+        rng = np.random.default_rng(2)
+        funcs, couplings = _sweep_case(rng, 3, 2)
+        del couplings[(1, 3)]
+        with pytest.raises(ValueError, match=r"pair \(1, 3\)"):
+            pw.matching_residuals(funcs, couplings)
+        couplings[(1, 3)] = np.eye(3)
+        with pytest.raises(ValueError, match="square"):
+            pw.matching_residuals(funcs, couplings)
+        with pytest.raises(ValueError):
+            pw.matching_residuals([], {})
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            # c*kappa_a (right) and c*kappa_b (left) drop but are not zero
+            ([(1.0, (2.0, 1e-15))], [(1.0, (1e-15, 2.0))]),
+            # kappa_a == kappa_b: the first of three wall-merging terms has a zero
+            # derivative; without it the other two merge into one group
+            (
+                [(1.0, (-1.5 + 1.2e-12, 2.5))],
+                [(1.0, (0.5, 0.5)), (-1.0, (1.5, -0.5 + 0.6e-12)), (1.0, (2.5, -1.5 + 1.2e-12))],
+            ),
+            # non-separated chambers: a dropped term sat between two kappas within
+            # KAPPA_TOL, which the derivative's re-merge joins
+            (
+                [(1.0, (0.25, 1.0)), (1e-15, (0.25 + 0.3e-12, 4.0)),
+                 (1.0, (0.25 + 0.6e-12, 1.0 + 0.6e-12))],
+                [(1.0, (1.0, 0.25)), (1e-15, (1.0 + 0.3e-12, 3.0)),
+                 (1.0, (1.0 + 0.6e-12, 0.25 + 0.6e-12))],
+            ),
+        ],
+        ids=["tiny-derivative", "zero-derivative-leads-a-group", "non-separated"],
+    )
+    def test_fallbacks_decide_the_jump(self, left, right):
+        """Taking the plan where the general path is due changes the worst jump here."""
+        iface = pw.interfaces(2)[0]
+        f = pw.build(2, {iface.left: left, iface.right: right})
+        couplings = {(1, 2): [[0.5]]}
+        continuity, jump = reference_sweep([f], couplings)
+        assert continuity <= pw.JUMP_CONTINUITY_TOL and jump > 1.0
+        assert pw.matching_residuals([f], couplings) == (continuity, jump)
+
+    def test_inputs_reach_every_branch(self):
+        """Shared plans, own plans, derivative drops, non-separated chambers, discontinuities."""
+        rng = np.random.default_rng(3)
+        shared_layouts = own_layouts = drops = unseparated = chambers = broken = 0
+        for _ in range(60):
+            n = int(rng.choice([2, 3, 3, 4]))
+            funcs, couplings = _sweep_case(rng, n, int(rng.integers(1, 4)))
+            layouts = [{tuple(t.kappa for t in ts) for ts in f.terms.values()} for f in funcs]
+            shared_layouts += any(len(ls) < len(f.terms) for ls, f in zip(layouts, funcs))
+            own_layouts += any(not layouts[0] & ls for ls in layouts[1:])
+            for f in funcs:
+                for region, ts in f.terms.items():
+                    chambers += 1
+                    unseparated += not pw._separated(ts)
+                    coefs, layout = [t.coef for t in ts], [t.kappa for t in ts]
+                    drops += pw._wall_derivative(coefs, layout, 1, 2) is None
+            try:
+                reference_sweep(_break_continuity(rng, funcs), couplings)
+            except DiscontinuityError:
+                broken += 1
+        assert shared_layouts > 30 and own_layouts > 5
+        assert 0 < unseparated < chambers // 4
+        assert drops > chambers // 10 and broken > 30
+
+
 class TestSerialization:
     def test_round_trip(self):
         f = bethe.collision_state([1.1, 0.4, -0.8], 2.2)

@@ -52,6 +52,11 @@ class TestSuperpotentialGradient:
         with pytest.raises(ValueError):
             susy.Superpotential(n=2, c=-1.0)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coupling_rejected(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            susy.Superpotential(n=2, c=c)
+
 
 class TestSupercharges:
     def test_q_kills_grade_zero(self):

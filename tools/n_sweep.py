@@ -1,0 +1,89 @@
+"""Time the exact wall verification along the particle-count axis.
+
+    python3 tools/n_sweep.py --max-n 6 [--seed 0] [--root DIR]
+
+For N = 2 .. K it builds one collision state on seeded momenta (strictly
+decreasing reals in [-2, 2], at least 0.05 apart, and a coupling in
+[0.5, 2.5]), runs ``bethe.matching_report`` on it, and runs
+``susy.verify_eigenstate`` on both zero modes of the superpotential with the
+same coupling.  Each N prints one JSON line:
+
+    {"n", "walls", "collision_terms", "collision_state_s", "matching_report_s",
+     "zero_mode_terms", "zero_modes_s", "passed"}
+
+``walls`` is N!(N-1)/2, ``*_terms`` count the exponential terms over all
+chambers (and components), ``zero_modes_s`` covers both modes, and
+``passed`` says every check met its tolerance.  Every time is a single run
+with ``time.perf_counter``; slly is imported from ``DIR/src`` (by default
+the checkout holding this script), so two checkouts compare directly.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import random
+import sys
+import time
+from pathlib import Path
+
+
+def _momenta(rng: random.Random, n: int) -> list[float]:
+    while True:
+        ks = sorted((round(rng.uniform(-2.0, 2.0), 4) for _ in range(n)), reverse=True)
+        if all(ks[i] - ks[i + 1] >= 0.05 for i in range(n - 1)):
+            return ks
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--max-n", type=int, required=True, help="largest particle count K (2..10)")
+    ap.add_argument("--seed", type=int, default=0, help="seed of the momenta and couplings")
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="root of the checkout to run (default: this one)")
+    args = ap.parse_args(argv)
+    if not 2 <= args.max_n <= 10:
+        ap.error("--max-n must be in 2..10")
+
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    from slly import bethe, susy
+
+    rng = random.Random(args.seed)
+    for n in range(2, args.max_n + 1):
+        ks, c = _momenta(rng, n), round(rng.uniform(0.5, 2.5), 4)
+        state, build_s = _timed(bethe.collision_state, ks, c)
+        report, match_s = _timed(bethe.matching_report, state, c, bethe.energy(ks))
+        sp = susy.Superpotential(n=n, c=c)
+        modes = (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp))
+        zero_s = 0.0
+        passed = report.passed()
+        for mode in modes:
+            verdict, seconds = _timed(susy.verify_eigenstate, mode, 0.0, sp)
+            zero_s += seconds
+            passed = passed and verdict.accepted
+        row = {
+            "n": n,
+            "walls": math.factorial(n) * (n - 1) // 2,
+            "collision_terms": sum(len(ts) for ts in state.terms.values()),
+            "collision_state_s": round(build_s, 4),
+            "matching_report_s": round(match_s, 4),
+            "zero_mode_terms": sum(
+                len(ts) for mode in modes for f in mode.components.values()
+                for ts in f.terms.values()
+            ),
+            "zero_modes_s": round(zero_s, 4),
+            "passed": passed,
+        }
+        print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
