@@ -629,7 +629,8 @@ def _bethe_momenta(rng, n):
 def _bethe_like(rng, n, ks):
     """``bethe_sum`` with random exchange coefficients.
 
-    Any coefficients give a function that is continuous on every wall, and
+    Any coefficients give a function that is continuous on every wall
+    (unless near-equal kappas merge differently on the two sides), and
     every chamber holds permutations of one kappa set, so the chambers share
     kappa layouts unless a tiny coefficient (dropped by ``build``, or by the
     derivative) removes a different term on each of them.
