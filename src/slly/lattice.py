@@ -154,6 +154,34 @@ def _eigsh(a_mat, k: int, **kwargs):
         ) from exc
 
 
+def _shift_invert(a_mat, sigma: float) -> tuple[spla.LinearOperator | None, bool]:
+    """(A - sigma I)^-1 as an operator, and whether sigma lies below the spectrum.
+
+    Factorises A - sigma I with a symmetric minimum-degree ordering (on
+    A^T + A) and no row pivoting, so for symmetric A the LU factors are
+    P(A - sigma I)P^T = L D L^T with D = diag(U).  By Sylvester's law of
+    inertia sigma lies below every eigenvalue exactly when the row and column
+    permutations agree (no pivot was taken off the diagonal) and every entry
+    of D is positive.  An exactly singular factor is not positive; it
+    returns no operator.
+    """
+    shifted = (a_mat - sigma * sparse.identity(a_mat.shape[0], format="csc")).tocsc()
+    try:
+        lu = spla.splu(
+            shifted,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # a zero pivot: SuperLU reports the factor singular
+        return None, False
+    positive = bool(
+        np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all()
+    )
+    op = spla.LinearOperator(shifted.shape, matvec=lu.solve, dtype=shifted.dtype)
+    return op, positive
+
+
 def lowest_eigenvalues(
     a_mat: sparse.csr_matrix,
     k: int,
@@ -162,19 +190,37 @@ def lowest_eigenvalues(
 ) -> Eigenvalues:
     """k smallest eigenvalues of a sparse symmetric matrix.
 
-    Shift-invert Lanczos anchored below the spectrum via a Gershgorin bound;
-    the start vector is drawn from the seed, so identical inputs give
-    bitwise-identical reports.  Raises ConvergenceError if the solver fails
-    or any residual exceeds 1e-8.
+    Shift-invert Lanczos on an L D L^T factor of A - sigma I (symmetric
+    minimum-degree ordering, no pivoting; see ``_shift_invert``).  The shift
+    is first max(g, 0) - 1 for the Gershgorin lower bound g: the sector
+    matrices discretise (1/2){Q, Q^+} >= 0, so 0 is a floor and the shift
+    sits close under the low spectrum.  The factor certifies that the shift
+    lies below every eigenvalue (positive pivots, no pivoting); if it does
+    not, the matrix is refactored at g - 1, which lies below the spectrum of
+    any symmetric matrix.  The start vector is drawn from the seed, so
+    identical inputs give bitwise-identical reports.  Raises ConvergenceError
+    if no shift is certified, the solver fails or any residual exceeds 1e-8.
     """
     dim = a_mat.shape[0]
     if not 1 <= k <= dim - 1:
         raise ValueError(f"k must satisfy 1 <= k <= dim-1 = {dim - 1}, got {k}")
     diag = a_mat.diagonal()
     row_abs = np.asarray(abs(a_mat).sum(axis=1)).ravel()
-    sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
+    gershgorin = float((diag - (row_abs - np.abs(diag))).min())
+    sigma = max(gershgorin, 0.0) - 1.0
+    op, positive = _shift_invert(a_mat, sigma)
+    if not positive and gershgorin < 0.0:
+        sigma = gershgorin - 1.0
+        op, positive = _shift_invert(a_mat, sigma)
+    if not positive:
+        raise ConvergenceError(
+            "no shift certified below the spectrum",
+            diagnostics={"sigma": sigma, "gershgorin": gershgorin},
+        )
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    vals, vecs = _eigsh(a_mat, k, sigma=sigma, which="LM", v0=v0, maxiter=maxiter, tol=0)
+    vals, vecs = _eigsh(
+        a_mat, k, sigma=sigma, which="LM", OPinv=op, v0=v0, tol=0, maxiter=maxiter
+    )
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -368,8 +414,16 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
     h_mat = 0.5 * (q_mat @ q_mat.T + q_mat.T @ q_mat)
     h_mat = 0.5 * (h_mat + h_mat.T)
 
+    op, positive = _shift_invert(h_mat, -0.1)
+    if not positive:
+        raise ConvergenceError(
+            "(1/2){Q, Q^T} - sigma I is not positive definite at sigma = -0.1",
+            diagnostics={"sigma": -0.1},
+        )
     v0 = np.random.default_rng(seed).standard_normal(h_mat.shape[0])
-    vals = _eigsh(h_mat, 1, sigma=-0.1, which="LM", v0=v0, return_eigenvectors=False)
+    vals = _eigsh(
+        h_mat, 1, sigma=-0.1, which="LM", OPinv=op, v0=v0, return_eigenvectors=False
+    )
     q2 = (q_mat @ q_mat).tocoo()
     q2.eliminate_zeros()
     band = 0

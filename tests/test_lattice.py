@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slly import lattice, susy
-from slly.errors import BudgetError
+from slly.errors import BudgetError, ConvergenceError
 
 
 def discrete_free_ground(points: int, box: float, dims: int) -> float:
@@ -98,6 +102,97 @@ class TestEigensolver:
         rep = lattice.lowest_eigenvalues(mat, 3, seed=2)
         assert all(r < lattice.RESIDUAL_TOL for r in rep.residuals)
         assert list(rep.eigenvalues) == sorted(rep.eigenvalues)
+
+def old_lowest_eigenvalues(a_mat, k: int, seed: int) -> np.ndarray:
+    """The solver before the certified shift: Gershgorin shift, default-ordered eigsh."""
+    diag = a_mat.diagonal()
+    row_abs = np.asarray(abs(a_mat).sum(axis=1)).ravel()
+    sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
+    v0 = np.random.default_rng(seed).standard_normal(a_mat.shape[0])
+    vals = spla.eigsh(
+        a_mat, k=k, sigma=sigma, which="LM", v0=v0, tol=0, return_eigenvectors=False
+    )
+    return np.sort(vals)
+
+
+@st.composite
+def shifted_symmetric(draw):
+    """A small sparse symmetric integer matrix and an integer shift.
+
+    Half the shifts are diagonal entries, which often make A - sI exactly
+    singular.
+    """
+    n = draw(st.integers(1, 6))
+    entries = draw(
+        st.lists(st.sampled_from([0, 0, 0, -2, -1, 1, 2]), min_size=n * n, max_size=n * n)
+    )
+    upper = np.triu(np.array(entries, dtype=float).reshape(n, n))
+    dense = upper + np.triu(upper, 1).T
+    shift = draw(st.one_of(st.integers(-6, 6), st.sampled_from(sorted(set(np.diag(dense))))))
+    return dense, float(shift)
+
+
+class TestShiftInvert:
+    @settings(max_examples=300, deadline=None)
+    @given(case=shifted_symmetric())
+    @example(case=(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0))  # pivots off the diagonal
+    @example(case=(np.array([[0.0, 0.0], [0.0, 1.0]]), 0.0))  # zero column: singular
+    @example(case=(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0))  # singular, indefinite
+    def test_certificate_matches_dense_spectrum(self, case):
+        dense, shift = case
+        op, positive = lattice._shift_invert(sparse.csr_matrix(dense), shift)
+        lowest = np.linalg.eigvalsh(dense).min()
+        # integer data: lowest != shift means a gap of at least about 1e-6
+        # (|det(A - sI)| >= 1), so only an exactly singular PSD A - sI, where
+        # rounding may go either way, is left unchecked
+        if abs(lowest - shift) > 1e-9:
+            assert positive == (lowest > shift)
+        if positive:
+            rhs = np.arange(1.0, dense.shape[0] + 1.0)
+            np.testing.assert_allclose(
+                (dense - shift * np.eye(len(rhs))) @ op.matvec(rhs), rhs, atol=1e-9
+            )
+
+    def test_pivot_off_the_diagonal_is_not_certified(self):
+        # [[0, 1], [1, 0]] factors with positive pivots after a row swap
+        op, positive = lattice._shift_invert(sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), 0.0)
+        assert op is not None
+        assert not positive
+
+    def test_certificate_brackets_the_lowest_eigenvalue(self):
+        mat = lattice.laplacian_1d(20, 1.0)
+        lowest = np.linalg.eigvalsh(mat.toarray()).min()
+        assert not lattice._shift_invert(mat, 2.0)[1]  # zero main diagonal
+        assert lattice._shift_invert(mat, lowest - 1e-6)[1]
+        assert not lattice._shift_invert(mat, lowest + 1e-6)[1]
+
+    def test_spectrum_below_minus_one_falls_back_to_gershgorin_shift(self):
+        mat = (lattice.laplacian_1d(40, 0.1) - 500.0 * sparse.identity(40)).tocsr()
+        assert not lattice._shift_invert(mat, -1.0)[1]
+        rep = lattice.lowest_eigenvalues(mat, 3, seed=3)
+        dense = np.linalg.eigvalsh(mat.toarray())[:3]
+        np.testing.assert_allclose(rep.eigenvalues, dense, rtol=1e-12)
+        assert max(rep.residuals) < lattice.RESIDUAL_TOL
+
+    def test_uncertified_diagnostic_raises(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_shift_invert", lambda a_mat, sigma: (None, False))
+        sp = susy.Superpotential(n=2, c=2.0)
+        with pytest.raises(ConvergenceError):
+            lattice.lattice_q_diagnostic(lattice.Grid(box=8.0, points=24, n=2), sp)
+
+    @pytest.mark.parametrize(
+        "n, grade, points, k",
+        [(2, 0, 40, 4), (2, 1, 40, 4), (2, 2, 40, 4), (3, 0, 16, 2)],
+    )
+    def test_agrees_with_gershgorin_shift_and_default_ordering(self, n, grade, points, k):
+        sp = susy.Superpotential(n=n, c=2.0)
+        grid = lattice.Grid(box=8.0 if n == 2 else 6.0, points=points, n=n)
+        mat = lattice.build_sector_matrix(grade, grid, sp)
+        rep = lattice.lowest_eigenvalues(mat, k, seed=5)
+        np.testing.assert_allclose(
+            rep.eigenvalues, old_lowest_eigenvalues(mat, k, seed=5), rtol=1e-10, atol=0
+        )
+        assert max(rep.residuals) < lattice.RESIDUAL_TOL
 
 
 class TestSusySpectrum:
