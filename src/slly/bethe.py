@@ -392,11 +392,14 @@ class MatchingReport:
 
 
 def bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
-    """Max over chamber terms of |(-sum_j kappa_j^2) - E|."""
+    """Max over chamber terms of |(-sum_j kappa_j^2) - E|.
+
+    Evaluated once per distinct kappa: a Bethe state holds the same N!
+    kappas on each of its N! chambers.
+    """
     worst = 0.0
-    for ts in state.terms.values():
-        for t in ts:
-            worst = max(worst, abs(-sum(kk * kk for kk in t.kappa) - e))
+    for kappa in dict.fromkeys(t.kappa for ts in state.terms.values() for t in ts):
+        worst = max(worst, abs(-sum(kk * kk for kk in kappa) - e))
     return worst
 
 

@@ -16,6 +16,15 @@ finite_floats = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 couplings = st.floats(min_value=0.1, max_value=10.0)
 
 
+def old_bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
+    """The per-term formula ``bethe.bulk_energy_residual`` replaced."""
+    worst = 0.0
+    for ts in state.terms.values():
+        for t in ts:
+            worst = max(worst, abs(-sum(kk * kk for kk in t.kappa) - e))
+    return worst
+
+
 class TestSMatrix:
     def test_equal_momenta(self):
         assert bethe.s_matrix(0.37, 0.37, 2.5) == -1.0
@@ -295,6 +304,38 @@ class TestCharges:
     def test_non_real_energy_rejected(self):
         with pytest.raises(ValueError):
             bethe.energy((1.0 + 0.5j, 0.3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        pool=st.integers(1, 4),
+        e=st.floats(min_value=-30.0, max_value=30.0),
+    )
+    def test_bulk_energy_residual_equals_per_term_formula(self, n, seed, pool, e):
+        # chambers draw their kappas from a small shared pool, so kappas repeat
+        # across chambers as in a Bethe state, plus one kappa of their own
+        rng = np.random.default_rng(seed)
+        kappas = [tuple(complex(*rng.normal(size=2)) for _ in range(n)) for _ in range(pool)]
+        data = {
+            region: [(1.0, kappas[i]) for i in rng.permutation(pool)[: rng.integers(1, pool + 1)]]
+            + [(2.0, tuple(complex(x) for x in rng.normal(size=n)))]
+            for region in pw.regions(n)
+        }
+        state = pw.build(n, data)
+        assert bethe.bulk_energy_residual(state, e) == old_bulk_energy_residual(state, e)
+
+    def test_bulk_energy_residual_on_bethe_states(self):
+        c = -1.3
+        states = [
+            (bethe.collision_state((1.7, 0.6, -0.3, -1.2), c), bethe.energy((1.7, 0.6, -0.3, -1.2))),
+            (bethe.trimer_state(0.4, c), bethe.energy(bethe.trimer_momenta(0.4, c))),
+        ]
+        for state, e in states:
+            for shift in (0.0, 0.25, -3.0):
+                assert bethe.bulk_energy_residual(state, e + shift) == old_bulk_energy_residual(
+                    state, e + shift
+                )
 
     def test_bulk_charge_residual_on_collision_state(self):
         ks = (1.5, 0.2, -0.9)
