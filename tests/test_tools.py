@@ -28,3 +28,67 @@ def test_n_sweep_rejects_out_of_range_n():
     )
     assert proc.returncode == 2
     assert "--max-n must be in 2..10" in proc.stderr
+
+
+def _write_record(folder, seed, commit, wall, rss, failed=0):
+    folder.mkdir(parents=True, exist_ok=True)
+    record = {
+        "stamp": {"workload": "lattice-oracle", "seed": seed, "trace": 0,
+                  "git_commit": commit, "source_sha256": commit * 8},
+        "failed": failed,
+        "attempted": 12,
+        "tasks": [{"argv": ["lattice", "spectrum", f"--seed={seed}"], "largest": False}],
+        "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                    "peak_rss_mb": {"value": rss, "unit": "MB"}},
+    }
+    (folder / f"lattice-oracle-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+
+def _bench_record(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_record.py"), *map(str, args)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_bench_record_folds_alternating_pairs(tmp_path):
+    parent_walls = [4.0, 4.2, 3.9, 4.1]
+    change_walls = [1.5, 1.4, 4.5, 1.6]  # the third pair goes the parent's way
+    for seed, (old, new) in enumerate(zip(parent_walls, change_walls), start=1):
+        _write_record(tmp_path / "parent" / ".perfbench_out", seed, "aaaa", old, 200.0)
+        _write_record(tmp_path / "change" / ".perfbench_out", seed, "bbbb", new, 150.0 + seed)
+    out = tmp_path / "BENCH_test.json"
+    proc = _bench_record("--parent", tmp_path / "parent", "--change",
+                         tmp_path / "change" / ".perfbench_out", "--label", "test", "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    assert bench["label"] == "test"
+    (run,) = bench["runs"]
+    assert (run["workload"], run["trace"], run["seeds"]) == ("lattice-oracle", 0, [1, 2, 3, 4])
+    assert run["pairs"] == 4
+    assert run["parent"] == {
+        "git_commit": "aaaa", "source_sha256": "aaaa" * 8, "failed": 0, "attempted": 48,
+    }
+    assert run["change"]["git_commit"] == "bbbb"
+    wall = run["metrics"]["wall_s"]
+    assert (wall["unit"], wall["better"]) == ("s", "lower")
+    assert wall["parent"]["median"] == 4.05
+    assert wall["change"]["median"] == 1.55
+    assert wall["change"]["min"] == 1.4 and wall["change"]["max"] == 4.5
+    assert wall["change_wins"] == 3
+    assert wall["median_gain_exceeds_parent_iqr"] is True
+    assert wall["median_ratio"] == 1.55 / 4.05
+    rss = run["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 4
+    assert rss["parent"]["q1"] == rss["parent"]["q3"] == 200.0
+
+
+def test_bench_record_rejects_a_run_without_partner(tmp_path):
+    _write_record(tmp_path / "parent", 1, "aaaa", 4.0, 200.0)
+    _write_record(tmp_path / "parent", 2, "aaaa", 4.0, 200.0)
+    _write_record(tmp_path / "change", 1, "bbbb", 1.5, 150.0)
+    proc = _bench_record("--parent", tmp_path / "parent", "--change", tmp_path / "change",
+                         "--label", "x", "--out", tmp_path / "x.json")
+    assert proc.returncode == 1
+    assert "without a partner" in proc.stderr
+    assert not (tmp_path / "x.json").exists()
