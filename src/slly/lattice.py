@@ -414,15 +414,15 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
     h_mat = 0.5 * (q_mat @ q_mat.T + q_mat.T @ q_mat)
     h_mat = 0.5 * (h_mat + h_mat.T)
 
-    op, positive = _shift_invert(h_mat, -0.1)
+    sigma = -0.1  # (1/2){Q, Q^T} is PSD by construction, so its factor must certify
+    op, positive = _shift_invert(h_mat, sigma)
     if not positive:
         raise ConvergenceError(
-            "(1/2){Q, Q^T} - sigma I is not positive definite at sigma = -0.1",
-            diagnostics={"sigma": -0.1},
+            "(1/2){Q, Q^T} - sigma I is not positive definite", diagnostics={"sigma": sigma}
         )
     v0 = np.random.default_rng(seed).standard_normal(h_mat.shape[0])
     vals = _eigsh(
-        h_mat, 1, sigma=-0.1, which="LM", OPinv=op, v0=v0, return_eigenvectors=False
+        h_mat, 1, sigma=sigma, which="LM", OPinv=op, v0=v0, return_eigenvectors=False
     )
     q2 = (q_mat @ q_mat).tocoo()
     q2.eliminate_zeros()

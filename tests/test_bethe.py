@@ -326,16 +326,15 @@ class TestCharges:
         assert bethe.bulk_energy_residual(state, e) == old_bulk_energy_residual(state, e)
 
     def test_bulk_energy_residual_on_bethe_states(self):
-        c = -1.3
+        c, ks = -1.3, (1.7, 0.6, -0.3, -1.2)
         states = [
-            (bethe.collision_state((1.7, 0.6, -0.3, -1.2), c), bethe.energy((1.7, 0.6, -0.3, -1.2))),
+            (bethe.collision_state(ks, c), bethe.energy(ks)),
             (bethe.trimer_state(0.4, c), bethe.energy(bethe.trimer_momenta(0.4, c))),
         ]
         for state, e in states:
             for shift in (0.0, 0.25, -3.0):
-                assert bethe.bulk_energy_residual(state, e + shift) == old_bulk_energy_residual(
-                    state, e + shift
-                )
+                got = bethe.bulk_energy_residual(state, e + shift)
+                assert got == old_bulk_energy_residual(state, e + shift)
 
     def test_bulk_charge_residual_on_collision_state(self):
         ks = (1.5, 0.2, -0.9)

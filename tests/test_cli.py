@@ -462,3 +462,22 @@ class TestReportPlumbing:
         assert code == 3
         assert captured.out == ""
         assert 'slly: diagnostics: {"converged": 0, "requested": 1}\n' in captured.err
+
+    def test_uncertified_shift_exit_code(self, capsys, monkeypatch):
+        from slly import lattice
+
+        monkeypatch.setattr(lattice, "_shift_invert", lambda a_mat, sigma: (None, False))
+        code = cli.main(
+            [
+                "lattice", "spectrum", "--n", "2", "--sector", "1", "--c", "2",
+                "--box", "8", "--points", "20", "--eigs", "2", "--seed", "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        diagnostics = json.loads(captured.err.split("slly: diagnostics: ")[1])
+        assert set(diagnostics) == {"gershgorin", "sigma"}
+        # sector 1 couples at -2c/h on the coincidence line, so the Gershgorin
+        # bound is negative and the fallback shift sits one below it
+        assert diagnostics["sigma"] == diagnostics["gershgorin"] - 1.0 < -1.0
