@@ -103,6 +103,7 @@ class TestEigensolver:
         assert all(r < lattice.RESIDUAL_TOL for r in rep.residuals)
         assert list(rep.eigenvalues) == sorted(rep.eigenvalues)
 
+
 def old_lowest_eigenvalues(a_mat, k: int, seed: int) -> np.ndarray:
     """The solver before the certified shift: Gershgorin shift, default-ordered eigsh."""
     diag = a_mat.diagonal()
@@ -142,9 +143,11 @@ class TestShiftInvert:
         dense, shift = case
         op, positive = lattice._shift_invert(sparse.csr_matrix(dense), shift)
         lowest = np.linalg.eigvalsh(dense).min()
-        # integer data: lowest != shift means a gap of at least about 1e-6
-        # (|det(A - sI)| >= 1), so only an exactly singular PSD A - sI, where
-        # rounding may go either way, is left unchecked
+        # integer data and shift: the eigenvalues other than the shift
+        # multiply to a non-zero integer, and none is more than 18 away from
+        # it, so lowest != shift means a gap above 18**-5 (5e-7); only an
+        # exactly singular PSD A - sI, where rounding may go either way, is
+        # left unchecked
         if abs(lowest - shift) > 1e-9:
             assert positive == (lowest > shift)
         if positive:

@@ -30,14 +30,17 @@ def test_n_sweep_rejects_out_of_range_n():
     assert "--max-n must be in 2..10" in proc.stderr
 
 
-def _write_record(folder, seed, commit, wall, rss, failed=0):
+def _write_record(folder, seed, commit, wall, rss, report="same"):
     folder.mkdir(parents=True, exist_ok=True)
     record = {
         "stamp": {"workload": "lattice-oracle", "seed": seed, "trace": 0,
                   "git_commit": commit, "source_sha256": commit * 8},
-        "failed": failed,
+        "failed": 0,
         "attempted": 12,
-        "tasks": [{"argv": ["lattice", "spectrum", f"--seed={seed}"], "largest": False}],
+        "tasks": [
+            {"argv": ["lattice", "spectrum", f"--seed={seed}"], "sha256": report},
+            {"argv": ["lattice", "diagnostic", f"--seed={seed}"], "sha256": "same"},
+        ],
         "metrics": {"wall_s": {"value": wall, "unit": "s"},
                     "peak_rss_mb": {"value": rss, "unit": "MB"}},
     }
@@ -56,7 +59,8 @@ def test_bench_record_folds_alternating_pairs(tmp_path):
     change_walls = [1.5, 1.4, 4.5, 1.6]  # the third pair goes the parent's way
     for seed, (old, new) in enumerate(zip(parent_walls, change_walls), start=1):
         _write_record(tmp_path / "parent" / ".perfbench_out", seed, "aaaa", old, 200.0)
-        _write_record(tmp_path / "change" / ".perfbench_out", seed, "bbbb", new, 150.0 + seed)
+        _write_record(tmp_path / "change" / ".perfbench_out", seed, "bbbb", new, 150.0 + seed,
+                      report="moved" if seed == 2 else "same")
     out = tmp_path / "BENCH_test.json"
     proc = _bench_record("--parent", tmp_path / "parent", "--change",
                          tmp_path / "change" / ".perfbench_out", "--label", "test", "--out", out)
@@ -66,6 +70,7 @@ def test_bench_record_folds_alternating_pairs(tmp_path):
     (run,) = bench["runs"]
     assert (run["workload"], run["trace"], run["seeds"]) == ("lattice-oracle", 0, [1, 2, 3, 4])
     assert run["pairs"] == 4
+    assert run["reports_changed"] == 1
     assert run["parent"] == {
         "git_commit": "aaaa", "source_sha256": "aaaa" * 8, "failed": 0, "attempted": 48,
     }

@@ -5,12 +5,13 @@
 Each DIR is a checkout on which ``perfbench/run.py`` was run once per seed,
 parent and change taking turns, or its ``.perfbench_out/`` directory
 itself.  Records are paired by (workload, seed, trace); a record without a
-partner is an error, and so is a pair whose task lists differ.  The output
-(by default ``BENCH_<label>.json`` at the root of this checkout) holds, per
-workload and trace mode:
+partner is an error, and so is a pair whose task argv lists differ.  The
+output (by default ``BENCH_<label>.json`` at the root of this checkout)
+holds, per workload and trace mode:
 
 - the seeds and the commit and source digest of each side;
 - the failed task counts of each side;
+- how many of the paired tasks' reports differ (their SHA-256 digests);
 - per metric: unit, direction (from ``BENCHMARK.json``), min, q1, median,
   q3 and max of each side, the change's pair wins (strictly better than the
   parent on the same seed), the ratio of medians, and whether the median
@@ -44,8 +45,9 @@ def _records(where: Path) -> dict[tuple[str, int, int], dict]:
     return found
 
 
-def _directions(benchmark: Path) -> dict[str, str]:
-    spec = json.loads(benchmark.read_text())
+def _directions() -> dict[str, str]:
+    """Each metric's better direction, as ``BENCHMARK.json`` declares it."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
@@ -85,12 +87,12 @@ def _metric(name: str, parent: list[dict], change: list[dict], better: str | Non
     return out
 
 
-def fold(parent_dir: Path, change_dir: Path, label: str, benchmark: Path) -> dict:
+def fold(parent_dir: Path, change_dir: Path, label: str) -> dict:
     parent, change = _records(parent_dir), _records(change_dir)
     if parent.keys() != change.keys():
         missing = sorted(parent.keys() ^ change.keys())
         raise SystemExit(f"bench_record: runs without a partner (workload, seed, trace): {missing}")
-    directions = _directions(benchmark)
+    directions = _directions()
     groups: dict[tuple[str, int], list[int]] = {}
     for workload, seed, trace in sorted(parent):
         groups.setdefault((workload, trace), []).append(seed)
@@ -98,16 +100,19 @@ def fold(parent_dir: Path, change_dir: Path, label: str, benchmark: Path) -> dic
     for (workload, trace), seeds in groups.items():
         old = [parent[(workload, seed, trace)] for seed in seeds]
         new = [change[(workload, seed, trace)] for seed in seeds]
+        changed = 0
         for a, b in zip(old, new):
-            if a["tasks"] != b["tasks"]:
+            if [t["argv"] for t in a["tasks"]] != [t["argv"] for t in b["tasks"]]:
                 seed = a["stamp"]["seed"]
                 raise SystemExit(f"bench_record: {workload} seed {seed}: task lists differ")
+            changed += sum(ta["sha256"] != tb["sha256"] for ta, tb in zip(a["tasks"], b["tasks"]))
         names = [n for n in old[0]["metrics"] if all(n in r["metrics"] for r in old + new)]
         runs.append({
             "workload": workload,
             "trace": trace,
             "seeds": seeds,
             "pairs": len(seeds),
+            "reports_changed": changed,
             "parent": _side(old),
             "change": _side(new),
             "metrics": {n: _metric(n, old, new, directions.get(n)) for n in names},
@@ -122,10 +127,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     ap.add_argument("--out", type=Path,
                     help="output path (default: BENCH_<label>.json at the root)")
-    ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json",
-                    help="benchmark declaration giving each metric's direction")
     args = ap.parse_args(argv)
-    bench = fold(args.parent, args.change, args.label, args.benchmark)
+    bench = fold(args.parent, args.change, args.label)
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     for run in bench["runs"]:
