@@ -155,12 +155,6 @@ def commutator(a: FockOperator, b: FockOperator) -> FockOperator:
     return a @ b - b @ a
 
 
-def number_operator(j: int, n_modes: int) -> FockOperator:
-    """n_j = b_j^dag b_j (diagonal 0/1)."""
-    b = annihilation(j, n_modes)
-    return b.adjoint() @ b
-
-
 def _diagonal(n_modes: int, values) -> FockOperator:
     return FockOperator(
         n_modes, sparse.diags([complex(v) for v in values], format="csr", dtype=complex)

@@ -333,8 +333,13 @@ def convergence_study(
 
     For a sector whose continuum ground energy is zero the computed values
     E(h) themselves are the errors; the order between refinements i, i+1 is
-    log(E_i/E_{i+1}) / log(h_i/h_{i+1}).
+    log(E_i/E_{i+1}) / log(h_i/h_{i+1}).  ``points_list`` must hold at least
+    two strictly increasing sizes, so every order compares a finer grid.
     """
+    if len(points_list) < 2 or any(m >= n for m, n in zip(points_list, points_list[1:])):
+        raise ValueError(
+            f"points_list needs at least two strictly increasing sizes, got {tuple(points_list)}"
+        )
     rows = []
     for m in points_list:
         grid = Grid(box=box, points=m, n=sp.n)

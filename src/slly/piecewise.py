@@ -141,26 +141,31 @@ def _guard_size(n: int) -> None:
         raise ValueError(f"particle count {n} outside supported range 1..{MAX_PARTICLES}")
 
 
-def enumerate_regions(n: int) -> list[Region]:
-    """All N! ordering chambers, in lexicographic order of the permutation."""
+@lru_cache(maxsize=None)
+def regions(n: int) -> tuple[Region, ...]:
+    """All N! ordering chambers, in lexicographic order of the permutation.
+
+    Cached, as a tuple since every caller shares it.
+    """
     _guard_size(n)
-    return [Region(p) for p in itertools.permutations(range(1, n + 1))]
+    return tuple(Region(p) for p in itertools.permutations(range(1, n + 1)))
 
 
-def enumerate_interfaces(n: int) -> list[Interface]:
+@lru_cache(maxsize=None)
+def interfaces(n: int) -> tuple[Interface, ...]:
     """All chamber walls; exactly N!*(N-1)/2 of them.
 
     Each wall joins two chambers differing by an adjacent transposition and
     carries the particle pair (a, b), a < b, whose coordinates coincide on it.
+    Cached, as a tuple since every caller shares it.
     """
-    _guard_size(n)
     out = []
-    for region in enumerate_regions(n):
+    for region in regions(n):
         for slot in range(n - 1):
             s, t = region.order[slot], region.order[slot + 1]
             if s < t:  # region is the left (x_s < x_t) side; emit once
                 out.append(Interface(left=region, right=region.swap_adjacent(slot), pair=(s, t)))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +294,10 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
     return RegionFunction(n=n, terms=terms)
 
 
-def canonicalize(f: RegionFunction) -> RegionFunction:
-    """Re-merge and re-sort every chamber.
-
-    Idempotent on separated chambers (see ``RegionFunction``) only: where
-    ``build`` dropped a term that sorted between two kappas within
-    ``KAPPA_TOL``, re-merging joins those two, so the canonical form of a
-    function can depend on how it was built.
-    """
-    return build(f.n, {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()})
-
-
 def constant_function(n: int, value: complex = 1.0) -> RegionFunction:
     """The chamber-wise constant function (kappa = 0 everywhere)."""
     zero = (0.0 + 0.0j,) * n
-    return build(n, {r: [(value, zero)] for r in enumerate_regions(n)})
+    return build(n, {r: [(value, zero)] for r in regions(n)})
 
 
 def zero_function(n: int) -> RegionFunction:
@@ -363,10 +357,6 @@ def scale(f: RegionFunction, z: complex) -> RegionFunction:
     return map_coefficients(f, lambda r, t: z * t.coef)
 
 
-def is_zero(f: RegionFunction, tol: float = 0.0) -> bool:
-    return max_coefficient(f) <= tol
-
-
 def max_coefficient(f: RegionFunction) -> float:
     return max((abs(t.coef) for ts in f.terms.values() for t in ts), default=0.0)
 
@@ -424,46 +414,12 @@ def evaluate(f: RegionFunction, x: Sequence[float]) -> complex:
 # interface restrictions and matching residuals
 # ---------------------------------------------------------------------------
 
-def _restrict_terms(terms: Iterable[ExpTerm], a: int, b: int, n: int) -> tuple[ExpTerm, ...]:
-    """Substitute x_b := x_a; result lives in the N-1 variables with x_b deleted."""
-    keep = [j for j in range(1, n + 1) if j != b]
-    raw = []
-    for t in terms:
-        kap = list(t.kappa)
-        kap[a - 1] = kap[a - 1] + kap[b - 1]
-        raw.append((t.coef, tuple(kap[j - 1] for j in keep)))
-    return _merge_terms(raw)
-
-
-def restrict_to_interface(
-    f: RegionFunction, iface: Interface, side: Literal["left", "right"]
-) -> tuple[ExpTerm, ...]:
-    """One-sided limit of f on the wall, as a canonical sum in N-1 variables.
-
-    The reduced variables are x_1 .. x_N with x_b deleted and kappa_a merged
-    to kappa_a + kappa_b, so sums restricted from either side are directly
-    comparable term by term.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    region = iface.left if side == "left" else iface.right
-    a, b = iface.pair
-    return _restrict_terms(f.region_terms(region), a, b, f.n)
-
-
 def _sum_scale(terms: Iterable[ExpTerm], z: complex):
     return [(z * t.coef, t.kappa) for t in terms]
 
 
 def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
     return max((abs(t.coef) for t in terms), default=0.0)
-
-
-def continuity_residual(f: RegionFunction, iface: Interface) -> float:
-    """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
-    left = restrict_to_interface(f, iface, "left")
-    right = restrict_to_interface(f, iface, "right")
-    return _max_coefficient(_merge_parts((_sum_scale(left, 1.0), _sum_scale(right, -1.0))))
 
 
 class _Plan(NamedTuple):
@@ -479,12 +435,24 @@ class _Plan(NamedTuple):
 
 
 def _make_plan(layout: tuple[tuple[complex, ...], ...], a: int, b: int) -> _Plan:
+    """The wall reduction, the only one in the calculus: substitute x_b := x_a.
+
+    The reduced variables are x_1 .. x_N with x_b deleted and kappa_a merged
+    to kappa_a + kappa_b, so sums restricted from either side of the wall
+    are directly comparable term by term once merged by tolerance.
+    """
     reduced = []
     for kappa in layout:
         kap = list(kappa)
         kap[a - 1] = kap[a - 1] + kap[b - 1]
         reduced.append(tuple(complex(k) for j, k in enumerate(kap) if j != b - 1))
     return _Plan(_separated((None, k) for k in layout), _merge_groups(reduced))
+
+
+def _restrict(terms: Sequence[ExpTerm], a: int, b: int) -> _Sums:
+    """One chamber's limit on the wall x_a = x_b, through a plan of its own layout."""
+    plan = _make_plan(tuple(t.kappa for t in terms), a, b)
+    return _group_sums(plan.groups, [complex(t.coef) for t in terms])
 
 
 def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
@@ -618,7 +586,7 @@ def _sweep(
                 return _group_sums(plan.groups, coefs)
         local = RegionFunction(n=len(region.order), terms={region: chamber.terms})
         d = add(differentiate(local, pair[0]), scale(differentiate(local, pair[1]), -1.0))
-        return None, _restrict_terms(d.region_terms(region), *pair, local.n)
+        return _restrict(d.region_terms(region), *pair)
 
     continuity = jump = 0.0
     for iface in walls:
@@ -686,12 +654,30 @@ def wall_residuals(
     Only the wall's two chambers are read, and every number is the one the
     whole-function formula gives: the derivative is computed term by term
     as ``differentiate``/``scale``/``add`` compute it, restrictions merge
-    as ``restrict_to_interface`` does, and the weighted sums are accumulated
-    in the order right, -left, then -C_ij * base_j by ascending j, position
-    by position where the parts hold the same kappas (``_merge_parts``),
-    exactly as the general merge sums them.
+    the reduced terms (``_make_plan``) as ``build`` would, and the weighted
+    sums are accumulated in the order right, -left, then -C_ij * base_j by
+    ascending j, position by position where the parts hold the same kappas
+    (``_merge_parts``), exactly as the general merge sums them.
     """
     return _sweep(funcs, (iface,), {iface.pair: coupling})
+
+
+# The per-wall entry points below stay only because perfbench/tracing.py wraps
+# them by name; the library itself goes through ``_sweep``.
+
+def restrict_to_interface(
+    f: RegionFunction, iface: Interface, side: Literal["left", "right"]
+) -> tuple[ExpTerm, ...]:
+    """One-sided limit of f on the wall, in the N-1 variables of ``_make_plan``."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return _sums_terms(_restrict(f.region_terms(getattr(iface, side)), *iface.pair))
+
+
+def continuity_residual(f: RegionFunction, iface: Interface) -> float:
+    """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
+    left, right = (_restrict(f.region_terms(r), *iface.pair) for r in (iface.left, iface.right))
+    return _weighted_max(((1.0, left), (-1.0, right)))
 
 
 def jump_residual(
@@ -740,15 +726,3 @@ def from_json_obj(obj: Mapping) -> RegionFunction:
             for t in entry["terms"]
         ]
     return build(n, data)
-
-
-@lru_cache(maxsize=None)
-def interfaces(n: int) -> tuple[Interface, ...]:
-    """Cached enumerate_interfaces, as a tuple since every caller shares it."""
-    return tuple(enumerate_interfaces(n))
-
-
-@lru_cache(maxsize=None)
-def regions(n: int) -> tuple[Region, ...]:
-    """Cached enumerate_regions, as a tuple since every caller shares it."""
-    return tuple(enumerate_regions(n))

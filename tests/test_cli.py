@@ -148,6 +148,19 @@ class TestLatticeCommands:
         assert lines[0] == "h,L,sector,lambda_1,res_1"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("points_list", ["39,39", "39", "79,39"])
+    def test_converge_needs_two_increasing_sizes(self, capsys, tmp_path, points_list):
+        csv_path = tmp_path / "table.csv"
+        code = cli.main(
+            ["lattice", "converge", "--n", "2", "--c", "2", "--sector", "2", "--box", "12",
+             "--points-list", points_list, "--seed", "1", "--csv", str(csv_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not csv_path.exists()
+        assert captured.err.startswith("slly: points_list needs at least two strictly")
+        assert captured.err.count("\n") == 1
+
     def test_diagnostic(self, capsys):
         code, out = run(
             [

@@ -14,21 +14,49 @@ from slly.errors import AmbiguousPointError, DiscontinuityError
 
 
 def plane_wave(n, kappa, coef=1.0):
-    return pw.build(n, {r: [(coef, tuple(kappa))] for r in pw.enumerate_regions(n)})
+    return pw.build(n, {r: [(coef, tuple(kappa))] for r in pw.regions(n)})
+
+
+def canonicalize(f):
+    """Re-merge and re-sort every chamber with ``build``.
+
+    Idempotent on separated chambers (see ``RegionFunction``) only: where
+    ``build`` dropped a term that sorted between two kappas within
+    ``KAPPA_TOL``, re-merging joins those two, so the canonical form of a
+    function can depend on how it was built.
+    """
+    return pw.build(f.n, {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()})
+
+
+def old_restrict(f, iface, side):
+    """One-sided limit on the wall: substitute x_b := x_a, delete x_b, re-merge."""
+    a, b = iface.pair
+    keep = [j for j in range(1, f.n + 1) if j != b]
+    raw = []
+    for t in f.region_terms(getattr(iface, side)):
+        kap = list(t.kappa)
+        kap[a - 1] = kap[a - 1] + kap[b - 1]
+        raw.append((t.coef, tuple(kap[j - 1] for j in keep)))
+    return pw._merge_terms(raw)
+
+
+def plan_restrict(f, iface, side):
+    """The library's wall restriction: one chamber through a plan of its layout."""
+    return pw._sums_terms(pw._restrict(f.region_terms(getattr(iface, side)), *iface.pair))
 
 
 class TestEnumeration:
     def test_single_particle(self):
-        assert [r.order for r in pw.enumerate_regions(1)] == [(1,)]
+        assert [r.order for r in pw.regions(1)] == [(1,)]
 
     def test_three_particles_matches_listing(self):
-        orders = [r.order for r in pw.enumerate_regions(3)]
+        orders = [r.order for r in pw.regions(3)]
         assert orders == [
             (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
         ]
 
     def test_five_particles_against_permutation_oracle(self):
-        regions = pw.enumerate_regions(5)
+        regions = pw.regions(5)
         oracle = set(itertools.permutations(range(1, 6)))
         assert len(regions) == 120
         assert {r.order for r in regions} == oracle
@@ -36,16 +64,16 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [0, 11])
     def test_size_guard(self, n):
         with pytest.raises(ValueError):
-            pw.enumerate_regions(n)
+            pw.regions(n)
 
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 6), (4, 36)])
     def test_interface_counts(self, n, count):
-        ifaces = pw.enumerate_interfaces(n)
+        ifaces = pw.interfaces(n)
         assert len(ifaces) == count
         assert count == math.factorial(n) * (n - 1) // 2
 
     def test_interface_orientation_and_adjacency(self):
-        for iface in pw.enumerate_interfaces(4):
+        for iface in pw.interfaces(4):
             a, b = iface.pair
             assert a < b
             assert iface.left.sign(a, b) == -1
@@ -55,7 +83,7 @@ class TestEnumeration:
             assert len(diff) == 2 and diff[1] == diff[0] + 1
 
     def test_interfaces_unique(self):
-        ifaces = pw.enumerate_interfaces(4)
+        ifaces = pw.interfaces(4)
         keys = {frozenset((i.left.order, i.right.order)) for i in ifaces}
         assert len(keys) == len(ifaces)
 
@@ -161,7 +189,7 @@ class TestCanonicalization:
 
         rng = np.random.default_rng(7)
         data = {}
-        for region in pw.enumerate_regions(3):
+        for region in pw.regions(3):
             data[region] = [
                 (
                     complex(rng.standard_normal(), rng.standard_normal()),
@@ -170,7 +198,7 @@ class TestCanonicalization:
                 for _ in range(4)
             ]
         f = pw.build(3, data)
-        g = pw.canonicalize(f)
+        g = canonicalize(f)
         assert f.terms == g.terms
 
 
@@ -178,24 +206,53 @@ class TestRestriction:
     def test_plane_wave_substitution(self):
         k1, k2 = 1.3, -0.4
         f = plane_wave(2, (1j * k1, 1j * k2))
-        iface = pw.enumerate_interfaces(2)[0]
-        left = pw.restrict_to_interface(f, iface, "left")
+        iface = pw.interfaces(2)[0]
+        left = plan_restrict(f, iface, "left")
         assert len(left) == 1
         assert left[0].kappa == (1j * (k1 + k2),)
 
     def test_dimer_restricts_to_one(self):
         f = bethe.dimer_state(0.0, -2.0)
-        iface = pw.enumerate_interfaces(2)[0]
+        iface = pw.interfaces(2)[0]
         for side in ("left", "right"):
-            terms = pw.restrict_to_interface(f, iface, side)
+            terms = plan_restrict(f, iface, side)
             assert len(terms) == 1
             assert terms[0].coef == pytest.approx(1.0)
             assert terms[0].kappa == (0.0,)
 
     def test_bethe_state_sides_agree(self):
         f = bethe.collision_state([1.0, -0.5], 1.7)
-        iface = pw.enumerate_interfaces(2)[0]
-        assert pw.continuity_residual(f, iface) == 0.0
+        iface = pw.interfaces(2)[0]
+        assert plan_restrict(f, iface, "left") == plan_restrict(f, iface, "right")
+        assert pw.wall_residuals([f], iface, [[3.4]])[0] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_plan_restriction_equals_old_restrict(self, n, seed):
+        rng = np.random.default_rng(seed)
+        for iface in pw.interfaces(n):
+            f = _wall_chambers(rng, iface)
+            for side in ("left", "right"):
+                got = plan_restrict(f, iface, side)
+                assert got == old_restrict(f, iface, side)
+                assert all(type(t.coef) is complex for t in got)
+
+    def test_restriction_inputs_reach_every_branch(self):
+        """The random chambers merge on the wall, drop sums and include non-separated ones."""
+        rng = np.random.default_rng(4)
+        chambers = merged = dropped = unseparated = 0
+        for _ in range(40):
+            for iface in pw.interfaces(3):
+                f = _wall_chambers(rng, iface)
+                for side in ("left", "right"):
+                    ts = f.region_terms(getattr(iface, side))
+                    groups, _ = pw._restrict(ts, *iface.pair)
+                    chambers += 1
+                    merged += len(old_restrict(f, iface, side)) < len(ts)
+                    dropped += groups is None
+                    unseparated += not pw._separated(ts)
+        assert merged > chambers // 4 and dropped > chambers // 10
+        assert 5 < unseparated < chambers // 2
 
     def test_linearity(self):
         import numpy as np
@@ -204,7 +261,7 @@ class TestRestriction:
 
         def rand_fn():
             data = {}
-            for region in pw.enumerate_regions(3):
+            for region in pw.regions(3):
                 data[region] = [
                     (
                         complex(rng.standard_normal(), rng.standard_normal()),
@@ -215,11 +272,11 @@ class TestRestriction:
             return pw.build(3, data)
 
         f, g = rand_fn(), rand_fn()
-        iface = pw.enumerate_interfaces(3)[0]
+        iface = pw.interfaces(3)[0]
         merged = pw._merge_terms(
-            [(t.coef, t.kappa) for t in pw.restrict_to_interface(pw.add(f, g), iface, "left")]
-            + [(-t.coef, t.kappa) for t in pw.restrict_to_interface(f, iface, "left")]
-            + [(-t.coef, t.kappa) for t in pw.restrict_to_interface(g, iface, "left")]
+            [(t.coef, t.kappa) for t in plan_restrict(pw.add(f, g), iface, "left")]
+            + [(-t.coef, t.kappa) for t in plan_restrict(f, iface, "left")]
+            + [(-t.coef, t.kappa) for t in plan_restrict(g, iface, "left")]
         )
         assert max((abs(t.coef) for t in merged), default=0.0) <= 1e-12
 
@@ -227,41 +284,41 @@ class TestRestriction:
 class TestMatchingResiduals:
     def test_constant_is_continuous(self):
         f = pw.constant_function(3)
-        for iface in pw.enumerate_interfaces(3):
-            assert pw.continuity_residual(f, iface) == 0.0
+        for iface in pw.interfaces(3):
+            assert pw.wall_residuals([f], iface, [[1.0]])[0] == 0.0
 
     def test_valid_ratio_continuous_and_perturbed_not(self):
         c, k1, k2 = 1.9, 0.8, -0.3
         s = bethe.s_matrix(k1, k2, c)
-        iface = pw.enumerate_interfaces(2)[0]
+        iface = pw.interfaces(2)[0]
         r12, r21 = iface.left, iface.right
         ka, kb = (1j * k1, 1j * k2), (1j * k2, 1j * k1)
 
         def two_body(ratio):
             return pw.build(2, {r12: [(1.0, ka), (ratio, kb)], r21: [(1.0, kb), (ratio, ka)]})
 
-        assert pw.continuity_residual(two_body(s), iface) == 0.0
-        assert pw.jump_residual([two_body(s)], iface, [[2 * c]]) <= 1e-13
-        assert pw.jump_residual([two_body(s * 1.1)], iface, [[2 * c]]) > 1e-3
+        continuity, jump = pw.wall_residuals([two_body(s)], iface, [[2 * c]])
+        assert continuity == 0.0 and jump <= 1e-13
+        assert pw.wall_residuals([two_body(s * 1.1)], iface, [[2 * c]])[1] > 1e-3
 
     def test_free_wave_jump_equals_coupling(self):
         c = 1.3
         f = plane_wave(2, (0.7j, -0.2j))
-        iface = pw.enumerate_interfaces(2)[0]
-        assert pw.jump_residual([f], iface, [[2 * c]]) == pytest.approx(2 * abs(c))
+        iface = pw.interfaces(2)[0]
+        assert pw.wall_residuals([f], iface, [[2 * c]])[1] == pytest.approx(2 * abs(c))
 
     def test_dimension_mismatch(self):
         f = pw.constant_function(2)
-        iface = pw.enumerate_interfaces(2)[0]
+        iface = pw.interfaces(2)[0]
         with pytest.raises(ValueError):
-            pw.jump_residual([f], iface, [[1.0, 0.0], [0.0, 1.0]])
+            pw.wall_residuals([f], iface, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_discontinuous_input_rejected(self):
         r12, r21 = pw.Region((1, 2)), pw.Region((2, 1))
         f = pw.build(2, {r12: [(1.0, (0j, 0j))], r21: [(2.0, (0j, 0j))]})
-        iface = pw.enumerate_interfaces(2)[0]
+        iface = pw.interfaces(2)[0]
         with pytest.raises(DiscontinuityError):
-            pw.jump_residual([f], iface, [[1.0]])
+            pw.wall_residuals([f], iface, [[1.0]])
 
 
 # The formulas below re-merge every result with ``build``/``_merge_terms``,
@@ -293,8 +350,8 @@ def old_sum_max(raw):
 
 
 def old_continuity(f, iface):
-    left = pw.restrict_to_interface(f, iface, "left")
-    right = pw.restrict_to_interface(f, iface, "right")
+    left = old_restrict(f, iface, "left")
+    right = old_restrict(f, iface, "right")
     return old_sum_max(pw._sum_scale(left, 1.0) + pw._sum_scale(right, -1.0))
 
 
@@ -305,12 +362,12 @@ def full_function_jump(funcs, iface, coupling):
     for i, f in enumerate(funcs):
         if old_continuity(f, iface) > pw.JUMP_CONTINUITY_TOL:
             raise DiscontinuityError(f"component {i}")
-    bases = [pw.restrict_to_interface(f, iface, "left") for f in funcs]
+    bases = [old_restrict(f, iface, "left") for f in funcs]
     worst = 0.0
     for i, f in enumerate(funcs):
         d = old_add(old_differentiate(f, a), old_scale(old_differentiate(f, b), -1.0))
-        raw = list(pw._sum_scale(pw.restrict_to_interface(d, iface, "right"), 1.0))
-        raw += pw._sum_scale(pw.restrict_to_interface(d, iface, "left"), -1.0)
+        raw = list(pw._sum_scale(old_restrict(d, iface, "right"), 1.0))
+        raw += pw._sum_scale(old_restrict(d, iface, "left"), -1.0)
         for j in range(len(funcs)):
             cij = mat[i, j]
             if cij != 0:
@@ -377,7 +434,6 @@ class TestWallLocalKernel:
         reference = full_function_jump(funcs, iface, coupling)
         continuity = max(old_continuity(f, iface) for f in funcs)
         assert pw.wall_residuals(funcs, iface, coupling) == (continuity, reference)
-        assert pw.jump_residual(funcs, iface, coupling) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -409,8 +465,6 @@ class TestWallLocalKernel:
         pair = rf"\({iface.pair[0]}, {iface.pair[1]}\)"
         with pytest.raises(DiscontinuityError, match=rf"component 1 .*pair {pair}"):
             pw.wall_residuals([good, bad], iface, np.eye(2))
-        with pytest.raises(DiscontinuityError):
-            pw.jump_residual([good, bad], iface, np.eye(2))
 
     def test_matching_report_rejects_discontinuous_state(self):
         ks, c = (1.2, 0.1, -0.7), 1.4
@@ -463,6 +517,33 @@ def _coef(rng):
     """Random coefficient; some sit near DROP_TOL, so sums and maps drop them."""
     size = (1.0, 1.0, 1e-13, 1e-14, 1e-15)[int(rng.integers(5))]
     return size * complex(rng.standard_normal(), rng.standard_normal())
+
+
+def _wall_chambers(rng, iface):
+    """Both chambers of ``iface``: a ``_kappa_pool`` each, half its kappas with their a<->b swap.
+
+    A kappa and its swap restrict to the same reduced kappa, so terms merge
+    on the wall; a swap carrying the negated coefficient cancels there, and
+    tiny coefficients (``_coef``) drop, in ``build`` or on the wall.
+    """
+    n = iface.left.n
+    a, b = iface.pair
+
+    def swap(kappa):
+        out = list(kappa)
+        out[a - 1], out[b - 1] = kappa[b - 1], kappa[a - 1]
+        return tuple(out)
+
+    data = {}
+    for region in (iface.left, iface.right):
+        raw = []
+        for kappa in _kappa_pool(rng, n):
+            coef = _coef(rng)
+            raw.append((coef, kappa))
+            if rng.random() < 0.5:
+                raw.append((-coef if rng.random() < 0.5 else _coef(rng), swap(kappa)))
+        data[region] = raw
+    return pw.build(n, data)
 
 
 def _canonical_pair(rng, n):
@@ -572,7 +653,7 @@ class TestCanonicalFastPaths:
         ts = f.terms[region]
         assert [t.kappa for t in ts] == [near, close] and not pw._separated(ts)
         # re-merging joins the two: every operation must do what build does
-        assert pw.canonicalize(f).terms[region] == (pw.ExpTerm(3.0 + 0j, near),)
+        assert canonicalize(f).terms[region] == (pw.ExpTerm(3.0 + 0j, near),)
         assert pw.scale(f, 2.0).terms == old_scale(f, 2.0).terms
         assert pw.add(f, pw.zero_function(2)).terms == old_add(f, pw.zero_function(2)).terms
         assert pw.add(f, f).terms == old_add(f, f).terms
@@ -791,6 +872,42 @@ class TestPlanSweep:
         assert shared_layouts > 30 and own_layouts > 5
         assert 0 < unseparated < chambers // 4
         assert drops > chambers // 10 and broken > 30
+
+
+class TestTracedEntryPoints:
+    """The per-wall entry points the benchmark tracer wraps equal the reference formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        components=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equal_the_references(self, n, components, seed, data):
+        rng = np.random.default_rng(seed)
+        iface = data.draw(st.sampled_from(pw.interfaces(n)))
+        pool = [_random_kappa(rng, n) for _ in range(3)]
+        funcs = [_continuous_at(rng, iface, pool) for _ in range(components)]
+        coupling = _random_coupling(rng, components)
+        assert pw.jump_residual(funcs, iface, coupling) == full_function_jump(
+            funcs, iface, coupling
+        )
+        for f in funcs + [_wall_chambers(rng, iface)]:
+            assert pw.continuity_residual(f, iface) == old_continuity(f, iface)
+            for side in ("left", "right"):
+                assert pw.restrict_to_interface(f, iface, side) == old_restrict(f, iface, side)
+
+    def test_rejections(self):
+        rng = np.random.default_rng(11)
+        iface = pw.interfaces(3)[2]
+        good = _continuous_at(rng, iface, [_random_kappa(rng, 3)])
+        bad = pw.add(good, pw.build(3, {iface.left: [(0.5, (0j, 0j, 0j))]}))
+        with pytest.raises(DiscontinuityError, match="component 1"):
+            pw.jump_residual([good, bad], iface, np.eye(2))
+        assert pw.continuity_residual(bad, iface) == 0.5
+        with pytest.raises(ValueError, match="side"):
+            pw.restrict_to_interface(good, iface, "up")
 
 
 class TestSerialization:

@@ -30,7 +30,7 @@ class TestSuperpotentialGradient:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_gradient_sums_to_zero(self, n):
         sp = susy.Superpotential(n=n, c=1.3)
-        for region in pw.enumerate_regions(n):
+        for region in pw.regions(n):
             assert abs(sum(susy.grad_w(region, j, sp) for j in range(1, n + 1))) < 1e-13
 
     def test_eight_particle_square_sum_over_all_regions(self):
@@ -291,7 +291,7 @@ class TestAlgebraChecks:
         ks = (0.9, -0.4)
         wave = pw.build(
             2,
-            {r: [(1.0, (1j * ks[0], 1j * ks[1]))] for r in pw.enumerate_regions(2)},
+            {r: [(1.0, (1j * ks[0], 1j * ks[1]))] for r in pw.regions(2)},
         )
         s = susy.spinor_from_scalar(wave, 0b01)
         lhs = susy.spinor_add(

@@ -97,3 +97,34 @@ def test_bench_record_rejects_a_run_without_partner(tmp_path):
     assert proc.returncode == 1
     assert "without a partner" in proc.stderr
     assert not (tmp_path / "x.json").exists()
+
+
+def test_benchmark_tracer_wraps_every_traced_name(monkeypatch):
+    """``perfbench/tracing.py`` finds every function it wraps by name, and restores it."""
+    import importlib
+
+    from slly import bethe, cli, fock, lattice, susy
+    from slly import piecewise as pw
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    fresh = [name for name in ("tracing", "workloads") if name not in sys.modules]
+    modules = {"piecewise": pw, "bethe": bethe, "susy": susy, "fock": fock,
+               "lattice": lattice, "cli": cli}
+    try:
+        tracing = importlib.import_module("tracing")
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer, modules)
+            wrapped = list(tracer._undo)
+            assert all(getattr(owner, attr) is not fn for owner, attr, fn in wrapped)
+        finally:
+            tracer.remove()
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+    assert len(wrapped) == 25
+    assert {attr for owner, attr, _ in wrapped if owner is pw} >= {
+        "restrict_to_interface", "continuity_residual", "jump_residual",
+    }
+    for owner, attr, original in wrapped:
+        assert getattr(owner, attr) is original
