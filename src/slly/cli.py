@@ -349,10 +349,10 @@ def _cmd_susy(args) -> tuple[dict, dict, bool, None]:
         rng = np.random.default_rng(args.seed)
         worst_nil = worst_nil_dag = worst_anti = 0.0
         for _ in range(args.trials):
-            s = susy.random_spinor(sp, rng)
-            worst_nil = max(worst_nil, susy.q_nilpotency_residual(s, sp))
-            worst_nil_dag = max(worst_nil_dag, susy.q_nilpotency_residual(s, sp, dagger=True))
-            worst_anti = max(worst_anti, susy.anticommutator_bulk_residual(s, sp))
+            res = susy.algebra_residuals(susy.random_spinor(sp, rng), sp)
+            worst_nil = max(worst_nil, res.q_squared)
+            worst_nil_dag = max(worst_nil_dag, res.q_dagger_squared)
+            worst_anti = max(worst_anti, res.anticommutator)
         results = {
             "max_q_squared": worst_nil,
             "max_q_dagger_squared": worst_nil_dag,
@@ -389,20 +389,20 @@ def _cmd_susy(args) -> tuple[dict, dict, bool, None]:
         config.update({"direction": direction, "state_family": family})
         top = (1 << sp.n) - 1
         if family == "collision":
+            if sp.n != len(args.k):
+                raise ValueError(f"--n {sp.n} does not match {len(args.k)} momenta")
             config["k"] = list(args.k)
-            if direction == "raise":
-                state = susy.spinor_from_scalar(bethe.collision_state(args.k, sp.c), 0)
-            else:
-                state = susy.spinor_from_scalar(bethe.collision_state(args.k, -sp.c), top)
+            c, mask = (sp.c, 0) if direction == "raise" else (-sp.c, top)
+            f = bethe.collision_state(args.k, c)
+        elif sp.n != 3:
+            raise ValueError(f"--state-family {family} needs --n 3, got {sp.n}")
         elif family == "trimer":
             config["p"] = args.p
-            state = susy.spinor_from_scalar(bethe.trimer_state(args.p, -sp.c), top)
+            f, mask = bethe.trimer_state(args.p, -sp.c), top
         else:  # monomer-dimer
             config.update({"p": args.p, "q": args.q})
-            state = susy.spinor_from_scalar(
-                bethe.monomer_dimer_state(args.p, args.q, -sp.c), top
-            )
-        result = susy.susy_partner(state, direction, sp)
+            f, mask = bethe.monomer_dimer_state(args.p, args.q, -sp.c), top
+        result = susy.susy_partner(susy.spinor_from_scalar(f, mask), direction, sp)
         results = {
             "energy": result.energy,
             "singlet": result.singlet,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
 
@@ -128,41 +128,34 @@ def _prune(s: SpinorFunction) -> SpinorFunction:
     return SpinorFunction(s.n, {m: f for m, f in s.components.items() if f.terms})
 
 
-def _gradw_multiply(f: pw.RegionFunction, j: int, sp: Superpotential, sgn: float) -> pw.RegionFunction:
-    return pw.map_coefficients(f, lambda r, t: t.coef * sgn * grad_w(r, j, sp))
-
-
-def _covariant(f: pw.RegionFunction, j: int, sp: Superpotential, sgn: float) -> pw.RegionFunction:
-    """(d/dx_j + sgn * w_j) applied chamber by chamber."""
-    return pw.add(pw.differentiate(f, j), _gradw_multiply(f, j, sp, sgn))
-
-
-def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
-    """Q = i sqrt(2) sum_j b_j (d_j + w_j); lowers the grade by one."""
+def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
+    """Q, or Q^dag if ``dagger``: per source mask and movable mode j, one coefficient map
+    c -> z * (c kappa_j + c sgn w_j), z = i sqrt(2) jw_sign(mask, j), in this operand order
+    (report bytes depend on it); the images are summed into ``mask ^ bit`` by ascending j."""
+    sgn = -1.0 if dagger else 1.0
     out: dict[int, pw.RegionFunction] = {}
     for mask, f in s.components.items():
         for j in range(1, sp.n + 1):
             bit = 1 << (j - 1)
-            if not mask & bit:
+            if bool(mask & bit) == dagger:
                 continue
-            g = pw.scale(_covariant(f, j, sp, +1.0), 1j * SQRT2 * fock.jw_sign(mask, j))
+            z = 1j * SQRT2 * fock.jw_sign(mask, j)
+            g = pw.map_coefficients(
+                f, lambda r, t: z * (t.coef * t.kappa[j - 1] + t.coef * sgn * grad_w(r, j, sp))
+            )
             tgt = mask ^ bit
             out[tgt] = pw.add(out[tgt], g) if tgt in out else g
     return _prune(SpinorFunction(s.n, out))
 
 
+def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
+    """Q = i sqrt(2) sum_j b_j (d_j + w_j); lowers the grade by one."""
+    return _supercharge(s, sp, dagger=False)
+
+
 def apply_q_dagger(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
     """Q^dag = i sqrt(2) sum_j b_j^dag (d_j - w_j); raises the grade by one."""
-    out: dict[int, pw.RegionFunction] = {}
-    for mask, f in s.components.items():
-        for j in range(1, sp.n + 1):
-            bit = 1 << (j - 1)
-            if mask & bit:
-                continue
-            g = pw.scale(_covariant(f, j, sp, -1.0), 1j * SQRT2 * fock.jw_sign(mask, j))
-            tgt = mask | bit
-            out[tgt] = pw.add(out[tgt], g) if tgt in out else g
-    return _prune(SpinorFunction(s.n, out))
+    return _supercharge(s, sp, dagger=True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +362,18 @@ def susy_partner(
 ) -> PartnerResult:
     """Map a verified eigenstate to its superpartner at the same energy.
 
-    raise -> Q^dag (grade + 1), lower -> Q (grade - 1).  Zero modes are SUSY
-    singlets and rejected; a vanishing image on a positive-energy state is
-    reported as a singlet rather than an error.
+    raise -> Q^dag (grade + 1, refused from the top grade), lower -> Q (grade - 1,
+    refused from grade 0).  Zero modes are SUSY singlets and rejected; a vanishing
+    image on a positive-energy state is reported as a singlet rather than an error.
     """
     if direction not in ("raise", "lower"):
         raise ValueError("direction must be 'raise' or 'lower'")
     e = infer_energy(s, sp)
+    grade = s.pure_grade()
+    if direction == "raise" and grade == sp.n:
+        raise ValueError(f"Q^dag vanishes on the top grade {grade}; use direction 'lower'")
+    if direction == "lower" and grade == 0:
+        raise ValueError("Q vanishes on grade 0; use direction 'raise'")
     src = verify_eigenstate(s, e, sp)
     if not src.accepted:
         raise ValueError(
@@ -395,31 +393,32 @@ def susy_partner(
 # algebra checks
 # ---------------------------------------------------------------------------
 
-def q_nilpotency_residual(s: SpinorFunction, sp: Superpotential, dagger: bool = False) -> float:
-    """Max coefficient of Q(Q s) (or the adjoint pair); exactly zero chamber-wise."""
-    op = apply_q_dagger if dagger else apply_q
-    return spinor_max_coefficient(op(op(s, sp), sp))
+class AlgebraResiduals(NamedTuple):
+    q_squared: float
+    q_dagger_squared: float
+    anticommutator: float
 
 
-def anticommutator_bulk_residual(s: SpinorFunction, sp: Superpotential) -> float:
-    """Residual of (1/2){Q, Q^dag} s = (-Laplacian + shift) s, chamber-wise.
+def algebra_residuals(s: SpinorFunction, sp: Superpotential) -> AlgebraResiduals:
+    """Residuals of Q Q s = 0, Q^dag Q^dag s = 0 and (1/2){Q, Q^dag} s = (-Laplacian + shift) s.
 
     Delta-function content lives only on the walls and is invisible to the
     per-chamber coefficient algebra, which is exactly why the identity closes
-    without interface terms.
+    without interface terms.  Q s and Q^dag s are computed once for all three.
     """
-    lhs = spinor_add(
-        apply_q(apply_q_dagger(s, sp), sp),
-        apply_q_dagger(apply_q(s, sp), sp),
-    )
-    lhs = spinor_scale(lhs, 0.5)
+    qs, qds = apply_q(s, sp), apply_q_dagger(s, sp)
+    lhs = spinor_scale(spinor_add(apply_q(qds, sp), apply_q_dagger(qs, sp)), 0.5)
     shift = shift_constant(sp)
     rhs_comps = {
         mask: pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))
         for mask, f in s.components.items()
     }
     rhs = _prune(SpinorFunction(s.n, rhs_comps))
-    return spinor_distance(lhs, rhs)
+    return AlgebraResiduals(
+        q_squared=spinor_max_coefficient(apply_q(qs, sp)),
+        q_dagger_squared=spinor_max_coefficient(apply_q_dagger(qds, sp)),
+        anticommutator=spinor_distance(lhs, rhs),
+    )
 
 
 def random_spinor(

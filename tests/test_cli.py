@@ -108,6 +108,41 @@ class TestSusyCommands:
         assert code == 0
         assert json.loads(out)["results"]["partner_grade"] == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--state-family", "trimer", "--p", "0.1"],
+             "Q^dag vanishes on the top grade 3; use direction 'lower'"),
+            (["--state-family", "monomer-dimer", "--p", "0.8", "--q=-0.5"],
+             "Q^dag vanishes on the top grade 3; use direction 'lower'"),
+        ],
+        ids=["trimer", "monomer-dimer"],
+    )
+    def test_partner_in_a_vanishing_direction_is_config_error(self, capsys, argv, message):
+        # these used to print "singlet": true at positive energy and exit 0
+        code = cli.main(["susy", "partner", "--n", "3", "--c", "1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"slly: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--n", "3", "--k", "1.0,0.2"], "--n 3 does not match 2 momenta"),
+            (["--n", "2", "--k", "1.0,0.2,-0.5"], "--n 2 does not match 3 momenta"),
+            (["--n", "2", "--state-family", "trimer", "--p", "0.1"],
+             "--state-family trimer needs --n 3, got 2"),
+        ],
+        ids=["too-few-momenta", "too-many-momenta", "trimer-n2"],
+    )
+    def test_partner_particle_count_checked_against_state(self, capsys, argv, message):
+        code = cli.main(["susy", "partner", "--c", "1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"slly: {message}\n"
+
 
 class TestLatticeCommands:
     def test_spectrum(self, capsys):

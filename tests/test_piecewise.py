@@ -605,7 +605,7 @@ class TestCanonicalFastPaths:
             (pw.scale(f, -1.0), old_scale(f, -1.0)),
             (pw.differentiate(f, j), old_differentiate(f, j)),
             (pw.laplacian(f), old_map(f, lambda r, t: t.coef * sum(k * k for k in t.kappa))),
-            (susy._gradw_multiply(f, j, sp, -1.0),
+            (pw.map_coefficients(f, lambda r, t: t.coef * -1.0 * susy.grad_w(r, j, sp)),
              old_map(f, lambda r, t: t.coef * -1.0 * susy.grad_w(r, j, sp))),
         ]
         if n > 1:

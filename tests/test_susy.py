@@ -20,6 +20,38 @@ def gradeN_state(f, n):
     return susy.spinor_from_scalar(f, (1 << n) - 1)
 
 
+def old_supercharge(s, sp, dagger):
+    """Q or Q^dag as the composed chain of whole-function operations.
+
+    Per move: differentiate, the superpotential term as its own coefficient
+    map, their sum, then the scale by i sqrt(2) jw_sign; images summed into
+    the target mask in ascending j.  The reference formula for ``apply_q``
+    and ``apply_q_dagger``.
+    """
+    sgn = -1.0 if dagger else 1.0
+    out = {}
+    for mask, f in s.components.items():
+        for j in range(1, sp.n + 1):
+            bit = 1 << (j - 1)
+            if bool(mask & bit) == dagger:
+                continue
+            w = pw.map_coefficients(f, lambda r, t: t.coef * sgn * susy.grad_w(r, j, sp))
+            z = 1j * math.sqrt(2.0) * fock.jw_sign(mask, j)
+            g = pw.scale(pw.add(pw.differentiate(f, j), w), z)
+            tgt = mask ^ bit
+            out[tgt] = pw.add(out[tgt], g) if tgt in out else g
+    return susy.SpinorFunction(s.n, {m: f for m, f in out.items() if f.terms})
+
+
+def assert_supercharges_equal_chain(s, sp):
+    for dagger, op in ((False, susy.apply_q), (True, susy.apply_q_dagger)):
+        got, want = op(s, sp), old_supercharge(s, sp, dagger)
+        assert list(got.components) == list(want.components)
+        for mask, f in got.components.items():
+            assert f.terms == want.components[mask].terms
+            assert list(f.terms) == list(want.components[mask].terms)
+
+
 class TestSuperpotentialGradient:
     def test_two_particle_values(self):
         sp = susy.Superpotential(n=2, c=2.0)
@@ -101,6 +133,46 @@ class TestSupercharges:
         }
         for mask, want in expected.items():
             assert pw.coefficient_distance(raised.component(mask), want) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    def test_equal_chain_on_random_spinors(self, n, terms):
+        sp = susy.Superpotential(n=n, c=0.4 + 0.3 * n)
+        rng = np.random.default_rng(100 * n + terms)
+        for grade in [None, None, *range(n + 1)]:
+            s = susy.random_spinor(sp, rng, grade=grade, terms_per_region=terms)
+            assert_supercharges_equal_chain(s, sp)
+
+    @pytest.mark.parametrize(
+        "ks",
+        [(1.3, -0.4), (0.9, 0.0), (1.1, 0.3, -0.8), (0.7, 0.0, -0.6), (1.2, 0.5, -0.1, -0.9)],
+    )
+    def test_equal_chain_on_collision_states(self, ks):
+        # a zero momentum makes c kappa_j exactly zero, so the chain drops that term
+        n = len(ks)
+        sp = susy.Superpotential(n=n, c=1.1)
+        assert_supercharges_equal_chain(grade0_collision(ks, sp), sp)
+        assert_supercharges_equal_chain(gradeN_state(bethe.collision_state(ks, -sp.c), n), sp)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equal_chain_on_zero_modes(self, n):
+        # odd N puts w_j = 0 on the middle rank, where the chain drops the whole map
+        sp = susy.Superpotential(n=n, c=1.05)
+        assert_supercharges_equal_chain(susy.zero_mode_top(sp), sp)
+        assert_supercharges_equal_chain(susy.zero_mode_alternating(sp), sp)
+
+    def test_keeps_a_derivative_term_the_chain_dropped(self):
+        # c kappa_1 = 5e-15 is at most DROP_TOL: the chain's differentiate dropped it
+        # before the sum, the single map adds it to c w_1 first
+        sp = susy.Superpotential(n=2, c=1.0)
+        r12 = pw.Region((1, 2))
+        s = susy.spinor_from_scalar(pw.build(2, {r12: [(1.0, (5e-15, 1.0))]}), 0)
+        w1 = susy.grad_w(r12, 1, sp)
+        z = 1j * math.sqrt(2.0) * fock.jw_sign(0, 1)
+        (got,) = susy.apply_q_dagger(s, sp).component(0b01).terms[r12]
+        (chain,) = old_supercharge(s, sp, True).component(0b01).terms[r12]
+        assert got.coef == z * (5e-15 + 1.0 * -1.0 * w1)
+        assert chain.coef == z * (1.0 * -1.0 * w1) != got.coef
 
     def test_grading_moves_by_one(self):
         sp = susy.Superpotential(n=3, c=0.8)
@@ -269,6 +341,28 @@ class TestPartners:
             assert result.energy == pytest.approx(want, abs=1e-10)
             assert result.report.accepted
 
+    @pytest.mark.parametrize(
+        "state,direction,other",
+        [
+            (lambda sp: gradeN_state(bethe.trimer_state(0.1, -sp.c), 3), "raise", "lower"),
+            (lambda sp: gradeN_state(bethe.monomer_dimer_state(0.8, -0.5, -sp.c), 3),
+             "raise", "lower"),
+            (lambda sp: grade0_collision((1.1, 0.3, -0.8), sp), "lower", "raise"),
+        ],
+        ids=["trimer-raise", "monomer-dimer-raise", "collision-lower"],
+    )
+    def test_vanishing_direction_rejected(self, monkeypatch, state, direction, other):
+        # the supercharge vanishes identically there; no check may run first
+        sp = susy.Superpotential(n=3, c=1.0)
+        s = state(sp)
+
+        def no_check(*args):
+            raise AssertionError("verification ran before the direction check")
+
+        monkeypatch.setattr(susy, "verify_eigenstate", no_check)
+        with pytest.raises(ValueError, match=f"use direction '{other}'"):
+            susy.susy_partner(s, direction, sp)
+
     def test_zero_mode_input_rejected(self):
         sp = susy.Superpotential(n=2, c=1.0)
         with pytest.raises(SingletError):
@@ -281,9 +375,8 @@ class TestAlgebraChecks:
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(100):
-            s = susy.random_spinor(sp, rng)
-            worst = max(worst, susy.q_nilpotency_residual(s, sp))
-            worst = max(worst, susy.q_nilpotency_residual(s, sp, dagger=True))
+            res = susy.algebra_residuals(susy.random_spinor(sp, rng), sp)
+            worst = max(worst, res.q_squared, res.q_dagger_squared)
         assert worst < 1e-12
 
     def test_anticommutator_on_plane_wave_grade_one(self):
@@ -307,8 +400,29 @@ class TestAlgebraChecks:
         worst = 0.0
         for _ in range(50):
             s = susy.random_spinor(sp, rng)
-            worst = max(worst, susy.anticommutator_bulk_residual(s, sp))
+            worst = max(worst, susy.algebra_residuals(s, sp).anticommutator)
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residuals_equal_separate_checks(self, n):
+        """Each residual is the one its own Q/Q^dag chain gives, summed in the same order."""
+        sp = susy.Superpotential(n=n, c=0.9)
+        rng = np.random.default_rng(n)
+        q, qd = susy.apply_q, susy.apply_q_dagger
+        for _ in range(4):
+            s = susy.random_spinor(sp, rng)
+            lhs = susy.spinor_scale(susy.spinor_add(q(qd(s, sp), sp), qd(q(s, sp), sp)), 0.5)
+            shift = susy.shift_constant(sp)
+            rhs = susy.SpinorFunction(n, {
+                mask: pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))
+                for mask, f in s.components.items()
+            })
+            want = (
+                susy.spinor_max_coefficient(q(q(s, sp), sp)),
+                susy.spinor_max_coefficient(qd(qd(s, sp), sp)),
+                susy.spinor_distance(lhs, rhs),
+            )
+            assert tuple(susy.algebra_residuals(s, sp)) == want
 
 
 class TestSigmaCheck:

@@ -19,6 +19,7 @@ def test_n_sweep_prints_one_row_per_particle_count():
     assert [row["collision_terms"] for row in rows] == [2 * 2, 6 * 6]
     assert all(row["passed"] for row in rows)
     assert all(row["matching_report_s"] >= 0.0 for row in rows)
+    assert all(row["annihilation_s"] >= 0.0 for row in rows)
 
 
 def test_n_sweep_rejects_out_of_range_n():

@@ -5,15 +5,17 @@
 For N = 2 .. K it builds one collision state on seeded momenta (strictly
 decreasing reals in [-2, 2], at least 0.05 apart, and a coupling in
 [0.5, 2.5]), runs ``bethe.matching_report`` on it, and runs
-``susy.verify_eigenstate`` on both zero modes of the superpotential with the
-same coupling.  Each N prints one JSON line:
+``susy.verify_eigenstate`` and ``susy.annihilation_residuals`` (Q and Q^dag
+applied once each) on both zero modes of the superpotential with the same
+coupling.  Each N prints one JSON line:
 
     {"n", "walls", "collision_terms", "collision_state_s", "matching_report_s",
-     "zero_mode_terms", "zero_modes_s", "passed"}
+     "zero_mode_terms", "zero_modes_s", "annihilation_s", "passed"}
 
 ``walls`` is N!(N-1)/2, ``*_terms`` count the exponential terms over all
-chambers (and components), ``zero_modes_s`` covers both modes, and
-``passed`` says every check met its tolerance.  Every time is a single run
+chambers (and components), ``zero_modes_s`` and ``annihilation_s`` cover
+both modes, and ``passed`` says every check met its tolerance (both
+annihilation residuals below ``susy.ZERO_MODE_TOL``).  Every time is a single run
 with ``time.perf_counter``; slly is imported from ``DIR/src`` (by default
 the checkout holding this script), so two checkouts compare directly.
 """
@@ -62,12 +64,14 @@ def main(argv=None) -> int:
         report, match_s = _timed(bethe.matching_report, state, c, bethe.energy(ks))
         sp = susy.Superpotential(n=n, c=c)
         modes = (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp))
-        zero_s = 0.0
+        zero_s = annihilation_s = 0.0
         passed = report.passed()
         for mode in modes:
             verdict, seconds = _timed(susy.verify_eigenstate, mode, 0.0, sp)
             zero_s += seconds
-            passed = passed and verdict.accepted
+            residuals, seconds = _timed(susy.annihilation_residuals, mode, sp)
+            annihilation_s += seconds
+            passed = passed and verdict.accepted and max(residuals) < susy.ZERO_MODE_TOL
         row = {
             "n": n,
             "walls": math.factorial(n) * (n - 1) // 2,
@@ -79,6 +83,7 @@ def main(argv=None) -> int:
                 for ts in f.terms.values()
             ),
             "zero_modes_s": round(zero_s, 4),
+            "annihilation_s": round(annihilation_s, 4),
             "passed": passed,
         }
         print(json.dumps(row), flush=True)
