@@ -13,9 +13,11 @@ seeds produce byte-identical bytes.  Exit codes: 0 all checks passed,
 
 Options are typed: argparse converts every number, and a key=value config
 file (``--config``) becomes the command's defaults, so its values pass
-through the same conversions as flags and flags win on conflict.  The
-environment variable ``SLLY_THREADS`` caps BLAS/OpenMP parallelism for the
-whole process.
+through the same conversions as flags and flags win on conflict.  One
+command table (``_COMMANDS``) names the options each command reads, with
+their defaults; every other option, flag or config value, is refused (exit 2),
+and the report's ``config`` echoes each option read.  The environment
+variable ``SLLY_THREADS`` caps BLAS/OpenMP parallelism for the whole process.
 """
 
 from __future__ import annotations
@@ -219,202 +221,142 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> None:
     parser.set_defaults(**defaults)
 
 
-#: options a command cannot run without, keyed by group, by command and by
-#: the state family (the bethe family or the susy partner --state-family)
-_REQUIRED = {
-    "bethe": ("c",),
-    "susy": ("n", "c"),
-    "lattice": ("n", "c", "seed"),
-    "susy algebra": ("trials", "seed"),
-    "susy sector": ("grade",),
-    "lattice spectrum": ("sector", "box", "points"),
-    "lattice converge": ("sector",),
-    "lattice diagnostic": ("box", "points"),
-    "collision": ("k",),
-    "dimer": ("p",),
-    "trimer": ("p",),
-    "monomer-dimer": ("p", "q"),
-}
+def _family_state(family: str, args, c: float, n: int | None):
+    """The exact state of a family at coupling c, and its momenta.
 
-
-#: default --tol of the commands that read it (by group or command); every
-#: other command rejects the option rather than ignore it
-_TOL_DEFAULTS = {"bethe": 1e-10, "susy algebra": 1e-12}
-
-
-def _check_options(args, command: str) -> None:
-    """Reject non-finite numbers, missing options and an unused --tol before any work starts.
-
-    Fills in the default --tol of the commands that read it.
+    Shared by ``bethe <family>`` and ``susy partner``: a collision state takes
+    ``--k`` and must have n momenta; the bound states take ``--p`` (``--q``).
     """
-    for dest, value in vars(args).items():
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {v}")
-    tol = _TOL_DEFAULTS.get(args.group, _TOL_DEFAULTS.get(command))
-    if tol is None and args.tol is not None:
-        raise ValueError(f"--tol is not used by {command}")
-    if args.tol is None:
-        args.tol = tol
-    keys = [args.group, command]
-    if args.group == "bethe":
-        keys.append(args.family)
-    elif command == "susy partner":
-        keys.append(args.state_family)
-    for key in keys:
-        for name in _REQUIRED.get(key, ()):
-            if getattr(args, name) is None:
-                raise ValueError(f"missing required option --{name.replace('_', '-')}")
+    from . import bethe
 
-
-def _tolerance(tol: float) -> float:
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return tol
+    if family == "collision":
+        if n != len(args.k):
+            raise ValueError(f"--n {n} does not match {len(args.k)} momenta")
+        return bethe.collision_state(args.k, c), args.k
+    if family == "dimer":
+        return bethe.dimer_state(args.p, c), bethe.dimer_momenta(args.p, c)
+    if family == "trimer":
+        return bethe.trimer_state(args.p, c), bethe.trimer_momenta(args.p, c)
+    p, q = args.p, args.q
+    return bethe.monomer_dimer_state(p, q, c), bethe.monomer_dimer_momenta(p, q, c)
 
 
 # ---------------------------------------------------------------------------
 # bethe commands
 # ---------------------------------------------------------------------------
 
-def _cmd_bethe(args) -> tuple[dict, dict, bool, None]:
+def _bethe(args) -> tuple[dict, bool, None]:
     from . import bethe
 
-    tol = _tolerance(args.tol)
-    c, family = args.c, args.family
-    config: dict = {"family": family, "c": c, "tol": tol}
-    extra = {}
-
-    if family == "collision":
+    if args.family == "collision" and args.n is None:
+        args.n = len(args.k)
+    state, momenta = _family_state(args.family, args, args.c, args.n)
+    results = {"energy": bethe.energy(momenta)}
+    if args.family == "collision":
         ks = args.k
-        n = len(ks) if args.n is None else args.n
-        if n != len(ks):
-            raise ValueError(f"--n {n} does not match {len(ks)} momenta")
-        config.update({"n": n, "k": list(ks)})
-        state = bethe.collision_state(ks, c)
-        e = bethe.energy(ks)
-        extra["s_matrix"] = [
-            {"i": i + 1, "j": j + 1, "s": bethe.s_matrix(ks[i], ks[j], c)}
-            for i in range(n)
-            for j in range(i + 1, n)
+        results["s_matrix"] = [
+            {"i": i + 1, "j": j + 1, "s": bethe.s_matrix(ks[i], ks[j], args.c)}
+            for i in range(len(ks))
+            for j in range(i + 1, len(ks))
         ]
-    elif family == "dimer":
-        config["p"] = args.p
-        state = bethe.dimer_state(args.p, c)
-        e = bethe.energy(bethe.dimer_momenta(args.p, c))
-    elif family == "trimer":
-        config["p"] = args.p
-        state = bethe.trimer_state(args.p, c)
-        e = bethe.energy(bethe.trimer_momenta(args.p, c))
-    else:  # monomer-dimer
-        config.update({"p": args.p, "q": args.q})
-        state = bethe.monomer_dimer_state(args.p, args.q, c)
-        e = bethe.energy(bethe.monomer_dimer_momenta(args.p, args.q, c))
-
-    report = bethe.matching_report(state, c, e)
-    results = {
-        "energy": e,
-        "max_continuity_residual": report.max_continuity,
-        "max_jump_residual": report.max_jump,
-        "max_bulk_residual": report.max_bulk,
-        **extra,
-    }
+    report = bethe.matching_report(state, args.c, results["energy"])
+    results["max_continuity_residual"] = report.max_continuity
+    results["max_jump_residual"] = report.max_jump
+    results["max_bulk_residual"] = report.max_bulk
     if args.emit_state:
         from . import piecewise
 
         results["state"] = piecewise.to_json_obj(state)
-    return config, results, report.passed(tol), None
+    return results, report.passed(args.tol), None
 
 
 # ---------------------------------------------------------------------------
 # susy commands
 # ---------------------------------------------------------------------------
 
-def _cmd_susy(args) -> tuple[dict, dict, bool, None]:
+def _symbolic(args):
+    """The superpotential of a symbolic susy command, which handles N <= 5."""
+    from . import susy
+
+    if args.n > 5:
+        raise ValueError("symbolic SUSY commands are limited to N <= 5")
+    return susy.Superpotential(n=args.n, c=args.c)
+
+
+def _susy_algebra(args) -> tuple[dict, bool, None]:
     import numpy as np
 
-    from . import bethe, susy
+    from . import susy
 
-    sub = args.subcommand
-    if args.n > 5 and sub != "sector":
-        raise ValueError("symbolic SUSY commands are limited to N <= 5")
-    sp = susy.Superpotential(n=args.n, c=args.c)
-    config: dict = {"subcommand": sub, "n": sp.n, "c": sp.c}
+    sp = _symbolic(args)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    rng = np.random.default_rng(args.seed)
+    # the worst of each susy.AlgebraResiduals field, in field order
+    names = ("max_q_squared", "max_q_dagger_squared", "max_anticommutator_residual")
+    worst = dict.fromkeys(names, 0.0)
+    for _ in range(args.trials):
+        res = susy.algebra_residuals(susy.random_spinor(sp, rng), sp)
+        worst = {key: max(worst[key], value) for key, value in zip(worst, res)}
+    return worst, max(worst.values()) <= args.tol, None
 
-    if sub == "algebra":
-        if args.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        tol = _tolerance(args.tol)
-        config.update({"trials": args.trials, "seed": args.seed, "tol": tol})
-        rng = np.random.default_rng(args.seed)
-        worst_nil = worst_nil_dag = worst_anti = 0.0
-        for _ in range(args.trials):
-            res = susy.algebra_residuals(susy.random_spinor(sp, rng), sp)
-            worst_nil = max(worst_nil, res.q_squared)
-            worst_nil_dag = max(worst_nil_dag, res.q_dagger_squared)
-            worst_anti = max(worst_anti, res.anticommutator)
-        results = {
-            "max_q_squared": worst_nil,
-            "max_q_dagger_squared": worst_nil_dag,
-            "max_anticommutator_residual": worst_anti,
+
+def _susy_zero_modes(args) -> tuple[dict, bool, None]:
+    from . import susy
+
+    sp = _symbolic(args)
+    results = {}
+    passed = True
+    for name, mode in (
+        ("top", susy.zero_mode_top(sp)),
+        ("alternating", susy.zero_mode_alternating(sp)),
+    ):
+        rq, rqd = susy.annihilation_residuals(mode, sp)
+        rep = susy.verify_eigenstate(mode, 0.0, sp)
+        results[name] = {
+            "grade": mode.pure_grade(),
+            "q_residual": rq,
+            "q_dagger_residual": rqd,
+            "bulk_residual": rep.bulk_residual,
+            "interface_residual": rep.interface_residual,
         }
-        return config, results, max(worst_nil, worst_nil_dag, worst_anti) <= tol, None
+        passed = passed and max(rq, rqd) < susy.ZERO_MODE_TOL and rep.accepted
+    return results, passed, None
 
-    if sub == "zero-modes":
-        results = {}
-        passed = True
-        for name, mode in (
-            ("top", susy.zero_mode_top(sp)),
-            ("alternating", susy.zero_mode_alternating(sp)),
-        ):
-            rq, rqd = susy.annihilation_residuals(mode, sp)
-            rep = susy.verify_eigenstate(mode, 0.0, sp)
-            results[name] = {
-                "grade": mode.pure_grade(),
-                "q_residual": rq,
-                "q_dagger_residual": rqd,
-                "bulk_residual": rep.bulk_residual,
-                "interface_residual": rep.interface_residual,
-            }
-            passed = passed and max(rq, rqd) < susy.ZERO_MODE_TOL and rep.accepted
-        return config, results, passed, None
 
-    if sub == "census":
-        census = susy.witten_census(sp)
-        passed = census.index == 0 and census.n_b == 1 and census.n_f == 1
-        return config, asdict(census), passed, None
+def _susy_census(args) -> tuple[dict, bool, None]:
+    from . import susy
 
-    if sub == "partner":
-        direction, family = args.direction, args.state_family
-        config.update({"direction": direction, "state_family": family})
-        top = (1 << sp.n) - 1
-        if family == "collision":
-            if sp.n != len(args.k):
-                raise ValueError(f"--n {sp.n} does not match {len(args.k)} momenta")
-            config["k"] = list(args.k)
-            c, mask = (sp.c, 0) if direction == "raise" else (-sp.c, top)
-            f = bethe.collision_state(args.k, c)
-        elif sp.n != 3:
-            raise ValueError(f"--state-family {family} needs --n 3, got {sp.n}")
-        elif family == "trimer":
-            config["p"] = args.p
-            f, mask = bethe.trimer_state(args.p, -sp.c), top
-        else:  # monomer-dimer
-            config.update({"p": args.p, "q": args.q})
-            f, mask = bethe.monomer_dimer_state(args.p, args.q, -sp.c), top
-        result = susy.susy_partner(susy.spinor_from_scalar(f, mask), direction, sp)
-        results = {
-            "energy": result.energy,
-            "singlet": result.singlet,
-            "partner_grade": None if result.singlet else result.state.pure_grade(),
-            "bulk_residual": result.report.bulk_residual,
-            "interface_residual": result.report.interface_residual,
-        }
-        return config, results, result.report.accepted, None
+    census = susy.witten_census(_symbolic(args))
+    return asdict(census), census.index == 0 and census.n_b == 1 and census.n_f == 1, None
 
-    # sector
-    config["grade"] = args.grade
-    sector = susy.sector_hamiltonian(args.grade, sp)
+
+def _susy_partner(args) -> tuple[dict, bool, None]:
+    from . import susy
+
+    sp = _symbolic(args)
+    family, top = args.state_family, (1 << sp.n) - 1
+    if family != "collision" and sp.n != 3:
+        raise ValueError(f"--state-family {family} needs --n 3, got {sp.n}")
+    # a collision state is raised from grade 0 at coupling c or lowered from
+    # the top grade at -c; the bound states need attraction, so sit at the top
+    c, mask = (sp.c, 0) if family == "collision" and args.direction == "raise" else (-sp.c, top)
+    f, _ = _family_state(family, args, c, sp.n)
+    result = susy.susy_partner(susy.spinor_from_scalar(f, mask), args.direction, sp)
+    results = {
+        "energy": result.energy,
+        "singlet": result.singlet,
+        "partner_grade": None if result.singlet else result.state.pure_grade(),
+        "bulk_residual": result.report.bulk_residual,
+        "interface_residual": result.report.interface_residual,
+    }
+    return results, result.report.accepted, None
+
+
+def _susy_sector(args) -> tuple[dict, bool, None]:
+    from . import susy
+
+    sector = susy.sector_hamiltonian(args.grade, susy.Superpotential(n=args.n, c=args.c))
     results = {
         "grade": args.grade,
         "shift": sector.shift,
@@ -424,73 +366,157 @@ def _cmd_susy(args) -> tuple[dict, dict, bool, None]:
             for (a, b), block in sector.couplings.items()
         },
     }
-    return config, results, True, None
+    return results, True, None
 
 
 # ---------------------------------------------------------------------------
 # lattice commands
 # ---------------------------------------------------------------------------
 
-def _cmd_lattice(args) -> tuple[dict, dict, bool, str | None]:
+def _lattice_spectrum(args) -> tuple[dict, bool, None]:
     from . import lattice, susy
 
-    sub, n, seed = args.subcommand, args.n, args.seed
-    sp = susy.Superpotential(n=n, c=args.c)
-    config: dict = {"subcommand": sub, "n": n, "c": args.c, "seed": seed}
+    sp = susy.Superpotential(n=args.n, c=args.c)
+    grid = lattice.Grid(box=args.box, points=args.points, n=args.n)
+    rep = lattice.sector_spectrum(args.sector, grid, sp, args.eigs, seed=args.seed)
+    return {"spectrum": asdict(rep)}, max(rep.residuals) < lattice.RESIDUAL_TOL, None
 
-    if sub == "spectrum":
-        k = 6 if args.eigs is None else args.eigs
-        config.update({"sector": args.sector, "box": args.box, "points": args.points, "eigs": k})
-        grid = lattice.Grid(box=args.box, points=args.points, n=n)
-        rep = lattice.sector_spectrum(args.sector, grid, sp, k, seed=seed)
-        return config, {"spectrum": asdict(rep)}, max(rep.residuals) < lattice.RESIDUAL_TOL, None
 
-    if sub == "converge":
-        box = 24.0 if args.box is None else args.box
-        k = 1 if args.eigs is None else args.eigs
-        config.update(
-            {"sector": args.sector, "box": box, "points_list": list(args.points_list), "eigs": k}
-        )
-        rep = lattice.convergence_study(args.sector, sp, box, args.points_list, k=k, seed=seed)
-        results = {
-            "rows": [asdict(row) for row in rep.rows],
-            "orders": list(rep.orders),
-            "monotone_decreasing": rep.monotone_decreasing,
-        }
-        csv_text = None
-        if args.csv:
-            lines = [
-                "h,L,sector,"
-                + ",".join(f"lambda_{i+1}" for i in range(k))
-                + ","
-                + ",".join(f"res_{i+1}" for i in range(k))
-            ]
-            for row in rep.rows:
-                cells = [_fmt_float(row.h), _fmt_float(box), str(args.sector)]
-                cells += [_fmt_float(v) for v in row.eigenvalues]
-                cells += [_fmt_float(v) for v in row.residuals]
-                lines.append(",".join(cells))
-            csv_text = "\n".join(lines) + "\n"
-        return config, results, rep.monotone_decreasing, csv_text
+def _lattice_converge(args) -> tuple[dict, bool, str | None]:
+    from . import lattice, susy
 
-    # diagnostic
-    config.update({"box": args.box, "points": args.points})
-    grid = lattice.Grid(box=args.box, points=args.points, n=n)
-    rep = lattice.lattice_q_diagnostic(grid, sp, seed=seed)
-    return config, asdict(rep), rep.positive_semidefinite, None
+    sp = susy.Superpotential(n=args.n, c=args.c)
+    k, box = args.eigs, args.box
+    rep = lattice.convergence_study(args.sector, sp, box, args.points_list, k=k, seed=args.seed)
+    results = {
+        "rows": [asdict(row) for row in rep.rows],
+        "orders": list(rep.orders),
+        "monotone_decreasing": rep.monotone_decreasing,
+    }
+    csv_text = None
+    if args.csv:
+        names = [f"{x}_{i+1}" for x in ("lambda", "res") for i in range(k)]
+        lines = [",".join(["h", "L", "sector", *names])]
+        for row in rep.rows:
+            cells = [_fmt_float(row.h), _fmt_float(box), str(args.sector)]
+            cells += [_fmt_float(v) for v in (*row.eigenvalues, *row.residuals)]
+            lines.append(",".join(cells))
+        csv_text = "\n".join(lines) + "\n"
+    return results, rep.monotone_decreasing, csv_text
+
+
+def _lattice_diagnostic(args) -> tuple[dict, bool, None]:
+    from . import lattice, susy
+
+    sp = susy.Superpotential(n=args.n, c=args.c)
+    grid = lattice.Grid(box=args.box, points=args.points, n=args.n)
+    rep = lattice.lattice_q_diagnostic(grid, sp, seed=args.seed)
+    return asdict(rep), rep.positive_semidefinite, None
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+#: marks an option a command cannot run without
+REQUIRED = object()
+
+#: the options ``susy partner`` adds for its --state-family, with the direction
+#: the state can move in: a collision state is raised from grade 0, the bound
+#: states sit at the top grade and can only be lowered
+_PARTNER_FAMILIES = {
+    "collision": {"k": REQUIRED, "direction": "raise"},
+    "trimer": {"p": REQUIRED, "direction": "lower"},
+    "monomer-dimer": {"p": REQUIRED, "q": REQUIRED, "direction": "lower"},
+}
+
+#: every option a command can read, declared once (``--name``, dashes for
+#: underscores); none has an argparse default, so ``None`` means "not given"
+_OPTIONS = {
+    "n": {"type": int, "help": "particle count N"},
+    "k": {"type": _floats, "help": "comma-separated momenta, strictly decreasing"},
+    "c": {"type": float, "help": "coupling (bethe: negative = attractive; susy, lattice: >= 0)"},
+    "p": {"type": float, "help": "pair/string momentum"},
+    "q": {"type": float, "help": "monomer momentum"},
+    "grade": {"type": int, "help": "fermion number of the sector"},
+    "trials": {"type": int, "help": "number of random spinors"},
+    "seed": {"type": int, "help": "random seed"},
+    "direction": {"choices": ["raise", "lower"], "help": "raise with Q^dag or lower with Q"},
+    "state_family": {"choices": list(_PARTNER_FAMILIES), "help": "exact state of the partner"},
+    "sector": {"type": int, "help": "lattice sector (fermion number)"},
+    "box": {"type": float, "help": "Dirichlet box edge L"},
+    "points": {"type": int, "help": "grid points per axis"},
+    "points_list": {"type": _ints, "help": "comma-separated grid sizes, strictly increasing"},
+    "eigs": {"type": int, "help": "number of eigenvalues"},
+    "csv": {"help": "write the convergence table here"},
+    "emit_state": {"action": "store_true", "default": None,
+                   "help": "include the chamber-by-chamber exponential data in the report"},
+    "tol": {"type": float, "help": "residual tolerance (bethe commands and susy algebra only)"},
+}
+
+_BETHE = {"c": REQUIRED, "tol": 1e-10, "emit_state": False}
+_SUSY = {"n": REQUIRED, "c": REQUIRED}
+_LATTICE = {"n": REQUIRED, "c": REQUIRED, "seed": REQUIRED}
+_GRID = {"box": REQUIRED, "points": REQUIRED}
+
+#: group -> command -> (runner, {option dest: default or REQUIRED}); a command
+#: reads exactly these options and refuses every other one.  ``bethe
+#: collision`` takes ``--n`` from the number of momenta when it is not given.
+_COMMANDS = {
+    "bethe": {
+        "collision": (_bethe, {**_BETHE, "n": None, "k": REQUIRED}),
+        "dimer": (_bethe, {**_BETHE, "p": REQUIRED}),
+        "trimer": (_bethe, {**_BETHE, "p": REQUIRED}),
+        "monomer-dimer": (_bethe, {**_BETHE, "p": REQUIRED, "q": REQUIRED}),
+    },
+    "susy": {
+        "algebra": (_susy_algebra, {**_SUSY, "trials": REQUIRED, "seed": REQUIRED, "tol": 1e-12}),
+        "zero-modes": (_susy_zero_modes, _SUSY),
+        "census": (_susy_census, _SUSY),
+        "partner": (_susy_partner, {**_SUSY, "state_family": "collision"}),
+        "sector": (_susy_sector, {**_SUSY, "grade": REQUIRED}),
+    },
+    "lattice": {
+        "spectrum": (_lattice_spectrum, {**_LATTICE, "sector": REQUIRED, **_GRID, "eigs": 6}),
+        "converge": (_lattice_converge, {**_LATTICE, "sector": REQUIRED, "box": 24.0,
+                                         "points_list": (119, 239, 479), "eigs": 1, "csv": None}),
+        "diagnostic": (_lattice_diagnostic, {**_LATTICE, **_GRID}),
+    },
+}
+
+#: each group's positional argument (echoed in the report's config) and help line
+_GROUPS = {
+    "bethe": ("family", "exact eigenstates and matching residuals"),
+    "susy": ("subcommand", "supersymmetry algebra and ground-state checks"),
+    "lattice": ("subcommand", "finite-difference oracle on a Dirichlet box"),
+}
+
+
+def _check_options(args, command: str, reads: dict) -> None:
+    """Refuse non-finite numbers, unread and missing options before any work starts.
+
+    An option the command does not read is refused whether it came as a flag
+    or a config value; the defaults of the options it reads are filled in.
+    """
+    for dest, value in vars(args).items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {v}")
+    for dest in _OPTIONS:
+        if dest not in reads and getattr(args, dest, None) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} is not used by {command}")
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            if default is REQUIRED:
+                raise ValueError(f"missing required option --{dest.replace('_', '-')}")
+            setattr(args, dest, default)
+    if "tol" in reads and not args.tol > 0:
+        raise ValueError(f"tolerance must be positive, got {args.tol}")
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value file; flags win on conflict")
-    p.add_argument("--output", "-o", help="write the JSON report here (atomically)")
-    p.add_argument(
-        "--tol", type=float, help="residual tolerance (bethe commands and susy algebra only)"
-    )
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -499,59 +525,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "system and its N=2 supersymmetric extension",
     )
     sub = parser.add_subparsers(dest="group", required=True)
-
-    b = sub.add_parser("bethe", help="exact eigenstates and matching residuals")
-    b.add_argument("family", choices=["collision", "dimer", "trimer", "monomer-dimer"])
-    b.add_argument("--n", type=int)
-    b.add_argument("--k", type=_floats, help="comma-separated momenta, strictly decreasing")
-    b.add_argument("--c", type=float, help="coupling strength (negative = attractive)")
-    b.add_argument("--p", type=float, help="pair/string momentum")
-    b.add_argument("--q", type=float, help="monomer momentum")
-    b.add_argument(
-        "--emit-state",
-        action="store_true",
-        dest="emit_state",
-        help="include the chamber-by-chamber exponential data in the report",
-    )
-    _add_common(b)
-    b.set_defaults(run=_cmd_bethe, group_parser=b)
-
-    s = sub.add_parser("susy", help="supersymmetry algebra and ground-state checks")
-    s.add_argument(
-        "subcommand", choices=["algebra", "zero-modes", "census", "partner", "sector"]
-    )
-    s.add_argument("--n", type=int)
-    s.add_argument("--c", type=float)
-    s.add_argument("--grade", type=int)
-    s.add_argument("--trials", type=int)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--k", type=_floats, help="collision momenta for partner states")
-    s.add_argument("--p", type=float)
-    s.add_argument("--q", type=float)
-    s.add_argument("--direction", choices=["raise", "lower"], default="raise")
-    s.add_argument(
-        "--state-family",
-        choices=["collision", "trimer", "monomer-dimer"],
-        dest="state_family",
-        default="collision",
-    )
-    _add_common(s)
-    s.set_defaults(run=_cmd_susy, group_parser=s)
-
-    l = sub.add_parser("lattice", help="finite-difference oracle on a Dirichlet box")
-    l.add_argument("subcommand", choices=["spectrum", "converge", "diagnostic"])
-    l.add_argument("--n", type=int)
-    l.add_argument("--c", type=float)
-    l.add_argument("--sector", type=int)
-    l.add_argument("--box", type=float)
-    l.add_argument("--points", type=int)
-    l.add_argument("--points-list", type=_ints, dest="points_list", default=(119, 239, 479))
-    l.add_argument("--eigs", type=int)
-    l.add_argument("--seed", type=int)
-    l.add_argument("--csv", help="write the convergence table here")
-    _add_common(l)
-    l.set_defaults(run=_cmd_lattice, group_parser=l)
-
+    for group, commands in _COMMANDS.items():
+        positional, help_text = _GROUPS[group]
+        g = sub.add_parser(group, help=help_text)
+        g.add_argument(positional, choices=list(commands))
+        # --tol stays on every group, so that a command refuses it by name
+        read = {"tol"}.union(*(reads for _, reads in commands.values()))
+        if "state_family" in read:
+            read = read.union(*_PARTNER_FAMILIES.values())
+        for dest, kwargs in _OPTIONS.items():
+            if dest in read:
+                g.add_argument("--" + dest.replace("_", "-"), **kwargs)
+        g.add_argument("--config", help="key = value file; flags win on conflict")
+        g.add_argument("--output", "-o", help="write the JSON report here (atomically)")
+        g.set_defaults(group_parser=g)
     return parser
 
 
@@ -566,9 +553,17 @@ def main(argv=None) -> int:
         if args.config:
             _load_config(args.group_parser, args.config)
             args = parser.parse_args(argv)
-        command = f"{args.group} {args.family if args.group == 'bethe' else args.subcommand}"
-        _check_options(args, command)
-        config, results, passed, csv_text = args.run(args)
+        positional = _GROUPS[args.group][0]
+        name = getattr(args, positional)
+        command = f"{args.group} {name}"
+        runner, reads = _COMMANDS[args.group][name]
+        if "state_family" in reads:
+            family = args.state_family or reads["state_family"]
+            reads = {**reads, **_PARTNER_FAMILIES[family]}
+        _check_options(args, command, reads)
+        results, passed, csv_text = runner(args)
+        config = {dest: getattr(args, dest) for dest in reads if dest not in ("emit_state", "csv")}
+        config[positional] = name
         report = {
             "artifact": "slly",
             "version": __version__,

@@ -16,6 +16,29 @@ from slly import cli
 SMALL_CONVERGE = ["lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--box", "8",
                   "--points-list", "19,39", "--seed", "1"]
 
+#: one argv per command with an option that command does not read, and that option
+UNREAD_OPTIONS = [
+    (["bethe", "collision", "--n", "2", "--k", "1.0,-0.25", "--c", "1", "--p", "0.3"], "--p"),
+    (["bethe", "dimer", "--c", "-1", "--p", "0.2", "--k", "1,2", "--q", "3"], "--k"),
+    (["bethe", "trimer", "--p", "0", "--c", "-1", "--n", "5"], "--n"),
+    (["bethe", "monomer-dimer", "--p", "0.8", "--q=-0.4", "--c=-1.5", "--n", "3"], "--n"),
+    (["susy", "algebra", "--n", "2", "--c", "0.7", "--trials", "3", "--seed", "7",
+      "--direction", "lower"], "--direction"),
+    (["susy", "zero-modes", "--n", "3", "--c", "1", "--seed", "4"], "--seed"),
+    (["susy", "census", "--n", "3", "--c", "1", "--trials", "5"], "--trials"),
+    (["susy", "partner", "--n", "2", "--c", "1", "--k", "1.3,-0.4", "--p", "5", "--q", "2",
+      "--grade", "1"], "--p"),
+    (["susy", "partner", "--n", "3", "--c", "1", "--state-family", "trimer", "--p", "0.1",
+      "--k", "1,0,-1"], "--k"),
+    (["susy", "sector", "--n", "3", "--grade", "1", "--c", "1", "--k", "1,0"], "--k"),
+    (["lattice", "spectrum", "--n", "2", "--sector", "2", "--c", "2", "--box", "8",
+      "--points", "24", "--seed", "1", "--csv", "{csv}"], "--csv"),
+    (["lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--seed", "1",
+      "--points", "60"], "--points"),
+    (["lattice", "diagnostic", "--n", "2", "--c", "2", "--box", "8", "--points", "24",
+      "--seed", "3", "--sector", "0"], "--sector"),
+]
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -120,11 +143,25 @@ class TestSusyCommands:
     )
     def test_partner_in_a_vanishing_direction_is_config_error(self, capsys, argv, message):
         # these used to print "singlet": true at positive energy and exit 0
-        code = cli.main(["susy", "partner", "--n", "3", "--c", "1", *argv])
+        code = cli.main(["susy", "partner", "--n", "3", "--c", "1", "--direction", "raise", *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"slly: {message}\n"
+
+    @pytest.mark.parametrize(
+        "family", [["trimer", "--p", "0.1"], ["monomer-dimer", "--p", "0.8", "--q=-0.5"]]
+    )
+    def test_partner_bound_states_lower_by_default(self, capsys, family):
+        # the bound states sit at the top grade, so only lowering can succeed
+        argv = ["susy", "partner", "--n", "3", "--c", "1", "--state-family", *family]
+        default = (cli.main(argv), *capsys.readouterr())
+        lowered = (cli.main([*argv, "--direction", "lower"]), *capsys.readouterr())
+        assert default == lowered
+        assert default[0] == 0
+        report = json.loads(default[1])
+        assert report["config"]["direction"] == "lower"
+        assert report["results"]["partner_grade"] == 2
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -412,6 +449,30 @@ class TestReportPlumbing:
         _, out = run(["susy", "algebra", "--n", "2", "--c", "1", "--trials", "1", "--seed", "1"],
                      capsys)
         assert json.loads(out)["config"]["tol"] == 1e-12
+
+    @pytest.mark.parametrize("argv, option", UNREAD_OPTIONS)
+    def test_option_the_command_does_not_read_is_refused(self, capsys, tmp_path, argv, option):
+        csv_path, out_path = tmp_path / "t.csv", tmp_path / "r.json"
+        argv = [str(csv_path) if arg == "{csv}" else arg for arg in argv]
+        code = cli.main([*argv, "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"slly: {option} is not used by {' '.join(argv[:2])}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_options_cover_every_command(self):
+        covered = {tuple(argv[:2]) for argv, _ in UNREAD_OPTIONS}
+        assert covered == {(g, c) for g, commands in cli._COMMANDS.items() for c in commands}
+
+    def test_option_in_config_the_command_does_not_read_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nc = 1\ntrials = 5\n")
+        code = cli.main(["susy", "census", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "slly: --trials is not used by susy census\n"
 
     @pytest.mark.parametrize("value, emitted", [("true", True), ("false", False)])
     def test_emit_state_from_config(self, capsys, tmp_path, value, emitted):

@@ -129,3 +129,41 @@ def test_benchmark_tracer_wraps_every_traced_name(monkeypatch):
     }
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original
+
+
+def test_every_benchmark_argv_passes_the_option_check(monkeypatch, capsys):
+    """Each workload argv (seeds 0-9) parses and reads only options its command reads.
+
+    The runners are stubbed, so nothing is computed: this checks the command
+    table against ``perfbench/workloads.py`` (imported read-only), which the
+    benchmark's self-check covers only as far as parsing.
+    """
+    import importlib.util
+
+    from slly import cli
+
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+
+    ran = []
+
+    def stub(args):
+        ran.append(args)
+        return {}, True, None
+
+    stubbed = {group: {name: (stub, reads) for name, (_, reads) in commands.items()}
+               for group, commands in cli._COMMANDS.items()}
+    monkeypatch.setattr(cli, "_COMMANDS", stubbed)
+    tasks = [task for name in workloads.WORKLOADS for seed in range(10)
+             for task in workloads.generate(name, seed)]
+    for task in tasks:
+        code = cli.main(task.argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), task.argv
+        config = json.loads(captured.out)["config"]
+        assert set(task.params) - {"emit_state"} <= set(config), task.argv
+    assert len(ran) == len(tasks) > 0
