@@ -119,14 +119,16 @@ class RegionFunction:
     Canonical invariant: every non-empty instance comes from ``build`` (the
     coefficient maps and ``add`` below return exactly what ``build`` would)
     or is a chamber subset of one, as the one-chamber cut in the general
-    path of ``wall_residuals`` is.  So each chamber is sorted by
-    ``_sort_key``, holds no coefficient of magnitude at most ``DROP_TOL``,
-    and consecutive kappas are further apart than ``KAPPA_TOL`` -- unless
-    ``build`` dropped a term that sat between them, which ``_separated``
-    detects.  On a separated
-    chamber an operation that leaves the kappas unchanged needs no re-sort
-    or re-merge: re-merging it could only drop coefficients of at most
-    ``DROP_TOL``.
+    path of the wall sweep is.  So each chamber is sorted by ``_sort_key``,
+    holds no coefficient of magnitude at most ``DROP_TOL``, and consecutive
+    kappas are further apart than ``KAPPA_TOL`` -- unless ``build`` dropped
+    a term that sat between them, which ``_separated`` detects.  On a
+    separated chamber an operation that leaves the kappas unchanged needs no
+    re-sort or re-merge: re-merging it could only drop coefficients of at
+    most ``DROP_TOL``.  An operation that drops terms keeps a sub-layout,
+    which needs no re-merge either as long as it is separated too: two
+    kappas within ``KAPPA_TOL`` that a dropped term kept apart end up
+    adjacent, which ``_separated`` of the sub-layout detects.
     """
 
     n: int
@@ -455,15 +457,28 @@ def _restrict(terms: Sequence[ExpTerm], a: int, b: int) -> _Sums:
     return _group_sums(plan.groups, [complex(t.coef) for t in terms])
 
 
+def _same_kappas(groups: _Groups, other: "_Groups | None") -> bool:
+    """True when ``other`` keeps the same kappas as ``groups``, position by position."""
+    if other is groups:
+        return True
+    return (
+        other is not None
+        and len(other) == len(groups)
+        and all(g[2] == h[2] for g, h in zip(groups, other))
+    )
+
+
 def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
     """Max coefficient of ``_merge_parts`` of the restrictions, each scaled by its weight.
 
-    Restrictions summed over the same groups with no sum dropped hold the
-    groups' kappas, which are separated by construction, so ``_merge_parts``
+    Restrictions whose groups keep equal kappas, with no sum dropped, hold
+    those kappas, which are separated by construction, so ``_merge_parts``
     would sum them position by position; that sum is done here directly.
+    The groups may come from different plans: the two chambers of a wall
+    usually hold different kappas that reduce to the same ones.
     """
     groups = parts[0][1][0]
-    if groups is None or any(sums[0] is not groups for _, sums in parts):
+    if groups is None or not all(_same_kappas(groups, sums[0]) for _, sums in parts):
         return _max_coefficient(_merge_parts([_sum_scale(_sums_terms(s), w) for w, s in parts]))
     (w0, (_, first)), rest = parts[0], [(w, sums) for w, (_, sums) in parts[1:]]
     worst = 0.0
@@ -479,33 +494,70 @@ def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
 
 def _wall_derivative(
     coefs: Sequence[complex], layout: Sequence[tuple[complex, ...]], a: int, b: int
-) -> list[complex] | None:
-    """Coefficients of (d/dx_a - d/dx_b) on one chamber, or None to take the general path.
+) -> tuple[tuple[int, ...] | None, list[complex]] | None:
+    """(d/dx_a - d/dx_b) on one separated chamber: (kept positions, coefficients).
 
-    Each is computed as ``add(differentiate(f, a), scale(differentiate(f,
-    b), -1.0))`` computes it on a separated chamber: complex(c*kappa_a),
-    then -1.0 * complex(c*kappa_b), then their sum in that order.  That
-    keeps the chamber's kappas, hence its plan, only if no term drops on the
-    way, so any drop returns None.  The coefficients are Python complex
-    numbers, so every product already is one and ``complex()`` would return
-    it unchanged.  ``scale``'s own drop test on -1.0 * (c*kappa_b) is the
-    test on c*kappa_b: negating changes no magnitude, and an infinite or NaN
-    part stays so.
+    Follows ``add(differentiate(f, a), scale(differentiate(f, b), -1.0))``
+    drop by drop.  The d/dx_a image keeps the positions where
+    |c*kappa_a| > ``DROP_TOL``, the negated d/dx_b image those where
+    |c*kappa_b| > ``DROP_TOL``; a position held by both sums
+    complex(c*kappa_a) + -1.0 * complex(c*kappa_b) in that order, one held
+    by one image passes its coefficient through, and a sum of magnitude at
+    most ``DROP_TOL`` drops.  The positions are None when every term is
+    kept, so the chamber's own plan restricts the result.
+
+    The chain only sums position by position while the d/dx_b image and the
+    union of both images are separated (see ``RegionFunction``); a dropped
+    term can leave two kappas within ``KAPPA_TOL`` adjacent in either, which
+    the chain would re-merge, so then None is returned.  The coefficients
+    are Python complex numbers, so every product already is one and
+    ``complex()`` would return it unchanged.  ``scale``'s own drop test on
+    -1.0 * (c*kappa_b) is the test on c*kappa_b: negating changes no
+    magnitude, and an infinite or NaN part stays so.
     """
     ia, ib = a - 1, b - 1
     tol = DROP_TOL
-    out = []
+    out: list[complex] = []
+    b_gaps: list[int] = []  # positions missing from the d/dx_b image
+    u_gaps: list[int] = []  # positions missing from both images
+    dropped: list[int] = []  # positions whose sum drops
     for coef, kappa in zip(coefs, layout):
         da = coef * kappa[ia]
         db = coef * kappa[ib]
-        if abs(da) <= tol or abs(db) <= tol:
+        if abs(db) > tol:
+            if abs(da) > tol:
+                acc = da
+                acc += -1.0 * db
+            else:
+                acc = -1.0 * db
+        else:
+            # every earlier position went to exactly one of out, dropped, u_gaps
+            pos = len(out) + len(dropped) + len(u_gaps)
+            b_gaps.append(pos)
+            if abs(da) > tol:
+                acc = da
+            else:
+                u_gaps.append(pos)
+                continue
+        if abs(acc) > tol:
+            out.append(acc)
+        else:
+            dropped.append(len(out) + len(dropped) + len(u_gaps))
+    if b_gaps:
+        if u_gaps and not _separated_without(layout, u_gaps):
             return None
-        acc = da
-        acc += -1.0 * db
-        if abs(acc) <= tol:
+        if len(b_gaps) > len(u_gaps) and not _separated_without(layout, b_gaps):
             return None
-        out.append(acc)
-    return out
+    if not u_gaps and not dropped:
+        return None, out
+    skip = set(u_gaps).union(dropped)
+    return tuple(pos for pos in range(len(layout)) if pos not in skip), out
+
+
+def _separated_without(layout: Sequence[tuple[complex, ...]], gaps: Sequence[int]) -> bool:
+    """``_separated`` of the sub-layout left when the positions ``gaps`` are taken out."""
+    skip = set(gaps)
+    return _separated((None, kappa) for pos, kappa in enumerate(layout) if pos not in skip)
 
 
 def _coupling_matrices(
@@ -545,9 +597,12 @@ def _sweep(
     Only the walls' chambers are read, each one's kappa layout once.  Each
     (layout, pair) gets one ``_Plan``, shared by every chamber and component
     holding that layout, which restricts both f and its wall derivative
-    there.  Plans live for this call only.  A derivative that does not fit
-    its plan (non-separated chamber, or a dropped term) is built and
-    restricted the general way.
+    there.  A wall derivative that drops terms (``_wall_derivative``) holds
+    a sub-layout of its chamber, which gets an id and plans of its own the
+    same way.  Plans live for this call only.  Only a derivative the chain
+    would re-merge by tolerance (a non-separated chamber, or a dropped term
+    that leaves two close kappas adjacent) is built and restricted the
+    general way.
     """
     mats = _coupling_matrices(couplings, (iface.pair for iface in walls), len(funcs))
     read = {region for iface in walls for region in (iface.left, iface.right)}
@@ -564,25 +619,29 @@ def _sweep(
         chambers.append(own)
     plans: dict[tuple[int, tuple[int, int]], _Plan] = {}
 
-    def plan_of(chamber: _Chamber, pair: tuple[int, int]) -> _Plan:
-        key = (chamber.layout_id, pair)
+    def plan_of(layout_id: int, layout, pair: tuple[int, int]) -> _Plan:
+        key = (layout_id, pair)
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _make_plan(chamber.layout, *pair)
+            plan = plans[key] = _make_plan(layout, *pair)
         return plan
 
     def restrict(chamber: _Chamber | None, pair: tuple[int, int]) -> _Sums:
         if chamber is None:
             return None, ()
-        return _group_sums(plan_of(chamber, pair).groups, chamber.coefs)
+        return _group_sums(plan_of(chamber.layout_id, chamber.layout, pair).groups, chamber.coefs)
 
     def restrict_derivative(chamber: _Chamber | None, region: Region, pair) -> _Sums:
         if chamber is None:
             return None, ()
-        plan = plan_of(chamber, pair)
+        plan = plan_of(chamber.layout_id, chamber.layout, pair)
         if plan.separated:
-            coefs = _wall_derivative(chamber.coefs, chamber.layout, *pair)
-            if coefs is not None:
+            derivative = _wall_derivative(chamber.coefs, chamber.layout, *pair)
+            if derivative is not None:
+                kept, coefs = derivative
+                if kept is not None:
+                    sub = tuple(chamber.layout[i] for i in kept)
+                    plan = plan_of(layout_ids.setdefault(sub, len(layout_ids)), sub, pair)
                 return _group_sums(plan.groups, coefs)
         local = RegionFunction(n=len(region.order), terms={region: chamber.terms})
         d = add(differentiate(local, pair[0]), scale(differentiate(local, pair[1]), -1.0))

@@ -259,11 +259,18 @@ def verify_eigenstate(
 # zero modes, census, partners
 # ---------------------------------------------------------------------------
 
-def zero_mode_top(sp: Superpotential) -> SpinorFunction:
-    """exp(-W) on the fully occupied Fock state; annihilated by Q and Q^dag."""
+def _zero_mode_profile(sp: Superpotential) -> pw.RegionFunction:
+    """exp(-W), the scalar factor of both zero modes."""
     if sp.n < 2:
         raise ValueError("zero modes are constructed for N >= 2")
-    psi = bethe.nmer_ground(sp.n, sp.c)
+    if sp.c == 0:
+        raise ValueError("zero modes need c > 0: at c = 0 exp(-W) is constant, not normalisable")
+    return bethe.nmer_ground(sp.n, sp.c)
+
+
+def zero_mode_top(sp: Superpotential) -> SpinorFunction:
+    """exp(-W) on the fully occupied Fock state; annihilated by Q and Q^dag."""
+    psi = _zero_mode_profile(sp)
     full = (1 << sp.n) - 1
     return spinor_from_scalar(psi, full)
 
@@ -276,9 +283,7 @@ def zero_mode_alternating(sp: Superpotential) -> SpinorFunction:
     supercharges, because sum_j w_j vanishes on every chamber while any other
     weighting meets the full rank of the chamber-wise gradient values.
     """
-    if sp.n < 2:
-        raise ValueError("zero modes are constructed for N >= 2")
-    psi = bethe.nmer_ground(sp.n, sp.c)
+    psi = _zero_mode_profile(sp)
     full = (1 << sp.n) - 1
     comps = {}
     for j in range(1, sp.n + 1):

@@ -124,6 +124,21 @@ class TestSusyCommands:
         results = json.loads(out)["results"]
         assert results["top"]["q_residual"] == 0.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["zero-modes", "--n", "2"], ["zero-modes", "--n", "5"], ["census", "--n", "3"]],
+        ids=["zero-modes-n2", "zero-modes-n5", "census"],
+    )
+    def test_zero_modes_need_positive_coupling(self, capsys, argv):
+        # these used to name the internal N-mer constructor ("N-mer needs c != 0")
+        code = cli.main(["susy", *argv, "--c", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "slly: zero modes need c > 0: at c = 0 exp(-W) is constant, not normalisable\n"
+        )
+
     def test_partner_roundtrip(self, capsys):
         code, out = run(
             ["susy", "partner", "--n", "2", "--c", "1.0", "--k", "1.3,-0.4"], capsys

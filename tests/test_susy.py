@@ -272,6 +272,13 @@ class TestZeroModes:
             assert rq < 1e-12 and rqd < 1e-12
             assert susy.verify_eigenstate(mode, 0.0, sp).accepted
 
+    @pytest.mark.parametrize("make", [susy.zero_mode_top, susy.zero_mode_alternating])
+    def test_refused_without_coupling_or_partners(self, make):
+        with pytest.raises(ValueError, match=r"zero modes need c > 0: at c = 0 exp\(-W\)"):
+            make(susy.Superpotential(n=3, c=0.0))
+        with pytest.raises(ValueError, match="N >= 2"):
+            make(susy.Superpotential(n=1, c=0.0))
+
     def test_three_particle_alternating_pattern(self):
         sp = susy.Superpotential(n=3, c=1.0)
         mode = susy.zero_mode_alternating(sp)

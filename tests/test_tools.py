@@ -1,9 +1,12 @@
 """Measurement tools under tools/: they run and print what they document."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
+
+from slly import bethe, piecewise as pw, susy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -20,6 +23,38 @@ def test_n_sweep_prints_one_row_per_particle_count():
     assert all(row["passed"] for row in rows)
     assert all(row["matching_report_s"] >= 0.0 for row in rows)
     assert all(row["annihilation_s"] >= 0.0 for row in rows)
+
+
+def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, capsys):
+    """From N=7 the collision columns are null and the collision state is never built."""
+    spec = importlib.util.spec_from_file_location("n_sweep", ROOT / "tools" / "n_sweep.py")
+    n_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(n_sweep)
+    verified = []
+
+    def collision_state(ks, c):
+        if len(ks) >= 7:
+            raise AssertionError("collision state built at N >= 7")
+        return pw.constant_function(len(ks))
+
+    def verify_eigenstate(mode, e, sp):
+        verified.append((sp.n, mode.pure_grade()))
+        return susy.EigenstateReport(mode.pure_grade(), e, 0.0, 0.0, susy.EIGENSTATE_TOL)
+
+    # stand-ins keep the run short; only the N=7 zero modes are built for real
+    monkeypatch.setattr(bethe, "collision_state", collision_state)
+    monkeypatch.setattr(bethe, "matching_report", lambda *args: bethe.MatchingReport(0, 0, 0))
+    monkeypatch.setattr(susy, "verify_eigenstate", verify_eigenstate)
+    monkeypatch.setattr(susy, "annihilation_residuals", lambda mode, sp: (0.0, 0.0))
+    assert n_sweep.main(["--max-n", "7", "--root", str(ROOT)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["n"] for row in rows] == [2, 3, 4, 5, 6, 7]
+    columns = ("collision_terms", "collision_state_s", "matching_report_s")
+    assert all(row[key] is not None for row in rows[:-1] for key in columns)
+    assert [rows[-1][key] for key in columns] == [None, None, None]
+    assert rows[-1]["zero_mode_terms"] == 8 * 5040 and rows[-1]["zero_modes_s"] >= 0.0
+    assert rows[-1]["passed"] is True
+    assert verified[-2:] == [(7, 7), (7, 6)]
 
 
 def test_n_sweep_rejects_out_of_range_n():
