@@ -660,10 +660,10 @@ class TestCanonicalFastPaths:
         assert pw.differentiate(f, 1).terms == old_differentiate(f, 1).terms
 
 
-def reference_sweep(funcs, couplings):
-    """Every wall in ``interfaces`` order through the old per-wall formulas."""
+def reference_sweep(funcs, couplings, walls=None):
+    """Every wall (by default all, in ``interfaces`` order) through the old per-wall formulas."""
     continuity = jump = 0.0
-    for iface in pw.interfaces(funcs[0].n):
+    for iface in pw.interfaces(funcs[0].n) if walls is None else walls:
         for i, f in enumerate(funcs):
             gap = old_continuity(f, iface)
             if gap > pw.JUMP_CONTINUITY_TOL:
@@ -850,9 +850,15 @@ class TestPlanSweep:
         assert pw.matching_residuals([f], couplings) == (continuity, jump)
 
     def test_inputs_reach_every_branch(self):
-        """Shared plans, own plans, derivative drops, non-separated chambers, discontinuities."""
+        """Shared plans, own plans, derivative drops, non-separated chambers, discontinuities.
+
+        A derivative that drops a term restricts through the plan of its kept
+        sub-layout, unless a dropped term leaves two close kappas adjacent in
+        an image, which takes the general path; both are counted.
+        """
         rng = np.random.default_rng(3)
-        shared_layouts = own_layouts = drops = unseparated = chambers = broken = 0
+        shared_layouts = own_layouts = unseparated = chambers = broken = 0
+        counts = {"drops": 0, "plan": 0, "general": 0}
         for _ in range(60):
             n = int(rng.choice([2, 3, 3, 4]))
             funcs, couplings = _sweep_case(rng, n, int(rng.integers(1, 4)))
@@ -860,18 +866,185 @@ class TestPlanSweep:
             shared_layouts += any(len(ls) < len(f.terms) for ls, f in zip(layouts, funcs))
             own_layouts += any(not layouts[0] & ls for ls in layouts[1:])
             for f in funcs:
-                for region, ts in f.terms.items():
+                for ts in f.terms.values():
                     chambers += 1
                     unseparated += not pw._separated(ts)
-                    coefs, layout = [t.coef for t in ts], [t.kappa for t in ts]
-                    drops += pw._wall_derivative(coefs, layout, 1, 2) is None
+                    _count_derivative_drops(ts, (1, 2), counts)
             try:
                 reference_sweep(_break_continuity(rng, funcs), couplings)
             except DiscontinuityError:
                 broken += 1
         assert shared_layouts > 30 and own_layouts > 5
         assert 0 < unseparated < chambers // 4
-        assert drops > chambers // 10 and broken > 30
+        assert counts["drops"] > chambers // 10 and broken > 30
+        assert counts["plan"] > chambers // 10 and counts["general"] > 3
+        planted = {"drops": 0, "plan": 0, "general": 0}
+        for _ in range(200):
+            iface = pw.interfaces(4)[int(rng.integers(36))]
+            f = _planted_at(rng, iface, _planted_pool(rng, 4, iface.pair))
+            for region in (iface.left, iface.right):
+                _count_derivative_drops(f.region_terms(region), iface.pair, planted)
+        assert planted["plan"] > 100 and planted["general"] > 5
+
+
+def _count_derivative_drops(terms, pair, counts):
+    """Count a chamber whose derivative chain drops a term, and the path it takes."""
+    a, b = pair
+    for t in terms:
+        da, db = t.coef * t.kappa[a - 1], t.coef * t.kappa[b - 1]
+        if min(abs(da), abs(db), abs(da + -1.0 * db)) <= pw.DROP_TOL:
+            counts["drops"] += 1
+            break
+    else:
+        return
+    if pw._separated(terms):
+        coefs, layout = [t.coef for t in terms], [t.kappa for t in terms]
+        counts["plan" if pw._wall_derivative(coefs, layout, a, b) else "general"] += 1
+
+
+#: planted kappa components: c*kappa_j drops for coefficients of order one
+#: (zero, 1e-15, 9e-15) or just survives (2e-14)
+PLANTED = (0j, 0j, 1e-15 + 0j, 6e-15 - 7e-15j, 2e-14 + 0j)
+
+
+def _planted_pool(rng, n, pair):
+    """``_kappa_pool`` with exact zeros and sub-``DROP_TOL`` values planted in kappa_a, kappa_b.
+
+    Each wall component of each pool kappa is planted with probability 0.3,
+    so the wall derivative drops a term from one image, from both, or from
+    neither, on a partial subset of a chamber's positions; a term dropped
+    between two near-duplicates leaves them adjacent in an image.
+    """
+    pool = []
+    for kappa in _kappa_pool(rng, n):
+        kappa = list(kappa)
+        for j in pair:
+            if rng.random() < 0.3:
+                kappa[j - 1] = PLANTED[int(rng.integers(len(PLANTED)))]
+        pool.append(tuple(kappa))
+    return pool
+
+
+def _planted_at(rng, iface, pool):
+    """The two chambers of ``iface``, holding every kappa of ``pool``.
+
+    The left chamber gets each pool kappa with a random coefficient; the
+    right one repeats those terms and adds pairs d*(exp(kappa.x) -
+    exp(kappa'.x)), kappa' the a<->b swap, which vanish on the wall.  So the
+    function is continuous there unless near-duplicates merge differently
+    on the two sides.
+    """
+    a, b = iface.pair
+    left = [(complex(rng.standard_normal(), rng.standard_normal()), k) for k in pool]
+    right = list(left)
+    for _, kappa in left:
+        if rng.random() < 0.5:
+            swapped = list(kappa)
+            swapped[a - 1], swapped[b - 1] = kappa[b - 1], kappa[a - 1]
+            d = complex(rng.standard_normal(), rng.standard_normal())
+            right += [(d, kappa), (-d, tuple(swapped))]
+    return pw.build(iface.left.n, {iface.left: left, iface.right: right})
+
+
+def _wall_couplings(sp, grade):
+    """The components and coupling blocks ``verify_eigenstate`` builds for a zero mode."""
+    sector = susy.sector_hamiltonian(grade, sp)
+    return sector.masks, sector.couplings
+
+
+class TestDerivativeDrops:
+    """Wall derivatives that drop terms equal the differentiate/scale/add chain."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        components=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_planted_drops_equal_the_reference(self, n, components, seed, data):
+        rng = np.random.default_rng(seed)
+        iface = data.draw(st.sampled_from(pw.interfaces(n)))
+        pool = _planted_pool(rng, n, iface.pair)
+        funcs = [_planted_at(rng, iface, pool) for _ in range(components)]
+        coupling = _random_coupling(rng, components)
+        assert_same_outcome(
+            lambda: pw.wall_residuals(funcs, iface, coupling),
+            lambda: reference_sweep(funcs, {iface.pair: coupling}, [iface]),
+        )
+
+    @pytest.mark.parametrize(
+        "middle, right_middle",
+        [
+            # the middle term leaves both images: the union holds k1, k3 adjacent
+            ((0j, 0j, 5 + 0j), (0.01j, -0.01j, 5 + 0j)),
+            # the middle term leaves the d/dx_b image only, which holds k1, k3 adjacent
+            ((2j, 0j, 5 + 0j), (1.5j, 0.5j, 5 + 0j)),
+        ],
+        ids=["union", "b-image"],
+    )
+    def test_dropped_term_between_near_duplicates_takes_the_general_path(
+        self, middle, right_middle
+    ):
+        """Position-wise sums would keep k1 and k3 apart; the chain merges them."""
+        iface = next(i for i in pw.interfaces(3) if i.left.order == (1, 2, 3))
+        k1 = (-0.5e-12 + 0j, 1.0 + 0j, 0j)
+        k3 = (0.4e-12 + 0j, 1.0 + 0.5e-12 + 0j, 0j)
+        f = pw.build(3, {
+            iface.left: [(1.0, k1), (1.0, middle), (1.0, k3)],
+            # same wall limit; its middle term drops from neither image
+            iface.right: [(1.0, k1), (1.0, right_middle), (1.0, k3)],
+        })
+        ts = f.terms[iface.left]
+        assert pw._separated(ts)
+        assert pw._wall_derivative([t.coef for t in ts], [t.kappa for t in ts], 1, 2) is None
+        continuity, jump = reference_sweep([f], {(1, 2): [[0.5]]}, [iface])
+        assert continuity == 0.0 and jump > 1.0
+        assert pw.wall_residuals([f], iface, [[0.5]]) == (continuity, jump)
+
+    @pytest.mark.parametrize("make", [susy.zero_mode_top, susy.zero_mode_alternating])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_odd_n_zero_modes_equal_the_reference(self, n, make):
+        # the middle-rank particle has kappa = 0, so half the walls drop a term
+        sp = susy.Superpotential(n=n, c=1.05)
+        mode = make(sp)
+        masks, couplings = _wall_couplings(sp, mode.pure_grade())
+        comps = [mode.component(mask) for mask in masks]
+        # the old formulas work chamber by chamber, so each wall's reference
+        # needs only its two chambers (the full functions take 60x as long at N=5)
+        continuity = jump = 0.0
+        for iface in pw.interfaces(n):
+            sides = (iface.left, iface.right)
+            cut = [pw.RegionFunction(n, {r: f.terms[r] for r in sides}) for f in comps]
+            wall = reference_sweep(cut, couplings, [iface])
+            continuity, jump = max(continuity, wall[0]), max(jump, wall[1])
+        assert pw.matching_residuals(comps, couplings) == (continuity, jump)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_zero_modes_never_build_a_derivative(self, n, monkeypatch):
+        sp = susy.Superpotential(n=n, c=1.05)
+        cases = []
+        for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
+            masks, couplings = _wall_couplings(sp, mode.pure_grade())
+            cases.append(([mode.component(mask) for mask in masks], couplings))
+
+        def refuse(*args):
+            raise AssertionError("the sweep left the plan path")
+
+        for name in ("differentiate", "add", "_merge_parts"):
+            monkeypatch.setattr(pw, name, refuse)
+        for comps, couplings in cases:
+            continuity, jump = pw.matching_residuals(comps, couplings)
+            assert continuity <= pw.JUMP_CONTINUITY_TOL and jump <= susy.EIGENSTATE_TOL
+
+    @pytest.mark.parametrize("c", [1.3, -0.8])
+    @pytest.mark.parametrize("ks", [(0.5, 0.0), (0.9, 0.0, -0.6), (1.1, 0.4, 0.0, -0.7)])
+    def test_collision_with_a_zero_momentum_equals_the_reference(self, ks, c):
+        state = bethe.collision_state(ks, c)
+        couplings = {iface.pair: [[2.0 * c]] for iface in pw.interfaces(len(ks))}
+        report = bethe.matching_report(state, c, bethe.energy(ks))
+        assert report.passed()
+        assert (report.max_continuity, report.max_jump) == reference_sweep([state], couplings)
 
 
 class TestTracedEntryPoints:
