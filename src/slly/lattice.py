@@ -8,6 +8,13 @@ grade block of the Fock coupling matrix.  Sparse symmetric eigensolves then
 cross-check the analytic spectra with no shared code path: nothing here
 touches the chamber calculus.
 
+The particles are identical bosons, so a one-component sector (grade 0, the
+Fock vacuum, and grade N, the fully occupied mask) is solved on the
+exchange-symmetric grid functions only: the box matrix is restricted through
+the orbit-sum isometry of ``symmetric_isometry`` and reports bosonic levels
+alone.  Sectors with more than one Fock component are still solved on the
+full box, because their exchange action also permutes the Fock modes.
+
 Everything is deterministic under a fixed seed (the seed fixes the
 eigensolver start vector), and every assembled matrix is exactly symmetric
 by construction.
@@ -113,6 +120,36 @@ def build_sector_matrix(
         diag = sparse.diags(_coincidence_indicator(grid, a, b) / grid.h, format="csr")
         h_mat = h_mat + sparse.kron(sparse.csr_matrix(real_block), diag, format="csr")
     return h_mat.tocsr()
+
+
+def symmetric_isometry(grid: Grid) -> sparse.csr_matrix:
+    """Orbit-sum isometry P onto the grid functions symmetric under axis exchange.
+
+    One column per sorted multi-index i_1 <= ... <= i_N, ascending in its
+    C-order flat index; the column holds 1/sqrt(orbit size) on every grid
+    point whose multi-index sorts to it, so P^T P = I.
+    """
+    shape = (grid.points,) * grid.n
+    idx = np.indices(shape).reshape(grid.n, -1)
+    key = np.ravel_multi_index(np.sort(idx, axis=0), shape)
+    _, col, counts = np.unique(key, return_inverse=True, return_counts=True)
+    rows = np.arange(key.size)
+    return sparse.csr_matrix(
+        (1.0 / np.sqrt(counts[col]), (rows, col)), shape=(key.size, counts.size)
+    )
+
+
+def symmetric_restriction(a_mat: sparse.csr_matrix, grid: Grid) -> sparse.csr_matrix:
+    """P^T A P for the isometry of ``symmetric_isometry``, made exactly symmetric.
+
+    A commutes with every axis exchange, so A P = P (P^T A P) and the
+    eigenpairs of the result lift through P to the exchange-symmetric
+    eigenpairs of A.  Rounding leaves P^T A P symmetric only to an ulp; the
+    certified solver's L D L^T needs it exactly so.
+    """
+    p_mat = symmetric_isometry(grid)
+    reduced = p_mat.T @ (a_mat @ p_mat)
+    return (0.5 * (reduced + reduced.T)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +276,15 @@ def lowest_eigenvalues(
 def sector_spectrum(
     grade: int, grid: Grid, sp: susy.Superpotential, k: int, seed: int = 0
 ) -> SpectrumReport:
-    """Assemble one sector and solve for its k lowest eigenvalues."""
+    """Assemble one sector and solve for its k lowest eigenvalues.
+
+    A sector with one Fock component (grade 0 or N) is solved on the
+    exchange-symmetric subspace (``symmetric_restriction``), so only bosonic
+    levels are reported; any other sector is solved on the full box.
+    """
     mat = build_sector_matrix(grade, grid, sp)
+    if mat.shape[0] == grid.points**grid.n:
+        mat = symmetric_restriction(mat, grid)
     raw = lowest_eigenvalues(mat, k, seed=seed)
     return SpectrumReport(
         sector=grade,

@@ -1,5 +1,6 @@
 """Finite-difference oracle: assembly, eigensolver, SUSY lattice checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,100 @@ class TestShiftInvert:
         assert max(rep.residuals) < lattice.RESIDUAL_TOL
 
 
+#: (N, grade, box, points): the one-component sectors on small grids; at
+#: (3, 3, 12.0, 17) the product P^T (A P) is not exactly symmetric
+SCALAR_SECTORS = [(2, 0, 8.0, 20), (2, 2, 8.0, 20), (3, 0, 6.0, 16), (3, 3, 12.0, 17)]
+
+
+def _restricted(n, grade, box, points, c=2.0):
+    grid = lattice.Grid(box=box, points=points, n=n)
+    a_mat = lattice.build_sector_matrix(grade, grid, susy.Superpotential(n=n, c=c))
+    return grid, a_mat, lattice.symmetric_isometry(grid), lattice.symmetric_restriction(a_mat, grid)
+
+
+class TestBosonicProjection:
+    """Scalar sectors are solved on the exchange-symmetric grid functions."""
+
+    @pytest.mark.parametrize("n, points", [(2, 16), (2, 21), (3, 16), (3, 17)])
+    def test_isometry_has_one_orthonormal_column_per_sorted_multi_index(self, n, points):
+        grid = lattice.Grid(box=5.0, points=points, n=n)
+        p_mat = lattice.symmetric_isometry(grid)
+        assert p_mat.shape == (points**n, math.comb(points + n - 1, n))
+        assert (np.diff(p_mat.indptr) == 1).all()  # each grid point sits in one orbit
+        gram = (p_mat.T @ p_mat - sparse.identity(p_mat.shape[1])).tocsr()
+        assert abs(gram).max() <= 1e-15
+        # the column of a grid point is fixed by its sorted multi-index
+        idx = np.indices((points,) * n).reshape(n, -1)
+        cols = p_mat.indices
+        for perm in itertools.permutations(range(n)):
+            moved = np.ravel_multi_index(idx[list(perm)], (points,) * n)
+            assert np.array_equal(cols[moved], cols)
+
+    @pytest.mark.parametrize("n, grade, box, points", SCALAR_SECTORS)
+    def test_restriction_is_invariant_and_exactly_symmetric(self, n, grade, box, points):
+        _, a_mat, p_mat, b_mat = _restricted(n, grade, box, points)
+        scale = abs(a_mat).max()
+        assert abs(a_mat @ p_mat - p_mat @ b_mat).max() <= 1e-14 * scale
+        diff = (b_mat - b_mat.T).tocsr()
+        diff.eliminate_zeros()
+        assert diff.nnz == 0
+
+    def test_symmetrisation_is_needed(self):
+        _, a_mat, p_mat, _ = _restricted(3, 3, 12.0, 17)
+        raw = p_mat.T @ (a_mat @ p_mat)
+        diff = (raw - raw.T).tocsr()
+        diff.eliminate_zeros()
+        assert diff.nnz > 0
+
+    @pytest.mark.parametrize("n, grade, box, points", SCALAR_SECTORS)
+    def test_bosonic_spectrum_is_a_sub_multiset_of_the_full_box(self, n, grade, box, points):
+        grid = lattice.Grid(box=box, points=points, n=n)
+        sp = susy.Superpotential(n=n, c=2.0)
+        bosonic = lattice.sector_spectrum(grade, grid, sp, 3, seed=2).eigenvalues
+        full = list(lattice.lowest_eigenvalues(
+            lattice.build_sector_matrix(grade, grid, sp), 12, seed=2).eigenvalues)
+        assert bosonic[0] == pytest.approx(full[0], rel=1e-12)
+        for level in bosonic:
+            match = min(full, key=lambda v: abs(v - level))
+            assert match == pytest.approx(level, rel=1e-9)
+            full.remove(match)
+
+    @pytest.mark.parametrize("n, grade, box, points", SCALAR_SECTORS)
+    def test_lifted_eigenvectors_are_symmetric_box_eigenvectors(self, n, grade, box, points):
+        _, a_mat, p_mat, b_mat = _restricted(n, grade, box, points)
+        vals, vecs = np.linalg.eigh(b_mat.toarray())
+        for i in range(3):
+            lifted = p_mat @ vecs[:, i]
+            assert np.linalg.norm(a_mat @ lifted - vals[i] * lifted) <= lattice.RESIDUAL_TOL
+            cube = lifted.reshape((points,) * n)
+            for perm in itertools.permutations(range(n)):
+                assert np.array_equal(cube.transpose(perm), cube)
+
+    def test_antisymmetric_two_particle_level_is_gone(self):
+        sp = susy.Superpotential(n=2, c=2.0)
+        grid = lattice.Grid(box=12.0, points=59, n=2)
+        full = lattice.lowest_eigenvalues(lattice.build_sector_matrix(0, grid, sp), 3, seed=1)
+        bosonic = lattice.sector_spectrum(0, grid, sp, 3, seed=1)
+        np.testing.assert_allclose(full.eigenvalues, [2.29354, 2.34243, 2.58865], rtol=2e-6)
+        np.testing.assert_allclose(bosonic.eigenvalues, [2.29354, 2.58865, 2.76992], rtol=2e-6)
+
+    def test_mixed_symmetry_three_particle_pair_is_gone(self):
+        sp = susy.Superpotential(n=3, c=2.0)
+        grid = lattice.Grid(box=8.0, points=16, n=3)
+        full = lattice.lowest_eigenvalues(lattice.build_sector_matrix(0, grid, sp), 3, seed=1)
+        bosonic = lattice.sector_spectrum(0, grid, sp, 2, seed=1)
+        np.testing.assert_allclose(full.eigenvalues, [9.44018, 9.59117, 9.59117], rtol=2e-6)
+        np.testing.assert_allclose(bosonic.eigenvalues, [9.44018, 10.17956], rtol=2e-6)
+
+    def test_multi_component_sector_stays_on_the_full_box(self):
+        sp = susy.Superpotential(n=2, c=2.0)
+        grid = lattice.Grid(box=8.0, points=20, n=2)
+        rep = lattice.sector_spectrum(1, grid, sp, 3, seed=3)
+        full = lattice.lowest_eigenvalues(lattice.build_sector_matrix(1, grid, sp), 3, seed=3)
+        assert rep.eigenvalues == full.eigenvalues
+        assert rep.residuals == full.residuals
+
+
 class TestSusySpectrum:
     def test_two_particle_checks_pass(self):
         sp = susy.Superpotential(n=2, c=2.0)
@@ -208,13 +303,13 @@ class TestSusySpectrum:
 
     def test_free_case_sector_degeneracy(self):
         # with c = 0 the couplings vanish; the middle sector is two decoupled
-        # copies of the scalar one, so the spectra coincide after doubling
+        # copies of the scalar full-box matrix, so the spectra coincide after
+        # doubling (sector_spectrum reports only the bosonic scalar levels)
         sp = susy.Superpotential(n=2, c=0.0)
         grid = lattice.Grid(box=8.0, points=32, n=2)
-        s0 = lattice.sector_spectrum(0, grid, sp, 3, seed=4)
+        s0 = lattice.lowest_eigenvalues(lattice.build_sector_matrix(0, grid, sp), 3, seed=4)
         s1 = lattice.sector_spectrum(1, grid, sp, 6, seed=4)
-        s2 = lattice.sector_spectrum(2, grid, sp, 3, seed=4)
-        doubled = sorted(list(s0.eigenvalues) + list(s2.eigenvalues))
+        doubled = sorted(2 * list(s0.eigenvalues))
         assert np.allclose(s1.eigenvalues, doubled, atol=1e-9)
 
     def test_requires_two_particles(self):
