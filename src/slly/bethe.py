@@ -388,18 +388,22 @@ class MatchingReport:
     max_bulk: float
 
     def passed(self, tol: float = 1e-10) -> bool:
-        return max(self.max_continuity, self.max_jump, self.max_bulk) <= tol
+        return (
+            self.max_continuity <= tol and self.max_jump <= tol and self.max_bulk <= tol
+        )
 
 
 def bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
     """Max over chamber terms of |(-sum_j kappa_j^2) - E|.
 
     Evaluated once per distinct kappa: a Bethe state holds the same N!
-    kappas on each of its N! chambers.
+    kappas on each of its N! chambers.  NaN when any residual is NaN.
     """
     worst = 0.0
     for kappa in dict.fromkeys(t.kappa for ts in state.terms.values() for t in ts):
-        worst = max(worst, abs(-sum(kk * kk for kk in kappa) - e))
+        size = abs(-sum(kk * kk for kk in kappa) - e)
+        if not size <= worst and worst == worst:
+            worst = size
     return worst
 
 

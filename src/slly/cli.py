@@ -320,7 +320,7 @@ def _susy_zero_modes(args) -> tuple[dict, bool, None]:
             "bulk_residual": rep.bulk_residual,
             "interface_residual": rep.interface_residual,
         }
-        passed = passed and max(rq, rqd) < susy.ZERO_MODE_TOL and rep.accepted
+        passed = passed and rq < susy.ZERO_MODE_TOL and rqd < susy.ZERO_MODE_TOL and rep.accepted
     return results, passed, None
 
 

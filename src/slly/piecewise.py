@@ -226,7 +226,7 @@ def _group_sums(groups: _Groups, coefs: Sequence[complex]) -> _Sums:
     if complete:
         return groups, sums
     return None, tuple(
-        ExpTerm(acc, group[2]) for acc, group in zip(sums, groups) if abs(acc) > DROP_TOL
+        ExpTerm(acc, group[2]) for acc, group in zip(sums, groups) if not abs(acc) <= DROP_TOL
     )
 
 
@@ -278,7 +278,7 @@ def _merge_parts(
             acc = complex(coef)
             for p in rest:
                 acc += complex(p[i][0])
-            if abs(acc) > DROP_TOL:
+            if not abs(acc) <= DROP_TOL:
                 out.append(ExpTerm(acc, kappa))
         return tuple(out)
     return _merge_terms(itertools.chain.from_iterable(parts))
@@ -320,7 +320,7 @@ def map_coefficients(
     for r, ts in f.terms.items():
         if _separated(ts):
             mapped = tuple(
-                ExpTerm(c, t.kappa) for t in ts if abs(c := complex(fn(r, t))) > DROP_TOL
+                ExpTerm(c, t.kappa) for t in ts if not abs(c := complex(fn(r, t))) <= DROP_TOL
             )
         else:
             mapped = _merge_terms((fn(r, t), t.kappa) for t in ts)
@@ -360,7 +360,8 @@ def scale(f: RegionFunction, z: complex) -> RegionFunction:
 
 
 def max_coefficient(f: RegionFunction) -> float:
-    return max((abs(t.coef) for ts in f.terms.values() for t in ts), default=0.0)
+    """Largest coefficient magnitude; NaN when any coefficient is NaN."""
+    return _max_coefficient(itertools.chain.from_iterable(f.terms.values()))
 
 
 def coefficient_distance(f: RegionFunction, g: RegionFunction) -> float:
@@ -421,7 +422,18 @@ def _sum_scale(terms: Iterable[ExpTerm], z: complex):
 
 
 def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
-    return max((abs(t.coef) for t in terms), default=0.0)
+    """Largest |coef|, 0.0 for no terms; NaN when any coefficient is NaN.
+
+    ``max`` would keep a finite value against a later NaN.  A NaN compares
+    false both ways, so ``not size <= worst`` takes it in and ``worst ==
+    worst`` keeps it; that is the rule of every residual maximum here.
+    """
+    worst = 0.0
+    for t in terms:
+        size = abs(t.coef)
+        if not size <= worst and worst == worst:
+            worst = size
+    return worst
 
 
 class _Plan(NamedTuple):
@@ -475,7 +487,8 @@ def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
     those kappas, which are separated by construction, so ``_merge_parts``
     would sum them position by position; that sum is done here directly.
     The groups may come from different plans: the two chambers of a wall
-    usually hold different kappas that reduce to the same ones.
+    usually hold different kappas that reduce to the same ones.  A NaN sum
+    is the result, as in ``_max_coefficient``.
     """
     groups = parts[0][1][0]
     if groups is None or not all(_same_kappas(groups, sums[0]) for _, sums in parts):
@@ -487,7 +500,7 @@ def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
         for w, sums in rest:
             acc += complex(w * sums[pos])
         size = abs(acc)
-        if size > DROP_TOL and size > worst:
+        if not size <= worst and not size <= DROP_TOL and worst == worst:
             worst = size
     return worst
 
@@ -498,9 +511,9 @@ def _wall_derivative(
     """(d/dx_a - d/dx_b) on one separated chamber: (kept positions, coefficients).
 
     Follows ``add(differentiate(f, a), scale(differentiate(f, b), -1.0))``
-    drop by drop.  The d/dx_a image keeps the positions where
-    |c*kappa_a| > ``DROP_TOL``, the negated d/dx_b image those where
-    |c*kappa_b| > ``DROP_TOL``; a position held by both sums
+    drop by drop.  The d/dx_a image drops the positions where
+    |c*kappa_a| <= ``DROP_TOL``, the negated d/dx_b image those where
+    |c*kappa_b| <= ``DROP_TOL`` (a NaN is kept); a position held by both sums
     complex(c*kappa_a) + -1.0 * complex(c*kappa_b) in that order, one held
     by one image passes its coefficient through, and a sum of magnitude at
     most ``DROP_TOL`` drops.  The positions are None when every term is
@@ -524,8 +537,8 @@ def _wall_derivative(
     for coef, kappa in zip(coefs, layout):
         da = coef * kappa[ia]
         db = coef * kappa[ib]
-        if abs(db) > tol:
-            if abs(da) > tol:
+        if not abs(db) <= tol:
+            if not abs(da) <= tol:
                 acc = da
                 acc += -1.0 * db
             else:
@@ -534,12 +547,12 @@ def _wall_derivative(
             # every earlier position went to exactly one of out, dropped, u_gaps
             pos = len(out) + len(dropped) + len(u_gaps)
             b_gaps.append(pos)
-            if abs(da) > tol:
+            if not abs(da) <= tol:
                 acc = da
             else:
                 u_gaps.append(pos)
                 continue
-        if abs(acc) > tol:
+        if not abs(acc) <= tol:
             out.append(acc)
         else:
             dropped.append(len(out) + len(dropped) + len(u_gaps))
@@ -655,7 +668,7 @@ def _sweep(
         for i, (left_ch, right_ch) in enumerate(sides):
             left = restrict(left_ch, pair)
             gap = _weighted_max(((1.0, left), (-1.0, restrict(right_ch, pair))))
-            if gap > JUMP_CONTINUITY_TOL:
+            if not gap <= JUMP_CONTINUITY_TOL:  # a NaN gap is not continuity
                 raise DiscontinuityError(
                     f"component {i} is discontinuous across interface pair {pair}"
                 )
@@ -670,7 +683,9 @@ def _sweep(
                 cij = mat[i, j]
                 if cij != 0:
                     parts.append((-cij, bases[j]))
-            jump = max(jump, _weighted_max(parts))
+            size = _weighted_max(parts)
+            if not size <= jump and jump == jump:
+                jump = size
     return continuity, jump
 
 

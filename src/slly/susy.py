@@ -117,7 +117,13 @@ def spinor_scale(s: SpinorFunction, z: complex) -> SpinorFunction:
 
 
 def spinor_max_coefficient(s: SpinorFunction) -> float:
-    return max((pw.max_coefficient(f) for f in s.components.values()), default=0.0)
+    """Largest coefficient magnitude of any component; NaN when any is NaN."""
+    worst = 0.0
+    for f in s.components.values():
+        size = pw.max_coefficient(f)
+        if not size <= worst and worst == worst:
+            worst = size
+    return worst
 
 
 def spinor_distance(s: SpinorFunction, t: SpinorFunction) -> float:
@@ -227,7 +233,7 @@ class EigenstateReport:
 
     @property
     def accepted(self) -> bool:
-        return max(self.bulk_residual, self.interface_residual) <= self.tol
+        return self.bulk_residual <= self.tol and self.interface_residual <= self.tol
 
 
 def verify_eigenstate(
@@ -246,7 +252,9 @@ def verify_eigenstate(
 
     bulk = 0.0
     for f in s.components.values():
-        bulk = max(bulk, bethe.bulk_energy_residual(f, e - shift))
+        size = bethe.bulk_energy_residual(f, e - shift)
+        if not size <= bulk and bulk == bulk:
+            bulk = size
 
     comps = [s.component(mask) for mask in sector.masks]
     wall = pw.matching_residuals(comps, sector.couplings)[1]
@@ -329,7 +337,7 @@ def witten_census(sp: Superpotential) -> WittenCensus:
     for mode in (zero_mode_top(sp), zero_mode_alternating(sp)):
         rq, rqd = annihilation_residuals(mode, sp)
         grade = mode.pure_grade()
-        if max(rq, rqd) >= ZERO_MODE_TOL:
+        if not (rq < ZERO_MODE_TOL and rqd < ZERO_MODE_TOL):
             raise AssertionError("constructed zero mode failed annihilation check")
         records.append(
             ZeroModeRecord(
