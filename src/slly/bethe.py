@@ -388,9 +388,7 @@ class MatchingReport:
     max_bulk: float
 
     def passed(self, tol: float = 1e-10) -> bool:
-        return (
-            self.max_continuity <= tol and self.max_jump <= tol and self.max_bulk <= tol
-        )
+        return self.max_continuity <= tol and self.max_jump <= tol and self.max_bulk <= tol
 
 
 def bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
