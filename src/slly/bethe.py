@@ -153,7 +153,9 @@ def charge_residual(
     for ts in state.terms.values():
         for t in ts:
             val = sum((-1j * kap) ** order for kap in t.kappa)
-            worst = max(worst, abs(val - target))
+            size = abs(val - target)
+            if not size <= worst and worst == worst:
+                worst = size
     return worst
 
 
@@ -243,7 +245,9 @@ def max_recurrence_violation(coeffs: BetheCoefficients) -> float:
             swapped = list(perm)
             swapped[slot], swapped[slot + 1] = swapped[slot + 1], swapped[slot]
             expected = val * s_matrix(ks[perm[slot] - 1], ks[perm[slot + 1] - 1], coeffs.c)
-            worst = max(worst, abs(coeffs.alpha[tuple(swapped)] - expected))
+            size = abs(coeffs.alpha[tuple(swapped)] - expected)
+            if not size <= worst and worst == worst:
+                worst = size
     return worst
 
 

@@ -297,8 +297,10 @@ def _susy_algebra(args) -> tuple[dict, bool, None]:
     worst = dict.fromkeys(names, 0.0)
     for _ in range(args.trials):
         res = susy.algebra_residuals(susy.random_spinor(sp, rng), sp)
-        worst = {key: max(worst[key], value) for key, value in zip(worst, res)}
-    return worst, max(worst.values()) <= args.tol, None
+        for key, value in zip(names, res):
+            if not value <= worst[key] and worst[key] == worst[key]:
+                worst[key] = value
+    return worst, all(value <= args.tol for value in worst.values()), None
 
 
 def _susy_zero_modes(args) -> tuple[dict, bool, None]:

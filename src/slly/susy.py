@@ -520,5 +520,7 @@ def exchange_sigma_check(n: int, c: float = 1.0, tol: float = 1e-12) -> SigmaChe
         for j in range(len(vec)):
             if mat[i, j] != 0:
                 image = pw.add(image, pw.scale(vec[j], mat[i, j]))
-        worst = max(worst, pw.coefficient_distance(image, pw.scale(vec[i], -1.0)))
+        size = pw.coefficient_distance(image, pw.scale(vec[i], -1.0))
+        if not size <= worst and worst == worst:
+            worst = size
     return SigmaCheckReport(n=n, residual=worst, passed=worst <= tol)

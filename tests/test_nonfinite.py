@@ -6,8 +6,7 @@ term unless ``abs(c) <= DROP_TOL``, and every residual maximum returns NaN
 once any residual is NaN, wherever it sits in the sweep.
 """
 
-import json
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -160,6 +159,21 @@ class TestMaxima:
         assert continuity <= pw.JUMP_CONTINUITY_TOL
         assert is_nan(jump)
 
+    @pytest.mark.parametrize("pos", [0, -1])
+    def test_charge_residual(self, pos):
+        state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
+        chamber = pos % len(state.terms)
+        bad = plant(state, NAN, chamber=chamber, pos=pos, kappa=True)
+        assert is_nan(bethe.charge_residual(bad, [1.5, 0.2, -0.9], 2))
+
+    @pytest.mark.parametrize("pos", [0, -1])
+    def test_max_recurrence_violation(self, pos):
+        coeffs = bethe.bethe_coefficients([1.5, 0.2, -0.9], 2.0)
+        alpha = dict(coeffs.alpha)
+        alpha[list(alpha)[pos]] = complex(NAN)
+        bad = dataclasses.replace(coeffs, alpha=alpha)
+        assert is_nan(bethe.max_recurrence_violation(bad))
+
     def test_continuity_guard_refuses_a_nan_gap(self):
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
         couplings = {iface.pair: [[4.0]] for iface in pw.interfaces(3)}
@@ -244,8 +258,25 @@ class TestPlantedStates:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("slly: ")
 
-    def test_cli_passes_unplanted(self, capsys):
-        assert cli.main(["susy", "zero-modes", "--n", "3", "--c", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert math.isfinite(susy.spinor_max_coefficient(susy.zero_mode_top(
-            susy.Superpotential(n=3, c=1.0))))
+    def test_exchange_sigma_check(self, monkeypatch):
+        alternating = susy.zero_mode_alternating
+        monkeypatch.setattr(
+            susy, "zero_mode_alternating", lambda sp: plant_spinor(alternating(sp), NAN)
+        )
+        rep = susy.exchange_sigma_check(3)
+        assert is_nan(rep.residual) and not rep.passed
+
+    def test_cli_algebra_keeps_a_nan_from_a_later_trial(self, monkeypatch, capsys):
+        draw = susy.random_spinor
+        trials = []
+
+        def second_planted(sp, rng):
+            s = draw(sp, rng)
+            trials.append(s)
+            return plant_spinor(s, NAN) if len(trials) == 2 else s
+
+        monkeypatch.setattr(susy, "random_spinor", second_planted)
+        argv = ["susy", "algebra", "--n", "3", "--c", "0.8", "--trials", "3", "--seed", "2"]
+        assert cli.main(argv) == 2
+        assert len(trials) == 3
+        assert capsys.readouterr().out == ""
