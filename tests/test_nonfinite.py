@@ -7,6 +7,7 @@ once any residual is NaN, wherever it sits in the sweep.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -50,10 +51,6 @@ def fails(check) -> bool:
     return not verdict
 
 
-def is_nan(x: float) -> bool:
-    return x != x
-
-
 def terms_repr(f: pw.RegionFunction):
     """Terms with coefficients as text, so NaN compares equal to NaN."""
     return {r: [(repr(t.coef), t.kappa) for t in ts] for r, ts in f.terms.items()}
@@ -86,7 +83,7 @@ class TestDropRule:
     def test_group_sums_keep_nan_beside_a_dropped_sum(self):
         groups = pw._merge_groups([K1, K2])
         _, kept = pw._group_sums(groups, [NAN, 0.0])
-        assert len(kept) == 1 and is_nan(abs(kept[0].coef))
+        assert len(kept) == 1 and math.isnan(abs(kept[0].coef))
 
     @pytest.mark.parametrize("value", PLANTED)
     @pytest.mark.parametrize("term", [
@@ -129,7 +126,7 @@ class TestMaxima:
         comps = [good, good]
         comps[pos] = bad
         s = susy.SpinorFunction(n=2, components={1: comps[0], 2: comps[1]})
-        assert is_nan(susy.spinor_max_coefficient(s))
+        assert math.isnan(susy.spinor_max_coefficient(s))
 
     @pytest.mark.parametrize("pos", [0, 2])
     def test_weighted_max_fast_and_general_paths(self, pos):
@@ -137,16 +134,16 @@ class TestMaxima:
         coefs = [1.0, 5.0, 2.0]
         coefs[pos] = NAN
         parts = [(1.0, (groups, coefs)), (-1.0, (groups, [0.5, 0.5, 0.5]))]
-        assert is_nan(pw._weighted_max(parts))
+        assert math.isnan(pw._weighted_max(parts))
         dropped = [(1.0, (None, pw._sums_terms((groups, coefs)))), parts[1]]
-        assert is_nan(pw._weighted_max(dropped))
+        assert math.isnan(pw._weighted_max(dropped))
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_bulk_energy_residual(self, pos):
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
         chamber = pos % len(state.terms)
         bad = plant(state, NAN, chamber=chamber, pos=pos, kappa=True)
-        assert is_nan(bethe.bulk_energy_residual(bad, bethe.energy([1.5, 0.2, -0.9])))
+        assert math.isnan(bethe.bulk_energy_residual(bad, bethe.energy([1.5, 0.2, -0.9])))
 
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
     def test_jump_maximum_over_walls(self, pair):
@@ -157,14 +154,14 @@ class TestMaxima:
         couplings[pair] = [[NAN]]
         continuity, jump = pw.matching_residuals([state], couplings)
         assert continuity <= pw.JUMP_CONTINUITY_TOL
-        assert is_nan(jump)
+        assert math.isnan(jump)
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_charge_residual(self, pos):
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
         chamber = pos % len(state.terms)
         bad = plant(state, NAN, chamber=chamber, pos=pos, kappa=True)
-        assert is_nan(bethe.charge_residual(bad, [1.5, 0.2, -0.9], 2))
+        assert math.isnan(bethe.charge_residual(bad, [1.5, 0.2, -0.9], 2))
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_max_recurrence_violation(self, pos):
@@ -172,7 +169,7 @@ class TestMaxima:
         alpha = dict(coeffs.alpha)
         alpha[list(alpha)[pos]] = complex(NAN)
         bad = dataclasses.replace(coeffs, alpha=alpha)
-        assert is_nan(bethe.max_recurrence_violation(bad))
+        assert math.isnan(bethe.max_recurrence_violation(bad))
 
     def test_continuity_guard_refuses_a_nan_gap(self):
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
@@ -183,10 +180,10 @@ class TestMaxima:
     def test_nan_energy_fails_the_bulk_check(self):
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
         rep = bethe.matching_report(state, 2.0, NAN)
-        assert is_nan(rep.max_bulk) and not rep.passed()
+        assert math.isnan(rep.max_bulk) and not rep.passed()
         sp = susy.Superpotential(n=3, c=1.2)
         rep = susy.verify_eigenstate(susy.zero_mode_alternating(sp), NAN, sp)
-        assert is_nan(rep.bulk_residual) and not rep.accepted
+        assert math.isnan(rep.bulk_residual) and not rep.accepted
 
     def test_reports_fail_on_nan(self):
         assert not bethe.MatchingReport(0.0, NAN, 0.0).passed()
@@ -213,7 +210,7 @@ class TestPlantedStates:
     def test_collision_state_with_nan_coupling(self):
         state = bethe.collision_state(self.K, 2.0)
         rep = bethe.matching_report(state, NAN, bethe.energy(self.K))
-        assert is_nan(rep.max_jump)
+        assert math.isnan(rep.max_jump)
         assert not rep.passed()
 
     @pytest.mark.parametrize("value", PLANTED)
@@ -264,7 +261,7 @@ class TestPlantedStates:
             susy, "zero_mode_alternating", lambda sp: plant_spinor(alternating(sp), NAN)
         )
         rep = susy.exchange_sigma_check(3)
-        assert is_nan(rep.residual) and not rep.passed
+        assert math.isnan(rep.residual) and not rep.passed
 
     def test_cli_algebra_keeps_a_nan_from_a_later_trial(self, monkeypatch, capsys):
         draw = susy.random_spinor
