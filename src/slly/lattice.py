@@ -47,6 +47,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not math.isfinite(self.box):
+            raise ValueError(f"box edge length must be finite, got {self.box}")
         if self.box <= 0:
             raise ValueError("box edge length must be positive")
         if self.points < 16:
@@ -219,12 +221,7 @@ def _shift_invert(a_mat, sigma: float) -> tuple[spla.LinearOperator | None, bool
     return op, positive
 
 
-def lowest_eigenvalues(
-    a_mat: sparse.csr_matrix,
-    k: int,
-    seed: int = 0,
-    maxiter: int | None = None,
-) -> Eigenvalues:
+def lowest_eigenvalues(a_mat: sparse.csr_matrix, k: int, seed: int = 0) -> Eigenvalues:
     """k smallest eigenvalues of a sparse symmetric matrix.
 
     Shift-invert Lanczos on an L D L^T factor of A - sigma I (symmetric
@@ -255,9 +252,7 @@ def lowest_eigenvalues(
             diagnostics={"sigma": sigma, "gershgorin": gershgorin},
         )
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    vals, vecs = _eigsh(
-        a_mat, k, sigma=sigma, which="LM", OPinv=op, v0=v0, tol=0, maxiter=maxiter
-    )
+    vals, vecs = _eigsh(a_mat, k, sigma=sigma, which="LM", OPinv=op, v0=v0, tol=0)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]

@@ -12,10 +12,10 @@ normal derivative) all reduce to exact coefficient arithmetic.  No quadrature
 or discretisation enters anywhere in this module.
 
 Floating-point canonicalisation rules: two kappa vectors are identified when
-they agree componentwise within ``KAPPA_TOL``; terms whose coefficient
-magnitude falls below ``DROP_TOL`` are discarded.  Points within
-``HYPERPLANE_GAP`` of a hyperplane cannot be evaluated (the calculus defines
-hyperplane values only through one-sided limits).
+they are equal componentwise; terms whose coefficient magnitude falls below
+``DROP_TOL`` are discarded.  Points within ``HYPERPLANE_GAP`` of a
+hyperplane cannot be evaluated (the calculus defines hyperplane values only
+through one-sided limits).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import AmbiguousPointError, DiscontinuityError
 
-KAPPA_TOL = 1e-12
 DROP_TOL = 1e-14
 HYPERPLANE_GAP = 1e-9
 MAX_PARTICLES = 10
@@ -118,17 +117,12 @@ class RegionFunction:
 
     Canonical invariant: every non-empty instance comes from ``build`` (the
     coefficient maps and ``add`` below return exactly what ``build`` would)
-    or is a chamber subset of one, as the one-chamber cut in the general
-    path of the wall sweep is.  So each chamber is sorted by ``_sort_key``,
-    holds no coefficient of magnitude at most ``DROP_TOL``, and consecutive
-    kappas are further apart than ``KAPPA_TOL`` -- unless ``build`` dropped
-    a term that sat between them, which ``_separated`` detects.  On a
-    separated chamber an operation that leaves the kappas unchanged needs no
-    re-sort or re-merge: re-merging it could only drop coefficients of at
-    most ``DROP_TOL``.  An operation that drops terms keeps a sub-layout,
-    which needs no re-merge either as long as it is separated too: two
-    kappas within ``KAPPA_TOL`` that a dropped term kept apart end up
-    adjacent, which ``_separated`` of the sub-layout detects.
+    or is a chamber subset of one.  So each chamber is sorted by
+    ``_sort_key``, holds no coefficient of magnitude at most ``DROP_TOL``,
+    and holds distinct kappas.  Every sub-layout of such a chamber is
+    canonical too, so an operation that keeps the kappas, or drops some of
+    their terms, needs no re-sort or re-merge: re-merging could only drop
+    coefficients of magnitude at most ``DROP_TOL``.
     """
 
     n: int
@@ -195,16 +189,16 @@ def _merge_groups(kappas: Sequence[tuple[complex, ...]]) -> _Groups:
     """Group positions as ``_merge_terms`` joins their kappas.
 
     Positions are sorted stably by ``_sort_key``; one joins the current group
-    when its kappa agrees componentwise within ``KAPPA_TOL`` with the group's
-    first, whose kappa the group keeps.  Only kappas are read, so the groups
-    serve any coefficients on the same kappa list.
+    when its kappa equals the group's first componentwise (a NaN component
+    equals nothing), and the group keeps the first kappa.  Only kappas are
+    read, so the groups serve any coefficients on the same kappa list.
     """
     keys = [_sort_key(k) for k in kappas]
     groups: list[tuple[int, list[int], tuple[complex, ...]]] = []
     ref = None
     for pos in sorted(range(len(kappas)), key=keys.__getitem__):
         kappa = kappas[pos]
-        if ref is not None and all(abs(k - r) <= KAPPA_TOL for k, r in zip(kappa, ref)):
+        if ref is not None and all(k == r for k, r in zip(kappa, ref)):
             groups[-1][1].append(pos)
         else:
             groups.append((pos, [], kappa))
@@ -238,7 +232,7 @@ def _sums_terms(sums: _Sums) -> tuple[ExpTerm, ...]:
 
 
 def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpTerm, ...]:
-    """Merge terms with kappa equal componentwise within KAPPA_TOL, drop tiny ones."""
+    """Merge terms with equal kappas, drop tiny ones."""
     coefs, kappas = [], []
     for c, kap in raw:
         coefs.append(complex(c))
@@ -246,33 +240,19 @@ def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpT
     return _sums_terms(_group_sums(_merge_groups(kappas), coefs))
 
 
-def _separated(terms: Iterable[tuple[complex, tuple[complex, ...]]]) -> bool:
-    """True when no two consecutive kappas agree componentwise within KAPPA_TOL."""
-    prev = None
-    for _, kappa in terms:
-        if prev is not None:
-            for k, r in zip(kappa, prev):
-                if abs(k - r) > KAPPA_TOL:
-                    break
-            else:
-                return False
-        prev = kappa
-    return True
-
-
 def _merge_parts(
     parts: Sequence[Sequence[tuple[complex, tuple[complex, ...]]]]
 ) -> tuple[ExpTerm, ...]:
     """``_merge_terms`` of the concatenated parts, each a sorted canonical chamber.
 
-    When every part holds the same kappas position by position and they are
-    separated, the stable sort puts each position's terms next to each other
+    When every part holds the same kappas position by position, which are
+    distinct, the stable sort puts each position's terms next to each other
     in part order, so the merge is a position-wise sum in that order; any
     other input takes the general merge.
     """
     first, rest = parts[0], parts[1:]
     kappas = [k for _, k in first]
-    if all([k for _, k in p] == kappas for p in rest) and _separated(first):
+    if all([k for _, k in p] == kappas for p in rest):
         out = []
         for i, (coef, kappa) in enumerate(first):
             acc = complex(coef)
@@ -311,19 +291,16 @@ def map_coefficients(
 ) -> RegionFunction:
     """Replace each coefficient by ``fn(region, term)``, keeping every kappa.
 
-    Equal to ``build`` of the mapped terms: on a separated chamber (see
-    ``RegionFunction``) that only drops coefficients of magnitude at most
-    ``DROP_TOL``, so nothing is sorted or merged; any other chamber takes
-    the general merge.
+    Equal to ``build`` of the mapped terms: a canonical chamber (see
+    ``RegionFunction``) holds distinct sorted kappas, so that only drops
+    coefficients of magnitude at most ``DROP_TOL`` and nothing is sorted or
+    merged.
     """
     terms = {}
     for r, ts in f.terms.items():
-        if _separated(ts):
-            mapped = tuple(
-                ExpTerm(c, t.kappa) for t in ts if not abs(c := complex(fn(r, t))) <= DROP_TOL
-            )
-        else:
-            mapped = _merge_terms((fn(r, t), t.kappa) for t in ts)
+        mapped = tuple(
+            ExpTerm(c, t.kappa) for t in ts if not abs(c := complex(fn(r, t))) <= DROP_TOL
+        )
         if mapped:
             terms[r] = mapped
     return RegionFunction(n=f.n, terms=terms)
@@ -340,19 +317,13 @@ def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
     terms = {}
     for region, ts in f.terms.items():
         us = g.terms.get(region)
-        merged = _merge_parts((ts, us)) if us else _pass_through(ts)
+        merged = _merge_parts((ts, us)) if us else ts
         if merged:
             terms[region] = merged
     for region, us in g.terms.items():
-        if region not in f.terms:
-            merged = _pass_through(us)
-            if merged:
-                terms[region] = merged
+        if region not in f.terms and us:
+            terms[region] = us
     return RegionFunction(n=f.n, terms=terms)
-
-
-def _pass_through(ts: tuple[ExpTerm, ...]) -> tuple[ExpTerm, ...]:
-    return ts if _separated(ts) else _merge_terms(ts)
 
 
 def scale(f: RegionFunction, z: complex) -> RegionFunction:
@@ -436,37 +407,27 @@ def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
     return worst
 
 
-class _Plan(NamedTuple):
-    """How one chamber kappa layout restricts to the wall of one pair (a, b).
-
-    ``groups`` are the ``_merge_groups`` of the reduced kappas, so any
-    coefficients on the layout restrict through ``_group_sums``; ``separated``
-    is ``_separated`` of the layout itself.
-    """
-
-    separated: bool
-    groups: _Groups
-
-
-def _make_plan(layout: tuple[tuple[complex, ...], ...], a: int, b: int) -> _Plan:
+def _make_plan(layout: tuple[tuple[complex, ...], ...], a: int, b: int) -> _Groups:
     """The wall reduction, the only one in the calculus: substitute x_b := x_a.
 
     The reduced variables are x_1 .. x_N with x_b deleted and kappa_a merged
     to kappa_a + kappa_b, so sums restricted from either side of the wall
-    are directly comparable term by term once merged by tolerance.
+    are directly comparable term by term once merged.  The plan is the
+    ``_merge_groups`` of the reduced kappas, so any coefficients on the
+    layout restrict through ``_group_sums``.
     """
     reduced = []
     for kappa in layout:
         kap = list(kappa)
         kap[a - 1] = kap[a - 1] + kap[b - 1]
         reduced.append(tuple(complex(k) for j, k in enumerate(kap) if j != b - 1))
-    return _Plan(_separated((None, k) for k in layout), _merge_groups(reduced))
+    return _merge_groups(reduced)
 
 
 def _restrict(terms: Sequence[ExpTerm], a: int, b: int) -> _Sums:
     """One chamber's limit on the wall x_a = x_b, through a plan of its own layout."""
-    plan = _make_plan(tuple(t.kappa for t in terms), a, b)
-    return _group_sums(plan.groups, [complex(t.coef) for t in terms])
+    groups = _make_plan(tuple(t.kappa for t in terms), a, b)
+    return _group_sums(groups, [complex(t.coef) for t in terms])
 
 
 def _same_kappas(groups: _Groups, other: "_Groups | None") -> bool:
@@ -484,7 +445,7 @@ def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
     """Max coefficient of ``_merge_parts`` of the restrictions, each scaled by its weight.
 
     Restrictions whose groups keep equal kappas, with no sum dropped, hold
-    those kappas, which are separated by construction, so ``_merge_parts``
+    those kappas, which are distinct by construction, so ``_merge_parts``
     would sum them position by position; that sum is done here directly.
     The groups may come from different plans: the two chambers of a wall
     usually hold different kappas that reduce to the same ones.  A NaN sum
@@ -507,8 +468,8 @@ def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
 
 def _wall_derivative(
     coefs: Sequence[complex], layout: Sequence[tuple[complex, ...]], a: int, b: int
-) -> tuple[tuple[int, ...] | None, list[complex]] | None:
-    """(d/dx_a - d/dx_b) on one separated chamber: (kept positions, coefficients).
+) -> tuple[tuple[int, ...] | None, list[complex]]:
+    """(d/dx_a - d/dx_b) on one chamber: (kept positions, coefficients).
 
     Follows ``add(differentiate(f, a), scale(differentiate(f, b), -1.0))``
     drop by drop.  The d/dx_a image drops the positions where
@@ -516,24 +477,20 @@ def _wall_derivative(
     |c*kappa_b| <= ``DROP_TOL`` (a NaN is kept); a position held by both sums
     complex(c*kappa_a) + -1.0 * complex(c*kappa_b) in that order, one held
     by one image passes its coefficient through, and a sum of magnitude at
-    most ``DROP_TOL`` drops.  The positions are None when every term is
-    kept, so the chamber's own plan restricts the result.
+    most ``DROP_TOL`` drops.  The chamber's kappas are distinct, so both
+    images and their union are canonical sub-layouts and the chain sums
+    position by position.  The positions are None when every term is kept,
+    so the chamber's own plan restricts the result.
 
-    The chain only sums position by position while the d/dx_b image and the
-    union of both images are separated (see ``RegionFunction``); a dropped
-    term can leave two kappas within ``KAPPA_TOL`` adjacent in either, which
-    the chain would re-merge, so then None is returned.  The coefficients
-    are Python complex numbers, so every product already is one and
-    ``complex()`` would return it unchanged.  ``scale``'s own drop test on
-    -1.0 * (c*kappa_b) is the test on c*kappa_b: negating changes no
+    The coefficients are Python complex numbers, so every product already is
+    one and ``complex()`` would return it unchanged.  ``scale``'s own drop
+    test on -1.0 * (c*kappa_b) is the test on c*kappa_b: negating changes no
     magnitude, and an infinite or NaN part stays so.
     """
     ia, ib = a - 1, b - 1
     tol = DROP_TOL
     out: list[complex] = []
-    b_gaps: list[int] = []  # positions missing from the d/dx_b image
-    u_gaps: list[int] = []  # positions missing from both images
-    dropped: list[int] = []  # positions whose sum drops
+    skip: list[int] = []  # positions missing from both images, or whose sum drops
     for coef, kappa in zip(coefs, layout):
         da = coef * kappa[ia]
         db = coef * kappa[ib]
@@ -543,34 +500,19 @@ def _wall_derivative(
                 acc += -1.0 * db
             else:
                 acc = -1.0 * db
+        elif not abs(da) <= tol:
+            acc = da
         else:
-            # every earlier position went to exactly one of out, dropped, u_gaps
-            pos = len(out) + len(dropped) + len(u_gaps)
-            b_gaps.append(pos)
-            if not abs(da) <= tol:
-                acc = da
-            else:
-                u_gaps.append(pos)
-                continue
+            skip.append(len(out) + len(skip))
+            continue
         if not abs(acc) <= tol:
             out.append(acc)
         else:
-            dropped.append(len(out) + len(dropped) + len(u_gaps))
-    if b_gaps:
-        if u_gaps and not _separated_without(layout, u_gaps):
-            return None
-        if len(b_gaps) > len(u_gaps) and not _separated_without(layout, b_gaps):
-            return None
-    if not u_gaps and not dropped:
+            skip.append(len(out) + len(skip))
+    if not skip:
         return None, out
-    skip = set(u_gaps).union(dropped)
-    return tuple(pos for pos in range(len(layout)) if pos not in skip), out
-
-
-def _separated_without(layout: Sequence[tuple[complex, ...]], gaps: Sequence[int]) -> bool:
-    """``_separated`` of the sub-layout left when the positions ``gaps`` are taken out."""
-    skip = set(gaps)
-    return _separated((None, kappa) for pos, kappa in enumerate(layout) if pos not in skip)
+    gone = set(skip)
+    return tuple(pos for pos in range(len(layout)) if pos not in gone), out
 
 
 def _coupling_matrices(
@@ -596,7 +538,6 @@ class _Chamber(NamedTuple):
 
     layout_id: int  # equal kappa layouts get one id per sweep
     layout: tuple[tuple[complex, ...], ...]
-    terms: tuple[ExpTerm, ...]
     coefs: list[complex]
 
 
@@ -608,14 +549,12 @@ def _sweep(
     """The residual engine of ``matching_residuals`` and ``wall_residuals``.
 
     Only the walls' chambers are read, each one's kappa layout once.  Each
-    (layout, pair) gets one ``_Plan``, shared by every chamber and component
-    holding that layout, which restricts both f and its wall derivative
-    there.  A wall derivative that drops terms (``_wall_derivative``) holds
-    a sub-layout of its chamber, which gets an id and plans of its own the
-    same way.  Plans live for this call only.  Only a derivative the chain
-    would re-merge by tolerance (a non-separated chamber, or a dropped term
-    that leaves two close kappas adjacent) is built and restricted the
-    general way.
+    (layout, pair) gets one plan (``_make_plan``), shared by every chamber
+    and component holding that layout, which restricts both f and its wall
+    derivative there.  A wall derivative that drops terms
+    (``_wall_derivative``) holds a sub-layout of its chamber, which gets an
+    id and plans of its own the same way.  Plans live for this call only,
+    and no derivative is ever built as a function.
     """
     mats = _coupling_matrices(couplings, (iface.pair for iface in walls), len(funcs))
     read = {region for iface in walls for region in (iface.left, iface.right)}
@@ -628,11 +567,11 @@ def _sweep(
             if ts is not None:
                 layout = tuple(t.kappa for t in ts)
                 layout_id = layout_ids.setdefault(layout, len(layout_ids))
-                own[region] = _Chamber(layout_id, layout, ts, [complex(t.coef) for t in ts])
+                own[region] = _Chamber(layout_id, layout, [complex(t.coef) for t in ts])
         chambers.append(own)
-    plans: dict[tuple[int, tuple[int, int]], _Plan] = {}
+    plans: dict[tuple[int, tuple[int, int]], _Groups] = {}
 
-    def plan_of(layout_id: int, layout, pair: tuple[int, int]) -> _Plan:
+    def plan_of(layout_id: int, layout, pair: tuple[int, int]) -> _Groups:
         key = (layout_id, pair)
         plan = plans.get(key)
         if plan is None:
@@ -642,23 +581,16 @@ def _sweep(
     def restrict(chamber: _Chamber | None, pair: tuple[int, int]) -> _Sums:
         if chamber is None:
             return None, ()
-        return _group_sums(plan_of(chamber.layout_id, chamber.layout, pair).groups, chamber.coefs)
+        return _group_sums(plan_of(chamber.layout_id, chamber.layout, pair), chamber.coefs)
 
-    def restrict_derivative(chamber: _Chamber | None, region: Region, pair) -> _Sums:
+    def restrict_derivative(chamber: _Chamber | None, pair: tuple[int, int]) -> _Sums:
         if chamber is None:
             return None, ()
-        plan = plan_of(chamber.layout_id, chamber.layout, pair)
-        if plan.separated:
-            derivative = _wall_derivative(chamber.coefs, chamber.layout, *pair)
-            if derivative is not None:
-                kept, coefs = derivative
-                if kept is not None:
-                    sub = tuple(chamber.layout[i] for i in kept)
-                    plan = plan_of(layout_ids.setdefault(sub, len(layout_ids)), sub, pair)
-                return _group_sums(plan.groups, coefs)
-        local = RegionFunction(n=len(region.order), terms={region: chamber.terms})
-        d = add(differentiate(local, pair[0]), scale(differentiate(local, pair[1]), -1.0))
-        return _restrict(d.region_terms(region), *pair)
+        kept, coefs = _wall_derivative(chamber.coefs, chamber.layout, *pair)
+        if kept is None:
+            return _group_sums(plan_of(chamber.layout_id, chamber.layout, pair), coefs)
+        sub = tuple(chamber.layout[i] for i in kept)
+        return _group_sums(plan_of(layout_ids.setdefault(sub, len(layout_ids)), sub, pair), coefs)
 
     continuity = jump = 0.0
     for iface in walls:
@@ -676,8 +608,8 @@ def _sweep(
             bases.append(left)
         for i, (left_ch, right_ch) in enumerate(sides):
             parts = [
-                (1.0, restrict_derivative(right_ch, iface.right, pair)),
-                (-1.0, restrict_derivative(left_ch, iface.left, pair)),
+                (1.0, restrict_derivative(right_ch, pair)),
+                (-1.0, restrict_derivative(left_ch, pair)),
             ]
             for j in range(len(funcs)):
                 cij = mat[i, j]

@@ -236,9 +236,7 @@ class EigenstateReport:
         return self.bulk_residual <= self.tol and self.interface_residual <= self.tol
 
 
-def verify_eigenstate(
-    s: SpinorFunction, e: float, sp: Superpotential, tol: float = EIGENSTATE_TOL
-) -> EigenstateReport:
+def verify_eigenstate(s: SpinorFunction, e: float, sp: Superpotential) -> EigenstateReport:
     """Check H s = E s as bulk-per-chamber plus jump-per-wall residuals.
 
     Bulk: every exponential term must satisfy -sum_j kappa_j^2 + shift = E.
@@ -259,7 +257,7 @@ def verify_eigenstate(
     comps = [s.component(mask) for mask in sector.masks]
     wall = pw.matching_residuals(comps, sector.couplings)[1]
     return EigenstateReport(
-        grade=grade, energy=e, bulk_residual=bulk, interface_residual=wall, tol=tol
+        grade=grade, energy=e, bulk_residual=bulk, interface_residual=wall, tol=EIGENSTATE_TOL
     )
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from slly import bethe, cli, susy
+from slly import bethe, cli, lattice, susy
 from slly import piecewise as pw
 from slly.errors import DiscontinuityError
 
@@ -184,6 +184,11 @@ class TestMaxima:
         sp = susy.Superpotential(n=3, c=1.2)
         rep = susy.verify_eigenstate(susy.zero_mode_alternating(sp), NAN, sp)
         assert math.isnan(rep.bulk_residual) and not rep.accepted
+
+    @pytest.mark.parametrize("box", [NAN, INF, -INF])
+    def test_grid_refuses_a_non_finite_box(self, box):
+        with pytest.raises(ValueError, match="finite"):
+            lattice.Grid(box=box, points=16, n=2)
 
     def test_reports_fail_on_nan(self):
         assert not bethe.MatchingReport(0.0, NAN, 0.0).passed()

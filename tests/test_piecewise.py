@@ -1,6 +1,7 @@
 """Chamber calculus: enumeration, signs, derivatives, restrictions, matching."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slly import bethe, susy
+from slly import bethe, cli, susy
 from slly import piecewise as pw
 from slly.errors import AmbiguousPointError, DiscontinuityError
 
@@ -20,10 +21,9 @@ def plane_wave(n, kappa, coef=1.0):
 def canonicalize(f):
     """Re-merge and re-sort every chamber with ``build``.
 
-    Idempotent on separated chambers (see ``RegionFunction``) only: where
-    ``build`` dropped a term that sorted between two kappas within
-    ``KAPPA_TOL``, re-merging joins those two, so the canonical form of a
-    function can depend on how it was built.
+    Kappas are identified only when equal, so a canonical chamber holds
+    distinct sorted kappas and this returns every canonical function
+    unchanged: ``build`` is idempotent.
     """
     return pw.build(f.n, {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()})
 
@@ -238,9 +238,9 @@ class TestRestriction:
                 assert all(type(t.coef) is complex for t in got)
 
     def test_restriction_inputs_reach_every_branch(self):
-        """The random chambers merge on the wall, drop sums and include non-separated ones."""
+        """The random chambers merge on the wall and drop sums."""
         rng = np.random.default_rng(4)
-        chambers = merged = dropped = unseparated = 0
+        chambers = merged = dropped = 0
         for _ in range(40):
             for iface in pw.interfaces(3):
                 f = _wall_chambers(rng, iface)
@@ -250,9 +250,7 @@ class TestRestriction:
                     chambers += 1
                     merged += len(old_restrict(f, iface, side)) < len(ts)
                     dropped += groups is None
-                    unseparated += not pw._separated(ts)
         assert merged > chambers // 4 and dropped > chambers // 10
-        assert 5 < unseparated < chambers // 2
 
     def test_linearity(self):
         import numpy as np
@@ -485,17 +483,40 @@ class TestWallLocalKernel:
             susy.verify_eigenstate(susy.SpinorFunction(3, broken), 0.0, sp)
 
 
-#: offsets of the first kappa component around KAPPA_TOL (1e-12): near-equal
-#: kappas merge or stay apart depending on which side of the tolerance they fall
+#: offsets of the first kappa component below and around 1e-12: near-equal
+#: kappas that identification by a tolerance of that size would merge
 NEAR_TOL = (0.0, 0.4e-12, 0.9e-12, 1.0e-12, 1.1e-12, 1.6e-12, 2.5e-12)
+
+#: chambers (particle count, left, right of the first wall) holding kappas
+#: under 1e-12 apart with a term between them that drops: in ``build``, or
+#: from both images of the wall derivative, or from its d/dx_b image only
+NEAR_DUPLICATES = {
+    "dropped-by-build": (
+        2, [(1.0, (0j, 0j)), (1e-15, (0.3e-12 + 0j, 3 + 0j)), (2.0, (0.6e-12 + 0j, 0j))], None
+    ),
+    "union": (
+        3,
+        [(1.0, (-0.5e-12 + 0j, 1.0 + 0j, 0j)), (1.0, (0j, 0j, 5 + 0j)),
+         (1.0, (0.4e-12 + 0j, 1.0 + 0.5e-12 + 0j, 0j))],
+        [(1.0, (-0.5e-12 + 0j, 1.0 + 0j, 0j)), (1.0, (0.01j, -0.01j, 5 + 0j)),
+         (1.0, (0.4e-12 + 0j, 1.0 + 0.5e-12 + 0j, 0j))],
+    ),
+    "b-image": (
+        3,
+        [(1.0, (-0.5e-12 + 0j, 1.0 + 0j, 0j)), (1.0, (2j, 0j, 5 + 0j)),
+         (1.0, (0.4e-12 + 0j, 1.0 + 0.5e-12 + 0j, 0j))],
+        [(1.0, (-0.5e-12 + 0j, 1.0 + 0j, 0j)), (1.0, (1.5j, 0.5j, 5 + 0j)),
+         (1.0, (0.4e-12 + 0j, 1.0 + 0.5e-12 + 0j, 0j))],
+    ),
+}
 
 
 def _kappa_pool(rng, n):
-    """Random kappas with exact zero components and near-duplicates around KAPPA_TOL.
+    """Random kappas with exact zero components and near-duplicates (``NEAR_TOL``).
 
     A near-duplicate shifts the real part of the first component of a base
     kappa by one of ``NEAR_TOL``; some also move another component far away,
-    so they sort between a base and its close neighbour without merging.
+    so they sort between a base and its close neighbour.
     """
     pool = []
     for _ in range(int(rng.integers(1, 4))):
@@ -630,34 +651,40 @@ class TestCanonicalFastPaths:
         assert pw._merge_parts(scaled) == pw._merge_terms([t for p in scaled for t in p])
 
     def test_inputs_reach_both_branches(self):
-        """The random inputs take the fast paths, the general merge and the drops."""
+        """The random inputs take the position-wise sums, the general merge and the drops."""
         rng = np.random.default_rng(5)
-        chambers = unseparated = shared = dropped = 0
+        chambers = shared = dropped = 0
         for _ in range(300):
             f, g = _canonical_pair(rng, 3)
             df = pw.differentiate(f, 2)
             for region, ts in f.terms.items():
                 chambers += 1
-                unseparated += not pw._separated(ts)
                 us = g.terms.get(region, ())
                 shared += [t.kappa for t in us] == [t.kappa for t in ts]
                 dropped += len(df.region_terms(region)) < len(ts)
-        assert 0 < unseparated < chambers // 2
         assert shared > chambers // 10 and dropped > chambers // 10
 
-    def test_non_separated_chamber_takes_the_general_merge(self):
-        """``build`` can leave two close kappas adjacent when it drops the term between them."""
-        region = pw.Region((1, 2))
-        near, apart, close = (0j, 0j), (0.3e-12 + 0j, 3 + 0j), (0.6e-12 + 0j, 0j)
-        f = pw.build(2, {region: [(1.0, near), (1e-15, apart), (2.0, close)]})
-        ts = f.terms[region]
-        assert [t.kappa for t in ts] == [near, close] and not pw._separated(ts)
-        # re-merging joins the two: every operation must do what build does
-        assert canonicalize(f).terms[region] == (pw.ExpTerm(3.0 + 0j, near),)
+    @pytest.mark.parametrize("case", list(NEAR_DUPLICATES), ids=list(NEAR_DUPLICATES))
+    def test_near_duplicates_stay_two_terms(self, case):
+        """Kappas under 1e-12 apart never merge, whatever term sat between them."""
+        n, left, right = NEAR_DUPLICATES[case]
+        iface = pw.interfaces(n)[0]
+        data = {iface.left: left} if right is None else {iface.left: left, iface.right: right}
+        f = pw.build(n, data)
+        assert canonicalize(f) == f
+        for region, raw in data.items():
+            kept = sorted((k for c, k in raw if abs(c) > pw.DROP_TOL), key=pw._sort_key)
+            assert [t.kappa for t in f.terms[region]] == kept
         assert pw.scale(f, 2.0).terms == old_scale(f, 2.0).terms
-        assert pw.add(f, pw.zero_function(2)).terms == old_add(f, pw.zero_function(2)).terms
+        assert pw.add(f, pw.zero_function(n)).terms == old_add(f, pw.zero_function(n)).terms
         assert pw.add(f, f).terms == old_add(f, f).terms
-        assert pw.differentiate(f, 1).terms == old_differentiate(f, 1).terms
+        for j in range(1, n + 1):
+            assert pw.differentiate(f, j).terms == old_differentiate(f, j).terms
+        couplings = {iface.pair: [[0.5]]}
+        assert_same_outcome(
+            lambda: pw.wall_residuals([f], iface, couplings[iface.pair]),
+            lambda: reference_sweep([f], couplings, [iface]),
+        )
 
 
 def reference_sweep(funcs, couplings, walls=None):
@@ -691,8 +718,8 @@ def _bethe_momenta(rng, n):
     """Complex momenta; some equal, zero, or a NEAR_TOL step apart.
 
     Equal momenta give terms with kappa_a == kappa_b, whose wall derivative
-    vanishes; a zero momentum gives kappa_a == 0; near-equal ones give kappas
-    that merge, or that stay apart only while a term between them survives.
+    vanishes; a zero momentum gives kappa_a == 0; near-equal ones give
+    distinct kappas closer than 1e-12.
     """
     ks = []
     for _ in range(n):
@@ -710,8 +737,7 @@ def _bethe_momenta(rng, n):
 def _bethe_like(rng, n, ks):
     """``bethe_sum`` with random exchange coefficients.
 
-    Any coefficients give a function that is continuous on every wall
-    (unless near-equal kappas merge differently on the two sides), and
+    Any coefficients give a function that is continuous on every wall, and
     every chamber holds permutations of one kappa set, so the chambers share
     kappa layouts unless a tiny coefficient (dropped by ``build``, or by the
     derivative) removes a different term on each of them.
@@ -819,46 +845,54 @@ class TestPlanSweep:
             pw.matching_residuals([], {})
 
     @pytest.mark.parametrize(
-        "left, right",
+        "left, right, expected",
         [
             # c*kappa_a (right) and c*kappa_b (left) drop but are not zero
-            ([(1.0, (2.0, 1e-15))], [(1.0, (1e-15, 2.0))]),
-            # kappa_a == kappa_b: the first of three wall-merging terms has a zero
-            # derivative; without it the other two merge into one group
+            ([(1.0, (2.0, 1e-15))], [(1.0, (1e-15, 2.0))], (0.0, 4.5)),
+            # kappa_a == kappa_b: the first of three terms that reduce to within
+            # 1e-12 of each other has a zero derivative; the reduced kappas are
+            # distinct, so the two chambers do not meet on the wall
             (
                 [(1.0, (-1.5 + 1.2e-12, 2.5))],
                 [(1.0, (0.5, 0.5)), (-1.0, (1.5, -0.5 + 0.6e-12)), (1.0, (2.5, -1.5 + 1.2e-12))],
+                None,
             ),
-            # non-separated chambers: a dropped term sat between two kappas within
-            # KAPPA_TOL, which the derivative's re-merge joins
+            # a dropped term sat between two kappas under 1e-12 apart
             (
                 [(1.0, (0.25, 1.0)), (1e-15, (0.25 + 0.3e-12, 4.0)),
                  (1.0, (0.25 + 0.6e-12, 1.0 + 0.6e-12))],
                 [(1.0, (1.0, 0.25)), (1e-15, (1.0 + 0.3e-12, 3.0)),
                  (1.0, (1.0 + 0.6e-12, 0.25 + 0.6e-12))],
+                (0.0, 1.0),
             ),
         ],
         ids=["tiny-derivative", "zero-derivative-leads-a-group", "non-separated"],
     )
-    def test_fallbacks_decide_the_jump(self, left, right):
-        """Taking the plan where the general path is due changes the worst jump here."""
+    def test_derivative_drops_equal_the_reference(self, left, right, expected):
+        """The wall derivative's drops decide the jump, or the chambers do not meet."""
         iface = pw.interfaces(2)[0]
         f = pw.build(2, {iface.left: left, iface.right: right})
         couplings = {(1, 2): [[0.5]]}
-        continuity, jump = reference_sweep([f], couplings)
-        assert continuity <= pw.JUMP_CONTINUITY_TOL and jump > 1.0
-        assert pw.matching_residuals([f], couplings) == (continuity, jump)
+        if expected is None:
+            with pytest.raises(DiscontinuityError):
+                reference_sweep([f], couplings)
+        else:
+            assert reference_sweep([f], couplings) == expected
+        assert_same_outcome(
+            lambda: pw.matching_residuals([f], couplings),
+            lambda: reference_sweep([f], couplings),
+        )
 
     def test_inputs_reach_every_branch(self):
-        """Shared plans, own plans, derivative drops, non-separated chambers, discontinuities.
+        """Shared plans, own plans, derivative drops, discontinuities.
 
-        A derivative that drops a term restricts through the plan of its kept
-        sub-layout, unless a dropped term leaves two close kappas adjacent in
-        an image, which takes the general path; both are counted.
+        A derivative whose chain drops a term is counted, with whether the
+        wall derivative equals that chain and whether it keeps a sub-layout,
+        which restricts through a plan of its own.
         """
         rng = np.random.default_rng(3)
-        shared_layouts = own_layouts = unseparated = chambers = broken = 0
-        counts = {"drops": 0, "plan": 0, "general": 0}
+        shared_layouts = own_layouts = chambers = broken = 0
+        counts = {"drops": 0, "plan": 0, "sub-layout": 0}
         for _ in range(60):
             n = int(rng.choice([2, 3, 3, 4]))
             funcs, couplings = _sweep_case(rng, n, int(rng.integers(1, 4)))
@@ -868,27 +902,28 @@ class TestPlanSweep:
             for f in funcs:
                 for ts in f.terms.values():
                     chambers += 1
-                    unseparated += not pw._separated(ts)
                     _count_derivative_drops(ts, (1, 2), counts)
             try:
                 reference_sweep(_break_continuity(rng, funcs), couplings)
             except DiscontinuityError:
                 broken += 1
         assert shared_layouts > 30 and own_layouts > 5
-        assert 0 < unseparated < chambers // 4
         assert counts["drops"] > chambers // 10 and broken > 30
-        assert counts["plan"] > chambers // 10 and counts["general"] > 3
-        planted = {"drops": 0, "plan": 0, "general": 0}
+        assert counts["plan"] > chambers // 10 and counts["plan"] == counts["drops"]
+        assert counts["sub-layout"] > 50
+        planted = {"drops": 0, "plan": 0, "sub-layout": 0}
         for _ in range(200):
             iface = pw.interfaces(4)[int(rng.integers(36))]
             f = _planted_at(rng, iface, _planted_pool(rng, 4, iface.pair))
             for region in (iface.left, iface.right):
                 _count_derivative_drops(f.region_terms(region), iface.pair, planted)
-        assert planted["plan"] > 100 and planted["general"] > 5
+        assert planted["plan"] > 100 and planted["plan"] == planted["drops"]
+        assert planted["sub-layout"] > 100
 
 
 def _count_derivative_drops(terms, pair, counts):
-    """Count a chamber whose derivative chain drops a term, and the path it takes."""
+    """Count a chamber whose derivative chain drops a term, whether the wall
+    derivative equals that chain, and whether it keeps a sub-layout."""
     a, b = pair
     for t in terms:
         da, db = t.coef * t.kappa[a - 1], t.coef * t.kappa[b - 1]
@@ -897,9 +932,14 @@ def _count_derivative_drops(terms, pair, counts):
             break
     else:
         return
-    if pw._separated(terms):
-        coefs, layout = [t.coef for t in terms], [t.kappa for t in terms]
-        counts["plan" if pw._wall_derivative(coefs, layout, a, b) else "general"] += 1
+    layout = [t.kappa for t in terms]
+    kept, coefs = pw._wall_derivative([t.coef for t in terms], layout, a, b)
+    region = pw.Region(tuple(range(1, len(layout[0]) + 1)))
+    chamber = pw.RegionFunction(len(layout[0]), {region: tuple(terms)})
+    chain = pw.add(pw.differentiate(chamber, a), pw.scale(pw.differentiate(chamber, b), -1.0))
+    sub = layout if kept is None else [layout[i] for i in kept]
+    counts["plan"] += [tuple(t) for t in chain.region_terms(region)] == list(zip(coefs, sub))
+    counts["sub-layout"] += kept is not None
 
 
 #: planted kappa components: c*kappa_j drops for coefficients of order one
@@ -930,9 +970,9 @@ def _planted_at(rng, iface, pool):
 
     The left chamber gets each pool kappa with a random coefficient; the
     right one repeats those terms and adds pairs d*(exp(kappa.x) -
-    exp(kappa'.x)), kappa' the a<->b swap, which vanish on the wall.  So the
-    function is continuous there unless near-duplicates merge differently
-    on the two sides.
+    exp(kappa'.x)), kappa' the a<->b swap, which vanish on the wall: kappa
+    and kappa' reduce to the same kappa exactly, since float addition
+    commutes.  So the function is continuous there.
     """
     a, b = iface.pair
     left = [(complex(rng.standard_normal(), rng.standard_normal()), k) for k in pool]
@@ -973,35 +1013,6 @@ class TestDerivativeDrops:
             lambda: reference_sweep(funcs, {iface.pair: coupling}, [iface]),
         )
 
-    @pytest.mark.parametrize(
-        "middle, right_middle",
-        [
-            # the middle term leaves both images: the union holds k1, k3 adjacent
-            ((0j, 0j, 5 + 0j), (0.01j, -0.01j, 5 + 0j)),
-            # the middle term leaves the d/dx_b image only, which holds k1, k3 adjacent
-            ((2j, 0j, 5 + 0j), (1.5j, 0.5j, 5 + 0j)),
-        ],
-        ids=["union", "b-image"],
-    )
-    def test_dropped_term_between_near_duplicates_takes_the_general_path(
-        self, middle, right_middle
-    ):
-        """Position-wise sums would keep k1 and k3 apart; the chain merges them."""
-        iface = next(i for i in pw.interfaces(3) if i.left.order == (1, 2, 3))
-        k1 = (-0.5e-12 + 0j, 1.0 + 0j, 0j)
-        k3 = (0.4e-12 + 0j, 1.0 + 0.5e-12 + 0j, 0j)
-        f = pw.build(3, {
-            iface.left: [(1.0, k1), (1.0, middle), (1.0, k3)],
-            # same wall limit; its middle term drops from neither image
-            iface.right: [(1.0, k1), (1.0, right_middle), (1.0, k3)],
-        })
-        ts = f.terms[iface.left]
-        assert pw._separated(ts)
-        assert pw._wall_derivative([t.coef for t in ts], [t.kappa for t in ts], 1, 2) is None
-        continuity, jump = reference_sweep([f], {(1, 2): [[0.5]]}, [iface])
-        assert continuity == 0.0 and jump > 1.0
-        assert pw.wall_residuals([f], iface, [[0.5]]) == (continuity, jump)
-
     @pytest.mark.parametrize("make", [susy.zero_mode_top, susy.zero_mode_alternating])
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_n_zero_modes_equal_the_reference(self, n, make):
@@ -1022,17 +1033,29 @@ class TestDerivativeDrops:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_zero_modes_never_build_a_derivative(self, n, monkeypatch):
+        """No input makes the sweep build a derivative; zero modes never take a general merge."""
         sp = susy.Superpotential(n=n, c=1.05)
         cases = []
         for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
             masks, couplings = _wall_couplings(sp, mode.pure_grade())
             cases.append(([mode.component(mask) for mask in masks], couplings))
+        rng = np.random.default_rng(n)
+        planted = []
+        for _ in range(40):
+            iface = pw.interfaces(n)[int(rng.integers(len(pw.interfaces(n))))]
+            pool = _planted_pool(rng, n, iface.pair)
+            funcs = [_planted_at(rng, iface, pool) for _ in range(2)]
+            planted.append((funcs, iface, _random_coupling(rng, 2)))
 
         def refuse(*args):
             raise AssertionError("the sweep left the plan path")
 
-        for name in ("differentiate", "add", "_merge_parts"):
+        for name in ("differentiate", "scale", "add"):
             monkeypatch.setattr(pw, name, refuse)
+        for funcs, iface, coupling in planted:
+            continuity, _ = pw.wall_residuals(funcs, iface, coupling)
+            assert continuity <= pw.JUMP_CONTINUITY_TOL
+        monkeypatch.setattr(pw, "_merge_parts", refuse)
         for comps, couplings in cases:
             continuity, jump = pw.matching_residuals(comps, couplings)
             assert continuity <= pw.JUMP_CONTINUITY_TOL and jump <= susy.EIGENSTATE_TOL
@@ -1045,6 +1068,89 @@ class TestDerivativeDrops:
         report = bethe.matching_report(state, c, bethe.energy(ks))
         assert report.passed()
         assert (report.max_continuity, report.max_jump) == reference_sweep([state], couplings)
+
+
+#: the componentwise tolerance within which the calculus once identified kappas
+OLD_KAPPA_TOL = 1e-12
+
+
+def tolerance_merge_groups(kappas):
+    """``pw._merge_groups`` identifying kappas within ``OLD_KAPPA_TOL`` componentwise."""
+    keys = [pw._sort_key(k) for k in kappas]
+    groups = []
+    ref = None
+    for pos in sorted(range(len(kappas)), key=keys.__getitem__):
+        kappa = kappas[pos]
+        if ref is not None and all(abs(k - r) <= OLD_KAPPA_TOL for k, r in zip(kappa, ref)):
+            groups[-1][1].append(pos)
+        else:
+            groups.append((pos, [], kappa))
+            ref = kappa
+    return tuple((first, tuple(rest), kappa) for first, rest, kappa in groups)
+
+
+def _plan_every_wall(f, planned):
+    """Make the plans a sweep makes on every wall of ``f``, for a spy on ``_merge_groups``."""
+    for iface in pw.interfaces(f.n):
+        for region in (iface.left, iface.right):
+            ts = f.region_terms(region)
+            if not ts:
+                continue
+            layout = tuple(t.kappa for t in ts)
+            kept, _ = pw._wall_derivative([t.coef for t in ts], layout, *iface.pair)
+            for sub in (layout, layout if kept is None else tuple(layout[i] for i in kept)):
+                if (sub, iface.pair) not in planned:
+                    planned.add((sub, iface.pair))
+                    pw._make_plan(sub, *iface.pair)
+
+
+class TestExactIdentity:
+    """Constructed states never hold two distinct kappas within ``OLD_KAPPA_TOL``."""
+
+    def test_constructed_states_merge_as_under_the_tolerance(self, monkeypatch):
+        merges = []
+        exact = pw._merge_groups
+
+        def both_rules(kappas):
+            groups = exact(kappas)
+            assert groups == tolerance_merge_groups(kappas)
+            merges.append(len(kappas))
+            return groups
+
+        monkeypatch.setattr(pw, "_merge_groups", both_rules)
+        rng = np.random.default_rng(12)
+        funcs = []
+        for n in range(2, 6):
+            for _ in range(2):
+                ks = sorted(rng.standard_normal(n).tolist(), reverse=True)
+                funcs.append(bethe.collision_state(ks, float(rng.uniform(-2.5, 2.5))))
+        funcs += [
+            bethe.dimer_state(0.3, -1.2),
+            bethe.trimer_state(-0.2, -0.9),
+            bethe.monomer_dimer_state(0.4, -0.7, -1.1),
+        ]
+        for n in range(2, 7):
+            sp = susy.Superpotential(n=n, c=1.05)
+            for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
+                funcs += mode.components.values()
+        for n in range(2, 5):
+            sp = susy.Superpotential(n=n, c=float(rng.uniform(0.2, 2.5)))
+            s = susy.random_spinor(sp, rng)
+            for image in (susy.apply_q(s, sp), susy.apply_q_dagger(s, sp),
+                          susy.apply_q(susy.apply_q_dagger(s, sp), sp)):
+                funcs += image.components.values()
+        built = len(merges)
+        planned = set()
+        for f in funcs:
+            _plan_every_wall(f, planned)
+        assert built > 1000 and len(merges) - built == len(planned) > 1000
+        assert max(merges) >= 120
+
+    def test_near_degenerate_momenta_match_exactly(self, capsys):
+        assert cli.main(["bethe", "collision", "--k=1.0,0.9999999999999", "--c", "1"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["max_jump_residual"] == 0.0
+        assert results["max_continuity_residual"] == 0.0
 
 
 class TestTracedEntryPoints:
