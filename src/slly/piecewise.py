@@ -12,16 +12,18 @@ normal derivative) all reduce to exact coefficient arithmetic.  No quadrature
 or discretisation enters anywhere in this module.
 
 Floating-point canonicalisation rules: two kappa vectors are identified when
-they are equal componentwise; terms whose coefficient magnitude falls below
-``DROP_TOL`` are discarded.  Points within ``HYPERPLANE_GAP`` of a
-hyperplane cannot be evaluated (the calculus defines hyperplane values only
-through one-sided limits).
+they are equal componentwise, so one holding a NaN is identified with
+nothing; terms whose coefficient magnitude is at most ``DROP_TOL`` are
+discarded.  Points within ``HYPERPLANE_GAP`` of a hyperplane cannot be
+evaluated (the calculus defines hyperplane values only through one-sided
+limits).
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
@@ -117,12 +119,18 @@ class RegionFunction:
 
     Canonical invariant: every non-empty instance comes from ``build`` (the
     coefficient maps and ``add`` below return exactly what ``build`` would)
-    or is a chamber subset of one.  So each chamber is sorted by
-    ``_sort_key``, holds no coefficient of magnitude at most ``DROP_TOL``,
-    and holds distinct kappas.  Every sub-layout of such a chamber is
-    canonical too, so an operation that keeps the kappas, or drops some of
-    their terms, needs no re-sort or re-merge: re-merging could only drop
-    coefficients of magnitude at most ``DROP_TOL``.
+    or is a chamber subset of one.  So each chamber holds no coefficient of
+    magnitude at most ``DROP_TOL`` and holds distinct kappas, sorted by
+    ``_sort_key``, followed by the kappas holding a NaN, which equal nothing
+    (not even themselves), in the order they came.  Every sub-layout of such
+    a chamber is canonical too, so an operation that keeps the kappas, or
+    drops some of their terms, needs no re-sort or re-merge: re-merging
+    could only drop coefficients of magnitude at most ``DROP_TOL``.
+
+    On a wall x_a = x_b the kappas reduce (``_reduce``), and the wall
+    residuals sum the reduced terms per distinct reduced kappa, in position
+    order within a chamber and in a fixed order of the chambers and
+    components (``wall_residuals``).
     """
 
     n: int
@@ -176,68 +184,41 @@ def _sort_key(kappa: tuple[complex, ...]) -> tuple[float, ...]:
     return tuple(key)
 
 
-#: positions of a kappa list grouped the way ``_merge_terms`` merges them:
-#: (first, rest, the kappa the group keeps) per group, in merge order
-_Groups = tuple[tuple[int, tuple[int, ...], tuple[complex, ...]], ...]
+def _holds_nan(kappa: Sequence[complex]) -> bool:
+    """True when a component of ``kappa`` has a NaN part.
 
-#: a merge's result: (groups, one sum per group) when no sum is at most
-#: ``DROP_TOL``, else (None, the terms that survive the drop)
-_Sums = tuple["_Groups | None", Sequence]
-
-
-def _merge_groups(kappas: Sequence[tuple[complex, ...]]) -> _Groups:
-    """Group positions as ``_merge_terms`` joins their kappas.
-
-    Positions are sorted stably by ``_sort_key``; one joins the current group
-    when its kappa equals the group's first componentwise (a NaN component
-    equals nothing), and the group keeps the first kappa.  Only kappas are
-    read, so the groups serve any coefficients on the same kappa list.
+    The sum is NaN then (and for inf - inf), so the componentwise test runs
+    only when the sum already is NaN.
     """
-    keys = [_sort_key(k) for k in kappas]
-    groups: list[tuple[int, list[int], tuple[complex, ...]]] = []
-    ref = None
-    for pos in sorted(range(len(kappas)), key=keys.__getitem__):
-        kappa = kappas[pos]
-        if ref is not None and all(k == r for k, r in zip(kappa, ref)):
-            groups[-1][1].append(pos)
-        else:
-            groups.append((pos, [], kappa))
-            ref = kappa
-    return tuple((first, tuple(rest), kappa) for first, rest, kappa in groups)
-
-
-def _group_sums(groups: _Groups, coefs: Sequence[complex]) -> _Sums:
-    """Sum each group's coefficients in merge order, as ``_merge_terms`` does."""
-    sums = []
-    complete = True
-    for first, rest, _ in groups:
-        acc = coefs[first]
-        for pos in rest:
-            acc += coefs[pos]
-        sums.append(acc)
-        if abs(acc) <= DROP_TOL:
-            complete = False
-    if complete:
-        return groups, sums
-    return None, tuple(
-        ExpTerm(acc, group[2]) for acc, group in zip(sums, groups) if not abs(acc) <= DROP_TOL
-    )
-
-
-def _sums_terms(sums: _Sums) -> tuple[ExpTerm, ...]:
-    groups, payload = sums
-    if groups is None:
-        return payload
-    return tuple(ExpTerm(acc, group[2]) for acc, group in zip(payload, groups))
+    total = sum(kappa)
+    return total != total and any(k != k for k in kappa)
 
 
 def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpTerm, ...]:
-    """Merge terms with equal kappas, drop tiny ones."""
-    coefs, kappas = [], []
+    """One canonical chamber from raw (coef, kappa) terms.
+
+    Terms whose kappas are equal componentwise sum in input order and keep
+    the first one's kappa; a sum of magnitude at most ``DROP_TOL`` drops, and
+    the rest sort by ``_sort_key``.  A kappa holding a NaN equals nothing, so
+    its term is never merged and goes after the sorted terms, in input
+    order.
+    """
+    sums: dict[tuple[complex, ...], complex] = {}
+    alone: list[ExpTerm] = []  # terms whose kappa holds a NaN
     for c, kap in raw:
-        coefs.append(complex(c))
-        kappas.append(tuple(complex(k) for k in kap))
-    return _sums_terms(_group_sums(_merge_groups(kappas), coefs))
+        c, kappa = complex(c), tuple(map(complex, kap))
+        if _holds_nan(kappa):
+            if not abs(c) <= DROP_TOL:
+                alone.append(ExpTerm(c, kappa))
+        elif kappa in sums:
+            sums[kappa] += c
+        else:
+            sums[kappa] = c
+    kept = sorted(
+        (ExpTerm(c, kappa) for kappa, c in sums.items() if not abs(c) <= DROP_TOL),
+        key=lambda t: _sort_key(t.kappa),
+    )
+    return (*kept, *alone)
 
 
 def _merge_parts(
@@ -246,13 +227,18 @@ def _merge_parts(
     """``_merge_terms`` of the concatenated parts, each a sorted canonical chamber.
 
     When every part holds the same kappas position by position, which are
-    distinct, the stable sort puts each position's terms next to each other
-    in part order, so the merge is a position-wise sum in that order; any
-    other input takes the general merge.
+    distinct and hold no NaN, ``_merge_terms`` sums each position's terms in
+    part order and keeps the order, so the merge is a position-wise sum; any
+    other input takes ``_merge_terms``.  A canonical chamber puts its NaN
+    kappas last, so its last kappa tells whether it holds one.
     """
     first, rest = parts[0], parts[1:]
     kappas = [k for _, k in first]
-    if all([k for _, k in p] == kappas for p in rest):
+    if (
+        kappas
+        and not _holds_nan(kappas[-1])
+        and all([k for _, k in p] == kappas for p in rest)
+    ):
         out = []
         for i, (coef, kappa) in enumerate(first):
             acc = complex(coef)
@@ -270,6 +256,9 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
     for region, raw in data.items():
         if region.n != n:
             raise ValueError("all regions must carry the same particle count")
+        raw = list(raw)
+        if any(len(kappa) != n for _, kappa in raw):
+            raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
         merged = _merge_terms(raw)
         if merged:
             terms[region] = merged
@@ -368,10 +357,13 @@ def evaluate(f: RegionFunction, x: Sequence[float]) -> complex:
 
     Points within HYPERPLANE_GAP of a hyperplane are rejected: the function
     value there is defined only through one-sided limits, so the caller must
-    pick a side explicitly.
+    pick a side explicitly.  A non-finite coordinate lies in no chamber and is
+    rejected too.
     """
     if len(x) != f.n:
         raise ValueError("point dimension mismatch")
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"point {tuple(x)} has a non-finite coordinate")
     order = tuple(sorted(range(1, f.n + 1), key=lambda j: x[j - 1]))
     xs = sorted(x)
     if any(xs[i + 1] - xs[i] <= HYPERPLANE_GAP for i in range(len(xs) - 1)):
@@ -388,10 +380,6 @@ def evaluate(f: RegionFunction, x: Sequence[float]) -> complex:
 # interface restrictions and matching residuals
 # ---------------------------------------------------------------------------
 
-def _sum_scale(terms: Iterable[ExpTerm], z: complex):
-    return [(z * t.coef, t.kappa) for t in terms]
-
-
 def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
     """Largest |coef|, 0.0 for no terms; NaN when any coefficient is NaN.
 
@@ -407,59 +395,63 @@ def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
     return worst
 
 
-def _make_plan(layout: tuple[tuple[complex, ...], ...], a: int, b: int) -> _Groups:
+def _reduce(kappa: Sequence[complex], a: int, b: int) -> tuple[complex, ...]:
     """The wall reduction, the only one in the calculus: substitute x_b := x_a.
 
     The reduced variables are x_1 .. x_N with x_b deleted and kappa_a merged
-    to kappa_a + kappa_b, so sums restricted from either side of the wall
-    are directly comparable term by term once merged.  The plan is the
-    ``_merge_groups`` of the reduced kappas, so any coefficients on the
-    layout restrict through ``_group_sums``.
+    to kappa_a + kappa_b, so limits taken from either side of the wall are
+    directly comparable term by term once equal reduced kappas are merged.
     """
-    reduced = []
-    for kappa in layout:
-        kap = list(kappa)
-        kap[a - 1] = kap[a - 1] + kap[b - 1]
-        reduced.append(tuple(complex(k) for j, k in enumerate(kap) if j != b - 1))
-    return _merge_groups(reduced)
+    kap = list(kappa)
+    kap[a - 1] += kap[b - 1]
+    del kap[b - 1]
+    return tuple(kap)
 
 
-def _restrict(terms: Sequence[ExpTerm], a: int, b: int) -> _Sums:
-    """One chamber's limit on the wall x_a = x_b, through a plan of its own layout."""
-    groups = _make_plan(tuple(t.kappa for t in terms), a, b)
-    return _group_sums(groups, [complex(t.coef) for t in terms])
+#: a wall restriction: reduced-kappa id -> summed coefficient
+_Restriction = dict[int, complex]
 
 
-def _same_kappas(groups: _Groups, other: "_Groups | None") -> bool:
-    """True when ``other`` keeps the same kappas as ``groups``, position by position."""
-    if other is groups:
-        return True
-    return (
-        other is not None
-        and len(other) == len(groups)
-        and all(g[2] == h[2] for g, h in zip(groups, other))
-    )
+def _restrict(plan: Sequence[int], coefs: Sequence[complex | None]) -> _Restriction:
+    """Sum the coefficients by reduced-kappa id, in position order.
 
-
-def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
-    """Max coefficient of ``_merge_parts`` of the restrictions, each scaled by its weight.
-
-    Restrictions whose groups keep equal kappas, with no sum dropped, hold
-    those kappas, which are distinct by construction, so ``_merge_parts``
-    would sum them position by position; that sum is done here directly.
-    The groups may come from different plans: the two chambers of a wall
-    usually hold different kappas that reduce to the same ones.  A NaN sum
-    is the result, as in ``_max_coefficient``.
+    ``plan`` holds the id of each position's reduced kappa; a position whose
+    coefficient is None is skipped, and a sum of magnitude at most
+    ``DROP_TOL`` drops.  This is ``_merge_terms`` of the reduced terms, up
+    to the order, which no residual reads.
     """
-    groups = parts[0][1][0]
-    if groups is None or not all(_same_kappas(groups, sums[0]) for _, sums in parts):
-        return _max_coefficient(_merge_parts([_sum_scale(_sums_terms(s), w) for w, s in parts]))
-    (w0, (_, first)), rest = parts[0], [(w, sums) for w, (_, sums) in parts[1:]]
+    sums: _Restriction = {}
+    for i, c in zip(plan, coefs):
+        if c is None:
+            continue
+        if i in sums:
+            sums[i] += c
+        else:
+            sums[i] = c
+    for c in sums.values():
+        if abs(c) <= DROP_TOL:
+            return {i: c for i, c in sums.items() if not abs(c) <= DROP_TOL}
+    return sums
+
+
+def _weighted_max(parts: Sequence[tuple[complex, _Restriction]]) -> float:
+    """Max coefficient of the weighted sum of restrictions taken on one wall.
+
+    Every ``complex(w * s)`` is added into its id's total in part order,
+    as ``_merge_terms`` of the scaled, concatenated terms sums them; totals
+    of magnitude at most ``DROP_TOL`` drop and a NaN total is the result, as
+    in ``_max_coefficient``.
+    """
+    totals: dict[int, complex] = {}
+    for w, sums in parts:
+        for i, s in sums.items():
+            v = complex(w * s)
+            if i in totals:
+                totals[i] += v
+            else:
+                totals[i] = v
     worst = 0.0
-    for pos, coef in enumerate(first):
-        acc = complex(w0 * coef)
-        for w, sums in rest:
-            acc += complex(w * sums[pos])
+    for acc in totals.values():
         size = abs(acc)
         if not size <= worst and not size <= DROP_TOL and worst == worst:
             worst = size
@@ -468,9 +460,10 @@ def _weighted_max(parts: Sequence[tuple[complex, _Sums]]) -> float:
 
 def _wall_derivative(
     coefs: Sequence[complex], layout: Sequence[tuple[complex, ...]], a: int, b: int
-) -> tuple[tuple[int, ...] | None, list[complex]]:
-    """(d/dx_a - d/dx_b) on one chamber: (kept positions, coefficients).
+) -> tuple[list[complex | None], Sequence[tuple[complex, ...]]]:
+    """(d/dx_a - d/dx_b) on one chamber: (coefficients, their kappas).
 
+    One coefficient per position of ``layout``, None where the term drops.
     Follows ``add(differentiate(f, a), scale(differentiate(f, b), -1.0))``
     drop by drop.  The d/dx_a image drops the positions where
     |c*kappa_a| <= ``DROP_TOL``, the negated d/dx_b image those where
@@ -479,8 +472,11 @@ def _wall_derivative(
     by one image passes its coefficient through, and a sum of magnitude at
     most ``DROP_TOL`` drops.  The chamber's kappas are distinct, so both
     images and their union are canonical sub-layouts and the chain sums
-    position by position.  The positions are None when every term is kept,
-    so the chamber's own plan restricts the result.
+    position by position; the result restricts through the chamber's own
+    plan.  Except at a kappa holding a NaN, which ``add`` merges with
+    nothing: there the d/dx_a image stays at its position and the negated
+    d/dx_b image is appended as a term of its own, so the returned kappas
+    are ``layout`` and those appended ones.
 
     The coefficients are Python complex numbers, so every product already is
     one and ``complex()`` would return it unchanged.  ``scale``'s own drop
@@ -489,8 +485,7 @@ def _wall_derivative(
     """
     ia, ib = a - 1, b - 1
     tol = DROP_TOL
-    out: list[complex] = []
-    skip: list[int] = []  # positions missing from both images, or whose sum drops
+    out: list[complex | None] = []
     for coef, kappa in zip(coefs, layout):
         da = coef * kappa[ia]
         db = coef * kappa[ib]
@@ -503,16 +498,20 @@ def _wall_derivative(
         elif not abs(da) <= tol:
             acc = da
         else:
-            skip.append(len(out) + len(skip))
+            out.append(None)
             continue
-        if not abs(acc) <= tol:
-            out.append(acc)
-        else:
-            skip.append(len(out) + len(skip))
-    if not skip:
-        return None, out
-    gone = set(skip)
-    return tuple(pos for pos in range(len(layout)) if pos not in gone), out
+        out.append(acc if not abs(acc) <= tol else None)
+    if not layout or not _holds_nan(layout[-1]):  # a canonical chamber puts NaN kappas last
+        return out, layout
+    kappas = list(layout)
+    for pos, (coef, kappa) in enumerate(zip(coefs, layout)):
+        if _holds_nan(kappa):
+            da, db = coef * kappa[ia], coef * kappa[ib]
+            out[pos] = da if not abs(da) <= tol else None
+            if not abs(db) <= tol:
+                out.append(-1.0 * db)
+                kappas.append(kappa)
+    return out, kappas
 
 
 def _coupling_matrices(
@@ -533,14 +532,6 @@ def _coupling_matrices(
     return mats
 
 
-class _Chamber(NamedTuple):
-    """One component's chamber as a sweep sees it."""
-
-    layout_id: int  # equal kappa layouts get one id per sweep
-    layout: tuple[tuple[complex, ...], ...]
-    coefs: list[complex]
-
-
 def _sweep(
     funcs: Sequence[RegionFunction],
     walls: Sequence[Interface],
@@ -548,18 +539,26 @@ def _sweep(
 ) -> tuple[float, float]:
     """The residual engine of ``matching_residuals`` and ``wall_residuals``.
 
-    Only the walls' chambers are read, each one's kappa layout once.  Each
-    (layout, pair) gets one plan (``_make_plan``), shared by every chamber
-    and component holding that layout, which restricts both f and its wall
-    derivative there.  A wall derivative that drops terms
-    (``_wall_derivative``) holds a sub-layout of its chamber, which gets an
-    id and plans of its own the same way.  Plans live for this call only,
-    and no derivative is ever built as a function.
+    Only the walls' chambers are read, each one's kappa layout once, and
+    equal layouts share one layout id.  Each distinct reduced kappa
+    (``_reduce``) gets one integer id, and a plan, the tuple of the ids of
+    a layout's positions on a wall, is made once per (layout id, pair).  So
+    a restriction (``_restrict``) of f or of its wall derivative is a dict
+    id -> sum, and restrictions from any chamber or component of one wall
+    meet by id in ``_weighted_max``.
+
+    A reduced kappa holding a NaN equals nothing: it gets a fresh id, never
+    the one of an equal-looking kappa (a NaN hashes by object identity and
+    tuple equality short-circuits on identity), and a plan holding one is
+    remade for each restriction, so no two restrictions share its ids; a
+    wall derivative that appends kappas (``_wall_derivative``) holds one,
+    so it restricts through a plan of its own kappas.  The ids and plans
+    live for this call only, and no derivative is ever built as a function.
     """
     mats = _coupling_matrices(couplings, (iface.pair for iface in walls), len(funcs))
     read = {region for iface in walls for region in (iface.left, iface.right)}
     layout_ids: dict[tuple[tuple[complex, ...], ...], int] = {}
-    chambers: list[dict[Region, _Chamber]] = []
+    chambers: list[dict[Region, tuple[int, tuple[tuple[complex, ...], ...], list[complex]]]] = []
     for f in funcs:
         own = {}
         for region in read:
@@ -567,30 +566,39 @@ def _sweep(
             if ts is not None:
                 layout = tuple(t.kappa for t in ts)
                 layout_id = layout_ids.setdefault(layout, len(layout_ids))
-                own[region] = _Chamber(layout_id, layout, [complex(t.coef) for t in ts])
+                own[region] = (layout_id, layout, [complex(t.coef) for t in ts])
         chambers.append(own)
-    plans: dict[tuple[int, tuple[int, int]], _Groups] = {}
+    ids: dict[tuple[complex, ...], int] = {}
+    fresh = itertools.count()
+    plans: dict[tuple[int, tuple[int, int]], tuple[int, ...]] = {}
 
-    def plan_of(layout_id: int, layout, pair: tuple[int, int]) -> _Groups:
-        key = (layout_id, pair)
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _make_plan(layout, *pair)
+    def plan_of(layout_id: int, layout, pair: tuple[int, int]) -> tuple[int, ...]:
+        plan = plans.get((layout_id, pair))
+        if plan is not None:
+            return plan
+        own, alone = [], False
+        for kappa in layout:
+            reduced = _reduce(kappa, *pair)
+            i = ids.get(reduced)
+            if i is None:
+                i = next(fresh)
+                if _holds_nan(reduced):
+                    alone = True
+                else:
+                    ids[reduced] = i
+            own.append(i)
+        plan = tuple(own)
+        if not alone:
+            plans[layout_id, pair] = plan
         return plan
 
-    def restrict(chamber: _Chamber | None, pair: tuple[int, int]) -> _Sums:
+    def restrict(chamber, pair: tuple[int, int], derivative: bool = False) -> _Restriction:
         if chamber is None:
-            return None, ()
-        return _group_sums(plan_of(chamber.layout_id, chamber.layout, pair), chamber.coefs)
-
-    def restrict_derivative(chamber: _Chamber | None, pair: tuple[int, int]) -> _Sums:
-        if chamber is None:
-            return None, ()
-        kept, coefs = _wall_derivative(chamber.coefs, chamber.layout, *pair)
-        if kept is None:
-            return _group_sums(plan_of(chamber.layout_id, chamber.layout, pair), coefs)
-        sub = tuple(chamber.layout[i] for i in kept)
-        return _group_sums(plan_of(layout_ids.setdefault(sub, len(layout_ids)), sub, pair), coefs)
+            return {}
+        layout_id, layout, coefs = chamber
+        if derivative:
+            coefs, layout = _wall_derivative(coefs, layout, *pair)
+        return _restrict(plan_of(layout_id, layout, pair), coefs)
 
     continuity = jump = 0.0
     for iface in walls:
@@ -608,8 +616,8 @@ def _sweep(
             bases.append(left)
         for i, (left_ch, right_ch) in enumerate(sides):
             parts = [
-                (1.0, restrict_derivative(right_ch, pair)),
-                (-1.0, restrict_derivative(left_ch, pair)),
+                (1.0, restrict(right_ch, pair, derivative=True)),
+                (-1.0, restrict(left_ch, pair, derivative=True)),
             ]
             for j in range(len(funcs)):
                 cij = mat[i, j]
@@ -631,7 +639,7 @@ def matching_residuals(
     Returns the worst ``(continuity, jump)`` over all walls; the first wall
     (in that order) with a discontinuous component raises
     ``DiscontinuityError``.  Chambers sharing a kappa layout (every chamber
-    of a Bethe state does) share its wall restriction plans.
+    of a Bethe state does) share its wall plans.
     """
     if not funcs:
         raise ValueError("matching_residuals needs at least one component")
@@ -658,12 +666,16 @@ def wall_residuals(
     ``DiscontinuityError`` names the first one that is not.
 
     Only the wall's two chambers are read, and every number is the one the
-    whole-function formula gives: the derivative is computed term by term
-    as ``differentiate``/``scale``/``add`` compute it, restrictions merge
-    the reduced terms (``_make_plan``) as ``build`` would, and the weighted
-    sums are accumulated in the order right, -left, then -C_ij * base_j by
-    ascending j, position by position where the parts hold the same kappas
-    (``_merge_parts``), exactly as the general merge sums them.
+    whole-function formula gives, with ``build``'s merge at each step:
+
+    - the derivative is computed term by term, with the drops of
+      ``differentiate``/``scale``/``add``;
+    - a restriction sums the terms of equal reduced kappa in position order
+      and drops a sum of magnitude at most ``DROP_TOL``;
+    - the weighted sums add right, -left, then -C_ij * base_j by ascending
+      j, per reduced kappa, and drop a total of magnitude at most
+      ``DROP_TOL``;
+    - a reduced kappa holding a NaN is merged with nothing (see ``_sweep``).
     """
     return _sweep(funcs, (iface,), {iface.pair: coupling})
 
@@ -674,16 +686,21 @@ def wall_residuals(
 def restrict_to_interface(
     f: RegionFunction, iface: Interface, side: Literal["left", "right"]
 ) -> tuple[ExpTerm, ...]:
-    """One-sided limit of f on the wall, in the N-1 variables of ``_make_plan``."""
+    """One-sided limit of f on the wall, in the N-1 variables of ``_reduce``."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return _sums_terms(_restrict(f.region_terms(getattr(iface, side)), *iface.pair))
+    a, b = iface.pair
+    terms = f.region_terms(getattr(iface, side))
+    return _merge_terms((t.coef, _reduce(t.kappa, a, b)) for t in terms)
 
 
 def continuity_residual(f: RegionFunction, iface: Interface) -> float:
     """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
-    left, right = (_restrict(f.region_terms(r), *iface.pair) for r in (iface.left, iface.right))
-    return _weighted_max(((1.0, left), (-1.0, right)))
+    return _max_coefficient(_merge_terms(
+        (w * t.coef, t.kappa)
+        for w, side in ((1.0, "left"), (-1.0, "right"))
+        for t in restrict_to_interface(f, iface, side)
+    ))
 
 
 def jump_residual(

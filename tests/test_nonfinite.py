@@ -80,10 +80,14 @@ class TestDropRule:
         assert [t.kappa for t in merged] == [K1]
         assert repr(merged) == repr(pw._merge_terms([t for p in parts for t in p]))
 
-    def test_group_sums_keep_nan_beside_a_dropped_sum(self):
-        groups = pw._merge_groups([K1, K2])
-        _, kept = pw._group_sums(groups, [NAN, 0.0])
-        assert len(kept) == 1 and math.isnan(abs(kept[0].coef))
+    @pytest.mark.parametrize("plan, coefs", [
+        ((0, 1), [NAN, 0.0]),
+        ((1, 0, 1), [1.0, NAN, -1.0]),  # id 1's terms cancel
+        ((0, 1, 1), [NAN, 1e-15, None]),  # a position the derivative dropped
+    ])
+    def test_restriction_keeps_nan_beside_a_dropped_sum(self, plan, coefs):
+        kept = pw._restrict(plan, coefs)
+        assert list(kept) == [0] and math.isnan(abs(kept[0]))
 
     @pytest.mark.parametrize("value", PLANTED)
     @pytest.mark.parametrize("term", [
@@ -101,10 +105,66 @@ class TestDropRule:
         region = pw.Region((1, 2, 3))
         ts = (pw.ExpTerm(2.0 + 0j, (-0.5 + 0j, -1 + 0j, 0.3 + 0j)), planted)
         f = pw.RegionFunction(n=3, terms={region: ts})
-        kept, coefs = pw._wall_derivative([t.coef for t in ts], [t.kappa for t in ts], 2, 3)
+        coefs, kappas = pw._wall_derivative([t.coef for t in ts], [t.kappa for t in ts], 2, 3)
         chain = pw.add(pw.differentiate(f, 2), pw.scale(pw.differentiate(f, 3), -1.0))
-        assert kept is None
-        assert repr(coefs) == repr([t.coef for t in chain.terms[region]])
+        kept = [(repr(c), k) for c, k in zip(coefs, kappas) if c is not None]
+        assert kept == [(repr(t.coef), t.kappa) for t in chain.terms[region]]
+
+
+class TestNanKappas:
+    """A kappa holding a NaN is identified with nothing, on every path."""
+
+    R1 = pw.Region((1,))
+
+    def test_build_puts_nan_kappas_last_unmerged(self):
+        f = pw.build(1, {self.R1: [(1, (1,)), (1, (NAN,)), (1, (0,)), (2, (1,))]})
+        assert terms_repr(f) == {self.R1: [("(1+0j)", (0j,)), ("(3+0j)", (1 + 0j,)),
+                                           ("(1+0j)", f.terms[self.R1][2].kappa)]}
+        assert math.isnan(f.terms[self.R1][2].kappa[0].real)
+        assert pw.build(1, {r: list(ts) for r, ts in f.terms.items()}).terms == f.terms
+
+    def test_terms_sharing_one_nan_object_stay_apart(self):
+        kappa = (complex(NAN),)
+        f = pw.build(1, {self.R1: [(1.0, kappa), (1.0, (0j,)), (2.0, kappa)]})
+        assert [repr(t.coef) for t in f.terms[self.R1]] == ["(1+0j)", "(1+0j)", "(2+0j)"]
+        zero, first, second = f.terms[self.R1]
+        assert zero.kappa == (0j,) and first.kappa[0] is second.kappa[0] is kappa[0]
+
+    @pytest.mark.parametrize("other", [None, 1.0])
+    def test_add_equals_build_of_the_concatenation(self, other):
+        f = pw.build(1, {self.R1: [(1.0, (0.5,)), (1.0, (NAN,))]})
+        g = f if other is None else pw.build(1, {self.R1: [(other, (0.5,)), (1.0, (NAN,))]})
+        concatenated = pw.build(1, {self.R1: list(f.terms[self.R1]) + list(g.terms[self.R1])})
+        got = pw.add(f, g)
+        assert len(got.terms[self.R1]) == 3
+        assert terms_repr(got) == terms_repr(concatenated)
+        assert got.terms[self.R1][1:] == f.terms[self.R1][1:] + g.terms[self.R1][1:]
+
+    def test_chambers_sharing_one_nan_object_do_not_meet_on_a_wall(self):
+        """The same kappa tuple on both chambers: its NaN at x_3 survives the reduction."""
+        kappa = (1 + 0j, 2 + 0j, complex(NAN))
+        f = pw.RegionFunction(3, {r: (pw.ExpTerm(1 + 0j, kappa),) for r in pw.regions(3)})
+        iface = pw.interfaces(3)[0]
+        assert iface.pair == (1, 2)
+        assert pw.continuity_residual(f, iface) == 1.0
+        with pytest.raises(DiscontinuityError):
+            pw.wall_residuals([f], iface, [[1.0]])
+        couplings = {i.pair: [[1.0]] for i in pw.interfaces(3)}
+        with pytest.raises(DiscontinuityError):
+            pw.matching_residuals([f], couplings)
+
+    def test_wall_derivative_keeps_both_images_of_a_nan_kappa(self):
+        """Off the wall's slots the NaN leaves both images finite; they stay two terms."""
+        iface = pw.interfaces(3)[0]
+        assert iface.pair == (1, 2)
+        f = pw.build(3, {iface.left: [(1e-12, (1, 2, NAN))], iface.right: [(1e-12, (2, 1, NAN))]})
+        # right: 2e-12 and -1e-12; left: 1e-12 and -2e-12; merged they would read 1e-12
+        assert pw.wall_residuals([f], iface, [[0.5]]) == (1e-12, 2e-12)
+
+    @pytest.mark.parametrize("x", [(NAN, 0.3), (INF, 0.3), (0.3, -INF)])
+    def test_evaluate_refuses_a_non_finite_point(self, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            pw.evaluate(pw.constant_function(2), x)
 
 
 class TestMaxima:
@@ -129,14 +189,17 @@ class TestMaxima:
         assert math.isnan(susy.spinor_max_coefficient(s))
 
     @pytest.mark.parametrize("pos", [0, 2])
-    def test_weighted_max_fast_and_general_paths(self, pos):
-        groups = pw._merge_groups([K1, K2, K3])
+    def test_weighted_max_keeps_nan(self, pos):
+        """Beside a part holding the same ids, or one missing an id whose sum dropped."""
         coefs = [1.0, 5.0, 2.0]
         coefs[pos] = NAN
-        parts = [(1.0, (groups, coefs)), (-1.0, (groups, [0.5, 0.5, 0.5]))]
-        assert math.isnan(pw._weighted_max(parts))
-        dropped = [(1.0, (None, pw._sums_terms((groups, coefs)))), parts[1]]
-        assert math.isnan(pw._weighted_max(dropped))
+        planted = pw._restrict((0, 1, 2), coefs)
+        full = pw._restrict((0, 1, 2), [0.5, 0.5, 0.5])
+        partial = pw._restrict((2, 0, 1), [0.5, 1e-15, 0.5])
+        assert len(partial) == 2
+        for parts in ([(1.0, planted), (-1.0, full)], [(1.0, planted), (-1.0, partial)],
+                      [(-1.0, partial), (1.0, planted)], [(1.0, full), (2.0, planted)]):
+            assert math.isnan(pw._weighted_max(parts))
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_bulk_energy_residual(self, pos):

@@ -28,21 +28,23 @@ def canonicalize(f):
     return pw.build(f.n, {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()})
 
 
+def old_reduce(kappa, a, b):
+    """Substitute x_b := x_a in one kappa: kappa_a + kappa_b in slot a, slot b deleted."""
+    kap = list(kappa)
+    kap[a - 1] = kap[a - 1] + kap[b - 1]
+    return tuple(kap[j] for j in range(len(kap)) if j != b - 1)
+
+
 def old_restrict(f, iface, side):
     """One-sided limit on the wall: substitute x_b := x_a, delete x_b, re-merge."""
-    a, b = iface.pair
-    keep = [j for j in range(1, f.n + 1) if j != b]
-    raw = []
-    for t in f.region_terms(getattr(iface, side)):
-        kap = list(t.kappa)
-        kap[a - 1] = kap[a - 1] + kap[b - 1]
-        raw.append((t.coef, tuple(kap[j - 1] for j in keep)))
-    return pw._merge_terms(raw)
+    return pw._merge_terms(
+        (t.coef, old_reduce(t.kappa, *iface.pair)) for t in f.region_terms(getattr(iface, side))
+    )
 
 
-def plan_restrict(f, iface, side):
-    """The library's wall restriction: one chamber through a plan of its layout."""
-    return pw._sums_terms(pw._restrict(f.region_terms(getattr(iface, side)), *iface.pair))
+def sum_scale(terms, z):
+    """Raw (z * coef, kappa) pairs of ``terms``, for a re-merge."""
+    return [(z * t.coef, t.kappa) for t in terms]
 
 
 class TestEnumeration:
@@ -184,6 +186,17 @@ class TestCanonicalization:
         f = pw.build(2, {r: [(1e-15, (1j, 0))]})
         assert r not in f.terms
 
+    @pytest.mark.parametrize("kappa", [(0.5 + 0j,), (0j, 0j, 0j)])
+    def test_refuses_a_kappa_of_the_wrong_length(self, kappa):
+        region = pw.Region((1, 2))
+        with pytest.raises(ValueError, match=r"region \(1, 2\) .*length is not 2"):
+            pw.build(2, {region: [(1.0, (0j, 0j)), (1.0, kappa)]})
+        obj = {"n": 2, "regions": [{"order": [1, 2], "terms": [
+            {"re": 1.0, "im": 0.0, "kappa": [{"re": k.real, "im": k.imag} for k in kappa]}
+        ]}]}
+        with pytest.raises(ValueError, match="length is not 2"):
+            pw.from_json_obj(obj)
+
     def test_idempotent(self):
         import numpy as np
 
@@ -202,12 +215,29 @@ class TestCanonicalization:
         assert f.terms == g.terms
 
 
+def _sweep_restriction(f, iface, side):
+    """The sweep's restriction of one chamber, ``pw._restrict``, keyed back by reduced kappa.
+
+    Ids are handed out here as the sweep hands them out: one per distinct
+    reduced kappa, by first appearance.
+    """
+    ids, kappas = {}, []
+    for t in f.region_terms(getattr(iface, side)):
+        reduced = old_reduce(t.kappa, *iface.pair)
+        kappas.append(reduced)
+        ids.setdefault(reduced, len(ids))
+    plan = [ids[k] for k in kappas]
+    by_id = {i: k for k, i in ids.items()}
+    sums = pw._restrict(plan, [t.coef for t in f.region_terms(getattr(iface, side))])
+    return {by_id[i]: c for i, c in sums.items()}
+
+
 class TestRestriction:
     def test_plane_wave_substitution(self):
         k1, k2 = 1.3, -0.4
         f = plane_wave(2, (1j * k1, 1j * k2))
         iface = pw.interfaces(2)[0]
-        left = plan_restrict(f, iface, "left")
+        left = pw.restrict_to_interface(f, iface, "left")
         assert len(left) == 1
         assert left[0].kappa == (1j * (k1 + k2),)
 
@@ -215,7 +245,7 @@ class TestRestriction:
         f = bethe.dimer_state(0.0, -2.0)
         iface = pw.interfaces(2)[0]
         for side in ("left", "right"):
-            terms = plan_restrict(f, iface, side)
+            terms = pw.restrict_to_interface(f, iface, side)
             assert len(terms) == 1
             assert terms[0].coef == pytest.approx(1.0)
             assert terms[0].kappa == (0.0,)
@@ -223,7 +253,7 @@ class TestRestriction:
     def test_bethe_state_sides_agree(self):
         f = bethe.collision_state([1.0, -0.5], 1.7)
         iface = pw.interfaces(2)[0]
-        assert plan_restrict(f, iface, "left") == plan_restrict(f, iface, "right")
+        assert pw.restrict_to_interface(f, iface, "left") == pw.restrict_to_interface(f, iface, "right")
         assert pw.wall_residuals([f], iface, [[3.4]])[0] == 0.0
 
     @settings(max_examples=100, deadline=None)
@@ -233,9 +263,10 @@ class TestRestriction:
         for iface in pw.interfaces(n):
             f = _wall_chambers(rng, iface)
             for side in ("left", "right"):
-                got = plan_restrict(f, iface, side)
+                got = pw.restrict_to_interface(f, iface, side)
                 assert got == old_restrict(f, iface, side)
                 assert all(type(t.coef) is complex for t in got)
+                assert _sweep_restriction(f, iface, side) == {t.kappa: t.coef for t in got}
 
     def test_restriction_inputs_reach_every_branch(self):
         """The random chambers merge on the wall and drop sums."""
@@ -246,10 +277,10 @@ class TestRestriction:
                 f = _wall_chambers(rng, iface)
                 for side in ("left", "right"):
                     ts = f.region_terms(getattr(iface, side))
-                    groups, _ = pw._restrict(ts, *iface.pair)
+                    reduced = {old_reduce(t.kappa, *iface.pair) for t in ts}
                     chambers += 1
-                    merged += len(old_restrict(f, iface, side)) < len(ts)
-                    dropped += groups is None
+                    merged += len(reduced) < len(ts)
+                    dropped += len(_sweep_restriction(f, iface, side)) < len(reduced)
         assert merged > chambers // 4 and dropped > chambers // 10
 
     def test_linearity(self):
@@ -272,9 +303,9 @@ class TestRestriction:
         f, g = rand_fn(), rand_fn()
         iface = pw.interfaces(3)[0]
         merged = pw._merge_terms(
-            [(t.coef, t.kappa) for t in plan_restrict(pw.add(f, g), iface, "left")]
-            + [(-t.coef, t.kappa) for t in plan_restrict(f, iface, "left")]
-            + [(-t.coef, t.kappa) for t in plan_restrict(g, iface, "left")]
+            [(t.coef, t.kappa) for t in pw.restrict_to_interface(pw.add(f, g), iface, "left")]
+            + [(-t.coef, t.kappa) for t in pw.restrict_to_interface(f, iface, "left")]
+            + [(-t.coef, t.kappa) for t in pw.restrict_to_interface(g, iface, "left")]
         )
         assert max((abs(t.coef) for t in merged), default=0.0) <= 1e-12
 
@@ -343,14 +374,20 @@ def old_differentiate(f, j):
     return old_map(f, lambda r, t: t.coef * t.kappa[j - 1])
 
 
+def nan_max(values):
+    """The largest of ``values`` (0.0 for none), or NaN once any of them is NaN."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values, default=0.0)
+
+
 def old_sum_max(raw):
-    return max((abs(t.coef) for t in pw._merge_terms(raw)), default=0.0)
+    return nan_max(abs(t.coef) for t in pw._merge_terms(raw))
 
 
 def old_continuity(f, iface):
     left = old_restrict(f, iface, "left")
     right = old_restrict(f, iface, "right")
-    return old_sum_max(pw._sum_scale(left, 1.0) + pw._sum_scale(right, -1.0))
+    return old_sum_max(sum_scale(left, 1.0) + sum_scale(right, -1.0))
 
 
 def full_function_jump(funcs, iface, coupling):
@@ -358,19 +395,19 @@ def full_function_jump(funcs, iface, coupling):
     mat = np.asarray(coupling, dtype=complex)
     a, b = iface.pair
     for i, f in enumerate(funcs):
-        if old_continuity(f, iface) > pw.JUMP_CONTINUITY_TOL:
+        if not old_continuity(f, iface) <= pw.JUMP_CONTINUITY_TOL:
             raise DiscontinuityError(f"component {i}")
     bases = [old_restrict(f, iface, "left") for f in funcs]
     worst = 0.0
     for i, f in enumerate(funcs):
         d = old_add(old_differentiate(f, a), old_scale(old_differentiate(f, b), -1.0))
-        raw = list(pw._sum_scale(old_restrict(d, iface, "right"), 1.0))
-        raw += pw._sum_scale(old_restrict(d, iface, "left"), -1.0)
+        raw = sum_scale(old_restrict(d, iface, "right"), 1.0)
+        raw += sum_scale(old_restrict(d, iface, "left"), -1.0)
         for j in range(len(funcs)):
             cij = mat[i, j]
             if cij != 0:
-                raw += pw._sum_scale(bases[j], -cij)
-        worst = max(worst, old_sum_max(raw))
+                raw += sum_scale(bases[j], -cij)
+        worst = nan_max([worst, old_sum_max(raw)])
     return worst
 
 
@@ -647,7 +684,7 @@ class TestCanonicalFastPaths:
         parts = _canonical_parts(rng, n, count)
         weights = [1.0, -1.0] + [complex(rng.standard_normal(), rng.standard_normal())
                                  for _ in range(count)]
-        scaled = [pw._sum_scale(p, w) for p, w in zip(parts, weights)]
+        scaled = [sum_scale(p, w) for p, w in zip(parts, weights)]
         assert pw._merge_parts(scaled) == pw._merge_terms([t for p in scaled for t in p])
 
     def test_inputs_reach_both_branches(self):
@@ -693,17 +730,20 @@ def reference_sweep(funcs, couplings, walls=None):
     for iface in pw.interfaces(funcs[0].n) if walls is None else walls:
         for i, f in enumerate(funcs):
             gap = old_continuity(f, iface)
-            if gap > pw.JUMP_CONTINUITY_TOL:
+            if not gap <= pw.JUMP_CONTINUITY_TOL:
                 raise DiscontinuityError(
                     f"component {i} is discontinuous across interface pair {iface.pair}"
                 )
             continuity = max(continuity, gap)
-        jump = max(jump, full_function_jump(funcs, iface, couplings[iface.pair]))
+        jump = nan_max([jump, full_function_jump(funcs, iface, couplings[iface.pair])])
     return continuity, jump
 
 
 def assert_same_outcome(run, reference):
-    """``run()`` returns what ``reference()`` returns, or raises the same discontinuity."""
+    """``run()`` returns what ``reference()`` returns, or raises the same discontinuity.
+
+    The results compare as text, so a NaN matches a NaN.
+    """
     try:
         expected = reference()
     except DiscontinuityError as exc:
@@ -711,7 +751,7 @@ def assert_same_outcome(run, reference):
             run()
         assert str(got.value) == str(exc)
         return
-    assert run() == expected
+    assert repr(run()) == repr(expected)
 
 
 def _bethe_momenta(rng, n):
@@ -883,16 +923,89 @@ class TestPlanSweep:
             lambda: reference_sweep([f], couplings),
         )
 
+    @pytest.mark.parametrize(
+        "chambers, coupling, expected",
+        [
+            # the right layout reduces to the left one's kappas in the other
+            # position order: (1, 0), (2, 0) against (0, 2), (0.5, 0.5)
+            (
+                [([(1.0, (1, 0)), (2.0, (2, 0))], [(2.0, (0, 2)), (1.0, (0.5, 0.5))])],
+                [[0.5]],
+                (0.0, 9.0),
+            ),
+            # kappa_1 == kappa_2 has a zero wall derivative on both sides, so
+            # only the coupling base holds its reduced kappa (1.5,)
+            (
+                [([(2.0, (0.75, 0.75)), (1.0, (1, 0))], [(2.0, (0.75, 0.75)), (1.0, (0, 1))])],
+                [[0.5]],
+                (0.0, 2.5),
+            ),
+            # the second component's base holds (3,), which no derivative of
+            # the first component holds
+            (
+                [
+                    ([(1.0, (1, 0))], [(1.0, (0, 1))]),
+                    ([(1.0, (1, 0)), (4.0, (1.5, 1.5))], [(1.0, (0, 1)), (4.0, (1.5, 1.5))]),
+                ],
+                [[0.5, 0.25], [0.0, 0.5]],
+                (0.0, 2.75),
+            ),
+            # one reduced kappa's terms cancel on the wall beside a derivative
+            # whose sum is NaN (inf - inf), with the NaN last, first or alone
+            (
+                [([(1.0, (1, 0)), (-1.0, (0, 1)), (1.0, (math.inf, math.inf))],
+                  [(1.0, (1, 0)), (-1.0, (0, 1)), (1.0, (math.inf, math.inf))])],
+                [[0.5]],
+                (0.0, math.nan),
+            ),
+            (
+                [([(1.0, (-math.inf, -math.inf)), (1.0, (1, 0)), (-1.0, (0, 1))],
+                  [(1.0, (-math.inf, -math.inf))])],
+                [[0.5]],
+                (0.0, math.nan),
+            ),
+            # a NaN coefficient beside a sum that drops: the gap is NaN
+            (
+                [([(math.nan, (2, 0)), (1.0, (1, 0)), (-1.0, (0, 1))],
+                  [(1.0, (1, 0)), (-1.0, (0, 1))])],
+                [[0.5]],
+                None,
+            ),
+        ],
+        ids=["reordered-reduced-kappas", "base-only-kappa", "other-component-base",
+             "nan-beside-dropped", "nan-first", "nan-gap-beside-dropped"],
+    )
+    def test_one_accumulation_equals_the_reference(self, chambers, coupling, expected):
+        """Restrictions meet by reduced kappa whatever their positions, drops or NaNs."""
+        iface = pw.interfaces(2)[0]
+        funcs = [pw.build(2, {iface.left: left, iface.right: right}) for left, right in chambers]
+        couplings = {(1, 2): coupling}
+        if expected is None:
+            with pytest.raises(DiscontinuityError):
+                reference_sweep(funcs, couplings)
+        else:
+            assert repr(reference_sweep(funcs, couplings)) == repr(expected)
+        assert_same_outcome(
+            lambda: pw.matching_residuals(funcs, couplings),
+            lambda: reference_sweep(funcs, couplings),
+        )
+        for f in funcs:
+            assert repr(pw.continuity_residual(f, iface)) == repr(old_continuity(f, iface))
+            for side in ("left", "right"):
+                assert repr(pw.restrict_to_interface(f, iface, side)) == repr(
+                    old_restrict(f, iface, side)
+                )
+
     def test_inputs_reach_every_branch(self):
         """Shared plans, own plans, derivative drops, discontinuities.
 
         A derivative whose chain drops a term is counted, with whether the
-        wall derivative equals that chain and whether it keeps a sub-layout,
-        which restricts through a plan of its own.
+        wall derivative equals that chain and whether it drops a position,
+        which its restriction then skips.
         """
         rng = np.random.default_rng(3)
         shared_layouts = own_layouts = chambers = broken = 0
-        counts = {"drops": 0, "plan": 0, "sub-layout": 0}
+        counts = {"drops": 0, "plan": 0, "skipped": 0}
         for _ in range(60):
             n = int(rng.choice([2, 3, 3, 4]))
             funcs, couplings = _sweep_case(rng, n, int(rng.integers(1, 4)))
@@ -910,20 +1023,20 @@ class TestPlanSweep:
         assert shared_layouts > 30 and own_layouts > 5
         assert counts["drops"] > chambers // 10 and broken > 30
         assert counts["plan"] > chambers // 10 and counts["plan"] == counts["drops"]
-        assert counts["sub-layout"] > 50
-        planted = {"drops": 0, "plan": 0, "sub-layout": 0}
+        assert counts["skipped"] > 50
+        planted = {"drops": 0, "plan": 0, "skipped": 0}
         for _ in range(200):
             iface = pw.interfaces(4)[int(rng.integers(36))]
             f = _planted_at(rng, iface, _planted_pool(rng, 4, iface.pair))
             for region in (iface.left, iface.right):
                 _count_derivative_drops(f.region_terms(region), iface.pair, planted)
         assert planted["plan"] > 100 and planted["plan"] == planted["drops"]
-        assert planted["sub-layout"] > 100
+        assert planted["skipped"] > 100
 
 
 def _count_derivative_drops(terms, pair, counts):
     """Count a chamber whose derivative chain drops a term, whether the wall
-    derivative equals that chain, and whether it keeps a sub-layout."""
+    derivative equals that chain, and whether it drops a position."""
     a, b = pair
     for t in terms:
         da, db = t.coef * t.kappa[a - 1], t.coef * t.kappa[b - 1]
@@ -933,13 +1046,13 @@ def _count_derivative_drops(terms, pair, counts):
     else:
         return
     layout = [t.kappa for t in terms]
-    kept, coefs = pw._wall_derivative([t.coef for t in terms], layout, a, b)
+    coefs, kappas = pw._wall_derivative([t.coef for t in terms], layout, a, b)
     region = pw.Region(tuple(range(1, len(layout[0]) + 1)))
     chamber = pw.RegionFunction(len(layout[0]), {region: tuple(terms)})
     chain = pw.add(pw.differentiate(chamber, a), pw.scale(pw.differentiate(chamber, b), -1.0))
-    sub = layout if kept is None else [layout[i] for i in kept]
-    counts["plan"] += [tuple(t) for t in chain.region_terms(region)] == list(zip(coefs, sub))
-    counts["sub-layout"] += kept is not None
+    kept = [(c, k) for c, k in zip(coefs, kappas) if c is not None]
+    counts["plan"] += [tuple(t) for t in chain.region_terms(region)] == kept
+    counts["skipped"] += len(kept) < len(layout)
 
 
 #: planted kappa components: c*kappa_j drops for coefficients of order one
@@ -1033,7 +1146,7 @@ class TestDerivativeDrops:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_zero_modes_never_build_a_derivative(self, n, monkeypatch):
-        """No input makes the sweep build a derivative; zero modes never take a general merge."""
+        """No input makes the sweep build a derivative or merge terms outside ``_restrict``."""
         sp = susy.Superpotential(n=n, c=1.05)
         cases = []
         for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
@@ -1050,12 +1163,11 @@ class TestDerivativeDrops:
         def refuse(*args):
             raise AssertionError("the sweep left the plan path")
 
-        for name in ("differentiate", "scale", "add"):
+        for name in ("differentiate", "scale", "add", "build", "_merge_parts", "_merge_terms"):
             monkeypatch.setattr(pw, name, refuse)
         for funcs, iface, coupling in planted:
             continuity, _ = pw.wall_residuals(funcs, iface, coupling)
             assert continuity <= pw.JUMP_CONTINUITY_TOL
-        monkeypatch.setattr(pw, "_merge_parts", refuse)
         for comps, couplings in cases:
             continuity, jump = pw.matching_residuals(comps, couplings)
             assert continuity <= pw.JUMP_CONTINUITY_TOL and jump <= susy.EIGENSTATE_TOL
@@ -1074,34 +1186,43 @@ class TestDerivativeDrops:
 OLD_KAPPA_TOL = 1e-12
 
 
-def tolerance_merge_groups(kappas):
-    """``pw._merge_groups`` identifying kappas within ``OLD_KAPPA_TOL`` componentwise."""
+def tolerance_partition(kappas):
+    """Positions of ``kappas`` grouped as a merge within ``OLD_KAPPA_TOL`` grouped them.
+
+    The positions are sorted stably by ``pw._sort_key``, and one joins the
+    current group when its kappa lies within ``OLD_KAPPA_TOL`` of the
+    group's first, componentwise.
+    """
     keys = [pw._sort_key(k) for k in kappas]
     groups = []
     ref = None
     for pos in sorted(range(len(kappas)), key=keys.__getitem__):
         kappa = kappas[pos]
         if ref is not None and all(abs(k - r) <= OLD_KAPPA_TOL for k, r in zip(kappa, ref)):
-            groups[-1][1].append(pos)
+            groups[-1].append(pos)
         else:
-            groups.append((pos, [], kappa))
+            groups.append([pos])
             ref = kappa
-    return tuple((first, tuple(rest), kappa) for first, rest, kappa in groups)
+    return sorted(groups)
 
 
-def _plan_every_wall(f, planned):
-    """Make the plans a sweep makes on every wall of ``f``, for a spy on ``_merge_groups``."""
+def exact_partition(kappas):
+    """Positions of ``kappas`` grouped by exact equality, as ``_merge_terms`` and the
+    sweep's ids group them."""
+    groups = {}
+    for pos, kappa in enumerate(kappas):
+        groups.setdefault(kappa, []).append(pos)
+    return sorted(groups.values())
+
+
+def _wall_layouts(f, seen):
+    """Every (layout, pair) a sweep over ``f`` plans that ``seen`` does not hold yet."""
     for iface in pw.interfaces(f.n):
         for region in (iface.left, iface.right):
-            ts = f.region_terms(region)
-            if not ts:
-                continue
-            layout = tuple(t.kappa for t in ts)
-            kept, _ = pw._wall_derivative([t.coef for t in ts], layout, *iface.pair)
-            for sub in (layout, layout if kept is None else tuple(layout[i] for i in kept)):
-                if (sub, iface.pair) not in planned:
-                    planned.add((sub, iface.pair))
-                    pw._make_plan(sub, *iface.pair)
+            layout = tuple(t.kappa for t in f.region_terms(region))
+            if layout and (layout, iface.pair) not in seen:
+                seen.add((layout, iface.pair))
+                yield layout, iface.pair
 
 
 class TestExactIdentity:
@@ -1109,15 +1230,16 @@ class TestExactIdentity:
 
     def test_constructed_states_merge_as_under_the_tolerance(self, monkeypatch):
         merges = []
-        exact = pw._merge_groups
+        merge_terms = pw._merge_terms
 
-        def both_rules(kappas):
-            groups = exact(kappas)
-            assert groups == tolerance_merge_groups(kappas)
+        def both_rules(raw):
+            raw = list(raw)
+            kappas = [tuple(complex(k) for k in kap) for _, kap in raw]
+            assert exact_partition(kappas) == tolerance_partition(kappas)
             merges.append(len(kappas))
-            return groups
+            return merge_terms(raw)
 
-        monkeypatch.setattr(pw, "_merge_groups", both_rules)
+        monkeypatch.setattr(pw, "_merge_terms", both_rules)
         rng = np.random.default_rng(12)
         funcs = []
         for n in range(2, 6):
@@ -1139,11 +1261,14 @@ class TestExactIdentity:
             for image in (susy.apply_q(s, sp), susy.apply_q_dagger(s, sp),
                           susy.apply_q(susy.apply_q_dagger(s, sp), sp)):
                 funcs += image.components.values()
-        built = len(merges)
-        planned = set()
+        seen = set()
+        planned = 0
         for f in funcs:
-            _plan_every_wall(f, planned)
-        assert built > 1000 and len(merges) - built == len(planned) > 1000
+            for layout, pair in _wall_layouts(f, seen):
+                reduced = [pw._reduce(kappa, *pair) for kappa in layout]
+                assert exact_partition(reduced) == tolerance_partition(reduced)
+                planned += 1
+        assert len(merges) > 1000 and planned > 1000
         assert max(merges) >= 120
 
     def test_near_degenerate_momenta_match_exactly(self, capsys):

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from slly import bethe, piecewise as pw, susy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -55,6 +57,22 @@ def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, caps
     assert rows[-1]["zero_mode_terms"] == 8 * 5040 and rows[-1]["zero_modes_s"] >= 0.0
     assert rows[-1]["passed"] is True
     assert verified[-2:] == [(7, 7), (7, 6)]
+
+
+@pytest.mark.parametrize("failing", ["matching", "zero-mode"])
+def test_n_sweep_exits_1_when_a_row_fails(failing, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("n_sweep", ROOT / "tools" / "n_sweep.py")
+    n_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(n_sweep)
+    if failing == "matching":
+        monkeypatch.setattr(bethe, "matching_report",
+                            lambda *args: bethe.MatchingReport(0.0, float("nan"), 0.0))
+    else:
+        monkeypatch.setattr(susy, "annihilation_residuals", lambda mode, sp: (0.0, 1.0))
+    assert n_sweep.main(["--max-n", "3", "--root", str(ROOT)]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["n"] for row in rows] == [2, 3]
+    assert [row["passed"] for row in rows] == [False, False]
 
 
 def test_n_sweep_rejects_out_of_range_n():

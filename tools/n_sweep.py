@@ -21,7 +21,8 @@ collision state is never built: it holds N! terms on each of N! chambers
 (25 M at N = 7), which the full-chamber engine cannot finish; the zero
 modes, one term per chamber, are still timed there.  Every time is a single run
 with ``time.perf_counter``; slly is imported from ``DIR/src`` (by default
-the checkout holding this script), so two checkouts compare directly.
+the checkout holding this script), so two checkouts compare directly.  The
+exit status is 0 when every row passed and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def main(argv=None) -> int:
     from slly import bethe, susy
 
     rng = random.Random(args.seed)
+    all_passed = True
     for n in range(2, args.max_n + 1):
         ks, c = _momenta(rng, n), round(rng.uniform(0.5, 2.5), 4)
         collision_terms = build_s = match_s = None
@@ -98,7 +100,8 @@ def main(argv=None) -> int:
             "passed": passed,
         }
         print(json.dumps(row), flush=True)
-    return 0
+        all_passed = all_passed and passed
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":
