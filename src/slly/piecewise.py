@@ -145,6 +145,11 @@ def _guard_size(n: int) -> None:
         raise ValueError(f"particle count {n} outside supported range 1..{MAX_PARTICLES}")
 
 
+def _guard_pair(n: int, a: int, b: int) -> None:
+    if not 1 <= a < b <= n:
+        raise ValueError(f"particle pair ({a}, {b}) is not 1 <= a < b <= {n}")
+
+
 @lru_cache(maxsize=None)
 def regions(n: int) -> tuple[Region, ...]:
     """All N! ordering chambers, in lexicographic order of the permutation.
@@ -350,6 +355,21 @@ def multiply_sign(f: RegionFunction, a: int, b: int) -> RegionFunction:
     if a == b:
         raise ValueError("multiply_sign needs a != b")
     return map_coefficients(f, lambda r, t: r.sign(a, b) * t.coef)
+
+
+def transpose(f: RegionFunction, a: int, b: int) -> RegionFunction:
+    """f with x_a and x_b exchanged, canonicalised by ``build``.
+
+    With tau the transposition of labels a and b, the terms of f on chamber
+    R move to chamber tau(R) with kappa_a and kappa_b exchanged.
+    """
+    _guard_pair(f.n, a, b)
+    tau = [a if j == b else b if j == a else j for j in range(1, f.n + 1)]
+    return build(f.n, {
+        Region(tuple(tau[s - 1] for s in r.order)):
+            [(t.coef, tuple(t.kappa[j - 1] for j in tau)) for t in ts]
+        for r, ts in f.terms.items()
+    })
 
 
 def evaluate(f: RegionFunction, x: Sequence[float]) -> complex:

@@ -22,7 +22,11 @@ exact Fock matrix Lambda_ab = 2c(I - n_a - n_b + hop).
 Zero modes: exp(-W) times the top Fock state, and exp(-W) times the
 alternating vector over the one-hole states.  Both are annihilated by Q and
 Q^dag; one is bosonic and one fermionic under (-1)^F, so the constructed
-Witten index is zero while supersymmetry stays unbroken.
+Witten index is zero while supersymmetry stays unbroken.  Particle exchange
+is E_ab = P_ab (x) Lambda_ab/(2c) (``exchange``): coordinate swap times the
+fermionic mode swap.  Both zero modes are -1 under every E_ab, and grade-0
+Bethe states are +1; E_ab commutes with Q and Q^dag, so a partner has the
+sign of its source.
 """
 
 from __future__ import annotations
@@ -61,8 +65,7 @@ class Superpotential:
         if self.c < 0:
             raise ValueError("superpotential strength must be nonnegative; "
                              "attraction/repulsion is carried by the sector")
-        if not 1 <= self.n <= pw.MAX_PARTICLES:
-            raise ValueError(f"particle count {self.n} outside 1..{pw.MAX_PARTICLES}")
+        pw._guard_size(self.n)
 
 
 def grad_w(region: pw.Region, j: int, sp: Superpotential) -> float:
@@ -466,59 +469,24 @@ def random_spinor(
 
 
 # ---------------------------------------------------------------------------
-# hard-coded exchange matrices for the two- and three-particle displays
+# particle exchange
 # ---------------------------------------------------------------------------
 
-_SIGMA1_N2 = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=float,
-)
+def exchange(s: SpinorFunction, a: int, b: int) -> SpinorFunction:
+    """E_ab = P_ab (x) Lambda_ab/(2c), the exchange of particles a < b.
 
-_SIGMA1_N3_GRADE2 = 0.5 * np.array(
-    [
-        [0, 1, -1],
-        [1, 0, 1],
-        [-1, 1, 0],
-    ],
-    dtype=float,
-)
-
-
-@dataclass(frozen=True)
-class SigmaCheckReport:
-    n: int
-    residual: float
-    passed: bool
-
-
-def exchange_sigma_check(n: int, c: float = 1.0, tol: float = 1e-12) -> SigmaCheckReport:
-    """Verify the alternating zero mode is a -1 eigen-spinor of the exchange
-    matrix (4x4 for two particles, 3x3 with prefactor 1/2 on the two-hole
-    grade for three).  Only N = 2, 3 carry a pinned matrix."""
-    if n not in (2, 3):
-        raise ValueError("exchange matrix is pinned only for N = 2 and N = 3")
-    sp = Superpotential(n=n, c=c)
-    mode = zero_mode_alternating(sp)
-    if n == 2:
-        basis = fock.fock_basis(2)
-        vec = [mode.component(mask) for mask in basis]
-        mat = _SIGMA1_N2
-    else:
-        sector = sector_hamiltonian(2, sp)
-        vec = [mode.component(mask) for mask in sector.masks]
-        mat = _SIGMA1_N3_GRADE2
-    worst = 0.0
-    for i in range(len(vec)):
-        image = pw.zero_function(n)
-        for j in range(len(vec)):
-            if mat[i, j] != 0:
-                image = pw.add(image, pw.scale(vec[j], mat[i, j]))
-        size = pw.coefficient_distance(image, pw.scale(vec[i], -1.0))
-        if not size <= worst and worst == worst:
-            worst = size
-    return SigmaCheckReport(n=n, residual=worst, passed=worst <= tol)
+    P_ab swaps x_a and x_b in every component (``pw.transpose``).  The
+    fermionic mode swap Lambda_ab/(2c) is a signed permutation of each
+    grade's masks, read off the cached ``_unit_blocks``.  E_ab is an
+    involution and commutes with Q and Q^dag.
+    """
+    pw._guard_pair(s.n, a, b)
+    out = {}
+    for mask, f in s.components.items():
+        grade = mask.bit_count()
+        masks = fock.fock_basis(s.n)[fock.grade_slice(s.n, grade)]
+        column = dict(_unit_blocks(s.n, grade))[a, b][:, masks.index(mask)]
+        row = int(np.flatnonzero(column)[0])
+        g = pw.transpose(f, a, b)
+        out[masks[row]] = g if column[row] == 1 else pw.scale(g, -1.0)
+    return SpinorFunction(s.n, out)

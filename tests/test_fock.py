@@ -1,5 +1,6 @@
 """Exact operator algebra on the finite fermionic Fock space."""
 
+import itertools
 import math
 
 import numpy as np
@@ -203,6 +204,23 @@ class TestDeltaCoupling:
     def test_unordered_pair_rejected(self):
         with pytest.raises(ValueError):
             fock.delta_coupling(2, 1, 1.0, 3)
+
+
+class TestFermionicSwap:
+    """U = Lambda_cd/(2c) swaps modes c and d: it relabels every ladder and coupling operator."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_swap_relabels_modes_and_couplings(self, n):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for c, d in pairs:
+            u = fock.delta_coupling_unit(c, d, n)
+            tau = {c: d, d: c}
+            for j in range(1, n + 1):
+                image = fock.annihilation(tau.get(j, j), n)
+                assert (u @ fock.annihilation(j, n) @ u).is_exactly(image)
+            for a, b in pairs:
+                image = fock.delta_coupling(*sorted((tau.get(a, a), tau.get(b, b))), 1.7, n)
+                assert (u @ fock.delta_coupling(a, b, 1.7, n) @ u).is_exactly(image)
 
 
 class TestGradeProject:

@@ -323,13 +323,11 @@ class TestPlantedStates:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("slly: ")
 
-    def test_exchange_sigma_check(self, monkeypatch):
-        alternating = susy.zero_mode_alternating
-        monkeypatch.setattr(
-            susy, "zero_mode_alternating", lambda sp: plant_spinor(alternating(sp), NAN)
-        )
-        rep = susy.exchange_sigma_check(3)
-        assert math.isnan(rep.residual) and not rep.passed
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
+    def test_exchange(self, pair):
+        mode = plant_spinor(susy.zero_mode_alternating(susy.Superpotential(n=3, c=1.0)), NAN)
+        image = susy.exchange(mode, *pair)
+        assert math.isnan(susy.spinor_distance(image, susy.spinor_scale(mode, -1.0)))
 
     def test_cli_algebra_keeps_a_nan_from_a_later_trial(self, monkeypatch, capsys):
         draw = susy.random_spinor

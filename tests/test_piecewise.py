@@ -159,6 +159,28 @@ class TestMultiplySign:
             pw.multiply_sign(pw.constant_function(2), 2, 2)
 
 
+class TestTranspose:
+    def test_swaps_the_coordinates(self):
+        f = pw.add(plane_wave(3, (1j, 2j, -3j), coef=1.5 + 0.5j), bethe.trimer_state(0.3, -1.0))
+        x = (0.4, -1.3, 0.9)
+        for a, b in itertools.combinations(range(1, 4), 2):
+            y = list(x)
+            y[a - 1], y[b - 1] = x[b - 1], x[a - 1]
+            want = pw.evaluate(f, y)
+            assert pw.evaluate(pw.transpose(f, a, b), x) == pytest.approx(want, abs=1e-13)
+
+    def test_involution(self):
+        f = plane_wave(4, (1j, 2j, -3j, 0.5), coef=1.5 + 0.5j)
+        for a, b in itertools.combinations(range(1, 5), 2):
+            twice = pw.transpose(pw.transpose(f, a, b), a, b)
+            assert pw.coefficient_distance(twice, f) == 0.0
+
+    @pytest.mark.parametrize("pair", [(2, 1), (2, 2), (0, 1), (1, 4)])
+    def test_bad_pair_rejected(self, pair):
+        with pytest.raises(ValueError):
+            pw.transpose(pw.constant_function(3), *pair)
+
+
 class TestEvaluate:
     def test_constant(self):
         f = pw.constant_function(3)

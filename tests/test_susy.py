@@ -1,6 +1,7 @@
 """Supercharges, sector Hamiltonians, zero modes, partners, algebra fuzz."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -432,13 +433,111 @@ class TestAlgebraChecks:
             assert tuple(susy.algebra_residuals(s, sp)) == want
 
 
-class TestSigmaCheck:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_alternating_mode_has_eigenvalue_minus_one(self, n):
-        rep = susy.exchange_sigma_check(n)
-        assert rep.passed
-        assert rep.residual < 1e-12
+#: exchange matrices of which the alternating zero mode is a -1 eigen-spinor: the
+#: 4x4 one on the whole two-mode Fock space, and the N=3 one on grade 2 (masks 3, 5, 6)
+SIGMA1_N2 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
+SIGMA1_N3_GRADE2 = 0.5 * np.array([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], dtype=float)
 
-    def test_unsupported_n(self):
-        with pytest.raises(ValueError):
-            susy.exchange_sigma_check(4)
+
+def pairs(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def matrix_image(mat, vec):
+    """The component vector ``mat . vec`` of chamber functions."""
+    n = vec[0].n
+    image = []
+    for row in mat:
+        g = pw.zero_function(n)
+        for m, f in zip(row, vec):
+            if m != 0:
+                g = pw.add(g, pw.scale(f, m))
+        image.append(g)
+    return image
+
+
+def is_odd(s, a, b):
+    return susy.spinor_distance(susy.exchange(s, a, b), susy.spinor_scale(s, -1.0)) == 0.0
+
+
+def is_even(s, a, b):
+    return susy.spinor_distance(susy.exchange(s, a, b), s) == 0.0
+
+
+class TestExchange:
+    """E_ab = P_ab (x) Lambda_ab/(2c); every statement holds with zero tolerance."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_modes_are_odd(self, n):
+        sp = susy.Superpotential(n=n, c=1.3)
+        for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
+            assert all(is_odd(mode, a, b) for a, b in pairs(n))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            bethe.collision_state((1.1, 0.3, -0.8), 1.2),
+            bethe.collision_state((1.4, 0.2, -0.3, -1.0), -0.9),
+            bethe.dimer_state(0.7, -1.5),
+            bethe.trimer_state(0.4, -1.1),
+            bethe.monomer_dimer_state(0.8, -0.5, -1.1),
+        ],
+        ids=["collision-3", "collision-4", "dimer", "trimer", "monomer-dimer"],
+    )
+    def test_bethe_states_are_symmetric(self, f):
+        for a, b in pairs(f.n):
+            assert pw.coefficient_distance(pw.transpose(f, a, b), f) == 0.0
+        assert all(is_even(susy.spinor_from_scalar(f, 0), a, b) for a, b in pairs(f.n))
+
+    def test_partner_has_the_sign_of_its_source(self):
+        sp = susy.Superpotential(n=3, c=1.1)
+        raised = susy.susy_partner(grade0_collision((1.1, 0.3, -0.8), sp), "raise", sp)
+        top = gradeN_state(bethe.monomer_dimer_state(0.8, -0.5, -sp.c), 3)
+        lowered = susy.susy_partner(top, "lower", sp)
+        assert raised.state.pure_grade() == 1 and lowered.state.pure_grade() == 2
+        assert all(is_even(raised.state, a, b) for a, b in pairs(3))
+        assert all(is_odd(lowered.state, a, b) for a, b in pairs(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_commutes_with_supercharges_and_squares_to_one(self, n):
+        sp = susy.Superpotential(n=n, c=0.7)
+        rng = np.random.default_rng(n)
+        for grade in range(n + 1):
+            s = susy.random_spinor(sp, rng, grade=grade)
+            for a, b in pairs(n):
+                e = susy.exchange(s, a, b)
+                for charge in (susy.apply_q, susy.apply_q_dagger):
+                    image = susy.exchange(charge(s, sp), a, b)
+                    assert susy.spinor_distance(image, charge(e, sp)) == 0.0
+                assert susy.spinor_distance(susy.exchange(e, a, b), s) == 0.0
+
+    def test_pinned_three_particle_matrix(self):
+        sp = susy.Superpotential(n=3, c=1.0)
+        blocks = [block for _, block in susy._unit_blocks(3, 2)]
+        assert np.array_equal((np.eye(3) + sum(blocks)) / 2, SIGMA1_N3_GRADE2)
+        mode = susy.zero_mode_alternating(sp)
+        images = [susy.exchange(mode, a, b) for a, b in pairs(3)]
+        mean = susy.spinor_scale(functools.reduce(susy.spinor_add, images, mode), 0.5)
+        assert susy.spinor_distance(mean, susy.spinor_scale(mode, -1.0)) == 0.0
+        vec = [mode.component(mask) for mask in (3, 5, 6)]
+        for g, f in zip(matrix_image(SIGMA1_N3_GRADE2, vec), vec):
+            assert pw.coefficient_distance(g, pw.scale(f, -1.0)) == 0.0
+
+    def test_pinned_two_particle_matrix(self):
+        # the pinned matrix gives |11> the sign +1, the fermionic swap -1;
+        # the alternating mode lives on grade 1, where the two agree
+        unit = fock.delta_coupling_unit(1, 2, 2).dense()
+        assert np.array_equal(np.argwhere(unit != SIGMA1_N2), [[3, 3]])
+        assert unit[3, 3] == -1 and SIGMA1_N2[3, 3] == 1
+        mode = susy.zero_mode_alternating(susy.Superpotential(n=2, c=1.0))
+        assert is_odd(mode, 1, 2)
+        vec = [mode.component(mask) for mask in fock.fock_basis(2)]
+        for g, f in zip(matrix_image(SIGMA1_N2, vec), vec):
+            assert pw.coefficient_distance(g, pw.scale(f, -1.0)) == 0.0
+
+    @pytest.mark.parametrize("pair", [(2, 1), (2, 2), (0, 1), (1, 4)])
+    def test_bad_pair_rejected(self, pair):
+        sp = susy.Superpotential(n=3, c=1.0)
+        for s in (susy.zero_mode_alternating(sp), susy.SpinorFunction(n=3, components={})):
+            with pytest.raises(ValueError):
+                susy.exchange(s, *pair)
