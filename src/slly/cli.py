@@ -29,6 +29,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict
+from typing import Sequence
 
 
 def _apply_thread_cap() -> None:
@@ -520,7 +521,17 @@ def _check_options(args, command: str, reads: dict) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every group, but only the named one gets its options.
+
+    The top-level parser takes no option with a value, so the first argument
+    not starting with "-" names the group; when it names none, every group
+    gets its options.  A group's options are read only when argv names it,
+    so the parse, its errors and every help text are those of the parser
+    with all groups filled.
+    """
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    fill = (named,) if named in _COMMANDS else tuple(_COMMANDS)
     parser = _Parser(
         prog="slly",
         description="exact and numerical verification of the contact-boson "
@@ -530,6 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for group, commands in _COMMANDS.items():
         positional, help_text = _GROUPS[group]
         g = sub.add_parser(group, help=help_text)
+        if group not in fill:
+            continue
         g.add_argument(positional, choices=list(commands))
         # --tol stays on every group, so that a command refuses it by name
         read = {"tol"}.union(*(reads for _, reads in commands.values()))
@@ -549,7 +562,8 @@ def main(argv=None) -> int:
     from . import __version__
     from .errors import ConvergenceError
 
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,17 +199,22 @@ def _holds_nan(kappa: Sequence[complex]) -> bool:
     return total != total and any(k != k for k in kappa)
 
 
-def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpTerm, ...]:
-    """One canonical chamber from raw (coef, kappa) terms.
+#: a merged chamber: each distinct kappa holding no NaN with its summed
+#: coefficient, none of magnitude at most ``DROP_TOL``, then the terms whose
+#: kappa holds a NaN, in arrival order
+_Merged = tuple[dict[tuple[complex, ...], complex], list[ExpTerm]]
 
-    Terms whose kappas are equal componentwise sum in input order and keep
-    the first one's kappa; a sum of magnitude at most ``DROP_TOL`` drops, and
-    the rest sort by ``_sort_key``.  A kappa holding a NaN equals nothing, so
-    its term is never merged and goes after the sorted terms, in input
-    order.
+
+def _gather(raw: Iterable[tuple[complex, Sequence[complex]]]) -> _Merged:
+    """Sum raw (coef, kappa) terms by kappa, in input order.
+
+    Terms whose kappas are equal componentwise sum and keep the first one's
+    kappa, and a sum of magnitude at most ``DROP_TOL`` drops.  A kappa
+    holding a NaN equals nothing, so its term is never merged; it is kept
+    alone unless its magnitude is at most ``DROP_TOL``.
     """
     sums: dict[tuple[complex, ...], complex] = {}
-    alone: list[ExpTerm] = []  # terms whose kappa holds a NaN
+    alone: list[ExpTerm] = []
     for c, kap in raw:
         c, kappa = complex(c), tuple(map(complex, kap))
         if _holds_nan(kappa):
@@ -219,11 +224,42 @@ def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpT
             sums[kappa] += c
         else:
             sums[kappa] = c
-    kept = sorted(
-        (ExpTerm(c, kappa) for kappa, c in sums.items() if not abs(c) <= DROP_TOL),
-        key=lambda t: _sort_key(t.kappa),
-    )
-    return (*kept, *alone)
+    for c in sums.values():
+        if abs(c) <= DROP_TOL:
+            return {k: c for k, c in sums.items() if not abs(c) <= DROP_TOL}, alone
+    return sums, alone
+
+
+def _ranks(chambers: Iterable[_Merged]) -> dict[tuple[complex, ...], int]:
+    """Position of each distinct kappa of the chambers in ``_sort_key`` order.
+
+    ``_sort_key`` runs once per distinct kappa, however many chambers hold
+    it.  Distinct kappas holding no NaN have distinct sort keys, so sorting
+    a chamber by rank is sorting it by ``_sort_key``.
+    """
+    ranks: dict[tuple[complex, ...], int] = {}
+    for sums, _ in chambers:
+        ranks.update(sums)
+    for i, kappa in enumerate(sorted(ranks, key=_sort_key)):
+        ranks[kappa] = i
+    return ranks
+
+
+def _canonical(chamber: _Merged, ranks: Mapping[tuple[complex, ...], int]) -> tuple[ExpTerm, ...]:
+    """The canonical terms of a merged chamber, the one rule of term order.
+
+    The sums, none of magnitude at most ``DROP_TOL``, sort by rank
+    (``_ranks``), and the terms whose kappa holds a NaN follow in arrival
+    order.
+    """
+    sums, alone = chamber
+    return (*[ExpTerm(sums[k], k) for k in sorted(sums, key=ranks.__getitem__)], *alone)
+
+
+def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpTerm, ...]:
+    """One canonical chamber from raw (coef, kappa) terms (``_gather``, ``_canonical``)."""
+    chamber = _gather(raw)
+    return _canonical(chamber, _ranks((chamber,)))
 
 
 def _merge_parts(
@@ -256,15 +292,23 @@ def _merge_parts(
 
 
 def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex]]]]) -> RegionFunction:
-    """Assemble and canonicalise a RegionFunction from raw (coef, kappa) pairs."""
-    terms = {}
+    """Assemble and canonicalise a RegionFunction from raw (coef, kappa) pairs.
+
+    Each chamber is ``_merge_terms`` of its raw terms; the sort keys are
+    shared by all chambers.
+    """
+    chambers = {}
     for region, raw in data.items():
         if region.n != n:
             raise ValueError("all regions must carry the same particle count")
         raw = list(raw)
         if any(len(kappa) != n for _, kappa in raw):
             raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
-        merged = _merge_terms(raw)
+        chambers[region] = _gather(raw)
+    ranks = _ranks(chambers.values())
+    terms = {}
+    for region, chamber in chambers.items():
+        merged = _canonical(chamber, ranks)
         if merged:
             terms[region] = merged
     return RegionFunction(n=n, terms=terms)
@@ -318,6 +362,84 @@ def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
         if region not in f.terms and us:
             terms[region] = us
     return RegionFunction(n=f.n, terms=terms)
+
+
+#: one chamber of an image: its region, then the coefficient that replaces
+#: each term of a canonical chamber of that region (the terms' kappas stay)
+ImageChamber = tuple[Region, Sequence[complex], Sequence[ExpTerm]]
+
+
+def sum_images(
+    n: int, images: Iterable[tuple[Hashable, Iterable[ImageChamber]]]
+) -> dict[Hashable, RegionFunction]:
+    """Sum labelled coefficient images into one function per label.
+
+    An image is what ``map_coefficients`` would return for the given
+    coefficients.  The result equals, bit for bit and in chamber order,
+
+        out[label] = add(out[label], image) if label in out else image
+
+    over the images in order, without building any image or intermediate
+    sum.  Each (label, chamber) is one accumulation keyed by kappa, which
+    keeps the rules of that chain:
+
+    - an image coefficient of magnitude at most ``DROP_TOL`` is skipped;
+    - a sum of magnitude at most ``DROP_TOL`` drops after its image, and a
+      later image starts that kappa afresh;
+    - a chamber left empty is removed, so a later image appends it at the
+      end of the label's chambers;
+    - a kappa holding a NaN is merged with nothing and its terms follow the
+      sorted ones in arrival order;
+    - a chamber that one image reached keeps that image's order, as ``add``
+      passes it through; one that several reached is sorted once, at the
+      end (``_canonical``).
+
+    The given terms are canonical, so an image holds each kappa at most once
+    and its NaN kappas last.
+    """
+    tol = DROP_TOL
+    # per label, region -> [sums, alone, met]: ``met`` once a second image
+    # reached the chamber; until then it holds one image's canonical order
+    out: dict[Hashable, dict[Region, list]] = {}
+    for label, chambers in images:
+        acc = out.setdefault(label, {})
+        for region, coefs, terms in chambers:
+            chamber = acc.get(region)
+            if chamber is None:
+                sums, alone = {}, []
+            else:
+                sums, alone, _ = chamber
+                chamber[2] = True
+            nan_tail = bool(terms) and _holds_nan(terms[-1].kappa)
+            for c, (_, kappa) in zip(coefs, terms):
+                if abs(c) <= tol:
+                    continue
+                if nan_tail and _holds_nan(kappa):
+                    alone.append(ExpTerm(c, kappa))
+                    continue
+                total = sums.get(kappa)
+                if total is None:
+                    sums[kappa] = c
+                elif abs(total := total + c) <= tol:
+                    del sums[kappa]
+                else:
+                    sums[kappa] = total
+            if sums or alone:
+                if chamber is None:
+                    acc[region] = [sums, alone, False]
+            elif chamber is not None:
+                del acc[region]
+    ranks = _ranks(
+        (sums, alone) for acc in out.values() for sums, alone, met in acc.values() if met
+    )
+    return {
+        label: RegionFunction(n=n, terms={
+            region: _canonical((sums, alone), ranks) if met
+            else (*[ExpTerm(c, k) for k, c in sums.items()], *alone)
+            for region, (sums, alone, met) in acc.items()
+        })
+        for label, acc in out.items()
+    }
 
 
 def scale(f: RegionFunction, z: complex) -> RegionFunction:

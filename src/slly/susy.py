@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Mapping, NamedTuple
+from typing import Iterator, Literal, Mapping, NamedTuple
 
 import numpy as np
 
@@ -137,24 +137,35 @@ def _prune(s: SpinorFunction) -> SpinorFunction:
     return SpinorFunction(s.n, {m: f for m, f in s.components.items() if f.terms})
 
 
+def _check_particles(s: SpinorFunction, sp: Superpotential) -> None:
+    if s.n != sp.n:
+        raise ValueError(f"spinor of {s.n} particles under a superpotential of {sp.n}")
+
+
+def _image(
+    f: pw.RegionFunction, j: int, z: complex, sgn: float, sp: Superpotential
+) -> Iterator[pw.ImageChamber]:
+    """The chambers of z (d/dx_j + sgn w_j) f: c -> z * (c kappa_j + c sgn w_j),
+    in this operand order (report bytes depend on it)."""
+    i = j - 1
+    for r, ts in f.terms.items():
+        w = grad_w(r, j, sp)
+        yield r, [z * (c * kappa[i] + c * sgn * w) for c, kappa in ts], ts
+
+
 def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
-    """Q, or Q^dag if ``dagger``: per source mask and movable mode j, one coefficient map
-    c -> z * (c kappa_j + c sgn w_j), z = i sqrt(2) jw_sign(mask, j), in this operand order
-    (report bytes depend on it); the images are summed into ``mask ^ bit`` by ascending j."""
+    """Q, or Q^dag if ``dagger``: per source mask and movable mode j, the image of
+    ``_image`` with z = i sqrt(2) jw_sign(mask, j), summed into ``mask ^ bit`` by
+    ascending j (``pw.sum_images``)."""
+    _check_particles(s, sp)
     sgn = -1.0 if dagger else 1.0
-    out: dict[int, pw.RegionFunction] = {}
-    for mask, f in s.components.items():
-        for j in range(1, sp.n + 1):
-            bit = 1 << (j - 1)
-            if bool(mask & bit) == dagger:
-                continue
-            z = 1j * SQRT2 * fock.jw_sign(mask, j)
-            g = pw.map_coefficients(
-                f, lambda r, t: z * (t.coef * t.kappa[j - 1] + t.coef * sgn * grad_w(r, j, sp))
-            )
-            tgt = mask ^ bit
-            out[tgt] = pw.add(out[tgt], g) if tgt in out else g
-    return _prune(SpinorFunction(s.n, out))
+    images = (
+        (mask ^ (1 << (j - 1)), _image(f, j, 1j * SQRT2 * fock.jw_sign(mask, j), sgn, sp))
+        for mask, f in s.components.items()
+        for j in range(1, sp.n + 1)
+        if bool(mask & (1 << (j - 1))) != dagger
+    )
+    return _prune(SpinorFunction(s.n, pw.sum_images(s.n, images)))
 
 
 def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
@@ -245,8 +256,10 @@ def verify_eigenstate(s: SpinorFunction, e: float, sp: Superpotential) -> Eigens
     Bulk: every exponential term must satisfy -sum_j kappa_j^2 + shift = E.
     Walls: the component vector in the grade basis must satisfy the
     derivative-jump condition with the grade block of Lambda_ab.  Inputs with
-    discontinuous components are rejected outright.
+    discontinuous components are rejected outright, and so is a spinor whose
+    particle count is not the superpotential's.
     """
+    _check_particles(s, sp)
     grade = s.pure_grade()
     sector = sector_hamiltonian(grade, sp)
     shift = sector.shift

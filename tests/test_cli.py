@@ -605,3 +605,39 @@ class TestReportPlumbing:
         # sector 1 couples at -2c/h on the coincidence line, so the Gershgorin
         # bound is negative and the fallback shift sits one below it
         assert diagnostics["sigma"] == diagnostics["gershgorin"] - 1.0 < -1.0
+
+
+#: argvs ending in help, a usage error or a quick report; with --help first,
+#: no group is named and the parser fills every group anyway
+PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["nosuch"], ["nosuch", "--help"], ["--help", "susy"],
+    *([group, "--help"] for group in cli._COMMANDS),
+    ["susy"], ["susy", "nosuch"], ["bethe", "dimer", "--bogus", "1"], ["lattice", "spectrum"],
+    ["susy", "sector", "--n", "2", "--c", "1", "--grade", "1"],
+]
+
+
+class TestParserPerGroup:
+    """The parser fills only the group argv names, and no outcome shows it."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS)
+    def test_same_outcome_as_the_all_groups_parser(self, argv, capsys, monkeypatch):
+        got = (cli.main(argv), *capsys.readouterr())
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build(()))
+        want = (cli.main(argv), *capsys.readouterr())
+        assert got == want
+        assert want[1] or want[2]
+
+    @pytest.mark.parametrize("argv, filled", [
+        (["susy", "algebra"], {"susy"}),
+        (["--", "lattice"], {"lattice"}),
+        (["nosuch", "bethe"], {"bethe", "susy", "lattice"}),
+        ([], {"bethe", "susy", "lattice"}),
+    ])
+    def test_only_the_named_group_gets_options(self, argv, filled):
+        parser = cli._build_parser(argv)
+        (sub,) = (a for a in parser._actions if a.dest == "group")
+        # an unfilled group parser holds only its --help
+        assert {g for g, p in sub.choices.items() if len(p._actions) > 1} == filled
+        assert list(sub.choices) == list(cli._COMMANDS)

@@ -1252,16 +1252,31 @@ class TestExactIdentity:
 
     def test_constructed_states_merge_as_under_the_tolerance(self, monkeypatch):
         merges = []
-        merge_terms = pw._merge_terms
+        gather, sum_images = pw._gather, pw.sum_images
 
         def both_rules(raw):
             raw = list(raw)
             kappas = [tuple(complex(k) for k in kap) for _, kap in raw]
             assert exact_partition(kappas) == tolerance_partition(kappas)
             merges.append(len(kappas))
-            return merge_terms(raw)
+            return gather(raw)
 
-        monkeypatch.setattr(pw, "_merge_terms", both_rules)
+        def both_rules_on_images(n, images):
+            # the kappas that reach one (label, chamber) merge as one raw chamber would
+            images = [(label, list(chambers)) for label, chambers in images]
+            arrived = {}
+            for label, chambers in images:
+                for region, coefs, terms in chambers:
+                    arrived.setdefault((label, region), []).extend(
+                        t.kappa for c, t in zip(coefs, terms) if not abs(c) <= pw.DROP_TOL
+                    )
+            for kappas in arrived.values():
+                assert exact_partition(kappas) == tolerance_partition(kappas)
+                merges.append(len(kappas))
+            return sum_images(n, images)
+
+        monkeypatch.setattr(pw, "_gather", both_rules)
+        monkeypatch.setattr(pw, "sum_images", both_rules_on_images)
         rng = np.random.default_rng(12)
         funcs = []
         for n in range(2, 6):

@@ -1,6 +1,7 @@
 """Supercharges, sector Hamiltonians, zero modes, partners, algebra fuzz."""
 
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -42,6 +43,75 @@ def old_supercharge(s, sp, dagger):
             tgt = mask ^ bit
             out[tgt] = pw.add(out[tgt], g) if tgt in out else g
     return susy.SpinorFunction(s.n, {m: f for m, f in out.items() if f.terms})
+
+
+def image_chain_supercharge(s, sp, dagger, events=None):
+    """Q or Q^dag as one image per move, folded in with ``pw.add``: the reference of
+    ``pw.sum_images``.
+
+    Per source mask and movable mode j, ``map_coefficients`` builds the image
+    c -> z * (c kappa_j + c sgn w_j) and ``add`` folds it into the target
+    mask by ascending j.  ``events``, a Counter when given, counts the cases
+    of this chain that the one-pass accumulation must reproduce.
+    """
+    sgn = -1.0 if dagger else 1.0
+    out = {}
+    seen = ({}, set(), set())  # NaN-kappa source masks, dropped kappas, emptied chambers
+    for mask, f in s.components.items():
+        for j in range(1, sp.n + 1):
+            bit = 1 << (j - 1)
+            if bool(mask & bit) == dagger:
+                continue
+            z = 1j * susy.SQRT2 * fock.jw_sign(mask, j)
+            g = pw.map_coefficients(
+                f, lambda r, t: z * (t.coef * t.kappa[j - 1] + t.coef * sgn * susy.grad_w(r, j, sp))
+            )
+            tgt = mask ^ bit
+            before = out.get(tgt, pw.zero_function(s.n))
+            out[tgt] = pw.add(out[tgt], g) if tgt in out else g
+            if events is not None:
+                count_chain_events(events, seen, (tgt, mask), before, g, out[tgt])
+    result = susy.SpinorFunction(s.n, {m: f for m, f in out.items() if f.terms})
+    if events is not None:
+        events["-0.0 part"] += sum(
+            math.copysign(1.0, x) < 0 and x == 0
+            for f in result.components.values() for ts in f.terms.values() for t in ts
+            for z in (t.coef, *t.kappa) for x in (z.real, z.imag)
+        )
+    return result
+
+
+def count_chain_events(events, seen, move, before, image, after):
+    """Count what one ``add`` of ``image`` into the target did (see the reference)."""
+    nan_from, dropped, emptied = seen
+    tgt, mask = move
+    for region, ts in image.terms.items():
+        if (tgt, region) in emptied:
+            events["chamber reappears"] += 1
+            emptied.discard((tgt, region))
+        for t in ts:
+            if pw._holds_nan(t.kappa):
+                sources = nan_from.setdefault((tgt, region), set())
+                sources.add(mask)
+                events["NaN kappa from a second mask"] += len(sources) > 1
+            elif (tgt, region, t.kappa) in dropped:
+                events["re-added after a drop"] += 1
+                dropped.discard((tgt, region, t.kappa))
+        kept = {t.kappa for t in after.terms.get(region, ())}
+        for t in before.terms.get(region, ()):
+            if not pw._holds_nan(t.kappa) and t.kappa not in kept:
+                events["sum dropped"] += 1
+                dropped.add((tgt, region, t.kappa))
+        if region in before.terms and region not in after.terms:
+            emptied.add((tgt, region))
+
+
+def bits(s):
+    """Every mask, chamber and term of ``s`` in order, signed zeros and NaN included."""
+    return [
+        (mask, [(r.order, [repr(t) for t in ts]) for r, ts in f.terms.items()])
+        for mask, f in s.components.items()
+    ]
 
 
 def assert_supercharges_equal_chain(s, sp):
@@ -181,6 +251,122 @@ class TestSupercharges:
         s = susy.random_spinor(sp, rng, grade=1)
         assert susy.apply_q_dagger(s, sp).pure_grade() == 2
         assert susy.apply_q(s, sp).pure_grade() == 0
+
+
+#: real parts of the pooled spinors' coefficients and kappas: with c = 1 every
+#: image coefficient is i sqrt(2) times a small dyadic number, so images of
+#: different masks cancel exactly
+POOL_PARTS = (0.0, 1.0, -1.0, 0.5, -0.5)
+
+
+def pooled_spinor(rng, n, nan=True):
+    """A spinor on every mask and chamber whose terms draw from two kappas.
+
+    The masks, the chambers and the terms come in shuffled order, so images
+    of different masks share kappas, cancel to zero, empty chambers and
+    refill them, and meet signed zeros (every imaginary part is 0.0 or
+    -0.0); with ``nan``, a kappa holding a NaN reaches several masks.
+    """
+    def part(values=POOL_PARTS):
+        return complex(float(rng.choice(values)), float(rng.choice((0.0, -0.0))))
+
+    kappas = [tuple(part() for _ in range(n)) for _ in range(2)]
+    if nan:
+        kappas.append((complex(math.nan, 1.0), *kappas[0][1:]))
+    regions = pw.regions(n)
+    comps = {}
+    for mask in rng.permutation(1 << n):
+        data = {}
+        for i in rng.permutation(len(regions)):
+            picks = rng.permutation(len(kappas))[: int(rng.integers(1, 2, endpoint=True))]
+            data[regions[int(i)]] = [(part((1.0, -1.0)), kappas[int(k)]) for k in picks]
+        comps[int(mask)] = pw.build(n, data)
+    return susy.SpinorFunction(n, comps)
+
+
+def near_cancelling_spinor():
+    """Three grade-1 masks lowered into mask 0 on chamber (1, 2, 3), w = (-1, 0, 1).
+
+    Mask 1 gives -z, mask 4 gives (1 + 2^-52) z: their sum 2^-52 z is at
+    most DROP_TOL, so it drops and the chamber empties; mask 2 then starts
+    the kappa afresh at 2.5e-4 z and appends the chamber after (1, 3, 2).
+    """
+    r123, r132 = pw.Region((1, 2, 3)), pw.Region((1, 3, 2))
+    kappa = (0.0, 0.25, 0.0)
+    return susy.SpinorFunction(3, {
+        0b001: pw.build(3, {r123: [(1.0, kappa)], r132: [(1.0, (0.5, 0.0, 0.0))]}),
+        0b100: pw.build(3, {r123: [(1.0 + 2.0**-52, kappa)]}),
+        0b010: pw.build(3, {r123: [(1e-3, kappa)]}),
+    })
+
+
+class TestAccumulationKernel:
+    """``_supercharge`` equals the image-by-image chain bit for bit, chamber order included."""
+
+    SP = {n: susy.Superpotential(n=n, c=1.0) for n in (1, 2, 3, 4)}
+
+    @staticmethod
+    def pooled(n, seed, count=20):
+        rng = np.random.default_rng(seed)
+        return [pooled_spinor(rng, n, nan=k % 2 == 0) for k in range(count)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dagger", [False, True])
+    def test_equal_chain_on_pooled_spinors(self, n, dagger):
+        sp = self.SP[n]
+        for s in self.pooled(n, 10 * n + dagger):
+            assert bits(susy._supercharge(s, sp, dagger)) == bits(
+                image_chain_supercharge(s, sp, dagger)
+            )
+
+    def test_near_cancellation_drops_and_reappends(self):
+        sp, s = self.SP[3], near_cancelling_spinor()
+        got = susy.apply_q(s, sp)
+        assert bits(got) == bits(image_chain_supercharge(s, sp, False))
+        r123, r132 = pw.Region((1, 2, 3)), pw.Region((1, 3, 2))
+        assert list(got.component(0).terms) == [r132, r123]
+        (term,) = got.component(0).terms[r123]
+        assert term.coef == 1j * susy.SQRT2 * (1e-3 * 0.25 + 1e-3 * 1.0 * 0.0)
+
+    def test_every_case_is_reached(self):
+        """The inputs above reach each rule of the chain the accumulation keeps."""
+        events = collections.Counter()
+        image_chain_supercharge(near_cancelling_spinor(), self.SP[3], False, events)
+        assert events["sum dropped"] == events["re-added after a drop"] == 1
+        assert events["chamber reappears"] == 1
+        pooled = collections.Counter()
+        for n in (2, 3, 4):
+            for dagger in (False, True):
+                for s in self.pooled(n, 10 * n + dagger):
+                    image_chain_supercharge(s, self.SP[n], dagger, pooled)
+        cases = ("sum dropped", "re-added after a drop", "chamber reappears",
+                 "NaN kappa from a second mask", "-0.0 part")
+        assert all(pooled[case] >= 10 for case in cases), pooled
+
+
+class TestParticleCount:
+    """A spinor and a superpotential of different particle counts are refused."""
+
+    MISMATCHED = [(3, 2), (3, 4), (2, 5)]
+
+    @pytest.mark.parametrize("n_spinor, n_sp", MISMATCHED)
+    @pytest.mark.parametrize("op", [
+        susy.apply_q, susy.apply_q_dagger, susy.algebra_residuals, susy.annihilation_residuals,
+    ])
+    def test_supercharges_refuse(self, op, n_spinor, n_sp):
+        s = susy.zero_mode_top(susy.Superpotential(n_spinor, 1.0))
+        with pytest.raises(ValueError, match=f"{n_spinor} particles .* of {n_sp}"):
+            op(s, susy.Superpotential(n_sp, 1.0))
+
+    @pytest.mark.parametrize("n_spinor, n_sp", MISMATCHED)
+    def test_verify_eigenstate_refuses_before_reading_a_wall(self, monkeypatch, n_spinor, n_sp):
+        def refuse(*args):
+            raise AssertionError("a wall was read")
+
+        monkeypatch.setattr(pw, "matching_residuals", refuse)
+        s = susy.zero_mode_alternating(susy.Superpotential(n_spinor, 1.0))
+        with pytest.raises(ValueError, match=f"{n_spinor} particles .* of {n_sp}"):
+            susy.verify_eigenstate(s, 0.0, susy.Superpotential(n_sp, 1.0))
 
 
 class TestSectorHamiltonian:

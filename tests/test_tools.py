@@ -25,6 +25,7 @@ def test_n_sweep_prints_one_row_per_particle_count():
     assert all(row["passed"] for row in rows)
     assert all(row["matching_report_s"] >= 0.0 for row in rows)
     assert all(row["annihilation_s"] >= 0.0 for row in rows)
+    assert all(row["algebra_s"] >= 0.0 for row in rows)
 
 
 def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, capsys):
@@ -48,6 +49,13 @@ def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, caps
     monkeypatch.setattr(bethe, "matching_report", lambda *args: bethe.MatchingReport(0, 0, 0))
     monkeypatch.setattr(susy, "verify_eigenstate", verify_eigenstate)
     monkeypatch.setattr(susy, "annihilation_residuals", lambda mode, sp: (0.0, 0.0))
+    checked = []
+
+    def algebra_residuals(s, sp):
+        checked.append(sp.n)
+        return susy.AlgebraResiduals(0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(susy, "algebra_residuals", algebra_residuals)
     assert n_sweep.main(["--max-n", "7", "--root", str(ROOT)]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["n"] for row in rows] == [2, 3, 4, 5, 6, 7]
@@ -57,9 +65,12 @@ def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, caps
     assert rows[-1]["zero_mode_terms"] == 8 * 5040 and rows[-1]["zero_modes_s"] >= 0.0
     assert rows[-1]["passed"] is True
     assert verified[-2:] == [(7, 7), (7, 6)]
+    # the algebra is checked up to N=5, as the symbolic susy commands are
+    assert checked == [2, 3, 4, 5]
+    assert [row["algebra_s"] is None for row in rows] == [False] * 4 + [True] * 2
 
 
-@pytest.mark.parametrize("failing", ["matching", "zero-mode"])
+@pytest.mark.parametrize("failing", ["matching", "zero-mode", "algebra"])
 def test_n_sweep_exits_1_when_a_row_fails(failing, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("n_sweep", ROOT / "tools" / "n_sweep.py")
     n_sweep = importlib.util.module_from_spec(spec)
@@ -67,8 +78,11 @@ def test_n_sweep_exits_1_when_a_row_fails(failing, monkeypatch, capsys):
     if failing == "matching":
         monkeypatch.setattr(bethe, "matching_report",
                             lambda *args: bethe.MatchingReport(0.0, float("nan"), 0.0))
-    else:
+    elif failing == "zero-mode":
         monkeypatch.setattr(susy, "annihilation_residuals", lambda mode, sp: (0.0, 1.0))
+    else:  # one residual just at the tolerance fails
+        monkeypatch.setattr(susy, "algebra_residuals",
+                            lambda s, sp: susy.AlgebraResiduals(0.0, 1e-12, 0.0))
     assert n_sweep.main(["--max-n", "3", "--root", str(ROOT)]) == 1
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["n"] for row in rows] == [2, 3]

@@ -7,15 +7,19 @@ decreasing reals in [-2, 2], at least 0.05 apart, and a coupling in
 [0.5, 2.5]), runs ``bethe.matching_report`` on it, and runs
 ``susy.verify_eigenstate`` and ``susy.annihilation_residuals`` (Q and Q^dag
 applied once each) on both zero modes of the superpotential with the same
-coupling.  Each N prints one JSON line:
+coupling.  Up to N = 5 (``ALGEBRA_MAX_N``, the limit of the symbolic susy
+commands) it also runs ``susy.algebra_residuals`` on one seeded random
+spinor.  Each N prints one JSON line:
 
     {"n", "walls", "collision_terms", "collision_state_s", "matching_report_s",
-     "zero_mode_terms", "zero_modes_s", "annihilation_s", "passed"}
+     "zero_mode_terms", "zero_modes_s", "annihilation_s", "algebra_s", "passed"}
 
 ``walls`` is N!(N-1)/2, ``*_terms`` count the exponential terms over all
 chambers (and components), ``zero_modes_s`` and ``annihilation_s`` cover
-both modes, and ``passed`` says every check met its tolerance (both
-annihilation residuals below ``susy.ZERO_MODE_TOL``).  Above N = 6
+both modes, ``algebra_s`` is null above N = 5, and ``passed`` says every
+check met its tolerance (both annihilation residuals below
+``susy.ZERO_MODE_TOL``, the three algebra residuals below ``ALGEBRA_TOL``,
+the default ``--tol`` of ``slly susy algebra``).  Above N = 6
 (``COLLISION_MAX_N``) the three collision columns are null and the
 collision state is never built: it holds N! terms on each of N! chambers
 (25 M at N = 7), which the full-chamber engine cannot finish; the zero
@@ -37,6 +41,9 @@ from pathlib import Path
 
 #: largest N whose collision state is built and matched
 COLLISION_MAX_N = 6
+#: largest N whose supersymmetry algebra is checked, and its tolerance
+ALGEBRA_MAX_N = 5
+ALGEBRA_TOL = 1e-12
 
 
 def _momenta(rng: random.Random, n: int) -> list[float]:
@@ -63,9 +70,11 @@ def main(argv=None) -> int:
         ap.error("--max-n must be in 2..10")
 
     sys.path.insert(0, str(args.root.resolve() / "src"))
+    import numpy as np
     from slly import bethe, susy
 
     rng = random.Random(args.seed)
+    spinor_rng = np.random.default_rng(args.seed)
     all_passed = True
     for n in range(2, args.max_n + 1):
         ks, c = _momenta(rng, n), round(rng.uniform(0.5, 2.5), 4)
@@ -85,6 +94,11 @@ def main(argv=None) -> int:
             residuals, seconds = _timed(susy.annihilation_residuals, mode, sp)
             annihilation_s += seconds
             passed = passed and verdict.accepted and max(residuals) < susy.ZERO_MODE_TOL
+        algebra_s = None
+        if n <= ALGEBRA_MAX_N:
+            spinor = susy.random_spinor(sp, spinor_rng)
+            residuals, algebra_s = _timed(susy.algebra_residuals, spinor, sp)
+            passed = passed and max(residuals) < ALGEBRA_TOL
         row = {
             "n": n,
             "walls": math.factorial(n) * (n - 1) // 2,
@@ -97,6 +111,7 @@ def main(argv=None) -> int:
             ),
             "zero_modes_s": round(zero_s, 4),
             "annihilation_s": round(annihilation_s, 4),
+            "algebra_s": None if algebra_s is None else round(algebra_s, 4),
             "passed": passed,
         }
         print(json.dumps(row), flush=True)
