@@ -70,7 +70,9 @@ def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, caps
     assert [row["algebra_s"] is None for row in rows] == [False] * 4 + [True] * 2
 
 
-@pytest.mark.parametrize("failing", ["matching", "zero-mode", "algebra"])
+@pytest.mark.parametrize(
+    "failing", ["matching", "zero-mode", "zero-mode-nan", "algebra", "algebra-nan"]
+)
 def test_n_sweep_exits_1_when_a_row_fails(failing, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("n_sweep", ROOT / "tools" / "n_sweep.py")
     n_sweep = importlib.util.module_from_spec(spec)
@@ -78,11 +80,13 @@ def test_n_sweep_exits_1_when_a_row_fails(failing, monkeypatch, capsys):
     if failing == "matching":
         monkeypatch.setattr(bethe, "matching_report",
                             lambda *args: bethe.MatchingReport(0.0, float("nan"), 0.0))
-    elif failing == "zero-mode":
-        monkeypatch.setattr(susy, "annihilation_residuals", lambda mode, sp: (0.0, 1.0))
-    else:  # one residual just at the tolerance fails
+    elif failing.startswith("zero-mode"):  # a NaN after a zero fails too
+        bad = 1.0 if failing == "zero-mode" else float("nan")
+        monkeypatch.setattr(susy, "annihilation_residuals", lambda mode, sp: (0.0, bad))
+    else:  # one residual just at the tolerance, or a NaN after a zero, fails
+        bad = 1e-12 if failing == "algebra" else float("nan")
         monkeypatch.setattr(susy, "algebra_residuals",
-                            lambda s, sp: susy.AlgebraResiduals(0.0, 1e-12, 0.0))
+                            lambda s, sp: susy.AlgebraResiduals(0.0, bad, 0.0))
     assert n_sweep.main(["--max-n", "3", "--root", str(ROOT)]) == 1
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["n"] for row in rows] == [2, 3]
