@@ -12,8 +12,18 @@ The particles are identical bosons, so a one-component sector (grade 0, the
 Fock vacuum, and grade N, the fully occupied mask) is solved on the
 exchange-symmetric grid functions only: the box matrix is restricted through
 the orbit-sum isometry of ``symmetric_isometry`` and reports bosonic levels
-alone.  Sectors with more than one Fock component are still solved on the
-full box, because their exchange action also permutes the Fock modes.
+alone.
+
+A sector with more than one Fock component keeps every level of the full
+box, but is solved one block at a time.  The class sum
+T_F = sum_{a<b} Lambda_ab/(2c) of the fermionic mode swaps is central, so it
+commutes with every coupling block and with -Laplacian, and the sector is
+block-diagonal over its eigenspaces (``sector_blocks``).  A one-dimensional
+eigenspace has T_F = +-C(N, 2) and coupling +-2c: it is the grade-0 or
+grade-N box matrix.  At N=2 each block is solved further on its exchange-
+symmetric and antisymmetric halves; the antisymmetric half vanishes on the
+coincidence line, so the two blocks share it and it is solved once.  The
+blocks' lowest levels are merged into the sector's.
 
 Everything is deterministic under a fixed seed (the seed fixes the
 eigensolver start vector), and every assembled matrix is exactly symmetric
@@ -22,8 +32,10 @@ by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +103,46 @@ def _coincidence_indicator(grid: Grid, a: int, b: int) -> np.ndarray:
     return (idx[a - 1] == idx[b - 1]).astype(float).ravel()
 
 
+def _sector_unknowns(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
+    """Check a sector request against the grid and the budgets; return its unknowns.
+
+    The unknowns are those of the whole sector, every Fock component times the
+    box, however the sector is solved.
+    """
+    if grid.n != sp.n:
+        raise ValueError("grid and superpotential particle counts differ")
+    if grid.n not in (2, 3):
+        raise ValueError(f"lattice oracle supports N = 2 or 3, got N = {grid.n}")
+    if grid.n == 3 and grid.points > MAX_POINTS_3D:
+        raise BudgetError(f"three-particle grids are capped at {MAX_POINTS_3D} points per axis")
+    if not 0 <= grade <= sp.n:
+        raise ValueError(f"grade {grade} out of range 0..{sp.n}")
+    unknowns = math.comb(sp.n, grade) * grid.points**grid.n
+    if unknowns > MAX_UNKNOWNS:
+        raise BudgetError(f"{unknowns} unknowns exceed the budget of {MAX_UNKNOWNS}")
+    return unknowns
+
+
+def _assemble(grid: Grid, shift: float, couplings) -> sparse.csr_matrix:
+    """-Laplacian + shift on every Fock component, plus each coupling block on its coincidence set.
+
+    ``couplings`` maps each pair (a, b) to a square block over the same Fock
+    components; kron ordering is (Fock component) x (grid).
+    """
+    ncomp = next(iter(couplings.values())).shape[0]
+    lap = _laplacian_nd(grid)
+    eye_c = sparse.identity(ncomp, format="csr")
+    h_mat = sparse.kron(eye_c, lap, format="csr")
+    h_mat = h_mat + shift * sparse.identity(h_mat.shape[0], format="csr")
+    for (a, b), block in couplings.items():
+        real_block = block.real
+        if np.abs(block.imag).max() != 0.0:
+            raise AssertionError("coupling blocks must be real")
+        diag = sparse.diags(_coincidence_indicator(grid, a, b) / grid.h, format="csr")
+        h_mat = h_mat + sparse.kron(sparse.csr_matrix(real_block), diag, format="csr")
+    return h_mat.tocsr()
+
+
 def build_sector_matrix(
     grade: int, grid: Grid, sp: susy.Superpotential
 ) -> sparse.csr_matrix:
@@ -99,29 +151,9 @@ def build_sector_matrix(
     kron ordering is (Fock component) x (grid), so the state vector holds the
     full grid for component 0 first.
     """
-    if grid.n != sp.n:
-        raise ValueError("grid and superpotential particle counts differ")
-    if grid.n not in (2, 3):
-        raise ValueError(f"lattice oracle supports N = 2 or 3, got N = {grid.n}")
-    if grid.n == 3 and grid.points > MAX_POINTS_3D:
-        raise BudgetError(f"three-particle grids are capped at {MAX_POINTS_3D} points per axis")
-    ncomp = math.comb(sp.n, grade)
-    unknowns = ncomp * grid.points**grid.n
-    if unknowns > MAX_UNKNOWNS:
-        raise BudgetError(f"{unknowns} unknowns exceed the budget of {MAX_UNKNOWNS}")
-
+    _sector_unknowns(grade, grid, sp)
     sector = susy.sector_hamiltonian(grade, sp)
-    lap = _laplacian_nd(grid)
-    eye_c = sparse.identity(ncomp, format="csr")
-    h_mat = sparse.kron(eye_c, lap, format="csr")
-    h_mat = h_mat + sector.shift * sparse.identity(unknowns, format="csr")
-    for (a, b), block in sector.couplings.items():
-        real_block = block.real
-        if np.abs(block.imag).max() != 0.0:
-            raise AssertionError("coupling blocks must be real")
-        diag = sparse.diags(_coincidence_indicator(grid, a, b) / grid.h, format="csr")
-        h_mat = h_mat + sparse.kron(sparse.csr_matrix(real_block), diag, format="csr")
-    return h_mat.tocsr()
+    return _assemble(grid, sector.shift, sector.couplings)
 
 
 def symmetric_isometry(grid: Grid) -> sparse.csr_matrix:
@@ -141,6 +173,31 @@ def symmetric_isometry(grid: Grid) -> sparse.csr_matrix:
     )
 
 
+def antisymmetric_isometry(grid: Grid) -> sparse.csr_matrix:
+    """Signed orbit-sum isometry Q onto the grid functions odd under every axis exchange.
+
+    One column per strictly increasing multi-index i_1 < ... < i_N, ascending
+    in its C-order flat index; the column holds sgn(pi)/sqrt(N!) on every grid
+    point whose multi-index the permutation pi sorts to it, so Q^T Q = I.  A
+    grid point with a repeated index lies on a coincidence set and in no
+    column.
+    """
+    shape = (grid.points,) * grid.n
+    idx = np.indices(shape).reshape(grid.n, -1)
+    pairs = list(itertools.combinations(range(grid.n), 2))
+    rows = np.flatnonzero(np.all([idx[a] != idx[b] for a, b in pairs], axis=0))
+    inversions = np.sum([idx[a, rows] > idx[b, rows] for a, b in pairs], axis=0)
+    key = np.ravel_multi_index(np.sort(idx[:, rows], axis=0), shape)
+    _, col = np.unique(key, return_inverse=True)
+    vals = np.where(inversions % 2, -1.0, 1.0) / math.sqrt(math.factorial(grid.n))
+    return sparse.csr_matrix((vals, (rows, col)), shape=(idx.shape[1], col.max() + 1))
+
+
+def _restrict(a_mat: sparse.csr_matrix, p_mat: sparse.csr_matrix) -> sparse.csr_matrix:
+    reduced = p_mat.T @ (a_mat @ p_mat)
+    return (0.5 * (reduced + reduced.T)).tocsr()
+
+
 def symmetric_restriction(a_mat: sparse.csr_matrix, grid: Grid) -> sparse.csr_matrix:
     """P^T A P for the isometry of ``symmetric_isometry``, made exactly symmetric.
 
@@ -149,9 +206,119 @@ def symmetric_restriction(a_mat: sparse.csr_matrix, grid: Grid) -> sparse.csr_ma
     eigenpairs of A.  Rounding leaves P^T A P symmetric only to an ulp; the
     certified solver's L D L^T needs it exactly so.
     """
-    p_mat = symmetric_isometry(grid)
-    reduced = p_mat.T @ (a_mat @ p_mat)
-    return (0.5 * (reduced + reduced.T)).tocsr()
+    return _restrict(a_mat, symmetric_isometry(grid))
+
+
+def antisymmetric_restriction(a_mat: sparse.csr_matrix, grid: Grid) -> sparse.csr_matrix:
+    """Q^T A Q for the isometry of ``antisymmetric_isometry``, made exactly symmetric.
+
+    As ``symmetric_restriction``, for the exchange-antisymmetric eigenpairs.
+    Q has no entry on a coincidence set, so no contact coupling reaches the
+    result.
+    """
+    return _restrict(a_mat, antisymmetric_isometry(grid))
+
+
+class _TfBlock(NamedTuple):
+    """One eigenspace of T_F on a grade, with the couplings restricted to it."""
+
+    t_f: int
+    units: tuple[tuple[tuple[int, int], np.ndarray], ...]  # U^T (Lambda_ab/2c) U per pair
+
+    @property
+    def dim(self) -> int:
+        return self.units[0][1].shape[0]
+
+
+@lru_cache(maxsize=None)
+def _tf_blocks(n: int, grade: int) -> tuple[_TfBlock, ...]:
+    """Eigenspaces of T_F = sum_{a<b} Lambda_ab/(2c) on a grade, ascending in T_F.
+
+    T_F is an integer matrix with integer eigenvalues (the content sums of
+    the hooks (N-g+1, 1^{g-1}) and (N-g, 1^g)); each coupling block is
+    restricted to an orthonormal eigenbasis U as U^T B U, made exactly
+    symmetric.  None of it depends on c, so it runs once per (n, grade).
+    """
+    units = tuple((pair, block.real) for pair, block in susy._unit_blocks(n, grade))
+    vals, vecs = np.linalg.eigh(sum(block for _, block in units))
+    levels = np.rint(vals)
+    out = []
+    for level in np.unique(levels):
+        u = vecs[:, levels == level]
+        restricted = []
+        for pair, block in units:
+            reduced = u.T @ block @ u
+            reduced = 0.5 * (reduced + reduced.T)
+            reduced.flags.writeable = False
+            restricted.append((pair, reduced))
+        out.append(_TfBlock(int(level), tuple(restricted)))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Block:
+    """One block of a multi-component sector, assembled on demand by ``matrix``.
+
+    Each of its levels stands for ``times`` levels of the sector, and none
+    lies below ``floor`` (-inf where no bound is known).
+    """
+
+    tf_block: _TfBlock
+    parity: str | None  # "symmetric" or "antisymmetric" at N=2, else None
+    times: int
+    floor: float
+    grid: Grid
+    sp: susy.Superpotential
+
+    @property
+    def label(self) -> dict:
+        """Its T_F eigenvalue, and its parity at N=2, as named in exit-3 diagnostics."""
+        if self.parity is None:
+            return {"t_f": self.tf_block.t_f}
+        return {"t_f": self.tf_block.t_f, "parity": self.parity}
+
+    def matrix(self) -> sparse.csr_matrix:
+        grid, sp, tf_block = self.grid, self.sp, self.tf_block
+        if tf_block.dim == 1:
+            mat = build_sector_matrix(0 if tf_block.t_f > 0 else sp.n, grid, sp)
+        else:
+            couplings = {pair: unit * (2.0 * sp.c) + 0.0 for pair, unit in tf_block.units}
+            mat = _assemble(grid, susy.shift_constant(sp), couplings)
+        if self.parity == "symmetric":
+            return symmetric_restriction(mat, grid)
+        if self.parity == "antisymmetric":
+            return antisymmetric_restriction(mat, grid)
+        return mat
+
+
+def sector_blocks(grade: int, grid: Grid, sp: susy.Superpotential) -> list[Block]:
+    """The blocks of a multi-component sector, ascending in T_F.
+
+    Each T_F eigenspace of dimension d is a d-component operator with the
+    couplings of ``_tf_blocks``; a one-dimensional one is the grade-0
+    (T_F = C(N, 2), coupling +2c) or grade-N (T_F = -C(N, 2), coupling -2c)
+    box matrix.  At N=2 both blocks are one-dimensional and each is solved on
+    its exchange-symmetric half; their common antisymmetric half follows the
+    first and counts twice.  The union of the blocks' spectra, so counted, is
+    the spectrum of ``build_sector_matrix``.
+
+    A block that feels no attraction (coupling +2c, or none on the
+    antisymmetric half) lies above shift + N lambda_1, the floor of the
+    discrete -Laplacian plus the shift.
+    """
+    _sector_unknowns(grade, grid, sp)
+    lambda_1 = 4.0 / grid.h**2 * math.sin(math.pi * grid.h / (2.0 * grid.box)) ** 2
+    free = susy.shift_constant(sp) + grid.n * lambda_1
+    blocks = []
+    for i, tf_block in enumerate(_tf_blocks(sp.n, grade)):
+        floor = free if tf_block.t_f == math.comb(sp.n, 2) else -math.inf
+        if grid.n != 2:
+            blocks.append(Block(tf_block, None, 1, floor, grid, sp))
+            continue
+        blocks.append(Block(tf_block, "symmetric", 1, floor, grid, sp))
+        if i == 0:
+            blocks.append(Block(tf_block, "antisymmetric", 2, free, grid, sp))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +403,7 @@ def lowest_eigenvalues(a_mat: sparse.csr_matrix, k: int, seed: int = 0) -> Eigen
     if no shift is certified, the solver fails or any residual exceeds 1e-8.
     """
     dim = a_mat.shape[0]
-    if not 1 <= k <= dim - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= dim-1 = {dim - 1}, got {k}")
+    _check_k(k, dim)
     diag = a_mat.diagonal()
     row_abs = np.asarray(abs(a_mat).sum(axis=1)).ravel()
     gershgorin = float((diag - (row_abs - np.abs(diag))).min())
@@ -254,10 +420,18 @@ def lowest_eigenvalues(a_mat: sparse.csr_matrix, k: int, seed: int = 0) -> Eigen
     v0 = np.random.default_rng(seed).standard_normal(dim)
     vals, vecs = _eigsh(a_mat, k, sigma=sigma, which="LM", OPinv=op, v0=v0, tol=0)
     order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    return _checked(a_mat, vals[order], vecs[:, order])
+
+
+def _check_k(k: int, dim: int) -> None:
+    if not 1 <= k <= dim - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= dim-1 = {dim - 1}, got {k}")
+
+
+def _checked(a_mat, vals: np.ndarray, vecs: np.ndarray) -> Eigenvalues:
+    """Ascending eigenpairs as Eigenvalues; ConvergenceError if a residual exceeds 1e-8."""
     residuals = []
-    for i in range(k):
+    for i in range(len(vals)):
         v = vecs[:, i]
         residuals.append(float(np.linalg.norm(a_mat @ v - vals[i] * v) / np.linalg.norm(v)))
     if max(residuals) > RESIDUAL_TOL:
@@ -268,6 +442,44 @@ def lowest_eigenvalues(a_mat: sparse.csr_matrix, k: int, seed: int = 0) -> Eigen
     return Eigenvalues(tuple(float(v) for v in vals), tuple(residuals))
 
 
+def _block_levels(a_mat: sparse.csr_matrix, k: int, seed: int) -> Eigenvalues:
+    """The k lowest levels of a block; all of them, solved densely, if it has no more than k."""
+    if a_mat.shape[0] > k:
+        return lowest_eigenvalues(a_mat, k, seed=seed)
+    vals, vecs = np.linalg.eigh(a_mat.toarray())
+    return _checked(a_mat, vals, vecs)
+
+
+def _merged_levels(
+    grade: int, grid: Grid, sp: susy.Superpotential, k: int, seed: int
+) -> Eigenvalues:
+    """The k lowest of the union of the blocks' k lowest levels, with their residuals.
+
+    A block that holds none of the k lowest levels found so far is not
+    solved: it is skipped unbuilt when its floor lies above the k-th, and a
+    block with no floor is skipped when the factor of B - lambda_k I is
+    certified positive definite (``_shift_invert``), which costs one
+    factorisation instead of a solve.  On exit 3 the diagnostics name the
+    failing block under ``block``.
+    """
+    _check_k(k, _sector_unknowns(grade, grid, sp))
+    lowest = []
+    for block in sector_blocks(grade, grid, sp):
+        full = len(lowest) == k
+        if full and block.floor > lowest[-1][0]:
+            continue
+        mat = block.matrix()
+        if full and block.floor == -math.inf and _shift_invert(mat, lowest[-1][0])[1]:
+            continue
+        try:
+            raw = _block_levels(mat, k, seed)
+        except ConvergenceError as exc:
+            exc.diagnostics["block"] = block.label
+            raise
+        lowest = sorted(lowest + list(zip(raw.eigenvalues, raw.residuals)) * block.times)[:k]
+    return Eigenvalues(tuple(v for v, _ in lowest), tuple(r for _, r in lowest))
+
+
 def sector_spectrum(
     grade: int, grid: Grid, sp: susy.Superpotential, k: int, seed: int = 0
 ) -> SpectrumReport:
@@ -275,12 +487,18 @@ def sector_spectrum(
 
     A sector with one Fock component (grade 0 or N) is solved on the
     exchange-symmetric subspace (``symmetric_restriction``), so only bosonic
-    levels are reported; any other sector is solved on the full box.
+    levels are reported.  Any other sector reports the k lowest levels of the
+    full box, with their multiplicities, but solves its T_F blocks one at a
+    time (``sector_blocks``) and merges their k lowest levels; a block with
+    no more than k unknowns is solved densely.  Every block uses the same k
+    and seed, so at N=2 the levels that sector 1 takes from its symmetric
+    halves are those of sectors 0 and N bit for bit.
     """
-    mat = build_sector_matrix(grade, grid, sp)
-    if mat.shape[0] == grid.points**grid.n:
-        mat = symmetric_restriction(mat, grid)
-    raw = lowest_eigenvalues(mat, k, seed=seed)
+    if grade in (0, sp.n):
+        mat = symmetric_restriction(build_sector_matrix(grade, grid, sp), grid)
+        raw = lowest_eigenvalues(mat, k, seed=seed)
+    else:
+        raw = _merged_levels(grade, grid, sp, k, seed)
     return SpectrumReport(
         sector=grade,
         eigenvalues=raw.eigenvalues,

@@ -601,9 +601,11 @@ class TestReportPlumbing:
         assert code == 3
         assert captured.out == ""
         diagnostics = json.loads(captured.err.split("slly: diagnostics: ")[1])
-        assert set(diagnostics) == {"gershgorin", "sigma"}
-        # sector 1 couples at -2c/h on the coincidence line, so the Gershgorin
-        # bound is negative and the fallback shift sits one below it
+        assert set(diagnostics) == {"block", "gershgorin", "sigma"}
+        # sector 1 solves its attractive block first, which couples at -2c/h
+        # on the coincidence line, so the Gershgorin bound is negative and the
+        # fallback shift sits one below it
+        assert diagnostics["block"] == {"t_f": -1, "parity": "symmetric"}
         assert diagnostics["sigma"] == diagnostics["gershgorin"] - 1.0 < -1.0
 
 

@@ -284,13 +284,244 @@ class TestBosonicProjection:
         np.testing.assert_allclose(full.eigenvalues, [9.44018, 9.59117, 9.59117], rtol=2e-6)
         np.testing.assert_allclose(bosonic.eigenvalues, [9.44018, 10.17956], rtol=2e-6)
 
-    def test_multi_component_sector_stays_on_the_full_box(self):
+
+
+def small_grid(box: float, points: int, n: int) -> lattice.Grid:
+    """A grid below the 16-point floor, small enough for a dense full-box solve.
+
+    The floor guards the accuracy of the discretisation; the T_F split is
+    exact at every M, so these tests step over it.
+    """
+    grid = object.__new__(lattice.Grid)
+    for name, value in (("box", box), ("points", points), ("n", n)):
+        object.__setattr__(grid, name, value)
+    return grid
+
+
+def hook_content_sum(n: int, j: int) -> int:
+    """Sum of the contents (column - row) of the hook (n - j, 1^j)."""
+    return sum(range(n - j)) - sum(range(1, j + 1))
+
+
+def block_named(grade, grid, sp, **label):
+    (block,) = [b for b in lattice.sector_blocks(grade, grid, sp) if b.label == label]
+    return block
+
+
+class TestTfStructure:
+    """T_F = sum_{a<b} Lambda_ab/(2c) on each grade, exactly."""
+
+    GRADES = [(n, g) for n in range(2, 6) for g in range(n + 1)]
+
+    @pytest.mark.parametrize("n, grade", GRADES)
+    def test_commutes_with_every_coupling_block_exactly(self, n, grade):
+        units = [block.real for _, block in susy._unit_blocks(n, grade)]
+        t_f = sum(units)
+        for block in units:
+            assert np.array_equal(t_f @ block, block @ t_f)
+
+    @pytest.mark.parametrize("n, grade", GRADES)
+    def test_eigenvalues_are_the_hook_content_sums(self, n, grade):
+        hooks = [j for j in (grade - 1, grade) if 0 <= j <= n - 1]
+        expected = {hook_content_sum(n, j): math.comb(n - 1, j) for j in hooks}
+        blocks = lattice._tf_blocks(n, grade)
+        assert {b.t_f: b.dim for b in blocks} == expected
+        assert [b.t_f for b in blocks] == sorted(expected)
+        t_f = sum(block.real for _, block in susy._unit_blocks(n, grade))
+        vals = np.linalg.eigvalsh(t_f)
+        assert np.abs(vals - np.rint(vals)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, grade", GRADES)
+    def test_block_couplings_are_symmetric_and_commute(self, n, grade):
+        for block in lattice._tf_blocks(n, grade):
+            units = [unit for _, unit in block.units]
+            assert np.trace(sum(units)) == pytest.approx(block.t_f * block.dim, abs=1e-12)
+            for unit in units:
+                assert np.array_equal(unit, unit.T)
+                # a mode swap squares to the identity on its eigenspace too
+                np.testing.assert_allclose(unit @ unit, np.eye(block.dim), atol=1e-14)
+
+    @pytest.mark.parametrize("n, grade", GRADES)
+    def test_one_dimensional_eigenspaces_are_the_scalar_couplings(self, n, grade):
+        for block in lattice._tf_blocks(n, grade):
+            if block.dim != 1:
+                continue
+            sign = 1.0 if block.t_f > 0 else -1.0
+            assert block.t_f == sign * math.comb(n, 2)
+            for _, unit in block.units:
+                assert unit[0, 0] == pytest.approx(sign, abs=1e-15)
+
+    @pytest.mark.parametrize("n, grade", [(2, 1), (3, 1), (3, 2)])
+    def test_one_dimensional_blocks_reuse_the_scalar_assembly(self, n, grade):
+        sp = susy.Superpotential(n=n, c=1.3)
+        grid = lattice.Grid(box=6.0, points=16, n=n)
+        for block in lattice.sector_blocks(grade, grid, sp):
+            if block.tf_block.dim != 1 or block.parity == "antisymmetric":
+                continue
+            scalar = lattice.build_sector_matrix(0 if block.tf_block.t_f > 0 else n, grid, sp)
+            if n == 2:
+                scalar = lattice.symmetric_restriction(scalar, grid)
+            diff = (block.matrix() - scalar).tocsr()
+            diff.eliminate_zeros()
+            assert diff.nnz == 0
+
+
+class TestHookBlocks:
+    """Multi-component sectors are solved one T_F block at a time."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [1, 5, 24, 160, 511])
+    def test_two_particle_split_is_the_full_box_multiset(self, c, k):
+        sp = susy.Superpotential(n=2, c=c)
+        grid = lattice.Grid(box=6.0, points=16, n=2)
+        full = np.linalg.eigvalsh(lattice.build_sector_matrix(1, grid, sp).toarray())
+        rep = lattice.sector_spectrum(1, grid, sp, k, seed=3)
+        # the dense solve rounds to about eps |A| sqrt(dim) in absolute terms,
+        # so the tolerance is relative to the spectral radius
+        np.testing.assert_allclose(rep.eigenvalues, full[:k], rtol=0, atol=1e-12 * full[-1])
+        assert max(rep.residuals) < lattice.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("grade", [1, 2])
+    @pytest.mark.parametrize("c", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("k", [1, 4, 30, 647])
+    def test_three_particle_split_is_the_full_box_multiset(self, grade, c, k):
+        sp = susy.Superpotential(n=3, c=c)
+        grid = small_grid(4.0, 6, 3)
+        full = np.linalg.eigvalsh(lattice.build_sector_matrix(grade, grid, sp).toarray())
+        rep = lattice.sector_spectrum(grade, grid, sp, k, seed=3)
+        np.testing.assert_allclose(rep.eigenvalues, full[:k], rtol=0, atol=1e-12 * full[-1])
+
+    def test_antisymmetric_levels_enter_twice(self):
         sp = susy.Superpotential(n=2, c=2.0)
-        grid = lattice.Grid(box=8.0, points=20, n=2)
-        rep = lattice.sector_spectrum(1, grid, sp, 3, seed=3)
-        full = lattice.lowest_eigenvalues(lattice.build_sector_matrix(1, grid, sp), 3, seed=3)
-        assert rep.eigenvalues == full.eigenvalues
-        assert rep.residuals == full.residuals
+        grid = lattice.Grid(box=6.0, points=16, n=2)
+        anti = block_named(1, grid, sp, t_f=-1, parity="antisymmetric")
+        anti_levels = np.linalg.eigvalsh(anti.matrix().toarray())
+        rep = lattice.sector_spectrum(1, grid, sp, 12, seed=3)
+        entered = [v for v in rep.eigenvalues if np.isclose(v, anti_levels, rtol=1e-12).any()]
+        assert len(entered) >= 4
+        # solved once and counted twice: the copies are equal bit for bit
+        assert all(rep.eigenvalues.count(v) == 2 for v in entered)
+
+    def test_free_blocks_are_degenerate_bit_for_bit(self):
+        sp = susy.Superpotential(n=2, c=0.0)
+        grid = lattice.Grid(box=6.0, points=16, n=2)
+        levels = lattice.sector_spectrum(1, grid, sp, 10, seed=3).eigenvalues
+        assert levels[0::2] == levels[1::2]
+
+    # symmetric halves have 136 unknowns, the antisymmetric half 120
+    @pytest.mark.parametrize("k, lanczos", [(119, [136, 120, 136]), (135, [136, 136]), (136, [])])
+    def test_block_within_k_is_solved_densely(self, monkeypatch, k, lanczos):
+        sp = susy.Superpotential(n=2, c=1.0)
+        grid = lattice.Grid(box=6.0, points=16, n=2)
+        sizes = []
+        solve = lattice.lowest_eigenvalues
+        monkeypatch.setattr(
+            lattice, "lowest_eigenvalues",
+            lambda a_mat, k, seed=0: sizes.append(a_mat.shape[0]) or solve(a_mat, k, seed),
+        )
+        rep = lattice.sector_spectrum(1, grid, sp, k, seed=3)
+        assert sizes == lanczos
+        full = np.linalg.eigvalsh(lattice.build_sector_matrix(1, grid, sp).toarray())
+        np.testing.assert_allclose(rep.eigenvalues, full[:k], rtol=0, atol=1e-12 * full[-1])
+
+    @pytest.mark.parametrize("k", [0, 512])
+    def test_sector_contract_is_unchanged(self, k):
+        sp = susy.Superpotential(n=2, c=1.0)
+        grid = lattice.Grid(box=6.0, points=16, n=2)
+        with pytest.raises(ValueError, match=r"dim-1 = 511, got"):
+            lattice.sector_spectrum(1, grid, sp, k, seed=3)
+
+    @pytest.mark.parametrize("n, grade, c", [(2, 1, 0.0), (2, 1, 2.0), (3, 1, 0.0), (3, 2, 1.5)])
+    def test_floors_bound_their_blocks(self, n, grade, c):
+        sp = susy.Superpotential(n=n, c=c)
+        grid = small_grid(5.0, 9 if n == 2 else 6, n)
+        floors = 0
+        for block in lattice.sector_blocks(grade, grid, sp):
+            if block.floor == -math.inf:
+                continue
+            floors += 1
+            lowest = np.linalg.eigvalsh(block.matrix().toarray())[0]
+            assert block.floor <= lowest + 1e-12 * abs(lowest)
+            if c == 0.0 and block.parity != "antisymmetric":  # the free ground itself
+                assert block.floor == pytest.approx(lowest, rel=1e-12)
+        assert floors == {(2, 1): 2, (3, 1): 1, (3, 2): 0}[n, grade]
+
+    def test_block_above_the_kth_level_is_not_solved(self, monkeypatch):
+        # the attractive block holds the four lowest levels; the others lie
+        # above the free floor shift + 2 lambda_1 and are neither built nor solved
+        sp = susy.Superpotential(n=2, c=2.0)
+        grid = lattice.Grid(box=12.0, points=40, n=2)
+        built = []
+        matrix = lattice.Block.matrix
+        monkeypatch.setattr(lattice.Block, "matrix", lambda self: built.append(self.label) or matrix(self))
+        rep = lattice.sector_spectrum(1, grid, sp, 4, seed=3)
+        assert built == [{"t_f": -1, "parity": "symmetric"}]
+        full = lattice.lowest_eigenvalues(lattice.build_sector_matrix(1, grid, sp), 4, seed=3)
+        np.testing.assert_allclose(rep.eigenvalues, full.eigenvalues, rtol=1e-12)
+        shift = susy.shift_constant(sp)
+        assert rep.eigenvalues[-1] < shift
+
+    def test_certified_block_is_not_solved(self, monkeypatch):
+        # grade 2 at N=3: the T_F=0 block lies above the attractive block's
+        # three lowest levels; one factor certifies it, no solve runs
+        sp = susy.Superpotential(n=3, c=2.0)
+        grid = lattice.Grid(box=8.0, points=16, n=3)
+        solved = []
+        solve = lattice._block_levels
+        monkeypatch.setattr(
+            lattice, "_block_levels",
+            lambda a_mat, k, seed: solved.append(a_mat.shape[0]) or solve(a_mat, k, seed),
+        )
+        rep = lattice.sector_spectrum(2, grid, sp, 3, seed=1)
+        assert solved == [16**3]
+        scalar = lattice.lowest_eigenvalues(lattice.build_sector_matrix(3, grid, sp), 3, seed=1)
+        assert rep.eigenvalues == scalar.eigenvalues
+
+    @pytest.mark.parametrize("grade, label", [(1, {"t_f": 0}), (2, {"t_f": -3})])
+    def test_failing_block_is_named(self, monkeypatch, grade, label):
+        monkeypatch.setattr(lattice, "_shift_invert", lambda a_mat, sigma: (None, False))
+        sp = susy.Superpotential(n=3, c=2.0)
+        grid = lattice.Grid(box=8.0, points=16, n=3)
+        with pytest.raises(ConvergenceError) as info:
+            lattice.sector_spectrum(grade, grid, sp, 2, seed=1)
+        assert info.value.diagnostics["block"] == label
+        assert set(info.value.diagnostics) == {"block", "gershgorin", "sigma"}
+
+
+class TestLatticeSusyPairing:
+    """Adjacent sectors share their hook blocks' levels on the lattice."""
+
+    @pytest.mark.parametrize("c", [0.3, 2.0])
+    def test_two_particle_middle_sector_holds_both_scalar_sectors(self, c):
+        sp = susy.Superpotential(n=2, c=c)
+        grid = lattice.Grid(box=8.0, points=30, n=2)
+        k = 12
+        middle = lattice.sector_spectrum(1, grid, sp, k, seed=7).eigenvalues
+        top = middle[-1]
+        entered = 0
+        for grade in (0, 2):
+            scalar = lattice.sector_spectrum(grade, grid, sp, k, seed=7).eigenvalues
+            below = [v for v in scalar if v <= top]
+            assert all(v in middle for v in below)  # bit for bit
+            entered += len(below)
+        assert entered >= 3
+
+    def test_three_particle_h1_block_is_shared_by_grades_one_and_two(self):
+        sp = susy.Superpotential(n=3, c=2.0)
+        grid = lattice.Grid(box=8.0, points=16, n=3)
+        one = block_named(1, grid, sp, t_f=0)
+        two = block_named(2, grid, sp, t_f=0)
+        assert one.tf_block.dim == two.tf_block.dim == 2
+        a = lattice.lowest_eigenvalues(one.matrix(), 4, seed=1).eigenvalues
+        b = lattice.lowest_eigenvalues(two.matrix(), 4, seed=1).eigenvalues
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_three_particle_h1_block_spectra_agree_in_full(self):
+        sp = susy.Superpotential(n=3, c=1.0)
+        grid = small_grid(4.0, 6, 3)
+        one = np.linalg.eigvalsh(block_named(1, grid, sp, t_f=0).matrix().toarray())
+        two = np.linalg.eigvalsh(block_named(2, grid, sp, t_f=0).matrix().toarray())
+        np.testing.assert_allclose(one, two, rtol=0, atol=1e-12 * one[-1])
 
 
 class TestSusySpectrum:
