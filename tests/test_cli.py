@@ -608,6 +608,18 @@ class TestReportPlumbing:
         assert diagnostics["block"] == {"t_f": -1, "parity": "symmetric"}
         assert diagnostics["sigma"] == diagnostics["gershgorin"] - 1.0 < -1.0
 
+    @pytest.mark.parametrize("eigs, code", [("0", 2), ("511", 0), ("512", 2)])
+    def test_multi_component_sector_contract(self, capsys, eigs, code):
+        # 2 x 16^2 = 512 unknowns; at 511 levels every block is solved densely
+        argv = ["lattice", "spectrum", "--n", "2", "--sector", "1", "--c", "1", "--box", "6",
+                "--points", "16", "--eigs", eigs, "--seed", "1"]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert f"k must satisfy 1 <= k <= dim-1 = 511, got {eigs}" in captured.err
+        else:
+            assert len(json.loads(captured.out)["results"]["spectrum"]["eigenvalues"]) == 511
+
 
 #: argvs ending in help, a usage error or a quick report; with --help first,
 #: no group is named and the parser fills every group anyway
