@@ -228,6 +228,23 @@ class TestBosonicProjection:
             moved = np.ravel_multi_index(idx[list(perm)], (points,) * n)
             assert np.array_equal(cols[moved], cols)
 
+    @pytest.mark.parametrize("n, points", [(2, 16), (2, 21), (3, 16), (3, 17)])
+    def test_antisymmetric_isometry_spans_the_odd_grid_functions(self, n, points):
+        grid = lattice.Grid(box=5.0, points=points, n=n)
+        q_mat = lattice.antisymmetric_isometry(grid)
+        assert q_mat.shape == (points**n, math.comb(points, n))
+        gram = (q_mat.T @ q_mat - sparse.identity(q_mat.shape[1])).tocsr()
+        assert abs(gram).max() <= 1e-15
+        # no column touches a coincidence set; every other point lies in one
+        idx = np.indices((points,) * n).reshape(n, -1)
+        distinct = np.all([idx[a] != idx[b] for a, b in itertools.combinations(range(n), 2)], axis=0)
+        assert np.array_equal(np.diff(q_mat.indptr), distinct.astype(int))
+        lifted = (q_mat @ np.random.default_rng(1).standard_normal(q_mat.shape[1])).reshape(
+            (points,) * n)
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+            assert np.array_equal(lifted.transpose(perm), (-1) ** inversions * lifted)
+
     @pytest.mark.parametrize("n, grade, box, points", SCALAR_SECTORS)
     def test_restriction_is_invariant_and_exactly_symmetric(self, n, grade, box, points):
         _, a_mat, p_mat, b_mat = _restricted(n, grade, box, points)
