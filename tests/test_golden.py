@@ -61,6 +61,16 @@ CASES = {
         "lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--box", "12",
         "--points-list", "59,119", "--seed", "1", "--csv", "{csv}",
     ],
+    # a multi-component sector (two T_F blocks and the shared antisymmetric
+    # half) and an N=3 scalar sector
+    "lattice_spectrum_n2_s1": [
+        "lattice", "spectrum", "--n", "2", "--sector", "1", "--c", "2", "--box", "12",
+        "--points", "60", "--eigs", "4", "--seed", "1",
+    ],
+    "lattice_spectrum_n3_s0": [
+        "lattice", "spectrum", "--n", "3", "--sector", "0", "--c", "2", "--box", "8",
+        "--points", "16", "--eigs", "2", "--seed", "1",
+    ],
 }
 
 #: name of a flag-driven case -> (command, config file text) giving the same options
