@@ -8,22 +8,22 @@ grade block of the Fock coupling matrix.  Sparse symmetric eigensolves then
 cross-check the analytic spectra with no shared code path: nothing here
 touches the chamber calculus.
 
-The particles are identical bosons, so a one-component sector (grade 0, the
-Fock vacuum, and grade N, the fully occupied mask) is solved on the
-exchange-symmetric grid functions only: the box matrix is restricted through
-the orbit-sum isometry of ``symmetric_isometry`` and reports bosonic levels
-alone.
+The particles are identical bosons.  Every sector takes one block path
+(``sector_blocks``): the class sum T_F = sum_{a<b} Lambda_ab/(2c) of the
+fermionic mode swaps is central, so it commutes with every coupling block and
+with -Laplacian, and a sector is block-diagonal over its eigenspaces.  The
+blocks are solved one at a time, some of them on one exchange parity only
+(the orbit-sum isometry of ``orbit_isometry``), and their lowest levels are
+merged into the sector's.
 
+Sectors 0 and N are the one-block case: one Fock component, solved on the
+exchange-symmetric grid functions only, so they report bosonic levels alone.
 A sector with more than one Fock component keeps every level of the full
-box, but is solved one block at a time.  The class sum
-T_F = sum_{a<b} Lambda_ab/(2c) of the fermionic mode swaps is central, so it
-commutes with every coupling block and with -Laplacian, and the sector is
-block-diagonal over its eigenspaces (``sector_blocks``).  A one-dimensional
-eigenspace has T_F = +-C(N, 2) and coupling +-2c: it is the grade-0 or
-grade-N box matrix.  At N=2 each block is solved further on its exchange-
-symmetric and antisymmetric halves; the antisymmetric half vanishes on the
-coincidence line, so the two blocks share it and it is solved once.  The
-blocks' lowest levels are merged into the sector's.
+box.  A one-dimensional T_F eigenspace has T_F = +-C(N, 2) and coupling
++-2c: it is the grade-0 or grade-N box matrix.  At N=2 each block is solved
+further on its exchange-symmetric and antisymmetric halves; the
+antisymmetric half vanishes on the coincidence line, so the two blocks share
+it and it is solved once.
 
 Everything is deterministic under a fixed seed (the seed fixes the
 eigensolver start vector), and every assembled matrix is exactly symmetric
@@ -103,11 +103,14 @@ def _coincidence_indicator(grid: Grid, a: int, b: int) -> np.ndarray:
     return (idx[a - 1] == idx[b - 1]).astype(float).ravel()
 
 
-def _sector_unknowns(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
-    """Check a sector request against the grid and the budgets; return its unknowns.
+def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
+    """Check a sector request against the grid and the budgets; return its level count.
 
-    The unknowns are those of the whole sector, every Fock component times the
-    box, however the sector is solved.
+    The budget counts the unknowns of the whole sector, every Fock component
+    times the box, however the sector is solved.  The levels are those that
+    the sector's blocks stand for: the exchange-symmetric grid functions,
+    C(M+N-1, N), for a scalar sector (grade 0 or N), and every unknown
+    otherwise.
     """
     if grid.n != sp.n:
         raise ValueError("grid and superpotential particle counts differ")
@@ -120,6 +123,8 @@ def _sector_unknowns(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
     unknowns = math.comb(sp.n, grade) * grid.points**grid.n
     if unknowns > MAX_UNKNOWNS:
         raise BudgetError(f"{unknowns} unknowns exceed the budget of {MAX_UNKNOWNS}")
+    if grade in (0, sp.n):
+        return math.comb(grid.points + grid.n - 1, grid.n)
     return unknowns
 
 
@@ -151,72 +156,52 @@ def build_sector_matrix(
     kron ordering is (Fock component) x (grid), so the state vector holds the
     full grid for component 0 first.
     """
-    _sector_unknowns(grade, grid, sp)
+    _sector_levels(grade, grid, sp)
     sector = susy.sector_hamiltonian(grade, sp)
     return _assemble(grid, sector.shift, sector.couplings)
 
 
-def symmetric_isometry(grid: Grid) -> sparse.csr_matrix:
-    """Orbit-sum isometry P onto the grid functions symmetric under axis exchange.
+def orbit_isometry(grid: Grid, parity: str) -> sparse.csr_matrix:
+    """Orbit-sum isometry P onto the grid functions of one exchange parity.
 
-    One column per sorted multi-index i_1 <= ... <= i_N, ascending in its
-    C-order flat index; the column holds 1/sqrt(orbit size) on every grid
-    point whose multi-index sorts to it, so P^T P = I.
+    ``parity`` is "symmetric" (even under every axis exchange) or
+    "antisymmetric" (odd under every one).  One column per orbit of the axis
+    exchanges, keyed by its sorted multi-index i_1 <= ... <= i_N and
+    ascending in that key's C-order flat index; the column holds
+    sgn/sqrt(orbit size) on every grid point of the orbit, so P^T P = I.  On
+    the symmetric side sgn = 1; on the antisymmetric side sgn = sgn(pi) for
+    the permutation pi that sorts the point's multi-index, and only the
+    orbits with i_1 < ... < i_N (of size N!) are kept: a grid point with a
+    repeated index lies on a coincidence set and in no column.
     """
     shape = (grid.points,) * grid.n
     idx = np.indices(shape).reshape(grid.n, -1)
-    key = np.ravel_multi_index(np.sort(idx, axis=0), shape)
+    rows = np.arange(idx.shape[1])
+    signs = 1.0
+    if parity == "antisymmetric":
+        pairs = list(itertools.combinations(range(grid.n), 2))
+        rows = np.flatnonzero(np.all([idx[a] != idx[b] for a, b in pairs], axis=0))
+        inversions = np.sum([idx[a, rows] > idx[b, rows] for a, b in pairs], axis=0)
+        signs = np.where(inversions % 2, -1.0, 1.0)
+    key = np.ravel_multi_index(np.sort(idx[:, rows], axis=0), shape)
     _, col, counts = np.unique(key, return_inverse=True, return_counts=True)
-    rows = np.arange(key.size)
     return sparse.csr_matrix(
-        (1.0 / np.sqrt(counts[col]), (rows, col)), shape=(key.size, counts.size)
+        (signs / np.sqrt(counts[col]), (rows, col)), shape=(idx.shape[1], counts.size)
     )
 
 
-def antisymmetric_isometry(grid: Grid) -> sparse.csr_matrix:
-    """Signed orbit-sum isometry Q onto the grid functions odd under every axis exchange.
-
-    One column per strictly increasing multi-index i_1 < ... < i_N, ascending
-    in its C-order flat index; the column holds sgn(pi)/sqrt(N!) on every grid
-    point whose multi-index the permutation pi sorts to it, so Q^T Q = I.  A
-    grid point with a repeated index lies on a coincidence set and in no
-    column.
-    """
-    shape = (grid.points,) * grid.n
-    idx = np.indices(shape).reshape(grid.n, -1)
-    pairs = list(itertools.combinations(range(grid.n), 2))
-    rows = np.flatnonzero(np.all([idx[a] != idx[b] for a, b in pairs], axis=0))
-    inversions = np.sum([idx[a, rows] > idx[b, rows] for a, b in pairs], axis=0)
-    key = np.ravel_multi_index(np.sort(idx[:, rows], axis=0), shape)
-    _, col = np.unique(key, return_inverse=True)
-    vals = np.where(inversions % 2, -1.0, 1.0) / math.sqrt(math.factorial(grid.n))
-    return sparse.csr_matrix((vals, (rows, col)), shape=(idx.shape[1], col.max() + 1))
-
-
-def _restrict(a_mat: sparse.csr_matrix, p_mat: sparse.csr_matrix) -> sparse.csr_matrix:
-    reduced = p_mat.T @ (a_mat @ p_mat)
-    return (0.5 * (reduced + reduced.T)).tocsr()
-
-
-def symmetric_restriction(a_mat: sparse.csr_matrix, grid: Grid) -> sparse.csr_matrix:
-    """P^T A P for the isometry of ``symmetric_isometry``, made exactly symmetric.
+def orbit_restriction(a_mat: sparse.csr_matrix, grid: Grid, parity: str) -> sparse.csr_matrix:
+    """P^T A P for the isometry P of ``orbit_isometry``, made exactly symmetric.
 
     A commutes with every axis exchange, so A P = P (P^T A P) and the
-    eigenpairs of the result lift through P to the exchange-symmetric
-    eigenpairs of A.  Rounding leaves P^T A P symmetric only to an ulp; the
-    certified solver's L D L^T needs it exactly so.
+    eigenpairs of the result lift through P to the eigenpairs of A of that
+    parity.  Rounding leaves P^T A P symmetric only to an ulp; the certified
+    solver's L D L^T needs it exactly so.  The antisymmetric P has no entry
+    on a coincidence set, so no contact coupling reaches that result.
     """
-    return _restrict(a_mat, symmetric_isometry(grid))
-
-
-def antisymmetric_restriction(a_mat: sparse.csr_matrix, grid: Grid) -> sparse.csr_matrix:
-    """Q^T A Q for the isometry of ``antisymmetric_isometry``, made exactly symmetric.
-
-    As ``symmetric_restriction``, for the exchange-antisymmetric eigenpairs.
-    Q has no entry on a coincidence set, so no contact coupling reaches the
-    result.
-    """
-    return _restrict(a_mat, antisymmetric_isometry(grid))
+    p_mat = orbit_isometry(grid, parity)
+    reduced = p_mat.T @ (a_mat @ p_mat)
+    return (0.5 * (reduced + reduced.T)).tocsr()
 
 
 class _TfBlock(NamedTuple):
@@ -257,14 +242,14 @@ def _tf_blocks(n: int, grade: int) -> tuple[_TfBlock, ...]:
 
 @dataclass(frozen=True)
 class Block:
-    """One block of a multi-component sector, assembled on demand by ``matrix``.
+    """One block of a sector, assembled on demand by ``matrix``.
 
     Each of its levels stands for ``times`` levels of the sector, and none
     lies below ``floor`` (-inf where no bound is known).
     """
 
     tf_block: _TfBlock
-    parity: str | None  # "symmetric" or "antisymmetric" at N=2, else None
+    parity: str | None  # the exchange parity it is solved on (``orbit_isometry``), or None
     times: int
     floor: float
     grid: Grid
@@ -272,7 +257,7 @@ class Block:
 
     @property
     def label(self) -> dict:
-        """Its T_F eigenvalue, and its parity at N=2, as named in exit-3 diagnostics."""
+        """Its T_F eigenvalue, and its parity if it has one, as named in exit-3 diagnostics."""
         if self.parity is None:
             return {"t_f": self.tf_block.t_f}
         return {"t_f": self.tf_block.t_f, "parity": self.parity}
@@ -284,39 +269,37 @@ class Block:
         else:
             couplings = {pair: unit * (2.0 * sp.c) + 0.0 for pair, unit in tf_block.units}
             mat = _assemble(grid, susy.shift_constant(sp), couplings)
-        if self.parity == "symmetric":
-            return symmetric_restriction(mat, grid)
-        if self.parity == "antisymmetric":
-            return antisymmetric_restriction(mat, grid)
-        return mat
+        return mat if self.parity is None else orbit_restriction(mat, grid, self.parity)
 
 
 def sector_blocks(grade: int, grid: Grid, sp: susy.Superpotential) -> list[Block]:
-    """The blocks of a multi-component sector, ascending in T_F.
+    """The blocks of a sector, ascending in T_F.
 
     Each T_F eigenspace of dimension d is a d-component operator with the
     couplings of ``_tf_blocks``; a one-dimensional one is the grade-0
     (T_F = C(N, 2), coupling +2c) or grade-N (T_F = -C(N, 2), coupling -2c)
-    box matrix.  At N=2 both blocks are one-dimensional and each is solved on
-    its exchange-symmetric half; their common antisymmetric half follows the
-    first and counts twice.  The union of the blocks' spectra, so counted, is
-    the spectrum of ``build_sector_matrix``.
+    box matrix.  A scalar sector (grade 0 or N) is the one-block case: its
+    one T_F eigenspace, solved on the exchange-symmetric half, so it holds
+    bosonic levels alone.  At N=2 the middle sector's two blocks are
+    one-dimensional and each is solved on its exchange-symmetric half; their
+    common antisymmetric half follows the first and counts twice.  The
+    union of a multi-component sector's blocks' spectra, so counted, is the
+    spectrum of ``build_sector_matrix``.
 
     A block that feels no attraction (coupling +2c, or none on the
     antisymmetric half) lies above shift + N lambda_1, the floor of the
     discrete -Laplacian plus the shift.
     """
-    _sector_unknowns(grade, grid, sp)
+    _sector_levels(grade, grid, sp)
     lambda_1 = 4.0 / grid.h**2 * math.sin(math.pi * grid.h / (2.0 * grid.box)) ** 2
     free = susy.shift_constant(sp) + grid.n * lambda_1
+    scalar = grade in (0, sp.n)
+    parity = "symmetric" if scalar or grid.n == 2 else None
     blocks = []
     for i, tf_block in enumerate(_tf_blocks(sp.n, grade)):
         floor = free if tf_block.t_f == math.comb(sp.n, 2) else -math.inf
-        if grid.n != 2:
-            blocks.append(Block(tf_block, None, 1, floor, grid, sp))
-            continue
-        blocks.append(Block(tf_block, "symmetric", 1, floor, grid, sp))
-        if i == 0:
+        blocks.append(Block(tf_block, parity, 1, floor, grid, sp))
+        if i == 0 and grid.n == 2 and not scalar:
             blocks.append(Block(tf_block, "antisymmetric", 2, free, grid, sp))
     return blocks
 
@@ -462,7 +445,7 @@ def _merged_levels(
     factorisation instead of a solve.  On exit 3 the diagnostics name the
     failing block under ``block``.
     """
-    _check_k(k, _sector_unknowns(grade, grid, sp))
+    _check_k(k, _sector_levels(grade, grid, sp))
     lowest = []
     for block in sector_blocks(grade, grid, sp):
         full = len(lowest) == k
@@ -485,20 +468,16 @@ def sector_spectrum(
 ) -> SpectrumReport:
     """Assemble one sector and solve for its k lowest eigenvalues.
 
-    A sector with one Fock component (grade 0 or N) is solved on the
-    exchange-symmetric subspace (``symmetric_restriction``), so only bosonic
-    levels are reported.  Any other sector reports the k lowest levels of the
-    full box, with their multiplicities, but solves its T_F blocks one at a
-    time (``sector_blocks``) and merges their k lowest levels; a block with
-    no more than k unknowns is solved densely.  Every block uses the same k
-    and seed, so at N=2 the levels that sector 1 takes from its symmetric
-    halves are those of sectors 0 and N bit for bit.
+    One block path: the sector's T_F blocks (``sector_blocks``) are solved
+    one at a time and their k lowest levels merged; a block with no more
+    than k unknowns is solved densely.  Sectors 0 and N are the one-block
+    case, solved on the exchange-symmetric subspace (``orbit_restriction``),
+    so only bosonic levels are reported.  Any other sector reports the k
+    lowest levels of the full box, with their multiplicities.  Every block
+    uses the same k and seed, so at N=2 the levels that sector 1 takes from
+    its symmetric halves are those of sectors 0 and N bit for bit.
     """
-    if grade in (0, sp.n):
-        mat = symmetric_restriction(build_sector_matrix(grade, grid, sp), grid)
-        raw = lowest_eigenvalues(mat, k, seed=seed)
-    else:
-        raw = _merged_levels(grade, grid, sp, k, seed)
+    raw = _merged_levels(grade, grid, sp, k, seed)
     return SpectrumReport(
         sector=grade,
         eigenvalues=raw.eigenvalues,

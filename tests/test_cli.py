@@ -569,7 +569,9 @@ class TestReportPlumbing:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert 'slly: diagnostics: {"converged": 0}\n' in captured.err
+        # a scalar sector is the one-block case, so its diagnostics name the block
+        block = '"block": {"parity": "symmetric", "t_f": 1}'
+        assert f'slly: diagnostics: {{{block}, "converged": 0}}\n' in captured.err
 
         # the supercharge diagnostic's own solve maps ARPACK failure the same way
         def no_convergence(*args, **kwargs):

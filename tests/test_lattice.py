@@ -207,7 +207,8 @@ SCALAR_SECTORS = [(2, 0, 8.0, 20), (2, 2, 8.0, 20), (3, 0, 6.0, 16), (3, 3, 12.0
 def _restricted(n, grade, box, points, c=2.0):
     grid = lattice.Grid(box=box, points=points, n=n)
     a_mat = lattice.build_sector_matrix(grade, grid, susy.Superpotential(n=n, c=c))
-    return grid, a_mat, lattice.symmetric_isometry(grid), lattice.symmetric_restriction(a_mat, grid)
+    p_mat = lattice.orbit_isometry(grid, "symmetric")
+    return grid, a_mat, p_mat, lattice.orbit_restriction(a_mat, grid, "symmetric")
 
 
 class TestBosonicProjection:
@@ -216,7 +217,7 @@ class TestBosonicProjection:
     @pytest.mark.parametrize("n, points", [(2, 16), (2, 21), (3, 16), (3, 17)])
     def test_isometry_has_one_orthonormal_column_per_sorted_multi_index(self, n, points):
         grid = lattice.Grid(box=5.0, points=points, n=n)
-        p_mat = lattice.symmetric_isometry(grid)
+        p_mat = lattice.orbit_isometry(grid, "symmetric")
         assert p_mat.shape == (points**n, math.comb(points + n - 1, n))
         assert (np.diff(p_mat.indptr) == 1).all()  # each grid point sits in one orbit
         gram = (p_mat.T @ p_mat - sparse.identity(p_mat.shape[1])).tocsr()
@@ -231,7 +232,7 @@ class TestBosonicProjection:
     @pytest.mark.parametrize("n, points", [(2, 16), (2, 21), (3, 16), (3, 17)])
     def test_antisymmetric_isometry_spans_the_odd_grid_functions(self, n, points):
         grid = lattice.Grid(box=5.0, points=points, n=n)
-        q_mat = lattice.antisymmetric_isometry(grid)
+        q_mat = lattice.orbit_isometry(grid, "antisymmetric")
         assert q_mat.shape == (points**n, math.comb(points, n))
         gram = (q_mat.T @ q_mat - sparse.identity(q_mat.shape[1])).tocsr()
         assert abs(gram).max() <= 1e-15
@@ -377,7 +378,7 @@ class TestTfStructure:
                 continue
             scalar = lattice.build_sector_matrix(0 if block.tf_block.t_f > 0 else n, grid, sp)
             if n == 2:
-                scalar = lattice.symmetric_restriction(scalar, grid)
+                scalar = lattice.orbit_restriction(scalar, grid, "symmetric")
             diff = (block.matrix() - scalar).tocsr()
             diff.eliminate_zeros()
             assert diff.nnz == 0
