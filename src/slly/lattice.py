@@ -120,6 +120,12 @@ def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
         raise BudgetError(f"three-particle grids are capped at {MAX_POINTS_3D} points per axis")
     if not 0 <= grade <= sp.n:
         raise ValueError(f"grade {grade} out of range 0..{sp.n}")
+    try:
+        h_squared = grid.h**2
+    except OverflowError:
+        h_squared = math.inf
+    if not 0.0 < h_squared < math.inf:
+        raise ValueError(f"box edge length {grid.box} gives a spacing h whose h^2 is out of range")
     unknowns = math.comb(sp.n, grade) * grid.points**grid.n
     if unknowns > MAX_UNKNOWNS:
         raise BudgetError(f"{unknowns} unknowns exceed the budget of {MAX_UNKNOWNS}")

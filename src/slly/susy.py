@@ -74,8 +74,14 @@ def grad_w(region: pw.Region, j: int, sp: Superpotential) -> float:
 
 
 def shift_constant(sp: Superpotential) -> float:
-    """c^2 N(N^2 - 1)/12, the chamber-independent value of sum_j (dW/dx_j)^2."""
-    return sp.c**2 * sp.n * (sp.n**2 - 1) / 12.0
+    """c^2 N(N^2 - 1)/12, the chamber-independent value of sum_j (dW/dx_j)^2.
+
+    A c whose square overflows is a configuration error (ValueError).
+    """
+    try:
+        return sp.c**2 * sp.n * (sp.n**2 - 1) / 12.0
+    except OverflowError:
+        raise ValueError(f"superpotential strength {sp.c} is too large: c^2 overflows") from None
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,38 @@ class TestReportPlumbing:
         assert captured.err == "slly: reports must not contain NaN or infinities\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *[
+                (["susy", *cmd, "--n", "3", "--c", "1e300"], "superpotential strength 1e+300")
+                for cmd in (
+                    ["sector", "--grade", "1"],
+                    ["algebra", "--trials", "1", "--seed", "1"],
+                    ["partner", "--k", "1,0,-1"],
+                    ["zero-modes"],
+                )
+            ],
+            (
+                ["lattice", "spectrum", "--n", "2", "--sector", "0", "--c", "1e300", "--box", "8",
+                 "--points", "16", "--seed", "1"],
+                "superpotential strength 1e+300",
+            ),
+            *[
+                (["lattice", "spectrum", "--n", n, "--sector", sector, "--c", "1", "--box", box,
+                  "--points", "16", "--seed", "1"], f"box edge length {box}")
+                for n, sector, box in (("2", "0", "1e+300"), ("3", "1", "1e-200"))
+            ],
+        ],
+    )
+    def test_huge_finite_input_is_config_error(self, capsys, argv, message):
+        # c^2 or h^2 overflows (or h^2 underflows to zero): one line, no traceback
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"slly: {message}") and captured.err.count("\n") == 1
+
     def test_unwritable_output_is_config_error(self, capsys, tmp_path):
         out_path = tmp_path / "missing-dir" / "report.json"
         code = cli.main(["bethe", "dimer", "--p", "0.5", "--c=-2", "--output", str(out_path)])
