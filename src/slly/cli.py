@@ -331,7 +331,7 @@ def _susy_census(args) -> tuple[dict, bool, None]:
     from . import susy
 
     census = susy.witten_census(_symbolic(args))
-    return asdict(census), census.index == 0 and census.n_b == 1 and census.n_f == 1, None
+    return asdict(census), census.passed, None
 
 
 def _susy_partner(args) -> tuple[dict, bool, None]:

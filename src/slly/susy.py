@@ -333,7 +333,8 @@ class WittenCensus:
 
     Only the two explicitly constructed modes enter, so the census is a lower
     bound on the kernel; continuous-spectrum spectral asymmetries are outside
-    its scope.
+    its scope.  Every mode is listed with its residuals, but one counts in
+    ``n_b`` or ``n_f`` only if Q and Q^dag annihilate it to ZERO_MODE_TOL.
     """
 
     modes: tuple[ZeroModeRecord, ...]
@@ -341,6 +342,11 @@ class WittenCensus:
     n_f: int
     index: int
     completeness: str = "lower_bound"
+
+    @property
+    def passed(self) -> bool:
+        """Both modes annihilated, one bosonic and one fermionic: index 0."""
+        return self.index == 0 and self.n_b == 1 and self.n_f == 1
 
 
 def annihilation_residuals(s: SpinorFunction, sp: Superpotential) -> tuple[float, float]:
@@ -352,13 +358,17 @@ def annihilation_residuals(s: SpinorFunction, sp: Superpotential) -> tuple[float
 
 
 def witten_census(sp: Superpotential) -> WittenCensus:
-    """Classify the two constructed zero modes by Klein parity."""
-    records = []
+    """Classify the two constructed zero modes by Klein parity.
+
+    A mode that fails the annihilation check (a NaN residual included) is
+    recorded but not counted, so the census fails (``passed``).
+    """
+    records, counted = [], []
     for mode in (zero_mode_top(sp), zero_mode_alternating(sp)):
         rq, rqd = annihilation_residuals(mode, sp)
         grade = mode.pure_grade()
-        if not (rq < ZERO_MODE_TOL and rqd < ZERO_MODE_TOL):
-            raise AssertionError("constructed zero mode failed annihilation check")
+        if rq < ZERO_MODE_TOL and rqd < ZERO_MODE_TOL:
+            counted.append((-1) ** grade)
         records.append(
             ZeroModeRecord(
                 grade=grade,
@@ -367,8 +377,7 @@ def witten_census(sp: Superpotential) -> WittenCensus:
                 klein_parity=(-1) ** grade,
             )
         )
-    n_b = sum(1 for r in records if r.klein_parity == 1)
-    n_f = sum(1 for r in records if r.klein_parity == -1)
+    n_b, n_f = counted.count(1), counted.count(-1)
     return WittenCensus(modes=tuple(records), n_b=n_b, n_f=n_f, index=n_b - n_f)
 
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from slly import cli
+from slly import cli, susy
 
 
 #: a quick two-grid convergence study that writes a CSV table
@@ -419,6 +419,19 @@ class TestReportPlumbing:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"slly: {message}") and captured.err.count("\n") == 1
+
+    def test_census_failure_is_a_verdict(self, capsys):
+        # at c=1e152 the alternating mode's Q^dag image no longer cancels to
+        # ZERO_MODE_TOL: it is listed, not counted, and the census fails
+        code = cli.main(["susy", "census", "--n", "5", "--c", "1e152"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["pass"] is False
+        results = report["results"]
+        assert (results["n_b"], results["n_f"], results["index"]) == (0, 1, -1)
+        assert results["modes"][1]["q_dagger_residual"] > susy.ZERO_MODE_TOL
 
     def test_unwritable_output_is_config_error(self, capsys, tmp_path):
         out_path = tmp_path / "missing-dir" / "report.json"

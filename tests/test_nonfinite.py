@@ -312,14 +312,25 @@ class TestPlantedStates:
     def test_witten_census(self, value, monkeypatch):
         top = susy.zero_mode_top
         monkeypatch.setattr(susy, "zero_mode_top", lambda sp: plant_spinor(top(sp), value))
-        with pytest.raises(AssertionError):
-            susy.witten_census(susy.Superpotential(n=3, c=1.0))
+        census = susy.witten_census(susy.Superpotential(n=3, c=1.0))
+        # the planted top mode is listed but not counted: a failed verdict
+        assert (census.n_b, census.n_f, census.index) == (1, 0, 1)
+        assert not census.passed
 
     @pytest.mark.parametrize("value", [NAN, INF])
     def test_cli_exits_2(self, value, monkeypatch, capsys):
         top = susy.zero_mode_top
         monkeypatch.setattr(susy, "zero_mode_top", lambda sp: plant_spinor(top(sp), value))
         assert cli.main(["susy", "zero-modes", "--n", "3", "--c", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("slly: ")
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_census_cli_exits_2(self, value, monkeypatch, capsys):
+        # a NaN residual is no verdict: render_json refuses it
+        top = susy.zero_mode_top
+        monkeypatch.setattr(susy, "zero_mode_top", lambda sp: plant_spinor(top(sp), value))
+        assert cli.main(["susy", "census", "--n", "3", "--c", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("slly: ")
 
