@@ -149,14 +149,11 @@ def charge_residual(
     independent of the ordering.  Returns the max deviation over all terms.
     """
     target = conserved_charge(order, k)
-    worst = 0.0
-    for ts in state.terms.values():
-        for t in ts:
-            val = sum((-1j * kap) ** order for kap in t.kappa)
-            size = abs(val - target)
-            if not size <= worst and worst == worst:
-                worst = size
-    return worst
+    return pw.nan_max(
+        abs(sum((-1j * kap) ** order for kap in t.kappa) - target)
+        for ts in state.terms.values()
+        for t in ts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +235,15 @@ def coefficient_along_path(
 
 def max_recurrence_violation(coeffs: BetheCoefficients) -> float:
     """Largest deviation of any adjacent-transposition ratio from its S factor."""
-    ks = coeffs.momenta
-    worst = 0.0
-    for perm, val in coeffs.alpha.items():
-        for slot in range(coeffs.n - 1):
-            swapped = list(perm)
-            swapped[slot], swapped[slot + 1] = swapped[slot + 1], swapped[slot]
-            expected = val * s_matrix(ks[perm[slot] - 1], ks[perm[slot + 1] - 1], coeffs.c)
-            size = abs(coeffs.alpha[tuple(swapped)] - expected)
-            if not size <= worst and worst == worst:
-                worst = size
-    return worst
+    ks, alpha = coeffs.momenta, coeffs.alpha
+    return pw.nan_max(
+        abs(
+            alpha[perm[:slot] + (perm[slot + 1], perm[slot]) + perm[slot + 2:]]
+            - val * s_matrix(ks[perm[slot] - 1], ks[perm[slot + 1] - 1], coeffs.c)
+        )
+        for perm, val in alpha.items()
+        for slot in range(coeffs.n - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +396,8 @@ def bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
     Evaluated once per distinct kappa: a Bethe state holds the same N!
     kappas on each of its N! chambers.  NaN when any residual is NaN.
     """
-    worst = 0.0
-    for kappa in dict.fromkeys(t.kappa for ts in state.terms.values() for t in ts):
-        size = abs(-sum(kk * kk for kk in kappa) - e)
-        if not size <= worst and worst == worst:
-            worst = size
-    return worst
+    kappas = dict.fromkeys(t.kappa for ts in state.terms.values() for t in ts)
+    return pw.nan_max(abs(-sum(kk * kk for kk in kappa) - e) for kappa in kappas)
 
 
 def matching_report(state: pw.RegionFunction, c: float, e: float) -> MatchingReport:

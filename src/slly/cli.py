@@ -287,7 +287,7 @@ def _symbolic(args):
 def _susy_algebra(args) -> tuple[dict, bool, None]:
     import numpy as np
 
-    from . import susy
+    from . import piecewise, susy
 
     sp = _symbolic(args)
     if args.trials < 1:
@@ -295,12 +295,8 @@ def _susy_algebra(args) -> tuple[dict, bool, None]:
     rng = np.random.default_rng(args.seed)
     # the worst of each susy.AlgebraResiduals field, in field order
     names = ("max_q_squared", "max_q_dagger_squared", "max_anticommutator_residual")
-    worst = dict.fromkeys(names, 0.0)
-    for _ in range(args.trials):
-        res = susy.algebra_residuals(susy.random_spinor(sp, rng), sp)
-        for key, value in zip(names, res):
-            if not value <= worst[key] and worst[key] == worst[key]:
-                worst[key] = value
+    trials = [susy.algebra_residuals(susy.random_spinor(sp, rng), sp) for _ in range(args.trials)]
+    worst = {key: piecewise.nan_max(values) for key, values in zip(names, zip(*trials))}
     return worst, all(value <= args.tol for value in worst.values()), None
 
 

@@ -448,7 +448,7 @@ def scale(f: RegionFunction, z: complex) -> RegionFunction:
 
 def max_coefficient(f: RegionFunction) -> float:
     """Largest coefficient magnitude; NaN when any coefficient is NaN."""
-    return _max_coefficient(itertools.chain.from_iterable(f.terms.values()))
+    return nan_max(abs(t.coef) for ts in f.terms.values() for t in ts)
 
 
 def coefficient_distance(f: RegionFunction, g: RegionFunction) -> float:
@@ -522,16 +522,16 @@ def evaluate(f: RegionFunction, x: Sequence[float]) -> complex:
 # interface restrictions and matching residuals
 # ---------------------------------------------------------------------------
 
-def _max_coefficient(terms: Iterable[ExpTerm]) -> float:
-    """Largest |coef|, 0.0 for no terms; NaN when any coefficient is NaN.
+def nan_max(sizes: Iterable[float]) -> float:
+    """Largest of the sizes, 0.0 for none; NaN when any of them is NaN.
 
     ``max`` would keep a finite value against a later NaN.  A NaN compares
     false both ways, so ``not size <= worst`` takes it in and ``worst ==
-    worst`` keeps it; that is the rule of every residual maximum here.
+    worst`` keeps it; that is the rule of every residual maximum here.  The
+    wall folds of ``_weighted_max`` and ``_sweep`` write it out inline.
     """
     worst = 0.0
-    for t in terms:
-        size = abs(t.coef)
+    for size in sizes:
         if not size <= worst and worst == worst:
             worst = size
     return worst
@@ -582,7 +582,7 @@ def _weighted_max(parts: Sequence[tuple[complex, _Restriction]]) -> float:
     Every ``complex(w * s)`` is added into its id's total in part order,
     as ``_merge_terms`` of the scaled, concatenated terms sums them; totals
     of magnitude at most ``DROP_TOL`` drop and a NaN total is the result, as
-    in ``_max_coefficient``.
+    in ``nan_max``.
     """
     totals: dict[int, complex] = {}
     for w, sums in parts:
@@ -838,7 +838,7 @@ def restrict_to_interface(
 
 def continuity_residual(f: RegionFunction, iface: Interface) -> float:
     """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
-    return _max_coefficient(_merge_terms(
+    return nan_max(abs(t.coef) for t in _merge_terms(
         (w * t.coef, t.kappa)
         for w, side in ((1.0, "left"), (-1.0, "right"))
         for t in restrict_to_interface(f, iface, side)

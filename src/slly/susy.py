@@ -127,12 +127,7 @@ def spinor_scale(s: SpinorFunction, z: complex) -> SpinorFunction:
 
 def spinor_max_coefficient(s: SpinorFunction) -> float:
     """Largest coefficient magnitude of any component; NaN when any is NaN."""
-    worst = 0.0
-    for f in s.components.values():
-        size = pw.max_coefficient(f)
-        if not size <= worst and worst == worst:
-            worst = size
-    return worst
+    return pw.nan_max(pw.max_coefficient(f) for f in s.components.values())
 
 
 def spinor_distance(s: SpinorFunction, t: SpinorFunction) -> float:
@@ -270,11 +265,7 @@ def verify_eigenstate(s: SpinorFunction, e: float, sp: Superpotential) -> Eigens
     sector = sector_hamiltonian(grade, sp)
     shift = sector.shift
 
-    bulk = 0.0
-    for f in s.components.values():
-        size = bethe.bulk_energy_residual(f, e - shift)
-        if not size <= bulk and bulk == bulk:
-            bulk = size
+    bulk = pw.nan_max(bethe.bulk_energy_residual(f, e - shift) for f in s.components.values())
 
     comps = [s.component(mask) for mask in sector.masks]
     wall = pw.matching_residuals(comps, sector.couplings)[1]

@@ -170,6 +170,14 @@ class TestNanKappas:
 class TestMaxima:
     """Every residual maximum returns NaN (or inf) wherever the value sits."""
 
+    @pytest.mark.parametrize("pos", [0, 1, 3])
+    def test_nan_max(self, pos):
+        sizes = [1.0, 5.0, 2.0, 4.0]
+        assert pw.nan_max(sizes) == 5.0 and pw.nan_max([]) == 0.0
+        sizes[pos] = NAN
+        assert math.isnan(pw.nan_max(sizes))
+        assert math.isnan(pw.nan_max(iter(sizes)))
+
     @pytest.mark.parametrize("value", [NAN, INF])
     @pytest.mark.parametrize("pos", [0, 2])
     def test_max_coefficient(self, value, pos):
