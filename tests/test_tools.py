@@ -202,6 +202,17 @@ def test_benchmark_tracer_wraps_every_traced_name(monkeypatch):
         assert getattr(owner, attr) is original
 
 
+def _bench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, imported read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_every_benchmark_argv_passes_the_option_check(monkeypatch, capsys):
     """Each workload argv (seeds 0-9) parses and reads only options its command reads.
 
@@ -209,17 +220,9 @@ def test_every_benchmark_argv_passes_the_option_check(monkeypatch, capsys):
     table against ``perfbench/workloads.py`` (imported read-only), which the
     benchmark's self-check covers only as far as parsing.
     """
-    import importlib.util
-
     from slly import cli
 
-    spec = importlib.util.spec_from_file_location(
-        "_bench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-    spec.loader.exec_module(workloads)
-
+    workloads = _bench_workloads(monkeypatch)
     ran = []
 
     def stub(args):
@@ -238,3 +241,19 @@ def test_every_benchmark_argv_passes_the_option_check(monkeypatch, capsys):
         config = json.loads(captured.out)["config"]
         assert set(task.params) - {"emit_state"} <= set(config), task.argv
     assert len(ran) == len(tasks) > 0
+
+
+def test_report_digests_runs_every_workload_by_default(monkeypatch):
+    """One line per task of every workload, led by its name, every task exiting 0."""
+    workloads = _bench_workloads(monkeypatch)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "report_digests.py"), "--root", str(ROOT),
+         "--seeds", "1"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [line.split(" ", 5) for line in proc.stdout.splitlines()]
+    expected = [(name, str(i), " ".join(task.argv)) for name in workloads.WORKLOADS
+                for i, task in enumerate(workloads.generate(name, 1))]
+    assert [(name, i, argv) for name, _, i, _, _, argv in rows] == expected
+    assert all(seed == "1" and rc == "0" and len(digest) == 64
+               for _, seed, _, rc, digest, _ in rows)

@@ -1,12 +1,13 @@
 """Print the SHA-256 of every benchmark task's report for one checkout.
 
-    python3 tools/report_digests.py --root DIR --seeds 1-6 [--workload chamber-calculus]
+    python3 tools/report_digests.py --root DIR --seeds 1-6 [--workload NAME]
 
 The task lists come from ``DIR/perfbench/workloads.py`` (imported, never
 modified) and every task runs in process through ``slly.cli.main`` with slly
-imported from ``DIR/src``.  Each output line is
+imported from ``DIR/src``.  Without ``--workload`` every workload in
+``workloads.WORKLOADS`` runs, one after the other.  Each output line is
 
-    <seed> <task index> <exit code> <sha256 of stdout> <argv>
+    <workload> <seed> <task index> <exit code> <sha256 of stdout> <argv>
 
 so two checkouts give byte-identical reports exactly when
 
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, required=True, help="root of the checkout to run")
     ap.add_argument("--seeds", type=_seed_range, required=True, help="seed or range A-B")
-    ap.add_argument("--workload", default="chamber-calculus")
+    ap.add_argument("--workload", help="run this workload only (default: every one)")
     args = ap.parse_args(argv)
 
     root = args.root.resolve()
@@ -54,16 +55,19 @@ def main(argv=None) -> int:
     cli = importlib.import_module("slly.cli")
     if Path(cli.__file__).resolve().parents[1] != root / "src":
         raise SystemExit(f"slly was imported from {cli.__file__}, not from {root / 'src'}")
-    if args.workload not in workloads.WORKLOADS:
-        raise SystemExit(f"unknown workload {args.workload!r}; one of {workloads.WORKLOADS}")
+    names = workloads.WORKLOADS if args.workload is None else (args.workload,)
+    for name in names:
+        if name not in workloads.WORKLOADS:
+            raise SystemExit(f"unknown workload {name!r}; one of {workloads.WORKLOADS}")
 
-    for seed in args.seeds:
-        for i, task in enumerate(workloads.generate(args.workload, seed)):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(task.argv)
-            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-            print(seed, i, rc, digest, " ".join(task.argv), flush=True)
+    for name in names:
+        for seed in args.seeds:
+            for i, task in enumerate(workloads.generate(name, seed)):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    rc = cli.main(task.argv)
+                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                print(name, seed, i, rc, digest, " ".join(task.argv), flush=True)
     return 0
 
 
