@@ -106,11 +106,10 @@ def _coincidence_indicator(grid: Grid, a: int, b: int) -> np.ndarray:
 def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
     """Check a sector request against the grid and the budgets; return its level count.
 
-    The budget counts the unknowns of the whole sector, every Fock component
-    times the box, however the sector is solved.  The levels are those that
-    the sector's blocks stand for: the exchange-symmetric grid functions,
-    C(M+N-1, N), for a scalar sector (grade 0 or N), and every unknown
-    otherwise.
+    The budget counts every unknown of the sector (Fock components times the
+    box), however it is solved.  The levels are those its blocks stand for:
+    C(M+N-1, N) symmetric grid functions for a scalar sector (grade 0 or N),
+    every unknown otherwise.
     """
     if grid.n != sp.n:
         raise ValueError("grid and superpotential particle counts differ")
@@ -168,17 +167,13 @@ def build_sector_matrix(
 
 
 def orbit_isometry(grid: Grid, parity: str) -> sparse.csr_matrix:
-    """Orbit-sum isometry P onto the grid functions of one exchange parity.
+    """Orbit-sum isometry P onto the "symmetric" or "antisymmetric" grid functions.
 
-    ``parity`` is "symmetric" (even under every axis exchange) or
-    "antisymmetric" (odd under every one).  One column per orbit of the axis
-    exchanges, keyed by its sorted multi-index i_1 <= ... <= i_N and
-    ascending in that key's C-order flat index; the column holds
-    sgn/sqrt(orbit size) on every grid point of the orbit, so P^T P = I.  On
-    the symmetric side sgn = 1; on the antisymmetric side sgn = sgn(pi) for
-    the permutation pi that sorts the point's multi-index, and only the
-    orbits with i_1 < ... < i_N (of size N!) are kept: a grid point with a
-    repeated index lies on a coincidence set and in no column.
+    One column per orbit of the axis exchanges, ascending in the C-order flat
+    index of its sorted multi-index; it holds sgn/sqrt(orbit size) on every
+    point of the orbit, so P^T P = I.  sgn is 1 on the symmetric side and the
+    sign of the sorting permutation on the antisymmetric side, which keeps
+    only the orbits of distinct indices: a coincidence point is in no column.
     """
     shape = (grid.points,) * grid.n
     idx = np.indices(shape).reshape(grid.n, -1)
@@ -284,13 +279,11 @@ def sector_blocks(grade: int, grid: Grid, sp: susy.Superpotential) -> list[Block
     Each T_F eigenspace of dimension d is a d-component operator with the
     couplings of ``_tf_blocks``; a one-dimensional one is the grade-0
     (T_F = C(N, 2), coupling +2c) or grade-N (T_F = -C(N, 2), coupling -2c)
-    box matrix.  A scalar sector (grade 0 or N) is the one-block case: its
-    one T_F eigenspace, solved on the exchange-symmetric half, so it holds
-    bosonic levels alone.  At N=2 the middle sector's two blocks are
-    one-dimensional and each is solved on its exchange-symmetric half; their
-    common antisymmetric half follows the first and counts twice.  The
-    union of a multi-component sector's blocks' spectra, so counted, is the
-    spectrum of ``build_sector_matrix``.
+    box matrix.  Sectors 0 and N are the one-block case, solved on the
+    exchange-symmetric half.  At N=2 the middle sector's two blocks are each
+    solved on their exchange-symmetric half, and their common antisymmetric
+    half follows the first and counts twice.  For 0 < grade < N the union of
+    the blocks' spectra, so counted, is the spectrum of ``build_sector_matrix``.
 
     A block that feels no attraction (coupling +2c, or none on the
     antisymmetric half) lies above shift + N lambda_1, the floor of the
