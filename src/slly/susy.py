@@ -79,9 +79,10 @@ def shift_constant(sp: Superpotential) -> float:
     A c whose square overflows is a configuration error (ValueError).
     """
     try:
-        return sp.c**2 * sp.n * (sp.n**2 - 1) / 12.0
+        c_squared = sp.c**2
     except OverflowError:
         raise ValueError(f"superpotential strength {sp.c} is too large: c^2 overflows") from None
+    return c_squared * sp.n * (sp.n**2 - 1) / 12.0
 
 
 # ---------------------------------------------------------------------------
