@@ -528,7 +528,8 @@ def nan_max(sizes: Iterable[float]) -> float:
     ``max`` would keep a finite value against a later NaN.  A NaN compares
     false both ways, so ``not size <= worst`` takes it in and ``worst ==
     worst`` keeps it; that is the rule of every residual maximum here.  The
-    wall folds of ``_weighted_max`` and ``_sweep`` write it out inline.
+    wall folds of ``_weighted_max`` and ``_sweep`` write it out inline, in
+    their hot loops.
     """
     worst = 0.0
     for size in sizes:

@@ -55,12 +55,10 @@ def main(argv=None) -> int:
     cli = importlib.import_module("slly.cli")
     if Path(cli.__file__).resolve().parents[1] != root / "src":
         raise SystemExit(f"slly was imported from {cli.__file__}, not from {root / 'src'}")
-    names = workloads.WORKLOADS if args.workload is None else (args.workload,)
-    for name in names:
-        if name not in workloads.WORKLOADS:
-            raise SystemExit(f"unknown workload {name!r}; one of {workloads.WORKLOADS}")
+    if args.workload not in (None, *workloads.WORKLOADS):
+        raise SystemExit(f"unknown workload {args.workload!r}; one of {workloads.WORKLOADS}")
 
-    for name in names:
+    for name in workloads.WORKLOADS if args.workload is None else (args.workload,):
         for seed in args.seeds:
             for i, task in enumerate(workloads.generate(name, seed)):
                 out = io.StringIO()
