@@ -449,6 +449,27 @@ class TestHookBlocks:
         with pytest.raises(ValueError, match=r"dim-1 = 511, got"):
             lattice.sector_spectrum(1, grid, sp, k, seed=3)
 
+    @pytest.mark.parametrize("n, grade", [(2, 0), (2, 2), (3, 0), (3, 3)])
+    def test_scalar_sector_is_one_symmetric_block(self, n, grade):
+        sp = susy.Superpotential(n=n, c=1.3)
+        grid = lattice.Grid(box=6.0, points=16, n=n)
+        (block,) = lattice.sector_blocks(grade, grid, sp)
+        t_f = math.comb(n, 2) if grade == 0 else -math.comb(n, 2)
+        assert (block.label, block.times) == ({"t_f": t_f, "parity": "symmetric"}, 1)
+        box = lattice.build_sector_matrix(grade, grid, sp)
+        diff = (block.matrix() - lattice.orbit_restriction(box, grid, "symmetric")).tocsr()
+        diff.eliminate_zeros()
+        assert diff.nnz == 0
+
+    @pytest.mark.parametrize("k", [0, 136])
+    def test_scalar_contract_counts_the_symmetric_levels(self, k):
+        # C(16 + 1, 2) = 136 symmetric levels at N=2, M=16, not 16^2
+        sp = susy.Superpotential(n=2, c=1.0)
+        grid = lattice.Grid(box=6.0, points=16, n=2)
+        with pytest.raises(ValueError, match=r"dim-1 = 135, got"):
+            lattice.sector_spectrum(0, grid, sp, k, seed=3)
+        assert len(lattice.sector_spectrum(0, grid, sp, 135, seed=3).eigenvalues) == 135
+
     @pytest.mark.parametrize("n, grade, c", [(2, 1, 0.0), (2, 1, 2.0), (3, 1, 0.0), (3, 2, 1.5)])
     def test_floors_bound_their_blocks(self, n, grade, c):
         sp = susy.Superpotential(n=n, c=c)
