@@ -87,6 +87,20 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float spelled as a string ("nan", "inf", "-inf").
+
+    Bare NaN and Infinity are not JSON; exit-3 diagnostics may hold them.
+    """
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _atomic_write(files: list[tuple[str, str]]) -> None:
     """Write each (path, text) atomically, all of them or none.
 
@@ -593,7 +607,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except ConvergenceError as exc:
         sys.stderr.write(f"slly: eigensolver did not converge: {exc}\n")
-        diagnostics = json.dumps(exc.diagnostics, sort_keys=True, default=str)
+        diagnostics = json.dumps(
+            _finite(exc.diagnostics), sort_keys=True, default=str, allow_nan=False
+        )
         sys.stderr.write(f"slly: diagnostics: {diagnostics}\n")
         return 3
     except (ValueError, OSError) as exc:

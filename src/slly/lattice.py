@@ -25,6 +25,13 @@ further on its exchange-symmetric and antisymmetric halves; the
 antisymmetric half vanishes on the coincidence line, so the two blocks share
 it and it is solved once.
 
+Each block is solved by shift-invert Lanczos at a shift that a factorisation
+certifies to lie below its spectrum (``lowest_eigenvalues``).  A block that
+feels no attraction has the floor shift + N lambda_1 and is shifted one free
+level lambda_1 under it; the others are shifted from their Gershgorin bound,
+which for the orbit-restricted and attractive blocks lies far below their
+levels.
+
 Everything is deterministic under a fixed seed (the seed fixes the
 eigensolver start vector), and every assembled matrix is exactly symmetric
 by construction.
@@ -85,16 +92,27 @@ def laplacian_1d(points: int, h: float) -> sparse.csr_matrix:
 
 
 def _laplacian_nd(grid: Grid) -> sparse.csr_matrix:
-    lap = laplacian_1d(grid.points, grid.h)
-    eye = sparse.identity(grid.points, format="csr")
-    total = None
-    for axis in range(grid.n):
-        factors = [lap if ax == axis else eye for ax in range(grid.n)]
-        term = factors[0]
-        for f in factors[1:]:
-            term = sparse.kron(term, f, format="csr")
-        total = term if total is None else total + term
-    return total.tocsr()
+    """-Laplacian on the box: the Kronecker sum of ``laplacian_1d`` over the axes.
+
+    Assembled in one ``sparse.diags`` call: axis j hops by M^(N-1-j) in the
+    C-order flat index, and a hop that would cross a wall is cut.  The main
+    diagonal adds the axes' 2/h^2 in axis order, as the sum of
+    kron(lap, I, ..), kron(I, lap, ..), .. does, so the matrix equals that
+    sum bit for bit.
+    """
+    m, n = grid.points, grid.n
+    size = m**n
+    main = 0.0
+    for _ in range(n):
+        main = main + 2.0 / grid.h**2
+    diagonals, offsets = [np.full(size, main)], [0]
+    for axis in range(n):
+        stride = m ** (n - 1 - axis)
+        inside = (np.arange(size - stride) // stride) % m < m - 1
+        hop = np.where(inside, -1.0 / grid.h**2, 0.0)
+        diagonals += [hop, hop]
+        offsets += [-stride, stride]
+    return sparse.diags(diagonals, offsets, format="csr")
 
 
 def _coincidence_indicator(grid: Grid, a: int, b: int) -> np.ndarray:
@@ -106,8 +124,9 @@ def _coincidence_indicator(grid: Grid, a: int, b: int) -> np.ndarray:
 def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
     """Check a sector request against the grid and the budgets; return its level count.
 
-    The budget counts every unknown of the sector (Fock components times the
-    box), however it is solved.  The levels are those its blocks stand for:
+    A box or coupling that makes a matrix entry (2N/h^2 or the shift) overflow
+    is refused.  The budget counts every unknown of the sector (Fock
+    components times the box), however it is solved.  The levels are those its blocks stand for:
     C(M+N-1, N) symmetric grid functions for a scalar sector (grade 0 or N),
     every unknown otherwise.
     """
@@ -123,8 +142,12 @@ def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
         h_squared = grid.h**2
     except OverflowError:
         h_squared = math.inf
-    if not 0.0 < h_squared < math.inf:
+    if not (0.0 < h_squared < math.inf and 2.0 * grid.n / h_squared < math.inf):
         raise ValueError(f"box edge length {grid.box} gives a spacing h whose h^2 is out of range")
+    if not math.isfinite(susy.shift_constant(sp)):
+        raise ValueError(
+            f"superpotential strength {sp.c} is too large: the shift c^2 N(N^2 - 1)/12 overflows"
+        )
     unknowns = math.comb(sp.n, grade) * grid.points**grid.n
     if unknowns > MAX_UNKNOWNS:
         raise BudgetError(f"{unknowns} unknowns exceed the budget of {MAX_UNKNOWNS}")
@@ -263,6 +286,16 @@ class Block:
             return {"t_f": self.tf_block.t_f}
         return {"t_f": self.tf_block.t_f, "parity": self.parity}
 
+    @property
+    def sigma(self) -> float | None:
+        """The shift its solve tries first: one free level lambda_1 under its floor.
+
+        None where it has no floor; the solve then picks its own shift.
+        """
+        if self.floor == -math.inf:
+            return None
+        return self.floor - _free_level(self.grid)
+
     def matrix(self) -> sparse.csr_matrix:
         grid, sp, tf_block = self.grid, self.sp, self.tf_block
         if tf_block.dim == 1:
@@ -271,6 +304,11 @@ class Block:
             couplings = {pair: unit * (2.0 * sp.c) + 0.0 for pair, unit in tf_block.units}
             mat = _assemble(grid, susy.shift_constant(sp), couplings)
         return mat if self.parity is None else orbit_restriction(mat, grid, self.parity)
+
+
+def _free_level(grid: Grid) -> float:
+    """lambda_1, the lowest level of the one-dimensional discrete -d^2/dx^2."""
+    return 4.0 / grid.h**2 * math.sin(math.pi * grid.h / (2.0 * grid.box)) ** 2
 
 
 def sector_blocks(grade: int, grid: Grid, sp: susy.Superpotential) -> list[Block]:
@@ -285,18 +323,17 @@ def sector_blocks(grade: int, grid: Grid, sp: susy.Superpotential) -> list[Block
     half follows the first and counts twice.  For 0 < grade < N the union of
     the blocks' spectra, so counted, is the spectrum of ``build_sector_matrix``.
 
-    A block that feels no attraction (coupling +2c, or none on the
-    antisymmetric half) lies above shift + N lambda_1, the floor of the
-    discrete -Laplacian plus the shift.
+    A block that feels no attraction (coupling +2c, none on the
+    antisymmetric half, or none at all at c = 0) lies above
+    shift + N lambda_1, the floor of the discrete -Laplacian plus the shift.
     """
     _sector_levels(grade, grid, sp)
-    lambda_1 = 4.0 / grid.h**2 * math.sin(math.pi * grid.h / (2.0 * grid.box)) ** 2
-    free = susy.shift_constant(sp) + grid.n * lambda_1
+    free = susy.shift_constant(sp) + grid.n * _free_level(grid)
     scalar = grade in (0, sp.n)
     parity = "symmetric" if scalar or grid.n == 2 else None
     blocks = []
     for i, tf_block in enumerate(_tf_blocks(sp.n, grade)):
-        floor = free if tf_block.t_f == math.comb(sp.n, 2) else -math.inf
+        floor = free if tf_block.t_f == math.comb(sp.n, 2) or sp.c == 0.0 else -math.inf
         blocks.append(Block(tf_block, parity, 1, floor, grid, sp))
         if i == 0 and grid.n == 2 and not scalar:
             blocks.append(Block(tf_block, "antisymmetric", 2, free, grid, sp))
@@ -350,8 +387,10 @@ def _shift_invert(a_mat, sigma: float) -> tuple[spla.LinearOperator | None, bool
     P(A - sigma I)P^T = L D L^T with D = diag(U).  By Sylvester's law of
     inertia sigma lies below every eigenvalue exactly when the row and column
     permutations agree (no pivot was taken off the diagonal) and every entry
-    of D is positive.  An exactly singular factor is not positive; it
-    returns no operator.
+    of D is positive.  A pivot of A - sigma I singular in exact arithmetic
+    may round to a tiny positive value, so every pivot must exceed
+    dim * eps * max|D|.  A factor SuperLU finds exactly singular returns no
+    operator.
     """
     shifted = (a_mat - sigma * sparse.identity(a_mat.shape[0], format="csc")).tocsc()
     try:
@@ -363,29 +402,48 @@ def _shift_invert(a_mat, sigma: float) -> tuple[spla.LinearOperator | None, bool
         )
     except RuntimeError:  # a zero pivot: SuperLU reports the factor singular
         return None, False
-    positive = bool(
-        np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all()
-    )
+    pivots = lu.U.diagonal()
+    threshold = shifted.shape[0] * np.finfo(float).eps * np.abs(pivots).max()
+    positive = bool(np.array_equal(lu.perm_r, lu.perm_c) and (pivots > threshold).all())
     op = spla.LinearOperator(shifted.shape, matvec=lu.solve, dtype=shifted.dtype)
     return op, positive
 
 
-def lowest_eigenvalues(a_mat: sparse.csr_matrix, k: int, seed: int = 0) -> Eigenvalues:
+def lowest_eigenvalues(
+    a_mat: sparse.csr_matrix, k: int, seed: int = 0, sigma: float | None = None
+) -> Eigenvalues:
     """k smallest eigenvalues of a sparse symmetric matrix.
 
     Shift-invert Lanczos on an L D L^T factor of A - sigma I (symmetric
-    minimum-degree ordering, no pivoting; see ``_shift_invert``).  The shift
-    is first max(g, 0) - 1 for the Gershgorin lower bound g: the sector
-    matrices discretise (1/2){Q, Q^+} >= 0, so 0 is a floor and the shift
-    sits close under the low spectrum.  The factor certifies that the shift
-    lies below every eigenvalue (positive pivots, no pivoting); if it does
-    not, the matrix is refactored at g - 1, which lies below the spectrum of
-    any symmetric matrix.  The start vector is drawn from the seed, so
-    identical inputs give bitwise-identical reports.  Raises ConvergenceError
-    if no shift is certified, the solver fails or any residual exceeds 1e-8.
+    minimum-degree ordering, no pivoting; see ``_shift_invert``), which
+    certifies that the shift lies below every eigenvalue.  Lanczos converges
+    the faster the closer the shift sits under the low spectrum, so a caller
+    that knows a lower bound passes a ``sigma`` just under it (a block's
+    ``Block.sigma``).  Without one, or if its factor does not certify,
+    the shift is that of ``_gershgorin_shift``.  The start vector is drawn
+    from the seed, so identical inputs give bitwise-identical reports.
+    Raises ConvergenceError if no shift is certified, the solver fails or
+    any residual exceeds 1e-8.
     """
     dim = a_mat.shape[0]
     _check_k(k, dim)
+    op, positive = (None, False) if sigma is None else _shift_invert(a_mat, sigma)
+    if not positive:
+        op, sigma = _gershgorin_shift(a_mat)
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    vals, vecs = _eigsh(a_mat, k, sigma=sigma, which="LM", OPinv=op, v0=v0, tol=0)
+    order = np.argsort(vals)
+    return _checked(a_mat, vals[order], vecs[:, order])
+
+
+def _gershgorin_shift(a_mat) -> tuple[spla.LinearOperator, float]:
+    """A certified shift-invert operator of A and its shift, from the Gershgorin bound g.
+
+    The shift is first max(g, 0) - 1, which lies below the spectrum of a
+    positive semidefinite matrix; if its factor does not certify, the matrix
+    is refactored at g - 1, which lies below the spectrum of any symmetric
+    matrix.  Raises ConvergenceError if neither certifies.
+    """
     diag = a_mat.diagonal()
     row_abs = np.asarray(abs(a_mat).sum(axis=1)).ravel()
     gershgorin = float((diag - (row_abs - np.abs(diag))).min())
@@ -399,10 +457,7 @@ def lowest_eigenvalues(a_mat: sparse.csr_matrix, k: int, seed: int = 0) -> Eigen
             "no shift certified below the spectrum",
             diagnostics={"sigma": sigma, "gershgorin": gershgorin},
         )
-    v0 = np.random.default_rng(seed).standard_normal(dim)
-    vals, vecs = _eigsh(a_mat, k, sigma=sigma, which="LM", OPinv=op, v0=v0, tol=0)
-    order = np.argsort(vals)
-    return _checked(a_mat, vals[order], vecs[:, order])
+    return op, sigma
 
 
 def _check_k(k: int, dim: int) -> None:
@@ -416,7 +471,7 @@ def _checked(a_mat, vals: np.ndarray, vecs: np.ndarray) -> Eigenvalues:
     for i in range(len(vals)):
         v = vecs[:, i]
         residuals.append(float(np.linalg.norm(a_mat @ v - vals[i] * v) / np.linalg.norm(v)))
-    if max(residuals) > RESIDUAL_TOL:
+    if any(not r <= RESIDUAL_TOL for r in residuals):  # a NaN residual fails too
         raise ConvergenceError(
             "eigenpair residual above tolerance",
             diagnostics={"residuals": residuals},
@@ -424,10 +479,15 @@ def _checked(a_mat, vals: np.ndarray, vecs: np.ndarray) -> Eigenvalues:
     return Eigenvalues(tuple(float(v) for v in vals), tuple(residuals))
 
 
-def _block_levels(a_mat: sparse.csr_matrix, k: int, seed: int) -> Eigenvalues:
-    """The k lowest levels of a block; all of them, solved densely, if it has no more than k."""
+def _block_levels(
+    a_mat: sparse.csr_matrix, k: int, seed: int, sigma: float | None = None
+) -> Eigenvalues:
+    """The k lowest levels of a block; all of them, solved densely, if it has no more than k.
+
+    ``sigma`` is the shift the sparse solve tries first (``Block.sigma``).
+    """
     if a_mat.shape[0] > k:
-        return lowest_eigenvalues(a_mat, k, seed=seed)
+        return lowest_eigenvalues(a_mat, k, seed=seed, sigma=sigma)
     vals, vecs = np.linalg.eigh(a_mat.toarray())
     return _checked(a_mat, vals, vecs)
 
@@ -454,7 +514,7 @@ def _merged_levels(
         if full and block.floor == -math.inf and _shift_invert(mat, lowest[-1][0])[1]:
             continue
         try:
-            raw = _block_levels(mat, k, seed)
+            raw = _block_levels(mat, k, seed, block.sigma)
         except ConvergenceError as exc:
             exc.diagnostics["block"] = block.label
             raise

@@ -1,11 +1,13 @@
 """Command-line driver: exit codes, report shape, determinism, config files."""
 
 import json
+import math
 import os
 import pathlib
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -419,6 +421,47 @@ class TestReportPlumbing:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"slly: {message}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "c, box, message",
+        [
+            # c^2 is finite, the shift c^2 N(N^2 - 1)/12 is not
+            ("1e154", "8", "superpotential strength 1e+154 is too large: the shift"),
+            # h^2 is subnormal and 2N/h^2 overflows
+            ("1", "1e-160", "box edge length 1e-160"),
+        ],
+    )
+    def test_non_finite_sector_matrix_is_config_error(self, capsys, c, box, message):
+        argv = ["lattice", "spectrum", "--n", "2", "--sector", "0", "--c", c, "--box", box,
+                "--points", "16", "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"slly: {message}") and captured.err.count("\n") == 1
+
+    def test_non_finite_diagnostics_are_json(self, capsys, monkeypatch):
+        from slly import lattice
+        from slly.errors import ConvergenceError
+
+        def explode(*args, **kwargs):
+            raise ConvergenceError("stalled", {"sigma": math.nan, "residuals": [1.0, -math.inf]})
+
+        monkeypatch.setattr(lattice, "lowest_eigenvalues", explode)
+        code = cli.main(["lattice", "spectrum", "--n", "2", "--sector", "0", "--c", "1",
+                         "--box", "8", "--points", "20", "--eigs", "2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        line = captured.err.split("slly: diagnostics: ")[1]
+
+        def refuse(name):
+            raise AssertionError(f"bare {name} is not JSON")
+
+        diagnostics = json.loads(line, parse_constant=refuse)
+        assert diagnostics["sigma"] == "nan"
+        assert diagnostics["residuals"] == [1.0, "-inf"]
 
     def test_census_failure_is_a_verdict(self, capsys):
         # at c=1e152 the alternating mode's Q^dag image no longer cancels to

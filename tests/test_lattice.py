@@ -36,6 +36,23 @@ class TestAssembly:
         diff.eliminate_zeros()
         assert diff.nnz == 0
 
+    @pytest.mark.parametrize("n, points, box", [(2, 16, 6.0), (2, 140, 12.3), (3, 17, 1.3),
+                                                (3, 24, 8.1), (3, 48, 7.7)])
+    def test_laplacian_is_the_kron_sum_bit_for_bit(self, n, points, box):
+        grid = lattice.Grid(box=box, points=points, n=n)
+        lap = lattice.laplacian_1d(points, grid.h)
+        eye = sparse.identity(points, format="csr")
+        kron_sum = None
+        for axis in range(n):
+            term = lap if axis == 0 else eye
+            for ax in range(1, n):
+                term = sparse.kron(term, lap if ax == axis else eye, format="csr")
+            kron_sum = term if kron_sum is None else kron_sum + term
+        kron_sum = kron_sum.tocsr()
+        assembled = lattice._laplacian_nd(grid)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(assembled, name), getattr(kron_sum, name))
+
     def test_free_limit_matches_discrete_box_ground(self):
         sp = susy.Superpotential(n=2, c=0.0)
         grid = lattice.Grid(box=8.0, points=40, n=2)
@@ -97,6 +114,11 @@ class TestEigensolver:
         a = lattice.sector_spectrum(2, grid, sp, 4, seed=9)
         b = lattice.sector_spectrum(2, grid, sp, 4, seed=9)
         assert a == b
+
+    def test_nan_residual_fails(self):
+        mat = lattice.laplacian_1d(20, 0.1)
+        with pytest.raises(ConvergenceError, match="residual"):
+            lattice._checked(mat, np.array([1.0]), np.full((20, 1), np.nan))
 
     def test_residuals_reported(self):
         mat = lattice.laplacian_1d(50, 0.05)
@@ -162,6 +184,15 @@ class TestShiftInvert:
         op, positive = lattice._shift_invert(sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), 0.0)
         assert op is not None
         assert not positive
+
+    def test_exactly_singular_factor_is_not_certified(self):
+        # lowest eigenvalue exactly -4: the last pivot of A + 4I rounds to
+        # +4.4e-16, far below dim * eps * max|pivot|
+        dense = np.array([[0, 0, -1, -1, 1], [0, 0, -2, -2, 0], [-1, -2, -1, 1, 1],
+                          [-1, -2, 1, -2, 1], [1, 0, 1, 1, 0]], dtype=float)
+        assert np.linalg.eigvalsh(dense).min() == pytest.approx(-4.0, abs=1e-12)
+        assert not lattice._shift_invert(sparse.csr_matrix(dense), -4.0)[1]
+        assert lattice._shift_invert(sparse.csr_matrix(dense), -4.0 - 1e-6)[1]
 
     def test_certificate_brackets_the_lowest_eigenvalue(self):
         mat = lattice.laplacian_1d(20, 1.0)
@@ -435,7 +466,8 @@ class TestHookBlocks:
         solve = lattice.lowest_eigenvalues
         monkeypatch.setattr(
             lattice, "lowest_eigenvalues",
-            lambda a_mat, k, seed=0: sizes.append(a_mat.shape[0]) or solve(a_mat, k, seed),
+            lambda a_mat, k, seed=0, sigma=None: (
+                sizes.append(a_mat.shape[0]) or solve(a_mat, k, seed, sigma)),
         )
         rep = lattice.sector_spectrum(1, grid, sp, k, seed=3)
         assert sizes == lanczos
@@ -483,7 +515,9 @@ class TestHookBlocks:
             assert block.floor <= lowest + 1e-12 * abs(lowest)
             if c == 0.0 and block.parity != "antisymmetric":  # the free ground itself
                 assert block.floor == pytest.approx(lowest, rel=1e-12)
-        assert floors == {(2, 1): 2, (3, 1): 1, (3, 2): 0}[n, grade]
+        # at c = 0 no block feels an attraction, so every block has the floor
+        assert floors == {(2, 1, 0.0): 3, (2, 1, 2.0): 2, (3, 1, 0.0): 2, (3, 2, 1.5): 0}[
+            n, grade, c]
 
     def test_block_above_the_kth_level_is_not_solved(self, monkeypatch):
         # the attractive block holds the four lowest levels; the others lie
@@ -509,7 +543,8 @@ class TestHookBlocks:
         solve = lattice._block_levels
         monkeypatch.setattr(
             lattice, "_block_levels",
-            lambda a_mat, k, seed: solved.append(a_mat.shape[0]) or solve(a_mat, k, seed),
+            lambda a_mat, k, seed, sigma=None: (
+                solved.append(a_mat.shape[0]) or solve(a_mat, k, seed, sigma)),
         )
         rep = lattice.sector_spectrum(2, grid, sp, 3, seed=1)
         assert solved == [16**3]
@@ -525,6 +560,104 @@ class TestHookBlocks:
             lattice.sector_spectrum(grade, grid, sp, 2, seed=1)
         assert info.value.diagnostics["block"] == label
         assert set(info.value.diagnostics) == {"block", "gershgorin", "sigma"}
+
+
+def gershgorin_levels(a_mat, k: int, seed: int) -> np.ndarray:
+    """The block solve before the floor shift: certified at max(g, 0) - 1, else at g - 1."""
+    diag = a_mat.diagonal()
+    row_abs = np.asarray(abs(a_mat).sum(axis=1)).ravel()
+    gershgorin = float((diag - (row_abs - np.abs(diag))).min())
+    sigma = max(gershgorin, 0.0) - 1.0
+    op, positive = lattice._shift_invert(a_mat, sigma)
+    if not positive:
+        sigma = gershgorin - 1.0
+        op, positive = lattice._shift_invert(a_mat, sigma)
+    assert positive
+    v0 = np.random.default_rng(seed).standard_normal(a_mat.shape[0])
+    vals = spla.eigsh(
+        a_mat, k=k, sigma=sigma, which="LM", OPinv=op, v0=v0, tol=0, return_eigenvectors=False
+    )
+    return np.sort(vals)
+
+
+def count_solves(monkeypatch) -> list:
+    """Record one entry per solve with a shift-invert operator from ``_shift_invert``."""
+    solves = []
+    factor = lattice._shift_invert
+
+    def counted(a_mat, sigma):
+        op, positive = factor(a_mat, sigma)
+        if op is None:
+            return op, positive
+        return spla.LinearOperator(
+            op.shape, matvec=lambda x: solves.append(sigma) or op.matvec(x), dtype=op.dtype
+        ), positive
+
+    monkeypatch.setattr(lattice, "_shift_invert", counted)
+    return solves
+
+
+class TestFloorShift:
+    """A block with a floor is solved at one free level lambda_1 under it."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("n, box, points, k", [(2, 12.0, 40, 4), (3, 8.0, 16, 2)])
+    def test_scalar_levels_agree_with_the_gershgorin_shift(self, n, box, points, k, c):
+        sp = susy.Superpotential(n=n, c=c)
+        grid = lattice.Grid(box=box, points=points, n=n)
+        (block,) = lattice.sector_blocks(0, grid, sp)
+        assert block.sigma == pytest.approx(
+            susy.shift_constant(sp) + (n - 1) * discrete_free_ground(points, box, 1), rel=1e-14)
+        rep = lattice.sector_spectrum(0, grid, sp, k, seed=3)
+        reference = gershgorin_levels(block.matrix(), k, seed=3)
+        np.testing.assert_allclose(rep.eigenvalues, reference, rtol=1e-12, atol=0)
+        assert max(rep.residuals) < lattice.RESIDUAL_TOL
+
+    def test_repulsive_full_box_block_agrees_with_the_gershgorin_shift(self):
+        sp = susy.Superpotential(n=3, c=2.0)
+        grid = lattice.Grid(box=8.0, points=16, n=3)
+        block = block_named(1, grid, sp, t_f=3)
+        assert block.parity is None and block.sigma is not None
+        mat = block.matrix()
+        rep = lattice.lowest_eigenvalues(mat, 3, seed=1, sigma=block.sigma)
+        np.testing.assert_allclose(
+            rep.eigenvalues, gershgorin_levels(mat, 3, seed=1), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, box, points, k", [(2, 12.0, 140, 4), (3, 8.0, 24, 2)])
+    def test_benchmark_sized_solve_takes_fewer_solves(self, monkeypatch, n, box, points, k):
+        sp = susy.Superpotential(n=n, c=2.0)
+        grid = lattice.Grid(box=box, points=points, n=n)
+        (block,) = lattice.sector_blocks(0, grid, sp)
+        solves = count_solves(monkeypatch)
+        reference = gershgorin_levels(block.matrix(), k, seed=1)
+        before = len(solves)
+        rep = lattice.sector_spectrum(0, grid, sp, k, seed=1)
+        after = len(solves) - before
+        assert set(solves[before:]) == {block.sigma}  # certified at once: no fallback
+        assert after < 0.6 * before
+        np.testing.assert_allclose(rep.eigenvalues, reference, rtol=1e-12, atol=0)
+
+    def test_uncertified_sigma_falls_back_bit_for_bit(self):
+        sp = susy.Superpotential(n=2, c=2.0)
+        grid = lattice.Grid(box=12.0, points=40, n=2)
+        (block,) = lattice.sector_blocks(0, grid, sp)
+        mat = block.matrix()
+        above = lattice.lowest_eigenvalues(mat, 4, seed=3).eigenvalues[0] + 0.5
+        assert not lattice._shift_invert(mat, above)[1]
+        assert lattice.lowest_eigenvalues(mat, 4, seed=3, sigma=above) == (
+            lattice.lowest_eigenvalues(mat, 4, seed=3))
+
+    def test_blocks_without_a_floor_keep_the_gershgorin_shift(self, monkeypatch):
+        sp = susy.Superpotential(n=3, c=2.0)
+        grid = lattice.Grid(box=8.0, points=16, n=3)
+        shifts = []
+        solve = lattice.lowest_eigenvalues
+        monkeypatch.setattr(
+            lattice, "lowest_eigenvalues",
+            lambda a_mat, k, seed=0, sigma=None: shifts.append(sigma) or solve(a_mat, k, seed, sigma),
+        )
+        lattice.sector_spectrum(3, grid, sp, 2, seed=1)
+        assert shifts == [None]
 
 
 class TestLatticeSusyPairing:
