@@ -11,10 +11,18 @@ every float operation in the same order must leave these bytes unchanged.
 After a deliberate change of a report, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every value it changed (file, JSON path or CSV cell, old value,
+new value, relative change) and the largest relative change of each file,
+as a Markdown table.
 """
 
 import contextlib
+import csv
+import decimal
 import io
+import json
+import math
 import pathlib
 
 import pytest
@@ -113,10 +121,86 @@ def test_config_file_reproduces_golden_bytes(name, tmp_path):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
-if __name__ == "__main__":
+def _leaves(text: str, suffix: str) -> dict:
+    """Path -> value of every leaf of a golden file; numbers keep their digits as Decimals.
+
+    JSON paths join keys with "." and list indices in brackets; a CSV cell's
+    path is its data row (from 1) and column header.
+    """
+    if not text:
+        return {}
+    if suffix == ".csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        out = {}
+        for i, row in enumerate(rows, 1):
+            for col, cell in zip(header, row):
+                try:
+                    out[f"[{i}].{col}"] = decimal.Decimal(cell)
+                except decimal.InvalidOperation:
+                    out[f"[{i}].{col}"] = cell
+        return out
+    out = {}
+
+    def walk(obj, path):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(obj, list):
+            for i, value in enumerate(obj):
+                walk(value, f"{path}[{i}]")
+        else:
+            out[path] = obj
+
+    walk(json.loads(text, parse_float=decimal.Decimal), "")
+    return out
+
+
+def value_changes(old: str, new: str, suffix: str) -> list[tuple[str, object, object, float]]:
+    """(path, old, new, relative change) for every leaf that differs between two golden texts.
+
+    The relative change is |new - old| / |old| for two numbers and inf for
+    anything else (a string, a leaf that appears or goes, a zero old value).
+    """
+    before, after = _leaves(old, suffix), _leaves(new, suffix)
+    rows = []
+    for path in [*before, *(p for p in after if p not in before)]:
+        a, b = before.get(path), after.get(path)
+        if a == b and type(a) is type(b):
+            continue
+        numbers = all(isinstance(v, (int, decimal.Decimal)) and not isinstance(v, bool)
+                      for v in (a, b))
+        rel = float(abs(b - a) / abs(a)) if numbers and a != 0 else math.inf
+        rows.append((path, a, b, rel))
+    return rows
+
+
+def change_table(changes: dict[str, list]) -> str:
+    """A Markdown table of ``value_changes`` per file, each file closed by its largest change."""
+    lines = ["| file | path | old | new | relative change |", "|---|---|---|---|---|"]
+    for name, rows in changes.items():
+        for path, a, b, rel in rows:
+            lines.append(f"| {name} | {path} | {a} | {b} | {rel:.2g} |")
+        lines.append(f"| {name} | largest | | | {max(r[3] for r in rows):.2g} |")
+    return "\n".join(lines)
+
+
+def rewrite_goldens() -> str:
+    """Rewrite every golden file from the current code; return the table of what changed."""
     GOLDEN.mkdir(exist_ok=True)
+    changes = {}
     for name, argv in sorted(CASES.items()):
+        paths = [GOLDEN / f"{name}.json"] + ([GOLDEN / f"{name}.csv"] if CSV in argv else [])
+        old = {path: path.read_text() if path.exists() else "" for path in paths}
         code, out = _stdout(argv, GOLDEN / f"{name}.csv")
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
         (GOLDEN / f"{name}.json").write_text(out)
+        for path in paths:
+            rows = value_changes(old[path], path.read_text(), path.suffix)
+            if rows:
+                changes[path.name] = rows
+    return change_table(changes) if changes else "no golden value changed"
+
+
+if __name__ == "__main__":
+    print(rewrite_goldens())

@@ -257,3 +257,58 @@ def test_report_digests_runs_every_workload_by_default(monkeypatch):
     assert [(name, i, argv) for name, _, i, _, _, argv in rows] == expected
     assert all(seed == "1" and rc == "0" and len(digest) == 64
                for _, seed, _, rc, digest, _ in rows)
+
+
+def _golden_module(monkeypatch):
+    """``tests/test_golden.py``, imported as a module of its own."""
+    spec = importlib.util.spec_from_file_location("_golden", ROOT / "tests" / "test_golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, golden)
+    spec.loader.exec_module(golden)
+    return golden
+
+
+def test_golden_value_changes_list_every_changed_leaf(monkeypatch):
+    golden = _golden_module(monkeypatch)
+    old = '{"a": {"x": [1.0, 2.5000000000000001], "n": 60, "s": "keep"}, "b": 0.0}'
+    new = '{"a": {"x": [1.0, 2.5000000000000009], "n": 60, "s": "keep"}, "b": 0.0, "c": 3.0}'
+    rows = golden.value_changes(old, new, ".json")
+    assert [(path, str(a), str(b)) for path, a, b, _ in rows] == [
+        ("a.x[1]", "2.5000000000000001", "2.5000000000000009"), ("c", "None", "3.0"),
+    ]
+    assert rows[0][3] == pytest.approx(8e-16 / 2.5, rel=1e-12)
+    assert rows[1][3] == float("inf")
+    old_csv = "h,lambda_1\n0.5,1.0\n0.25,2.0\n"
+    new_csv = "h,lambda_1\n0.5,1.0\n0.25,2.0000000000000004\n"
+    assert [row[:3] for row in golden.value_changes(old_csv, new_csv, ".csv")] == [
+        ("[2].lambda_1", golden.decimal.Decimal("2.0"), golden.decimal.Decimal("2.0000000000000004")),
+    ]
+    assert golden.value_changes(old, old, ".json") == []
+
+
+def test_golden_rewrite_prints_the_change_table(monkeypatch, tmp_path):
+    golden = _golden_module(monkeypatch)
+    (tmp_path / "one.json").write_text('{"e": [4.0, 8.0]}\n')
+    (tmp_path / "two.json").write_text('{"e": 1.0}\n')
+    (tmp_path / "two.csv").write_text("h,e\n0.5,1.0\n")
+    monkeypatch.setattr(golden, "GOLDEN", tmp_path)
+    monkeypatch.setattr(golden, "CASES", {"one": ["x"], "two": ["y", golden.CSV]})
+    reports = {"x": '{"e": [4.000000000000001, 8.0]}\n', "y": '{"e": 1.0}\n'}
+
+    def stdout(argv, csv_path=None):
+        if golden.CSV in argv:
+            csv_path.write_text("h,e\n0.5,1.0000000000000002\n")
+        return 0, reports[argv[0]]
+
+    monkeypatch.setattr(golden, "_stdout", stdout)
+    table = golden.rewrite_goldens().splitlines()
+    assert table[:2] == ["| file | path | old | new | relative change |", "|---|---|---|---|---|"]
+    assert table[2:] == [
+        "| one.json | e[0] | 4.0 | 4.000000000000001 | 2.5e-16 |",
+        "| one.json | largest | | | 2.5e-16 |",
+        "| two.csv | [1].e | 1.0 | 1.0000000000000002 | 2e-16 |",
+        "| two.csv | largest | | | 2e-16 |",
+    ]
+    assert (tmp_path / "one.json").read_text() == reports["x"]
+    monkeypatch.setattr(golden, "_stdout", lambda argv, csv_path=None: (0, reports[argv[0]]))
+    assert golden.rewrite_goldens() == "no golden value changed"
