@@ -12,9 +12,10 @@ The particles are identical bosons.  Every sector takes one block path
 (``sector_blocks``): the class sum T_F = sum_{a<b} Lambda_ab/(2c) of the
 fermionic mode swaps is central, so it commutes with every coupling block and
 with -Laplacian, and a sector is block-diagonal over its eigenspaces.  The
-blocks are solved one at a time, some of them on one exchange parity only
-(the orbit-sum isometry of ``orbit_isometry``), and their lowest levels are
-merged into the sector's.
+blocks are solved one at a time, some of them on one exchange parity only,
+and their lowest levels are merged into the sector's.  A block with a parity
+is assembled directly on the orbit representatives of the axis exchanges
+(``_orbit_block``): the box matrix it restricts is never built.
 
 Sectors 0 and N are the one-block case: one Fock component, solved on the
 exchange-symmetric grid functions only, so they report bosonic levels alone.
@@ -39,7 +40,6 @@ by construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -124,9 +124,10 @@ def _coincidence_indicator(grid: Grid, a: int, b: int) -> np.ndarray:
 def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
     """Check a sector request against the grid and the budgets; return its level count.
 
-    A box or coupling that makes a matrix entry (2N/h^2 or the shift) overflow
-    is refused.  The budget counts every unknown of the sector (Fock
-    components times the box), however it is solved.  The levels are those its blocks stand for:
+    A box or coupling that makes a matrix entry (2N/h^2 or the shift) or the
+    absolute sum of a row overflow is refused.  The budget counts every
+    unknown of the sector (Fock components times the box), however it is
+    solved.  The levels are those its blocks stand for:
     C(M+N-1, N) symmetric grid functions for a scalar sector (grade 0 or N),
     every unknown otherwise.
     """
@@ -144,9 +145,20 @@ def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
         h_squared = math.inf
     if not (0.0 < h_squared < math.inf and 2.0 * grid.n / h_squared < math.inf):
         raise ValueError(f"box edge length {grid.box} gives a spacing h whose h^2 is out of range")
-    if not math.isfinite(susy.shift_constant(sp)):
+    shift = susy.shift_constant(sp)
+    if not math.isfinite(shift):
         raise ValueError(
             f"superpotential strength {sp.c} is too large: the shift c^2 N(N^2 - 1)/12 overflows"
+        )
+    # a row holds the diagonal (the shift, 2N/h^2 and at most C(N, 2) contact
+    # couplings 2|c|/h) and off-diagonal entries of no more than sqrt(N!)
+    # times that: the orbit weights sqrt(|I|/|J|) on the 2N hops, and the
+    # sqrt(dim) <= sqrt(N!) of a coupling block's orthogonal rows
+    kinetic = 2.0 * grid.n / h_squared + grid.n * (grid.n - 1) * abs(sp.c) / grid.h
+    if not math.isfinite(abs(shift) + (1.0 + math.sqrt(math.factorial(grid.n))) * kinetic):
+        raise ValueError(
+            f"box edge length {grid.box} and superpotential strength {sp.c} give matrix rows"
+            " whose absolute sum overflows"
         )
     unknowns = math.comb(sp.n, grade) * grid.points**grid.n
     if unknowns > MAX_UNKNOWNS:
@@ -177,55 +189,88 @@ def _assemble(grid: Grid, shift: float, couplings) -> sparse.csr_matrix:
 
 
 def build_sector_matrix(
-    grade: int, grid: Grid, sp: susy.Superpotential
+    grade: int, grid: Grid, sp: susy.Superpotential, parity: str | None = None
 ) -> sparse.csr_matrix:
     """Sparse symmetric grade-n sector Hamiltonian on the box.
 
     kron ordering is (Fock component) x (grid), so the state vector holds the
-    full grid for component 0 first.
+    full grid for component 0 first.  With a ``parity`` (grades 0 and N only)
+    it is that matrix restricted to the "symmetric" or "antisymmetric" grid
+    functions, assembled on the orbit representatives (``_orbit_block``).
     """
     _sector_levels(grade, grid, sp)
     sector = susy.sector_hamiltonian(grade, sp)
-    return _assemble(grid, sector.shift, sector.couplings)
+    if parity is None:
+        return _assemble(grid, sector.shift, sector.couplings)
+    if grade not in (0, sp.n):
+        raise ValueError(f"only grades 0 and {sp.n} have one Fock component, got {grade}")
+    couplings = {pair: float(block.real[0, 0]) for pair, block in sector.couplings.items()}
+    return _orbit_block(grid, sector.shift, couplings, parity)
 
 
-def orbit_isometry(grid: Grid, parity: str) -> sparse.csr_matrix:
-    """Orbit-sum isometry P onto the "symmetric" or "antisymmetric" grid functions.
+def _orbit_block(grid: Grid, shift: float, couplings, parity: str) -> sparse.csr_matrix:
+    """P^T A P of a one-component box matrix A for the orbit-sum isometry P, made exactly symmetric.
 
-    One column per orbit of the axis exchanges, ascending in the C-order flat
-    index of its sorted multi-index; it holds sgn/sqrt(orbit size) on every
-    point of the orbit, so P^T P = I.  sgn is 1 on the symmetric side and the
-    sign of the sorting permutation on the antisymmetric side, which keeps
-    only the orbits of distinct indices: a coincidence point is in no column.
+    P has one column per orbit of the axis exchanges, holding sgn/sqrt(orbit
+    size) on each of its points: sgn is 1 on the "symmetric" side, and the
+    sign of the sorting permutation on the "antisymmetric" side, which keeps
+    only the orbits of distinct indices.  The columns ascend in the C-order
+    flat index of the orbit's representative, its sorted multi-index p0.
+    A = -Laplacian + shift + sum_ab coupling_ab/h on x_a = x_b commutes with
+    every exchange, so B_IJ = sgn sqrt(|I|/|J|) sum_{q in J} A_{p0 q}, and
+    that is what is assembled, without A or P:
+
+    - the diagonal is A's at p0: 2N/h^2, plus the shift, plus coupling/h for
+      each coincident pair of p0 (a hop changes the index sum, so none stays
+      in its orbit);
+    - each hop of p0 by +-1 along an axis goes to the orbit of its sorted
+      multi-index with weight sqrt(|I|/|J|).  A hop from a strictly
+      increasing multi-index stays sorted or lands on a coincidence set,
+      which is in no antisymmetric orbit; so every antisymmetric sgn is +1,
+      and no contact coupling reaches that side.
+
+    The eigenpairs of the result lift through P to the eigenpairs of A of
+    that parity.  The orbit weights leave it symmetric only to an ulp; the
+    certified solver's L D L^T needs it exactly so.
     """
-    shape = (grid.points,) * grid.n
-    idx = np.indices(shape).reshape(grid.n, -1)
-    rows = np.arange(idx.shape[1])
-    signs = 1.0
-    if parity == "antisymmetric":
-        pairs = list(itertools.combinations(range(grid.n), 2))
-        rows = np.flatnonzero(np.all([idx[a] != idx[b] for a, b in pairs], axis=0))
-        inversions = np.sum([idx[a, rows] > idx[b, rows] for a, b in pairs], axis=0)
-        signs = np.where(inversions % 2, -1.0, 1.0)
-    key = np.ravel_multi_index(np.sort(idx[:, rows], axis=0), shape)
-    _, col, counts = np.unique(key, return_inverse=True, return_counts=True)
-    return sparse.csr_matrix(
-        (signs / np.sqrt(counts[col]), (rows, col)), shape=(idx.shape[1], counts.size)
+    m, n = grid.points, grid.n
+    idx = np.indices((m,) * n).reshape(n, -1)
+    steps = np.diff(idx, axis=0)
+    keep = (steps > 0 if parity == "antisymmetric" else steps >= 0).all(axis=0)
+    reps, flat = idx[:, keep], np.flatnonzero(keep)
+    count = flat.size
+    column = np.full(idx.shape[1], -1)
+    column[flat] = np.arange(count)
+    # N! over the factorials of the runs of equal indices of the sorted reps
+    runs = np.ones(count, dtype=np.int64)
+    for j in range(1, n):
+        runs *= 1 + (reps[:j] == reps[j]).sum(axis=0)
+    size = math.factorial(n) // runs
+
+    main = 0.0
+    for _ in range(n):
+        main = main + 2.0 / grid.h**2
+    diag = np.full(count, main) + shift
+    for (a, b), coupling in couplings.items():
+        diag = diag + np.where(reps[a - 1] == reps[b - 1], coupling * (1.0 / grid.h), 0.0)
+    rows, cols, vals = [np.arange(count)], [np.arange(count)], [diag]
+    hop = -1.0 / grid.h**2
+    for axis in range(n):
+        # sorted, the hop moves the last (+1) or first (-1) entry of its run
+        # of equal indices instead: the flat index moves by that entry's stride
+        later = (reps[axis + 1:] == reps[axis]).sum(axis=0)
+        earlier = (reps[:axis] == reps[axis]).sum(axis=0)
+        for step, moved in ((-1, axis - earlier), (1, axis + later)):
+            src = np.flatnonzero((reps[axis] + step >= 0) & (reps[axis] + step < m))
+            dst = column[flat[src] + step * m ** (n - 1 - moved[src])]
+            src, dst = src[dst >= 0], dst[dst >= 0]
+            rows += [src]
+            cols += [dst]
+            vals += [np.sqrt(size[src] / size[dst]) * hop]
+    b_mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(count, count)
     )
-
-
-def orbit_restriction(a_mat: sparse.csr_matrix, grid: Grid, parity: str) -> sparse.csr_matrix:
-    """P^T A P for the isometry P of ``orbit_isometry``, made exactly symmetric.
-
-    A commutes with every axis exchange, so A P = P (P^T A P) and the
-    eigenpairs of the result lift through P to the eigenpairs of A of that
-    parity.  Rounding leaves P^T A P symmetric only to an ulp; the certified
-    solver's L D L^T needs it exactly so.  The antisymmetric P has no entry
-    on a coincidence set, so no contact coupling reaches that result.
-    """
-    p_mat = orbit_isometry(grid, parity)
-    reduced = p_mat.T @ (a_mat @ p_mat)
-    return (0.5 * (reduced + reduced.T)).tocsr()
+    return (0.5 * (b_mat + b_mat.T)).tocsr()
 
 
 class _TfBlock(NamedTuple):
@@ -268,12 +313,16 @@ def _tf_blocks(n: int, grade: int) -> tuple[_TfBlock, ...]:
 class Block:
     """One block of a sector, assembled on demand by ``matrix``.
 
+    A one-dimensional T_F block is a scalar box matrix (grade 0 or N), built
+    by ``build_sector_matrix``: on the orbit representatives of its
+    ``parity`` if it has one, else on the whole box.  A larger block is the
+    multi-component operator of its restricted couplings on the whole box.
     Each of its levels stands for ``times`` levels of the sector, and none
     lies below ``floor`` (-inf where no bound is known).
     """
 
     tf_block: _TfBlock
-    parity: str | None  # the exchange parity it is solved on (``orbit_isometry``), or None
+    parity: str | None  # the exchange parity it is solved on (``_orbit_block``), or None
     times: int
     floor: float
     grid: Grid
@@ -299,11 +348,10 @@ class Block:
     def matrix(self) -> sparse.csr_matrix:
         grid, sp, tf_block = self.grid, self.sp, self.tf_block
         if tf_block.dim == 1:
-            mat = build_sector_matrix(0 if tf_block.t_f > 0 else sp.n, grid, sp)
-        else:
-            couplings = {pair: unit * (2.0 * sp.c) + 0.0 for pair, unit in tf_block.units}
-            mat = _assemble(grid, susy.shift_constant(sp), couplings)
-        return mat if self.parity is None else orbit_restriction(mat, grid, self.parity)
+            grade = 0 if tf_block.t_f > 0 else sp.n
+            return build_sector_matrix(grade, grid, sp, parity=self.parity)
+        couplings = {pair: unit * (2.0 * sp.c) + 0.0 for pair, unit in tf_block.units}
+        return _assemble(grid, susy.shift_constant(sp), couplings)
 
 
 def _free_level(grid: Grid) -> float:
@@ -530,7 +578,7 @@ def sector_spectrum(
     One block path: the sector's T_F blocks (``sector_blocks``) are solved
     one at a time and their k lowest levels merged; a block with no more
     than k unknowns is solved densely.  Sectors 0 and N are the one-block
-    case, solved on the exchange-symmetric subspace (``orbit_restriction``),
+    case, solved on the exchange-symmetric subspace (``_orbit_block``),
     so only bosonic levels are reported.  Any other sector reports the k
     lowest levels of the full box, with their multiplicities.  Every block
     uses the same k and seed, so at N=2 the levels that sector 1 takes from
@@ -683,20 +731,13 @@ def _forward_difference(points: int, h: float) -> sparse.csr_matrix:
     return sparse.diags([main, upper], [0, 1], format="csr")
 
 
-def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> QDiagnosticReport:
-    """Assemble a lattice supercharge and probe the algebra it generates.
+def _lattice_supercharge(grid: Grid, sp: susy.Superpotential) -> sparse.csr_matrix:
+    """Q = sqrt(2) sum_j b_j (x) (forward difference along x_j + the chamber gradient of W).
 
-    Q uses forward differences plus the diagonal chamber gradient (the sign
-    function evaluates to 0 on coincidence nodes), so (1/2)(QQ^T + Q^TQ) is
-    positive semidefinite by construction whatever the discretization error;
-    Q^2, which vanishes in the continuum, survives only on grid points next
-    to the coincidence line and is reported as a discretization diagnostic.
+    The gradient is +-c/2 off the coincidence line, where sign(x_1 - x_2)
+    evaluates to 0.  kron ordering is (Fock component) x (grid).
     """
-    if grid.n != 2 or sp.n != 2:
-        raise ValueError("the lattice supercharge diagnostic is a two-particle experiment")
     m = grid.points
-    if 4 * m * m > MAX_UNKNOWNS:
-        raise BudgetError("diagnostic grid too large")
     d1 = _forward_difference(m, grid.h)
     eye = sparse.identity(m, format="csr")
     idx = np.arange(m)
@@ -711,19 +752,62 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
         bj = sparse.csr_matrix(fock.annihilation(j, 2).mat.real)
         term = math.sqrt(2.0) * sparse.kron(bj, ops[j], format="csr")
         q_mat = term if q_mat is None else q_mat + term
+    return q_mat
+
+
+def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> QDiagnosticReport:
+    """Assemble a lattice supercharge and probe the algebra it generates.
+
+    Q uses forward differences plus the diagonal chamber gradient (the sign
+    function evaluates to 0 on coincidence nodes), so (1/2)(QQ^T + Q^TQ) is
+    positive semidefinite by construction whatever the discretization error;
+    Q^2, which vanishes in the continuum, survives only on grid points next
+    to the coincidence line and is reported as a discretization diagnostic.
+
+    (1/2){Q, Q^T} conserves fermion number, so its lowest eigenvalue is the
+    lowest over its grade blocks.  Grade N-1, which holds the alternating
+    zero mode, is solved first, then N, then 0.  A later grade is skipped
+    when the factor of its block minus the lowest level so far is certified
+    positive definite (``_shift_invert``); a grade that is solved must be
+    certified positive definite at sigma = -0.1.  Either way every grade
+    carries a positivity certificate.  A box or coupling whose operator rows
+    could overflow is refused before any of it is assembled.
+    """
+    if grid.n != 2 or sp.n != 2:
+        raise ValueError("the lattice supercharge diagnostic is a two-particle experiment")
+    m = grid.points
+    if 4 * m * m > MAX_UNKNOWNS:
+        raise BudgetError("diagnostic grid too large")
+    # each row of Q sums to at most 2 sqrt(2) (2/h + |c|/2) in absolute value,
+    # and so does each column, so a row of (1/2){Q, Q^T} to 8 (2/h + |c|/2)^2
+    row = 2.0 / grid.h + 0.5 * abs(sp.c)
+    if not math.isfinite(8.0 * row * row):
+        raise ValueError(
+            f"box edge length {grid.box} and superpotential strength {sp.c} make"
+            " (1/2){Q, Q^T} overflow"
+        )
+    q_mat = _lattice_supercharge(grid, sp)
     h_mat = 0.5 * (q_mat @ q_mat.T + q_mat.T @ q_mat)
     h_mat = 0.5 * (h_mat + h_mat.T)
 
-    sigma = -0.1  # (1/2){Q, Q^T} is PSD by construction, so its factor must certify
-    op, positive = _shift_invert(h_mat, sigma)
-    if not positive:
-        raise ConvergenceError(
-            "(1/2){Q, Q^T} - sigma I is not positive definite", diagnostics={"sigma": sigma}
+    sigma = -0.1  # (1/2){Q, Q^T} is PSD by construction, so each factor must certify
+    lowest = math.inf
+    for grade in (1, 2, 0):
+        comps = fock.grade_slice(2, grade)
+        block = h_mat[comps.start * m * m:comps.stop * m * m, comps.start * m * m:comps.stop * m * m]
+        if lowest < math.inf and _shift_invert(block, lowest)[1]:
+            continue
+        op, positive = _shift_invert(block, sigma)
+        if not positive:
+            raise ConvergenceError(
+                "(1/2){Q, Q^T} - sigma I is not positive definite",
+                diagnostics={"grade": grade, "sigma": sigma},
+            )
+        v0 = np.random.default_rng(seed).standard_normal(block.shape[0])
+        vals = _eigsh(
+            block, 1, sigma=sigma, which="LM", OPinv=op, v0=v0, return_eigenvectors=False
         )
-    v0 = np.random.default_rng(seed).standard_normal(h_mat.shape[0])
-    vals = _eigsh(
-        h_mat, 1, sigma=sigma, which="LM", OPinv=op, v0=v0, return_eigenvectors=False
-    )
+        lowest = min(lowest, float(vals[0]))
     q2 = (q_mat @ q_mat).tocoo()
     q2.eliminate_zeros()
     band = 0
@@ -733,7 +817,7 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
             band = max(band, abs(g // m - g % m))
     q2_max = float(np.abs(q2.data).max()) if q2.nnz else 0.0
     return QDiagnosticReport(
-        min_eigenvalue=float(vals[0]),
+        min_eigenvalue=lowest,
         q_squared_max=q2_max,
         q_squared_nnz=int(q2.nnz),
         band_width=band,

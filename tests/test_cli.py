@@ -442,6 +442,41 @@ class TestReportPlumbing:
         assert captured.out == ""
         assert captured.err.startswith(f"slly: {message}") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("sector", ["0", "1"])
+    def test_overflowing_row_sum_is_config_error(self, capsys, sector):
+        # every entry is finite (2N/h^2 is about 1.3e308), the sum of a row is not
+        argv = ["lattice", "spectrum", "--n", "2", "--sector", sector, "--c", "1e153",
+                "--box", "3e-153", "--points", "16", "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "slly: box edge length 3e-153 and superpotential strength 1e+153 give matrix rows"
+            " whose absolute sum overflows\n")
+
+    @pytest.mark.parametrize("c, box", [("1e154", "16"), ("1", "1e-160")])
+    def test_non_finite_supercharge_diagnostic_is_config_error(self, capsys, monkeypatch, c, box):
+        from slly import lattice
+
+        def no_factor(*args):
+            raise AssertionError("factorised a non-finite operator")
+
+        monkeypatch.setattr(lattice, "_shift_invert", no_factor)
+        argv = ["lattice", "diagnostic", "--n", "2", "--c", c, "--box", box, "--points", "20",
+                "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"slly: box edge length {float(box)} and superpotential")
+        assert captured.err.endswith("make (1/2){Q, Q^T} overflow\n")
+        assert captured.err.count("\n") == 1
+
     def test_non_finite_diagnostics_are_json(self, capsys, monkeypatch):
         from slly import lattice
         from slly.errors import ConvergenceError

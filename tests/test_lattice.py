@@ -230,16 +230,71 @@ class TestShiftInvert:
         assert max(rep.residuals) < lattice.RESIDUAL_TOL
 
 
+def orbit_isometry(grid, parity: str) -> sparse.csr_matrix:
+    """Orbit-sum isometry P onto the "symmetric" or "antisymmetric" grid functions.
+
+    The reference for ``lattice._orbit_block``.  One column per orbit of the
+    axis exchanges, ascending in the C-order flat index of its sorted
+    multi-index; it holds sgn/sqrt(orbit size) on every point of the orbit,
+    so P^T P = I.  sgn is 1 on the symmetric side and the sign of the sorting
+    permutation on the antisymmetric side, which keeps only the orbits of
+    distinct indices: a coincidence point is in no column.
+    """
+    shape = (grid.points,) * grid.n
+    idx = np.indices(shape).reshape(grid.n, -1)
+    rows = np.arange(idx.shape[1])
+    signs = 1.0
+    if parity == "antisymmetric":
+        pairs = list(itertools.combinations(range(grid.n), 2))
+        rows = np.flatnonzero(np.all([idx[a] != idx[b] for a, b in pairs], axis=0))
+        inversions = np.sum([idx[a, rows] > idx[b, rows] for a, b in pairs], axis=0)
+        signs = np.where(inversions % 2, -1.0, 1.0)
+    key = np.ravel_multi_index(np.sort(idx[:, rows], axis=0), shape)
+    _, col, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return sparse.csr_matrix(
+        (signs / np.sqrt(counts[col]), (rows, col)), shape=(idx.shape[1], counts.size)
+    )
+
+
+def orbit_restriction(a_mat, grid, parity: str) -> sparse.csr_matrix:
+    """The reference orbit block: P^T A P for ``orbit_isometry``'s P, made exactly symmetric."""
+    p_mat = orbit_isometry(grid, parity)
+    reduced = p_mat.T @ (a_mat @ p_mat)
+    return (0.5 * (reduced + reduced.T)).tocsr()
+
+
+#: entries of a direct orbit block lie this many ulp of max|A| from the reference
+ORBIT_ULPS = 4
+
+
+def assert_is_the_reference_block(b_mat, a_mat, grid, parity):
+    """b_mat is P^T A P to a few ulp of max|A|, on the same pattern, and exactly symmetric."""
+    reference = orbit_restriction(a_mat, grid, parity)
+    patterns = []
+    for mat in (b_mat, reference):
+        mat = mat.tocsr(copy=True)
+        mat.eliminate_zeros()
+        mat.sort_indices()
+        patterns.append((mat.indptr, mat.indices))
+    assert np.array_equal(patterns[0][0], patterns[1][0])
+    assert np.array_equal(patterns[0][1], patterns[1][1])
+    scale = abs(a_mat).max()
+    assert abs(b_mat - reference).max() <= ORBIT_ULPS * np.finfo(float).eps * scale
+    assert (b_mat - b_mat.T).count_nonzero() == 0
+
+
 #: (N, grade, box, points): the one-component sectors on small grids; at
 #: (3, 3, 12.0, 17) the product P^T (A P) is not exactly symmetric
 SCALAR_SECTORS = [(2, 0, 8.0, 20), (2, 2, 8.0, 20), (3, 0, 6.0, 16), (3, 3, 12.0, 17)]
 
 
 def _restricted(n, grade, box, points, c=2.0):
+    """The grid, the box matrix A, the reference P and the assembled symmetric block."""
     grid = lattice.Grid(box=box, points=points, n=n)
-    a_mat = lattice.build_sector_matrix(grade, grid, susy.Superpotential(n=n, c=c))
-    p_mat = lattice.orbit_isometry(grid, "symmetric")
-    return grid, a_mat, p_mat, lattice.orbit_restriction(a_mat, grid, "symmetric")
+    sp = susy.Superpotential(n=n, c=c)
+    a_mat = lattice.build_sector_matrix(grade, grid, sp)
+    p_mat = orbit_isometry(grid, "symmetric")
+    return grid, a_mat, p_mat, lattice.build_sector_matrix(grade, grid, sp, parity="symmetric")
 
 
 class TestBosonicProjection:
@@ -248,7 +303,7 @@ class TestBosonicProjection:
     @pytest.mark.parametrize("n, points", [(2, 16), (2, 21), (3, 16), (3, 17)])
     def test_isometry_has_one_orthonormal_column_per_sorted_multi_index(self, n, points):
         grid = lattice.Grid(box=5.0, points=points, n=n)
-        p_mat = lattice.orbit_isometry(grid, "symmetric")
+        p_mat = orbit_isometry(grid, "symmetric")
         assert p_mat.shape == (points**n, math.comb(points + n - 1, n))
         assert (np.diff(p_mat.indptr) == 1).all()  # each grid point sits in one orbit
         gram = (p_mat.T @ p_mat - sparse.identity(p_mat.shape[1])).tocsr()
@@ -263,7 +318,7 @@ class TestBosonicProjection:
     @pytest.mark.parametrize("n, points", [(2, 16), (2, 21), (3, 16), (3, 17)])
     def test_antisymmetric_isometry_spans_the_odd_grid_functions(self, n, points):
         grid = lattice.Grid(box=5.0, points=points, n=n)
-        q_mat = lattice.orbit_isometry(grid, "antisymmetric")
+        q_mat = orbit_isometry(grid, "antisymmetric")
         assert q_mat.shape == (points**n, math.comb(points, n))
         gram = (q_mat.T @ q_mat - sparse.identity(q_mat.shape[1])).tocsr()
         assert abs(gram).max() <= 1e-15
@@ -287,6 +342,8 @@ class TestBosonicProjection:
         assert diff.nnz == 0
 
     def test_symmetrisation_is_needed(self):
+        # of the reference product; the assembled block's orbit weights
+        # sqrt(|I|/|J|) are not exactly reciprocal either
         _, a_mat, p_mat, _ = _restricted(3, 3, 12.0, 17)
         raw = p_mat.T @ (a_mat @ p_mat)
         diff = (raw - raw.T).tocsr()
@@ -333,6 +390,65 @@ class TestBosonicProjection:
         np.testing.assert_allclose(full.eigenvalues, [9.44018, 9.59117, 9.59117], rtol=2e-6)
         np.testing.assert_allclose(bosonic.eigenvalues, [9.44018, 10.17956], rtol=2e-6)
 
+
+
+@st.composite
+def orbit_cases(draw):
+    """A scalar sector, a parity, a strength c >= 0 and a random box.
+
+    The sector carries the sign of the contact coupling: +2c at grade 0,
+    -2c at grade N, and none at c = 0.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    grade = draw(st.sampled_from([0, n]))
+    parity = draw(st.sampled_from(["symmetric", "antisymmetric"]))
+    c = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+    points = draw(st.integers(16, 20))
+    box = draw(st.floats(0.5, 30.0))
+    return n, grade, parity, c, points, box
+
+
+class TestOrbitAssembly:
+    """Blocks with a parity are assembled on the orbit representatives, not reduced from the box."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=orbit_cases())
+    @example(case=(3, 3, "symmetric", 2.0, 17, 12.0))
+    @example(case=(3, 3, "antisymmetric", 2.0, 16, 6.0))
+    @example(case=(2, 0, "symmetric", 0.0, 20, 8.0))
+    def test_direct_assembly_is_the_reference_restriction(self, case):
+        n, grade, parity, c, points, box = case
+        grid = lattice.Grid(box=box, points=points, n=n)
+        sp = susy.Superpotential(n=n, c=c)
+        a_mat = lattice.build_sector_matrix(grade, grid, sp)
+        b_mat = lattice.build_sector_matrix(grade, grid, sp, parity=parity)
+        assert_is_the_reference_block(b_mat, a_mat, grid, parity)
+        p_mat = orbit_isometry(grid, parity)
+        assert abs(a_mat @ p_mat - p_mat @ b_mat).max() <= 1e-14 * abs(a_mat).max()
+        # the diagonal is A's at each orbit's representative, its first point
+        reps = np.minimum.reduceat(p_mat.tocsc().indices, p_mat.tocsc().indptr[:-1])
+        assert np.array_equal(b_mat.diagonal(), a_mat.diagonal()[reps])
+        if parity == "antisymmetric":
+            # no coincidence set in any orbit, so no contact coupling reaches it
+            idx = np.array(np.unravel_index(reps, (points,) * n))
+            assert (np.diff(idx, axis=0) > 0).all()
+            free = lattice._orbit_block(grid, susy.shift_constant(sp), {}, parity)
+            assert (b_mat != free).nnz == 0
+
+    def test_parity_needs_a_scalar_sector(self):
+        sp = susy.Superpotential(n=3, c=1.0)
+        grid = lattice.Grid(box=6.0, points=16, n=3)
+        with pytest.raises(ValueError, match="one Fock component"):
+            lattice.build_sector_matrix(1, grid, sp, parity="symmetric")
+
+    @pytest.mark.parametrize("n, points", [(2, 140), (3, 24)])
+    def test_benchmark_sized_blocks_match_the_reference(self, n, points):
+        sp = susy.Superpotential(n=n, c=2.0)
+        grid = lattice.Grid(box=12.0 if n == 2 else 8.0, points=points, n=n)
+        (block,) = lattice.sector_blocks(0, grid, sp)
+        assert block.matrix().shape == (math.comb(points + n - 1, n),) * 2
+        assert_is_the_reference_block(
+            block.matrix(), lattice.build_sector_matrix(0, grid, sp), grid, "symmetric")
 
 
 def small_grid(box: float, points: int, n: int) -> lattice.Grid:
@@ -405,14 +521,15 @@ class TestTfStructure:
         sp = susy.Superpotential(n=n, c=1.3)
         grid = lattice.Grid(box=6.0, points=16, n=n)
         for block in lattice.sector_blocks(grade, grid, sp):
-            if block.tf_block.dim != 1 or block.parity == "antisymmetric":
+            if block.tf_block.dim != 1:
                 continue
             scalar = lattice.build_sector_matrix(0 if block.tf_block.t_f > 0 else n, grid, sp)
-            if n == 2:
-                scalar = lattice.orbit_restriction(scalar, grid, "symmetric")
-            diff = (block.matrix() - scalar).tocsr()
-            diff.eliminate_zeros()
-            assert diff.nnz == 0
+            if block.parity is None:
+                diff = (block.matrix() - scalar).tocsr()
+                diff.eliminate_zeros()
+                assert diff.nnz == 0
+            else:
+                assert_is_the_reference_block(block.matrix(), scalar, grid, block.parity)
 
 
 class TestHookBlocks:
@@ -489,9 +606,7 @@ class TestHookBlocks:
         t_f = math.comb(n, 2) if grade == 0 else -math.comb(n, 2)
         assert (block.label, block.times) == ({"t_f": t_f, "parity": "symmetric"}, 1)
         box = lattice.build_sector_matrix(grade, grid, sp)
-        diff = (block.matrix() - lattice.orbit_restriction(box, grid, "symmetric")).tocsr()
-        diff.eliminate_zeros()
-        assert diff.nnz == 0
+        assert_is_the_reference_block(block.matrix(), box, grid, "symmetric")
 
     @pytest.mark.parametrize("k", [0, 136])
     def test_scalar_contract_counts_the_symmetric_levels(self, k):
@@ -740,7 +855,84 @@ class TestConvergence:
         assert grounds[0] > grounds[1] > grounds[2] > 0
 
 
+def full_operator_min(grid, sp, seed: int) -> float:
+    """The diagnostic's solve before the grade split: all four Fock components at once."""
+    q_mat = lattice._lattice_supercharge(grid, sp)
+    h_mat = 0.5 * (q_mat @ q_mat.T + q_mat.T @ q_mat)
+    h_mat = 0.5 * (h_mat + h_mat.T)
+    op, positive = lattice._shift_invert(h_mat, -0.1)
+    assert positive
+    v0 = np.random.default_rng(seed).standard_normal(h_mat.shape[0])
+    vals = spla.eigsh(
+        h_mat, k=1, sigma=-0.1, which="LM", OPinv=op, v0=v0, return_eigenvectors=False)
+    return float(vals[0])
+
+
+def record_factors(monkeypatch, refuse_skips=False) -> list:
+    """Record (size, sigma, certified) for every ``_shift_invert`` call.
+
+    With ``refuse_skips`` only the factors at sigma = -0.1 may certify.
+    """
+    calls = []
+    factor = lattice._shift_invert
+
+    def recorded(a_mat, sigma):
+        op, positive = factor(a_mat, sigma)
+        positive = positive and not (refuse_skips and sigma != -0.1)
+        calls.append((a_mat.shape[0], sigma, positive))
+        return op, positive
+
+    monkeypatch.setattr(lattice, "_shift_invert", recorded)
+    return calls
+
+
 class TestQDiagnostic:
+    @pytest.mark.parametrize("c", [0.0, 2.0])
+    def test_grades_do_not_couple(self, c):
+        m = 20
+        grid = lattice.Grid(box=8.0, points=m, n=2)
+        q_mat = lattice._lattice_supercharge(grid, susy.Superpotential(n=2, c=c))
+        h_mat = (0.5 * (q_mat @ q_mat.T + q_mat.T @ q_mat)).tocoo()
+        grade = np.array([0, 1, 1, 2])  # the Fock basis is grade-major
+        assert h_mat.nnz > 0
+        assert np.array_equal(grade[h_mat.row // (m * m)], grade[h_mat.col // (m * m)])
+
+    @pytest.mark.parametrize("c", [0.0, 0.8, 1.53, 2.0, 2.5])
+    def test_min_eigenvalue_matches_the_full_operator(self, c):
+        sp = susy.Superpotential(n=2, c=c)
+        grid = lattice.Grid(box=16.0, points=40, n=2)
+        rep = lattice.lattice_q_diagnostic(grid, sp, seed=1)
+        assert rep.min_eigenvalue == pytest.approx(full_operator_min(grid, sp, 1), rel=1e-12)
+
+    def test_every_grade_keeps_a_certificate(self, monkeypatch):
+        # grade 1 is solved at sigma = -0.1; grades 2 and 0 lie above its
+        # lowest level, which their factors certify, so they are not solved
+        m = 24
+        calls = record_factors(monkeypatch)
+        rep = lattice.lattice_q_diagnostic(
+            lattice.Grid(box=8.0, points=m, n=2), susy.Superpotential(n=2, c=2.0), seed=1)
+        assert calls == [(2 * m * m, -0.1, True), (m * m, rep.min_eigenvalue, True),
+                         (m * m, rep.min_eigenvalue, True)]
+
+    def test_refused_skip_certificate_solves_every_grade(self, monkeypatch):
+        m = 20
+        sp = susy.Superpotential(n=2, c=2.0)
+        grid = lattice.Grid(box=8.0, points=m, n=2)
+        unpatched = lattice.lattice_q_diagnostic(grid, sp, seed=1).min_eigenvalue
+        calls = record_factors(monkeypatch, refuse_skips=True)
+        solved = []
+        eigsh = lattice._eigsh
+        monkeypatch.setattr(
+            lattice, "_eigsh", lambda a_mat, k, **kw: solved.append(a_mat.shape[0]) or eigsh(a_mat, k, **kw))
+        rep = lattice.lattice_q_diagnostic(grid, sp, seed=1)
+        assert solved == [2 * m * m, m * m, m * m]  # grades 1, 2, 0
+        assert [(size, sigma) for size, sigma, positive in calls if positive] == [
+            (2 * m * m, -0.1), (m * m, -0.1), (m * m, -0.1)]
+        q_mat = lattice._lattice_supercharge(grid, sp)
+        dense = (0.5 * (q_mat @ q_mat.T + q_mat.T @ q_mat)).toarray()
+        assert rep.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-10)
+        assert rep.min_eigenvalue == pytest.approx(unpatched, rel=1e-12)
+
     def test_free_supercharge_is_exactly_nilpotent(self):
         sp = susy.Superpotential(n=2, c=0.0)
         grid = lattice.Grid(box=8.0, points=24, n=2)
