@@ -174,12 +174,17 @@ def value_changes(old: str, new: str, suffix: str) -> list[tuple[str, object, ob
     return rows
 
 
+def _shown(value) -> str:
+    """A leaf as the golden file writes it (a Decimal prints its exponent as "E")."""
+    return str(value).lower() if isinstance(value, decimal.Decimal) else str(value)
+
+
 def change_table(changes: dict[str, list]) -> str:
     """A Markdown table of ``value_changes`` per file, each file closed by its largest change."""
     lines = ["| file | path | old | new | relative change |", "|---|---|---|---|---|"]
     for name, rows in changes.items():
         for path, a, b, rel in rows:
-            lines.append(f"| {name} | {path} | {a} | {b} | {rel:.2g} |")
+            lines.append(f"| {name} | {path} | {_shown(a)} | {_shown(b)} | {rel:.2g} |")
         lines.append(f"| {name} | largest | | | {max(r[3] for r in rows):.2g} |")
     return "\n".join(lines)
 

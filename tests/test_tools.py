@@ -290,14 +290,14 @@ def test_golden_rewrite_prints_the_change_table(monkeypatch, tmp_path):
     golden = _golden_module(monkeypatch)
     (tmp_path / "one.json").write_text('{"e": [4.0, 8.0]}\n')
     (tmp_path / "two.json").write_text('{"e": 1.0}\n')
-    (tmp_path / "two.csv").write_text("h,e\n0.5,1.0\n")
+    (tmp_path / "two.csv").write_text("h,e\n0.5,1.0\n0.25,3.0000000000000001e-14\n")
     monkeypatch.setattr(golden, "GOLDEN", tmp_path)
     monkeypatch.setattr(golden, "CASES", {"one": ["x"], "two": ["y", golden.CSV]})
     reports = {"x": '{"e": [4.000000000000001, 8.0]}\n', "y": '{"e": 1.0}\n'}
 
     def stdout(argv, csv_path=None):
         if golden.CSV in argv:
-            csv_path.write_text("h,e\n0.5,1.0000000000000002\n")
+            csv_path.write_text("h,e\n0.5,1.0000000000000002\n0.25,3.3000000000000001e-14\n")
         return 0, reports[argv[0]]
 
     monkeypatch.setattr(golden, "_stdout", stdout)
@@ -307,7 +307,8 @@ def test_golden_rewrite_prints_the_change_table(monkeypatch, tmp_path):
         "| one.json | e[0] | 4.0 | 4.000000000000001 | 2.5e-16 |",
         "| one.json | largest | | | 2.5e-16 |",
         "| two.csv | [1].e | 1.0 | 1.0000000000000002 | 2e-16 |",
-        "| two.csv | largest | | | 2e-16 |",
+        "| two.csv | [2].e | 3.0000000000000001e-14 | 3.3000000000000001e-14 | 0.1 |",
+        "| two.csv | largest | | | 0.1 |",
     ]
     assert (tmp_path / "one.json").read_text() == reports["x"]
     monkeypatch.setattr(golden, "_stdout", lambda argv, csv_path=None: (0, reports[argv[0]]))
