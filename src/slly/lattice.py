@@ -794,7 +794,8 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
     lowest = math.inf
     for grade in (1, 2, 0):
         comps = fock.grade_slice(2, grade)
-        block = h_mat[comps.start * m * m:comps.stop * m * m, comps.start * m * m:comps.stop * m * m]
+        rows = slice(comps.start * m * m, comps.stop * m * m)
+        block = h_mat[rows, rows]
         if lowest < math.inf and _shift_invert(block, lowest)[1]:
             continue
         op, positive = _shift_invert(block, sigma)

@@ -409,7 +409,7 @@ def orbit_cases(draw):
 
 
 class TestOrbitAssembly:
-    """Blocks with a parity are assembled on the orbit representatives, not reduced from the box."""
+    """A block with a parity is assembled on the orbit representatives, not reduced from the box."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=orbit_cases())
@@ -922,8 +922,8 @@ class TestQDiagnostic:
         calls = record_factors(monkeypatch, refuse_skips=True)
         solved = []
         eigsh = lattice._eigsh
-        monkeypatch.setattr(
-            lattice, "_eigsh", lambda a_mat, k, **kw: solved.append(a_mat.shape[0]) or eigsh(a_mat, k, **kw))
+        monkeypatch.setattr(lattice, "_eigsh", lambda a_mat, k, **kw: (
+            solved.append(a_mat.shape[0]) or eigsh(a_mat, k, **kw)))
         rep = lattice.lattice_q_diagnostic(grid, sp, seed=1)
         assert solved == [2 * m * m, m * m, m * m]  # grades 1, 2, 0
         assert [(size, sigma) for size, sigma, positive in calls if positive] == [
