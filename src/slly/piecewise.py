@@ -130,7 +130,9 @@ class RegionFunction:
     On a wall x_a = x_b the kappas reduce (``_reduce``), and the wall
     residuals sum the reduced terms per distinct reduced kappa, in position
     order within a chamber and in a fixed order of the chambers and
-    components (``wall_residuals``).
+    components (``wall_residuals``).  The sweep behind them gathers the
+    chambers into arrays once (``_gather_terms``) and sums all walls in one
+    array pass, with CPython's complex arithmetic bit for bit (``_sweep``).
     """
 
     n: int
@@ -528,8 +530,8 @@ def nan_max(sizes: Iterable[float]) -> float:
     ``max`` would keep a finite value against a later NaN.  A NaN compares
     false both ways, so ``not size <= worst`` takes it in and ``worst ==
     worst`` keeps it; that is the rule of every residual maximum here.  The
-    wall folds of ``_weighted_max`` and ``_sweep`` write it out inline, in
-    their hot loops.
+    array sweep (``_sweep``) takes it as ``np.max``, which returns NaN once
+    any element is NaN.
     """
     worst = 0.0
     for size in sizes:
@@ -551,112 +553,6 @@ def _reduce(kappa: Sequence[complex], a: int, b: int) -> tuple[complex, ...]:
     return tuple(kap)
 
 
-#: a wall restriction: reduced-kappa id -> summed coefficient
-_Restriction = dict[int, complex]
-
-
-def _restrict(plan: Sequence[int], coefs: Sequence[complex | None]) -> _Restriction:
-    """Sum the coefficients by reduced-kappa id, in position order.
-
-    ``plan`` holds the id of each position's reduced kappa; a position whose
-    coefficient is None is skipped, and a sum of magnitude at most
-    ``DROP_TOL`` drops.  This is ``_merge_terms`` of the reduced terms, up
-    to the order, which no residual reads.
-    """
-    sums: _Restriction = {}
-    for i, c in zip(plan, coefs):
-        if c is None:
-            continue
-        if i in sums:
-            sums[i] += c
-        else:
-            sums[i] = c
-    for c in sums.values():
-        if abs(c) <= DROP_TOL:
-            return {i: c for i, c in sums.items() if not abs(c) <= DROP_TOL}
-    return sums
-
-
-def _weighted_max(parts: Sequence[tuple[complex, _Restriction]]) -> float:
-    """Max coefficient of the weighted sum of restrictions taken on one wall.
-
-    Every ``complex(w * s)`` is added into its id's total in part order,
-    as ``_merge_terms`` of the scaled, concatenated terms sums them; totals
-    of magnitude at most ``DROP_TOL`` drop and a NaN total is the result, as
-    in ``nan_max``.
-    """
-    totals: dict[int, complex] = {}
-    for w, sums in parts:
-        for i, s in sums.items():
-            v = complex(w * s)
-            if i in totals:
-                totals[i] += v
-            else:
-                totals[i] = v
-    worst = 0.0
-    for acc in totals.values():
-        size = abs(acc)
-        if not size <= worst and not size <= DROP_TOL and worst == worst:
-            worst = size
-    return worst
-
-
-def _wall_derivative(
-    coefs: Sequence[complex], layout: Sequence[tuple[complex, ...]], a: int, b: int
-) -> tuple[list[complex | None], Sequence[tuple[complex, ...]]]:
-    """(d/dx_a - d/dx_b) on one chamber: (coefficients, their kappas).
-
-    One coefficient per position of ``layout``, None where the term drops.
-    Follows ``add(differentiate(f, a), scale(differentiate(f, b), -1.0))``
-    drop by drop.  The d/dx_a image drops the positions where
-    |c*kappa_a| <= ``DROP_TOL``, the negated d/dx_b image those where
-    |c*kappa_b| <= ``DROP_TOL`` (a NaN is kept); a position held by both sums
-    complex(c*kappa_a) + -1.0 * complex(c*kappa_b) in that order, one held
-    by one image passes its coefficient through, and a sum of magnitude at
-    most ``DROP_TOL`` drops.  The chamber's kappas are distinct, so both
-    images and their union are canonical sub-layouts and the chain sums
-    position by position; the result restricts through the chamber's own
-    plan.  Except at a kappa holding a NaN, which ``add`` merges with
-    nothing: there the d/dx_a image stays at its position and the negated
-    d/dx_b image is appended as a term of its own, so the returned kappas
-    are ``layout`` and those appended ones.
-
-    The coefficients are Python complex numbers, so every product already is
-    one and ``complex()`` would return it unchanged.  ``scale``'s own drop
-    test on -1.0 * (c*kappa_b) is the test on c*kappa_b: negating changes no
-    magnitude, and an infinite or NaN part stays so.
-    """
-    ia, ib = a - 1, b - 1
-    tol = DROP_TOL
-    out: list[complex | None] = []
-    for coef, kappa in zip(coefs, layout):
-        da = coef * kappa[ia]
-        db = coef * kappa[ib]
-        if not abs(db) <= tol:
-            if not abs(da) <= tol:
-                acc = da
-                acc += -1.0 * db
-            else:
-                acc = -1.0 * db
-        elif not abs(da) <= tol:
-            acc = da
-        else:
-            out.append(None)
-            continue
-        out.append(acc if not abs(acc) <= tol else None)
-    if not layout or not _holds_nan(layout[-1]):  # a canonical chamber puts NaN kappas last
-        return out, layout
-    kappas = list(layout)
-    for pos, (coef, kappa) in enumerate(zip(coefs, layout)):
-        if _holds_nan(kappa):
-            da, db = coef * kappa[ia], coef * kappa[ib]
-            out[pos] = da if not abs(da) <= tol else None
-            if not abs(db) <= tol:
-                out.append(-1.0 * db)
-                kappas.append(kappa)
-    return out, kappas
-
-
 def _coupling_matrices(
     couplings: Mapping[tuple[int, int], Sequence[Sequence[complex]] | np.ndarray],
     pairs: Iterable[tuple[int, int]],
@@ -675,101 +571,436 @@ def _coupling_matrices(
     return mats
 
 
+def _product(ar, ai, br, bi):
+    """The complex product (ar + i ai)(br + i bi) from real parts, as (re, im).
+
+    Each operation is one ufunc, so every element equals CPython's
+    ``complex(ar, ai) * complex(br, bi)`` bit for bit, signed zeros, infinite
+    and NaN parts included; numpy's complex multiply does not (its vector
+    loops fuse multiply and add).  A float or numpy complex weight w times a
+    Python complex is this product with w as (w.real, w.imag).
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _magnitude(re, im):
+    """``abs(complex(re, im))`` elementwise, bit for bit: C99 ``hypot``, as
+    CPython takes it (numpy's complex ``abs`` differs).  Where CPython raises
+    ``OverflowError`` (finite parts, infinite magnitude) this is inf, and
+    ``_overflowed`` marks it."""
+    return np.hypot(re, im)
+
+
+def _overflowed(size, re, im):
+    """Where ``abs(complex(re, im))``, of magnitude ``size``, raises ``OverflowError``."""
+    return np.isinf(size) & np.isfinite(re) & np.isfinite(im)
+
+
+def _kept(size):
+    """The drop rule: keep unless ``size <= DROP_TOL``, so a NaN is kept."""
+    return ~(size <= DROP_TOL)
+
+
+def _slot_sums(keys, n: int, re, im):
+    """The entries (re, im) summed into ``n`` slots by key, in entry order.
+
+    ``np.bincount`` adds each entry to its slot in order from 0.0, as
+    ``sums[key] += c`` does from the first entry (0.0 + c is c, up to the
+    sign of a zero); a slot no entry reaches holds 0.
+    """
+    return np.bincount(keys, re, n), np.bincount(keys, im, n)
+
+
+class _Derivative(NamedTuple):
+    """The wall derivative (d/dx_a - d/dx_b) of terms, as sweep entries (``_derivative``)."""
+
+    re: np.ndarray  # the entry of each position, 0 where it drops
+    im: np.ndarray
+    keep: np.ndarray
+    split_re: np.ndarray  # the negated d/dx_b entry of each split position
+    split_im: np.ndarray
+    split_keep: np.ndarray
+    sizes: tuple  # (magnitude, re, im, taken): every abs the term-wise chain takes
+
+    def overflowed(self) -> np.ndarray:
+        over = np.zeros(len(self.re), dtype=bool)
+        for size, re, im, taken in self.sizes:
+            over |= taken & _overflowed(size, re, im)
+        return over
+
+
+def _derivative(cr, ci, kar, kai, kbr, kbi, split: np.ndarray | None) -> _Derivative:
+    """(d/dx_a - d/dx_b) of the terms c * exp(kappa.x), position by position.
+
+    Follows ``add(differentiate(f, a), scale(differentiate(f, b), -1.0))``
+    drop by drop: the d/dx_a image keeps c*kappa_a unless its magnitude is
+    at most ``DROP_TOL``, the negated d/dx_b image keeps -1.0 * (c*kappa_b)
+    likewise (negating changes no magnitude), a position both keep sums them
+    in that order, and a sum of magnitude at most ``DROP_TOL`` drops.  A
+    chamber's kappas are distinct, so the chain sums position by position;
+    except at a ``split`` position (a mask; None for none), a kappa holding
+    a NaN where the chamber's last kappa holds one (a canonical chamber puts
+    those last), which ``add`` merges with nothing: there the d/dx_a image
+    stays in place and the negated d/dx_b image is an entry of its own.
+    """
+    da_r, da_i = _product(cr, ci, kar, kai)
+    db_r, db_i = _product(cr, ci, kbr, kbi)
+    nb_r, nb_i = _product(-1.0, 0.0, db_r, db_i)
+    da, db = _magnitude(da_r, da_i), _magnitude(db_r, db_i)
+    keep_a, keep_b = _kept(da), _kept(db)
+    both = keep_a & keep_b
+    acc_r = np.where(both, da_r + nb_r, np.where(keep_b, nb_r, da_r))
+    acc_i = np.where(both, da_i + nb_i, np.where(keep_b, nb_i, da_i))
+    acc = _magnitude(acc_r, acc_i)
+    summed = keep_a | keep_b  # the positions whose images the chain adds
+    re, im = acc_r, acc_i
+    if split is None:
+        split = np.zeros(len(re), dtype=bool)
+    else:
+        summed &= ~split
+        re, im = np.where(split, da_r, re), np.where(split, da_i, im)
+    keep = summed & _kept(acc) | split & keep_a
+    split_keep = keep_b[split]
+    return _Derivative(
+        np.where(keep, re, 0.0), np.where(keep, im, 0.0), keep,
+        np.where(split_keep, nb_r[split], 0.0), np.where(split_keep, nb_i[split], 0.0),
+        split_keep,
+        ((da, da_r, da_i, True), (db, db_r, db_i, True), (acc, acc_r, acc_i, summed)),
+    )
+
+
+def _reduced_ids(
+    layout: Sequence[tuple[complex, ...]], pair: tuple[int, int], ids: dict[tuple[complex, ...], int]
+) -> list[int]:
+    """The reduced-kappa id of each position of ``layout`` on the walls of ``pair``.
+
+    ``ids`` holds the pair's ids, one per distinct reduced kappa by first
+    appearance, and grows here.  A reduced kappa holding a NaN equals
+    nothing and gets -1: the sweep gives each of its entries a slot of its own.
+    """
+    out = []
+    for kappa in layout:
+        reduced = _reduce(kappa, *pair)
+        i = ids.get(reduced)
+        if i is None:
+            if _holds_nan(reduced):
+                i = -1
+            else:
+                i = ids[reduced] = len(ids)
+        out.append(i)
+    return out
+
+
+class _Walls(NamedTuple):
+    """The walls of a sweep as indices."""
+
+    regions: tuple[Region, ...]  # every chamber the walls read, once
+    sides: np.ndarray  # (walls, 2): the left and right chamber, indices into ``regions``
+    pairs: tuple[tuple[int, int], ...]  # the distinct pairs, in order of first wall
+    pair: np.ndarray  # (walls,): index into ``pairs``
+    slots: np.ndarray  # (pairs, 2): each pair's kappa slots, a - 1 and b - 1
+
+
+def _wall_table(walls: Iterable[Interface]) -> _Walls:
+    regions: dict[Region, int] = {}
+    pairs: dict[tuple[int, int], int] = {}
+    sides, pair = [], []
+    for iface in walls:
+        sides.append([regions.setdefault(r, len(regions)) for r in (iface.left, iface.right)])
+        pair.append(pairs.setdefault(iface.pair, len(pairs)))
+    return _Walls(tuple(regions), np.array(sides, dtype=np.intp).reshape(-1, 2), tuple(pairs),
+                  np.array(pair, dtype=np.intp), np.array(list(pairs), dtype=np.intp) - 1)
+
+
+@lru_cache(maxsize=None)
+def _interface_table(n: int) -> _Walls:
+    """``_wall_table`` of ``interfaces(n)``, cached as it is."""
+    return _wall_table(interfaces(n))
+
+
+class _Terms(NamedTuple):
+    """The term table of a sweep: the chambers its walls read, gathered once.
+
+    Chamber c holds the terms ``start[c] : start[c] + size[c]`` of
+    ``coef_re``/``coef_im``.  Its kappas are the rows of the kappa table
+    from ``row[c]`` on, stored transposed (kappa_j of row r at ``j * rows +
+    r``); equal layouts share their rows.  Its reduced-kappa ids on the walls
+    of pair p are ``ids`` from ``id_start[layout[c] * len(pairs) + p]`` on.
+    """
+
+    coef_re: np.ndarray
+    coef_im: np.ndarray
+    kappa_re: np.ndarray  # flat (n * rows,)
+    kappa_im: np.ndarray
+    rows: int
+    split: np.ndarray | None  # per row (``_derivative``), None when no row splits
+    start: np.ndarray
+    size: np.ndarray
+    row: np.ndarray
+    layout: np.ndarray
+    ids: np.ndarray
+    id_start: np.ndarray
+    id_count: np.ndarray  # per pair: its number of distinct reduced kappas
+    alone: bool  # whether some reduced kappa holds a NaN
+
+
+def _gather_terms(
+    funcs: Sequence[RegionFunction], walls: _Walls
+) -> tuple[_Terms, np.ndarray] | None:
+    """The term table of the walls' chambers, and the chamber (or -1) of each
+    (wall, component, side), in that order; None when no chamber holds a term."""
+    layout_ids: dict[tuple[tuple[complex, ...], ...], int] = {}
+    layouts: list[tuple[tuple[complex, ...], ...]] = []
+    coefs: list[complex] = []
+    sizes: list[int] = []
+    chamber_layout: list[int] = []
+    chamber_of: list[int] = []
+    for f in funcs:
+        for region in walls.regions:
+            ts = f.terms.get(region)
+            if not ts:
+                chamber_of.append(-1)
+                continue
+            cs, layout = zip(*ts)
+            lid = layout_ids.setdefault(layout, len(layouts))
+            if lid == len(layouts):
+                layouts.append(layout)
+            chamber_of.append(len(sizes))
+            chamber_layout.append(lid)
+            sizes.append(len(cs))
+            coefs.extend(cs)
+    if not sizes:
+        return None
+    coef = np.array(coefs, dtype=complex)
+    kappa = np.array([k for layout in layouts for k in layout], dtype=complex)
+    lay_size = np.array([len(layout) for layout in layouts], dtype=np.intp)
+    lay_row = np.cumsum(lay_size) - lay_size
+    nan_row = np.isnan(kappa).any(axis=1)
+    split = nan_row & np.repeat(nan_row[lay_row + lay_size - 1], lay_size)
+    size = np.array(sizes, dtype=np.intp)
+    layout = np.array(chamber_layout, dtype=np.intp)
+    chambers = np.array(chamber_of, dtype=np.intp).reshape(len(funcs), -1)[:, walls.sides]
+    chambers = chambers.transpose(1, 0, 2).ravel()
+    # the reduced-kappa ids of every (layout, pair) a wall reads
+    n_pairs = len(walls.pairs)
+    on_wall = chambers >= 0
+    need = np.zeros(len(layouts) * n_pairs, dtype=bool)
+    need[layout[chambers[on_wall]] * n_pairs
+         + walls.pair[np.flatnonzero(on_wall) // (2 * len(funcs))]] = True
+    id_start = np.zeros(len(need), dtype=np.intp)
+    pair_ids: list[dict[tuple[complex, ...], int]] = [{} for _ in walls.pairs]
+    ids: list[int] = []
+    for k in np.flatnonzero(need).tolist():
+        lid, p = divmod(k, n_pairs)
+        id_start[k] = len(ids)
+        ids += _reduced_ids(layouts[lid], walls.pairs[p], pair_ids[p])
+    table = _Terms(
+        coef_re=coef.real.copy(), coef_im=coef.imag.copy(),
+        kappa_re=kappa.real.T.ravel(), kappa_im=kappa.imag.T.ravel(), rows=len(kappa),
+        split=split if split.any() else None,
+        start=np.cumsum(size) - size, size=size, row=lay_row[layout], layout=layout,
+        ids=np.array(ids, dtype=np.intp), id_start=id_start,
+        id_count=np.array([len(d) for d in pair_ids], dtype=np.intp), alone=-1 in ids,
+    )
+    return table, chambers
+
+
+#: entries, plus one per eight reduced-kappa ids of its walls, in one array
+#: pass of the sweep; bounds the pass's memory (about 0.3 kB per entry)
+_PASS_SIZE = 1 << 18
+
+
 def _sweep(
     funcs: Sequence[RegionFunction],
-    walls: Sequence[Interface],
+    walls: _Walls,
     couplings: Mapping[tuple[int, int], Sequence[Sequence[complex]] | np.ndarray],
 ) -> tuple[float, float]:
     """The residual engine of ``matching_residuals`` and ``wall_residuals``.
 
-    Only the walls' chambers are read, each one's kappa layout once, and
-    equal layouts share one layout id.  Each distinct reduced kappa
-    (``_reduce``) gets one integer id, and a plan, the tuple of the ids of
-    a layout's positions on a wall, is made once per (layout id, pair).  So
-    a restriction (``_restrict``) of f or of its wall derivative is a dict
-    id -> sum, and restrictions from any chamber or component of one wall
-    meet by id in ``_weighted_max``.
+    Array passes over runs of consecutive walls, one pass unless the walls
+    hold more than ``_PASS_SIZE`` terms; no loop runs over walls or terms
+    beyond gathering the term table (``_gather_terms``) once.  Only the
+    walls' chambers are read.
 
-    A reduced kappa holding a NaN equals nothing: it gets a fresh id, never
-    the one of an equal-looking kappa (a NaN hashes by object identity and
-    tuple equality short-circuits on identity), and a plan holding one is
-    remade for each restriction, so no two restrictions share its ids; a
-    wall derivative that appends kappas (``_wall_derivative``) holds one,
-    so it restricts through a plan of its own kappas.  The ids and plans
-    live for this call only, and no derivative is ever built as a function.
+    - **Ids.**  Each distinct reduced kappa (``_reduce``) of a pair gets one
+      integer id, computed once per (kappa layout, pair).  An entry, one
+      term of one chamber on one wall, sums into the slot of its (wall, id,
+      component, side); slots are numbered densely, and the slots of one
+      wall meet by id.  A reduced kappa holding a NaN equals nothing, so its
+      entries get a slot of their own in every sum.
+    - **Sums.**  The restrictions (``_slot_sums``) of each chamber and of its
+      wall derivative (``_derivative``); their drops; the continuity gap,
+      left then -right; and the jump total, right derivative, -left
+      derivative, then -C_ij * base_j by ascending j, with base_j the left
+      restriction of component j.  Each sum runs in the order of the
+      per-wall formulas of ``wall_residuals``, and each drop is theirs.
+    - **Bit for bit.**  Every complex product is ``_product`` and every
+      magnitude ``_magnitude``, so every number equals the per-wall
+      formulas', in Python complex arithmetic.
+
+    The first wall (in the given order) with a discontinuous component
+    raises ``DiscontinuityError``.  A magnitude whose parts are finite but
+    which overflows raises ``OverflowError``, as ``abs`` of a Python complex
+    does, unless the per-wall order meets another failure first.
     """
-    mats = _coupling_matrices(couplings, (iface.pair for iface in walls), len(funcs))
-    read = {region for iface in walls for region in (iface.left, iface.right)}
-    layout_ids: dict[tuple[tuple[complex, ...], ...], int] = {}
-    chambers: list[dict[Region, tuple[int, tuple[tuple[complex, ...], ...], list[complex]]]] = []
-    for f in funcs:
-        own = {}
-        for region in read:
-            ts = f.terms.get(region)
-            if ts is not None:
-                layout = tuple(t.kappa for t in ts)
-                layout_id = layout_ids.setdefault(layout, len(layout_ids))
-                own[region] = (layout_id, layout, [complex(t.coef) for t in ts])
-        chambers.append(own)
-    ids: dict[tuple[complex, ...], int] = {}
-    fresh = itertools.count()
-    plans: dict[tuple[int, tuple[int, int]], tuple[int, ...]] = {}
-
-    def plan_of(layout_id: int, layout, pair: tuple[int, int]) -> tuple[int, ...]:
-        plan = plans.get((layout_id, pair))
-        if plan is not None:
-            return plan
-        own, alone = [], False
-        for kappa in layout:
-            reduced = _reduce(kappa, *pair)
-            i = ids.get(reduced)
-            if i is None:
-                i = next(fresh)
-                if _holds_nan(reduced):
-                    alone = True
-                else:
-                    ids[reduced] = i
-            own.append(i)
-        plan = tuple(own)
-        if not alone:
-            plans[layout_id, pair] = plan
-        return plan
-
-    def restrict(chamber, pair: tuple[int, int], derivative: bool = False) -> _Restriction:
-        if chamber is None:
-            return {}
-        layout_id, layout, coefs = chamber
-        if derivative:
-            coefs, layout = _wall_derivative(coefs, layout, *pair)
-        return _restrict(plan_of(layout_id, layout, pair), coefs)
-
+    m = len(funcs)
+    mats = _coupling_matrices(couplings, walls.pairs, m)
+    gathered = _gather_terms(funcs, walls)
+    if gathered is None:
+        return 0.0, 0.0
+    terms, chambers = gathered
+    coupling = -np.stack([mats[p] for p in walls.pairs])
+    coupling = (coupling.real, coupling.imag, coupling != 0)
+    # a segment: one chamber on one wall, numbered (wall, component, side)
+    seg = np.flatnonzero(chambers >= 0)
+    seg_c = chambers[seg]
+    seg_w = seg // (2 * m)
+    weight = np.bincount(seg_w, terms.size[seg_c], len(walls.pair))
+    ends = np.cumsum(weight + terms.id_count[walls.pair] / 8)
     continuity = jump = 0.0
-    for iface in walls:
-        pair, mat = iface.pair, mats[iface.pair]
-        sides = [(own.get(iface.left), own.get(iface.right)) for own in chambers]
-        bases = []
-        for i, (left_ch, right_ch) in enumerate(sides):
-            left = restrict(left_ch, pair)
-            gap = _weighted_max(((1.0, left), (-1.0, restrict(right_ch, pair))))
-            if not gap <= JUMP_CONTINUITY_TOL:  # a NaN gap is not continuity
-                raise DiscontinuityError(
-                    f"component {i} is discontinuous across interface pair {pair}"
-                )
-            continuity = max(continuity, gap)
-            bases.append(left)
-        for i, (left_ch, right_ch) in enumerate(sides):
-            parts = [
-                (1.0, restrict(right_ch, pair, derivative=True)),
-                (-1.0, restrict(left_ch, pair, derivative=True)),
-            ]
-            for j in range(len(funcs)):
-                cij = mat[i, j]
-                if cij != 0:
-                    parts.append((-cij, bases[j]))
-            size = _weighted_max(parts)
-            if not size <= jump and jump == jump:
-                jump = size
+    lo = 0
+    try:
+        with np.errstate(all="ignore"):
+            while lo < len(ends):
+                hi = max(lo + 1, int(np.searchsorted(
+                    ends, (ends[lo - 1] if lo else 0.0) + _PASS_SIZE, "right")))
+                s0, s1 = np.searchsorted(seg_w, (lo, hi))
+                gap, size = _wall_pass(terms, walls, coupling, m, lo, hi, seg[s0:s1], seg_c[s0:s1])
+                continuity = max(continuity, gap)
+                if not size <= jump and jump == jump:
+                    jump = size
+                lo = hi
+    finally:
+        # An overflowing np.hypot leaves the C errno at ERANGE, and CPython's
+        # abs of a complex with a NaN part returns without setting errno, so
+        # it would raise OverflowError later; abs of a finite complex clears it.
+        abs(0j)
     return continuity, jump
+
+
+def _wall_pass(
+    terms: _Terms, walls: _Walls, coupling: tuple, m: int, lo: int, hi: int,
+    seg: np.ndarray, seg_c: np.ndarray,
+) -> tuple[float, float]:
+    """``(continuity, jump)`` of walls ``lo:hi``, whose segments are ``seg`` (see ``_sweep``)."""
+    if not len(seg):
+        return 0.0, 0.0
+    seg_w, seg_side = np.divmod(seg, 2 * m)  # seg_side: component * 2 + side (1 = right)
+    seg_p = walls.pair[seg_w]
+    size = terms.size[seg_c]
+    first = np.cumsum(size) - size
+    # the entries: each segment's terms in position order; per segment an
+    # index minus ``first`` plus the entry's number is the entry's index
+    of = np.repeat(np.arange(len(seg)), size)
+    step = np.arange(len(of))
+    coef = (terms.start[seg_c] - first)[of] + step
+    cr, ci = terms.coef_re[coef], terms.coef_im[coef]
+    row = (terms.row[seg_c] - first)[of] + step
+    ka = (walls.slots[seg_p, 0] * terms.rows + terms.row[seg_c] - first)[of] + step
+    kb = (walls.slots[seg_p, 1] * terms.rows + terms.row[seg_c] - first)[of] + step
+    ids = terms.ids[(terms.id_start[terms.layout[seg_c] * len(walls.pairs) + seg_p] - first)[of]
+                    + step]
+    side = seg_side[of]
+    w = seg_w[of]
+    # slots: the distinct (wall, id) of the pass, numbered densely in wall
+    # order, then one per entry whose reduced kappa holds a NaN, twice (the
+    # chamber's restriction and its derivative's), then one per split entry
+    count = terms.id_count[walls.pair[lo:hi]]
+    key = (np.cumsum(count) - count)[seg_w - lo][of] + ids
+    mark = np.zeros(int(count.sum()) + 1, dtype=bool)
+    if terms.alone:
+        shares = ids >= 0
+        alone = np.flatnonzero(~shares)
+        mark[key[shares]] = True
+    else:
+        alone = step[:0]
+        mark[key] = True
+    rank = np.cumsum(mark) - 1
+    shared = int(rank[-1]) + 1
+    slot = rank[key]
+    slot[alone] = shared + np.arange(len(alone))
+    d_slot = slot.copy()
+    d_slot[alone] += len(alone)
+    split = None if terms.split is None else terms.split[row]
+    split_at = step[:0] if split is None else np.flatnonzero(split)
+    n_slots = shared + 2 * len(alone) + len(split_at)
+    d_slot = np.concatenate((d_slot, shared + 2 * len(alone) + np.arange(len(split_at))))
+    wall_of = np.empty(n_slots, dtype=np.intp)
+    wall_of[slot], wall_of[d_slot] = w, np.concatenate((w, w[split_at]))
+    n = n_slots * 2 * m
+
+    # the restrictions, the bases (left) and the continuity gaps, left - right
+    ar, ai = _slot_sums(slot * (2 * m) + side, n, cr, ci)
+    a_size = _magnitude(ar, ai)
+    kept = _kept(a_size)
+    lr = np.where(kept, ar, 0.0).reshape(n_slots, m, 2)
+    li = np.where(kept, ai, 0.0).reshape(n_slots, m, 2)
+    sign = np.array([1.0, -1.0])
+    tr, ti = _product(sign, 0.0, lr, li)
+    tr, ti = tr[..., 0] + tr[..., 1], ti[..., 0] + ti[..., 1]
+    gap = _magnitude(tr, ti)
+    base, lr, li = kept.reshape(n_slots, m, 2)[..., 0], lr[..., 0], li[..., 0]
+
+    # the wall derivatives, their restrictions and the jump totals
+    kre, kim = terms.kappa_re, terms.kappa_im
+    d = _derivative(cr, ci, kre[ka], kim[ka], kre[kb], kim[kb], split)
+    dr, di = _slot_sums(d_slot * (2 * m) + np.concatenate((side, side[split_at])), n,
+                        np.concatenate((d.re, d.split_re)), np.concatenate((d.im, d.split_im)))
+    d_size = _magnitude(dr, di)
+    kept = _kept(d_size)
+    jr, ji = _product(-sign, 0.0, np.where(kept, dr, 0.0).reshape(n_slots, m, 2),
+                      np.where(kept, di, 0.0).reshape(n_slots, m, 2))
+    jr, ji = jr[..., 1] + jr[..., 0], ji[..., 1] + ji[..., 0]
+    pg = walls.pair[wall_of]
+    cneg_r, cneg_i, nonzero = coupling
+    for j in range(m):
+        pr, pi = _product(cneg_r[pg, :, j], cneg_i[pg, :, j], lr[:, j, None], li[:, j, None])
+        use = nonzero[pg, :, j] & base[:, j, None]
+        jr += np.where(use, pr, 0.0)
+        ji += np.where(use, pi, 0.0)
+    total = _magnitude(jr, ji)
+
+    broken = ~(gap <= JUMP_CONTINUITY_TOL)
+    sizes = (a_size, gap, d_size, total) + tuple(s[0] for s in d.sizes)
+    if broken.any() or not all(s.max() < np.inf for s in sizes):
+        _raise_first(walls, m, lo, hi, wall_of, broken,
+                     cont=(_overflowed(a_size, ar, ai).reshape(n_slots, m, 2).any(axis=2)
+                           | _overflowed(gap, tr, ti)),
+                     jump=(_overflowed(d_size, dr, di).reshape(n_slots, m, 2).any(axis=2)
+                           | _overflowed(total, jr, ji)),
+                     entries=(d.overflowed(), w, side // 2))
+    cont = float(gap.max())
+    return (cont if cont > DROP_TOL else 0.0), float(np.where(total <= DROP_TOL, 0.0, total).max())
+
+
+def _raise_first(walls, m, lo, hi, wall_of, broken, cont, jump, entries) -> None:
+    """Raise the failure the per-wall order meets first, if any.
+
+    Per wall, each component's continuity check comes first (an overflow in
+    its restrictions or gap, else a discontinuity), then the jump sums of
+    the components.  ``broken``, ``cont`` and ``jump`` are per (slot,
+    component), ``entries`` the derivative entries' overflows with their
+    wall and component.
+    """
+    cont_bad = np.zeros((hi - lo, m), dtype=bool)
+    disc = np.zeros((hi - lo, m), dtype=bool)
+    jump_bad = np.zeros((hi - lo, m), dtype=bool)
+    for flags, out in ((cont, cont_bad), (broken, disc), (jump, jump_bad)):
+        slot, comp = np.nonzero(flags)
+        out[wall_of[slot] - lo, comp] = True
+    over, w, comp = entries
+    jump_bad[w[over] - lo, comp[over]] = True
+    failing = cont_bad | disc
+    failed = failing.any(axis=1) | jump_bad.any(axis=1)
+    if not failed.any():
+        return
+    at = int(np.argmax(failed))
+    if failing[at].any():
+        i = int(np.argmax(failing[at]))
+        if not cont_bad[at, i]:
+            pair = walls.pairs[walls.pair[lo + at]]
+            raise DiscontinuityError(f"component {i} is discontinuous across interface pair {pair}")
+    raise OverflowError("absolute value too large")
 
 
 def matching_residuals(
@@ -782,11 +1013,11 @@ def matching_residuals(
     Returns the worst ``(continuity, jump)`` over all walls; the first wall
     (in that order) with a discontinuous component raises
     ``DiscontinuityError``.  Chambers sharing a kappa layout (every chamber
-    of a Bethe state does) share its wall plans.
+    of a Bethe state does) share its kappa rows and reduced-kappa ids.
     """
     if not funcs:
         raise ValueError("matching_residuals needs at least one component")
-    return _sweep(funcs, interfaces(funcs[0].n), couplings)
+    return _sweep(funcs, _interface_table(funcs[0].n), couplings)
 
 
 def wall_residuals(
@@ -809,18 +1040,25 @@ def wall_residuals(
     ``DiscontinuityError`` names the first one that is not.
 
     Only the wall's two chambers are read, and every number is the one the
-    whole-function formula gives, with ``build``'s merge at each step:
+    whole-function formula gives, with ``build``'s merge at each step, bit
+    for bit in Python complex arithmetic:
 
     - the derivative is computed term by term, with the drops of
-      ``differentiate``/``scale``/``add``;
+      ``differentiate``/``scale``/``add`` (``_derivative``);
     - a restriction sums the terms of equal reduced kappa in position order
       and drops a sum of magnitude at most ``DROP_TOL``;
     - the weighted sums add right, -left, then -C_ij * base_j by ascending
       j, per reduced kappa, and drop a total of magnitude at most
       ``DROP_TOL``;
-    - a reduced kappa holding a NaN is merged with nothing (see ``_sweep``).
+    - a reduced kappa holding a NaN is merged with nothing;
+    - a magnitude whose parts are finite but which overflows raises
+      ``OverflowError``, as ``abs`` does.
+
+    ``_sweep`` computes these sums for all walls at once, as arrays; its
+    complex products and magnitudes are CPython's (``_product``,
+    ``_magnitude``), which numpy's complex multiply and ``abs`` are not.
     """
-    return _sweep(funcs, (iface,), {iface.pair: coupling})
+    return _sweep(funcs, _wall_table((iface,)), {iface.pair: coupling})
 
 
 # The per-wall entry points below stay only because perfbench/tracing.py wraps

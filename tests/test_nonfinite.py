@@ -8,6 +8,7 @@ once any residual is NaN, wherever it sits in the sweep.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ REGION = pw.Region((1, 2))
 K1, K2, K3 = (1 + 0j, 0j), (2 + 0j, 0j), (3 + 0j, 0j)
 
 
+def sweep_wall_derivative(terms, a, b):
+    """The sweep's wall derivative of one chamber (``pw._derivative``), as the
+    kept (coef, kappa) entries: the positions', then the appended ones."""
+    kappas = [t.kappa for t in terms]
+    nan = np.array([any(k != k for k in kappa) for kappa in kappas])
+    split = nan if nan[-1] else None
+    cr, ci = (np.array([getattr(t.coef, part) for t in terms]) for part in ("real", "imag"))
+    ka, kb = (np.array([k[j - 1] for k in kappas]) for j in (a, b))
+    with np.errstate(all="ignore"):
+        d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag, split)
+    out = [(complex(r, i), k) for r, i, keep, k in zip(d.re, d.im, d.keep, kappas) if keep]
+    appended = [k for k, s in zip(kappas, nan) if s] if split is not None else []
+    return out + [(complex(r, i), k) for r, i, keep, k
+                  in zip(d.split_re, d.split_im, d.split_keep, appended) if keep]
+
+
 class TestDropRule:
     """A term drops only when ``abs(c) <= DROP_TOL``, on every path."""
 
@@ -83,11 +100,13 @@ class TestDropRule:
     @pytest.mark.parametrize("plan, coefs", [
         ((0, 1), [NAN, 0.0]),
         ((1, 0, 1), [1.0, NAN, -1.0]),  # id 1's terms cancel
-        ((0, 1, 1), [NAN, 1e-15, None]),  # a position the derivative dropped
+        ((0, 1, 1), [NAN, 1e-15, None]),  # a position the derivative dropped: it enters as 0
     ])
     def test_restriction_keeps_nan_beside_a_dropped_sum(self, plan, coefs):
-        kept = pw._restrict(plan, coefs)
-        assert list(kept) == [0] and math.isnan(abs(kept[0]))
+        coefs = np.array([0.0 if c is None else c for c in coefs], dtype=complex)
+        re, im = pw._slot_sums(np.array(plan), 2, coefs.real, coefs.imag)
+        size = pw._magnitude(re, im)
+        assert np.flatnonzero(pw._kept(size)).tolist() == [0] and math.isnan(size[0])
 
     @pytest.mark.parametrize("value", PLANTED)
     @pytest.mark.parametrize("term", [
@@ -105,9 +124,8 @@ class TestDropRule:
         region = pw.Region((1, 2, 3))
         ts = (pw.ExpTerm(2.0 + 0j, (-0.5 + 0j, -1 + 0j, 0.3 + 0j)), planted)
         f = pw.RegionFunction(n=3, terms={region: ts})
-        coefs, kappas = pw._wall_derivative([t.coef for t in ts], [t.kappa for t in ts], 2, 3)
         chain = pw.add(pw.differentiate(f, 2), pw.scale(pw.differentiate(f, 3), -1.0))
-        kept = [(repr(c), k) for c, k in zip(coefs, kappas) if c is not None]
+        kept = [(repr(c), k) for c, k in sweep_wall_derivative(ts, 2, 3)]
         assert kept == [(repr(t.coef), t.kappa) for t in chain.terms[region]]
 
 
@@ -161,6 +179,16 @@ class TestNanKappas:
         # right: 2e-12 and -1e-12; left: 1e-12 and -2e-12; merged they would read 1e-12
         assert pw.wall_residuals([f], iface, [[0.5]]) == (1e-12, 2e-12)
 
+    def test_an_overflowing_sweep_leaves_abs_of_nan_alone(self):
+        """CPython's abs of a complex with a NaN part reads the C errno, which an
+        overflowing magnitude in the sweep sets: the sweep clears it."""
+        iface = pw.interfaces(2)[0]
+        f = pw.build(2, {iface.left: [(1.5e308, (1, 0)), (1.5e308j, (0, 1))],
+                         iface.right: [(1.5e308, (0, 1)), (1.5e308j, (1, 0))]})
+        with pytest.raises(OverflowError):
+            pw.wall_residuals([f], iface, [[0.5]])
+        assert math.isnan(abs(complex(NAN, 1.0)))
+
     @pytest.mark.parametrize("x", [(NAN, 0.3), (INF, 0.3), (0.3, -INF)])
     def test_evaluate_refuses_a_non_finite_point(self, x):
         with pytest.raises(ValueError, match="non-finite"):
@@ -198,16 +226,30 @@ class TestMaxima:
 
     @pytest.mark.parametrize("pos", [0, 2])
     def test_weighted_max_keeps_nan(self, pos):
-        """Beside a part holding the same ids, or one missing an id whose sum dropped."""
-        coefs = [1.0, 5.0, 2.0]
-        coefs[pos] = NAN
-        planted = pw._restrict((0, 1, 2), coefs)
-        full = pw._restrict((0, 1, 2), [0.5, 0.5, 0.5])
-        partial = pw._restrict((2, 0, 1), [0.5, 1e-15, 0.5])
-        assert len(partial) == 2
-        for parts in ([(1.0, planted), (-1.0, full)], [(1.0, planted), (-1.0, partial)],
-                      [(-1.0, partial), (1.0, planted)], [(1.0, full), (2.0, planted)]):
-            assert math.isnan(pw._weighted_max(parts))
+        """A jump total that is NaN beside bases holding the same ids, or missing
+        an id whose sum dropped.
+
+        An infinite kappa gives each side's wall derivative a NaN part (inf *
+        0), while the two sides stay continuous: both reduce it to (inf,).
+        """
+        iface = pw.interfaces(2)[0]
+        kappas = [1.0, 2.0, 3.0]
+        kappas[pos] = INF
+
+        def wall(coefs, extra=()):
+            left = [(c, (k, 0.0)) for c, k in zip(coefs, kappas)] + list(extra)
+            right = [(c, (0.0, k)) for c, k in zip(coefs, kappas)] + list(extra)
+            return pw.build(2, {iface.left: left, iface.right: right})
+
+        planted = wall([1.0, 5.0, 2.0])
+        full = wall([0.5, 0.5, 0.5])
+        # (1.5, 0) and (0, 1.5) both reduce to (1.5,): their sum drops on the wall
+        partial = wall([0.5, 0.5, 0.5], [(0.25, (1.5, 0.0)), (-0.25, (0.0, 1.5))])
+        assert len(pw.restrict_to_interface(partial, iface, "left")) == 3
+        coupling = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.0], [0.25, 0.0, 0.5]]
+        for funcs in ([planted, full, partial], [partial, full, planted]):
+            continuity, jump = pw.wall_residuals(funcs, iface, coupling)
+            assert continuity == 0.0 and math.isnan(jump)
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_bulk_energy_residual(self, pos):
@@ -347,6 +389,19 @@ class TestPlantedStates:
         mode = plant_spinor(susy.zero_mode_alternating(susy.Superpotential(n=3, c=1.0)), NAN)
         image = susy.exchange(mode, *pair)
         assert math.isnan(susy.spinor_distance(image, susy.spinor_scale(mode, -1.0)))
+
+    @pytest.mark.parametrize("ks, err", [
+        ("1e308,-1e308", "slly: component 0 is discontinuous across interface pair (1, 2)\n"),
+        ("1.2e308,1e308", "slly: reports must not contain NaN or infinities\n"),
+        ("1e200,-1e200", "slly: reports must not contain NaN or infinities\n"),
+        ("1e154,-1e154", "slly: reports must not contain NaN or infinities\n"),
+    ])
+    def test_cli_collision_with_huge_momenta(self, ks, err, capsys):
+        """Overflowing wall sums fail with one ``slly:`` line and no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bethe", "collision", f"--k={ks}", "--c=1"]) == 2
+        assert capsys.readouterr() == ("", err)
 
     def test_cli_algebra_keeps_a_nan_from_a_later_trial(self, monkeypatch, capsys):
         draw = susy.random_spinor

@@ -3,10 +3,11 @@
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slly import bethe, cli, susy
@@ -238,20 +239,35 @@ class TestCanonicalization:
 
 
 def _sweep_restriction(f, iface, side):
-    """The sweep's restriction of one chamber, ``pw._restrict``, keyed back by reduced kappa.
+    """The sweep's restriction of one chamber, keyed back by reduced kappa.
 
-    Ids are handed out here as the sweep hands them out: one per distinct
-    reduced kappa, by first appearance.
+    The ids are the sweep's (``pw._reduced_ids``), the sums its slot sums
+    (``pw._slot_sums``) and the drop its rule on their magnitudes.
     """
-    ids, kappas = {}, []
-    for t in f.region_terms(getattr(iface, side)):
-        reduced = old_reduce(t.kappa, *iface.pair)
-        kappas.append(reduced)
-        ids.setdefault(reduced, len(ids))
-    plan = [ids[k] for k in kappas]
+    terms = f.region_terms(getattr(iface, side))
+    ids = {}
+    plan = pw._reduced_ids([t.kappa for t in terms], iface.pair, ids)
+    coefs = np.array([t.coef for t in terms], dtype=complex)
+    re, im = pw._slot_sums(np.array(plan, dtype=np.intp), len(ids), coefs.real, coefs.imag)
     by_id = {i: k for k, i in ids.items()}
-    sums = pw._restrict(plan, [t.coef for t in f.region_terms(getattr(iface, side))])
-    return {by_id[i]: c for i, c in sums.items()}
+    kept = np.flatnonzero(pw._kept(pw._magnitude(re, im)))
+    return {by_id[i]: complex(re[i], im[i]) for i in kept.tolist()}
+
+
+def sweep_wall_derivative(terms, a, b):
+    """The sweep's wall derivative of one chamber (``pw._derivative``), as the
+    kept (coef, kappa) entries: the positions', then the appended ones."""
+    kappas = [t.kappa for t in terms]
+    nan = np.array([any(k != k for k in kappa) for kappa in kappas])
+    split = nan if nan[-1] else None
+    cr, ci = (np.array([getattr(t.coef, part) for t in terms]) for part in ("real", "imag"))
+    ka, kb = (np.array([k[j - 1] for k in kappas]) for j in (a, b))
+    with np.errstate(all="ignore"):
+        d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag, split)
+    out = [(complex(r, i), k) for r, i, keep, k in zip(d.re, d.im, d.keep, kappas) if keep]
+    appended = [k for k, s in zip(kappas, nan) if s] if split is not None else []
+    return out + [(complex(r, i), k) for r, i, keep, k
+                  in zip(d.split_re, d.split_im, d.split_keep, appended) if keep]
 
 
 class TestRestriction:
@@ -762,14 +778,16 @@ def reference_sweep(funcs, couplings, walls=None):
 
 
 def assert_same_outcome(run, reference):
-    """``run()`` returns what ``reference()`` returns, or raises the same discontinuity.
+    """``run()`` returns what ``reference()`` returns, or raises the same error.
 
-    The results compare as text, so a NaN matches a NaN.
+    The errors are a discontinuity or the ``OverflowError`` of ``abs`` of a
+    Python complex whose magnitude overflows.  The results compare as text,
+    so a NaN matches a NaN.
     """
     try:
         expected = reference()
-    except DiscontinuityError as exc:
-        with pytest.raises(DiscontinuityError) as got:
+    except (DiscontinuityError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
             run()
         assert str(got.value) == str(exc)
         return
@@ -1067,14 +1085,13 @@ def _count_derivative_drops(terms, pair, counts):
             break
     else:
         return
-    layout = [t.kappa for t in terms]
-    coefs, kappas = pw._wall_derivative([t.coef for t in terms], layout, a, b)
-    region = pw.Region(tuple(range(1, len(layout[0]) + 1)))
-    chamber = pw.RegionFunction(len(layout[0]), {region: tuple(terms)})
+    n = len(terms[0].kappa)
+    region = pw.Region(tuple(range(1, n + 1)))
+    chamber = pw.RegionFunction(n, {region: tuple(terms)})
     chain = pw.add(pw.differentiate(chamber, a), pw.scale(pw.differentiate(chamber, b), -1.0))
-    kept = [(c, k) for c, k in zip(coefs, kappas) if c is not None]
+    kept = sweep_wall_derivative(terms, a, b)
     counts["plan"] += [tuple(t) for t in chain.region_terms(region)] == kept
-    counts["skipped"] += len(kept) < len(layout)
+    counts["skipped"] += len(kept) < len(terms)
 
 
 #: planted kappa components: c*kappa_j drops for coefficients of order one
@@ -1168,7 +1185,7 @@ class TestDerivativeDrops:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_zero_modes_never_build_a_derivative(self, n, monkeypatch):
-        """No input makes the sweep build a derivative or merge terms outside ``_restrict``."""
+        """No input makes the sweep build a derivative or merge terms: it sums arrays."""
         sp = susy.Superpotential(n=n, c=1.05)
         cases = []
         for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
@@ -1183,7 +1200,7 @@ class TestDerivativeDrops:
             planted.append((funcs, iface, _random_coupling(rng, 2)))
 
         def refuse(*args):
-            raise AssertionError("the sweep left the plan path")
+            raise AssertionError("the sweep left the array pass")
 
         for name in ("differentiate", "scale", "add", "build", "_merge_parts", "_merge_terms"):
             monkeypatch.setattr(pw, name, refuse)
@@ -1202,6 +1219,227 @@ class TestDerivativeDrops:
         report = bethe.matching_report(state, c, bethe.energy(ks))
         assert report.passed()
         assert (report.max_continuity, report.max_jump) == reference_sweep([state], couplings)
+
+
+#: real parts the parity tests combine: signed zeros, subnormals, finite values
+#: whose products or magnitudes overflow, infinities and NaNs of both signs
+SPECIAL_PARTS = (0.0, -0.0, 1.0, -2.5, 5e-324, 1e-320, 3e154, 1e308, -1.5e308,
+                 math.inf, -math.inf, math.nan, -math.nan)
+
+
+def _same(x, y):
+    """Equal bit for bit, signed zeros included, or both NaN: a NaN's sign and
+    payload reach no residual (the results compare as text)."""
+    return struct.pack("<d", x) == struct.pack("<d", y) or (math.isnan(x) and math.isnan(y))
+
+
+def _parity_parts(count):
+    """(count, 4) random parts over 600 decades, then every 4-tuple of ``SPECIAL_PARTS``."""
+    rng = np.random.default_rng(20)
+    random = rng.standard_normal((count, 4)) * 10.0 ** rng.integers(-300, 300, (count, 4))
+    return np.concatenate((random, np.array(list(itertools.product(SPECIAL_PARTS, repeat=4)))))
+
+
+class TestArithmeticParity:
+    """The sweep's complex products and magnitudes equal CPython's bit for bit."""
+
+    def test_product_equals_cpython(self):
+        parts = _parity_parts(5000)
+        with np.errstate(all="ignore"):
+            re, im = pw._product(*parts.T)
+            one_re, one_im = pw._product(1.0, 0.0, parts[:, 2], parts[:, 3])
+        for k, (ar, ai, br, bi) in enumerate(parts.tolist()):
+            z, s = complex(ar, ai), complex(br, bi)
+            # the weights of the per-wall formulas are numpy complex scalars and floats
+            for want, got in ((z * s, (re[k], im[k])),
+                              (complex(np.complex128(z) * s), (re[k], im[k])),
+                              (1.0 * s, (one_re[k], one_im[k]))):
+                assert _same(want.real, got[0]) and _same(want.imag, got[1]), (z, s, want)
+
+    def test_magnitude_equals_cpython(self):
+        parts = _parity_parts(5000)[:, :2]
+        parts = np.concatenate((parts, [[1.5e308, 1.5e308], [1.2e308, -1e308], [1e308, 1e-300]]))
+        with np.errstate(all="ignore"):
+            size = pw._magnitude(parts[:, 0], parts[:, 1])
+            over = pw._overflowed(size, parts[:, 0], parts[:, 1])
+        overflows = 0
+        for k, (re, im) in enumerate(parts.tolist()):
+            try:
+                want = abs(complex(re, im))
+            except OverflowError:
+                overflows += 1
+                assert over[k] and size[k] == math.inf
+                continue
+            assert not over[k] and _same(want, size[k]), (re, im)
+        assert overflows > 10
+
+
+#: values planted into a wall's coefficient parts and kappa entries: NaN,
+#: infinities, and finite values whose sums, products or magnitudes overflow
+PLANTED_VALUES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1.5e308, 1e200, 1e154)
+
+#: one wall x_1 = x_2: per component its (left, right) chamber terms, each
+#: continuous unless said otherwise; the coupling; and the reference outcome
+NON_FINITE_WALLS = {
+    # a NaN kappa entry off the wall's slots: its terms meet nothing on the wall
+    "nan-kappa-off-the-wall": (
+        [([(1.0, (1, 2, math.nan)), (2.0, (0.5, 0, 0))],
+          [(1.0, (2, 1, math.nan)), (2.0, (0, 0.5, 0))])],
+        [[0.5]], "DiscontinuityError",
+    ),
+    # kappa (inf, -inf) reduces to (nan,), a slot of its own on each side
+    "inf-minus-inf-reduction": (
+        [([(1e-15, (math.inf, -math.inf)), (1.0, (1, 0))],
+          [(1e-15, (-math.inf, math.inf)), (1.0, (0, 1))])],
+        [[0.5]], "(0.0, 2.5)",
+    ),
+    # (1.5e308, 0) and (0, 1.5e308) restrict to one sum whose magnitude overflows
+    "restriction-overflow": (
+        [([(1.5e308, (1, 0)), (1.5e308j, (0, 1))], [(1.5e308, (0, 1)), (1.5e308j, (1, 0))])],
+        [[0.5]], "OverflowError",
+    ),
+    # each side's sum is finite, left - right is (1.5e308, 1.5e308)
+    "gap-overflow": (
+        [([(1.5e308, (1, 0))], [(-1.5e308j, (0, 1))])],
+        [[0.5]], "OverflowError",
+    ),
+    # c * kappa_1 = (1.5e308, 1.5e308): the wall derivative's magnitude overflows
+    "derivative-overflow": (
+        [([(1e300, (1.5e8 + 1.5e8j, 0))], [(1e300, (0, 1.5e8 + 1.5e8j))])],
+        [[0.5]], "OverflowError",
+    ),
+    # -C times the base 1.5e308 is (-1.5e308, -1.5e308) in the jump total
+    "jump-overflow": (
+        [([(1.5e308, (0.5, 0.5))], [(1.5e308, (0.5, 0.5))])],
+        [[1 + 1j]], "OverflowError",
+    ),
+    # component 0 is discontinuous, component 1 overflows: the discontinuity comes first
+    "discontinuity-before-overflow": (
+        [([(1.0, (1, 0))], [(2.0, (0, 1))]),
+         ([(1.5e308, (1, 0)), (1.5e308j, (0, 1))], [(1.5e308, (0, 1)), (1.5e308j, (1, 0))])],
+        np.eye(2), "DiscontinuityError",
+    ),
+    "overflow-before-discontinuity": (
+        [([(1.5e308, (1, 0)), (1.5e308j, (0, 1))], [(1.5e308, (0, 1)), (1.5e308j, (1, 0))]),
+         ([(1.0, (1, 0))], [(2.0, (0, 1))])],
+        np.eye(2), "OverflowError",
+    ),
+    # a NaN coupling entry times a base that holds nothing adds nothing
+    "nan-coupling-empty-base": (
+        [([(1.0, (1, 0))], [(1.0, (0, 1))]), ([], [])],
+        [[0.5, math.nan], [0.0, 0.5]], "(0.0, 2.5)",
+    ),
+    # the same entry times a base that holds a term is NaN
+    "nan-coupling": (
+        [([(1.0, (1, 0))], [(1.0, (0, 1))]), ([(1.0, (1, 0))], [(1.0, (0, 1))])],
+        [[0.5, math.nan], [0.0, 0.5]], "(0.0, nan)",
+    ),
+}
+
+
+def _plant(rng, raw, values=PLANTED_VALUES):
+    """``raw`` (coef, kappa) terms with one coefficient part or kappa entry
+    replaced by one of ``values``, at random."""
+    raw = [(complex(c), [complex(k) for k in kappa]) for c, kappa in raw]
+    pos = int(rng.integers(len(raw)))
+    coef, kappa = raw[pos]
+    value = values[int(rng.integers(len(values)))]
+    slot = int(rng.integers(len(kappa) + 2))
+    if slot == 0:
+        coef = complex(value, coef.imag)
+    elif slot == 1:
+        coef = complex(coef.real, value)
+    else:
+        kappa[slot - 2] = complex(value, kappa[slot - 2].imag)
+    raw[pos] = (coef, kappa)
+    return [(c, tuple(k)) for c, k in raw]
+
+
+def _planted_wall(rng, iface):
+    """The two chambers of ``iface`` as ``_planted_at`` builds them, with
+    ``PLANTED_VALUES`` planted where both chambers share them: into the pool's
+    kappas and into the coefficient of a left term that the right repeats.
+    So the wall stays continuous unless a reduced kappa holds a NaN or a
+    sum overflows."""
+    a, b = iface.pair
+    pool = _planted_pool(rng, iface.left.n, iface.pair)
+    if rng.random() < 0.6:
+        pool = _plant(rng, [(0j, k) for k in pool])
+        pool = [k for _, k in pool]
+    left = [(complex(rng.standard_normal(), rng.standard_normal()), k) for k in pool]
+    if rng.random() < 0.6:
+        left = _plant(rng, [(c, k[:0]) for c, k in left])
+        left = [(c, k) for (c, _), k in zip(left, pool)]
+    right = list(left)
+    for _, kappa in left:
+        if rng.random() < 0.5:
+            swapped = list(kappa)
+            swapped[a - 1], swapped[b - 1] = kappa[b - 1], kappa[a - 1]
+            d = complex(rng.standard_normal(), rng.standard_normal())
+            right += [(d, kappa), (-d, tuple(swapped))]
+    return {iface.left: left, iface.right: right}
+
+
+class TestNonFiniteSweep:
+    """The sweep equals the per-wall reference formulas on non-finite and overflowing input."""
+
+    @pytest.mark.parametrize("case", list(NON_FINITE_WALLS), ids=list(NON_FINITE_WALLS))
+    def test_walls_equal_the_reference(self, case):
+        chambers, coupling, expected = NON_FINITE_WALLS[case]
+        n = len(chambers[0][0][0][1])
+        iface = pw.interfaces(n)[0]
+        funcs = [pw.build(n, {iface.left: left, iface.right: right}) for left, right in chambers]
+        couplings = {iface.pair: coupling}
+        try:
+            outcome = repr(reference_sweep(funcs, couplings, [iface]))
+        except (DiscontinuityError, OverflowError) as exc:
+            outcome = type(exc).__name__
+        assert outcome == expected
+        assert_same_outcome(
+            lambda: pw.wall_residuals(funcs, iface, coupling),
+            lambda: reference_sweep(funcs, couplings, [iface]),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 3),
+        components=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_planted_values_equal_the_reference(self, n, components, seed, data):
+        rng = np.random.default_rng(seed)
+        iface = data.draw(st.sampled_from(pw.interfaces(n)))
+        funcs = []
+        for _ in range(components):
+            try:
+                funcs.append(pw.build(n, _planted_wall(rng, iface)))
+            except OverflowError:  # build refuses a sum whose magnitude overflows
+                assume(False)
+        coupling = _random_coupling(rng, components)
+        with np.errstate(over="ignore"):  # the reference's numpy-scalar weights overflow
+            assert_same_outcome(
+                lambda: pw.wall_residuals(funcs, iface, coupling),
+                lambda: reference_sweep(funcs, {iface.pair: coupling}, [iface]),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 3, 3]), components=st.integers(1, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_planted_bethe_sweeps_equal_the_reference(self, n, components, seed):
+        """NaN and infinite entries anywhere in a Bethe-type sweep over every wall."""
+        rng = np.random.default_rng(seed)
+        funcs, couplings = _sweep_case(rng, n, components)
+        i = int(rng.integers(len(funcs)))
+        assume(funcs[i].terms)
+        region = list(funcs[i].terms)[int(rng.integers(len(funcs[i].terms)))]
+        raw = [(t.coef, t.kappa) for t in funcs[i].region_terms(region)]
+        planted = _plant(rng, raw, (math.nan, math.inf, -math.inf))
+        funcs[i] = pw.build(n, {**{r: list(ts) for r, ts in funcs[i].terms.items()}, region: planted})
+        assert_same_outcome(
+            lambda: pw.matching_residuals(funcs, couplings),
+            lambda: reference_sweep(funcs, couplings),
+        )
 
 
 #: the componentwise tolerance within which the calculus once identified kappas
