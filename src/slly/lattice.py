@@ -769,9 +769,11 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
     zero mode, is solved first, then N, then 0.  A later grade is skipped
     when the factor of its block minus the lowest level so far is certified
     positive definite (``_shift_invert``); a grade that is solved must be
-    certified positive definite at sigma = -0.1.  Either way every grade
-    carries a positivity certificate.  A box or coupling whose operator rows
-    could overflow is refused before any of it is assembled.
+    certified positive definite at sigma = -0.1, and its Ritz pair must meet
+    ``RESIDUAL_TOL`` (``_checked``; a ``ConvergenceError`` names the grade).
+    Either way every grade carries a positivity certificate.  A box or
+    coupling whose operator rows could overflow is refused before any of it
+    is assembled.
     """
     if grid.n != 2 or sp.n != 2:
         raise ValueError("the lattice supercharge diagnostic is a two-particle experiment")
@@ -805,10 +807,13 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
                 diagnostics={"grade": grade, "sigma": sigma},
             )
         v0 = np.random.default_rng(seed).standard_normal(block.shape[0])
-        vals = _eigsh(
-            block, 1, sigma=sigma, which="LM", OPinv=op, v0=v0, return_eigenvectors=False
-        )
-        lowest = min(lowest, float(vals[0]))
+        vals, vecs = _eigsh(block, 1, sigma=sigma, which="LM", OPinv=op, v0=v0)
+        try:
+            level = _checked(block, vals, vecs)
+        except ConvergenceError as exc:
+            exc.diagnostics["grade"] = grade
+            raise
+        lowest = min(lowest, level.eigenvalues[0])
     q2 = (q_mat @ q_mat).tocoo()
     q2.eliminate_zeros()
     band = 0

@@ -933,6 +933,20 @@ class TestQDiagnostic:
         assert rep.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-10)
         assert rep.min_eigenvalue == pytest.approx(unpatched, rel=1e-12)
 
+    def test_unconverged_ritz_pair_is_refused(self, monkeypatch):
+        eigsh = lattice._eigsh
+
+        def off_by_1e6(a_mat, k, **kw):
+            vals, vecs = eigsh(a_mat, k, **kw)
+            return vals + 1e-6, vecs
+
+        monkeypatch.setattr(lattice, "_eigsh", off_by_1e6)
+        grid = lattice.Grid(box=8.0, points=20, n=2)
+        with pytest.raises(ConvergenceError, match="residual") as info:
+            lattice.lattice_q_diagnostic(grid, susy.Superpotential(n=2, c=2.0), seed=1)
+        assert info.value.diagnostics["grade"] == 1  # the first grade solved
+        assert info.value.diagnostics["residuals"][0] > lattice.RESIDUAL_TOL
+
     def test_free_supercharge_is_exactly_nilpotent(self):
         sp = susy.Superpotential(n=2, c=0.0)
         grid = lattice.Grid(box=8.0, points=24, n=2)
