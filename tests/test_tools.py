@@ -171,6 +171,57 @@ def test_bench_record_rejects_a_run_without_partner(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def _sweep_row(n, match, zero, passed=True):
+    return json.dumps({"n": n, "walls": 1, "collision_terms": 4, "collision_state_s": 0.001,
+                       "matching_report_s": match, "zero_mode_terms": 6, "zero_modes_s": zero,
+                       "annihilation_s": 0.002, "algebra_s": None if n > 5 else 0.003,
+                       "passed": passed})
+
+
+def test_bench_record_folds_n_sweep_pairs(tmp_path):
+    _write_record(tmp_path / "parent", 1, "aaaa", 4.0, 200.0)
+    _write_record(tmp_path / "change", 1, "bbbb", 1.5, 150.0)
+    # two runs per side, one row per N each
+    parent = [_sweep_row(5, 0.1, 0.06), _sweep_row(6, 5.0, 0.3),
+              _sweep_row(5, 0.12, 0.07), _sweep_row(6, 5.2, 0.32)]
+    change = [_sweep_row(5, 0.05, 0.02), _sweep_row(6, 2.0, 0.1),
+              _sweep_row(5, 0.04, 0.08), _sweep_row(6, 2.2, 0.12)]
+    (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
+    (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
+    out = tmp_path / "BENCH_n.json"
+    proc = _bench_record("--parent", tmp_path / "parent", "--change", tmp_path / "change",
+                         "--label", "n", "--out", out,
+                         "--parent-n-sweep", tmp_path / "parent.jsonl",
+                         "--change-n-sweep", tmp_path / "change.jsonl")
+    assert proc.returncode == 0, proc.stderr
+    five, six = json.loads(out.read_text())["n_sweep"]
+    assert (five["n"], five["pairs"], six["n"], six["pairs"]) == (5, 2, 6, 2)
+    assert "algebra_s" in five["metrics"] and "algebra_s" not in six["metrics"]
+    match = six["metrics"]["matching_report_s"]
+    assert (match["unit"], match["better"]) == ("s", "lower")
+    assert match["parent"]["median"] == 5.1 and match["change"]["median"] == 2.1
+    assert match["change_wins"] == 2 and match["median_ratio"] == 2.1 / 5.1
+    zero = five["metrics"]["zero_modes_s"]
+    assert zero["change_wins"] == 1  # the second pair goes the parent's way
+    assert "n_sweep N=6" in proc.stderr
+
+    (tmp_path / "change.jsonl").write_text("\n".join(change[:3]) + "\n")
+    proc = _bench_record("--parent", tmp_path / "parent", "--change", tmp_path / "change",
+                         "--label", "n", "--out", out,
+                         "--parent-n-sweep", tmp_path / "parent.jsonl",
+                         "--change-n-sweep", tmp_path / "change.jsonl")
+    assert proc.returncode == 1 and "N=6" in proc.stderr
+    (tmp_path / "change.jsonl").write_text(_sweep_row(5, 0.05, 0.02, passed=False) + "\n")
+    proc = _bench_record("--parent", tmp_path / "parent", "--change", tmp_path / "change",
+                         "--label", "n", "--out", out,
+                         "--parent-n-sweep", tmp_path / "parent.jsonl",
+                         "--change-n-sweep", tmp_path / "change.jsonl")
+    assert proc.returncode == 1 and "did not pass" in proc.stderr
+    proc = _bench_record("--parent", tmp_path / "parent", "--change", tmp_path / "change",
+                         "--label", "n", "--parent-n-sweep", tmp_path / "parent.jsonl")
+    assert proc.returncode == 2 and "go together" in proc.stderr
+
+
 def test_benchmark_tracer_wraps_every_traced_name(monkeypatch):
     """``perfbench/tracing.py`` finds every function it wraps by name, and restores it."""
     import importlib

@@ -1,6 +1,7 @@
 """Fold the records of alternating parent/change benchmark runs into one BENCH file.
 
     python3 tools/bench_record.py --parent DIR --change DIR --label NAME [--out PATH]
+        [--parent-n-sweep FILE --change-n-sweep FILE]
 
 Each DIR is a checkout on which ``perfbench/run.py`` was run once per seed,
 parent and change taking turns, or its ``.perfbench_out/`` directory
@@ -16,6 +17,13 @@ holds, per workload and trace mode:
   q3 and max of each side, the change's pair wins (strictly better than the
   parent on the same seed), the ratio of medians, and whether the median
   moved by more than the parent's interquartile range.
+
+With ``--parent-n-sweep`` and ``--change-n-sweep`` (each the printed JSON
+lines of one or more ``tools/n_sweep.py`` runs on that side, the runs taking
+turns with the other side's) the file also holds ``n_sweep``: per particle
+count, the pairs (the k-th row of that N on each side) and, per time column
+(``*_s``, lower is better), the same summary as a metric's.  A row that did
+not pass, or a particle count or time column without a partner, is an error.
 
 Quartiles are those of ``statistics.quantiles(n=4)``, as in perfbench's own
 summaries.
@@ -75,8 +83,15 @@ def _side(recs: list[dict]) -> dict:
 def _metric(name: str, parent: list[dict], change: list[dict], better: str | None) -> dict:
     old = [r["metrics"][name]["value"] for r in parent]
     new = [r["metrics"][name]["value"] for r in change]
-    out = {"unit": parent[0]["metrics"][name]["unit"], "better": better,
-           "parent": _summary(old), "change": _summary(new)}
+    return {"unit": parent[0]["metrics"][name]["unit"], "better": better,
+            **_compare(old, new, better)}
+
+
+def _compare(old: list[float], new: list[float], better: str | None) -> dict:
+    """The summaries of both sides' values, their median ratio and, with a
+    direction, the change's pair wins and whether its median gain exceeds the
+    parent's interquartile range."""
+    out = {"parent": _summary(old), "change": _summary(new)}
     p, c = out["parent"], out["change"]
     out["median_ratio"] = c["median"] / p["median"] if p["median"] else None
     if better in ("lower", "higher"):
@@ -84,6 +99,40 @@ def _metric(name: str, parent: list[dict], change: list[dict], better: str | Non
         out["change_wins"] = sum(sign * (a - b) > 0 for a, b in zip(old, new))
         gain = sign * (p["median"] - c["median"])
         out["median_gain_exceeds_parent_iqr"] = gain > p["q3"] - p["q1"]
+    return out
+
+
+def _sweep_rows(path: Path) -> dict[int, list[dict]]:
+    """The ``n_sweep`` rows of one side by particle count, in run order."""
+    rows: dict[int, list[dict]] = {}
+    for line in path.read_text().splitlines():
+        if line.strip():
+            row = json.loads(line)
+            if not row.get("passed"):
+                raise SystemExit(f"bench_record: {path}: a row that did not pass: {line}")
+            rows.setdefault(row["n"], []).append(row)
+    if not rows:
+        raise SystemExit(f"bench_record: no n_sweep rows in {path}")
+    return rows
+
+
+def fold_n_sweep(parent_path: Path, change_path: Path) -> list[dict]:
+    """Pair the ``n_sweep`` rows of both sides per particle count (see the module doc)."""
+    parent, change = _sweep_rows(parent_path), _sweep_rows(change_path)
+    out = []
+    for n in sorted(parent.keys() | change.keys()):
+        old, new = parent.get(n, []), change.get(n, [])
+        if len(old) != len(new):
+            raise SystemExit(f"bench_record: n_sweep N={n}: {len(old)} parent rows, "
+                             f"{len(new)} change rows")
+        columns = {}
+        for name in sorted(k for k in old[0] if k.endswith("_s")):
+            a, b = [r[name] for r in old], [r[name] for r in new]
+            if (None in a) != (None in b) or len(set(map(type, a + b))) > 1:
+                raise SystemExit(f"bench_record: n_sweep N={n}: {name} lacks a partner")
+            if None not in a:
+                columns[name] = {"unit": "s", "better": "lower", **_compare(a, b, "lower")}
+        out.append({"n": n, "pairs": len(old), "metrics": columns})
     return out
 
 
@@ -127,8 +176,14 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     ap.add_argument("--out", type=Path,
                     help="output path (default: BENCH_<label>.json at the root)")
+    ap.add_argument("--parent-n-sweep", type=Path, help="the parent's n_sweep JSON lines")
+    ap.add_argument("--change-n-sweep", type=Path, help="the change's n_sweep JSON lines")
     args = ap.parse_args(argv)
+    if (args.parent_n_sweep is None) != (args.change_n_sweep is None):
+        ap.error("--parent-n-sweep and --change-n-sweep go together")
     bench = fold(args.parent, args.change, args.label)
+    if args.parent_n_sweep is not None:
+        bench["n_sweep"] = fold_n_sweep(args.parent_n_sweep, args.change_n_sweep)
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     for run in bench["runs"]:
@@ -138,6 +193,11 @@ def main(argv=None) -> int:
                 print(f"{run['workload']:18s} {name:12s} {m['parent']['median']:10.4g} -> "
                       f"{m['change']['median']:10.4g}  wins {m.get('change_wins')}/{run['pairs']}",
                       file=sys.stderr)
+    for row in bench.get("n_sweep", ()):
+        for name, m in row["metrics"].items():
+            print(f"n_sweep N={row['n']:<11d} {name:18s} {m['parent']['median']:10.4g} -> "
+                  f"{m['change']['median']:10.4g}  wins {m['change_wins']}/{row['pairs']}",
+                  file=sys.stderr)
     print(out)
     return 0
 
