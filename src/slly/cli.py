@@ -18,18 +18,24 @@ command table (``_COMMANDS``) names the options each command reads, with
 their defaults; every other option, flag or config value, is refused (exit 2),
 and the report's ``config`` echoes each option read.  The environment
 variable ``SLLY_THREADS`` caps BLAS/OpenMP parallelism for the whole process.
+
+One parser of every group serves all calls of a process: it is built on
+the first call and parsing leaves it as it was.  A call with ``--config``
+builds a parser of its own, because the config's values become that
+parser's defaults and must not reach a later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import asdict
-from typing import Sequence
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def _apply_thread_cap() -> None:
@@ -49,42 +55,67 @@ def _apply_thread_cap() -> None:
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError("reports must not contain NaN or infinities")
     s = format(float(x), ".17g")
-    if "e" not in s and "." not in s and "inf" not in s and "nan" not in s:
+    if "e" not in s and "." not in s:
         s += ".0"
     return s
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Recursive JSON emitter with sorted keys and fixed float formatting."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return render_json({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys = sorted(obj, key=str)
-        rows = [f"{inner}{render_json(str(k))}: {render_json(obj[k], indent + 1)}" for k in keys]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def render_json(obj) -> str:
+    """JSON with keys sorted by ``str``, two-space indents and 17-digit floats.
+
+    One pass writes the whole document into a list of parts.  A complex
+    number is the object ``{"im", "re"}``; a string, a key included, is
+    quoted as ``json.dumps`` quotes it (ASCII only).  NaN and infinities
+    raise ``ValueError``, any other type ``TypeError``.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def emit(obj, nl: str) -> None:
+        if obj is None:
+            put("null")
+        elif isinstance(obj, bool):
+            put("true" if obj else "false")
+        elif isinstance(obj, int):
+            put(str(obj))
+        elif isinstance(obj, float):
+            put(_fmt_float(obj))
+        elif isinstance(obj, complex):
+            emit({"re": obj.real, "im": obj.imag}, nl)
+        elif isinstance(obj, str):
+            put(_quote(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(obj, key=str):
+                put(sep)
+                put(_quote(str(key)))
+                put(": ")
+                emit(obj[key], inner)
+                sep = "," + inner
+            put(nl + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for value in obj:
+                put(sep)
+                emit(value, inner)
+                sep = "," + inner
+            put(nl + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    emit(obj, "\n")
+    return "".join(parts)
 
 
 def _finite(obj):
@@ -320,10 +351,7 @@ def _susy_zero_modes(args) -> tuple[dict, bool, None]:
     sp = _symbolic(args)
     results = {}
     passed = True
-    for name, mode in (
-        ("top", susy.zero_mode_top(sp)),
-        ("alternating", susy.zero_mode_alternating(sp)),
-    ):
+    for name, mode in zip(("top", "alternating"), susy.zero_modes(sp)):
         rq, rqd = susy.annihilation_residuals(mode, sp)
         rep = susy.verify_eigenstate(mode, 0.0, sp)
         results[name] = {
@@ -531,17 +559,8 @@ def _check_options(args, command: str, reads: dict) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of ``argv``: every group, but only the named one gets its options.
-
-    The top-level parser takes no option with a value, so the first argument
-    not starting with "-" names the group; when it names none, every group
-    gets its options.  A group's options are read only when argv names it,
-    so the parse, its errors and every help text are those of the parser
-    with all groups filled.
-    """
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
-    fill = (named,) if named in _COMMANDS else tuple(_COMMANDS)
+def _build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every group, command and option."""
     parser = _Parser(
         prog="slly",
         description="exact and numerical verification of the contact-boson "
@@ -551,8 +570,6 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     for group, commands in _COMMANDS.items():
         positional, help_text = _GROUPS[group]
         g = sub.add_parser(group, help=help_text)
-        if group not in fill:
-            continue
         g.add_argument(positional, choices=list(commands))
         # --tol stays on every group, so that a command refuses it by name
         read = {"tol"}.union(*(reads for _, reads in commands.values()))
@@ -567,17 +584,24 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of every call without ``--config``, built on first use; parsing
+#: leaves a parser as it was, so one serves the whole process
+_shared_parser = functools.cache(_build_parser)
+
+
 def main(argv=None) -> int:
     _apply_thread_cap()
     from . import __version__
     from .errors import ConvergenceError
 
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
-            _load_config(args.group_parser, args.config)
+            # the config becomes a parser's defaults, so only this call's own
+            # parser may hold them
+            parser = _build_parser()
+            _load_config(parser.parse_args(argv).group_parser, args.config)
             args = parser.parse_args(argv)
         positional = _GROUPS[args.group][0]
         name = getattr(args, positional)

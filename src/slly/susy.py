@@ -290,9 +290,7 @@ def _zero_mode_profile(sp: Superpotential) -> pw.RegionFunction:
 
 def zero_mode_top(sp: Superpotential) -> SpinorFunction:
     """exp(-W) on the fully occupied Fock state; annihilated by Q and Q^dag."""
-    psi = _zero_mode_profile(sp)
-    full = (1 << sp.n) - 1
-    return spinor_from_scalar(psi, full)
+    return spinor_from_scalar(_zero_mode_profile(sp), (1 << sp.n) - 1)
 
 
 def zero_mode_alternating(sp: Superpotential) -> SpinorFunction:
@@ -303,12 +301,21 @@ def zero_mode_alternating(sp: Superpotential) -> SpinorFunction:
     supercharges, because sum_j w_j vanishes on every chamber while any other
     weighting meets the full rank of the chamber-wise gradient values.
     """
-    psi = _zero_mode_profile(sp)
-    full = (1 << sp.n) - 1
+    return _alternating(_zero_mode_profile(sp), sp.n)
+
+
+def _alternating(psi: pw.RegionFunction, n: int) -> SpinorFunction:
+    full = (1 << n) - 1
     comps = {}
-    for j in range(1, sp.n + 1):
+    for j in range(1, n + 1):
         comps[full ^ (1 << (j - 1))] = pw.scale(psi, float((-1) ** (j - 1)))
-    return SpinorFunction(n=sp.n, components=comps)
+    return SpinorFunction(n=n, components=comps)
+
+
+def zero_modes(sp: Superpotential) -> tuple[SpinorFunction, SpinorFunction]:
+    """``(zero_mode_top(sp), zero_mode_alternating(sp))``, from one exp(-W)."""
+    psi = _zero_mode_profile(sp)
+    return spinor_from_scalar(psi, (1 << sp.n) - 1), _alternating(psi, sp.n)
 
 
 @dataclass(frozen=True)
@@ -356,7 +363,7 @@ def witten_census(sp: Superpotential) -> WittenCensus:
     recorded but not counted, so the census fails (``passed``).
     """
     records, counted = [], []
-    for mode in (zero_mode_top(sp), zero_mode_alternating(sp)):
+    for mode in zero_modes(sp):
         rq, rqd = annihilation_residuals(mode, sp)
         grade = mode.pure_grade()
         if rq < ZERO_MODE_TOL and rqd < ZERO_MODE_TOL:

@@ -13,6 +13,8 @@ import pytest
 
 from slly import cli, susy
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
 
 #: a quick two-grid convergence study that writes a CSV table
 SMALL_CONVERGE = ["lattice", "converge", "--n", "2", "--sector", "2", "--c", "2", "--box", "8",
@@ -652,15 +654,15 @@ class TestReportPlumbing:
         from slly import piecewise as pw
         from slly import susy
 
-        original = susy.zero_mode_top
+        original = susy.zero_modes
 
         def broken_top(sp):
-            mode = original(sp)
+            mode, alternating = original(sp)
             (mask, f), = mode.components.items()
             kink = pw.build(sp.n, {pw.Region((2, 1, 3)): [(0.5, (0j,) * sp.n)]})
-            return susy.spinor_from_scalar(pw.add(f, kink), mask)
+            return susy.spinor_from_scalar(pw.add(f, kink), mask), alternating
 
-        monkeypatch.setattr(susy, "zero_mode_top", broken_top)
+        monkeypatch.setattr(susy, "zero_modes", broken_top)
         code = cli.main(["susy", "zero-modes", "--n", "3", "--c", "1"])
         captured = capsys.readouterr()
         assert code == 2
@@ -746,8 +748,92 @@ class TestReportPlumbing:
             assert len(json.loads(captured.out)["results"]["spectrum"]["eigenvalues"]) == 511
 
 
-#: argvs ending in help, a usage error or a quick report; with --help first,
-#: no group is named and the parser fills every group anyway
+def reference_render_json(obj, indent: int = 0) -> str:
+    """The recursive emitter ``cli.render_json`` replaced: one string per level."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return cli._fmt_float(obj)
+    if isinstance(obj, complex):
+        return reference_render_json({"re": obj.real, "im": obj.imag}, indent)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj, key=str)
+        rows = [f"{inner}{reference_render_json(str(k))}: {reference_render_json(obj[k], indent + 1)}"
+                for k in keys]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{inner}{reference_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def nested(depth: int):
+    obj = {"leaf": [1.5, (), {}]}
+    for level in range(depth):
+        obj = {"level": level, "down": [obj, (level, -0.0)]}
+    return obj
+
+
+#: objects whose rendering has a corner case each
+EDGE_OBJECTS = [
+    None, True, 0, -0.0, 0.0, 1.0, 1e16, 1e-300, 5e-324, -1.7976931348623157e308, 0.1, 2**70,
+    complex(-0.0, 0.0), complex(1.5, -2.25), [complex(0.0, -0.0), 1j],
+    {10: "ten", 2: "two", -1: "minus", "a": 1, 1.5: "float key"},
+    {True: 1, "False": 2, None: 3},
+    "plain", "", "caf\u00e9 \u2028 \U0001f600", "\x00\x1f\t\n\r\"\\/\x7f",
+    {"\u00e9": "\u00e9", "ctrl\x01": ["\x02"]},
+    {}, [], (), [[], {}, ()], {"e": {}, "l": [], "t": ()},
+    [True, 1, False, 0, 1.0, None], {"b": True, "i": 1, "f": 1.0},
+    (1, (2, (3, ()))), nested(60),
+]
+
+
+class TestRenderJson:
+    """``cli.render_json`` writes what the recursive emitter wrote, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_golden_reports(self, name):
+        text = (GOLDEN / name).read_text()
+        report = json.loads(text)
+        assert cli.render_json(report) + "\n" == reference_render_json(report) + "\n" == text
+
+    @pytest.mark.parametrize("obj", EDGE_OBJECTS)
+    def test_edge_objects(self, obj):
+        assert cli.render_json(obj) == reference_render_json(obj)
+        assert cli.render_json({"x": [obj]}) == reference_render_json({"x": [obj]})
+
+    def test_numpy_scalars(self):
+        import numpy as np
+
+        obj = {"f": np.float64(0.1), "c": [np.complex128(1 - 2j)]}
+        assert cli.render_json(obj) == reference_render_json(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                                     complex(0.0, -math.inf)])
+    def test_non_finite_raises(self, bad):
+        for obj in (bad, [1, bad], {"a": {"b": (bad,)}}):
+            with pytest.raises(ValueError, match="NaN or infinities"):
+                cli.render_json(obj)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object()])
+    def test_unknown_type_raises(self, bad):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli.render_json({"a": [bad]})
+
+
+#: argvs ending in help, a usage error or a quick report
 PARSER_ARGVS = [
     [], ["--help"], ["-h"], ["nosuch"], ["nosuch", "--help"], ["--help", "susy"],
     *([group, "--help"] for group in cli._COMMANDS),
@@ -755,28 +841,65 @@ PARSER_ARGVS = [
     ["susy", "sector", "--n", "2", "--c", "1", "--grade", "1"],
 ]
 
+DIMER = ["bethe", "dimer", "--p", "0.5", "--c=-2"]
+
+
+def outcome(argv, capsys):
+    return (cli.main(argv), *capsys.readouterr())
+
 
 class TestParserPerGroup:
-    """The parser fills only the group argv names, and no outcome shows it."""
+    """Per group, the process's one parser gives what a fresh parser gives."""
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS)
     def test_same_outcome_as_the_all_groups_parser(self, argv, capsys, monkeypatch):
-        got = (cli.main(argv), *capsys.readouterr())
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda argv: build(()))
-        want = (cli.main(argv), *capsys.readouterr())
+        got = outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_shared_parser", cli._build_parser)
+        want = outcome(argv, capsys)
         assert got == want
         assert want[1] or want[2]
 
-    @pytest.mark.parametrize("argv, filled", [
-        (["susy", "algebra"], {"susy"}),
-        (["--", "lattice"], {"lattice"}),
-        (["nosuch", "bethe"], {"bethe", "susy", "lattice"}),
-        ([], {"bethe", "susy", "lattice"}),
-    ])
-    def test_only_the_named_group_gets_options(self, argv, filled):
-        parser = cli._build_parser(argv)
-        (sub,) = (a for a in parser._actions if a.dest == "group")
-        # an unfilled group parser holds only its --help
-        assert {g for g, p in sub.choices.items() if len(p._actions) > 1} == filled
-        assert list(sub.choices) == list(cli._COMMANDS)
+
+class TestSharedParser:
+    """One parser serves every call; a call with --config parses with its own."""
+
+    def test_sequence_equals_a_fresh_parser_per_call(self, capsys, monkeypatch, tmp_path):
+        state = tmp_path / "state.cfg"
+        state.write_text("emit_state = true\nc = -2\np = 0.5\n")
+        typo = tmp_path / "typo.cfg"
+        typo.write_text("c = -1\np = 0.25\ntypo = 5\n")
+        bad_choice = tmp_path / "choice.cfg"
+        bad_choice.write_text("n = 3\nc = 1\nk = 1,0,-1\ndirection = sideways\n")
+        sequence = [
+            ["--help"], ["susy", "--help"], DIMER, ["nosuch"], ["bethe", "dimer", "--bogus", "1"],
+            ["bethe", "dimer", "--p", "0.5", "--c=-2", "--k", "1,2"],
+            ["bethe", "trimer", "--config", str(typo)],
+            ["susy", "partner", "--config", str(bad_choice)],
+            ["bethe", "dimer", "--config", str(state)], DIMER, ["bethe", "dimer", "--p", "0.5"],
+            ["bethe", "dimer", "--config", str(state), "--c=-1"], ["bethe", "dimer"],
+            ["susy", "sector", "--n", "2", "--c", "1", "--grade", "1"],
+            ["lattice", "spectrum", "--n", "2"], DIMER,
+        ]
+        shared = [outcome(argv, capsys) for argv in sequence]
+        monkeypatch.setattr(cli, "_shared_parser", cli._build_parser)
+        fresh = [outcome(argv, capsys) for argv in sequence]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 2, 2, 2, 0, 0, 2, 0, 2, 0, 2, 0]
+
+    def test_config_values_reach_no_later_call(self, capsys, tmp_path):
+        before = outcome(DIMER, capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("emit_state = true\nc = -2\np = 0.5\n")
+        code, out, _ = outcome(["bethe", "dimer", "--config", str(cfg)], capsys)
+        assert code == 0 and "state" in json.loads(out)["results"]
+        assert outcome(DIMER, capsys) == before
+        assert "state" not in json.loads(before[1])["results"]
+        code, out, err = outcome(["bethe", "dimer", "--p", "0.5"], capsys)
+        assert (code, out, err) == (2, "", "slly: missing required option --c\n")
+        args = cli._shared_parser().parse_args(["bethe", "dimer"])
+        assert (args.c, args.p, args.emit_state) == (None, None, None)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli._build_parser() is not cli._build_parser()
+        assert cli._build_parser() is not cli._shared_parser()
+        assert cli._shared_parser() is cli._shared_parser()

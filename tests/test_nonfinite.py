@@ -43,6 +43,17 @@ def plant_spinor(s: susy.SpinorFunction, value: complex, **where) -> susy.Spinor
     )
 
 
+def plant_top_mode(monkeypatch, value: complex) -> None:
+    """Make ``susy.zero_modes`` return a top mode with ``value`` planted in it."""
+    modes = susy.zero_modes
+
+    def planted(sp):
+        top, alternating = modes(sp)
+        return plant_spinor(top, value), alternating
+
+    monkeypatch.setattr(susy, "zero_modes", planted)
+
+
 def fails(check) -> bool:
     """True when ``check()`` raises DiscontinuityError or returns a failing verdict."""
     try:
@@ -360,8 +371,7 @@ class TestPlantedStates:
 
     @pytest.mark.parametrize("value", PLANTED)
     def test_witten_census(self, value, monkeypatch):
-        top = susy.zero_mode_top
-        monkeypatch.setattr(susy, "zero_mode_top", lambda sp: plant_spinor(top(sp), value))
+        plant_top_mode(monkeypatch, value)
         census = susy.witten_census(susy.Superpotential(n=3, c=1.0))
         # the planted top mode is listed but not counted: a failed verdict
         assert (census.n_b, census.n_f, census.index) == (1, 0, 1)
@@ -369,8 +379,7 @@ class TestPlantedStates:
 
     @pytest.mark.parametrize("value", [NAN, INF])
     def test_cli_exits_2(self, value, monkeypatch, capsys):
-        top = susy.zero_mode_top
-        monkeypatch.setattr(susy, "zero_mode_top", lambda sp: plant_spinor(top(sp), value))
+        plant_top_mode(monkeypatch, value)
         assert cli.main(["susy", "zero-modes", "--n", "3", "--c", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("slly: ")
@@ -378,8 +387,7 @@ class TestPlantedStates:
     @pytest.mark.parametrize("value", [NAN, INF])
     def test_census_cli_exits_2(self, value, monkeypatch, capsys):
         # a NaN residual is no verdict: render_json refuses it
-        top = susy.zero_mode_top
-        monkeypatch.setattr(susy, "zero_mode_top", lambda sp: plant_spinor(top(sp), value))
+        plant_top_mode(monkeypatch, value)
         assert cli.main(["susy", "census", "--n", "3", "--c", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("slly: ")

@@ -294,6 +294,17 @@ def test_every_benchmark_argv_passes_the_option_check(monkeypatch, capsys):
     assert len(ran) == len(tasks) > 0
 
 
+def test_fresh_parser_parses_every_benchmark_argv(monkeypatch):
+    """``cli._build_parser()`` with no argument, as the benchmark's self-check calls it."""
+    from slly import cli
+
+    workloads = _bench_workloads(monkeypatch)
+    for name in workloads.WORKLOADS:
+        for task in workloads.generate(name, 0):
+            args = cli._build_parser().parse_args(task.argv)
+            assert (args.group, args.config) == (task.group, None), task.argv
+
+
 def test_report_digests_runs_every_workload_by_default(monkeypatch):
     """One line per task of every workload, led by its name, every task exiting 0."""
     workloads = _bench_workloads(monkeypatch)

@@ -86,7 +86,7 @@ def main(argv=None) -> int:
             collision_terms = sum(len(ts) for ts in state.terms.values())
             passed = report.passed()
         sp = susy.Superpotential(n=n, c=c)
-        modes = (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp))
+        modes = susy.zero_modes(sp)
         zero_s = annihilation_s = 0.0
         for mode in modes:
             verdict, seconds = _timed(susy.verify_eigenstate, mode, 0.0, sp)
