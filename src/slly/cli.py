@@ -636,7 +636,7 @@ def main(argv=None) -> int:
         )
         sys.stderr.write(f"slly: diagnostics: {diagnostics}\n")
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"slly: {exc}\n")
         return 2
 

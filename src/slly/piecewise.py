@@ -11,9 +11,9 @@ matching conditions (continuity of the function, prescribed jump of the
 normal derivative) all reduce to exact coefficient arithmetic.  No quadrature
 or discretisation enters anywhere in this module.
 
-Floating-point canonicalisation rules: two kappa vectors are identified when
-they are equal componentwise, so one holding a NaN is identified with
-nothing; terms whose coefficient magnitude is at most ``DROP_TOL`` are
+Floating-point canonicalisation rules: every kappa is finite (``build``
+refuses any other); two kappa vectors are identified when they are equal
+componentwise; terms whose coefficient magnitude is at most ``DROP_TOL`` are
 discarded.  Points within ``HYPERPLANE_GAP`` of a hyperplane cannot be
 evaluated (the calculus defines hyperplane values only through one-sided
 limits).
@@ -119,13 +119,14 @@ class RegionFunction:
 
     Canonical invariant: every non-empty instance comes from ``build`` (the
     coefficient maps and ``add`` below return exactly what ``build`` would)
-    or is a chamber subset of one.  So each chamber holds no coefficient of
-    magnitude at most ``DROP_TOL`` and holds distinct kappas, sorted by
-    ``_sort_key``, followed by the kappas holding a NaN, which equal nothing
-    (not even themselves), in the order they came.  Every sub-layout of such
-    a chamber is canonical too, so an operation that keeps the kappas, or
+    or is a chamber subset of one.  So every kappa is finite, and each
+    chamber holds no coefficient of magnitude at most ``DROP_TOL`` and holds
+    distinct kappas, sorted by ``_sort_key``.  Every sub-layout of such a
+    chamber is canonical too, so an operation that keeps the kappas, or
     drops some of their terms, needs no re-sort or re-merge: re-merging
-    could only drop coefficients of magnitude at most ``DROP_TOL``.
+    could only drop coefficients of magnitude at most ``DROP_TOL``.  An
+    instance built directly, ``RegionFunction(n, terms)``, must be canonical
+    and hold finite kappas only, as one from ``build`` does.
 
     On a wall x_a = x_b the kappas reduce (``_reduce``), and the wall
     residuals sum the reduced terms per distinct reduced kappa, in position
@@ -191,71 +192,49 @@ def _sort_key(kappa: tuple[complex, ...]) -> tuple[float, ...]:
     return tuple(key)
 
 
-def _holds_nan(kappa: Sequence[complex]) -> bool:
-    """True when a component of ``kappa`` has a NaN part.
-
-    The sum is NaN then (and for inf - inf), so the componentwise test runs
-    only when the sum already is NaN.
-    """
-    total = sum(kappa)
-    return total != total and any(k != k for k in kappa)
-
-
-#: a merged chamber: each distinct kappa holding no NaN with its summed
-#: coefficient, none of magnitude at most ``DROP_TOL``, then the terms whose
-#: kappa holds a NaN, in arrival order
-_Merged = tuple[dict[tuple[complex, ...], complex], list[ExpTerm]]
+#: a merged chamber: each distinct kappa with its summed coefficient, none of
+#: magnitude at most ``DROP_TOL``
+_Merged = dict[tuple[complex, ...], complex]
 
 
 def _gather(raw: Iterable[tuple[complex, Sequence[complex]]]) -> _Merged:
     """Sum raw (coef, kappa) terms by kappa, in input order.
 
     Terms whose kappas are equal componentwise sum and keep the first one's
-    kappa, and a sum of magnitude at most ``DROP_TOL`` drops.  A kappa
-    holding a NaN equals nothing, so its term is never merged; it is kept
-    alone unless its magnitude is at most ``DROP_TOL``.
+    kappa, and a sum of magnitude at most ``DROP_TOL`` drops.
     """
     sums: dict[tuple[complex, ...], complex] = {}
-    alone: list[ExpTerm] = []
     for c, kap in raw:
         c, kappa = complex(c), tuple(map(complex, kap))
-        if _holds_nan(kappa):
-            if not abs(c) <= DROP_TOL:
-                alone.append(ExpTerm(c, kappa))
-        elif kappa in sums:
+        if kappa in sums:
             sums[kappa] += c
         else:
             sums[kappa] = c
     for c in sums.values():
         if abs(c) <= DROP_TOL:
-            return {k: c for k, c in sums.items() if not abs(c) <= DROP_TOL}, alone
-    return sums, alone
+            return {k: c for k, c in sums.items() if not abs(c) <= DROP_TOL}
+    return sums
 
 
 def _ranks(chambers: Iterable[_Merged]) -> dict[tuple[complex, ...], int]:
     """Position of each distinct kappa of the chambers in ``_sort_key`` order.
 
     ``_sort_key`` runs once per distinct kappa, however many chambers hold
-    it.  Distinct kappas holding no NaN have distinct sort keys, so sorting
-    a chamber by rank is sorting it by ``_sort_key``.
+    it.  Distinct kappas have distinct sort keys, so sorting a chamber by
+    rank is sorting it by ``_sort_key``.
     """
     ranks: dict[tuple[complex, ...], int] = {}
-    for sums, _ in chambers:
+    for sums in chambers:
         ranks.update(sums)
     for i, kappa in enumerate(sorted(ranks, key=_sort_key)):
         ranks[kappa] = i
     return ranks
 
 
-def _canonical(chamber: _Merged, ranks: Mapping[tuple[complex, ...], int]) -> tuple[ExpTerm, ...]:
-    """The canonical terms of a merged chamber, the one rule of term order.
-
-    The sums, none of magnitude at most ``DROP_TOL``, sort by rank
-    (``_ranks``), and the terms whose kappa holds a NaN follow in arrival
-    order.
-    """
-    sums, alone = chamber
-    return (*[ExpTerm(sums[k], k) for k in sorted(sums, key=ranks.__getitem__)], *alone)
+def _canonical(sums: _Merged, ranks: Mapping[tuple[complex, ...], int]) -> tuple[ExpTerm, ...]:
+    """The canonical terms of a merged chamber, the one rule of term order:
+    the sums, none of magnitude at most ``DROP_TOL``, sorted by rank (``_ranks``)."""
+    return tuple([ExpTerm(sums[k], k) for k in sorted(sums, key=ranks.__getitem__)])
 
 
 def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpTerm, ...]:
@@ -270,18 +249,13 @@ def _merge_parts(
     """``_merge_terms`` of the concatenated parts, each a sorted canonical chamber.
 
     When every part holds the same kappas position by position, which are
-    distinct and hold no NaN, ``_merge_terms`` sums each position's terms in
-    part order and keeps the order, so the merge is a position-wise sum; any
-    other input takes ``_merge_terms``.  A canonical chamber puts its NaN
-    kappas last, so its last kappa tells whether it holds one.
+    distinct, ``_merge_terms`` sums each position's terms in part order and
+    keeps the order, so the merge is a position-wise sum; any other input
+    takes ``_merge_terms``.
     """
     first, rest = parts[0], parts[1:]
     kappas = [k for _, k in first]
-    if (
-        kappas
-        and not _holds_nan(kappas[-1])
-        and all([k for _, k in p] == kappas for p in rest)
-    ):
+    if kappas and all([k for _, k in p] == kappas for p in rest):
         out = []
         for i, (coef, kappa) in enumerate(first):
             acc = complex(coef)
@@ -297,15 +271,20 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
     """Assemble and canonicalise a RegionFunction from raw (coef, kappa) pairs.
 
     Each chamber is ``_merge_terms`` of its raw terms; the sort keys are
-    shared by all chambers.
+    shared by all chambers.  Every kappa must have length ``n`` and finite
+    entries (their sum may overflow); ``ValueError`` names the first that
+    does not.
     """
     chambers = {}
     for region, raw in data.items():
         if region.n != n:
             raise ValueError("all regions must carry the same particle count")
         raw = list(raw)
-        if any(len(kappa) != n for _, kappa in raw):
-            raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
+        for _, kappa in raw:
+            if len(kappa) != n:
+                raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
+            if not cmath.isfinite(sum(kappa)) and not all(map(cmath.isfinite, kappa)):
+                raise ValueError(f"region {region.order} holds the non-finite kappa {tuple(kappa)}")
         chambers[region] = _gather(raw)
     ranks = _ranks(chambers.values())
     terms = {}
@@ -390,34 +369,27 @@ def sum_images(
       later image starts that kappa afresh;
     - a chamber left empty is removed, so a later image appends it at the
       end of the label's chambers;
-    - a kappa holding a NaN is merged with nothing and its terms follow the
-      sorted ones in arrival order;
     - a chamber that one image reached keeps that image's order, as ``add``
       passes it through; one that several reached is sorted once, at the
       end (``_canonical``).
 
-    The given terms are canonical, so an image holds each kappa at most once
-    and its NaN kappas last.
+    The given terms are canonical, so an image holds each kappa at most once.
     """
     tol = DROP_TOL
-    # per label, region -> [sums, alone, met]: ``met`` once a second image
-    # reached the chamber; until then it holds one image's canonical order
+    # per label, region -> [sums, met]: ``met`` once a second image reached
+    # the chamber; until then it holds one image's canonical order
     out: dict[Hashable, dict[Region, list]] = {}
     for label, chambers in images:
         acc = out.setdefault(label, {})
         for region, coefs, terms in chambers:
             chamber = acc.get(region)
             if chamber is None:
-                sums, alone = {}, []
+                sums = {}
             else:
-                sums, alone, _ = chamber
-                chamber[2] = True
-            nan_tail = bool(terms) and _holds_nan(terms[-1].kappa)
+                sums = chamber[0]
+                chamber[1] = True
             for c, (_, kappa) in zip(coefs, terms):
                 if abs(c) <= tol:
-                    continue
-                if nan_tail and _holds_nan(kappa):
-                    alone.append(ExpTerm(c, kappa))
                     continue
                 total = sums.get(kappa)
                 if total is None:
@@ -426,19 +398,17 @@ def sum_images(
                     del sums[kappa]
                 else:
                     sums[kappa] = total
-            if sums or alone:
+            if sums:
                 if chamber is None:
-                    acc[region] = [sums, alone, False]
+                    acc[region] = [sums, False]
             elif chamber is not None:
                 del acc[region]
-    ranks = _ranks(
-        (sums, alone) for acc in out.values() for sums, alone, met in acc.values() if met
-    )
+    ranks = _ranks(sums for acc in out.values() for sums, met in acc.values() if met)
     return {
         label: RegionFunction(n=n, terms={
-            region: _canonical((sums, alone), ranks) if met
-            else (*[ExpTerm(c, k) for k, c in sums.items()], *alone)
-            for region, (sums, alone, met) in acc.items()
+            region: _canonical(sums, ranks) if met
+            else tuple([ExpTerm(c, k) for k, c in sums.items()])
+            for region, (sums, met) in acc.items()
         })
         for label, acc in out.items()
     }
@@ -617,9 +587,6 @@ class _Derivative(NamedTuple):
     re: np.ndarray  # the entry of each position, 0 where it drops
     im: np.ndarray
     keep: np.ndarray
-    split_re: np.ndarray  # the negated d/dx_b entry of each split position
-    split_im: np.ndarray
-    split_keep: np.ndarray
     sizes: tuple  # (magnitude, re, im, taken): every abs the term-wise chain takes
 
     def overflowed(self) -> np.ndarray:
@@ -629,7 +596,7 @@ class _Derivative(NamedTuple):
         return over
 
 
-def _derivative(cr, ci, kar, kai, kbr, kbi, split: np.ndarray | None) -> _Derivative:
+def _derivative(cr, ci, kar, kai, kbr, kbi) -> _Derivative:
     """(d/dx_a - d/dx_b) of the terms c * exp(kappa.x), position by position.
 
     Follows ``add(differentiate(f, a), scale(differentiate(f, b), -1.0))``
@@ -637,11 +604,7 @@ def _derivative(cr, ci, kar, kai, kbr, kbi, split: np.ndarray | None) -> _Deriva
     at most ``DROP_TOL``, the negated d/dx_b image keeps -1.0 * (c*kappa_b)
     likewise (negating changes no magnitude), a position both keep sums them
     in that order, and a sum of magnitude at most ``DROP_TOL`` drops.  A
-    chamber's kappas are distinct, so the chain sums position by position;
-    except at a ``split`` position (a mask; None for none), a kappa holding
-    a NaN where the chamber's last kappa holds one (a canonical chamber puts
-    those last), which ``add`` merges with nothing: there the d/dx_a image
-    stays in place and the negated d/dx_b image is an entry of its own.
+    chamber's kappas are distinct, so the chain sums position by position.
     """
     da_r, da_i = _product(cr, ci, kar, kai)
     db_r, db_i = _product(cr, ci, kbr, kbi)
@@ -649,23 +612,14 @@ def _derivative(cr, ci, kar, kai, kbr, kbi, split: np.ndarray | None) -> _Deriva
     da, db = _magnitude(da_r, da_i), _magnitude(db_r, db_i)
     keep_a, keep_b = _kept(da), _kept(db)
     both = keep_a & keep_b
-    acc_r = np.where(both, da_r + nb_r, np.where(keep_b, nb_r, da_r))
-    acc_i = np.where(both, da_i + nb_i, np.where(keep_b, nb_i, da_i))
-    acc = _magnitude(acc_r, acc_i)
+    re = np.where(both, da_r + nb_r, np.where(keep_b, nb_r, da_r))
+    im = np.where(both, da_i + nb_i, np.where(keep_b, nb_i, da_i))
+    acc = _magnitude(re, im)
     summed = keep_a | keep_b  # the positions whose images the chain adds
-    re, im = acc_r, acc_i
-    if split is None:
-        split = np.zeros(len(re), dtype=bool)
-    else:
-        summed &= ~split
-        re, im = np.where(split, da_r, re), np.where(split, da_i, im)
-    keep = summed & _kept(acc) | split & keep_a
-    split_keep = keep_b[split]
+    keep = summed & _kept(acc)
     return _Derivative(
         np.where(keep, re, 0.0), np.where(keep, im, 0.0), keep,
-        np.where(split_keep, nb_r[split], 0.0), np.where(split_keep, nb_i[split], 0.0),
-        split_keep,
-        ((da, da_r, da_i, True), (db, db_r, db_i, True), (acc, acc_r, acc_i, summed)),
+        ((da, da_r, da_i, True), (db, db_r, db_i, True), (acc, re, im, summed)),
     )
 
 
@@ -675,20 +629,9 @@ def _reduced_ids(
     """The reduced-kappa id of each position of ``layout`` on the walls of ``pair``.
 
     ``ids`` holds the pair's ids, one per distinct reduced kappa by first
-    appearance, and grows here.  A reduced kappa holding a NaN equals
-    nothing and gets -1: the sweep gives each of its entries a slot of its own.
+    appearance, and grows here.
     """
-    out = []
-    for kappa in layout:
-        reduced = _reduce(kappa, *pair)
-        i = ids.get(reduced)
-        if i is None:
-            if _holds_nan(reduced):
-                i = -1
-            else:
-                i = ids[reduced] = len(ids)
-        out.append(i)
-    return out
+    return [ids.setdefault(_reduce(kappa, *pair), len(ids)) for kappa in layout]
 
 
 class _Walls(NamedTuple):
@@ -733,7 +676,6 @@ class _Terms(NamedTuple):
     kappa_re: np.ndarray  # flat (n * rows,)
     kappa_im: np.ndarray
     rows: int
-    split: np.ndarray | None  # per row (``_derivative``), None when no row splits
     start: np.ndarray
     size: np.ndarray
     row: np.ndarray
@@ -741,7 +683,6 @@ class _Terms(NamedTuple):
     ids: np.ndarray
     id_start: np.ndarray
     id_count: np.ndarray  # per pair: its number of distinct reduced kappas
-    alone: bool  # whether some reduced kappa holds a NaN
 
 
 def _gather_terms(
@@ -775,8 +716,6 @@ def _gather_terms(
     kappa = np.array([k for layout in layouts for k in layout], dtype=complex)
     lay_size = np.array([len(layout) for layout in layouts], dtype=np.intp)
     lay_row = np.cumsum(lay_size) - lay_size
-    nan_row = np.isnan(kappa).any(axis=1)
-    split = nan_row & np.repeat(nan_row[lay_row + lay_size - 1], lay_size)
     size = np.array(sizes, dtype=np.intp)
     layout = np.array(chamber_layout, dtype=np.intp)
     chambers = np.array(chamber_of, dtype=np.intp).reshape(len(funcs), -1)[:, walls.sides]
@@ -797,10 +736,9 @@ def _gather_terms(
     table = _Terms(
         coef_re=coef.real.copy(), coef_im=coef.imag.copy(),
         kappa_re=kappa.real.T.ravel(), kappa_im=kappa.imag.T.ravel(), rows=len(kappa),
-        split=split if split.any() else None,
         start=np.cumsum(size) - size, size=size, row=lay_row[layout], layout=layout,
         ids=np.array(ids, dtype=np.intp), id_start=id_start,
-        id_count=np.array([len(d) for d in pair_ids], dtype=np.intp), alone=-1 in ids,
+        id_count=np.array([len(d) for d in pair_ids], dtype=np.intp),
     )
     return table, chambers
 
@@ -826,8 +764,7 @@ def _sweep(
       integer id, computed once per (kappa layout, pair).  An entry, one
       term of one chamber on one wall, sums into the slot of its (wall, id,
       component, side); slots are numbered densely, and the slots of one
-      wall meet by id.  A reduced kappa holding a NaN equals nothing, so its
-      entries get a slot of their own in every sum.
+      wall meet by id.
     - **Sums.**  The restrictions (``_slot_sums``) of each chamber and of its
       wall derivative (``_derivative``); their drops; the continuity gap,
       left then -right; and the jump total, right derivative, -left
@@ -895,42 +832,27 @@ def _wall_pass(
     step = np.arange(len(of))
     coef = (terms.start[seg_c] - first)[of] + step
     cr, ci = terms.coef_re[coef], terms.coef_im[coef]
-    row = (terms.row[seg_c] - first)[of] + step
     ka = (walls.slots[seg_p, 0] * terms.rows + terms.row[seg_c] - first)[of] + step
     kb = (walls.slots[seg_p, 1] * terms.rows + terms.row[seg_c] - first)[of] + step
     ids = terms.ids[(terms.id_start[terms.layout[seg_c] * len(walls.pairs) + seg_p] - first)[of]
                     + step]
     side = seg_side[of]
     w = seg_w[of]
-    # slots: the distinct (wall, id) of the pass, numbered densely in wall
-    # order, then one per entry whose reduced kappa holds a NaN, twice (the
-    # chamber's restriction and its derivative's), then one per split entry
+    # slots: the distinct (wall, id) of the pass, numbered densely in wall order
     count = terms.id_count[walls.pair[lo:hi]]
     key = (np.cumsum(count) - count)[seg_w - lo][of] + ids
-    mark = np.zeros(int(count.sum()) + 1, dtype=bool)
-    if terms.alone:
-        shares = ids >= 0
-        alone = np.flatnonzero(~shares)
-        mark[key[shares]] = True
-    else:
-        alone = step[:0]
-        mark[key] = True
+    mark = np.zeros(int(count.sum()), dtype=bool)
+    mark[key] = True
     rank = np.cumsum(mark) - 1
-    shared = int(rank[-1]) + 1
+    n_slots = int(rank[-1]) + 1
     slot = rank[key]
-    slot[alone] = shared + np.arange(len(alone))
-    d_slot = slot.copy()
-    d_slot[alone] += len(alone)
-    split = None if terms.split is None else terms.split[row]
-    split_at = step[:0] if split is None else np.flatnonzero(split)
-    n_slots = shared + 2 * len(alone) + len(split_at)
-    d_slot = np.concatenate((d_slot, shared + 2 * len(alone) + np.arange(len(split_at))))
     wall_of = np.empty(n_slots, dtype=np.intp)
-    wall_of[slot], wall_of[d_slot] = w, np.concatenate((w, w[split_at]))
+    wall_of[slot] = w
+    at = slot * (2 * m) + side  # each entry's (slot, component, side)
     n = n_slots * 2 * m
 
     # the restrictions, the bases (left) and the continuity gaps, left - right
-    ar, ai = _slot_sums(slot * (2 * m) + side, n, cr, ci)
+    ar, ai = _slot_sums(at, n, cr, ci)
     a_size = _magnitude(ar, ai)
     kept = _kept(a_size)
     lr = np.where(kept, ar, 0.0).reshape(n_slots, m, 2)
@@ -943,9 +865,8 @@ def _wall_pass(
 
     # the wall derivatives, their restrictions and the jump totals
     kre, kim = terms.kappa_re, terms.kappa_im
-    d = _derivative(cr, ci, kre[ka], kim[ka], kre[kb], kim[kb], split)
-    dr, di = _slot_sums(d_slot * (2 * m) + np.concatenate((side, side[split_at])), n,
-                        np.concatenate((d.re, d.split_re)), np.concatenate((d.im, d.split_im)))
+    d = _derivative(cr, ci, kre[ka], kim[ka], kre[kb], kim[kb])
+    dr, di = _slot_sums(at, n, d.re, d.im)
     d_size = _magnitude(dr, di)
     kept = _kept(d_size)
     jr, ji = _product(-sign, 0.0, np.where(kept, dr, 0.0).reshape(n_slots, m, 2),
@@ -1050,7 +971,6 @@ def wall_residuals(
     - the weighted sums add right, -left, then -C_ij * base_j by ascending
       j, per reduced kappa, and drop a total of magnitude at most
       ``DROP_TOL``;
-    - a reduced kappa holding a NaN is merged with nothing;
     - a magnitude whose parts are finite but which overflows raises
       ``OverflowError``, as ``abs`` does.
 

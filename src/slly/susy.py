@@ -279,31 +279,6 @@ def verify_eigenstate(s: SpinorFunction, e: float, sp: Superpotential) -> Eigens
 # zero modes, census, partners
 # ---------------------------------------------------------------------------
 
-def _zero_mode_profile(sp: Superpotential) -> pw.RegionFunction:
-    """exp(-W), the scalar factor of both zero modes."""
-    if sp.n < 2:
-        raise ValueError("zero modes are constructed for N >= 2")
-    if sp.c == 0:
-        raise ValueError("zero modes need c > 0: at c = 0 exp(-W) is constant, not normalisable")
-    return bethe.nmer_ground(sp.n, sp.c)
-
-
-def zero_mode_top(sp: Superpotential) -> SpinorFunction:
-    """exp(-W) on the fully occupied Fock state; annihilated by Q and Q^dag."""
-    return spinor_from_scalar(_zero_mode_profile(sp), (1 << sp.n) - 1)
-
-
-def zero_mode_alternating(sp: Superpotential) -> SpinorFunction:
-    """exp(-W) times the alternating one-hole vector, at grade N-1.
-
-    The component on the state missing mode j carries sign (-1)^{j-1}; this
-    is the unique (up to scale) grade-(N-1) vector killed by both
-    supercharges, because sum_j w_j vanishes on every chamber while any other
-    weighting meets the full rank of the chamber-wise gradient values.
-    """
-    return _alternating(_zero_mode_profile(sp), sp.n)
-
-
 def _alternating(psi: pw.RegionFunction, n: int) -> SpinorFunction:
     full = (1 << n) - 1
     comps = {}
@@ -313,8 +288,21 @@ def _alternating(psi: pw.RegionFunction, n: int) -> SpinorFunction:
 
 
 def zero_modes(sp: Superpotential) -> tuple[SpinorFunction, SpinorFunction]:
-    """``(zero_mode_top(sp), zero_mode_alternating(sp))``, from one exp(-W)."""
-    psi = _zero_mode_profile(sp)
+    """The two zero modes ``(top, alternating)``, built from one exp(-W).
+
+    ``top`` is exp(-W) on the fully occupied Fock state.  ``alternating`` is
+    exp(-W) times the alternating one-hole vector, at grade N-1: the
+    component on the state missing mode j carries sign (-1)^{j-1}.  It is
+    the unique (up to scale) grade-(N-1) vector killed by both supercharges,
+    because sum_j w_j vanishes on every chamber while any other weighting
+    meets the full rank of the chamber-wise gradient values.  Both are
+    annihilated by Q and Q^dag.
+    """
+    if sp.n < 2:
+        raise ValueError("zero modes are constructed for N >= 2")
+    if sp.c == 0:
+        raise ValueError("zero modes need c > 0: at c = 0 exp(-W) is constant, not normalisable")
+    psi = bethe.nmer_ground(sp.n, sp.c)
     return spinor_from_scalar(psi, (1 << sp.n) - 1), _alternating(psi, sp.n)
 
 

@@ -283,7 +283,7 @@ def test_criterion_08_zero_modes_and_census():
     census_ok = True
     for n in (2, 3, 4, 5):
         sp = susy.Superpotential(n=n, c=1.05)
-        for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
+        for mode in susy.zero_modes(sp):
             rq, rqd = susy.annihilation_residuals(mode, sp)
             rep = susy.verify_eigenstate(mode, 0.0, sp)
             worst = max(worst, rq, rqd, rep.bulk_residual, rep.interface_residual)

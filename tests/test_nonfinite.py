@@ -7,6 +7,7 @@ once any residual is NaN, wherever it sits in the sweep.
 """
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -20,19 +21,19 @@ from slly.errors import DiscontinuityError
 NAN = float("nan")
 INF = float("inf")
 PLANTED = [NAN, INF, -INF, complex(0.0, NAN)]
+#: finite kappa entries whose sums, products or magnitudes overflow
+HUGE = [1e308, 1.5e308, 1e200]
 
 
 def plant(f: pw.RegionFunction, value: complex, chamber: int = 0, pos: int = 0,
           kappa: bool = False) -> pw.RegionFunction:
-    """``f`` with one coefficient (or the first kappa entry of one term) replaced."""
-    region = list(f.terms)[chamber]
-    ts = list(f.terms[region])
-    t = ts[pos]
-    if kappa:
-        ts[pos] = pw.ExpTerm(t.coef, (complex(value), *t.kappa[1:]))
-    else:
-        ts[pos] = pw.ExpTerm(complex(value), t.kappa)
-    return pw.RegionFunction(n=f.n, terms={**f.terms, region: tuple(ts)})
+    """``f`` with one coefficient (or the first kappa entry of one term)
+    replaced, rebuilt by ``build``, so a planted kappa entry must be finite."""
+    data = {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()}
+    ts = data[list(data)[chamber]]
+    coef, kap = ts[pos]
+    ts[pos] = (coef, (complex(value), *kap[1:])) if kappa else (complex(value), kap)
+    return pw.build(f.n, data)
 
 
 def plant_spinor(s: susy.SpinorFunction, value: complex, **where) -> susy.SpinorFunction:
@@ -74,18 +75,13 @@ K1, K2, K3 = (1 + 0j, 0j), (2 + 0j, 0j), (3 + 0j, 0j)
 
 def sweep_wall_derivative(terms, a, b):
     """The sweep's wall derivative of one chamber (``pw._derivative``), as the
-    kept (coef, kappa) entries: the positions', then the appended ones."""
+    kept (coef, kappa) entries in position order."""
     kappas = [t.kappa for t in terms]
-    nan = np.array([any(k != k for k in kappa) for kappa in kappas])
-    split = nan if nan[-1] else None
     cr, ci = (np.array([getattr(t.coef, part) for t in terms]) for part in ("real", "imag"))
     ka, kb = (np.array([k[j - 1] for k in kappas]) for j in (a, b))
     with np.errstate(all="ignore"):
-        d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag, split)
-    out = [(complex(r, i), k) for r, i, keep, k in zip(d.re, d.im, d.keep, kappas) if keep]
-    appended = [k for k, s in zip(kappas, nan) if s] if split is not None else []
-    return out + [(complex(r, i), k) for r, i, keep, k
-                  in zip(d.split_re, d.split_im, d.split_keep, appended) if keep]
+        d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag)
+    return [(complex(r, i), k) for r, i, keep, k in zip(d.re, d.im, d.keep, kappas) if keep]
 
 
 class TestDropRule:
@@ -122,73 +118,64 @@ class TestDropRule:
     @pytest.mark.parametrize("value", PLANTED)
     @pytest.mark.parametrize("term", [
         (None, (1 + 0j, 2 + 0j, 0.5 + 0j)),  # both images non-finite
-        (1.0, (1 + 0j, None, 0j)),  # d/dx_3 image drops, d/dx_2 image non-finite
-        (1.0, (1 + 0j, 0.2 + 0j, None)),  # d/dx_3 image non-finite
+        (2.0, (1 + 0j, 1e308 + 0j, 0j)),  # d/dx_3 image drops, d/dx_2 image overflows
+        (2.0, (1 + 0j, 0.2 + 0j, 1.5e308 + 0j)),  # d/dx_3 image overflows
     ])
     def test_wall_derivative_equals_the_chain(self, value, term):
-        # the wall (2, 3), so the planted entries never reorder the chamber
+        """``value`` is the second term's coefficient where ``term`` leaves it
+        open, else the first term's, beside a finite kappa whose image is inf."""
+        # the wall (2, 3), so the first kappa entries keep the chamber's order
         coef, kappa = term
-        planted = pw.ExpTerm(
-            complex(value if coef is None else coef),
-            tuple(complex(value) if k is None else k for k in kappa),
-        )
+        first = (2.0 if coef is None else value, (-0.5, -1, 0.3))
         region = pw.Region((1, 2, 3))
-        ts = (pw.ExpTerm(2.0 + 0j, (-0.5 + 0j, -1 + 0j, 0.3 + 0j)), planted)
-        f = pw.RegionFunction(n=3, terms={region: ts})
+        f = pw.build(3, {region: [first, (value if coef is None else coef, kappa)]})
         chain = pw.add(pw.differentiate(f, 2), pw.scale(pw.differentiate(f, 3), -1.0))
-        kept = [(repr(c), k) for c, k in sweep_wall_derivative(ts, 2, 3)]
+        kept = [(repr(c), k) for c, k in sweep_wall_derivative(f.terms[region], 2, 3)]
         assert kept == [(repr(t.coef), t.kappa) for t in chain.terms[region]]
 
 
 class TestNanKappas:
-    """A kappa holding a NaN is identified with nothing, on every path."""
+    """A kappa holding a NaN or an infinity never enters the calculus: ``build``
+    refuses it, so every kappa is finite by construction."""
 
-    R1 = pw.Region((1,))
+    R3 = pw.Region((2, 1, 3))
 
-    def test_build_puts_nan_kappas_last_unmerged(self):
-        f = pw.build(1, {self.R1: [(1, (1,)), (1, (NAN,)), (1, (0,)), (2, (1,))]})
-        assert terms_repr(f) == {self.R1: [("(1+0j)", (0j,)), ("(3+0j)", (1 + 0j,)),
-                                           ("(1+0j)", f.terms[self.R1][2].kappa)]}
-        assert math.isnan(f.terms[self.R1][2].kappa[0].real)
-        assert pw.build(1, {r: list(ts) for r, ts in f.terms.items()}).terms == f.terms
+    @pytest.mark.parametrize("value", PLANTED)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_build_refuses_a_non_finite_kappa(self, value, slot):
+        kappa = [0.5, 1 + 2j, -1.0]
+        kappa[slot] = value
+        raw = [(1.0, (0, 0, 0)), (2.0, tuple(kappa))]
+        with pytest.raises(ValueError) as refused:
+            pw.build(3, {pw.Region((1, 2, 3)): [(1.0, (0, 0, 0))], self.R3: raw})
+        assert str(refused.value) == (
+            f"region (2, 1, 3) holds the non-finite kappa {tuple(kappa)!r}"
+        )
 
-    def test_terms_sharing_one_nan_object_stay_apart(self):
-        kappa = (complex(NAN),)
-        f = pw.build(1, {self.R1: [(1.0, kappa), (1.0, (0j,)), (2.0, kappa)]})
-        assert [repr(t.coef) for t in f.terms[self.R1]] == ["(1+0j)", "(1+0j)", "(2+0j)"]
-        zero, first, second = f.terms[self.R1]
-        assert zero.kappa == (0j,) and first.kappa[0] is second.kappa[0] is kappa[0]
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_from_json_obj_refuses_a_non_finite_kappa(self, literal, part):
+        """``json.loads`` reads NaN and Infinity; a state file holding one is refused."""
+        f = pw.build(2, {pw.Region((1, 2)): [(1.0, (0.5, -0.5j))]})
+        text = json.dumps(pw.to_json_obj(f))
+        assert pw.from_json_obj(json.loads(text)).terms == f.terms
+        entry = '{"re": 0.5, "im": 0.0}'
+        assert text.count(entry) == 1
+        planted = entry.replace(f'"{part}": {0.5 if part == "re" else 0.0}', f'"{part}": {literal}')
+        with pytest.raises(ValueError, match=r"region \(1, 2\) holds the non-finite kappa"):
+            pw.from_json_obj(json.loads(text.replace(entry, planted)))
 
-    @pytest.mark.parametrize("other", [None, 1.0])
-    def test_add_equals_build_of_the_concatenation(self, other):
-        f = pw.build(1, {self.R1: [(1.0, (0.5,)), (1.0, (NAN,))]})
-        g = f if other is None else pw.build(1, {self.R1: [(other, (0.5,)), (1.0, (NAN,))]})
-        concatenated = pw.build(1, {self.R1: list(f.terms[self.R1]) + list(g.terms[self.R1])})
-        got = pw.add(f, g)
-        assert len(got.terms[self.R1]) == 3
-        assert terms_repr(got) == terms_repr(concatenated)
-        assert got.terms[self.R1][1:] == f.terms[self.R1][1:] + g.terms[self.R1][1:]
+    def test_collision_state_refuses_an_infinite_momentum(self):
+        """kappa = i * inf holds a NaN part (0 * inf), so the Bethe sum cannot be built."""
+        with pytest.raises(ValueError, match="non-finite kappa"):
+            bethe.collision_state((math.inf, 0.0), 1.0)
 
-    def test_chambers_sharing_one_nan_object_do_not_meet_on_a_wall(self):
-        """The same kappa tuple on both chambers: its NaN at x_3 survives the reduction."""
-        kappa = (1 + 0j, 2 + 0j, complex(NAN))
-        f = pw.RegionFunction(3, {r: (pw.ExpTerm(1 + 0j, kappa),) for r in pw.regions(3)})
-        iface = pw.interfaces(3)[0]
-        assert iface.pair == (1, 2)
-        assert pw.continuity_residual(f, iface) == 1.0
-        with pytest.raises(DiscontinuityError):
-            pw.wall_residuals([f], iface, [[1.0]])
-        couplings = {i.pair: [[1.0]] for i in pw.interfaces(3)}
-        with pytest.raises(DiscontinuityError):
-            pw.matching_residuals([f], couplings)
-
-    def test_wall_derivative_keeps_both_images_of_a_nan_kappa(self):
-        """Off the wall's slots the NaN leaves both images finite; they stay two terms."""
-        iface = pw.interfaces(3)[0]
-        assert iface.pair == (1, 2)
-        f = pw.build(3, {iface.left: [(1e-12, (1, 2, NAN))], iface.right: [(1e-12, (2, 1, NAN))]})
-        # right: 2e-12 and -1e-12; left: 1e-12 and -2e-12; merged they would read 1e-12
-        assert pw.wall_residuals([f], iface, [[0.5]]) == (1e-12, 2e-12)
+    @pytest.mark.parametrize("kappa", [(1e308, 1e308, 0.0), (1.5e308j, 1.5e308j, 1.5e308j),
+                                       (-1e308, -1.5e308, 1e308 + 1e308j)])
+    def test_a_kappa_whose_sum_overflows_is_accepted(self, kappa):
+        assert not math.isfinite(abs(sum(kappa)))
+        f = pw.build(3, {self.R3: [(1.0, kappa)]})
+        assert f.terms[self.R3] == (pw.ExpTerm(1 + 0j, tuple(map(complex, kappa))),)
 
     def test_an_overflowing_sweep_leaves_abs_of_nan_alone(self):
         """CPython's abs of a complex with a NaN part reads the C errno, which an
@@ -240,19 +227,21 @@ class TestMaxima:
         """A jump total that is NaN beside bases holding the same ids, or missing
         an id whose sum dropped.
 
-        An infinite kappa gives each side's wall derivative a NaN part (inf *
-        0), while the two sides stay continuous: both reduce it to (inf,).
+        The finite kappa (1e308, 1e308), on both sides, gives a wall
+        derivative c*1e308 - c*1e308 = inf - inf, a NaN, wherever |c| >= 2,
+        while the two sides stay continuous: both reduce it to (inf,).
         """
         iface = pw.interfaces(2)[0]
         kappas = [1.0, 2.0, 3.0]
-        kappas[pos] = INF
 
         def wall(coefs, extra=()):
-            left = [(c, (k, 0.0)) for c, k in zip(coefs, kappas)] + list(extra)
-            right = [(c, (0.0, k)) for c, k in zip(coefs, kappas)] + list(extra)
-            return pw.build(2, {iface.left: left, iface.right: right})
+            left = [(c, (1e308, 1e308) if i == pos else (k, 0.0))
+                    for i, (c, k) in enumerate(zip(coefs, kappas))]
+            right = [(c, (1e308, 1e308) if i == pos else (0.0, k))
+                     for i, (c, k) in enumerate(zip(coefs, kappas))]
+            return pw.build(2, {iface.left: left + list(extra), iface.right: right + list(extra)})
 
-        planted = wall([1.0, 5.0, 2.0])
+        planted = wall([3.0, 5.0, 2.0])
         full = wall([0.5, 0.5, 0.5])
         # (1.5, 0) and (0, 1.5) both reduce to (1.5,): their sum drops on the wall
         partial = wall([0.5, 0.5, 0.5], [(0.25, (1.5, 0.0)), (-0.25, (0.0, 1.5))])
@@ -264,9 +253,13 @@ class TestMaxima:
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_bulk_energy_residual(self, pos):
+        """Finite kappa entries whose squares are NaN + inf j and NaN - inf j
+        sum to a NaN residual."""
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
-        chamber = pos % len(state.terms)
-        bad = plant(state, NAN, chamber=chamber, pos=pos, kappa=True)
+        data = {r: [(t.coef, t.kappa) for t in ts] for r, ts in state.terms.items()}
+        ts = data[list(data)[pos % len(data)]]
+        ts[pos] = (ts[pos][0], (1e200 + 1e200j, 1e200 - 1e200j, ts[pos][1][2]))
+        bad = pw.build(3, data)
         assert math.isnan(bethe.bulk_energy_residual(bad, bethe.energy([1.5, 0.2, -0.9])))
 
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
@@ -282,9 +275,10 @@ class TestMaxima:
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_charge_residual(self, pos):
+        # (-1j * (1e200 + 1e200j)) ** 2 is inf - inf in its real part
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
         chamber = pos % len(state.terms)
-        bad = plant(state, NAN, chamber=chamber, pos=pos, kappa=True)
+        bad = plant(state, 1e200 + 1e200j, chamber=chamber, pos=pos, kappa=True)
         assert math.isnan(bethe.charge_residual(bad, [1.5, 0.2, -0.9], 2))
 
     @pytest.mark.parametrize("pos", [0, -1])
@@ -306,7 +300,7 @@ class TestMaxima:
         rep = bethe.matching_report(state, 2.0, NAN)
         assert math.isnan(rep.max_bulk) and not rep.passed()
         sp = susy.Superpotential(n=3, c=1.2)
-        rep = susy.verify_eigenstate(susy.zero_mode_alternating(sp), NAN, sp)
+        rep = susy.verify_eigenstate(susy.zero_modes(sp)[1], NAN, sp)
         assert math.isnan(rep.bulk_residual) and not rep.accepted
 
     @pytest.mark.parametrize("box", [NAN, INF, -INF])
@@ -322,7 +316,8 @@ class TestMaxima:
 
 
 class TestPlantedStates:
-    """A state with one non-finite coefficient or kappa fails every public check."""
+    """A state with one non-finite coefficient, or one huge kappa entry, fails
+    every public check; one with a non-finite kappa cannot be built."""
 
     K = [1.5, 0.2, -0.9]
 
@@ -333,8 +328,19 @@ class TestPlantedStates:
         state = bethe.collision_state(self.K, 2.0)
         e = bethe.energy(self.K)
         assert bethe.matching_report(state, 2.0, e).passed()
-        bad = plant(state, value, chamber=chamber, pos=chamber, kappa=kappa)
+        if kappa:
+            with pytest.raises(ValueError, match="non-finite kappa"):
+                plant(state, value, chamber=chamber, pos=chamber, kappa=True)
+            return
+        bad = plant(state, value, chamber=chamber, pos=chamber)
         assert fails(lambda: bethe.matching_report(bad, 2.0, e).passed())
+
+    @pytest.mark.parametrize("value", HUGE)
+    @pytest.mark.parametrize("chamber", [0, 3, 5])
+    def test_collision_state_with_a_huge_kappa(self, value, chamber):
+        state = bethe.collision_state(self.K, 2.0)
+        bad = plant(state, value, chamber=chamber, pos=chamber, kappa=True)
+        assert fails(lambda: bethe.matching_report(bad, 2.0, bethe.energy(self.K)).passed())
 
     def test_collision_state_with_nan_coupling(self):
         state = bethe.collision_state(self.K, 2.0)
@@ -350,11 +356,11 @@ class TestPlantedStates:
         assert fails(lambda: bethe.matching_report(plant(state, value, chamber=2), -1.0, e).passed())
 
     @pytest.mark.parametrize("value", PLANTED)
-    @pytest.mark.parametrize("build", [susy.zero_mode_top, susy.zero_mode_alternating])
+    @pytest.mark.parametrize("which", [0, 1], ids=["zero_mode_top", "zero_mode_alternating"])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_zero_modes(self, value, build, n):
+    def test_zero_modes(self, value, which, n):
         sp = susy.Superpotential(n=n, c=1.2)
-        mode = build(sp)
+        mode = susy.zero_modes(sp)[which]
         assert susy.verify_eigenstate(mode, 0.0, sp).accepted
         bad = plant_spinor(mode, value, chamber=1)
         assert fails(lambda: susy.verify_eigenstate(bad, 0.0, sp).accepted)
@@ -394,7 +400,7 @@ class TestPlantedStates:
 
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
     def test_exchange(self, pair):
-        mode = plant_spinor(susy.zero_mode_alternating(susy.Superpotential(n=3, c=1.0)), NAN)
+        mode = plant_spinor(susy.zero_modes(susy.Superpotential(n=3, c=1.0))[1], NAN)
         image = susy.exchange(mode, *pair)
         assert math.isnan(susy.spinor_distance(image, susy.spinor_scale(mode, -1.0)))
 
@@ -410,6 +416,13 @@ class TestPlantedStates:
             warnings.simplefilter("error")
             assert cli.main(["bethe", "collision", f"--k={ks}", "--c=1"]) == 2
         assert capsys.readouterr() == ("", err)
+
+    def test_cli_trimer_with_overflowing_wall_sums(self, capsys):
+        """A wall sum whose magnitude overflows exits 2 with one line, not a traceback."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bethe", "trimer", "--p", "1e308", "--c", "-1.7e308"]) == 2
+        assert capsys.readouterr() == ("", "slly: absolute value too large\n")
 
     def test_cli_algebra_keeps_a_nan_from_a_later_trial(self, monkeypatch, capsys):
         draw = susy.random_spinor

@@ -256,18 +256,13 @@ def _sweep_restriction(f, iface, side):
 
 def sweep_wall_derivative(terms, a, b):
     """The sweep's wall derivative of one chamber (``pw._derivative``), as the
-    kept (coef, kappa) entries: the positions', then the appended ones."""
+    kept (coef, kappa) entries in position order."""
     kappas = [t.kappa for t in terms]
-    nan = np.array([any(k != k for k in kappa) for kappa in kappas])
-    split = nan if nan[-1] else None
     cr, ci = (np.array([getattr(t.coef, part) for t in terms]) for part in ("real", "imag"))
     ka, kb = (np.array([k[j - 1] for k in kappas]) for j in (a, b))
     with np.errstate(all="ignore"):
-        d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag, split)
-    out = [(complex(r, i), k) for r, i, keep, k in zip(d.re, d.im, d.keep, kappas) if keep]
-    appended = [k for k, s in zip(kappas, nan) if s] if split is not None else []
-    return out + [(complex(r, i), k) for r, i, keep, k
-                  in zip(d.split_re, d.split_im, d.split_keep, appended) if keep]
+        d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag)
+    return [(complex(r, i), k) for r, i, keep, k in zip(d.re, d.im, d.keep, kappas) if keep]
 
 
 class TestRestriction:
@@ -549,7 +544,7 @@ class TestWallLocalKernel:
 
     def test_verify_eigenstate_rejects_discontinuous_component(self):
         sp = susy.Superpotential(n=3, c=1.0)
-        mode = susy.zero_mode_alternating(sp)
+        _, mode = susy.zero_modes(sp)
         mask = min(mode.components)
         region = pw.Region((1, 3, 2))
         broken = dict(mode.components)
@@ -777,6 +772,24 @@ def reference_sweep(funcs, couplings, walls=None):
     return continuity, jump
 
 
+def wall_by_wall_reference(funcs, couplings):
+    """``reference_sweep`` over every wall, each on its wall's two chambers only.
+
+    The old formulas work chamber by chamber, so this gives every number the
+    whole-function reference gives, as fast as the wall's chambers allow; but
+    its ``OverflowError``, like the sweep's, comes only from a chamber the wall
+    reads, where the whole-function derivative takes ``abs`` of every term.
+    """
+    continuity = jump = 0.0
+    for iface in pw.interfaces(funcs[0].n):
+        sides = (iface.left, iface.right)
+        cut = [pw.RegionFunction(f.n, {r: f.terms[r] for r in sides if r in f.terms})
+               for f in funcs]
+        wall = reference_sweep(cut, couplings, [iface])
+        continuity, jump = max(continuity, wall[0]), nan_max([jump, wall[1]])
+    return continuity, jump
+
+
 def assert_same_outcome(run, reference):
     """``run()`` returns what ``reference()`` returns, or raises the same error.
 
@@ -991,16 +1004,17 @@ class TestPlanSweep:
                 (0.0, 2.75),
             ),
             # one reduced kappa's terms cancel on the wall beside a derivative
-            # whose sum is NaN (inf - inf), with the NaN last, first or alone
+            # whose sum is NaN: 2 * 1e308 overflows, so the sum is inf - inf;
+            # with the NaN last, first or alone
             (
-                [([(1.0, (1, 0)), (-1.0, (0, 1)), (1.0, (math.inf, math.inf))],
-                  [(1.0, (1, 0)), (-1.0, (0, 1)), (1.0, (math.inf, math.inf))])],
+                [([(1.0, (1, 0)), (-1.0, (0, 1)), (2.0, (1e308, 1e308))],
+                  [(1.0, (1, 0)), (-1.0, (0, 1)), (2.0, (1e308, 1e308))])],
                 [[0.5]],
                 (0.0, math.nan),
             ),
             (
-                [([(1.0, (-math.inf, -math.inf)), (1.0, (1, 0)), (-1.0, (0, 1))],
-                  [(1.0, (-math.inf, -math.inf))])],
+                [([(2.0, (-1e308, -1e308)), (1.0, (1, 0)), (-1.0, (0, 1))],
+                  [(2.0, (-1e308, -1e308))])],
                 [[0.5]],
                 (0.0, math.nan),
             ),
@@ -1165,30 +1179,23 @@ class TestDerivativeDrops:
             lambda: reference_sweep(funcs, {iface.pair: coupling}, [iface]),
         )
 
-    @pytest.mark.parametrize("make", [susy.zero_mode_top, susy.zero_mode_alternating])
+    @pytest.mark.parametrize("which", [0, 1], ids=["zero_mode_top", "zero_mode_alternating"])
     @pytest.mark.parametrize("n", [3, 5])
-    def test_odd_n_zero_modes_equal_the_reference(self, n, make):
+    def test_odd_n_zero_modes_equal_the_reference(self, n, which):
         # the middle-rank particle has kappa = 0, so half the walls drop a term
         sp = susy.Superpotential(n=n, c=1.05)
-        mode = make(sp)
+        mode = susy.zero_modes(sp)[which]
         masks, couplings = _wall_couplings(sp, mode.pure_grade())
         comps = [mode.component(mask) for mask in masks]
-        # the old formulas work chamber by chamber, so each wall's reference
-        # needs only its two chambers (the full functions take 60x as long at N=5)
-        continuity = jump = 0.0
-        for iface in pw.interfaces(n):
-            sides = (iface.left, iface.right)
-            cut = [pw.RegionFunction(n, {r: f.terms[r] for r in sides}) for f in comps]
-            wall = reference_sweep(cut, couplings, [iface])
-            continuity, jump = max(continuity, wall[0]), max(jump, wall[1])
-        assert pw.matching_residuals(comps, couplings) == (continuity, jump)
+        # the full functions take 60x as long at N=5
+        assert pw.matching_residuals(comps, couplings) == wall_by_wall_reference(comps, couplings)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_zero_modes_never_build_a_derivative(self, n, monkeypatch):
         """No input makes the sweep build a derivative or merge terms: it sums arrays."""
         sp = susy.Superpotential(n=n, c=1.05)
         cases = []
-        for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
+        for mode in susy.zero_modes(sp):
             masks, couplings = _wall_couplings(sp, mode.pure_grade())
             cases.append(([mode.component(mask) for mask in masks], couplings))
         rng = np.random.default_rng(n)
@@ -1275,22 +1282,38 @@ class TestArithmeticParity:
 
 
 #: values planted into a wall's coefficient parts and kappa entries: NaN,
-#: infinities, and finite values whose sums, products or magnitudes overflow
+#: infinities, and finite values whose sums, products or magnitudes overflow;
+#: a kappa entry takes only the finite ones (``build`` refuses any other)
 PLANTED_VALUES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1.5e308, 1e200, 1e154)
 
 #: one wall x_1 = x_2: per component its (left, right) chamber terms, each
-#: continuous unless said otherwise; the coupling; and the reference outcome
+#: continuous unless said otherwise; the coupling; and the reference outcome,
+#: or ValueError where ``build`` refuses the chambers
 NON_FINITE_WALLS = {
-    # a NaN kappa entry off the wall's slots: its terms meet nothing on the wall
+    # a NaN kappa entry, even off the wall's slots, never reaches the sweep
     "nan-kappa-off-the-wall": (
         [([(1.0, (1, 2, math.nan)), (2.0, (0.5, 0, 0))],
           [(1.0, (2, 1, math.nan)), (2.0, (0, 0.5, 0))])],
-        [[0.5]], "DiscontinuityError",
+        [[0.5]], "ValueError",
     ),
-    # kappa (inf, -inf) reduces to (nan,), a slot of its own on each side
+    # nor does kappa (inf, -inf), which would reduce to (nan,)
     "inf-minus-inf-reduction": (
         [([(1e-15, (math.inf, -math.inf)), (1.0, (1, 0))],
           [(1e-15, (-math.inf, math.inf)), (1.0, (0, 1))])],
+        [[0.5]], "ValueError",
+    ),
+    # a huge kappa entry off the wall's slots is carried through the reduction
+    # unchanged, so its terms meet on the wall
+    "huge-kappa-off-the-wall": (
+        [([(1.0, (1, 2, 1e308)), (2.0, (0.5, 0, 0))],
+          [(1.0, (2, 1, 1e308)), (2.0, (0, 0.5, 0))])],
+        [[0.5]], "(0.0, 3.0)",
+    ),
+    # kappa (1.5e308, 1.5e308) reduces to (inf,) on each side, one id both
+    # sides share; its wall derivative is 0 and its base -0.5
+    "overflowing-reduction": (
+        [([(1.0, (1.5e308, 1.5e308)), (1.0, (1, 0))],
+          [(1.0, (1.5e308, 1.5e308)), (1.0, (0, 1))])],
         [[0.5]], "(0.0, 2.5)",
     ),
     # (1.5e308, 0) and (0, 1.5e308) restrict to one sum whose magnitude overflows
@@ -1338,13 +1361,15 @@ NON_FINITE_WALLS = {
 
 
 def _plant(rng, raw, values=PLANTED_VALUES):
-    """``raw`` (coef, kappa) terms with one coefficient part or kappa entry
-    replaced by one of ``values``, at random."""
+    """``raw`` (coef, kappa) terms with one coefficient part replaced by one of
+    ``values``, or one kappa entry by one of its finite ones, at random."""
     raw = [(complex(c), [complex(k) for k in kappa]) for c, kappa in raw]
     pos = int(rng.integers(len(raw)))
     coef, kappa = raw[pos]
-    value = values[int(rng.integers(len(values)))]
     slot = int(rng.integers(len(kappa) + 2))
+    if slot >= 2:
+        values = [v for v in values if math.isfinite(v)]
+    value = values[int(rng.integers(len(values)))]
     if slot == 0:
         coef = complex(value, coef.imag)
     elif slot == 1:
@@ -1359,8 +1384,8 @@ def _planted_wall(rng, iface):
     """The two chambers of ``iface`` as ``_planted_at`` builds them, with
     ``PLANTED_VALUES`` planted where both chambers share them: into the pool's
     kappas and into the coefficient of a left term that the right repeats.
-    So the wall stays continuous unless a reduced kappa holds a NaN or a
-    sum overflows."""
+    So the wall stays continuous unless a coefficient is NaN or infinite or
+    a sum overflows."""
     a, b = iface.pair
     pool = _planted_pool(rng, iface.left.n, iface.pair)
     if rng.random() < 0.6:
@@ -1388,6 +1413,10 @@ class TestNonFiniteSweep:
         chambers, coupling, expected = NON_FINITE_WALLS[case]
         n = len(chambers[0][0][0][1])
         iface = pw.interfaces(n)[0]
+        if expected == "ValueError":
+            with pytest.raises(ValueError, match="non-finite kappa"):
+                pw.build(n, {iface.left: chambers[0][0], iface.right: chambers[0][1]})
+            return
         funcs = [pw.build(n, {iface.left: left, iface.right: right}) for left, right in chambers]
         couplings = {iface.pair: coupling}
         try:
@@ -1427,18 +1456,19 @@ class TestNonFiniteSweep:
     @given(n=st.sampled_from([2, 3, 3]), components=st.integers(1, 2),
            seed=st.integers(0, 2**32 - 1))
     def test_planted_bethe_sweeps_equal_the_reference(self, n, components, seed):
-        """NaN and infinite entries anywhere in a Bethe-type sweep over every wall."""
+        """A NaN or infinite coefficient part, or an overflowing kappa entry,
+        anywhere in a Bethe-type sweep over every wall."""
         rng = np.random.default_rng(seed)
         funcs, couplings = _sweep_case(rng, n, components)
         i = int(rng.integers(len(funcs)))
         assume(funcs[i].terms)
         region = list(funcs[i].terms)[int(rng.integers(len(funcs[i].terms)))]
         raw = [(t.coef, t.kappa) for t in funcs[i].region_terms(region)]
-        planted = _plant(rng, raw, (math.nan, math.inf, -math.inf))
+        planted = _plant(rng, raw, (math.nan, math.inf, -math.inf, 1e308, 1.5e308, 1e200))
         funcs[i] = pw.build(n, {**{r: list(ts) for r, ts in funcs[i].terms.items()}, region: planted})
         assert_same_outcome(
             lambda: pw.matching_residuals(funcs, couplings),
-            lambda: reference_sweep(funcs, couplings),
+            lambda: wall_by_wall_reference(funcs, couplings),
         )
 
 
@@ -1528,7 +1558,7 @@ class TestExactIdentity:
         ]
         for n in range(2, 7):
             sp = susy.Superpotential(n=n, c=1.05)
-            for mode in (susy.zero_mode_top(sp), susy.zero_mode_alternating(sp)):
+            for mode in susy.zero_modes(sp):
                 funcs += mode.components.values()
         for n in range(2, 5):
             sp = susy.Superpotential(n=n, c=float(rng.uniform(0.2, 2.5)))
