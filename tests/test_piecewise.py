@@ -775,10 +775,10 @@ def reference_sweep(funcs, couplings, walls=None):
 def wall_by_wall_reference(funcs, couplings):
     """``reference_sweep`` over every wall, each on its wall's two chambers only.
 
-    The old formulas work chamber by chamber, so this gives every number the
-    whole-function reference gives, as fast as the wall's chambers allow; but
-    its ``OverflowError``, like the sweep's, comes only from a chamber the wall
-    reads, where the whole-function derivative takes ``abs`` of every term.
+    The old formulas work chamber by chamber, so each wall gets the numbers of
+    the whole-function reference.  Only the wall's chambers can raise
+    ``OverflowError`` here, as in the sweep; the whole-function derivative
+    takes ``abs`` of every term of every chamber.
     """
     continuity = jump = 0.0
     for iface in pw.interfaces(funcs[0].n):
@@ -1310,7 +1310,7 @@ NON_FINITE_WALLS = {
         [[0.5]], "(0.0, 3.0)",
     ),
     # kappa (1.5e308, 1.5e308) reduces to (inf,) on each side, one id both
-    # sides share; its wall derivative is 0 and its base -0.5
+    # sides share; its wall derivative is 0, so its jump total is -0.5 * 1.0
     "overflowing-reduction": (
         [([(1.0, (1.5e308, 1.5e308)), (1.0, (1, 0))],
           [(1.0, (1.5e308, 1.5e308)), (1.0, (0, 1))])],

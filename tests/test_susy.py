@@ -262,9 +262,9 @@ def pooled_spinor(rng, n, huge=True):
     The masks, the chambers and the terms come in shuffled order, so images
     of different masks share kappas, cancel to zero, empty chambers and
     refill them, and meet signed zeros (every imaginary part is 0.0 or
-    -0.0); with ``huge``, a third kappa reaches several masks, whose
-    entries 1e308 + 1j are finite but whose images of different masks sum
-    to infinities.
+    -0.0); with ``huge``, a third kappa, every entry 1e308 + 1j, reaches
+    several masks: it is finite, but its images from different masks sum to
+    infinities.
     """
     def part(values=POOL_PARTS):
         return complex(float(rng.choice(values)), float(rng.choice((0.0, -0.0))))
