@@ -29,6 +29,7 @@ line carries no physics.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,9 +89,9 @@ def yang_baxter_residual(ka: complex, kb: complex, kc: complex, c: float) -> flo
 class MomentumSet:
     """Momenta of an exact eigenstate.
 
-    Real momenta (collision states) must be strictly decreasing; complex
-    momenta (bound-state strings) must be closed under conjugation so the
-    total energy sum k_j^2 is real.
+    Every momentum must be finite.  Real momenta (collision states) must be
+    strictly decreasing; complex momenta (bound-state strings) must be closed
+    under conjugation so the total energy sum k_j^2 is real.
     """
 
     k: tuple[complex, ...]
@@ -98,6 +99,9 @@ class MomentumSet:
     def __post_init__(self):
         ks = tuple(complex(v) for v in self.k)
         object.__setattr__(self, "k", ks)
+        for v in ks:
+            if not cmath.isfinite(v):
+                raise ValueError(f"momentum {v} is not finite")
         if all(abs(v.imag) <= STRING_MATCH_TOL for v in ks):
             reals = [v.real for v in ks]
             if any(reals[i] <= reals[i + 1] for i in range(len(reals) - 1)):
@@ -146,14 +150,19 @@ def charge_residual(
 
     Each exponential term of an eigenstate carries momenta (-i kappa_j); for a
     permutation-symmetric construction the power sum of those equals I_n
-    independent of the ordering.  Returns the max deviation over all terms.
+    independent of the ordering.  Returns the max deviation over all terms,
+    evaluated once per distinct kappa (``pw.used_kappas``).  A power or
+    deviation that overflows (a large finite kappa entry) counts as inf.
     """
     target = conserved_charge(order, k)
-    return pw.nan_max(
-        abs(sum((-1j * kap) ** order for kap in t.kappa) - target)
-        for ts in state.terms.values()
-        for t in ts
-    )
+
+    def deviation(kappa: pw.Kappa) -> float:
+        try:
+            return abs(sum((-1j * kap) ** order for kap in kappa) - target)
+        except OverflowError:
+            return math.inf
+
+    return pw.nan_max(map(deviation, pw.used_kappas(state)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +402,11 @@ class MatchingReport:
 def bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
     """Max over chamber terms of |(-sum_j kappa_j^2) - E|.
 
-    Evaluated once per distinct kappa: a Bethe state holds the same N!
-    kappas on each of its N! chambers.  NaN when any residual is NaN.
+    Evaluated once per distinct kappa (``pw.used_kappas``): a Bethe state
+    holds the same N! kappas on each of its N! chambers.  NaN when any
+    residual is NaN.
     """
-    kappas = dict.fromkeys(t.kappa for ts in state.terms.values() for t in ts)
-    return pw.nan_max(abs(-sum(kk * kk for kk in kappa) - e) for kappa in kappas)
+    return pw.nan_max(abs(-sum(kk * kk for kk in kappa) - e) for kappa in pw.used_kappas(state))
 
 
 def matching_report(state: pw.RegionFunction, c: float, e: float) -> MatchingReport:

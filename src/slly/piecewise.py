@@ -11,12 +11,20 @@ matching conditions (continuity of the function, prescribed jump of the
 normal derivative) all reduce to exact coefficient arithmetic.  No quadrature
 or discretisation enters anywhere in this module.
 
+Storage: a function holds one kappa table, its distinct kappas sorted by
+``_sort_key``, and each chamber holds ``(id, coef)`` pairs in ascending id,
+an id being a position in the table.  A Bethe state holds the same N!
+kappas on each of its N! chambers, so it stores them once.  Kappa identity
+is decided only where a table is made (``build``, ``_union``); every other
+operation works on ids.
+
 Floating-point canonicalisation rules: every kappa is finite (``build``
 refuses any other); two kappa vectors are identified when they are equal
-componentwise; terms whose coefficient magnitude is at most ``DROP_TOL`` are
-discarded.  Points within ``HYPERPLANE_GAP`` of a hyperplane cannot be
-evaluated (the calculus defines hyperplane values only through one-sided
-limits).
+componentwise, and a function keeps one representative of them, the first
+met (so kappas differing only in the sign of a zero share one); terms whose
+coefficient magnitude is at most ``DROP_TOL`` are discarded.  Points within
+``HYPERPLANE_GAP`` of a hyperplane cannot be evaluated (the calculus defines
+hyperplane values only through one-sided limits).
 """
 
 from __future__ import annotations
@@ -40,11 +48,10 @@ MAX_PARTICLES = 10
 JUMP_CONTINUITY_TOL = 1e-10
 
 
-class ExpTerm(NamedTuple):
-    """One exponential term coef * exp(sum_j kappa[j] * x_j)."""
-
-    coef: complex
-    kappa: tuple[complex, ...]
+#: a kappa vector, one complex entry per coordinate
+Kappa = tuple[complex, ...]
+#: a chamber: (id, coef) pairs in ascending id, ids indexing the kappa table
+Chamber = tuple[tuple[int, complex], ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -114,19 +121,24 @@ class Interface:
 class RegionFunction:
     """Piecewise-exponential function: one exact exponential sum per chamber.
 
-    ``terms`` maps a Region to a canonical tuple of ExpTerms; absent regions
-    are identically zero there.  Instances are treated as immutable.
+    ``kappas`` is the kappa table: distinct finite kappas sorted by
+    ``_sort_key``, an id being a position in it.  Kappas equal componentwise
+    share one id, whose kappa is the first of them met (``build``,
+    ``_union``), so kappas differing only in the sign of a zero are one.
+    ``terms`` maps a Region to its chamber, ``(id, coef)`` pairs in
+    ascending id; absent regions are identically zero there.  Instances are
+    treated as immutable and share tables (``map_coefficients``), so after
+    a drop a table may hold a kappa that no chamber uses; kappas are read
+    only through the ids of ``terms``.
 
     Canonical invariant: every non-empty instance comes from ``build`` (the
-    coefficient maps and ``add`` below return exactly what ``build`` would)
-    or is a chamber subset of one.  So every kappa is finite, and each
-    chamber holds no coefficient of magnitude at most ``DROP_TOL`` and holds
-    distinct kappas, sorted by ``_sort_key``.  Every sub-layout of such a
-    chamber is canonical too, so an operation that keeps the kappas, or
-    drops some of their terms, needs no re-sort or re-merge: re-merging
-    could only drop coefficients of magnitude at most ``DROP_TOL``.  An
-    instance built directly, ``RegionFunction(n, terms)``, must be canonical
-    and hold finite kappas only, as one from ``build`` does.
+    coefficient maps, ``add`` and ``sum_images`` return what ``build`` would,
+    up to the ids of unused kappas) or is a chamber subset of one.  So each
+    chamber holds ascending distinct ids and no coefficient of magnitude at
+    most ``DROP_TOL``, and an operation that keeps the ids, or drops some of
+    their terms, needs no re-sort or re-merge.  An instance built directly,
+    ``RegionFunction(n, terms, kappas)``, must be canonical, as one from
+    ``build`` is.
 
     On a wall x_a = x_b the kappas reduce (``_reduce``), and the wall
     residuals sum the reduced terms per distinct reduced kappa, in position
@@ -137,9 +149,10 @@ class RegionFunction:
     """
 
     n: int
-    terms: Mapping[Region, tuple[ExpTerm, ...]]
+    terms: Mapping[Region, Chamber]
+    kappas: tuple[Kappa, ...]
 
-    def region_terms(self, region: Region) -> tuple[ExpTerm, ...]:
+    def region_terms(self, region: Region) -> Chamber:
         return self.terms.get(region, ())
 
 
@@ -184,7 +197,7 @@ def interfaces(n: int) -> tuple[Interface, ...]:
 # canonicalisation and construction
 # ---------------------------------------------------------------------------
 
-def _sort_key(kappa: tuple[complex, ...]) -> tuple[float, ...]:
+def _sort_key(kappa: Kappa) -> tuple[float, ...]:
     key: list[float] = []
     for z in kappa:
         key.append(z.real)
@@ -192,18 +205,13 @@ def _sort_key(kappa: tuple[complex, ...]) -> tuple[float, ...]:
     return tuple(key)
 
 
-#: a merged chamber: each distinct kappa with its summed coefficient, none of
-#: magnitude at most ``DROP_TOL``
-_Merged = dict[tuple[complex, ...], complex]
-
-
-def _gather(raw: Iterable[tuple[complex, Sequence[complex]]]) -> _Merged:
-    """Sum raw (coef, kappa) terms by kappa, in input order.
+def _gather(raw: Iterable[tuple[complex, Sequence[complex]]]) -> dict[Kappa, complex]:
+    """Sum raw (coef, kappa) terms by kappa, in input order: a merged chamber.
 
     Terms whose kappas are equal componentwise sum and keep the first one's
     kappa, and a sum of magnitude at most ``DROP_TOL`` drops.
     """
-    sums: dict[tuple[complex, ...], complex] = {}
+    sums: dict[Kappa, complex] = {}
     for c, kap in raw:
         c, kappa = complex(c), tuple(map(complex, kap))
         if kappa in sums:
@@ -216,64 +224,53 @@ def _gather(raw: Iterable[tuple[complex, Sequence[complex]]]) -> _Merged:
     return sums
 
 
-def _ranks(chambers: Iterable[_Merged]) -> dict[tuple[complex, ...], int]:
-    """Position of each distinct kappa of the chambers in ``_sort_key`` order.
+def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[tuple[complex, Kappa], ...]:
+    """Raw (coef, kappa) terms merged by ``_gather``, as (coef, kappa) pairs
+    sorted by ``_sort_key``; the chamber rule of ``build`` without a table."""
+    sums = _gather(raw)
+    return tuple([(sums[k], k) for k in sorted(sums, key=_sort_key)])
 
-    ``_sort_key`` runs once per distinct kappa, however many chambers hold
-    it.  Distinct kappas have distinct sort keys, so sorting a chamber by
-    rank is sorting it by ``_sort_key``.
+
+def _table(kappas: Iterable[Kappa]) -> tuple[tuple[Kappa, ...], dict[Kappa, int]]:
+    """The distinct kappas sorted by ``_sort_key``, of equal ones the first met,
+    and the id of each."""
+    table = tuple(sorted(dict.fromkeys(kappas), key=_sort_key))
+    return table, {k: i for i, k in enumerate(table)}
+
+
+def _union(tables: Sequence[tuple[Kappa, ...]]) -> tuple[tuple[Kappa, ...], list[list[int] | None]]:
+    """One table holding the kappas of all tables, and each table's id map.
+
+    A map sends a table's ids to the union's; it is monotone, as both
+    tables are sorted by ``_sort_key``, so a chamber mapped by it stays in
+    ascending id.  It is None where the table is the union already; when
+    all tables are the same (``is`` or ``==``), the first is the union.
     """
-    ranks: dict[tuple[complex, ...], int] = {}
-    for sums in chambers:
-        ranks.update(sums)
-    for i, kappa in enumerate(sorted(ranks, key=_sort_key)):
-        ranks[kappa] = i
-    return ranks
+    first = tables[0] if tables else ()
+    if all(t is first or t == first for t in tables):
+        return first, [None] * len(tables)
+    table, ids = _table(itertools.chain.from_iterable(tables))
+    return table, [None if len(t) == len(table) else [ids[k] for k in t] for t in tables]
 
 
-def _canonical(sums: _Merged, ranks: Mapping[tuple[complex, ...], int]) -> tuple[ExpTerm, ...]:
-    """The canonical terms of a merged chamber, the one rule of term order:
-    the sums, none of magnitude at most ``DROP_TOL``, sorted by rank (``_ranks``)."""
-    return tuple([ExpTerm(sums[k], k) for k in sorted(sums, key=ranks.__getitem__)])
-
-
-def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[ExpTerm, ...]:
-    """One canonical chamber from raw (coef, kappa) terms (``_gather``, ``_canonical``)."""
-    chamber = _gather(raw)
-    return _canonical(chamber, _ranks((chamber,)))
-
-
-def _merge_parts(
-    parts: Sequence[Sequence[tuple[complex, tuple[complex, ...]]]]
-) -> tuple[ExpTerm, ...]:
-    """``_merge_terms`` of the concatenated parts, each a sorted canonical chamber.
-
-    When every part holds the same kappas position by position, which are
-    distinct, ``_merge_terms`` sums each position's terms in part order and
-    keeps the order, so the merge is a position-wise sum; any other input
-    takes ``_merge_terms``.
-    """
-    first, rest = parts[0], parts[1:]
-    kappas = [k for _, k in first]
-    if kappas and all([k for _, k in p] == kappas for p in rest):
-        out = []
-        for i, (coef, kappa) in enumerate(first):
-            acc = complex(coef)
-            for p in rest:
-                acc += complex(p[i][0])
-            if not abs(acc) <= DROP_TOL:
-                out.append(ExpTerm(acc, kappa))
-        return tuple(out)
-    return _merge_terms(itertools.chain.from_iterable(parts))
+def common_table(
+    funcs: Sequence[RegionFunction],
+) -> tuple[tuple[Kappa, ...], list[Mapping[Region, Chamber]]]:
+    """One kappa table for the functions (``_union``), and each one's chambers on it."""
+    table, maps = _union([f.kappas for f in funcs])
+    return table, [
+        f.terms if m is None else {r: tuple([(m[i], c) for i, c in ts]) for r, ts in f.terms.items()}
+        for f, m in zip(funcs, maps)
+    ]
 
 
 def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex]]]]) -> RegionFunction:
     """Assemble and canonicalise a RegionFunction from raw (coef, kappa) pairs.
 
-    Each chamber is ``_merge_terms`` of its raw terms; the sort keys are
-    shared by all chambers.  Every kappa must have length ``n`` and finite
-    entries (their sum may overflow); ``ValueError`` names the first that
-    does not.
+    Each chamber is ``_gather`` of its raw terms, and one kappa table holds
+    the kappas of all chambers, each once.  Every kappa must have length
+    ``n`` and finite entries (their sum may overflow); ``ValueError`` names
+    the first that does not.
     """
     chambers = {}
     for region, raw in data.items():
@@ -286,13 +283,12 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
             if not cmath.isfinite(sum(kappa)) and not all(map(cmath.isfinite, kappa)):
                 raise ValueError(f"region {region.order} holds the non-finite kappa {tuple(kappa)}")
         chambers[region] = _gather(raw)
-    ranks = _ranks(chambers.values())
-    terms = {}
-    for region, chamber in chambers.items():
-        merged = _canonical(chamber, ranks)
-        if merged:
-            terms[region] = merged
-    return RegionFunction(n=n, terms=terms)
+    table, ids = _table(itertools.chain.from_iterable(chambers.values()))
+    terms = {
+        region: tuple(sorted(zip(map(ids.__getitem__, sums), sums.values())))
+        for region, sums in chambers.items() if sums
+    }
+    return RegionFunction(n=n, terms=terms, kappas=table)
 
 
 def constant_function(n: int, value: complex = 1.0) -> RegionFunction:
@@ -302,125 +298,132 @@ def constant_function(n: int, value: complex = 1.0) -> RegionFunction:
 
 
 def zero_function(n: int) -> RegionFunction:
-    return RegionFunction(n=n, terms={})
+    return RegionFunction(n=n, terms={}, kappas=())
 
 
 def map_coefficients(
-    f: RegionFunction, fn: Callable[[Region, ExpTerm], complex]
+    f: RegionFunction, fn: Callable[[Region, complex, Kappa], complex]
 ) -> RegionFunction:
-    """Replace each coefficient by ``fn(region, term)``, keeping every kappa.
+    """Replace each coefficient c by ``fn(region, c, kappa)``, keeping every id.
 
-    Equal to ``build`` of the mapped terms: a canonical chamber (see
-    ``RegionFunction``) holds distinct sorted kappas, so that only drops
-    coefficients of magnitude at most ``DROP_TOL`` and nothing is sorted or
-    merged.
+    Equal to ``build`` of the mapped terms up to unused kappas: a canonical
+    chamber (see ``RegionFunction``) holds distinct ascending ids, so that
+    only drops coefficients of magnitude at most ``DROP_TOL`` and nothing is
+    sorted or merged.  The result shares f's table.
     """
+    kappas = f.kappas
     terms = {}
     for r, ts in f.terms.items():
         mapped = tuple(
-            ExpTerm(c, t.kappa) for t in ts if not abs(c := complex(fn(r, t))) <= DROP_TOL
+            (i, c) for i, coef in ts if not abs(c := complex(fn(r, coef, kappas[i]))) <= DROP_TOL
         )
         if mapped:
             terms[r] = mapped
-    return RegionFunction(n=f.n, terms=terms)
+    return RegionFunction(n=f.n, terms=terms, kappas=kappas)
 
 
 def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
     """Sum of two functions; equal to ``build`` of the concatenated chambers.
 
-    A chamber held by one input only passes through unchanged, and one whose
-    kappas agree position by position is summed pairwise (``_merge_parts``).
+    The result holds the union of the two tables (``common_table``), which
+    is f's own when g's is the same.  A chamber held by one input only
+    passes through unchanged; in one held by both, the coefficients of an id
+    both hold sum in that order, and a sum of magnitude at most ``DROP_TOL``
+    drops, as ``_gather`` of the concatenation does.
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
+    kappas, (fs, gs) = common_table((f, g))
     terms = {}
-    for region, ts in f.terms.items():
-        us = g.terms.get(region)
-        merged = _merge_parts((ts, us)) if us else ts
-        if merged:
-            terms[region] = merged
-    for region, us in g.terms.items():
-        if region not in f.terms and us:
+    for region, ts in fs.items():
+        us = gs.get(region)
+        if us:
+            sums = dict(ts)
+            for i, c in us:
+                sums[i] = sums[i] + c if i in sums else c
+            ts = tuple([(i, c) for i, c in sorted(sums.items()) if not abs(c) <= DROP_TOL])
+        if ts:
+            terms[region] = ts
+    for region, us in gs.items():
+        if region not in fs and us:
             terms[region] = us
-    return RegionFunction(n=f.n, terms=terms)
+    return RegionFunction(n=f.n, terms=terms, kappas=kappas)
 
 
 #: one chamber of an image: its region, then the coefficient that replaces
-#: each term of a canonical chamber of that region (the terms' kappas stay)
-ImageChamber = tuple[Region, Sequence[complex], Sequence[ExpTerm]]
+#: each term of a canonical chamber of that region (the terms' ids stay)
+ImageChamber = tuple[Region, Sequence[complex], Chamber]
 
 
 def sum_images(
-    n: int, images: Iterable[tuple[Hashable, Iterable[ImageChamber]]]
+    n: int, table: tuple[Kappa, ...], images: Iterable[tuple[Hashable, Iterable[ImageChamber]]]
 ) -> dict[Hashable, RegionFunction]:
     """Sum labelled coefficient images into one function per label.
 
-    An image is what ``map_coefficients`` would return for the given
-    coefficients.  The result equals, bit for bit and in chamber order,
+    Every image's chambers hold ids on ``table``.  An image is what
+    ``map_coefficients`` would return for the given coefficients.  The
+    result equals, bit for bit and in chamber order,
 
         out[label] = add(out[label], image) if label in out else image
 
     over the images in order, without building any image or intermediate
-    sum.  Each (label, chamber) is one accumulation keyed by kappa, which
+    sum.  Each (label, chamber) is one accumulation keyed by id, which
     keeps the rules of that chain:
 
     - an image coefficient of magnitude at most ``DROP_TOL`` is skipped;
     - a sum of magnitude at most ``DROP_TOL`` drops after its image, and a
-      later image starts that kappa afresh;
+      later image starts that id afresh;
     - a chamber left empty is removed, so a later image appends it at the
       end of the label's chambers;
-    - a chamber that one image reached keeps that image's order, as ``add``
-      passes it through; one that several reached is sorted once, at the
-      end (``_canonical``).
+    - every chamber ends in ascending id, as ``add`` leaves it.
 
-    The given terms are canonical, so an image holds each kappa at most once.
+    Every result holds ``table``.
     """
     tol = DROP_TOL
-    # per label, region -> [sums, met]: ``met`` once a second image reached
-    # the chamber; until then it holds one image's canonical order
-    out: dict[Hashable, dict[Region, list]] = {}
+    out: dict[Hashable, dict[Region, dict[int, complex]]] = {}
     for label, chambers in images:
         acc = out.setdefault(label, {})
         for region, coefs, terms in chambers:
-            chamber = acc.get(region)
-            if chamber is None:
+            sums = acc.get(region)
+            new = sums is None
+            if new:
                 sums = {}
-            else:
-                sums = chamber[0]
-                chamber[1] = True
-            for c, (_, kappa) in zip(coefs, terms):
+            for c, (i, _) in zip(coefs, terms):
                 if abs(c) <= tol:
                     continue
-                total = sums.get(kappa)
+                total = sums.get(i)
                 if total is None:
-                    sums[kappa] = c
+                    sums[i] = c
                 elif abs(total := total + c) <= tol:
-                    del sums[kappa]
+                    del sums[i]
                 else:
-                    sums[kappa] = total
+                    sums[i] = total
             if sums:
-                if chamber is None:
-                    acc[region] = [sums, False]
-            elif chamber is not None:
+                if new:
+                    acc[region] = sums
+            elif not new:
                 del acc[region]
-    ranks = _ranks(sums for acc in out.values() for sums, met in acc.values() if met)
     return {
-        label: RegionFunction(n=n, terms={
-            region: _canonical(sums, ranks) if met
-            else tuple([ExpTerm(c, k) for k, c in sums.items()])
-            for region, (sums, met) in acc.items()
-        })
+        label: RegionFunction(
+            n=n, terms={region: tuple(sorted(sums.items())) for region, sums in acc.items()},
+            kappas=table,
+        )
         for label, acc in out.items()
     }
 
 
 def scale(f: RegionFunction, z: complex) -> RegionFunction:
-    return map_coefficients(f, lambda r, t: z * t.coef)
+    return map_coefficients(f, lambda r, c, k: z * c)
 
 
 def max_coefficient(f: RegionFunction) -> float:
     """Largest coefficient magnitude; NaN when any coefficient is NaN."""
-    return nan_max(abs(t.coef) for ts in f.terms.values() for t in ts)
+    return nan_max(abs(c) for ts in f.terms.values() for _, c in ts)
+
+
+def used_kappas(f: RegionFunction) -> list[Kappa]:
+    """The kappas some chamber of f holds, each once, in table order."""
+    return [f.kappas[i] for i in sorted({i for ts in f.terms.values() for i, _ in ts})]
 
 
 def coefficient_distance(f: RegionFunction, g: RegionFunction) -> float:
@@ -436,19 +439,19 @@ def differentiate(f: RegionFunction, j: int) -> RegionFunction:
     """Exact d/dx_j, chamber by chamber (no distributional interface terms)."""
     if not 1 <= j <= f.n:
         raise ValueError(f"coordinate index {j} out of range 1..{f.n}")
-    return map_coefficients(f, lambda r, t: t.coef * t.kappa[j - 1])
+    return map_coefficients(f, lambda r, c, k: c * k[j - 1])
 
 
 def laplacian(f: RegionFunction) -> RegionFunction:
     """Sum of second derivatives; per term a multiplication by sum kappa_j^2."""
-    return map_coefficients(f, lambda r, t: t.coef * sum(k * k for k in t.kappa))
+    return map_coefficients(f, lambda r, c, k: c * sum(kk * kk for kk in k))
 
 
 def multiply_sign(f: RegionFunction, a: int, b: int) -> RegionFunction:
     """Multiply by the chamber-constant sign of x_a - x_b."""
     if a == b:
         raise ValueError("multiply_sign needs a != b")
-    return map_coefficients(f, lambda r, t: r.sign(a, b) * t.coef)
+    return map_coefficients(f, lambda r, c, k: r.sign(a, b) * c)
 
 
 def transpose(f: RegionFunction, a: int, b: int) -> RegionFunction:
@@ -459,9 +462,9 @@ def transpose(f: RegionFunction, a: int, b: int) -> RegionFunction:
     """
     _guard_pair(f.n, a, b)
     tau = [a if j == b else b if j == a else j for j in range(1, f.n + 1)]
+    kappas = [tuple(kappa[j - 1] for j in tau) for kappa in f.kappas]
     return build(f.n, {
-        Region(tuple(tau[s - 1] for s in r.order)):
-            [(t.coef, tuple(t.kappa[j - 1] for j in tau)) for t in ts]
+        Region(tuple(tau[s - 1] for s in r.order)): [(c, kappas[i]) for i, c in ts]
         for r, ts in f.terms.items()
     })
 
@@ -485,8 +488,8 @@ def evaluate(f: RegionFunction, x: Sequence[float]) -> complex:
             f"point {tuple(x)} lies within {HYPERPLANE_GAP} of a coincidence hyperplane"
         )
     total = 0.0 + 0.0j
-    for term in f.region_terms(Region(order)):
-        total += term.coef * cmath.exp(sum(k * xv for k, xv in zip(term.kappa, x)))
+    for i, c in f.region_terms(Region(order)):
+        total += c * cmath.exp(sum(k * xv for k, xv in zip(f.kappas[i], x)))
     return total
 
 
@@ -623,17 +626,6 @@ def _derivative(cr, ci, kar, kai, kbr, kbi) -> _Derivative:
     )
 
 
-def _reduced_ids(
-    layout: Sequence[tuple[complex, ...]], pair: tuple[int, int], ids: dict[tuple[complex, ...], int]
-) -> list[int]:
-    """The reduced-kappa id of each position of ``layout`` on the walls of ``pair``.
-
-    ``ids`` holds the pair's ids, one per distinct reduced kappa by first
-    appearance, and grows here.
-    """
-    return [ids.setdefault(_reduce(kappa, *pair), len(ids)) for kappa in layout]
-
-
 class _Walls(NamedTuple):
     """The walls of a sweep as indices."""
 
@@ -665,24 +657,31 @@ class _Terms(NamedTuple):
     """The term table of a sweep: the chambers its walls read, gathered once.
 
     Chamber c holds the terms ``start[c] : start[c] + size[c]`` of
-    ``coef_re``/``coef_im``.  Its kappas are the rows of the kappa table
-    from ``row[c]`` on, stored transposed (kappa_j of row r at ``j * rows +
-    r``); equal layouts share their rows.  Its reduced-kappa ids on the walls
-    of pair p are ``ids`` from ``id_start[layout[c] * len(pairs) + p]`` on.
+    ``coef_re``/``coef_im``/``row``.  A term's ``row`` is its kappa's row in
+    the kappa tables of the functions, each distinct table once, stored
+    transposed (kappa_j of row r at ``j * rows + r``).  The reduced-kappa id
+    of row r on the walls of pair p is ``ids[p * rows + r]``, computed only
+    where a wall reads it.
     """
 
     coef_re: np.ndarray
     coef_im: np.ndarray
+    row: np.ndarray
     kappa_re: np.ndarray  # flat (n * rows,)
     kappa_im: np.ndarray
     rows: int
     start: np.ndarray
     size: np.ndarray
-    row: np.ndarray
-    layout: np.ndarray
-    ids: np.ndarray
-    id_start: np.ndarray
+    ids: np.ndarray  # flat (pairs * rows,)
     id_count: np.ndarray  # per pair: its number of distinct reduced kappas
+
+
+def _runs(start: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``start[k] : start[k] + size[k]`` of every run k, concatenated,
+    and the run of each."""
+    first = np.cumsum(size) - size
+    of = np.repeat(np.arange(len(size)), size)
+    return (start - first)[of] + np.arange(len(of)), of
 
 
 def _gather_terms(
@@ -690,55 +689,53 @@ def _gather_terms(
 ) -> tuple[_Terms, np.ndarray] | None:
     """The term table of the walls' chambers, and the chamber (or -1) of each
     (wall, component, side), in that order; None when no chamber holds a term."""
-    layout_ids: dict[tuple[tuple[complex, ...], ...], int] = {}
-    layouts: list[tuple[tuple[complex, ...], ...]] = []
-    coefs: list[complex] = []
-    sizes: list[int] = []
-    chamber_layout: list[int] = []
-    chamber_of: list[int] = []
+    offsets: dict[int, int] = {}  # id of a kappa table -> its first row
+    kappas: list[Kappa] = []
+    # per term its coefficient and id, per chamber its first row and size
+    coefs, ids, bases, sizes, chamber_of = [], [], [], [], []
     for f in funcs:
+        base = offsets.setdefault(id(f.kappas), len(kappas))
+        if base == len(kappas):
+            kappas += f.kappas
         for region in walls.regions:
             ts = f.terms.get(region)
-            if not ts:
-                chamber_of.append(-1)
-                continue
-            cs, layout = zip(*ts)
-            lid = layout_ids.setdefault(layout, len(layouts))
-            if lid == len(layouts):
-                layouts.append(layout)
-            chamber_of.append(len(sizes))
-            chamber_layout.append(lid)
-            sizes.append(len(cs))
-            coefs.extend(cs)
+            chamber_of.append(len(sizes) if ts else -1)
+            if ts:
+                i, cs = zip(*ts)
+                bases.append(base)
+                sizes.append(len(cs))
+                ids.extend(i)
+                coefs.extend(cs)
     if not sizes:
         return None
     coef = np.array(coefs, dtype=complex)
-    kappa = np.array([k for layout in layouts for k in layout], dtype=complex)
-    lay_size = np.array([len(layout) for layout in layouts], dtype=np.intp)
-    lay_row = np.cumsum(lay_size) - lay_size
+    kappa = np.array(kappas, dtype=complex)
+    rows = len(kappas)
     size = np.array(sizes, dtype=np.intp)
-    layout = np.array(chamber_layout, dtype=np.intp)
+    start = np.cumsum(size) - size
+    row = np.array(ids, dtype=np.intp) + np.repeat(np.array(bases, dtype=np.intp), size)
     chambers = np.array(chamber_of, dtype=np.intp).reshape(len(funcs), -1)[:, walls.sides]
     chambers = chambers.transpose(1, 0, 2).ravel()
-    # the reduced-kappa ids of every (layout, pair) a wall reads
-    n_pairs = len(walls.pairs)
-    on_wall = chambers >= 0
-    need = np.zeros(len(layouts) * n_pairs, dtype=bool)
-    need[layout[chambers[on_wall]] * n_pairs
-         + walls.pair[np.flatnonzero(on_wall) // (2 * len(funcs))]] = True
-    id_start = np.zeros(len(need), dtype=np.intp)
-    pair_ids: list[dict[tuple[complex, ...], int]] = [{} for _ in walls.pairs]
-    ids: list[int] = []
-    for k in np.flatnonzero(need).tolist():
-        lid, p = divmod(k, n_pairs)
-        id_start[k] = len(ids)
-        ids += _reduced_ids(layouts[lid], walls.pairs[p], pair_ids[p])
+    # the reduced-kappa ids of every (pair, row) a wall reads, one id per
+    # distinct reduced kappa of a pair
+    on_wall = np.flatnonzero(chambers >= 0)
+    read = np.zeros((len(sizes), len(walls.pairs)), dtype=bool)
+    read[chambers[on_wall], walls.pair[on_wall // (2 * len(funcs))]] = True
+    chamber, pair = np.nonzero(read)
+    term, of = _runs(start[chamber], size[chamber])
+    need = np.zeros((len(walls.pairs), rows), dtype=bool)
+    need[pair[of], row[term]] = True
+    red = np.zeros(need.shape, dtype=np.intp)
+    id_count = []
+    for p, (a, b) in enumerate(walls.pairs):
+        ids = {}
+        at = np.flatnonzero(need[p])
+        red[p, at] = [ids.setdefault(_reduce(kappas[r], a, b), len(ids)) for r in at.tolist()]
+        id_count.append(len(ids))
     table = _Terms(
-        coef_re=coef.real.copy(), coef_im=coef.imag.copy(),
-        kappa_re=kappa.real.T.ravel(), kappa_im=kappa.imag.T.ravel(), rows=len(kappa),
-        start=np.cumsum(size) - size, size=size, row=lay_row[layout], layout=layout,
-        ids=np.array(ids, dtype=np.intp), id_start=id_start,
-        id_count=np.array([len(d) for d in pair_ids], dtype=np.intp),
+        coef_re=coef.real.copy(), coef_im=coef.imag.copy(), row=row,
+        kappa_re=kappa.real.T.ravel(), kappa_im=kappa.imag.T.ravel(), rows=rows,
+        start=start, size=size, ids=red.ravel(), id_count=np.array(id_count, dtype=np.intp),
     )
     return table, chambers
 
@@ -761,7 +758,8 @@ def _sweep(
     walls' chambers are read.
 
     - **Ids.**  Each distinct reduced kappa (``_reduce``) of a pair gets one
-      integer id, computed once per (kappa layout, pair).  An entry, one
+      integer id, computed once per (pair, kappa table row) that a wall
+      reads; functions sharing a table share its rows.  An entry, one
       term of one chamber on one wall, sums into the slot of its (wall, id,
       component, side); slots are numbered densely, and the slots of one
       wall meet by id.
@@ -824,18 +822,13 @@ def _wall_pass(
         return 0.0, 0.0
     seg_w, seg_side = np.divmod(seg, 2 * m)  # seg_side: component * 2 + side (1 = right)
     seg_p = walls.pair[seg_w]
-    size = terms.size[seg_c]
-    first = np.cumsum(size) - size
-    # the entries: each segment's terms in position order; per segment an
-    # index minus ``first`` plus the entry's number is the entry's index
-    of = np.repeat(np.arange(len(seg)), size)
-    step = np.arange(len(of))
-    coef = (terms.start[seg_c] - first)[of] + step
+    # the entries: each segment's terms in position order
+    coef, of = _runs(terms.start[seg_c], terms.size[seg_c])
     cr, ci = terms.coef_re[coef], terms.coef_im[coef]
-    ka = (walls.slots[seg_p, 0] * terms.rows + terms.row[seg_c] - first)[of] + step
-    kb = (walls.slots[seg_p, 1] * terms.rows + terms.row[seg_c] - first)[of] + step
-    ids = terms.ids[(terms.id_start[terms.layout[seg_c] * len(walls.pairs) + seg_p] - first)[of]
-                    + step]
+    row = terms.row[coef]
+    ka = (walls.slots[seg_p, 0] * terms.rows)[of] + row
+    kb = (walls.slots[seg_p, 1] * terms.rows)[of] + row
+    ids = terms.ids[(seg_p * terms.rows)[of] + row]
     side = seg_side[of]
     w = seg_w[of]
     # slots: the distinct (wall, id) of the pass, numbered densely in wall order
@@ -933,8 +926,8 @@ def matching_residuals(
     ``couplings[(a, b)]`` is the coupling matrix of the walls x_a = x_b.
     Returns the worst ``(continuity, jump)`` over all walls; the first wall
     (in that order) with a discontinuous component raises
-    ``DiscontinuityError``.  Chambers sharing a kappa layout (every chamber
-    of a Bethe state does) share its kappa rows and reduced-kappa ids.
+    ``DiscontinuityError``.  Chambers share the kappa rows and reduced-kappa
+    ids of their table (every chamber of a Bethe state holds all of it).
     """
     if not funcs:
         raise ValueError("matching_residuals needs at least one component")
@@ -986,21 +979,22 @@ def wall_residuals(
 
 def restrict_to_interface(
     f: RegionFunction, iface: Interface, side: Literal["left", "right"]
-) -> tuple[ExpTerm, ...]:
-    """One-sided limit of f on the wall, in the N-1 variables of ``_reduce``."""
+) -> tuple[tuple[complex, Kappa], ...]:
+    """One-sided limit of f on the wall, in the N-1 variables of ``_reduce``,
+    as (coef, reduced kappa) pairs (``_merge_terms``)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     a, b = iface.pair
     terms = f.region_terms(getattr(iface, side))
-    return _merge_terms((t.coef, _reduce(t.kappa, a, b)) for t in terms)
+    return _merge_terms((c, _reduce(f.kappas[i], a, b)) for i, c in terms)
 
 
 def continuity_residual(f: RegionFunction, iface: Interface) -> float:
     """Coefficient-wise mismatch of the two one-sided limits; 0 = continuous."""
-    return nan_max(abs(t.coef) for t in _merge_terms(
-        (w * t.coef, t.kappa)
+    return nan_max(abs(c) for c, _ in _merge_terms(
+        (w * c, kappa)
         for w, side in ((1.0, "left"), (-1.0, "right"))
-        for t in restrict_to_interface(f, iface, side)
+        for c, kappa in restrict_to_interface(f, iface, side)
     ))
 
 
@@ -1026,11 +1020,11 @@ def to_json_obj(f: RegionFunction) -> dict:
                 "order": list(region.order),
                 "terms": [
                     {
-                        "re": t.coef.real,
-                        "im": t.coef.imag,
-                        "kappa": [{"re": k.real, "im": k.imag} for k in t.kappa],
+                        "re": c.real,
+                        "im": c.imag,
+                        "kappa": [{"re": k.real, "im": k.imag} for k in f.kappas[i]],
                     }
-                    for t in f.terms[region]
+                    for i, c in f.terms[region]
                 ],
             }
         )

@@ -145,29 +145,34 @@ def _check_particles(s: SpinorFunction, sp: Superpotential) -> None:
 
 
 def _image(
-    f: pw.RegionFunction, j: int, z: complex, sgn: float, sp: Superpotential
+    terms: Mapping[pw.Region, pw.Chamber], kappa_j: list[complex], j: int, z: complex,
+    sgn: float, sp: Superpotential,
 ) -> Iterator[pw.ImageChamber]:
-    """The chambers of z (d/dx_j + sgn w_j) f: c -> z * (c kappa_j + c sgn w_j),
-    in this operand order (report bytes depend on it)."""
-    i = j - 1
-    for r, ts in f.terms.items():
+    """The chambers of z (d/dx_j + sgn w_j) f, given f's chambers ``terms`` and
+    the j-th entry ``kappa_j`` of each kappa of their table: c -> z * (c kappa_j
+    + c sgn w_j), in this operand order (report bytes depend on it)."""
+    for r, ts in terms.items():
         w = grad_w(r, j, sp)
-        yield r, [z * (c * kappa[i] + c * sgn * w) for c, kappa in ts], ts
+        yield r, [z * (c * kappa_j[i] + c * sgn * w) for i, c in ts], ts
 
 
 def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
     """Q, or Q^dag if ``dagger``: per source mask and movable mode j, the image of
     ``_image`` with z = i sqrt(2) jw_sign(mask, j), summed into ``mask ^ bit`` by
-    ascending j (``pw.sum_images``)."""
+    ascending j (``pw.sum_images``).  Every output component holds the one
+    table of the input components (``pw.common_table``)."""
     _check_particles(s, sp)
     sgn = -1.0 if dagger else 1.0
+    table, chambers = pw.common_table(list(s.components.values()))
+    columns = [[kappa[j] for kappa in table] for j in range(sp.n)]
     images = (
-        (mask ^ (1 << (j - 1)), _image(f, j, 1j * SQRT2 * fock.jw_sign(mask, j), sgn, sp))
-        for mask, f in s.components.items()
+        (mask ^ (1 << (j - 1)),
+         _image(terms, columns[j - 1], j, 1j * SQRT2 * fock.jw_sign(mask, j), sgn, sp))
+        for mask, terms in zip(s.components, chambers)
         for j in range(1, sp.n + 1)
         if bool(mask & (1 << (j - 1))) != dagger
     )
-    return _prune(SpinorFunction(s.n, pw.sum_images(s.n, images)))
+    return _prune(SpinorFunction(s.n, pw.sum_images(s.n, table, images)))
 
 
 def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
@@ -372,8 +377,8 @@ def infer_energy(s: SpinorFunction, sp: Superpotential) -> float:
     """Bulk eigenvalue -sum kappa^2 + shift read off the first term."""
     for f in s.components.values():
         for ts in f.terms.values():
-            for t in ts:
-                val = -sum(k * k for k in t.kappa) + shift_constant(sp)
+            for i, _ in ts:
+                val = -sum(k * k for k in f.kappas[i]) + shift_constant(sp)
                 return val.real
     raise ValueError("cannot infer energy of the zero spinor")
 

@@ -94,7 +94,7 @@ def test_criterion_03_matching_conditions():
     st = bethe.collision_state([k1, k2], c)
     r12, r21 = pw.Region((1, 2)), pw.Region((2, 1))
     ka, kb = (1j * k1, 1j * k2), (1j * k2, 1j * k1)
-    cur = {t.kappa: t.coef for t in st.terms[r12]}
+    cur = {st.kappas[i]: c for i, c in st.terms[r12]}
     scaled = pw.scale(st, amp / cur[ka])
     expect = pw.build(
         2,
@@ -308,7 +308,7 @@ def test_criterion_09_susy_partners():
     st = bethe.collision_state([k1, k2], c)
     r12, r21 = pw.Region((1, 2)), pw.Region((2, 1))
     ka, kb = (1j * k1, 1j * k2), (1j * k2, 1j * k1)
-    cur = {t.kappa: t.coef for t in st.terms[r12]}
+    cur = {st.kappas[i]: c for i, c in st.terms[r12]}
     st = pw.scale(st, amp / cur[ka])
     raised = susy.apply_q_dagger(susy.spinor_from_scalar(st, 0), sp)
     sq2 = math.sqrt(2.0)

@@ -20,8 +20,8 @@ def old_bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
     """The per-term formula ``bethe.bulk_energy_residual`` replaced."""
     worst = 0.0
     for ts in state.terms.values():
-        for t in ts:
-            worst = max(worst, abs(-sum(kk * kk for kk in t.kappa) - e))
+        for i, _ in ts:
+            worst = max(worst, abs(-sum(kk * kk for kk in state.kappas[i]) - e))
     return worst
 
 
@@ -170,7 +170,7 @@ class TestCollisionState:
         ka, kb = (1j * k1, 1j * k2), (1j * k2, 1j * k1)
         # displayed normalization: exp(i theta(k1-k2)/2) on the direct wave
         amp = cmath.exp(0.5j * bethe.phase_shift(k1 - k2, c))
-        cur = {t.kappa: t.coef for t in st.terms[r12]}
+        cur = {st.kappas[i]: c for i, c in st.terms[r12]}
         scaled = pw.scale(st, amp / cur[ka])
         expect = pw.build(
             2,
@@ -191,8 +191,8 @@ class TestCollisionState:
         r123, r213 = pw.Region((1, 2, 3)), pw.Region((2, 1, 3))
         direct = (1j * ks[0], 1j * ks[1], 1j * ks[2])
         swapped = (1j * ks[1], 1j * ks[0], 1j * ks[2])
-        c123 = {t.kappa: t.coef for t in st.terms[r123]}
-        c213 = {t.kappa: t.coef for t in st.terms[r213]}
+        c123 = {st.kappas[i]: c for i, c in st.terms[r123]}
+        c213 = {st.kappas[i]: c for i, c in st.terms[r213]}
         phase = cmath.exp(1j * bethe.phase_shift(ks[1] - ks[0], c))
         assert c123[swapped] / c123[direct] == pytest.approx(phase, abs=1e-13)
         assert c213[direct] / c213[swapped] == pytest.approx(phase, abs=1e-13)
@@ -247,7 +247,7 @@ class TestBoundStates:
         terms = st.terms[pw.Region((1, 2, 3))]
         assert len(terms) == 1
         # exponent -|c|(x3 - x1) + 3iP X on the ordered chamber
-        kappa = terms[0].kappa
+        kappa = st.kappas[terms[0][0]]
         assert kappa[0] == pytest.approx(abs(c) + 1j * p)
         assert kappa[1] == pytest.approx(1j * p)
         assert kappa[2] == pytest.approx(-abs(c) + 1j * p)
@@ -275,9 +275,9 @@ class TestBoundStates:
         st = bethe.nmer_ground(3, c)
         terms = st.terms[pw.Region((1, 2, 3))]
         assert len(terms) == 1
-        assert terms[0].coef == pytest.approx(1.0)
+        assert terms[0][1] == pytest.approx(1.0)
         beta = abs(c)
-        assert terms[0].kappa == pytest.approx((beta, 0.0, -beta))
+        assert st.kappas[terms[0][0]] == pytest.approx((beta, 0.0, -beta))
 
     def test_nmer_five_continuity_everywhere(self):
         st = bethe.nmer_ground(5, -1.0)

@@ -25,11 +25,16 @@ PLANTED = [NAN, INF, -INF, complex(0.0, NAN)]
 HUGE = [1e308, 1.5e308, 1e200]
 
 
+def chamber_terms(f: pw.RegionFunction, region: pw.Region) -> list:
+    """The (coef, kappa) terms of one chamber, read through f's kappa table."""
+    return [(c, f.kappas[i]) for i, c in f.region_terms(region)]
+
+
 def plant(f: pw.RegionFunction, value: complex, chamber: int = 0, pos: int = 0,
           kappa: bool = False) -> pw.RegionFunction:
     """``f`` with one coefficient (or the first kappa entry of one term)
     replaced, rebuilt by ``build``, so a planted kappa entry must be finite."""
-    data = {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()}
+    data = {r: chamber_terms(f, r) for r in f.terms}
     ts = data[list(data)[chamber]]
     coef, kap = ts[pos]
     ts[pos] = (coef, (complex(value), *kap[1:])) if kappa else (complex(value), kap)
@@ -66,7 +71,7 @@ def fails(check) -> bool:
 
 def terms_repr(f: pw.RegionFunction):
     """Terms with coefficients as text, so NaN compares equal to NaN."""
-    return {r: [(repr(t.coef), t.kappa) for t in ts] for r, ts in f.terms.items()}
+    return {r: [(repr(c), k) for c, k in chamber_terms(f, r)] for r in f.terms}
 
 
 REGION = pw.Region((1, 2))
@@ -74,10 +79,10 @@ K1, K2, K3 = (1 + 0j, 0j), (2 + 0j, 0j), (3 + 0j, 0j)
 
 
 def sweep_wall_derivative(terms, a, b):
-    """The sweep's wall derivative of one chamber (``pw._derivative``), as the
-    kept (coef, kappa) entries in position order."""
-    kappas = [t.kappa for t in terms]
-    cr, ci = (np.array([getattr(t.coef, part) for t in terms]) for part in ("real", "imag"))
+    """The sweep's wall derivative of one chamber's (coef, kappa) terms
+    (``pw._derivative``), as the kept (coef, kappa) entries in position order."""
+    kappas = [k for _, k in terms]
+    cr, ci = (np.array([getattr(c, part) for c, _ in terms]) for part in ("real", "imag"))
     ka, kb = (np.array([k[j - 1] for k in kappas]) for j in (a, b))
     with np.errstate(all="ignore"):
         d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag)
@@ -90,19 +95,19 @@ class TestDropRule:
     @pytest.mark.parametrize("value", PLANTED)
     def test_map_coefficients_equals_build(self, value):
         f = pw.build(2, {REGION: [(1.0, K1), (2.0, K2), (3.0, K3)]})
-        fn = lambda r, t: value if t.kappa == K2 else t.coef  # noqa: E731
+        fn = lambda r, c, k: value if k == K2 else c  # noqa: E731
         mapped = pw.map_coefficients(f, fn)
         assert len(mapped.terms[REGION]) == 3
         assert terms_repr(mapped) == terms_repr(
-            pw.build(2, {r: [(fn(r, t), t.kappa) for t in ts] for r, ts in f.terms.items()})
+            pw.build(2, {r: [(fn(r, c, k), k) for c, k in chamber_terms(f, r)] for r in f.terms})
         )
 
     @pytest.mark.parametrize("value", PLANTED)
-    def test_merge_parts_equals_merge_terms(self, value):
+    def test_add_equals_build_of_the_concatenation(self, value):
         parts = [[(value, K1), (1.0, K2)], [(1.0, K1), (-1.0, K2)]]
-        merged = pw._merge_parts(parts)
-        assert [t.kappa for t in merged] == [K1]
-        assert repr(merged) == repr(pw._merge_terms([t for p in parts for t in p]))
+        merged = pw.add(*(pw.build(2, {REGION: p}) for p in parts))
+        assert [k for _, k in chamber_terms(merged, REGION)] == [K1]
+        assert terms_repr(merged) == terms_repr(pw.build(2, {REGION: parts[0] + parts[1]}))
 
     @pytest.mark.parametrize("plan, coefs", [
         ((0, 1), [NAN, 0.0]),
@@ -130,8 +135,8 @@ class TestDropRule:
         region = pw.Region((1, 2, 3))
         f = pw.build(3, {region: [first, (value if coef is None else coef, kappa)]})
         chain = pw.add(pw.differentiate(f, 2), pw.scale(pw.differentiate(f, 3), -1.0))
-        kept = [(repr(c), k) for c, k in sweep_wall_derivative(f.terms[region], 2, 3)]
-        assert kept == [(repr(t.coef), t.kappa) for t in chain.terms[region]]
+        kept = [(repr(c), k) for c, k in sweep_wall_derivative(chamber_terms(f, region), 2, 3)]
+        assert kept == terms_repr(chain)[region]
 
 
 class TestNanKappas:
@@ -158,7 +163,7 @@ class TestNanKappas:
         """``json.loads`` reads NaN and Infinity; a state file holding one is refused."""
         f = pw.build(2, {pw.Region((1, 2)): [(1.0, (0.5, -0.5j))]})
         text = json.dumps(pw.to_json_obj(f))
-        assert pw.from_json_obj(json.loads(text)).terms == f.terms
+        assert pw.from_json_obj(json.loads(text)) == f
         entry = '{"re": 0.5, "im": 0.0}'
         assert text.count(entry) == 1
         planted = entry.replace(f'"{part}": {0.5 if part == "re" else 0.0}', f'"{part}": {literal}')
@@ -166,16 +171,22 @@ class TestNanKappas:
             pw.from_json_obj(json.loads(text.replace(entry, planted)))
 
     def test_collision_state_refuses_an_infinite_momentum(self):
-        """kappa = i * inf holds a NaN part (0 * inf), so the Bethe sum cannot be built."""
-        with pytest.raises(ValueError, match="non-finite kappa"):
-            bethe.collision_state((math.inf, 0.0), 1.0)
+        """The momentum set names the momentum, before kappa = i * inf (whose
+        real part 0 * inf is a NaN) reaches the Bethe sum."""
+        for k in [(math.inf, 0.0), (1.0, math.nan), (0.5, -math.inf)]:
+            bad = complex(next(v for v in k if not math.isfinite(v)))
+            for make in (bethe.MomentumSet, lambda ks: bethe.collision_state(ks, 1.0)):
+                with pytest.raises(ValueError) as refused:
+                    make(k)
+                assert str(refused.value) == f"momentum {bad!r} is not finite"
 
     @pytest.mark.parametrize("kappa", [(1e308, 1e308, 0.0), (1.5e308j, 1.5e308j, 1.5e308j),
                                        (-1e308, -1.5e308, 1e308 + 1e308j)])
     def test_a_kappa_whose_sum_overflows_is_accepted(self, kappa):
         assert not math.isfinite(abs(sum(kappa)))
         f = pw.build(3, {self.R3: [(1.0, kappa)]})
-        assert f.terms[self.R3] == (pw.ExpTerm(1 + 0j, tuple(map(complex, kappa))),)
+        assert f.kappas == (tuple(map(complex, kappa)),)
+        assert f.terms == {self.R3: ((0, 1 + 0j),)}
 
     def test_an_overflowing_sweep_leaves_abs_of_nan_alone(self):
         """CPython's abs of a complex with a NaN part reads the C errno, which an
@@ -256,7 +267,7 @@ class TestMaxima:
         """Finite kappa entries whose squares are NaN + inf j and NaN - inf j
         sum to a NaN residual."""
         state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
-        data = {r: [(t.coef, t.kappa) for t in ts] for r, ts in state.terms.items()}
+        data = {r: chamber_terms(state, r) for r in state.terms}
         ts = data[list(data)[pos % len(data)]]
         ts[pos] = (ts[pos][0], (1e200 + 1e200j, 1e200 - 1e200j, ts[pos][1][2]))
         bad = pw.build(3, data)
@@ -280,6 +291,18 @@ class TestMaxima:
         chamber = pos % len(state.terms)
         bad = plant(state, 1e200 + 1e200j, chamber=chamber, pos=pos, kappa=True)
         assert math.isnan(bethe.charge_residual(bad, [1.5, 0.2, -0.9], 2))
+
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_charge_residual_of_an_overflowing_power(self, value, order):
+        """A power of a large finite kappa entry that CPython refuses to take
+        (``OverflowError``) counts as an infinite residual."""
+        with pytest.raises(OverflowError):
+            (-1j * complex(value)) ** order
+        state = bethe.collision_state([1.5, 0.2, -0.9], 2.0)
+        assert bethe.charge_residual(state, [1.5, 0.2, -0.9], order) < 1e-12
+        bad = plant(state, value, chamber=2, pos=1, kappa=True)
+        assert bethe.charge_residual(bad, [1.5, 0.2, -0.9], order) == math.inf
 
     @pytest.mark.parametrize("pos", [0, -1])
     def test_max_recurrence_violation(self, pos):

@@ -19,6 +19,16 @@ def plane_wave(n, kappa, coef=1.0):
     return pw.build(n, {r: [(coef, tuple(kappa))] for r in pw.regions(n)})
 
 
+def chamber(f, region):
+    """The (coef, kappa) terms of one chamber, read through f's kappa table."""
+    return [(c, f.kappas[i]) for i, c in f.region_terms(region)]
+
+
+def chambers(f):
+    """Every chamber of f in order, as (region, its ``chamber`` terms)."""
+    return [(r, chamber(f, r)) for r in f.terms]
+
+
 def canonicalize(f):
     """Re-merge and re-sort every chamber with ``build``.
 
@@ -26,7 +36,18 @@ def canonicalize(f):
     distinct sorted kappas and this returns every canonical function
     unchanged: ``build`` is idempotent.
     """
-    return pw.build(f.n, {r: [(t.coef, t.kappa) for t in ts] for r, ts in f.terms.items()})
+    return pw.build(f.n, dict(chambers(f)))
+
+
+def assert_table_invariants(f):
+    """f's kappa table is sorted by ``_sort_key`` and distinct, and every chamber
+    holds ascending ids into it."""
+    keys = [pw._sort_key(k) for k in f.kappas]
+    assert keys == sorted(keys) and len(set(f.kappas)) == len(f.kappas)
+    assert all(len(k) == f.n for k in f.kappas)
+    for ts in f.terms.values():
+        ids = [i for i, _ in ts]
+        assert ts and ids == sorted(set(ids)) and 0 <= ids[0] and ids[-1] < len(f.kappas)
 
 
 def old_reduce(kappa, a, b):
@@ -39,13 +60,13 @@ def old_reduce(kappa, a, b):
 def old_restrict(f, iface, side):
     """One-sided limit on the wall: substitute x_b := x_a, delete x_b, re-merge."""
     return pw._merge_terms(
-        (t.coef, old_reduce(t.kappa, *iface.pair)) for t in f.region_terms(getattr(iface, side))
+        (c, old_reduce(k, *iface.pair)) for c, k in chamber(f, getattr(iface, side))
     )
 
 
 def sum_scale(terms, z):
     """Raw (z * coef, kappa) pairs of ``terms``, for a re-merge."""
-    return [(z * t.coef, t.kappa) for t in terms]
+    return [(z * c, k) for c, k in terms]
 
 
 class TestEnumeration:
@@ -128,7 +149,7 @@ class TestDifferentiate:
         f = plane_wave(2, (1j, -1j), coef=2.0)
         df = pw.differentiate(f, 1)
         for ts in df.terms.values():
-            assert ts[0].coef == 2j
+            assert ts[0][1] == 2j
 
     def test_commutes(self):
         f = plane_wave(3, (0.3 + 1j, -0.7j, 1.1))
@@ -152,8 +173,8 @@ class TestMultiplySign:
     def test_two_particle_signs(self):
         f = pw.multiply_sign(pw.constant_function(2), 1, 2)
         r12, r21 = pw.Region((1, 2)), pw.Region((2, 1))
-        assert f.terms[r12][0].coef == -1
-        assert f.terms[r21][0].coef == 1
+        assert f.terms[r12][0][1] == -1
+        assert f.terms[r21][0][1] == 1
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -202,7 +223,7 @@ class TestCanonicalization:
         r = pw.Region((1, 2))
         f = pw.build(2, {r: [(1.0, (1j, 0)), (2.0, (1j, 0))]})
         assert len(f.terms[r]) == 1
-        assert f.terms[r][0].coef == 3.0
+        assert f.terms[r][0][1] == 3.0
 
     def test_drops_tiny_coefficients(self):
         r = pw.Region((1, 2))
@@ -235,30 +256,110 @@ class TestCanonicalization:
             ]
         f = pw.build(3, data)
         g = canonicalize(f)
-        assert f.terms == g.terms
+        assert f == g
+
+
+class TestKappaTable:
+    """Every function holds one sorted kappa table, shared where kappas are kept."""
+
+    def test_constructed_functions_hold_sorted_tables(self):
+        rng = np.random.default_rng(5)
+        sp = susy.Superpotential(n=3, c=1.3)
+        s = susy.random_spinor(sp, rng)
+        funcs = [bethe.collision_state([1.1, 0.2, -0.9], 1.4), bethe.trimer_state(0.3, -1.0),
+                 pw.constant_function(2), pw.transpose(bethe.monomer_dimer_state(0.4, -0.7, -1.1), 1, 3)]
+        funcs += s.components.values()
+        funcs += susy.apply_q(s, sp).components.values()
+        funcs += susy.apply_q_dagger(s, sp).components.values()
+        for f in funcs:
+            assert_table_invariants(f)
+        state = funcs[0]
+        assert len(state.kappas) == 6 and all(len(ts) == 6 for ts in state.terms.values())
+
+    def test_coefficient_maps_share_the_table(self):
+        f = bethe.collision_state([0.8, -0.1, -1.3], 0.9)
+        for g in (pw.scale(f, 2.5), pw.laplacian(f), pw.differentiate(f, 2),
+                  pw.multiply_sign(f, 1, 3), pw.add(f, pw.scale(f, -0.5))):
+            assert g.kappas is f.kappas
+        # a drop keeps the table, with a kappa no chamber uses
+        region = pw.Region((1, 2))
+        h = pw.build(2, {region: [(1.0, (0j, 0j)), (2.0, (1j, 0j))]})
+        d = pw.differentiate(h, 1)
+        assert d.kappas is h.kappas and d.terms[region] == ((1, 2j),)
+        assert pw.used_kappas(d) == [(1j, 0j)]
+
+    def test_supercharge_output_shares_the_input_table(self):
+        sp = susy.Superpotential(n=3, c=1.2)
+        for mode in susy.zero_modes(sp):
+            (table,) = {id(f.kappas) for f in mode.components.values()}
+            for image in (susy.apply_q(mode, sp), susy.apply_q_dagger(mode, sp)):
+                assert all(id(f.kappas) == table for f in image.components.values())
+        rng = np.random.default_rng(8)
+        s = susy.random_spinor(sp, rng, grade=1)
+        assert len({id(f.kappas) for f in s.components.values()}) == 3
+        qds = susy.apply_q_dagger(s, sp)
+        (union,) = {id(f.kappas) for f in qds.components.values()}
+        assert all(id(f.kappas) == union for f in susy.apply_q(qds, sp).components.values())
+
+    def test_add_across_tables_equals_build(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            f, g = _canonical_pair(rng, 3)
+            assert f.kappas != g.kappas
+            got = pw.add(f, g)
+            assert chambers(got) == chambers(old_add(f, g))
+            assert pw.to_json_obj(got) == pw.to_json_obj(old_add(f, g))
+            assert_table_invariants(got)
+
+    def test_union_of_one_table_is_that_table(self):
+        f = bethe.collision_state([0.5, -0.5], 1.0)
+        copy = tuple(f.kappas)
+        assert pw._union([f.kappas, copy]) == (f.kappas, [None, None])
+        assert pw._union([f.kappas, copy])[0] is f.kappas
+        assert pw._union([]) == ((), [])
+        table, maps = pw._union([f.kappas, ((0j, 0j),)])
+        assert table == tuple(sorted(set(f.kappas) | {(0j, 0j)}, key=pw._sort_key))
+        assert maps[0] is not None and maps[0] == sorted(maps[0])
+        assert [table[i] for i in maps[1]] == [(0j, 0j)]
+
+    def test_zero_signs_share_the_first_representative(self):
+        """Kappas equal componentwise but differing in a zero's sign take one id,
+        with the first kappa met, in build and in the union of two tables."""
+        r12, r21 = pw.Region((1, 2)), pw.Region((2, 1))
+        f = pw.build(2, {r12: [(1.0, (complex(-0.0, 0.0), 1j))], r21: [(2.0, (0j, 1j))]})
+        assert len(f.kappas) == 1 and math.copysign(1.0, f.kappas[0][0].real) == -1.0
+        assert f.terms == {r12: ((0, 1.0),), r21: ((0, 2.0),)}
+        g = pw.build(2, {r12: [(1.0, (0j, 1j))], r21: [(1.0, (1j, 1j))]})
+        total = pw.add(f, g)
+        assert math.copysign(1.0, total.kappas[0][0].real) == -1.0
+        assert total.terms[r12] == ((0, 2.0),)
 
 
 def _sweep_restriction(f, iface, side):
     """The sweep's restriction of one chamber, keyed back by reduced kappa.
 
-    The ids are the sweep's (``pw._reduced_ids``), the sums its slot sums
+    The ids are the sweep's (``pw._gather_terms``), the sums its slot sums
     (``pw._slot_sums``) and the drop its rule on their magnitudes.
     """
-    terms = f.region_terms(getattr(iface, side))
-    ids = {}
-    plan = pw._reduced_ids([t.kappa for t in terms], iface.pair, ids)
-    coefs = np.array([t.coef for t in terms], dtype=complex)
-    re, im = pw._slot_sums(np.array(plan, dtype=np.intp), len(ids), coefs.real, coefs.imag)
-    by_id = {i: k for k, i in ids.items()}
+    gathered = pw._gather_terms([f], pw._wall_table((iface,)))
+    c = -1 if gathered is None else int(gathered[1][int(side == "right")])
+    if c < 0:
+        return {}
+    table = gathered[0]
+    span = slice(table.start[c], table.start[c] + table.size[c])
+    ids = table.ids[table.row[span]]  # the wall's pair is the table's first
+    re, im = pw._slot_sums(ids, table.id_count[0], table.coef_re[span], table.coef_im[span])
+    reduced = {i: pw._reduce(k, *iface.pair)
+               for i, (_, k) in zip(ids.tolist(), chamber(f, getattr(iface, side)))}
     kept = np.flatnonzero(pw._kept(pw._magnitude(re, im)))
-    return {by_id[i]: complex(re[i], im[i]) for i in kept.tolist()}
+    return {reduced[i]: complex(re[i], im[i]) for i in kept.tolist()}
 
 
 def sweep_wall_derivative(terms, a, b):
-    """The sweep's wall derivative of one chamber (``pw._derivative``), as the
-    kept (coef, kappa) entries in position order."""
-    kappas = [t.kappa for t in terms]
-    cr, ci = (np.array([getattr(t.coef, part) for t in terms]) for part in ("real", "imag"))
+    """The sweep's wall derivative of one chamber's (coef, kappa) terms
+    (``pw._derivative``), as the kept (coef, kappa) entries in position order."""
+    kappas = [k for _, k in terms]
+    cr, ci = (np.array([getattr(c, part) for c, _ in terms]) for part in ("real", "imag"))
     ka, kb = (np.array([k[j - 1] for k in kappas]) for j in (a, b))
     with np.errstate(all="ignore"):
         d = pw._derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag)
@@ -272,7 +373,7 @@ class TestRestriction:
         iface = pw.interfaces(2)[0]
         left = pw.restrict_to_interface(f, iface, "left")
         assert len(left) == 1
-        assert left[0].kappa == (1j * (k1 + k2),)
+        assert left[0][1] == (1j * (k1 + k2),)
 
     def test_dimer_restricts_to_one(self):
         f = bethe.dimer_state(0.0, -2.0)
@@ -280,8 +381,8 @@ class TestRestriction:
         for side in ("left", "right"):
             terms = pw.restrict_to_interface(f, iface, side)
             assert len(terms) == 1
-            assert terms[0].coef == pytest.approx(1.0)
-            assert terms[0].kappa == (0.0,)
+            assert terms[0][0] == pytest.approx(1.0)
+            assert terms[0][1] == (0.0,)
 
     def test_bethe_state_sides_agree(self):
         f = bethe.collision_state([1.0, -0.5], 1.7)
@@ -298,8 +399,8 @@ class TestRestriction:
             for side in ("left", "right"):
                 got = pw.restrict_to_interface(f, iface, side)
                 assert got == old_restrict(f, iface, side)
-                assert all(type(t.coef) is complex for t in got)
-                assert _sweep_restriction(f, iface, side) == {t.kappa: t.coef for t in got}
+                assert all(type(c) is complex for c, _ in got)
+                assert _sweep_restriction(f, iface, side) == {k: c for c, k in got}
 
     def test_restriction_inputs_reach_every_branch(self):
         """The random chambers merge on the wall and drop sums."""
@@ -309,8 +410,8 @@ class TestRestriction:
             for iface in pw.interfaces(3):
                 f = _wall_chambers(rng, iface)
                 for side in ("left", "right"):
-                    ts = f.region_terms(getattr(iface, side))
-                    reduced = {old_reduce(t.kappa, *iface.pair) for t in ts}
+                    ts = chamber(f, getattr(iface, side))
+                    reduced = {old_reduce(k, *iface.pair) for _, k in ts}
                     chambers += 1
                     merged += len(reduced) < len(ts)
                     dropped += len(_sweep_restriction(f, iface, side)) < len(reduced)
@@ -336,11 +437,11 @@ class TestRestriction:
         f, g = rand_fn(), rand_fn()
         iface = pw.interfaces(3)[0]
         merged = pw._merge_terms(
-            [(t.coef, t.kappa) for t in pw.restrict_to_interface(pw.add(f, g), iface, "left")]
-            + [(-t.coef, t.kappa) for t in pw.restrict_to_interface(f, iface, "left")]
-            + [(-t.coef, t.kappa) for t in pw.restrict_to_interface(g, iface, "left")]
+            list(pw.restrict_to_interface(pw.add(f, g), iface, "left"))
+            + sum_scale(pw.restrict_to_interface(f, iface, "left"), -1)
+            + sum_scale(pw.restrict_to_interface(g, iface, "left"), -1)
         )
-        assert max((abs(t.coef) for t in merged), default=0.0) <= 1e-12
+        assert max((abs(c) for c, _ in merged), default=0.0) <= 1e-12
 
 
 class TestMatchingResiduals:
@@ -388,23 +489,23 @@ class TestMatchingResiduals:
 # reproduce them exactly.
 
 def old_map(f, fn):
-    return pw.build(f.n, {r: [(fn(r, t), t.kappa) for t in ts] for r, ts in f.terms.items()})
+    return pw.build(f.n, {r: [(fn(r, c, k), k) for c, k in ts] for r, ts in chambers(f)})
 
 
 def old_add(f, g):
     data = {}
     for h in (f, g):
-        for region, ts in h.terms.items():
-            data.setdefault(region, []).extend((t.coef, t.kappa) for t in ts)
+        for region, ts in chambers(h):
+            data.setdefault(region, []).extend(ts)
     return pw.build(f.n, data)
 
 
 def old_scale(f, z):
-    return old_map(f, lambda r, t: z * t.coef)
+    return old_map(f, lambda r, c, k: z * c)
 
 
 def old_differentiate(f, j):
-    return old_map(f, lambda r, t: t.coef * t.kappa[j - 1])
+    return old_map(f, lambda r, c, k: c * k[j - 1])
 
 
 def nan_max(values):
@@ -414,7 +515,7 @@ def nan_max(values):
 
 
 def old_sum_max(raw):
-    return nan_max(abs(t.coef) for t in pw._merge_terms(raw))
+    return nan_max(abs(c) for c, _ in pw._merge_terms(raw))
 
 
 def old_continuity(f, iface):
@@ -665,7 +766,7 @@ def _canonical_pair(rng, n):
 
 
 def _canonical_parts(rng, n, count):
-    """Canonical chambers (term tuples) for ``_merge_parts``: equal kappa lists or not."""
+    """One-chamber functions, each with its own kappa table: equal kappa lists or not."""
     pool = _kappa_pool(rng, n)
     kappas = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 6)))]
     parts = []
@@ -673,7 +774,7 @@ def _canonical_parts(rng, n, count):
     for _ in range(count):
         own = kappas if rng.random() < 0.8 else _kappa_pool(rng, n)
         raw = [(_coef(rng) * 10.0 ** int(rng.integers(-3, 4)), k) for k in own]
-        parts.append(pw.build(n, {region: raw}).region_terms(region))
+        parts.append(pw.build(n, {region: raw}))
     return parts
 
 
@@ -695,30 +796,38 @@ class TestCanonicalFastPaths:
             (pw.scale(f, z), old_scale(f, z)),
             (pw.scale(f, -1.0), old_scale(f, -1.0)),
             (pw.differentiate(f, j), old_differentiate(f, j)),
-            (pw.laplacian(f), old_map(f, lambda r, t: t.coef * sum(k * k for k in t.kappa))),
-            (pw.map_coefficients(f, lambda r, t: t.coef * -1.0 * susy.grad_w(r, j, sp)),
-             old_map(f, lambda r, t: t.coef * -1.0 * susy.grad_w(r, j, sp))),
+            (pw.laplacian(f), old_map(f, lambda r, c, k: c * sum(kk * kk for kk in k))),
+            (pw.map_coefficients(f, lambda r, c, k: c * -1.0 * susy.grad_w(r, j, sp)),
+             old_map(f, lambda r, c, k: c * -1.0 * susy.grad_w(r, j, sp))),
         ]
         if n > 1:
             a, b = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist())
             cases.append(
-                (pw.multiply_sign(f, a, b), old_map(f, lambda r, t: r.sign(a, b) * t.coef))
+                (pw.multiply_sign(f, a, b), old_map(f, lambda r, c, k: r.sign(a, b) * c))
             )
         for fast, old in cases:
-            assert fast.terms == old.terms
-            assert list(fast.terms) == list(old.terms)  # chamber order too
+            assert chambers(fast) == chambers(old)  # chamber order too
+            assert_table_invariants(fast)
             for ts in fast.terms.values():
-                assert all(type(t.coef) is complex for t in ts)
+                assert all(type(c) is complex for _, c in ts)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 4), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    def test_merge_parts_equals_merge_of_concatenation(self, n, count, seed):
+    def test_add_across_tables_equals_build_of_concatenation(self, n, count, seed):
+        """Each ``add`` of a fold over one-chamber functions on their own tables
+        equals ``build`` of the two functions' concatenated chambers."""
         rng = np.random.default_rng(seed)
         parts = _canonical_parts(rng, n, count)
         weights = [1.0, -1.0] + [complex(rng.standard_normal(), rng.standard_normal())
                                  for _ in range(count)]
-        scaled = [sum_scale(p, w) for p, w in zip(parts, weights)]
-        assert pw._merge_parts(scaled) == pw._merge_terms([t for p in scaled for t in p])
+        total = pw.zero_function(n)
+        for part, w in zip(parts, weights):
+            scaled = pw.scale(part, w)
+            fast, old = pw.add(total, scaled), old_add(total, scaled)
+            assert chambers(fast) == chambers(old)
+            assert pw.to_json_obj(fast) == pw.to_json_obj(old)
+            assert_table_invariants(fast)
+            total = fast
 
     def test_inputs_reach_both_branches(self):
         """The random inputs take the position-wise sums, the general merge and the drops."""
@@ -729,8 +838,8 @@ class TestCanonicalFastPaths:
             df = pw.differentiate(f, 2)
             for region, ts in f.terms.items():
                 chambers += 1
-                us = g.terms.get(region, ())
-                shared += [t.kappa for t in us] == [t.kappa for t in ts]
+                us = chamber(g, region)
+                shared += [k for _, k in us] == [k for _, k in chamber(f, region)]
                 dropped += len(df.region_terms(region)) < len(ts)
         assert shared > chambers // 10 and dropped > chambers // 10
 
@@ -744,12 +853,12 @@ class TestCanonicalFastPaths:
         assert canonicalize(f) == f
         for region, raw in data.items():
             kept = sorted((k for c, k in raw if abs(c) > pw.DROP_TOL), key=pw._sort_key)
-            assert [t.kappa for t in f.terms[region]] == kept
-        assert pw.scale(f, 2.0).terms == old_scale(f, 2.0).terms
-        assert pw.add(f, pw.zero_function(n)).terms == old_add(f, pw.zero_function(n)).terms
-        assert pw.add(f, f).terms == old_add(f, f).terms
+            assert [k for _, k in chamber(f, region)] == kept
+        assert chambers(pw.scale(f, 2.0)) == chambers(old_scale(f, 2.0))
+        assert chambers(pw.add(f, pw.zero_function(n))) == chambers(old_add(f, pw.zero_function(n)))
+        assert chambers(pw.add(f, f)) == chambers(old_add(f, f))
         for j in range(1, n + 1):
-            assert pw.differentiate(f, j).terms == old_differentiate(f, j).terms
+            assert chambers(pw.differentiate(f, j)) == chambers(old_differentiate(f, j))
         couplings = {iface.pair: [[0.5]]}
         assert_same_outcome(
             lambda: pw.wall_residuals([f], iface, couplings[iface.pair]),
@@ -783,7 +892,7 @@ def wall_by_wall_reference(funcs, couplings):
     continuity = jump = 0.0
     for iface in pw.interfaces(funcs[0].n):
         sides = (iface.left, iface.right)
-        cut = [pw.RegionFunction(f.n, {r: f.terms[r] for r in sides if r in f.terms})
+        cut = [pw.RegionFunction(f.n, {r: f.terms[r] for r in sides if r in f.terms}, f.kappas)
                for f in funcs]
         wall = reference_sweep(cut, couplings, [iface])
         continuity, jump = max(continuity, wall[0]), nan_max([jump, wall[1]])
@@ -1058,53 +1167,54 @@ class TestPlanSweep:
         which its restriction then skips.
         """
         rng = np.random.default_rng(3)
-        shared_layouts = own_layouts = chambers = broken = 0
+        shared_layouts = own_layouts = seen = broken = 0
         counts = {"drops": 0, "plan": 0, "skipped": 0}
         for _ in range(60):
             n = int(rng.choice([2, 3, 3, 4]))
             funcs, couplings = _sweep_case(rng, n, int(rng.integers(1, 4)))
-            layouts = [{tuple(t.kappa for t in ts) for ts in f.terms.values()} for f in funcs]
+            layouts = [{tuple(k for _, k in ts) for _, ts in chambers(f)} for f in funcs]
             shared_layouts += any(len(ls) < len(f.terms) for ls, f in zip(layouts, funcs))
             own_layouts += any(not layouts[0] & ls for ls in layouts[1:])
             for f in funcs:
-                for ts in f.terms.values():
-                    chambers += 1
+                for _, ts in chambers(f):
+                    seen += 1
                     _count_derivative_drops(ts, (1, 2), counts)
             try:
                 reference_sweep(_break_continuity(rng, funcs), couplings)
             except DiscontinuityError:
                 broken += 1
         assert shared_layouts > 30 and own_layouts > 5
-        assert counts["drops"] > chambers // 10 and broken > 30
-        assert counts["plan"] > chambers // 10 and counts["plan"] == counts["drops"]
+        assert counts["drops"] > seen // 10 and broken > 30
+        assert counts["plan"] > seen // 10 and counts["plan"] == counts["drops"]
         assert counts["skipped"] > 50
         planted = {"drops": 0, "plan": 0, "skipped": 0}
         for _ in range(200):
             iface = pw.interfaces(4)[int(rng.integers(36))]
             f = _planted_at(rng, iface, _planted_pool(rng, 4, iface.pair))
             for region in (iface.left, iface.right):
-                _count_derivative_drops(f.region_terms(region), iface.pair, planted)
+                _count_derivative_drops(chamber(f, region), iface.pair, planted)
         assert planted["plan"] > 100 and planted["plan"] == planted["drops"]
         assert planted["skipped"] > 100
 
 
 def _count_derivative_drops(terms, pair, counts):
-    """Count a chamber whose derivative chain drops a term, whether the wall
-    derivative equals that chain, and whether it drops a position."""
+    """Count a chamber, given as canonical (coef, kappa) terms, whose derivative
+    chain drops a term, whether the wall derivative equals that chain, and
+    whether it drops a position."""
     a, b = pair
-    for t in terms:
-        da, db = t.coef * t.kappa[a - 1], t.coef * t.kappa[b - 1]
+    for c, k in terms:
+        da, db = c * k[a - 1], c * k[b - 1]
         if min(abs(da), abs(db), abs(da + -1.0 * db)) <= pw.DROP_TOL:
             counts["drops"] += 1
             break
     else:
         return
-    n = len(terms[0].kappa)
+    n = len(terms[0][1])
     region = pw.Region(tuple(range(1, n + 1)))
-    chamber = pw.RegionFunction(n, {region: tuple(terms)})
-    chain = pw.add(pw.differentiate(chamber, a), pw.scale(pw.differentiate(chamber, b), -1.0))
+    f = pw.build(n, {region: terms})
+    chain = pw.add(pw.differentiate(f, a), pw.scale(pw.differentiate(f, b), -1.0))
     kept = sweep_wall_derivative(terms, a, b)
-    counts["plan"] += [tuple(t) for t in chain.region_terms(region)] == kept
+    counts["plan"] += chamber(chain, region) == kept
     counts["skipped"] += len(kept) < len(terms)
 
 
@@ -1209,7 +1319,7 @@ class TestDerivativeDrops:
         def refuse(*args):
             raise AssertionError("the sweep left the array pass")
 
-        for name in ("differentiate", "scale", "add", "build", "_merge_parts", "_merge_terms"):
+        for name in ("differentiate", "scale", "add", "build", "_union", "_merge_terms"):
             monkeypatch.setattr(pw, name, refuse)
         for funcs, iface, coupling in planted:
             continuity, _ = pw.wall_residuals(funcs, iface, coupling)
@@ -1463,9 +1573,9 @@ class TestNonFiniteSweep:
         i = int(rng.integers(len(funcs)))
         assume(funcs[i].terms)
         region = list(funcs[i].terms)[int(rng.integers(len(funcs[i].terms)))]
-        raw = [(t.coef, t.kappa) for t in funcs[i].region_terms(region)]
+        raw = chamber(funcs[i], region)
         planted = _plant(rng, raw, (math.nan, math.inf, -math.inf, 1e308, 1.5e308, 1e200))
-        funcs[i] = pw.build(n, {**{r: list(ts) for r, ts in funcs[i].terms.items()}, region: planted})
+        funcs[i] = pw.build(n, {**dict(chambers(funcs[i])), region: planted})
         assert_same_outcome(
             lambda: pw.matching_residuals(funcs, couplings),
             lambda: wall_by_wall_reference(funcs, couplings),
@@ -1509,7 +1619,7 @@ def _wall_layouts(f, seen):
     """Every (layout, pair) a sweep over ``f`` plans that ``seen`` does not hold yet."""
     for iface in pw.interfaces(f.n):
         for region in (iface.left, iface.right):
-            layout = tuple(t.kappa for t in f.region_terms(region))
+            layout = tuple(k for _, k in chamber(f, region))
             if layout and (layout, iface.pair) not in seen:
                 seen.add((layout, iface.pair))
                 yield layout, iface.pair
@@ -1529,19 +1639,19 @@ class TestExactIdentity:
             merges.append(len(kappas))
             return gather(raw)
 
-        def both_rules_on_images(n, images):
+        def both_rules_on_images(n, table, images):
             # the kappas that reach one (label, chamber) merge as one raw chamber would
             images = [(label, list(chambers)) for label, chambers in images]
             arrived = {}
             for label, chambers in images:
                 for region, coefs, terms in chambers:
                     arrived.setdefault((label, region), []).extend(
-                        t.kappa for c, t in zip(coefs, terms) if not abs(c) <= pw.DROP_TOL
+                        table[i] for c, (i, _) in zip(coefs, terms) if not abs(c) <= pw.DROP_TOL
                     )
             for kappas in arrived.values():
                 assert exact_partition(kappas) == tolerance_partition(kappas)
                 merges.append(len(kappas))
-            return sum_images(n, images)
+            return sum_images(n, table, images)
 
         monkeypatch.setattr(pw, "_gather", both_rules)
         monkeypatch.setattr(pw, "sum_images", both_rules_on_images)

@@ -70,6 +70,32 @@ def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, caps
     assert [row["algebra_s"] is None for row in rows] == [False] * 4 + [True] * 2
 
 
+def test_n_sweep_warms_each_row_before_timing_it(monkeypatch, capsys):
+    """Row N's cached tables are built untimed, before the row's first timed call."""
+    spec = importlib.util.spec_from_file_location("n_sweep", ROOT / "tools" / "n_sweep.py")
+    n_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(n_sweep)
+    events = []
+    warm, timed = n_sweep._warm, n_sweep._timed
+
+    def warm_logged(pw_module, susy_module, sp):
+        events.append(("warm", sp.n))
+        warm(pw_module, susy_module, sp)
+
+    def timed_logged(fn, *args):
+        events.append(("timed", fn.__name__))
+        return timed(fn, *args)
+
+    monkeypatch.setattr(n_sweep, "_warm", warm_logged)
+    monkeypatch.setattr(n_sweep, "_timed", timed_logged)
+    assert n_sweep.main(["--max-n", "3", "--root", str(ROOT)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    warms = [i for i, event in enumerate(events) if event[0] == "warm"]
+    assert [events[i] for i in warms] == [("warm", 2), ("warm", 3)]
+    assert warms[0] == 0 and warms[1] - warms[0] == len(events) - warms[1]
+    assert pw._interface_table.cache_info().currsize >= 2
+
+
 @pytest.mark.parametrize(
     "failing", ["matching", "zero-mode", "zero-mode-nan", "algebra", "algebra-nan"]
 )
