@@ -728,10 +728,10 @@ def _gather_terms(
     red = np.zeros(need.shape, dtype=np.intp)
     id_count = []
     for p, (a, b) in enumerate(walls.pairs):
-        ids = {}
+        first: dict[Kappa, int] = {}
         at = np.flatnonzero(need[p])
-        red[p, at] = [ids.setdefault(_reduce(kappas[r], a, b), len(ids)) for r in at.tolist()]
-        id_count.append(len(ids))
+        red[p, at] = [first.setdefault(_reduce(kappas[r], a, b), len(first)) for r in at.tolist()]
+        id_count.append(len(first))
     table = _Terms(
         coef_re=coef.real.copy(), coef_im=coef.imag.copy(), row=row,
         kappa_re=kappa.real.T.ravel(), kappa_im=kappa.imag.T.ravel(), rows=rows,
