@@ -36,11 +36,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import piecewise as pw
-from .errors import PoleError
+from .errors import BudgetError, PoleError
 
 S_POLE_TOL = 1e-14
 ENERGY_IMAG_TOL = 1e-12
 STRING_MATCH_TOL = 1e-9
+#: most raw terms a collision state may hold, N! on each of N! chambers: the
+#: 518 400 of N = 6 (about 0.3 GB at peak); N = 7 would hold 25.4 M
+COLLISION_MAX_TERMS = math.factorial(6) ** 2
 
 
 def s_matrix(ki: complex, kj: complex, c: float) -> complex:
@@ -285,9 +288,18 @@ def collision_state(k: "MomentumSet | Sequence[float]", c: float) -> pw.RegionFu
 
     Satisfies continuity on every chamber wall and the derivative-jump
     condition with scalar coupling 2c there (attractive c < 0 included: the
-    same construction with the signed c obeys the attractive jump).
+    same construction with the signed c obeys the attractive jump).  A state
+    of more than ``COLLISION_MAX_TERMS`` raw terms, (N!)^2, is refused with
+    ``BudgetError`` before anything is built.
     """
     kset = k if isinstance(k, MomentumSet) else MomentumSet(tuple(k))
+    pw._guard_size(kset.n)
+    terms = math.factorial(kset.n) ** 2
+    if terms > COLLISION_MAX_TERMS:
+        raise BudgetError(
+            f"a collision state of {kset.n} particles holds {terms} terms, "
+            f"above the budget of {COLLISION_MAX_TERMS} (6 particles)"
+        )
     if any(abs(v.imag) > STRING_MATCH_TOL for v in kset.k):
         raise ValueError("collision states need real momenta; strings have their own constructors")
     if c == 0:

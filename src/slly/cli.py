@@ -16,8 +16,7 @@ file (``--config``) becomes the command's defaults, so its values pass
 through the same conversions as flags and flags win on conflict.  One
 command table (``_COMMANDS``) names the options each command reads, with
 their defaults; every other option, flag or config value, is refused (exit 2),
-and the report's ``config`` echoes each option read.  The environment
-variable ``SLLY_THREADS`` caps BLAS/OpenMP parallelism for the whole process.
+and the report's ``config`` echoes each option read.
 
 One parser of every group serves all calls of a process: it is built on
 the first call and parsing leaves it as it was.  A call with ``--config``
@@ -36,18 +35,6 @@ import sys
 import tempfile
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SLLY_THREADS")
-    if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +577,6 @@ _shared_parser = functools.cache(_build_parser)
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     from . import __version__
     from .errors import ConvergenceError
 

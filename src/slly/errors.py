@@ -29,7 +29,8 @@ class SingletError(ValueError):
 
 
 class BudgetError(ValueError):
-    """Requested lattice problem exceeds the configured memory budget."""
+    """Requested problem exceeds a fixed size budget: a lattice grid with too
+    many unknowns or points, or a collision state of too many terms."""
 
 
 class ConvergenceError(RuntimeError):

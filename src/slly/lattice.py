@@ -79,10 +79,6 @@ class Grid:
     def h(self) -> float:
         return self.box / (self.points + 1)
 
-    def coordinates(self) -> np.ndarray:
-        """Interior node coordinates i*h, i = 1..M."""
-        return self.h * np.arange(1, self.points + 1)
-
 
 def laplacian_1d(points: int, h: float) -> sparse.csr_matrix:
     """Second-order central-difference -d^2/dx^2 with Dirichlet walls."""

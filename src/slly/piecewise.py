@@ -54,28 +54,35 @@ Kappa = tuple[complex, ...]
 Chamber = tuple[tuple[int, complex], ...]
 
 
-@dataclass(frozen=True, order=True)
-class Region:
+class Region(tuple):
     """Ordering chamber of R^N labelled by a permutation.
 
-    ``order = (s_1, ..., s_N)`` means x_{s_1} < x_{s_2} < ... < x_{s_N};
-    particle labels are 1-based.
+    ``Region((s_1, ..., s_N))`` means x_{s_1} < x_{s_2} < ... < x_{s_N};
+    particle labels are 1-based.  A region is that permutation as a tuple,
+    so it hashes, compares and orders as the tuple does.
     """
 
-    order: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"order {self.order} is not a permutation of 1..{n}")
+    def __new__(cls, order: Iterable[int]) -> "Region":
+        self = super().__new__(cls, order)
+        n = len(self)
+        if sorted(self) != list(range(1, n + 1)):
+            raise ValueError(f"order {tuple(self)} is not a permutation of 1..{n}")
+        return self
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The permutation (s_1, ..., s_N): the region itself."""
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.order)
+        return len(self)
 
     def rank(self, j: int) -> int:
         """1-based position of particle j in the ordering (1 = leftmost)."""
-        return self.order.index(j) + 1
+        return self.index(j) + 1
 
     def sign(self, a: int, b: int) -> int:
         """Sign of x_a - x_b on this chamber (+1 iff x_a > x_b)."""
@@ -85,9 +92,9 @@ class Region:
 
     def swap_adjacent(self, slot: int) -> "Region":
         """Neighbouring chamber across the wall between ranks slot, slot+1 (0-based slot)."""
-        o = list(self.order)
+        o = list(self)
         o[slot], o[slot + 1] = o[slot + 1], o[slot]
-        return Region(tuple(o))
+        return Region(o)
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,8 @@ def shift_constant(sp: Superpotential) -> float:
 
 @dataclass(frozen=True)
 class SpinorFunction:
-    """Map from Fock occupation masks to chamber functions (absent = zero)."""
+    """Map from Fock occupation masks to chamber functions (absent = zero); the
+    components of a zero mode or of a ``random_spinor`` share one kappa table."""
 
     n: int
     components: Mapping[int, pw.RegionFunction]
@@ -465,26 +466,22 @@ def random_spinor(
 
     Components populate every mask of the requested grade (or a random
     nonempty set of masks), each holding the given number of random complex
-    exponentials on every chamber.
+    exponentials on every chamber.  One ``standard_normal`` call draws them in
+    mask, chamber, term order (coefficient, then kappa; real, then imaginary
+    part), and the components share one kappa table (``pw.common_table``).
     """
     masks = fock.fock_basis(sp.n)
     if grade is not None:
         chosen = [m for m in masks if m.bit_count() == grade]
     else:
         chosen = [m for m in masks if rng.random() < 0.5] or [int(rng.integers(0, len(masks)))]
-    comps = {}
-    for mask in chosen:
-        data = {}
-        for region in pw.regions(sp.n):
-            raw = []
-            for _ in range(terms_per_region):
-                coef = complex(rng.standard_normal(), rng.standard_normal())
-                kappa = tuple(
-                    complex(rng.standard_normal(), rng.standard_normal()) for _ in range(sp.n)
-                )
-                raw.append((coef, kappa))
-            data[region] = raw
-        comps[mask] = pw.build(sp.n, data)
+    chambers = pw.regions(sp.n)
+    draws = rng.standard_normal((len(chosen), len(chambers), terms_per_region, 2 * sp.n + 2))
+    table, terms = pw.common_table([
+        pw.build(sp.n, {r: [(t[0], t[1:]) for t in raw] for r, raw in zip(chambers, comp)})
+        for comp in draws.view(complex).tolist()
+    ])
+    comps = {m: pw.RegionFunction(sp.n, ts, table) for m, ts in zip(chosen, terms)}
     return SpinorFunction(n=sp.n, components=comps)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slly import bethe
 from slly import piecewise as pw
-from slly.errors import PoleError
+from slly.errors import BudgetError, PoleError
 
 finite_floats = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 couplings = st.floats(min_value=0.1, max_value=10.0)
@@ -218,6 +218,21 @@ class TestCollisionState:
     def test_rejects_unsorterd_momenta(self):
         with pytest.raises(ValueError):
             bethe.collision_state([0.1, 0.5], 1.0)
+
+    def test_seven_particles_refused_before_any_work(self, monkeypatch):
+        # (7!)^2 = 25.4 M raw terms would not fit in memory; nothing is built
+        def no_work(*args):
+            raise AssertionError("collision state built past its budget")
+
+        monkeypatch.setattr(bethe, "bethe_coefficients", no_work)
+        assert bethe.COLLISION_MAX_TERMS == math.factorial(6) ** 2
+        with pytest.raises(BudgetError, match="7 particles holds 25401600 terms"):
+            bethe.collision_state([7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0], 1.0)
+
+    def test_eleven_particles_keep_the_particle_count_refusal(self):
+        with pytest.raises(ValueError, match="particle count 11") as exc:
+            bethe.collision_state([float(v) for v in range(11, 0, -1)], 1.0)
+        assert not isinstance(exc.value, BudgetError)
 
 
 class TestBoundStates:

@@ -86,6 +86,22 @@ class TestBetheCommands:
         assert proc.stdout == ""
         assert "particle count 11" in proc.stderr
 
+    def test_seven_particle_collision_refused_at_once(self):
+        # (7!)^2 = 25.4 M raw terms: refused with one line before any is built
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = ["bethe", "collision", "--n", "7", "--k=7,6,5,4,3,2,1", "--c", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "slly.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "slly: a collision state of 7 particles holds 25401600 terms, "
+            "above the budget of 518400 (6 particles)\n"
+        )
+
 
 class TestSusyCommands:
     def test_census(self, capsys):
@@ -279,6 +295,16 @@ class TestReportPlumbing:
         _, first = run(argv, capsys)
         _, second = run(argv, capsys)
         assert first == second
+
+    def test_thread_variables_are_left_to_the_caller(self, monkeypatch, capsys):
+        # the CLI sets no BLAS/OpenMP variable; SLLY_THREADS is not read
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+        for var in blas:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("SLLY_THREADS", "3")
+        code, _ = run(["susy", "sector", "--n", "2", "--grade", "1", "--c", "1"], capsys)
+        assert code == 0
+        assert [var for var in blas if var in os.environ] == []
 
     def test_output_file_written_atomically(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -196,6 +196,15 @@ class TestDeltaCoupling:
                 diag = lam.mat.diagonal()
                 assert (diag == 2 * c).sum() == (diag == -2 * c).sum() == 2 ** (n - 2)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_unit_coupling_is_one_minus_twice_the_difference_mode_number(self, n):
+        # Lambda_ab/(2c) = I - 2 f^dag f with f = (b_a - b_b)/sqrt(2), written
+        # without the sqrt(2) so the identity holds exactly
+        eye = fock.identity(n)
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            d = fock.annihilation(a, n) - fock.annihilation(b, n)
+            assert fock.delta_coupling_unit(a, b, n).is_exactly(eye - d.adjoint() @ d)
+
     def test_eigenvalue_multiplicities_two_modes(self):
         lam = fock.delta_coupling(1, 2, 2.0, 2)
         vals = np.sort(np.linalg.eigvalsh(lam.dense()))

@@ -85,6 +85,17 @@ class TestEnumeration:
         assert len(regions) == 120
         assert {r.order for r in regions} == oracle
 
+    def test_region_is_its_permutation(self):
+        region = pw.Region((2, 3, 1))
+        assert region.order is region and region == (2, 3, 1)
+        assert hash(region) == hash((2, 3, 1)) and pw.Region.__hash__ is tuple.__hash__
+        assert (region.n, region.rank(1), region.sign(1, 2)) == (3, 3, 1)
+        assert region.swap_adjacent(0) == pw.Region((3, 2, 1))
+        assert sorted(pw.regions(3), reverse=True)[0] == pw.Region((3, 2, 1))
+        for bad in ((1, 1), (0, 1), (1, 3), (2,)):
+            with pytest.raises(ValueError, match="is not a permutation"):
+                pw.Region(bad)
+
     @pytest.mark.parametrize("n", [0, 11])
     def test_size_guard(self, n):
         with pytest.raises(ValueError):
@@ -294,11 +305,17 @@ class TestKappaTable:
             (table,) = {id(f.kappas) for f in mode.components.values()}
             for image in (susy.apply_q(mode, sp), susy.apply_q_dagger(mode, sp)):
                 assert all(id(f.kappas) == table for f in image.components.values())
+        # a spinor whose components hold tables of their own: each rebuilt alone
         rng = np.random.default_rng(8)
-        s = susy.random_spinor(sp, rng, grade=1)
-        assert len({id(f.kappas) for f in s.components.values()}) == 3
+        shared = susy.random_spinor(sp, rng, grade=1)
+        s = susy.SpinorFunction(3, {
+            mask: pw.from_json_obj(pw.to_json_obj(f)) for mask, f in shared.components.items()
+        })
+        assert len({f.kappas for f in s.components.values()}) == 3
         qds = susy.apply_q_dagger(s, sp)
         (union,) = {id(f.kappas) for f in qds.components.values()}
+        # the union of the three tables is the one table they were rebuilt from
+        assert set(qds.component(3).kappas) == set(shared.component(1).kappas)
         assert all(id(f.kappas) == union for f in susy.apply_q(qds, sp).components.values())
 
     def test_add_across_tables_equals_build(self):

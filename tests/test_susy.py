@@ -628,6 +628,70 @@ class TestAlgebraChecks:
             assert tuple(susy.algebra_residuals(s, sp)) == want
 
 
+def scalar_draw_spinor(sp, rng, grade=None, terms_per_region=2):
+    """A random spinor drawn one scalar at a time, each component on its own
+    table: the reference stream of ``random_spinor``."""
+    masks = fock.fock_basis(sp.n)
+    if grade is not None:
+        chosen = [m for m in masks if m.bit_count() == grade]
+    else:
+        chosen = [m for m in masks if rng.random() < 0.5] or [int(rng.integers(0, len(masks)))]
+    comps = {}
+    for mask in chosen:
+        data = {}
+        for region in pw.regions(sp.n):
+            raw = []
+            for _ in range(terms_per_region):
+                coef = complex(rng.standard_normal(), rng.standard_normal())
+                kappa = tuple(
+                    complex(rng.standard_normal(), rng.standard_normal()) for _ in range(sp.n)
+                )
+                raw.append((coef, kappa))
+            data[region] = raw
+        comps[mask] = pw.build(sp.n, data)
+    return susy.SpinorFunction(n=sp.n, components=comps)
+
+
+class TestRandomSpinor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_draw_equals_scalar_draws(self, n):
+        sp = susy.Superpotential(n=n, c=0.9)
+        for grade, terms, seed in itertools.product([None, *range(n + 1)], [1, 2, 3], [0, 7, 31]):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = susy.random_spinor(sp, rng, grade=grade, terms_per_region=terms)
+            want = scalar_draw_spinor(sp, ref, grade=grade, terms_per_region=terms)
+            assert list(got.components) == list(want.components)
+            for mask, f in got.components.items():
+                assert pw.to_json_obj(f) == pw.to_json_obj(want.components[mask])
+            assert rng.standard_normal() == ref.standard_normal()
+
+    def test_one_standard_normal_call_after_the_mask_draws(self):
+        calls = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        sp = susy.Superpotential(n=3, c=0.9)
+        susy.random_spinor(sp, Recording(np.random.default_rng(3)))
+        assert calls == ["random"] * 8 + ["standard_normal"]
+        calls.clear()
+        susy.random_spinor(sp, Recording(np.random.default_rng(3)), grade=2)
+        assert calls == ["standard_normal"]
+
+    @pytest.mark.parametrize("grade", [None, 1])
+    def test_components_share_one_table(self, grade):
+        sp = susy.Superpotential(n=3, c=0.9)
+        s = susy.random_spinor(sp, np.random.default_rng(12), grade=grade)
+        (table,) = {id(f.kappas) for f in s.components.values()}
+        for image in (susy.apply_q(s, sp), susy.apply_q_dagger(s, sp)):
+            assert all(id(f.kappas) == table for f in image.components.values())
+
+
 #: exchange matrices of which the alternating zero mode is a -1 eigen-spinor: the
 #: 4x4 one on the whole two-mode Fock space, and the N=3 one on grade 2 (masks 3, 5, 6)
 SIGMA1_N2 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)

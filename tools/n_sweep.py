@@ -19,12 +19,12 @@ chambers (and components), ``zero_modes_s`` and ``annihilation_s`` cover
 both modes, ``algebra_s`` is null above N = 5, and ``passed`` says every
 check met its tolerance (both annihilation residuals below
 ``susy.ZERO_MODE_TOL``, the three algebra residuals below ``ALGEBRA_TOL``,
-the default ``--tol`` of ``slly susy algebra``).  Above N = 6
-(``COLLISION_MAX_N``) the three collision columns are null and the
-collision state is never built: it holds N! terms on each of N! chambers
-(25 M at N = 7), which the full-chamber engine cannot finish; the zero
-modes, one term per chamber, are still timed there.  Every time is a single run
-with ``time.perf_counter``.  Before row N is timed, the tables that the first
+the default ``--tol`` of ``slly susy algebra``).  A collision state holds
+N! terms on each of N! chambers, and ``bethe.collision_state`` refuses more
+than ``bethe.COLLISION_MAX_TERMS`` of them (above N = 6; 25 M at N = 7), so
+there the three collision columns are null and the state is never built;
+the zero modes, one term per chamber, are still timed there.  Every time is
+a single run with ``time.perf_counter``.  Before row N is timed, the tables that the first
 call at N would build are built untimed (``_warm``): the N! chambers, the
 wall table of a sweep and the zero modes' sector couplings.  So a row times
 the work it names, not first-use costs.  slly is imported from ``DIR/src``
@@ -42,8 +42,6 @@ import sys
 import time
 from pathlib import Path
 
-#: largest N whose collision state is built and matched
-COLLISION_MAX_N = 6
 #: largest N whose supersymmetry algebra is checked, and its tolerance
 ALGEBRA_MAX_N = 5
 ALGEBRA_TOL = 1e-12
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
         passed = True
         sp = susy.Superpotential(n=n, c=c)
         _warm(pw, susy, sp)
-        if n <= COLLISION_MAX_N:
+        if math.factorial(n) ** 2 <= bethe.COLLISION_MAX_TERMS:
             state, build_s = _timed(bethe.collision_state, ks, c)
             report, match_s = _timed(bethe.matching_report, state, c, bethe.energy(ks))
             collision_terms = sum(len(ts) for ts in state.terms.values())

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "NUMEXPR_NUM_THREADS", "SLLY_THREADS")
+              "NUMEXPR_NUM_THREADS")
 
 
 def _seed_range(text: str) -> range:
