@@ -45,6 +45,10 @@ CASES = {
     "bethe_monomer_dimer_state": [
         "bethe", "monomer-dimer", "--p", "0.8", "--q=-0.4", "--c=-1.5", "--emit-state",
     ],
+    # a collision state's whole kappa table: 6 kappas on each of 6 chambers
+    "bethe_collision_n3_state": [
+        "bethe", "collision", "--k=1.1,0.2,-0.7", "--c", "1.3", "--emit-state",
+    ],
     "susy_zero_modes_n5": ["susy", "zero-modes", "--n", "5", "--c", "1.2"],
     "susy_partner_n3_lower": [
         "susy", "partner", "--n", "3", "--c", "0.9", "--k=1.1,0.3,-0.8", "--direction", "lower",
