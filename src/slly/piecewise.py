@@ -21,7 +21,7 @@ operation works on ids.
 Floating-point canonicalisation rules: every kappa is finite (``build``
 refuses any other); two kappa vectors are identified when they are equal
 componentwise, and a function keeps one representative of them, the first
-met (so kappas differing only in the sign of a zero share one); terms whose
+kept (so kappas differing only in the sign of a zero share one); terms whose
 coefficient magnitude is at most ``DROP_TOL`` are discarded.  Points within
 ``HYPERPLANE_GAP`` of a hyperplane cannot be evaluated (the calculus defines
 hyperplane values only through one-sided limits).
@@ -130,8 +130,8 @@ class RegionFunction:
 
     ``kappas`` is the kappa table: distinct finite kappas sorted by
     ``_sort_key``, an id being a position in it.  Kappas equal componentwise
-    share one id, whose kappa is the first of them met (``build``,
-    ``_union``), so kappas differing only in the sign of a zero are one.
+    share one id, whose kappa is the first of them kept (``build``) or met
+    (``_union``), so kappas differing only in the sign of a zero are one.
     ``terms`` maps a Region to its chamber, ``(id, coef)`` pairs in
     ascending id; absent regions are identically zero there.  Instances are
     treated as immutable and share tables (``map_coefficients``), so after
@@ -212,37 +212,12 @@ def _sort_key(kappa: Kappa) -> tuple[float, ...]:
     return tuple(key)
 
 
-def _gather(raw: Iterable[tuple[complex, Sequence[complex]]]) -> dict[Kappa, complex]:
-    """Sum raw (coef, kappa) terms by kappa, in input order: a merged chamber.
-
-    Terms whose kappas are equal componentwise sum and keep the first one's
-    kappa, and a sum of magnitude at most ``DROP_TOL`` drops.
-    """
-    sums: dict[Kappa, complex] = {}
-    for c, kap in raw:
-        c, kappa = complex(c), tuple(map(complex, kap))
-        if kappa in sums:
-            sums[kappa] += c
-        else:
-            sums[kappa] = c
-    for c in sums.values():
-        if abs(c) <= DROP_TOL:
-            return {k: c for k, c in sums.items() if not abs(c) <= DROP_TOL}
-    return sums
-
-
 def _merge_terms(raw: Iterable[tuple[complex, Sequence[complex]]]) -> tuple[tuple[complex, Kappa], ...]:
-    """Raw (coef, kappa) terms merged by ``_gather``, as (coef, kappa) pairs
-    sorted by ``_sort_key``; the chamber rule of ``build`` without a table."""
-    sums = _gather(raw)
-    return tuple([(sums[k], k) for k in sorted(sums, key=_sort_key)])
-
-
-def _table(kappas: Iterable[Kappa]) -> tuple[tuple[Kappa, ...], dict[Kappa, int]]:
-    """The distinct kappas sorted by ``_sort_key``, of equal ones the first met,
-    and the id of each."""
-    table = tuple(sorted(dict.fromkeys(kappas), key=_sort_key))
-    return table, {k: i for i, k in enumerate(table)}
+    """Raw (coef, kappa) terms summed by kappa in input order, the kept sums sorted by ``_sort_key``."""
+    sums: dict[Kappa, complex] = {}
+    for c, kappa in ((complex(c), tuple(map(complex, k))) for c, k in raw):
+        sums[kappa] = sums[kappa] + c if kappa in sums else c
+    return tuple([(sums[k], k) for k in sorted(sums, key=_sort_key) if not abs(sums[k]) <= DROP_TOL])
 
 
 def _union(tables: Sequence[tuple[Kappa, ...]]) -> tuple[tuple[Kappa, ...], list[list[int] | None]]:
@@ -256,7 +231,8 @@ def _union(tables: Sequence[tuple[Kappa, ...]]) -> tuple[tuple[Kappa, ...], list
     first = tables[0] if tables else ()
     if all(t is first or t == first for t in tables):
         return first, [None] * len(tables)
-    table, ids = _table(itertools.chain.from_iterable(tables))
+    table = tuple(sorted(dict.fromkeys(itertools.chain.from_iterable(tables)), key=_sort_key))
+    ids = {k: i for i, k in enumerate(table)}
     return table, [None if len(t) == len(table) else [ids[k] for k in t] for t in tables]
 
 
@@ -274,28 +250,57 @@ def common_table(
 def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex]]]]) -> RegionFunction:
     """Assemble and canonicalise a RegionFunction from raw (coef, kappa) pairs.
 
-    Each chamber is ``_gather`` of its raw terms, and one kappa table holds
-    the kappas of all chambers, each once.  Every kappa must have length
+    A kappa is checked and converted to a tuple of complex only when no
+    class of ``classes`` holds its value yet.  Every kappa must have length
     ``n`` and finite entries (their sum may overflow); ``ValueError`` names
-    the first that does not.
+    the first that does not.  Each chamber sums its terms by class in input
+    order and drops a sum of magnitude at most ``DROP_TOL``.  The table holds
+    each kept class once, as the kappa of its first kept term, sorted by
+    ``_sort_key``.
     """
+    classes: dict[Kappa, int] = {}
+    kappas: list[Kappa | None] = []  # per class: the kappa of its first kept term
+    kept: set[int] = set()
     chambers = {}
     for region, raw in data.items():
         if region.n != n:
             raise ValueError("all regions must carry the same particle count")
-        raw = list(raw)
+        raw, ids = list(raw), []
         for _, kappa in raw:
-            if len(kappa) != n:
-                raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
-            if not cmath.isfinite(sum(kappa)) and not all(map(cmath.isfinite, kappa)):
-                raise ValueError(f"region {region.order} holds the non-finite kappa {tuple(kappa)}")
-        chambers[region] = _gather(raw)
-    table, ids = _table(itertools.chain.from_iterable(chambers.values()))
+            try:
+                cls = classes.get(kappa)
+            except TypeError:  # an unhashable kappa, such as a list
+                cls = None
+            if cls is None:
+                if len(kappa) != n:
+                    raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
+                if not cmath.isfinite(sum(kappa)) and not all(map(cmath.isfinite, kappa)):
+                    raise ValueError(f"region {region.order} holds the non-finite kappa {tuple(kappa)}")
+                converted = tuple(map(complex, kappa))
+                cls = classes.setdefault(converted, len(kappas))
+                if cls == len(kappas):
+                    kappas.append(converted)
+            if kappas[cls] is None:  # no chamber so far keeps its class
+                kappas[cls] = tuple(map(complex, kappa))
+            ids.append(cls)
+        sums: dict[int, complex] = {}
+        for (c, _), i in zip(raw, ids):
+            sums[i] = sums[i] + complex(c) if i in sums else complex(c)
+        for c in sums.values():
+            if abs(c) <= DROP_TOL:
+                sums = {i: c for i, c in sums.items() if not abs(c) <= DROP_TOL}
+                for i in set(ids).difference(sums, kept):
+                    kappas[i] = None
+                break
+        kept.update(sums)
+        chambers[region] = sums
+    order = sorted(kept, key=lambda i: _sort_key(kappas[i]))
+    ids = dict(zip(order, range(len(order))))
     terms = {
         region: tuple(sorted(zip(map(ids.__getitem__, sums), sums.values())))
         for region, sums in chambers.items() if sums
     }
-    return RegionFunction(n=n, terms=terms, kappas=table)
+    return RegionFunction(n=n, terms=terms, kappas=tuple([kappas[i] for i in order]))
 
 
 def constant_function(n: int, value: complex = 1.0) -> RegionFunction:

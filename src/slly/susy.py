@@ -236,12 +236,13 @@ def sector_hamiltonian(grade: int, sp: Superpotential) -> SectorHamiltonian:
     """
     if not 0 <= grade <= sp.n:
         raise ValueError(f"grade {grade} out of range 0..{sp.n}")
+    shift = shift_constant(sp)  # refuses a c whose square overflows before 2c is formed
     couplings = {
         pair: block * (2.0 * sp.c) + 0.0 for pair, block in _unit_blocks(sp.n, grade)
     }
     masks = tuple(fock.fock_basis(sp.n)[fock.grade_slice(sp.n, grade)])
     return SectorHamiltonian(
-        n=sp.n, grade=grade, c=sp.c, shift=shift_constant(sp), couplings=couplings, masks=masks
+        n=sp.n, grade=grade, c=sp.c, shift=shift, couplings=couplings, masks=masks
     )
 
 
@@ -478,7 +479,7 @@ def random_spinor(
     chambers = pw.regions(sp.n)
     draws = rng.standard_normal((len(chosen), len(chambers), terms_per_region, 2 * sp.n + 2))
     table, terms = pw.common_table([
-        pw.build(sp.n, {r: [(t[0], t[1:]) for t in raw] for r, raw in zip(chambers, comp)})
+        pw.build(sp.n, {r: [(t[0], tuple(t[1:])) for t in raw] for r, raw in zip(chambers, comp)})
         for comp in draws.view(complex).tolist()
     ])
     comps = {m: pw.RegionFunction(sp.n, ts, table) for m, ts in zip(chosen, terms)}

@@ -1647,14 +1647,16 @@ class TestExactIdentity:
 
     def test_constructed_states_merge_as_under_the_tolerance(self, monkeypatch):
         merges = []
-        gather, sum_images = pw._gather, pw.sum_images
+        build, sum_images = pw.build, pw.sum_images
 
-        def both_rules(raw):
-            raw = list(raw)
-            kappas = [tuple(complex(k) for k in kap) for _, kap in raw]
-            assert exact_partition(kappas) == tolerance_partition(kappas)
-            merges.append(len(kappas))
-            return gather(raw)
+        def both_rules(n, data):
+            # the raw terms of each chamber merge as under the tolerance
+            data = {region: list(raw) for region, raw in data.items()}
+            for raw in data.values():
+                kappas = [tuple(complex(k) for k in kap) for _, kap in raw]
+                assert exact_partition(kappas) == tolerance_partition(kappas)
+                merges.append(len(kappas))
+            return build(n, data)
 
         def both_rules_on_images(n, table, images):
             # the kappas that reach one (label, chamber) merge as one raw chamber would
@@ -1670,7 +1672,7 @@ class TestExactIdentity:
                 merges.append(len(kappas))
             return sum_images(n, table, images)
 
-        monkeypatch.setattr(pw, "_gather", both_rules)
+        monkeypatch.setattr(pw, "build", both_rules)
         monkeypatch.setattr(pw, "sum_images", both_rules_on_images)
         rng = np.random.default_rng(12)
         funcs = []
