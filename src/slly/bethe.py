@@ -268,11 +268,11 @@ def bethe_sum(
     n: int,
 ) -> pw.RegionFunction:
     """Assemble sum_P alpha(P) exp(i sum_m k_{P_m} x_{Q_m}) on every chamber Q."""
-    ks, chambers = _values(k), pw.regions(n)
+    ks = _values(k)
     by_slot = [(coef, [1j * ks[p - 1] for p in perm[:n]]) for perm, coef in alpha.items() if coef != 0]
     data = {}
-    for region in chambers:
-        slots = [region.index(j) for j in range(1, n + 1)]  # particle j sits at slots[j - 1]
+    for region in pw.regions(n):
+        slots = sorted(range(n), key=region.__getitem__)  # particle j sits at slot slots[j - 1]
         data[region] = [(coef, tuple([ik[s] for s in slots])) for coef, ik in by_slot]
     return pw.build(n, data)
 

@@ -250,13 +250,13 @@ def common_table(
 def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex]]]]) -> RegionFunction:
     """Assemble and canonicalise a RegionFunction from raw (coef, kappa) pairs.
 
-    A kappa is checked and converted to a tuple of complex only when no
-    class of ``classes`` holds its value yet.  Every kappa must have length
-    ``n`` and finite entries (their sum may overflow); ``ValueError`` names
-    the first that does not.  Each chamber sums its terms by class in input
-    order and drops a sum of magnitude at most ``DROP_TOL``.  The table holds
-    each kept class once, as the kappa of its first kept term, sorted by
-    ``_sort_key``.
+    Kappas equal once converted to tuples of complex share a class, and a
+    kappa is checked and converted only the first time its value is met: it
+    must have length ``n`` and finite entries (their sum may overflow), and
+    ``ValueError`` names the first that does not.  Each chamber sums its terms
+    by class in input order and drops a sum of magnitude at most ``DROP_TOL``.
+    The table holds each kept class once, as the kappa of its first kept
+    term, sorted by ``_sort_key``.
     """
     classes: dict[Kappa, int] = {}
     kappas: list[Kappa | None] = []  # per class: the kappa of its first kept term
@@ -341,7 +341,7 @@ def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
     is f's own when g's is the same.  A chamber held by one input only
     passes through unchanged; in one held by both, the coefficients of an id
     both hold sum in that order, and a sum of magnitude at most ``DROP_TOL``
-    drops, as ``_gather`` of the concatenation does.
+    drops, as ``build`` of the concatenation does.
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")

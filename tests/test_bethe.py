@@ -25,6 +25,30 @@ def old_bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
     return worst
 
 
+def reference_bethe_sum(alpha, k, n):
+    """``bethe.bethe_sum`` as a loop over the slots of every term: the reference
+    its per-chamber slot lists must reproduce bit for bit."""
+    ks = bethe._values(k)
+    data = {}
+    for region in pw.regions(n):
+        raw = []
+        for perm, coef in alpha.items():
+            if coef == 0:
+                continue
+            kappa = [0.0 + 0.0j] * n
+            for slot, particle in enumerate(region.order):
+                kappa[particle - 1] = 1j * ks[perm[slot] - 1]
+            raw.append((coef, tuple(kappa)))
+        data[region] = raw
+    return pw.build(n, data)
+
+
+def assert_same_function(f, g):
+    """Equal JSON forms, and table kappas equal to the bit (signed zeros included)."""
+    assert pw.to_json_obj(f) == pw.to_json_obj(g)
+    assert [repr(k) for k in f.kappas] == [repr(k) for k in g.kappas]
+
+
 class TestSMatrix:
     def test_equal_momenta(self):
         assert bethe.s_matrix(0.37, 0.37, 2.5) == -1.0
@@ -233,6 +257,56 @@ class TestCollisionState:
         with pytest.raises(ValueError, match="particle count 11") as exc:
             bethe.collision_state([float(v) for v in range(11, 0, -1)], 1.0)
         assert not isinstance(exc.value, BudgetError)
+
+
+class TestBetheSum:
+    """``bethe_sum`` equals the per-slot reference loop on every constructor's input."""
+
+    @staticmethod
+    def recorded(monkeypatch, make):
+        """``make()``, and every (alpha, k, n) it handed ``bethe_sum``."""
+        calls, bethe_sum = [], bethe.bethe_sum
+
+        def record(alpha, k, n):
+            calls.append((alpha, k, n))
+            return bethe_sum(alpha, k, n)
+
+        monkeypatch.setattr(bethe, "bethe_sum", record)
+        return make(), calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: bethe.collision_state([0.7], 1.3),
+        lambda: bethe.collision_state([1.4, -0.6], 2.0),
+        lambda: bethe.collision_state([1.1, 0.2, -0.7], 1.3),
+        lambda: bethe.collision_state([1.2, 0.5, 0.0, -0.9], -1.1),
+        lambda: bethe.collision_state([2.0, 1.1, 0.3, -0.4, -1.6], 0.8),
+        lambda: bethe.dimer_state(0.5, -2.0),
+        lambda: bethe.trimer_state(-0.2, -0.9),
+        lambda: bethe.monomer_dimer_state(0.8, -0.4, -1.5),
+        lambda: bethe.nmer_ground(4, -1.2),
+        lambda: bethe.nmer_ground(5, 0.7),
+    ])
+    def test_constructors_equal_the_reference(self, monkeypatch, make):
+        state, calls = self.recorded(monkeypatch, make)
+        ((alpha, k, n),) = calls
+        assert_same_function(state, reference_bethe_sum(alpha, k, n))
+
+    def test_zero_coefficients_repeats_and_non_permutations_equal_the_reference(self):
+        ks = (0.3 + 0.1j, -0.0 + 0.0j, 0.3 + 0.1j)
+        alphas = [
+            # an alpha with a zero coefficient, which contributes no term
+            {(1, 2, 3): 1.0 + 0.5j, (3, 2, 1): 0.0, (2, 1, 3): -0.0j, (2, 3, 1): -0.4},
+            # repeated momenta: orderings that give equal kappas merge
+            {perm: complex(i + 1, -i) for i, perm in enumerate(pw.regions(3))},
+            # cancelling terms: a chamber's equal kappas sum to zero and drop
+            {(1, 2, 3): 1.0, (3, 2, 1): -1.0, (2, 1, 3): 0.25},
+            # keys that are not permutations, which bethe_sum accepts
+            {(1, 1, 2): 2.0, (3, 3, 3): -1.5j, (2, 1, 3, 1): 0.5},
+        ]
+        for alpha in alphas:
+            assert_same_function(bethe.bethe_sum(alpha, ks, 3), reference_bethe_sum(alpha, ks, 3))
+        merged = bethe.bethe_sum(alphas[1], ks, 3)
+        assert all(len(ts) == 3 for ts in merged.terms.values())
 
 
 class TestBoundStates:

@@ -104,6 +104,23 @@ class TestBetheCommands:
 
 
 class TestSusyCommands:
+    @pytest.mark.parametrize("argv, c", [
+        (["susy", "sector", "--n", "2", "--grade", "1", "--c", "1e308"], "1e+308"),
+        (["susy", "zero-modes", "--n", "3", "--c", "9e307"], "9e+307"),
+    ])
+    def test_overflowing_coupling_is_one_stderr_line(self, argv, c):
+        # 2c overflows too: c is refused before a coupling block is scaled by it,
+        # so no numpy RuntimeWarning precedes the error line
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "slly.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"slly: superpotential strength {c} is too large: c^2 overflows\n"
+
     def test_census(self, capsys):
         code, out = run(["susy", "census", "--n", "3", "--c", "1"], capsys)
         assert code == 0

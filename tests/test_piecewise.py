@@ -352,6 +352,66 @@ class TestKappaTable:
         assert total.terms[r12] == ((0, 2.0),)
 
 
+class TestBuildIdentity:
+    """``build`` classes kappas by their converted value and keeps, per class,
+    the kappa of its first kept term."""
+
+    R12, R21 = pw.Region((1, 2)), pw.Region((2, 1))
+
+    def test_first_kept_term_gives_the_kappa(self):
+        # the (-0.0 + 1j) terms cancel on R12, so R21's (+0.0 + 1j) is the first kept
+        same = (complex(-0.0, 1.0), 1j)
+        f = pw.build(2, {self.R12: [(1.0, same), (-1.0, same)], self.R21: [(2.0, (1j, 1j))]})
+        assert f.kappas == ((1j, 1j),) and f.terms == {self.R21: ((0, 2.0),)}
+        assert math.copysign(1.0, f.kappas[0][0].real) == 1.0
+
+    def test_raw_kappa_types_give_the_same_function(self):
+        as_complex = {self.R12: [(1.0, (1 + 0j, 0.5j)), (2.0, (0j, 0j))],
+                      self.R21: [(3.0, (0j, 0j)), (-1.0, (1 + 0j, 0.5j))]}
+        expected = pw.to_json_obj(pw.build(2, as_complex))
+        for convert in (list, lambda k: tuple(np.complex128(v) for v in k), np.array):
+            data = {r: [(c, convert(k)) for c, k in raw] for r, raw in as_complex.items()}
+            assert pw.to_json_obj(pw.build(2, data)) == expected
+        ints = {self.R12: [(1.0, (1, 0.5j)), (2.0, (0, 0))],
+                self.R21: [(3.0, [np.int64(0), np.float64(0.0)]), (-1.0, [1, 0.5j])]}
+        assert pw.to_json_obj(pw.build(2, ints)) == expected
+
+    def test_kappas_equal_once_converted_share_an_id(self):
+        f = pw.build(2, {self.R12: [(1.0, (2**53 + 1, 0))], self.R21: [(2.0, (2**53, 0))]})
+        assert f.kappas == ((complex(2**53), 0j),)
+        assert f.terms == {self.R12: ((0, 1.0),), self.R21: ((0, 2.0),)}
+
+    def test_errors_are_raised_in_input_order(self):
+        r3 = pw.Region((1, 2, 3))
+        # a bad kappa of an earlier region beats a later region of the wrong particle count
+        with pytest.raises(ValueError, match=r"region \(2, 1\) holds a kappa whose length"):
+            pw.build(2, {self.R12: [(1.0, (0j, 0j))], self.R21: [(1.0, (0j,))], r3: []})
+        with pytest.raises(ValueError, match="all regions must carry the same particle count"):
+            pw.build(2, {self.R12: [(1.0, (0j, 0j))], r3: [(1.0, (0j,))]})
+        # length is checked before finiteness, and a later bad term waits its turn
+        with pytest.raises(ValueError, match="length is not 2"):
+            pw.build(2, {self.R12: [(1.0, (math.nan, 0j, 0j)), (1.0, (math.inf, 0j))]})
+        with pytest.raises(ValueError, match=r"non-finite kappa \(inf, 0j\)"):
+            pw.build(2, {self.R12: [(1.0, (0j, 0j)), (1.0, (math.inf, 0j)), (1.0, (0j,))]})
+
+    def test_a_repeated_kappa_is_checked_and_converted_once(self):
+        conversions = []
+
+        class Counted(float):
+            def __complex__(self):
+                conversions.append(self)
+                return complex(float(self))
+
+        for n in (2, 4):
+            kappa = tuple(Counted(0.25 * j) for j in range(n))
+            for chambers in (pw.regions(n)[:1], pw.regions(n)):
+                conversions.clear()
+                f = pw.build(n, {r: [(1.0, kappa), (2.0, kappa)] for r in chambers})
+                assert len(conversions) == n  # one kappa of n entries, converted once
+                assert f.kappas == (tuple(complex(0.25 * j) for j in range(n)),)
+                assert all(ts == ((0, 3.0),) for ts in f.terms.values())
+
+
 def _sweep_restriction(f, iface, side):
     """The sweep's restriction of one chamber, keyed back by reduced kappa.
 
