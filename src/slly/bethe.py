@@ -92,9 +92,11 @@ def yang_baxter_residual(ka: complex, kb: complex, kc: complex, c: float) -> flo
 class MomentumSet:
     """Momenta of an exact eigenstate.
 
-    Every momentum must be finite.  Real momenta (collision states) must be
-    strictly decreasing; complex momenta (bound-state strings) must be closed
-    under conjugation so the total energy sum k_j^2 is real.
+    Every momentum must be finite.  Real momenta (collision states), every
+    imaginary part exactly 0, must be strictly decreasing; complex momenta
+    (bound-state strings) must be closed under conjugation so the total energy
+    sum k_j^2 is real.  A string of small |c| is complex however small its
+    imaginary parts, so it is never read as equal real momenta.
     """
 
     k: tuple[complex, ...]
@@ -105,7 +107,7 @@ class MomentumSet:
         for v in ks:
             if not cmath.isfinite(v):
                 raise ValueError(f"momentum {v} is not finite")
-        if all(abs(v.imag) <= STRING_MATCH_TOL for v in ks):
+        if all(v.imag == 0.0 for v in ks):
             reals = [v.real for v in ks]
             if any(reals[i] <= reals[i + 1] for i in range(len(reals) - 1)):
                 raise ValueError("real momenta must be strictly decreasing, k_1 > ... > k_N")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Literal, Mapping, NamedTuple, Sequence
@@ -139,13 +140,13 @@ class RegionFunction:
     only through the ids of ``terms``.
 
     Canonical invariant: every non-empty instance comes from ``build`` (the
-    coefficient maps, ``add`` and ``sum_images`` return what ``build`` would,
-    up to the ids of unused kappas) or is a chamber subset of one.  So each
-    chamber holds ascending distinct ids and no coefficient of magnitude at
-    most ``DROP_TOL``, and an operation that keeps the ids, or drops some of
-    their terms, needs no re-sort or re-merge.  An instance built directly,
-    ``RegionFunction(n, terms, kappas)``, must be canonical, as one from
-    ``build`` is.
+    coefficient maps, ``add`` and the supercharges of ``susy`` return what
+    ``build`` would, up to the ids of unused kappas) or is a chamber subset of
+    one.  So each chamber holds ascending distinct ids and no coefficient of
+    magnitude at most ``DROP_TOL``, and an operation that keeps the ids, or
+    drops some of their terms, needs no re-sort or re-merge.  An instance
+    built directly, ``RegionFunction(n, terms, kappas)``, must be canonical,
+    as one from ``build`` is.
 
     On a wall x_a = x_b the kappas reduce (``_reduce``), and the wall
     residuals sum the reduced terms per distinct reduced kappa, in position
@@ -265,8 +266,8 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
     for region, raw in data.items():
         if region.n != n:
             raise ValueError("all regions must carry the same particle count")
-        raw, ids = list(raw), []
-        for _, kappa in raw:
+        sums: dict[int, complex] = {}
+        for c, kappa in raw:
             try:
                 cls = classes.get(kappa)
             except TypeError:  # an unhashable kappa, such as a list
@@ -282,14 +283,12 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
                     kappas.append(converted)
             if kappas[cls] is None:  # no chamber so far keeps its class
                 kappas[cls] = tuple(map(complex, kappa))
-            ids.append(cls)
-        sums: dict[int, complex] = {}
-        for (c, _), i in zip(raw, ids):
-            sums[i] = sums[i] + complex(c) if i in sums else complex(c)
+            sums[cls] = sums[cls] + complex(c) if cls in sums else complex(c)
         for c in sums.values():
             if abs(c) <= DROP_TOL:
-                sums = {i: c for i, c in sums.items() if not abs(c) <= DROP_TOL}
-                for i in set(ids).difference(sums, kept):
+                met = sums
+                sums = {i: c for i, c in met.items() if not abs(c) <= DROP_TOL}
+                for i in met.keys() - sums.keys() - kept:
                     kappas[i] = None
                 break
         kept.update(sums)
@@ -360,68 +359,6 @@ def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
         if region not in fs and us:
             terms[region] = us
     return RegionFunction(n=f.n, terms=terms, kappas=kappas)
-
-
-#: one chamber of an image: its region, then the coefficient that replaces
-#: each term of a canonical chamber of that region (the terms' ids stay)
-ImageChamber = tuple[Region, Sequence[complex], Chamber]
-
-
-def sum_images(
-    n: int, table: tuple[Kappa, ...], images: Iterable[tuple[Hashable, Iterable[ImageChamber]]]
-) -> dict[Hashable, RegionFunction]:
-    """Sum labelled coefficient images into one function per label.
-
-    Every image's chambers hold ids on ``table``.  An image is what
-    ``map_coefficients`` would return for the given coefficients.  The
-    result equals, bit for bit and in chamber order,
-
-        out[label] = add(out[label], image) if label in out else image
-
-    over the images in order, without building any image or intermediate
-    sum.  Each (label, chamber) is one accumulation keyed by id, which
-    keeps the rules of that chain:
-
-    - an image coefficient of magnitude at most ``DROP_TOL`` is skipped;
-    - a sum of magnitude at most ``DROP_TOL`` drops after its image, and a
-      later image starts that id afresh;
-    - a chamber left empty is removed, so a later image appends it at the
-      end of the label's chambers;
-    - every chamber ends in ascending id, as ``add`` leaves it.
-
-    Every result holds ``table``.
-    """
-    tol = DROP_TOL
-    out: dict[Hashable, dict[Region, dict[int, complex]]] = {}
-    for label, chambers in images:
-        acc = out.setdefault(label, {})
-        for region, coefs, terms in chambers:
-            sums = acc.get(region)
-            new = sums is None
-            if new:
-                sums = {}
-            for c, (i, _) in zip(coefs, terms):
-                if abs(c) <= tol:
-                    continue
-                total = sums.get(i)
-                if total is None:
-                    sums[i] = c
-                elif abs(total := total + c) <= tol:
-                    del sums[i]
-                else:
-                    sums[i] = total
-            if sums:
-                if new:
-                    acc[region] = sums
-            elif not new:
-                del acc[region]
-    return {
-        label: RegionFunction(
-            n=n, terms={region: tuple(sorted(sums.items())) for region, sums in acc.items()},
-            kappas=table,
-        )
-        for label, acc in out.items()
-    }
 
 
 def scale(f: RegionFunction, z: complex) -> RegionFunction:
@@ -691,8 +628,8 @@ class _Terms(NamedTuple):
 def _runs(start: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices ``start[k] : start[k] + size[k]`` of every run k, concatenated,
     and the run of each."""
-    first = np.cumsum(size) - size
-    of = np.repeat(np.arange(len(size)), size)
+    first = size.cumsum() - size
+    of = np.arange(len(size)).repeat(size)
     return (start - first)[of] + np.arange(len(of)), of
 
 
@@ -750,6 +687,59 @@ def _gather_terms(
         start=start, size=size, ids=red.ravel(), id_count=np.array(id_count, dtype=np.intp),
     )
     return table, chambers
+
+
+@lru_cache(maxsize=None)
+def _region_index(n: int) -> dict[Region, int]:
+    """Each chamber's position in ``regions(n)``."""
+    return {r: i for i, r in enumerate(regions(n))}
+
+
+class _Flat(NamedTuple):
+    """Chambers of functions on one kappa table as flat arrays (``_flatten``):
+    functions in order, the chambers of each in order, the terms of each in order."""
+
+    count: np.ndarray  # per function: its number of chambers
+    where: np.ndarray  # per chamber: its region's position in ``regions(n)``
+    size: np.ndarray  # per chamber: its number of terms
+    ids: np.ndarray  # per term: its id, and its coefficient's parts
+    re: np.ndarray
+    im: np.ndarray
+
+
+def _flatten(n: int, funcs: Sequence[Mapping[Region, Chamber]]) -> _Flat:
+    """The chambers of each function, each function's in its order, as flat arrays."""
+    index = _region_index(n)
+    where: list[int] = []
+    size: list[int] = []
+    terms: list[tuple[int, complex]] = []
+    for chambers in funcs:
+        where += map(index.__getitem__, chambers)
+        size += map(len, chambers.values())
+        terms += itertools.chain.from_iterable(chambers.values())
+    coef = np.fromiter(map(operator.itemgetter(1), terms), complex, len(terms))
+    return _Flat(np.array(list(map(len, funcs)), dtype=np.intp), np.array(where, dtype=np.intp),
+                 np.array(size, dtype=np.intp),
+                 np.fromiter(map(operator.itemgetter(0), terms), np.intp, len(terms)),
+                 coef.real, coef.imag)
+
+
+def _unflatten(
+    n: int, table: tuple[Kappa, ...], labels: Sequence[Hashable], flat: _Flat
+) -> dict[Hashable, RegionFunction]:
+    """Functions on ``table`` from flat chambers, the inverse of ``_flatten``: the
+    chambers of the k-th function make ``out[labels[k]]``, in their order.  Each
+    chamber must be canonical (see ``RegionFunction``)."""
+    coef = np.empty(len(flat.re), dtype=complex)
+    coef.real, coef.imag = flat.re, flat.im
+    terms = list(zip(flat.ids.tolist(), coef.tolist()))
+    bound = np.cumsum(flat.size).tolist()
+    chambers = zip(map(regions(n).__getitem__, flat.where.tolist()),
+                   map(tuple, map(terms.__getitem__, map(slice, [0] + bound, bound))))
+    return {
+        label: RegionFunction(n, dict(itertools.islice(chambers, k)), table)
+        for label, k in zip(labels, flat.count.tolist())
+    }
 
 
 #: entries, plus one per eight reduced-kappa ids of its walls, in one array

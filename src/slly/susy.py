@@ -31,10 +31,11 @@ sign of its source.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal, Mapping, NamedTuple
+from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
 
@@ -145,35 +146,125 @@ def _check_particles(s: SpinorFunction, sp: Superpotential) -> None:
         raise ValueError(f"spinor of {s.n} particles under a superpotential of {sp.n}")
 
 
-def _image(
-    terms: Mapping[pw.Region, pw.Chamber], kappa_j: list[complex], j: int, z: complex,
-    sgn: float, sp: Superpotential,
-) -> Iterator[pw.ImageChamber]:
-    """The chambers of z (d/dx_j + sgn w_j) f, given f's chambers ``terms`` and
-    the j-th entry ``kappa_j`` of each kappa of their table: c -> z * (c kappa_j
-    + c sgn w_j), in this operand order (report bytes depend on it)."""
-    for r, ts in terms.items():
-        w = grad_w(r, j, sp)
-        yield r, [z * (c * kappa_j[i] + c * sgn * w) for i, c in ts], ts
+@lru_cache(maxsize=None)
+def _rank_weights(n: int) -> np.ndarray:
+    """2 rank(j) - N - 1 on every chamber of ``pw.regions(n)`` (rows) for every
+    mode j (columns), so that ``grad_w`` is (c/2) times it."""
+    return 2 * (np.argsort(np.array(pw.regions(n)), axis=1) + 1) - n - 1
+
+
+#: a move's z = i sqrt(2) jw_sign, as (re, im): row 0 for jw_sign +1, row 1 for -1
+_Z = np.array([(z.real, z.imag) for z in (1j * SQRT2 * 1, 1j * SQRT2 * -1)])
 
 
 def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
-    """Q, or Q^dag if ``dagger``: per source mask and movable mode j, the image of
-    ``_image`` with z = i sqrt(2) jw_sign(mask, j), summed into ``mask ^ bit`` by
-    ascending j (``pw.sum_images``).  Every output component holds the one
-    table of the input components (``pw.common_table``)."""
+    """Q, or Q^dag if ``dagger``, in one array pass over every source term.
+
+    A move is a source mask and a mode j it may move; its image, in target
+    ``mask ^ bit_j``, maps each term c to z (c kappa_j + c sgn w_j) with z =
+    i sqrt(2) jw_sign(mask, j), in this operand order (report bytes depend on
+    it).  The images are summed as ``add`` would fold them into the targets
+    one at a time, moves in order (source masks, then ascending j), bit for
+    bit.  Each (target, chamber, id) sums its entries in that order, at most
+    one per move into the target and so at most N, in at most N vector
+    rounds, one per entry:
+
+    - an entry of magnitude at most ``DROP_TOL`` is skipped;
+    - a sum of magnitude at most ``DROP_TOL`` drops, and a later entry starts
+      it afresh;
+    - a magnitude with finite parts that overflows raises ``OverflowError``,
+      as ``abs`` does.
+
+    A target's chambers come in the order of the last move that made each
+    non-empty (so a chamber emptied by drops goes to the end when refilled),
+    and within one move in the source's chamber order; targets come in the
+    order moves first reach them, each chamber in ascending id.  Every output
+    component holds the one table of the input components (``pw.common_table``).
+    """
     _check_particles(s, sp)
-    sgn = -1.0 if dagger else 1.0
+    n, tol = sp.n, pw.DROP_TOL
     table, chambers = pw.common_table(list(s.components.values()))
-    columns = [[kappa[j] for kappa in table] for j in range(sp.n)]
-    images = (
-        (mask ^ (1 << (j - 1)),
-         _image(terms, columns[j - 1], j, 1j * SQRT2 * fock.jw_sign(mask, j), sgn, sp))
-        for mask, terms in zip(s.components, chambers)
-        for j in range(1, sp.n + 1)
-        if bool(mask & (1 << (j - 1))) != dagger
-    )
-    return _prune(SpinorFunction(s.n, pw.sum_images(s.n, table, images)))
+    flat = pw._flatten(n, chambers)
+    targets: dict[int, list[int]] = {}  # target mask -> [its place, the moves into it so far]
+    moves: list[int] = []  # per move: source, j - 1, target, rank into it, jw_sign < 0
+    for f, mask in enumerate(s.components):
+        for j in range(n):
+            if bool(mask >> j & 1) != dagger:
+                t = targets.setdefault(mask ^ 1 << j, [len(targets), 0])
+                moves += (f, j, t[0], t[1], fock.jw_sign(mask, j + 1) < 0)
+                t[1] += 1
+    m_f, m_j, m_t, m_rank, m_odd = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 5).T
+    rows, n_regions = len(table), len(pw.regions(n))
+    # the entries: each move's source terms, sorted by (target, chamber, id)
+    # and stably, so each such group holds its entries in move order
+    bound = np.concatenate(([0], flat.size.cumsum()))[np.concatenate(([0], flat.count.cumsum()))]
+    term, move = pw._runs(bound[m_f], bound[m_f + 1] - bound[m_f])
+    if not len(term):
+        return SpinorFunction(s.n, {})
+    chamber = np.arange(len(flat.size)).repeat(flat.size)[term]
+    slot = m_t[move] * n_regions + flat.where[chamber]  # (target, chamber)
+    key = slot * rows + flat.ids[term]
+    order = key.argsort(kind="stable")
+    key, term, move = key[order], term[order], move[order]
+    chamber, slot = chamber[order], slot[order]
+    ids, j = flat.ids[term], m_j[move]
+    kappa = np.fromiter(itertools.chain.from_iterable(table), complex, rows * n)[ids * n + j]
+    (zr, zi), cr, ci = _Z[m_odd[move]].T, flat.re[term], flat.im[term]
+    try:
+        with np.errstate(all="ignore"):
+            w = (0.5 * sp.c) * _rank_weights(n)[flat.where[chamber], j]  # grad_w
+            wr, wi = pw._product(*pw._product(cr, ci, -1.0 if dagger else 1.0, 0.0), w, 0.0)
+            kr, ki = pw._product(cr, ci, kappa.real, kappa.imag)
+            er, ei = pw._product(zr, zi, kr + wr, ki + wi)
+            mag = pw._magnitude(er, ei)
+            over = np.count_nonzero(pw._overflowed(mag, er, ei))
+            live = ~(mag <= tol)
+            new = np.empty(len(key), dtype=bool)
+            new[0], new[1:] = True, key[1:] != key[:-1]
+            head, group = new.nonzero()[0], new.cumsum() - 1
+            rank = np.arange(len(key)) - head[group]  # the entry's place in its group
+            held = live.copy()  # whether the entry's group holds a sum after it
+            vr, vi, on = er[head], ei[head], live[head]
+            for r in range(1, int(rank.max()) + 1):
+                e = (rank == r).nonzero()[0]
+                g = group[e]
+                xr, xi, add, was = er[e], ei[e], live[e], on[g]
+                tr = np.where(was, vr[g] + xr, xr)
+                ti = np.where(was, vi[g] + xi, xi)
+                total = pw._magnitude(tr, ti)
+                summed = add & was
+                over += np.count_nonzero(summed & pw._overflowed(total, tr, ti))
+                held[e] = on[g] = np.where(summed, pw._kept(total), was | add)
+                vr[g], vi[g] = np.where(add, tr, vr[g]), np.where(add, ti, vi[g])
+    finally:
+        abs(0j)  # clear the ERANGE an overflowing np.hypot leaves (see ``pw._sweep``)
+    if over:
+        raise OverflowError("absolute value too large")
+    # per (target, chamber), a row, and per rank of the move into the target, a
+    # column: the change in held sums, the count after it and the source chamber
+    first = np.empty(len(slot), dtype=bool)
+    first[0], first[1:] = True, slot[1:] != slot[:-1]
+    row = first.cumsum() - 1
+    spot = row * n + m_rank[move]
+    shift = held.astype(np.intp)
+    shift[1:] -= held[:-1] & (rank[1:] > 0)
+    change = np.bincount(spot, shift, n * (row[-1] + 1)).reshape(-1, n)
+    count = change.cumsum(axis=1)
+    source = np.empty(count.shape, dtype=np.intp)
+    source.flat[spot] = chamber
+    # each kept chamber is placed by the last move that made it non-empty
+    kept = (count[:, -1] > 0).nonzero()[0]
+    last = n - 1 - ((count > 0) & (count == change))[kept, ::-1].argmax(axis=1)
+    target, where = np.divmod(slot[first.nonzero()[0][kept]], n_regions)
+    out = np.lexsort((source[kept, last], last, target))
+    size = count[kept, -1].astype(np.intp)
+    pick, _ = pw._runs((size.cumsum() - size)[out], size[out])
+    pick = on.nonzero()[0][pick]  # the held groups, chamber by chamber in output order
+    per_target = np.bincount(target, minlength=len(targets))
+    masks = [mask for mask, (t, _) in targets.items() if per_target[t]]
+    return SpinorFunction(s.n, pw._unflatten(n, table, masks, pw._Flat(
+        per_target[per_target > 0], where[out], size[out], key[head[pick]] % rows,
+        vr[pick], vi[pick])))
 
 
 def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:

@@ -127,6 +127,19 @@ class TestMomentumSet:
         kset = bethe.trimer_momenta(0.4, -1.1)
         assert kset.n == 3
 
+    @pytest.mark.parametrize("make, n", [
+        (lambda c: bethe.nmer_momenta(4, c), 4),
+        (lambda c: bethe.dimer_momenta(0.0, c), 2),
+        (lambda c: bethe.trimer_momenta(0.1, c), 3),
+        (lambda c: bethe.monomer_dimer_momenta(0.3, -0.2, c), 3),
+    ])
+    def test_string_of_tiny_coupling_is_a_string(self, make, n):
+        # at |c| = 1e-12 every imaginary part is within STRING_MATCH_TOL of 0, yet
+        # the momenta are a string: only exact reals are checked for decreasing order
+        kset = make(-1e-12)
+        assert kset.n == n
+        assert any(v.imag != 0.0 for v in kset.k)
+
 
 class TestCoefficients:
     def test_two_body_ratio(self):

@@ -103,6 +103,21 @@ class TestBetheCommands:
         )
 
 
+    @pytest.mark.parametrize("argv", [
+        ["susy", "zero-modes", "--n", "3", "--c", "1e-9"],
+        ["susy", "census", "--n", "2", "--c", "1e-9"],
+        ["bethe", "dimer", "--p", "0", "--c", "-1e-9"],
+        ["bethe", "trimer", "--p", "0.1", "--c", "-1e-12"],
+        ["bethe", "monomer-dimer", "--p", "0.3", "--q", "-0.2", "--c", "-1e-10"],
+    ])
+    def test_string_of_small_coupling_is_not_read_as_real_momenta(self, argv, capsys):
+        # the string's imaginary parts are at most |c| (N - 1)/2, far below any
+        # momentum tolerance; the set is still a string, not N equal real momenta
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+
 class TestSusyCommands:
     @pytest.mark.parametrize("argv, c", [
         (["susy", "sector", "--n", "2", "--grade", "1", "--c", "1e308"], "1e+308"),

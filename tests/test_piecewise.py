@@ -1707,7 +1707,7 @@ class TestExactIdentity:
 
     def test_constructed_states_merge_as_under_the_tolerance(self, monkeypatch):
         merges = []
-        build, sum_images = pw.build, pw.sum_images
+        build = pw.build
 
         def both_rules(n, data):
             # the raw terms of each chamber merge as under the tolerance
@@ -1718,22 +1718,21 @@ class TestExactIdentity:
                 merges.append(len(kappas))
             return build(n, data)
 
-        def both_rules_on_images(n, table, images):
-            # the kappas that reach one (label, chamber) merge as one raw chamber would
-            images = [(label, list(chambers)) for label, chambers in images]
+        def both_rules_on_images(s, dagger):
+            # the kappas that the sources of one (target mask, chamber) of Q s, or
+            # Q^dag s, carry there merge as one raw chamber would
             arrived = {}
-            for label, chambers in images:
-                for region, coefs, terms in chambers:
-                    arrived.setdefault((label, region), []).extend(
-                        table[i] for c, (i, _) in zip(coefs, terms) if not abs(c) <= pw.DROP_TOL
-                    )
+            for mask, f in s.components.items():
+                for j in range(s.n):
+                    if bool(mask >> j & 1) != dagger:
+                        for region, ts in f.terms.items():
+                            arrived.setdefault((mask ^ 1 << j, region), []).extend(
+                                f.kappas[i] for i, _ in ts)
             for kappas in arrived.values():
                 assert exact_partition(kappas) == tolerance_partition(kappas)
                 merges.append(len(kappas))
-            return sum_images(n, table, images)
 
         monkeypatch.setattr(pw, "build", both_rules)
-        monkeypatch.setattr(pw, "sum_images", both_rules_on_images)
         rng = np.random.default_rng(12)
         funcs = []
         for n in range(2, 6):
@@ -1752,8 +1751,10 @@ class TestExactIdentity:
         for n in range(2, 5):
             sp = susy.Superpotential(n=n, c=float(rng.uniform(0.2, 2.5)))
             s = susy.random_spinor(sp, rng)
-            for image in (susy.apply_q(s, sp), susy.apply_q_dagger(s, sp),
-                          susy.apply_q(susy.apply_q_dagger(s, sp), sp)):
+            qds = susy.apply_q_dagger(s, sp)
+            for source, dagger in ((s, False), (s, True), (qds, False)):
+                both_rules_on_images(source, dagger)
+            for image in (susy.apply_q(s, sp), qds, susy.apply_q(qds, sp)):
                 funcs += image.components.values()
         seen = set()
         planned = 0

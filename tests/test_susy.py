@@ -52,7 +52,7 @@ def old_supercharge(s, sp, dagger):
 
 def image_chain_supercharge(s, sp, dagger, events=None):
     """Q or Q^dag as one image per move, folded in with ``pw.add``: the reference of
-    ``pw.sum_images``.
+    ``susy._supercharge``.
 
     Per source mask and movable mode j, ``map_coefficients`` builds the image
     c -> z * (c kappa_j + c sgn w_j) and ``add`` folds it into the target
@@ -311,14 +311,14 @@ def near_cancelling_spinor():
 class TestAccumulationKernel:
     """``_supercharge`` equals the image-by-image chain bit for bit, chamber order included."""
 
-    SP = {n: susy.Superpotential(n=n, c=1.0) for n in (1, 2, 3, 4)}
+    SP = {n: susy.Superpotential(n=n, c=1.0) for n in (1, 2, 3, 4, 5)}
 
     @staticmethod
     def pooled(n, seed, count=20):
         rng = np.random.default_rng(seed)
         return [pooled_spinor(rng, n, huge=k % 2 == 0) for k in range(count)]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("dagger", [False, True])
     def test_equal_chain_on_pooled_spinors(self, n, dagger):
         sp = self.SP[n]
@@ -326,6 +326,35 @@ class TestAccumulationKernel:
             assert bits(susy._supercharge(s, sp, dagger)) == bits(
                 image_chain_supercharge(s, sp, dagger)
             )
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_equal_chain_on_large_zero_modes(self, n):
+        sp = susy.Superpotential(n=n, c=1.05)
+        for mode in susy.zero_modes(sp):
+            for dagger in (False, True):
+                assert bits(susy._supercharge(mode, sp, dagger)) == bits(
+                    image_chain_supercharge(mode, sp, dagger)
+                )
+
+    def test_overflowing_magnitude_raises(self):
+        """An image coefficient, or a sum of two, with finite parts whose magnitude
+        exceeds DBL_MAX raises OverflowError, as ``abs`` of it does in the chain."""
+        sp = susy.Superpotential(1, 0.0)
+        f = pw.build(1, {pw.Region((1,)): [(0.92e308 + 0.92e308j, (1.0,))]})
+        with pytest.raises(OverflowError):
+            image_chain_supercharge(susy.SpinorFunction(1, {1: f}), sp, False)
+        with pytest.raises(OverflowError):
+            susy.apply_q(susy.SpinorFunction(1, {1: f}), sp)
+        # each image is i sqrt(2) (0.5e308 - 0.5e308j), of magnitude 1e308;
+        # masks 1 and 2 lower into mask 0, and there the sum's magnitude overflows
+        sp = susy.Superpotential(2, 0.0)
+        g = pw.build(2, {pw.Region((1, 2)): [(0.5e308 - 0.5e308j, (1.0, 1.0))]})
+        for s, op in ((susy.SpinorFunction(2, {1: g, 2: g}), susy.apply_q),
+                      (susy.SpinorFunction(2, {1: g, 2: pw.scale(g, -1.0)}), susy.apply_q_dagger)):
+            with pytest.raises(OverflowError):
+                image_chain_supercharge(s, sp, op is susy.apply_q_dagger)
+            with pytest.raises(OverflowError):
+                op(s, sp)
 
     def test_near_cancellation_drops_and_reappends(self):
         sp, s = self.SP[3], near_cancelling_spinor()
