@@ -157,6 +157,25 @@ def _rank_weights(n: int) -> np.ndarray:
 _Z = np.array([(z.real, z.imag) for z in (1j * SQRT2 * 1, 1j * SQRT2 * -1)])
 
 
+def _coefficients(
+    flat: pw._Flat, table: tuple[pw.Kappa, ...], sp: Superpotential, dagger: bool,
+    term: np.ndarray, region: np.ndarray, j: np.ndarray, odd: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The image coefficient z (c kappa_j + c sgn w_j) of each entry, as (re, im):
+    the term ``term`` of ``flat`` on the chamber ``pw.regions(n)[region]``, moved
+    by mode ``j + 1`` with jw_sign -1 where ``odd``.  In this operand order
+    (report bytes depend on it) and in CPython's complex arithmetic, bit for bit."""
+    n = sp.n
+    kappa = np.fromiter(itertools.chain.from_iterable(table), complex, len(table) * n)
+    kappa = kappa[flat.ids[term] * n + j]
+    cr, ci = flat.re[term], flat.im[term]
+    zr, zi = _Z[odd].T
+    w = (0.5 * sp.c) * _rank_weights(n)[region, j]  # grad_w
+    wr, wi = pw._product(*pw._product(cr, ci, -1.0 if dagger else 1.0, 0.0), w, 0.0)
+    kr, ki = pw._product(cr, ci, kappa.real, kappa.imag)
+    return pw._product(zr, zi, kr + wr, ki + wi)
+
+
 def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
     """Q, or Q^dag if ``dagger``, in one array pass over every source term.
 
@@ -182,7 +201,7 @@ def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorF
     component holds the one table of the input components (``pw.common_table``).
     """
     _check_particles(s, sp)
-    n, tol = sp.n, pw.DROP_TOL
+    n = sp.n
     table, chambers = pw.common_table(list(s.components.values()))
     flat = pw._flatten(n, chambers)
     targets: dict[int, list[int]] = {}  # target mask -> [its place, the moves into it so far]
@@ -207,18 +226,13 @@ def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorF
     order = key.argsort(kind="stable")
     key, term, move = key[order], term[order], move[order]
     chamber, slot = chamber[order], slot[order]
-    ids, j = flat.ids[term], m_j[move]
-    kappa = np.fromiter(itertools.chain.from_iterable(table), complex, rows * n)[ids * n + j]
-    (zr, zi), cr, ci = _Z[m_odd[move]].T, flat.re[term], flat.im[term]
     try:
         with np.errstate(all="ignore"):
-            w = (0.5 * sp.c) * _rank_weights(n)[flat.where[chamber], j]  # grad_w
-            wr, wi = pw._product(*pw._product(cr, ci, -1.0 if dagger else 1.0, 0.0), w, 0.0)
-            kr, ki = pw._product(cr, ci, kappa.real, kappa.imag)
-            er, ei = pw._product(zr, zi, kr + wr, ki + wi)
+            er, ei = _coefficients(flat, table, sp, dagger, term, flat.where[chamber],
+                                   m_j[move], m_odd[move])
             mag = pw._magnitude(er, ei)
             over = np.count_nonzero(pw._overflowed(mag, er, ei))
-            live = ~(mag <= tol)
+            live = pw._kept(mag)
             new = np.empty(len(key), dtype=bool)
             new[0], new[1:] = True, key[1:] != key[:-1]
             head, group = new.nonzero()[0], new.cumsum() - 1
