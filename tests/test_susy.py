@@ -345,8 +345,9 @@ class TestAccumulationKernel:
             image_chain_supercharge(susy.SpinorFunction(1, {1: f}), sp, False)
         with pytest.raises(OverflowError):
             susy.apply_q(susy.SpinorFunction(1, {1: f}), sp)
-        # each image is i sqrt(2) (0.5e308 - 0.5e308j), of magnitude 1e308;
-        # masks 1 and 2 lower into mask 0, and there the sum's magnitude overflows
+        # each image is +-i sqrt(2) (0.5e308 - 0.5e308j), of magnitude 1e308, and
+        # masks 1 and 2 move into one mask (0 under Q, 3 under Q^dag) with the
+        # same sign, so the magnitude of their sum overflows
         sp = susy.Superpotential(2, 0.0)
         g = pw.build(2, {pw.Region((1, 2)): [(0.5e308 - 0.5e308j, (1.0, 1.0))]})
         for s, op in ((susy.SpinorFunction(2, {1: g, 2: g}), susy.apply_q),
