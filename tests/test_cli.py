@@ -102,7 +102,6 @@ class TestBetheCommands:
             "above the budget of 518400 (6 particles)\n"
         )
 
-
     @pytest.mark.parametrize("argv", [
         ["susy", "zero-modes", "--n", "3", "--c", "1e-9"],
         ["susy", "census", "--n", "2", "--c", "1e-9"],
