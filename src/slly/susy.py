@@ -158,16 +158,16 @@ _Z = np.array([(z.real, z.imag) for z in (1j * SQRT2 * 1, 1j * SQRT2 * -1)])
 
 
 def _coefficients(
-    flat: pw._Flat, table: tuple[pw.Kappa, ...], sp: Superpotential, dagger: bool,
+    flat: pw._Flat, kappas: np.ndarray, sp: Superpotential, dagger: bool,
     term: np.ndarray, region: np.ndarray, j: np.ndarray, odd: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The image coefficient z (c kappa_j + c sgn w_j) of each entry, as (re, im):
     the term ``term`` of ``flat`` on the chamber ``pw.regions(n)[region]``, moved
-    by mode ``j + 1`` with jw_sign -1 where ``odd``.  In this operand order
-    (report bytes depend on it) and in CPython's complex arithmetic, bit for bit."""
+    by mode ``j + 1`` with jw_sign -1 where ``odd``; ``kappas`` is the table,
+    flat.  In this operand order (report bytes depend on it) and in CPython's
+    complex arithmetic, bit for bit."""
     n = sp.n
-    kappa = np.fromiter(itertools.chain.from_iterable(table), complex, len(table) * n)
-    kappa = kappa[flat.ids[term] * n + j]
+    kappa = kappas[flat.ids[term] * n + j]
     cr, ci = flat.re[term], flat.im[term]
     zr, zi = _Z[odd].T
     w = (0.5 * sp.c) * _rank_weights(n)[region, j]  # grad_w
@@ -176,8 +176,13 @@ def _coefficients(
     return pw._product(zr, zi, kr + wr, ki + wi)
 
 
+#: entries in one array pass of the supercharge, about 0.26 kB each at the
+#: peak; a pass takes whole targets, so one target alone may exceed it
+_PASS_SIZE = 1 << 18
+
+
 def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
-    """Q, or Q^dag if ``dagger``, in one array pass over every source term.
+    """Q, or Q^dag if ``dagger``, in array passes over the source terms.
 
     A move is a source mask and a mode j it may move; its image, in target
     ``mask ^ bit_j``, maps each term c to z (c kappa_j + c sgn w_j) with z =
@@ -197,8 +202,10 @@ def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorF
     A target's chambers come in the order of the last move that made each
     non-empty (so a chamber emptied by drops goes to the end when refilled),
     and within one move in the source's chamber order; targets come in the
-    order moves first reach them, each chamber in ascending id.  Every output
-    component holds the one table of the input components (``pw.common_table``).
+    order moves first reach them, each chamber in ascending id.  A pass sums
+    the entries of consecutive targets, one pass unless they hold more than
+    ``_PASS_SIZE`` entries.  Every output component holds the one table of
+    the input components (``pw.common_table``).
     """
     _check_particles(s, sp)
     n = sp.n
@@ -212,14 +219,35 @@ def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorF
                 t = targets.setdefault(mask ^ 1 << j, [len(targets), 0])
                 moves += (f, j, t[0], t[1], fock.jw_sign(mask, j + 1) < 0)
                 t[1] += 1
-    m_f, m_j, m_t, m_rank, m_odd = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 5).T
-    rows, n_regions = len(table), len(pw.regions(n))
+    move = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 5)
+    bound = np.concatenate(([0], flat.size.cumsum()))[np.concatenate(([0], flat.count.cumsum()))]
+    start, size = bound[move[:, 0]], bound[move[:, 0] + 1] - bound[move[:, 0]]
+    ends = np.bincount(move[:, 2], size, len(targets)).cumsum()
+    kappas = np.fromiter(itertools.chain.from_iterable(table), complex, len(table) * n)
+    masks, out, lo = list(targets), {}, 0
+    while lo < len(targets):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, (ends[lo - 1] if lo else 0.0) + _PASS_SIZE, "right")))
+        at = ((move[:, 2] >= lo) & (move[:, 2] < hi)).nonzero()[0]
+        out.update(_supercharge_pass(flat, table, kappas, sp, dagger, masks, move[at],
+                                     start[at], size[at]))
+        lo = hi
+    return SpinorFunction(s.n, out)
+
+
+def _supercharge_pass(
+    flat: pw._Flat, table: tuple[pw.Kappa, ...], kappas: np.ndarray, sp: Superpotential,
+    dagger: bool, masks: list[int], moves: np.ndarray, start: np.ndarray, size: np.ndarray,
+) -> dict[int, pw.RegionFunction]:
+    """The targets of ``moves``, which hold every move into each of them, their
+    source terms being ``flat``'s ``start : start + size``: see ``_supercharge``."""
+    n, rows, n_regions = sp.n, len(table), len(pw.regions(sp.n))
+    m_j, m_t, m_rank, m_odd = moves[:, 1], moves[:, 2], moves[:, 3], moves[:, 4]
     # the entries: each move's source terms, sorted by (target, chamber, id)
     # and stably, so each such group holds its entries in move order
-    bound = np.concatenate(([0], flat.size.cumsum()))[np.concatenate(([0], flat.count.cumsum()))]
-    term, move = pw._runs(bound[m_f], bound[m_f + 1] - bound[m_f])
+    term, move = pw._runs(start, size)
     if not len(term):
-        return SpinorFunction(s.n, {})
+        return {}
     chamber = np.arange(len(flat.size)).repeat(flat.size)[term]
     slot = m_t[move] * n_regions + flat.where[chamber]  # (target, chamber)
     key = slot * rows + flat.ids[term]
@@ -228,7 +256,7 @@ def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorF
     chamber, slot = chamber[order], slot[order]
     try:
         with np.errstate(all="ignore"):
-            er, ei = _coefficients(flat, table, sp, dagger, term, flat.where[chamber],
+            er, ei = _coefficients(flat, kappas, sp, dagger, term, flat.where[chamber],
                                    m_j[move], m_odd[move])
             mag = pw._magnitude(er, ei)
             over = np.count_nonzero(pw._overflowed(mag, er, ei))
@@ -274,11 +302,10 @@ def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorF
     size = count[kept, -1].astype(np.intp)
     pick, _ = pw._runs((size.cumsum() - size)[out], size[out])
     pick = on.nonzero()[0][pick]  # the held groups, chamber by chamber in output order
-    per_target = np.bincount(target, minlength=len(targets))
-    masks = [mask for mask, (t, _) in targets.items() if per_target[t]]
-    return SpinorFunction(s.n, pw._unflatten(n, table, masks, pw._Flat(
+    per_target = np.bincount(target, minlength=len(masks))
+    return pw._unflatten(n, table, [masks[t] for t in per_target.nonzero()[0].tolist()], pw._Flat(
         per_target[per_target > 0], where[out], size[out], key[head[pick]] % rows,
-        vr[pick], vi[pick])))
+        vr[pick], vi[pick]))
 
 
 def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:

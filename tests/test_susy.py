@@ -336,6 +336,20 @@ class TestAccumulationKernel:
                     image_chain_supercharge(mode, sp, dagger)
                 )
 
+    def test_passes_of_whole_targets_equal_one_pass(self, monkeypatch):
+        # a pass of at most 16 entries takes one target or a few: the chambers,
+        # drops and overflows of every target are the chain's all the same
+        monkeypatch.setattr(susy, "_PASS_SIZE", 16)
+        for n in (3, 4):
+            for dagger in (False, True):
+                for s in self.pooled(n, 100 + 10 * n + dagger, count=4):
+                    assert bits(susy._supercharge(s, self.SP[n], dagger)) == bits(
+                        image_chain_supercharge(s, self.SP[n], dagger)
+                    )
+        sp = susy.Superpotential(n=5, c=1.05)
+        for mode in susy.zero_modes(sp):
+            assert bits(susy.apply_q(mode, sp)) == bits(image_chain_supercharge(mode, sp, False))
+
     def test_overflowing_magnitude_raises(self):
         """An image coefficient, or a sum of two, with finite parts whose magnitude
         exceeds DBL_MAX raises OverflowError, as ``abs`` of it does in the chain."""
