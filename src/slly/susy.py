@@ -163,9 +163,9 @@ def _coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The image coefficient z (c kappa_j + c sgn w_j) of each entry, as (re, im):
     the term ``term`` of ``flat`` on the chamber ``pw.regions(n)[region]``, moved
-    by mode ``j + 1`` with jw_sign -1 where ``odd``; ``kappas`` is the table,
-    flat.  In this operand order (report bytes depend on it) and in CPython's
-    complex arithmetic, bit for bit."""
+    by mode ``j + 1`` with jw_sign -1 where ``odd``; ``kappas`` holds the kappa
+    table row by row, as one complex array.  In this operand order (report
+    bytes depend on it) and in CPython's complex arithmetic, bit for bit."""
     n = sp.n
     kappa = kappas[flat.ids[term] * n + j]
     cr, ci = flat.re[term], flat.im[term]
