@@ -165,6 +165,7 @@ def charge_residual(
         try:
             return abs(sum((-1j * kap) ** order for kap in kappa) - target)
         except OverflowError:
+            pw._clear_errno()
             return math.inf
 
     return pw.nan_max(map(deviation, pw.used_kappas(state)))

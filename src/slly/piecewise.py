@@ -30,12 +30,13 @@ hyperplane values only through one-sided limits).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,7 +135,10 @@ class RegionFunction:
     share one id, whose kappa is the first of them kept (``build``) or met
     (``_union``), so kappas differing only in the sign of a zero are one.
     ``terms`` maps a Region to its chamber, ``(id, coef)`` pairs in
-    ascending id; absent regions are identically zero there.  Instances are
+    ascending id; absent regions are identically zero there.  The order of
+    the chambers carries no meaning: equality ignores it and no operation
+    reads it (the supercharges of ``susy`` write them in ``regions(n)``
+    order, the other operations in their inputs' order).  Instances are
     treated as immutable and share tables (``map_coefficients``), so after
     a drop a table may hold a kappa that no chamber uses; kappas are read
     only through the ids of ``terms``.
@@ -172,6 +176,13 @@ def _guard_size(n: int) -> None:
 def _guard_pair(n: int, a: int, b: int) -> None:
     if not 1 <= a < b <= n:
         raise ValueError(f"particle pair ({a}, {b}) is not 1 <= a < b <= {n}")
+
+
+def _clear_errno() -> None:
+    """Reset the C errno, which an overflowing ``np.hypot``, or CPython's complex
+    ``abs`` or ``**`` raising ``OverflowError``, leaves at ERANGE: CPython's ``abs``
+    of a complex with a NaN part reads it, and would raise on it later."""
+    abs(0j)  # abs of a finite complex resets errno
 
 
 @lru_cache(maxsize=None)
@@ -284,13 +295,17 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
             if kappas[cls] is None:  # no chamber so far keeps its class
                 kappas[cls] = tuple(map(complex, kappa))
             sums[cls] = sums[cls] + complex(c) if cls in sums else complex(c)
-        for c in sums.values():
-            if abs(c) <= DROP_TOL:
-                met = sums
-                sums = {i: c for i, c in met.items() if not abs(c) <= DROP_TOL}
-                for i in met.keys() - sums.keys() - kept:
-                    kappas[i] = None
-                break
+        try:
+            for c in sums.values():
+                if abs(c) <= DROP_TOL:
+                    met = sums
+                    sums = {i: c for i, c in met.items() if not abs(c) <= DROP_TOL}
+                    for i in met.keys() - sums.keys() - kept:
+                        kappas[i] = None
+                    break
+        except OverflowError:
+            _clear_errno()
+            raise
         kept.update(sums)
         chambers[region] = sums
     order = sorted(kept, key=lambda i: _sort_key(kappas[i]))
@@ -324,12 +339,15 @@ def map_coefficients(
     """
     kappas = f.kappas
     terms = {}
-    for r, ts in f.terms.items():
-        mapped = tuple(
-            (i, c) for i, coef in ts if not abs(c := complex(fn(r, coef, kappas[i]))) <= DROP_TOL
-        )
-        if mapped:
-            terms[r] = mapped
+    try:
+        for r, ts in f.terms.items():
+            mapped = tuple((i, c) for i, coef in ts
+                           if not abs(c := complex(fn(r, coef, kappas[i]))) <= DROP_TOL)
+            if mapped:
+                terms[r] = mapped
+    except OverflowError:
+        _clear_errno()
+        raise
     return RegionFunction(n=f.n, terms=terms, kappas=kappas)
 
 
@@ -346,15 +364,19 @@ def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
         raise ValueError("dimension mismatch")
     kappas, (fs, gs) = common_table((f, g))
     terms = {}
-    for region, ts in fs.items():
-        us = gs.get(region)
-        if us:
-            sums = dict(ts)
-            for i, c in us:
-                sums[i] = sums[i] + c if i in sums else c
-            ts = tuple([(i, c) for i, c in sorted(sums.items()) if not abs(c) <= DROP_TOL])
-        if ts:
-            terms[region] = ts
+    try:
+        for region, ts in fs.items():
+            us = gs.get(region)
+            if us:
+                sums = dict(ts)
+                for i, c in us:
+                    sums[i] = sums[i] + c if i in sums else c
+                ts = tuple([(i, c) for i, c in sorted(sums.items()) if not abs(c) <= DROP_TOL])
+            if ts:
+                terms[region] = ts
+    except OverflowError:
+        _clear_errno()
+        raise
     for region, us in gs.items():
         if region not in fs and us:
             terms[region] = us
@@ -367,7 +389,11 @@ def scale(f: RegionFunction, z: complex) -> RegionFunction:
 
 def max_coefficient(f: RegionFunction) -> float:
     """Largest coefficient magnitude; NaN when any coefficient is NaN."""
-    return nan_max(abs(c) for ts in f.terms.values() for _, c in ts)
+    try:
+        return nan_max(abs(c) for ts in f.terms.values() for _, c in ts)
+    except OverflowError:
+        _clear_errno()
+        raise
 
 
 def used_kappas(f: RegionFunction) -> list[Kappa]:
@@ -578,50 +604,48 @@ def _derivative(cr, ci, kar, kai, kbr, kbi) -> _Derivative:
 class _Walls(NamedTuple):
     """The walls of a sweep as indices."""
 
-    regions: tuple[Region, ...]  # every chamber the walls read, once
+    regions: np.ndarray  # positions in ``regions(n)`` of the chambers the walls read, ascending
     sides: np.ndarray  # (walls, 2): the left and right chamber, indices into ``regions``
     pairs: tuple[tuple[int, int], ...]  # the distinct pairs, in order of first wall
     pair: np.ndarray  # (walls,): index into ``pairs``
     slots: np.ndarray  # (pairs, 2): each pair's kappa slots, a - 1 and b - 1
 
 
-def _wall_table(walls: Iterable[Interface]) -> _Walls:
-    regions: dict[Region, int] = {}
+def _wall_table(n: int, walls: Iterable[Interface]) -> _Walls:
+    index = _region_index(n)
     pairs: dict[tuple[int, int], int] = {}
     sides, pair = [], []
     for iface in walls:
-        sides.append([regions.setdefault(r, len(regions)) for r in (iface.left, iface.right)])
+        sides += (index[iface.left], index[iface.right])
         pair.append(pairs.setdefault(iface.pair, len(pairs)))
-    return _Walls(tuple(regions), np.array(sides, dtype=np.intp).reshape(-1, 2), tuple(pairs),
-                  np.array(pair, dtype=np.intp), np.array(list(pairs), dtype=np.intp) - 1)
+    read, sides = np.unique(np.array(sides, dtype=np.intp), return_inverse=True)
+    return _Walls(read, sides.reshape(-1, 2), tuple(pairs), np.array(pair, dtype=np.intp),
+                  np.array(list(pairs), dtype=np.intp) - 1)
 
 
 @lru_cache(maxsize=None)
 def _interface_table(n: int) -> _Walls:
     """``_wall_table`` of ``interfaces(n)``, cached as it is."""
-    return _wall_table(interfaces(n))
+    return _wall_table(n, interfaces(n))
 
 
 class _Terms(NamedTuple):
     """The term table of a sweep: the chambers its walls read, gathered once.
 
-    Chamber c holds the terms ``start[c] : start[c] + size[c]`` of
-    ``coef_re``/``coef_im``/``row``.  A term's ``row`` is its kappa's row in
-    the kappa tables of the functions, each distinct table once, stored
-    transposed (kappa_j of row r at ``j * rows + r``).  The reduced-kappa id
-    of row r on the walls of pair p is ``ids[p * rows + r]``, computed only
-    where a wall reads it.
+    ``flat`` holds each function's chambers in region order (``_flatten``),
+    chamber c its terms ``start[c] : start[c] + flat.size[c]``.  The kappa
+    tables of the functions, each distinct table once, are the rows of
+    ``kappa`` (``_kappa_array``), component k's from row ``base[k]``, so a
+    term's row is its id plus its component's base.  The reduced-kappa id of
+    row r on the walls of pair p is ``ids[p, r]``, computed only where a
+    wall reads it.
     """
 
-    coef_re: np.ndarray
-    coef_im: np.ndarray
-    row: np.ndarray
-    kappa_re: np.ndarray  # flat (n * rows,)
-    kappa_im: np.ndarray
-    rows: int
+    flat: _Flat
     start: np.ndarray
-    size: np.ndarray
-    ids: np.ndarray  # flat (pairs * rows,)
+    base: np.ndarray  # per component: the first row of its kappa table
+    kappa: np.ndarray  # (rows, n)
+    ids: np.ndarray  # (pairs, rows)
     id_count: np.ndarray  # per pair: its number of distinct reduced kappas
 
 
@@ -638,41 +662,29 @@ def _gather_terms(
 ) -> tuple[_Terms, np.ndarray] | None:
     """The term table of the walls' chambers, and the chamber (or -1) of each
     (wall, component, side), in that order; None when no chamber holds a term."""
-    offsets: dict[int, int] = {}  # id of a kappa table -> its first row
-    kappas: list[Kappa] = []
-    # per term its coefficient and id, per chamber its first row and size
-    coefs, ids, bases, sizes, chamber_of = [], [], [], [], []
-    for f in funcs:
-        base = offsets.setdefault(id(f.kappas), len(kappas))
-        if base == len(kappas):
-            kappas += f.kappas
-        for region in walls.regions:
-            ts = f.terms.get(region)
-            chamber_of.append(len(sizes) if ts else -1)
-            if ts:
-                i, cs = zip(*ts)
-                bases.append(base)
-                sizes.append(len(cs))
-                ids.extend(i)
-                coefs.extend(cs)
-    if not sizes:
+    n = funcs[0].n
+    tables = {id(f.kappas): f.kappas for f in funcs}  # each distinct table once, in order
+    first_row = dict(zip(tables, itertools.accumulate(map(len, tables.values()), initial=0)))
+    kappas = list(itertools.chain.from_iterable(tables.values()))
+    chambers_read = [regions(n)[i] for i in walls.regions.tolist()]
+    flat = _flatten(n, [{r: ts for r in chambers_read if (ts := f.terms.get(r))} for f in funcs])
+    if not len(flat.size):
         return None
-    coef = np.array(coefs, dtype=complex)
-    kappa = np.array(kappas, dtype=complex)
-    rows = len(kappas)
-    size = np.array(sizes, dtype=np.intp)
-    start = np.cumsum(size) - size
-    row = np.array(ids, dtype=np.intp) + np.repeat(np.array(bases, dtype=np.intp), size)
-    chambers = np.array(chamber_of, dtype=np.intp).reshape(len(funcs), -1)[:, walls.sides]
-    chambers = chambers.transpose(1, 0, 2).ravel()
+    base = np.array([first_row[id(f.kappas)] for f in funcs], dtype=np.intp)
+    start = np.cumsum(flat.size) - flat.size
+    chambers = np.full((len(funcs), len(chambers_read)), -1, dtype=np.intp)
+    chambers[np.arange(len(funcs)).repeat(flat.count),
+             np.searchsorted(walls.regions, flat.where)] = np.arange(len(flat.size))
+    chambers = chambers[:, walls.sides].transpose(1, 0, 2).ravel()
     # the reduced-kappa ids of every (pair, row) a wall reads, one id per
     # distinct reduced kappa of a pair
     on_wall = np.flatnonzero(chambers >= 0)
-    read = np.zeros((len(sizes), len(walls.pairs)), dtype=bool)
+    read = np.zeros((len(flat.size), len(walls.pairs)), dtype=bool)
     read[chambers[on_wall], walls.pair[on_wall // (2 * len(funcs))]] = True
     chamber, pair = np.nonzero(read)
-    term, of = _runs(start[chamber], size[chamber])
-    need = np.zeros((len(walls.pairs), rows), dtype=bool)
+    term, of = _runs(start[chamber], flat.size[chamber])
+    row = flat.ids + base.repeat(flat.count).repeat(flat.size)
+    need = np.zeros((len(walls.pairs), len(kappas)), dtype=bool)
     need[pair[of], row[term]] = True
     red = np.zeros(need.shape, dtype=np.intp)
     id_count = []
@@ -681,11 +693,8 @@ def _gather_terms(
         at = np.flatnonzero(need[p])
         red[p, at] = [first.setdefault(_reduce(kappas[r], a, b), len(first)) for r in at.tolist()]
         id_count.append(len(first))
-    table = _Terms(
-        coef_re=coef.real.copy(), coef_im=coef.imag.copy(), row=row,
-        kappa_re=kappa.real.T.ravel(), kappa_im=kappa.imag.T.ravel(), rows=rows,
-        start=start, size=size, ids=red.ravel(), id_count=np.array(id_count, dtype=np.intp),
-    )
+    table = _Terms(flat, start, base, _kappa_array(kappas, n), red,
+                   np.array(id_count, dtype=np.intp))
     return table, chambers
 
 
@@ -696,13 +705,13 @@ def _region_index(n: int) -> dict[Region, int]:
 
 
 class _Flat(NamedTuple):
-    """Chambers of functions on one kappa table as flat arrays (``_flatten``):
-    functions in order, the chambers of each in order, the terms of each in order."""
+    """Chambers of functions as flat arrays (``_flatten``): functions in order,
+    the chambers of each in order, the terms of each in order."""
 
     count: np.ndarray  # per function: its number of chambers
     where: np.ndarray  # per chamber: its region's position in ``regions(n)``
     size: np.ndarray  # per chamber: its number of terms
-    ids: np.ndarray  # per term: its id, and its coefficient's parts
+    ids: np.ndarray  # per term: its id in its function's table, and its coefficient's parts
     re: np.ndarray
     im: np.ndarray
 
@@ -742,9 +751,39 @@ def _unflatten(
     }
 
 
-#: entries, plus one per eight reduced-kappa ids of its walls, in one array
-#: pass of the sweep; bounds the pass's memory (about 0.3 kB per entry)
+def _kappa_array(table: Sequence[Kappa], n: int) -> np.ndarray:
+    """A kappa table as one complex array of shape (kappas, n), a row per kappa."""
+    return np.fromiter(itertools.chain.from_iterable(table), complex, len(table) * n).reshape(-1, n)
+
+
+#: entries in one array pass, which bounds its memory: about 0.3 kB each in
+#: the sweep (plus one per eight reduced-kappa ids of its walls), 0.26 kB in
+#: the supercharge
 _PASS_SIZE = 1 << 18
+
+
+def _passes(ends: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The array passes over items of cumulative weights ``ends``: runs ``lo:hi``
+    of consecutive items, in order, each of weight at most ``_PASS_SIZE`` unless
+    one item alone weighs more."""
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, (ends[lo - 1] if lo else 0.0) + _PASS_SIZE, "right")))
+        yield lo, hi
+        lo = hi
+
+
+@contextlib.contextmanager
+def _array_guard() -> Iterator[None]:
+    """The context of the array passes: numpy's floating-point warnings off,
+    since ``_magnitude`` and ``_overflowed`` decide every overflow, and errno
+    cleared on exit (``_clear_errno``)."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _clear_errno()
 
 
 def _sweep(
@@ -754,10 +793,10 @@ def _sweep(
 ) -> tuple[float, float]:
     """The residual engine of ``matching_residuals`` and ``wall_residuals``.
 
-    Array passes over runs of consecutive walls, one pass unless the walls
-    hold more than ``_PASS_SIZE`` terms; no loop runs over walls or terms
-    beyond gathering the term table (``_gather_terms``) once.  Only the
-    walls' chambers are read.
+    Array passes over runs of consecutive walls (``_passes``), one pass
+    unless the walls hold more than ``_PASS_SIZE`` terms; no loop runs over
+    walls or terms beyond gathering the term table (``_gather_terms``) once.
+    Only the walls' chambers are read.
 
     - **Ids.**  Each distinct reduced kappa (``_reduce``) of a pair gets one
       integer id, computed once per (pair, kappa table row) that a wall
@@ -792,26 +831,15 @@ def _sweep(
     seg = np.flatnonzero(chambers >= 0)
     seg_c = chambers[seg]
     seg_w = seg // (2 * m)
-    weight = np.bincount(seg_w, terms.size[seg_c], len(walls.pair))
-    ends = np.cumsum(weight + terms.id_count[walls.pair] / 8)
+    weight = np.bincount(seg_w, terms.flat.size[seg_c], len(walls.pair))
     continuity = jump = 0.0
-    lo = 0
-    try:
-        with np.errstate(all="ignore"):
-            while lo < len(ends):
-                hi = max(lo + 1, int(np.searchsorted(
-                    ends, (ends[lo - 1] if lo else 0.0) + _PASS_SIZE, "right")))
-                s0, s1 = np.searchsorted(seg_w, (lo, hi))
-                gap, size = _wall_pass(terms, walls, coupling, m, lo, hi, seg[s0:s1], seg_c[s0:s1])
-                continuity = max(continuity, gap)
-                if not size <= jump and jump == jump:
-                    jump = size
-                lo = hi
-    finally:
-        # An overflowing np.hypot leaves the C errno at ERANGE, and CPython's
-        # abs of a complex with a NaN part returns without setting errno, so
-        # it would raise OverflowError later; abs of a finite complex clears it.
-        abs(0j)
+    with _array_guard():
+        for lo, hi in _passes(np.cumsum(weight + terms.id_count[walls.pair] / 8)):
+            s0, s1 = np.searchsorted(seg_w, (lo, hi))
+            gap, size = _wall_pass(terms, walls, coupling, m, lo, hi, seg[s0:s1], seg_c[s0:s1])
+            continuity = max(continuity, gap)
+            if not size <= jump and jump == jump:
+                jump = size
     return continuity, jump
 
 
@@ -825,12 +853,13 @@ def _wall_pass(
     seg_w, seg_side = np.divmod(seg, 2 * m)  # seg_side: component * 2 + side (1 = right)
     seg_p = walls.pair[seg_w]
     # the entries: each segment's terms in position order
-    coef, of = _runs(terms.start[seg_c], terms.size[seg_c])
-    cr, ci = terms.coef_re[coef], terms.coef_im[coef]
-    row = terms.row[coef]
-    ka = (walls.slots[seg_p, 0] * terms.rows)[of] + row
-    kb = (walls.slots[seg_p, 1] * terms.rows)[of] + row
-    ids = terms.ids[(seg_p * terms.rows)[of] + row]
+    flat = terms.flat
+    coef, of = _runs(terms.start[seg_c], flat.size[seg_c])
+    cr, ci = flat.re[coef], flat.im[coef]
+    row = flat.ids[coef] + terms.base[seg_side // 2][of]
+    ka = terms.kappa[row, walls.slots[seg_p, 0][of]]
+    kb = terms.kappa[row, walls.slots[seg_p, 1][of]]
+    ids = terms.ids[seg_p[of], row]
     side = seg_side[of]
     w = seg_w[of]
     # slots: the distinct (wall, id) of the pass, numbered densely in wall order
@@ -859,8 +888,7 @@ def _wall_pass(
     base, lr, li = kept.reshape(n_slots, m, 2)[..., 0], lr[..., 0], li[..., 0]
 
     # the wall derivatives, their restrictions and the jump totals
-    kre, kim = terms.kappa_re, terms.kappa_im
-    d = _derivative(cr, ci, kre[ka], kim[ka], kre[kb], kim[kb])
+    d = _derivative(cr, ci, ka.real, ka.imag, kb.real, kb.imag)
     dr, di = _slot_sums(at, n, d.re, d.im)
     d_size = _magnitude(dr, di)
     kept = _kept(d_size)
@@ -973,7 +1001,7 @@ def wall_residuals(
     complex products and magnitudes are CPython's (``_product``,
     ``_magnitude``), which numpy's complex multiply and ``abs`` are not.
     """
-    return _sweep(funcs, _wall_table((iface,)), {iface.pair: coupling})
+    return _sweep(funcs, _wall_table(iface.left.n, (iface,)), {iface.pair: coupling})
 
 
 # The per-wall entry points below stay only because perfbench/tracing.py wraps

@@ -31,7 +31,6 @@ sign of its source.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -163,22 +162,16 @@ def _coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The image coefficient z (c kappa_j + c sgn w_j) of each entry, as (re, im):
     the term ``term`` of ``flat`` on the chamber ``pw.regions(n)[region]``, moved
-    by mode ``j + 1`` with jw_sign -1 where ``odd``; ``kappas`` holds the kappa
-    table row by row, as one complex array.  In this operand order (report
+    by mode ``j + 1`` with jw_sign -1 where ``odd``; ``kappas`` is the kappa
+    table as one array (``pw._kappa_array``).  In this operand order (report
     bytes depend on it) and in CPython's complex arithmetic, bit for bit."""
-    n = sp.n
-    kappa = kappas[flat.ids[term] * n + j]
+    kappa = kappas[flat.ids[term], j]
     cr, ci = flat.re[term], flat.im[term]
     zr, zi = _Z[odd].T
-    w = (0.5 * sp.c) * _rank_weights(n)[region, j]  # grad_w
+    w = (0.5 * sp.c) * _rank_weights(sp.n)[region, j]  # grad_w
     wr, wi = pw._product(*pw._product(cr, ci, -1.0 if dagger else 1.0, 0.0), w, 0.0)
     kr, ki = pw._product(cr, ci, kappa.real, kappa.imag)
     return pw._product(zr, zi, kr + wr, ki + wi)
-
-
-#: entries in one array pass of the supercharge, about 0.26 kB each at the
-#: peak; a pass takes whole targets, so one target alone may exceed it
-_PASS_SIZE = 1 << 18
 
 
 def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
@@ -199,39 +192,34 @@ def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorF
     - a magnitude with finite parts that overflows raises ``OverflowError``,
       as ``abs`` does.
 
-    A target's chambers come in the order of the last move that made each
-    non-empty (so a chamber emptied by drops goes to the end when refilled),
-    and within one move in the source's chamber order; targets come in the
-    order moves first reach them, each chamber in ascending id.  A pass sums
-    the entries of consecutive targets, one pass unless they hold more than
-    ``_PASS_SIZE`` entries.  Every output component holds the one table of
-    the input components (``pw.common_table``).
+    Targets come in the order moves first reach them, each target's chambers
+    in ``pw.regions(n)`` order and each chamber in ascending id; the chain of
+    ``add`` holds the same chambers, in another order.  The passes
+    (``pw._passes``) take whole targets, one pass unless they hold more than
+    ``pw._PASS_SIZE`` entries.  Every output component holds the one table
+    of the input components (``pw.common_table``).
     """
     _check_particles(s, sp)
     n = sp.n
     table, chambers = pw.common_table(list(s.components.values()))
     flat = pw._flatten(n, chambers)
-    targets: dict[int, list[int]] = {}  # target mask -> [its place, the moves into it so far]
-    moves: list[int] = []  # per move: source, j - 1, target, rank into it, jw_sign < 0
+    targets: dict[int, int] = {}  # target mask -> its place
+    moves: list[int] = []  # per move: source, j - 1, target, jw_sign < 0
     for f, mask in enumerate(s.components):
         for j in range(n):
             if bool(mask >> j & 1) != dagger:
-                t = targets.setdefault(mask ^ 1 << j, [len(targets), 0])
-                moves += (f, j, t[0], t[1], fock.jw_sign(mask, j + 1) < 0)
-                t[1] += 1
-    move = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 5)
+                t = targets.setdefault(mask ^ 1 << j, len(targets))
+                moves += (f, j, t, fock.jw_sign(mask, j + 1) < 0)
+    move = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 4)
     bound = np.concatenate(([0], flat.size.cumsum()))[np.concatenate(([0], flat.count.cumsum()))]
     start, size = bound[move[:, 0]], bound[move[:, 0] + 1] - bound[move[:, 0]]
-    ends = np.bincount(move[:, 2], size, len(targets)).cumsum()
-    kappas = np.fromiter(itertools.chain.from_iterable(table), complex, len(table) * n)
-    masks, out, lo = list(targets), {}, 0
-    while lo < len(targets):
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, (ends[lo - 1] if lo else 0.0) + _PASS_SIZE, "right")))
-        at = ((move[:, 2] >= lo) & (move[:, 2] < hi)).nonzero()[0]
-        out.update(_supercharge_pass(flat, table, kappas, sp, dagger, masks, move[at],
-                                     start[at], size[at]))
-        lo = hi
+    kappas = pw._kappa_array(table, n)
+    masks, out = list(targets), {}
+    with pw._array_guard():
+        for lo, hi in pw._passes(np.bincount(move[:, 2], size, len(targets)).cumsum()):
+            at = ((move[:, 2] >= lo) & (move[:, 2] < hi)).nonzero()[0]
+            out.update(_supercharge_pass(flat, table, kappas, sp, dagger, masks, move[at],
+                                         start[at], size[at]))
     return SpinorFunction(s.n, out)
 
 
@@ -242,70 +230,47 @@ def _supercharge_pass(
     """The targets of ``moves``, which hold every move into each of them, their
     source terms being ``flat``'s ``start : start + size``: see ``_supercharge``."""
     n, rows, n_regions = sp.n, len(table), len(pw.regions(sp.n))
-    m_j, m_t, m_rank, m_odd = moves[:, 1], moves[:, 2], moves[:, 3], moves[:, 4]
+    m_j, m_t, m_odd = moves[:, 1], moves[:, 2], moves[:, 3]
     # the entries: each move's source terms, sorted by (target, chamber, id)
     # and stably, so each such group holds its entries in move order
     term, move = pw._runs(start, size)
     if not len(term):
         return {}
-    chamber = np.arange(len(flat.size)).repeat(flat.size)[term]
-    slot = m_t[move] * n_regions + flat.where[chamber]  # (target, chamber)
-    key = slot * rows + flat.ids[term]
+    where = flat.where[np.arange(len(flat.size)).repeat(flat.size)[term]]
+    key = (m_t[move] * n_regions + where) * rows + flat.ids[term]
     order = key.argsort(kind="stable")
-    key, term, move = key[order], term[order], move[order]
-    chamber, slot = chamber[order], slot[order]
-    try:
-        with np.errstate(all="ignore"):
-            er, ei = _coefficients(flat, kappas, sp, dagger, term, flat.where[chamber],
-                                   m_j[move], m_odd[move])
-            mag = pw._magnitude(er, ei)
-            over = np.count_nonzero(pw._overflowed(mag, er, ei))
-            live = pw._kept(mag)
-            new = np.empty(len(key), dtype=bool)
-            new[0], new[1:] = True, key[1:] != key[:-1]
-            head, group = new.nonzero()[0], new.cumsum() - 1
-            rank = np.arange(len(key)) - head[group]  # the entry's place in its group
-            held = live.copy()  # whether the entry's group holds a sum after it
-            vr, vi, on = er[head], ei[head], live[head]
-            for r in range(1, int(rank.max()) + 1):
-                e = (rank == r).nonzero()[0]
-                g = group[e]
-                xr, xi, add, was = er[e], ei[e], live[e], on[g]
-                tr = np.where(was, vr[g] + xr, xr)
-                ti = np.where(was, vi[g] + xi, xi)
-                total = pw._magnitude(tr, ti)
-                summed = add & was
-                over += np.count_nonzero(summed & pw._overflowed(total, tr, ti))
-                held[e] = on[g] = np.where(summed, pw._kept(total), was | add)
-                vr[g], vi[g] = np.where(add, tr, vr[g]), np.where(add, ti, vi[g])
-    finally:
-        abs(0j)  # clear the ERANGE an overflowing np.hypot leaves (see ``pw._sweep``)
+    key, term, move, where = key[order], term[order], move[order], where[order]
+    er, ei = _coefficients(flat, kappas, sp, dagger, term, where, m_j[move], m_odd[move])
+    mag = pw._magnitude(er, ei)
+    over = np.count_nonzero(pw._overflowed(mag, er, ei))
+    live = pw._kept(mag)
+    new = np.diff(key, prepend=-1) != 0  # the first entry of each group
+    head, group = new.nonzero()[0], new.cumsum() - 1
+    rank = np.arange(len(key)) - head[group]  # the entry's place in its group
+    vr, vi, on = er[head], ei[head], live[head]
+    for r in range(1, int(rank.max()) + 1):
+        e = (rank == r).nonzero()[0]
+        g = group[e]
+        xr, xi, add, was = er[e], ei[e], live[e], on[g]
+        tr = np.where(was, vr[g] + xr, xr)
+        ti = np.where(was, vi[g] + xi, xi)
+        total = pw._magnitude(tr, ti)
+        summed = add & was
+        over += np.count_nonzero(summed & pw._overflowed(total, tr, ti))
+        on[g] = np.where(summed, pw._kept(total), was | add)
+        vr[g], vi[g] = np.where(add, tr, vr[g]), np.where(add, ti, vi[g])
     if over:
         raise OverflowError("absolute value too large")
-    # per (target, chamber), a row, and per rank of the move into the target, a
-    # column: the change in held sums, the count after it and the source chamber
-    first = np.empty(len(slot), dtype=bool)
-    first[0], first[1:] = True, slot[1:] != slot[:-1]
-    row = first.cumsum() - 1
-    spot = row * n + m_rank[move]
-    shift = held.astype(np.intp)
-    shift[1:] -= held[:-1] & (rank[1:] > 0)
-    change = np.bincount(spot, shift, n * (row[-1] + 1)).reshape(-1, n)
-    count = change.cumsum(axis=1)
-    source = np.empty(count.shape, dtype=np.intp)
-    source.flat[spot] = chamber
-    # each kept chamber is placed by the last move that made it non-empty
-    kept = (count[:, -1] > 0).nonzero()[0]
-    last = n - 1 - ((count > 0) & (count == change))[kept, ::-1].argmax(axis=1)
-    target, where = np.divmod(slot[first.nonzero()[0][kept]], n_regions)
-    out = np.lexsort((source[kept, last], last, target))
-    size = count[kept, -1].astype(np.intp)
-    pick, _ = pw._runs((size.cumsum() - size)[out], size[out])
-    pick = on.nonzero()[0][pick]  # the held groups, chamber by chamber in output order
+    # the held sums, in (target, chamber, id) order: each run of one
+    # (target, chamber) is a chamber
+    held = on.nonzero()[0]
+    slot, ids = np.divmod(key[head[held]], rows)
+    first = np.flatnonzero(np.diff(slot, prepend=-1))
+    target, region = np.divmod(slot[first], n_regions)
     per_target = np.bincount(target, minlength=len(masks))
     return pw._unflatten(n, table, [masks[t] for t in per_target.nonzero()[0].tolist()], pw._Flat(
-        per_target[per_target > 0], where[out], size[out], key[head[pick]] % rows,
-        vr[pick], vi[pick]))
+        per_target[per_target > 0], region, np.diff(first, append=len(slot)), ids,
+        vr[held], vi[held]))
 
 
 def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:

@@ -198,6 +198,33 @@ class TestNanKappas:
             pw.wall_residuals([f], iface, [[0.5]])
         assert math.isnan(abs(complex(NAN, 1.0)))
 
+    @pytest.mark.parametrize(
+        "site", ["build", "map_coefficients", "add", "max_coefficient", "charge_residual"]
+    )
+    def test_an_overflowing_abs_leaves_abs_of_nan_alone(self, site):
+        """CPython's complex ``abs`` and ``**`` leave errno at ERANGE when they
+        raise ``OverflowError``, and a later ``abs`` of a complex with a NaN
+        part reads it: every function that lets such an error out, or catches
+        one, clears it."""
+        r1 = pw.Region((1,))
+        huge = 0.7e308 + 0.7e308j  # twice it: finite parts, magnitude past DBL_MAX
+        f = pw.build(1, {r1: [(huge, (1.0,))]})
+        if site == "charge_residual":
+            # (-1j * -1e308) ** 2 overflows; charge_residual counts it as inf
+            state = pw.build(3, {self.R3: [(1.0, (-1e308, 0.0, 0.0))]})
+            assert bethe.charge_residual(state, [1.5, 0.2, -0.9], 2) == math.inf
+        else:
+            calls = {
+                "build": lambda: pw.build(1, {r1: [(huge, (1.0,)), (huge, (1.0,))]}),
+                "map_coefficients": lambda: pw.map_coefficients(f, lambda r, c, k: 2 * c),
+                "add": lambda: pw.add(f, f),
+                "max_coefficient": lambda: pw.max_coefficient(
+                    pw.RegionFunction(1, {r1: ((0, 2 * huge),)}, f.kappas)),
+            }
+            with pytest.raises(OverflowError):
+                calls[site]()
+        assert math.isnan(abs(complex(1.3, NAN)))
+
     @pytest.mark.parametrize("x", [(NAN, 0.3), (INF, 0.3), (0.3, -INF)])
     def test_evaluate_refuses_a_non_finite_point(self, x):
         with pytest.raises(ValueError, match="non-finite"):

@@ -418,14 +418,14 @@ def _sweep_restriction(f, iface, side):
     The ids are the sweep's (``pw._gather_terms``), the sums its slot sums
     (``pw._slot_sums``) and the drop its rule on their magnitudes.
     """
-    gathered = pw._gather_terms([f], pw._wall_table((iface,)))
+    gathered = pw._gather_terms([f], pw._wall_table(f.n, (iface,)))
     c = -1 if gathered is None else int(gathered[1][int(side == "right")])
     if c < 0:
         return {}
     table = gathered[0]
-    span = slice(table.start[c], table.start[c] + table.size[c])
-    ids = table.ids[table.row[span]]  # the wall's pair is the table's first
-    re, im = pw._slot_sums(ids, table.id_count[0], table.coef_re[span], table.coef_im[span])
+    span = slice(table.start[c], table.start[c] + table.flat.size[c])
+    ids = table.ids[0, table.flat.ids[span]]  # the wall's pair is the table's first
+    re, im = pw._slot_sums(ids, table.id_count[0], table.flat.re[span], table.flat.im[span])
     reduced = {i: pw._reduce(k, *iface.pair)
                for i, (_, k) in zip(ids.tolist(), chamber(f, getattr(iface, side)))}
     kept = np.flatnonzero(pw._kept(pw._magnitude(re, im)))
@@ -1657,6 +1657,62 @@ class TestNonFiniteSweep:
             lambda: pw.matching_residuals(funcs, couplings),
             lambda: wall_by_wall_reference(funcs, couplings),
         )
+
+
+def outcome(run):
+    """``run()`` as text, or the type and message of its error."""
+    try:
+        return repr(run())
+    except (DiscontinuityError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSweepPasses:
+    """The sweep in passes of a few walls equals the sweep in one pass."""
+
+    @staticmethod
+    def sweeps():
+        """Bethe-type sweeps, broken and planted ones among them, the walls of
+        ``NON_FINITE_WALLS`` and both zero modes at N=3..5 with their couplings."""
+        rng = np.random.default_rng(2024)
+        for n in (2, 3, 3, 4):
+            for components in (1, 2, 3):
+                funcs, couplings = _sweep_case(rng, n, components)
+                yield lambda f=funcs, c=couplings: pw.matching_residuals(f, c)
+                broken = _break_continuity(rng, funcs)
+                yield lambda f=broken, c=couplings: pw.matching_residuals(f, c)
+                i = int(rng.integers(len(funcs)))
+                region = list(funcs[i].terms)[int(rng.integers(len(funcs[i].terms)))]
+                planted = list(funcs)
+                planted[i] = pw.build(n, {**dict(chambers(funcs[i])), region: _plant(
+                    rng, chamber(funcs[i], region), (math.nan, math.inf, -math.inf, 1e308, 1.5e308))})
+                yield lambda f=planted, c=couplings: pw.matching_residuals(f, c)
+        for walls, coupling, expected in NON_FINITE_WALLS.values():
+            if expected != "ValueError":
+                n = len(walls[0][0][0][1])
+                iface = pw.interfaces(n)[0]
+                funcs = [pw.build(n, {iface.left: left, iface.right: right}) for left, right in walls]
+                yield lambda f=funcs, i=iface, c=coupling: pw.wall_residuals(f, i, c)
+        for n in (3, 4, 5):
+            sp = susy.Superpotential(n=n, c=1.05)
+            for mode in susy.zero_modes(sp):
+                sector = susy.sector_hamiltonian(mode.pure_grade(), sp)
+                funcs = [mode.component(m) for m in sector.masks]
+                yield lambda f=funcs, c=sector.couplings: pw.matching_residuals(f, c)
+
+    def test_passes_of_a_few_walls_equal_one_pass(self, monkeypatch):
+        sweeps = list(self.sweeps())
+        one = [outcome(run) for run in sweeps]
+        passes = []
+        wall_pass = pw._wall_pass
+        monkeypatch.setattr(pw, "_wall_pass", lambda *args: passes.append(1) or wall_pass(*args))
+        monkeypatch.setattr(pw, "_PASS_SIZE", 16)
+        assert [outcome(run) for run in sweeps] == one
+        # each outcome is reached: residuals, a discontinuity and an overflow
+        assert {o if isinstance(o, str) else o[0] for o in one} >= {
+            "DiscontinuityError", "OverflowError"}
+        assert sum(isinstance(o, str) for o in one) >= 15
+        assert len(passes) > 10 * len(sweeps)
 
 
 #: the componentwise tolerance within which the calculus once identified kappas

@@ -109,13 +109,15 @@ def count_chain_events(events, seen, tgt, before, image, after):
 
 
 def bits(s):
-    """Every mask, chamber and term of ``s`` in order, each coefficient as text
-    (signed zeros and NaN included) beside its kappa.  Kappas compare by value:
-    a function keeps one representative of kappas that differ only in the
-    sign of a zero, the first its table met, and an image chain meets them in
-    another order."""
+    """Every mask of ``s`` in order, its chambers in region order and each
+    chamber's terms in order, each coefficient as text (signed zeros and NaN
+    included) beside its kappa.  The supercharges write a mask's chambers in
+    region order and the image chain in the order of its ``add`` calls, and
+    no report reads that order.  Kappas compare by value: a function keeps
+    one representative of kappas that differ only in the sign of a zero, the
+    first its table met, and an image chain meets them in another order."""
     return [
-        (mask, [(r.order, [(repr(c), k) for c, k in chamber(f, r)]) for r in f.terms])
+        (mask, [(r.order, [(repr(c), k) for c, k in chamber(f, r)]) for r in sorted(f.terms)])
         for mask, f in s.components.items()
     ]
 
@@ -297,7 +299,8 @@ def near_cancelling_spinor():
 
     Mask 1 gives -z, mask 4 gives (1 + 2^-52) z: their sum 2^-52 z is at
     most DROP_TOL, so it drops and the chamber empties; mask 2 then starts
-    the kappa afresh at 2.5e-4 z and appends the chamber after (1, 3, 2).
+    the kappa afresh at 2.5e-4 z, and the chain of ``add`` appends the
+    chamber after (1, 3, 2); Q writes it first, in region order.
     """
     r123, r132 = pw.Region((1, 2, 3)), pw.Region((1, 3, 2))
     kappa = (0.0, 0.25, 0.0)
@@ -309,7 +312,8 @@ def near_cancelling_spinor():
 
 
 class TestAccumulationKernel:
-    """``_supercharge`` equals the image-by-image chain bit for bit, chamber order included."""
+    """``_supercharge`` equals the image-by-image chain bit for bit, and writes each
+    target's chambers in region order."""
 
     SP = {n: susy.Superpotential(n=n, c=1.0) for n in (1, 2, 3, 4, 5)}
 
@@ -323,9 +327,9 @@ class TestAccumulationKernel:
     def test_equal_chain_on_pooled_spinors(self, n, dagger):
         sp = self.SP[n]
         for s in self.pooled(n, 10 * n + dagger):
-            assert bits(susy._supercharge(s, sp, dagger)) == bits(
-                image_chain_supercharge(s, sp, dagger)
-            )
+            got = susy._supercharge(s, sp, dagger)
+            assert bits(got) == bits(image_chain_supercharge(s, sp, dagger))
+            assert all(list(f.terms) == sorted(f.terms) for f in got.components.values())
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_equal_chain_on_large_zero_modes(self, n):
@@ -339,7 +343,7 @@ class TestAccumulationKernel:
     def test_passes_of_whole_targets_equal_one_pass(self, monkeypatch):
         # a pass of at most 16 entries takes one target or a few: the chambers,
         # drops and overflows of every target are the chain's all the same
-        monkeypatch.setattr(susy, "_PASS_SIZE", 16)
+        monkeypatch.setattr(pw, "_PASS_SIZE", 16)
         for n in (3, 4):
             for dagger in (False, True):
                 for s in self.pooled(n, 100 + 10 * n + dagger, count=4):
@@ -376,7 +380,7 @@ class TestAccumulationKernel:
         got = susy.apply_q(s, sp)
         assert bits(got) == bits(image_chain_supercharge(s, sp, False))
         r123, r132 = pw.Region((1, 2, 3)), pw.Region((1, 3, 2))
-        assert list(got.component(0).terms) == [r132, r123]
+        assert list(got.component(0).terms) == [r123, r132]
         ((_, coef),) = got.component(0).terms[r123]
         assert coef == 1j * susy.SQRT2 * (1e-3 * 0.25 + 1e-3 * 1.0 * 0.0)
 
