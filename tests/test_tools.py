@@ -26,6 +26,11 @@ def test_n_sweep_prints_one_row_per_particle_count():
     assert all(row["matching_report_s"] >= 0.0 for row in rows)
     assert all(row["annihilation_s"] >= 0.0 for row in rows)
     assert all(row["algebra_s"] >= 0.0 for row in rows)
+    # each timed column has its minor page faults beside it
+    timed = ("collision_state", "matching_report", "zero_modes", "annihilation", "algebra")
+    assert all(isinstance(row[f"{col}_faults"], int) and row[f"{col}_faults"] >= 0
+               for row in rows for col in timed)
+    assert [key for key in rows[0] if key.endswith("_faults")] == [f"{c}_faults" for c in timed]
 
 
 def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, capsys):
@@ -59,15 +64,17 @@ def test_n_sweep_times_zero_modes_without_collisions_above_six(monkeypatch, caps
     assert n_sweep.main(["--max-n", "7", "--root", str(ROOT)]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["n"] for row in rows] == [2, 3, 4, 5, 6, 7]
-    columns = ("collision_terms", "collision_state_s", "matching_report_s")
+    columns = ("collision_terms", "collision_state_s", "collision_state_faults",
+               "matching_report_s", "matching_report_faults")
     assert all(row[key] is not None for row in rows[:-1] for key in columns)
-    assert [rows[-1][key] for key in columns] == [None, None, None]
+    assert [rows[-1][key] for key in columns] == [None] * 5
     assert rows[-1]["zero_mode_terms"] == 8 * 5040 and rows[-1]["zero_modes_s"] >= 0.0
     assert rows[-1]["passed"] is True
     assert verified[-2:] == [(7, 7), (7, 6)]
     # the algebra is checked up to N=5, as the symbolic susy commands are
     assert checked == [2, 3, 4, 5]
     assert [row["algebra_s"] is None for row in rows] == [False] * 4 + [True] * 2
+    assert [row["algebra_faults"] is None for row in rows] == [False] * 4 + [True] * 2
 
 
 def test_n_sweep_warms_each_row_before_timing_it(monkeypatch, capsys):
@@ -199,7 +206,8 @@ def test_bench_record_rejects_a_run_without_partner(tmp_path):
 
 def _sweep_row(n, match, zero, passed=True):
     return json.dumps({"n": n, "walls": 1, "collision_terms": 4, "collision_state_s": 0.001,
-                       "matching_report_s": match, "zero_mode_terms": 6, "zero_modes_s": zero,
+                       "matching_report_s": match, "matching_report_faults": round(match * 1e4),
+                       "zero_mode_terms": 6, "zero_modes_s": zero,
                        "annihilation_s": 0.002, "algebra_s": None if n > 5 else 0.003,
                        "passed": passed})
 
@@ -229,6 +237,9 @@ def test_bench_record_folds_n_sweep_pairs(tmp_path):
     assert match["change_wins"] == 2 and match["median_ratio"] == 2.1 / 5.1
     zero = five["metrics"]["zero_modes_s"]
     assert zero["change_wins"] == 1  # the second pair goes the parent's way
+    faults = six["metrics"]["matching_report_faults"]
+    assert (faults["unit"], faults["better"]) == ("faults", "lower")
+    assert faults["parent"]["median"] == 51000 and faults["change"]["median"] == 21000
     assert "n_sweep N=6" in proc.stderr
 
     (tmp_path / "change.jsonl").write_text("\n".join(change[:3]) + "\n")

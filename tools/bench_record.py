@@ -22,8 +22,9 @@ With ``--parent-n-sweep`` and ``--change-n-sweep`` (each the printed JSON
 lines of one or more ``tools/n_sweep.py`` runs on that side, the runs taking
 turns with the other side's) the file also holds ``n_sweep``: per particle
 count, the pairs (the k-th row of that N on each side) and, per time column
-(``*_s``, lower is better), the same summary as a metric's.  A row that did
-not pass, or a particle count or time column without a partner, is an error.
+(``*_s``) and page-fault column (``*_faults``), lower being better for both,
+the same summary as a metric's.  A row that did not pass, or a particle
+count or column without a partner, is an error.
 
 Quartiles are those of ``statistics.quantiles(n=4)``, as in perfbench's own
 summaries.
@@ -126,12 +127,13 @@ def fold_n_sweep(parent_path: Path, change_path: Path) -> list[dict]:
             raise SystemExit(f"bench_record: n_sweep N={n}: {len(old)} parent rows, "
                              f"{len(new)} change rows")
         columns = {}
-        for name in sorted(k for k in old[0] if k.endswith("_s")):
+        for name in sorted(k for k in old[0] if k.endswith(("_s", "_faults"))):
             a, b = [r[name] for r in old], [r[name] for r in new]
             if (None in a) != (None in b) or len(set(map(type, a + b))) > 1:
                 raise SystemExit(f"bench_record: n_sweep N={n}: {name} lacks a partner")
             if None not in a:
-                columns[name] = {"unit": "s", "better": "lower", **_compare(a, b, "lower")}
+                unit = "s" if name.endswith("_s") else "faults"
+                columns[name] = {"unit": unit, "better": "lower", **_compare(a, b, "lower")}
         out.append({"n": n, "pairs": len(old), "metrics": columns})
     return out
 
