@@ -339,15 +339,15 @@ def map_coefficients(
     """
     kappas = f.kappas
     terms = {}
-    try:
-        for r, ts in f.terms.items():
+    for r, ts in f.terms.items():
+        try:
             mapped = tuple((i, c) for i, coef in ts
                            if not abs(c := complex(fn(r, coef, kappas[i]))) <= DROP_TOL)
-            if mapped:
-                terms[r] = mapped
-    except OverflowError:
-        _clear_errno()
-        raise
+        except OverflowError:
+            _clear_errno()
+            raise
+        if mapped:
+            terms[r] = mapped
     return RegionFunction(n=f.n, terms=terms, kappas=kappas)
 
 
@@ -364,19 +364,19 @@ def add(f: RegionFunction, g: RegionFunction) -> RegionFunction:
         raise ValueError("dimension mismatch")
     kappas, (fs, gs) = common_table((f, g))
     terms = {}
-    try:
-        for region, ts in fs.items():
-            us = gs.get(region)
-            if us:
-                sums = dict(ts)
-                for i, c in us:
-                    sums[i] = sums[i] + c if i in sums else c
+    for region, ts in fs.items():
+        us = gs.get(region)
+        if us:
+            sums = dict(ts)
+            for i, c in us:
+                sums[i] = sums[i] + c if i in sums else c
+            try:
                 ts = tuple([(i, c) for i, c in sorted(sums.items()) if not abs(c) <= DROP_TOL])
-            if ts:
-                terms[region] = ts
-    except OverflowError:
-        _clear_errno()
-        raise
+            except OverflowError:
+                _clear_errno()
+                raise
+        if ts:
+            terms[region] = ts
     for region, us in gs.items():
         if region not in fs and us:
             terms[region] = us
