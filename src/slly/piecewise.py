@@ -135,29 +135,30 @@ class RegionFunction:
     share one id, whose kappa is the first of them kept (``build``) or met
     (``_union``), so kappas differing only in the sign of a zero are one.
     ``terms`` maps a Region to its chamber, ``(id, coef)`` pairs in
-    ascending id; absent regions are identically zero there.  The order of
-    the chambers carries no meaning: equality ignores it and no operation
-    reads it (the supercharges of ``susy`` write them in ``regions(n)``
-    order, the other operations in their inputs' order).  Instances are
+    ascending id; absent regions are identically zero there.  Equality
+    ignores the order of the chambers, and so do the residuals and the
+    supercharges of ``susy``, which write theirs in ``regions(n)`` order;
+    the other operations keep their inputs' order.  Instances are
     treated as immutable and share tables (``map_coefficients``), so after
     a drop a table may hold a kappa that no chamber uses; kappas are read
     only through the ids of ``terms``.
 
     Canonical invariant: every non-empty instance comes from ``build`` (the
     coefficient maps, ``add`` and the supercharges of ``susy`` return what
-    ``build`` would, up to the ids of unused kappas) or is a chamber subset of
-    one.  So each chamber holds ascending distinct ids and no coefficient of
-    magnitude at most ``DROP_TOL``, and an operation that keeps the ids, or
-    drops some of their terms, needs no re-sort or re-merge.  An instance
-    built directly, ``RegionFunction(n, terms, kappas)``, must be canonical,
-    as one from ``build`` is.
+    ``build`` would, up to the ids of unused kappas and the order of the
+    chambers) or is a chamber subset of one.  So each chamber holds
+    ascending distinct ids and no coefficient of magnitude at most
+    ``DROP_TOL``, and an operation that keeps the ids, or drops some of
+    their terms, needs no re-sort or re-merge.  An instance built directly,
+    ``RegionFunction(n, terms, kappas)``, must be canonical, as one from
+    ``build`` is.
 
     On a wall x_a = x_b the kappas reduce (``_reduce``), and the wall
     residuals sum the reduced terms per distinct reduced kappa, in position
     order within a chamber and in a fixed order of the chambers and
     components (``wall_residuals``).  The sweep behind them gathers the
-    chambers into arrays once (``_gather_terms``) and sums all walls in one
-    array pass, with CPython's complex arithmetic bit for bit (``_sweep``).
+    chambers into arrays once (``_gather_terms``) and sums all walls in
+    array passes, with CPython's complex arithmetic bit for bit (``_sweep``).
     """
 
     n: int
