@@ -415,7 +415,12 @@ def bulk_energy_residual(state: pw.RegionFunction, e: float) -> float:
     holds the same N! kappas on each of its N! chambers.  NaN when any
     residual is NaN.
     """
-    return pw.nan_max(abs(-sum(kk * kk for kk in kappa) - e) for kappa in pw.used_kappas(state))
+    return pw.nan_max(kappa_energy_residual(kappa, e) for kappa in pw.used_kappas(state))
+
+
+def kappa_energy_residual(kappa: pw.Kappa, e: float) -> float:
+    """|(-sum_j kappa_j^2) - E| of one kappa."""
+    return abs(-sum(kk * kk for kk in kappa) - e)
 
 
 def matching_report(state: pw.RegionFunction, c: float, e: float) -> MatchingReport:

@@ -271,51 +271,65 @@ def build(n: int, data: Mapping[Region, Iterable[tuple[complex, Sequence[complex
     The table holds each kept class once, as the kappa of its first kept
     term, sorted by ``_sort_key``.
     """
+    (f,) = build_shared(n, (data,))
+    return f
+
+
+def build_shared(
+    n: int, datas: Sequence[Mapping[Region, Iterable[tuple[complex, Sequence[complex]]]]]
+) -> list[RegionFunction]:
+    """``build`` of each of ``datas``, all on one kappa table: the one
+    ``common_table`` gives the functions built one by one, with the same
+    chambers on it.  The datas are classified in order as one, and each kept
+    class is sorted once."""
     classes: dict[Kappa, int] = {}
     kappas: list[Kappa | None] = []  # per class: the kappa of its first kept term
     kept: set[int] = set()
-    chambers = {}
-    for region, raw in data.items():
-        if region.n != n:
-            raise ValueError("all regions must carry the same particle count")
-        sums: dict[int, complex] = {}
-        for c, kappa in raw:
+    built = []
+    for data in datas:
+        chambers = {}
+        for region, raw in data.items():
+            if region.n != n:
+                raise ValueError("all regions must carry the same particle count")
+            sums: dict[int, complex] = {}
+            for c, kappa in raw:
+                try:
+                    cls = classes.get(kappa)
+                except TypeError:  # an unhashable kappa, such as a list
+                    cls = None
+                if cls is None:
+                    if len(kappa) != n:
+                        raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
+                    if not cmath.isfinite(sum(kappa)) and not all(map(cmath.isfinite, kappa)):
+                        raise ValueError(f"region {region.order} holds the non-finite kappa {tuple(kappa)}")
+                    converted = tuple(map(complex, kappa))
+                    cls = classes.setdefault(converted, len(kappas))
+                    if cls == len(kappas):
+                        kappas.append(converted)
+                if kappas[cls] is None:  # no chamber so far keeps its class
+                    kappas[cls] = tuple(map(complex, kappa))
+                sums[cls] = sums[cls] + complex(c) if cls in sums else complex(c)
             try:
-                cls = classes.get(kappa)
-            except TypeError:  # an unhashable kappa, such as a list
-                cls = None
-            if cls is None:
-                if len(kappa) != n:
-                    raise ValueError(f"region {region.order} holds a kappa whose length is not {n}")
-                if not cmath.isfinite(sum(kappa)) and not all(map(cmath.isfinite, kappa)):
-                    raise ValueError(f"region {region.order} holds the non-finite kappa {tuple(kappa)}")
-                converted = tuple(map(complex, kappa))
-                cls = classes.setdefault(converted, len(kappas))
-                if cls == len(kappas):
-                    kappas.append(converted)
-            if kappas[cls] is None:  # no chamber so far keeps its class
-                kappas[cls] = tuple(map(complex, kappa))
-            sums[cls] = sums[cls] + complex(c) if cls in sums else complex(c)
-        try:
-            for c in sums.values():
-                if abs(c) <= DROP_TOL:
-                    met = sums
-                    sums = {i: c for i, c in met.items() if not abs(c) <= DROP_TOL}
-                    for i in met.keys() - sums.keys() - kept:
-                        kappas[i] = None
-                    break
-        except OverflowError:
-            _clear_errno()
-            raise
-        kept.update(sums)
-        chambers[region] = sums
+                for c in sums.values():
+                    if abs(c) <= DROP_TOL:
+                        met = sums
+                        sums = {i: c for i, c in met.items() if not abs(c) <= DROP_TOL}
+                        for i in met.keys() - sums.keys() - kept:
+                            kappas[i] = None
+                        break
+            except OverflowError:
+                _clear_errno()
+                raise
+            kept.update(sums)
+            chambers[region] = sums
+        built.append(chambers)
     order = sorted(kept, key=lambda i: _sort_key(kappas[i]))
     ids = dict(zip(order, range(len(order))))
-    terms = {
+    table = tuple([kappas[i] for i in order])
+    return [RegionFunction(n=n, terms={
         region: tuple(sorted(zip(map(ids.__getitem__, sums), sums.values())))
         for region, sums in chambers.items() if sums
-    }
-    return RegionFunction(n=n, terms=terms, kappas=tuple([kappas[i] for i in order]))
+    }, kappas=table) for chambers in built]
 
 
 def constant_function(n: int, value: complex = 1.0) -> RegionFunction:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Mapping, NamedTuple
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,80 +157,97 @@ _Z = np.array([(z.real, z.imag) for z in (1j * SQRT2 * 1, 1j * SQRT2 * -1)])
 
 
 def _coefficients(
-    flat: pw._Flat, kappas: np.ndarray, sp: Superpotential, dagger: bool,
+    flat: pw._Flat, kappas: np.ndarray, sp: Superpotential, sign: np.ndarray,
     term: np.ndarray, region: np.ndarray, j: np.ndarray, odd: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The image coefficient z (c kappa_j + c sgn w_j) of each entry, as (re, im):
     the term ``term`` of ``flat`` on the chamber ``pw.regions(n)[region]``, moved
-    by mode ``j + 1`` with jw_sign -1 where ``odd``; ``kappas`` is the kappa
-    table as one array (``pw._kappa_array``).  In this operand order (report
-    bytes depend on it) and in CPython's complex arithmetic, bit for bit."""
+    by mode ``j + 1`` with jw_sign -1 where ``odd``, sgn being ``sign`` (-1.0 for
+    Q^dag); ``kappas`` is the kappa table as one array (``pw._kappa_array``).
+    In this operand order (report bytes depend on it) and in CPython's complex
+    arithmetic, bit for bit."""
     kappa = kappas[flat.ids[term], j]
     cr, ci = flat.re[term], flat.im[term]
     zr, zi = _Z[odd].T
     w = (0.5 * sp.c) * _rank_weights(sp.n)[region, j]  # grad_w
-    wr, wi = pw._product(*pw._product(cr, ci, -1.0 if dagger else 1.0, 0.0), w, 0.0)
+    wr, wi = pw._product(*pw._product(cr, ci, sign, 0.0), w, 0.0)
     kr, ki = pw._product(cr, ci, kappa.real, kappa.imag)
     return pw._product(zr, zi, kr + wr, ki + wi)
 
 
-def _supercharge(s: SpinorFunction, sp: Superpotential, dagger: bool) -> SpinorFunction:
-    """Q, or Q^dag if ``dagger``, in array passes over the source terms.
+def _supercharges(
+    jobs: Sequence[tuple[SpinorFunction, bool]], sp: Superpotential
+) -> list[SpinorFunction]:
+    """Q s, or Q^dag s if ``dagger``, of every job ``(s, dagger)``, in array
+    passes over the source terms of all jobs at once.
 
-    A move is a source mask and a mode j it may move; its image, in target
-    ``mask ^ bit_j``, maps each term c to z (c kappa_j + c sgn w_j) with z =
-    i sqrt(2) jw_sign(mask, j), in this operand order (report bytes depend on
-    it).  The images are summed as ``add`` would fold them into the targets
-    one at a time, moves in order (source masks, then ascending j), bit for
-    bit.  Each (target, chamber, id) sums its entries in that order, at most
-    one per move into the target and so at most N, in at most N vector
-    rounds, one per entry:
+    A move is a job, a source mask and a mode j it may move; its image, in
+    the job's target ``mask ^ bit_j``, maps each term c to z (c kappa_j + c
+    sgn w_j) with z = i sqrt(2) jw_sign(mask, j) and sgn -1 under Q^dag, in
+    this operand order (report bytes depend on it).  The images are summed
+    as ``add`` would fold them into the targets one at a time, each job's
+    moves in order (source masks, then ascending j), bit for bit.  Each
+    (target, chamber, id) sums its entries in that order, at most one per
+    move into the target and so at most N, in at most N vector rounds, one
+    per entry:
 
     - an entry of magnitude at most ``DROP_TOL`` is skipped;
     - a sum of magnitude at most ``DROP_TOL`` drops, and a later entry starts
       it afresh;
     - a magnitude with finite parts that overflows raises ``OverflowError``,
-      as ``abs`` does.
+      as ``abs`` does, whichever job it is in.
 
-    Targets come in the order moves first reach them, each target's chambers
-    in ``pw.regions(n)`` order and each chamber in ascending id; the chain of
-    ``add`` holds the same chambers, in another order.  The passes
+    A target is a (job, mask); targets come in the order moves first reach
+    them, each target's chambers in ``pw.regions(n)`` order and each chamber
+    in ascending id; the chain of ``add`` holds the same chambers, in
+    another order.  The jobs share one kappa table (``pw.common_table`` of
+    every source component), one flat table of the distinct sources
+    (``pw._flatten``), its kappa array and one move table; the passes
     (``pw._passes``) take whole targets, one pass unless they hold more than
-    ``pw._PASS_SIZE`` entries.  Every output component holds the one table
-    of the input components (``pw.common_table``).
+    ``pw._PASS_SIZE`` entries.  Every output component holds that table.
     """
-    _check_particles(s, sp)
+    for s, _ in jobs:
+        _check_particles(s, sp)
     n = sp.n
-    table, chambers = pw.common_table(list(s.components.values()))
+    first: dict[int, int] = {}  # per distinct source: the place of its first component
+    funcs: list[pw.RegionFunction] = []
+    for s, _ in jobs:
+        if id(s) not in first:
+            first[id(s)] = len(funcs)
+            funcs += s.components.values()
+    table, chambers = pw.common_table(funcs)
     flat = pw._flatten(n, chambers)
-    targets: dict[int, int] = {}  # target mask -> its place
-    moves: list[int] = []  # per move: source, j - 1, target, jw_sign < 0
-    for f, mask in enumerate(s.components):
-        for j in range(n):
-            if bool(mask >> j & 1) != dagger:
-                t = targets.setdefault(mask ^ 1 << j, len(targets))
-                moves += (f, j, t, fock.jw_sign(mask, j + 1) < 0)
-    move = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 4)
+    targets: dict[tuple[int, int], int] = {}  # (job, target mask) -> its place
+    moves: list[int] = []  # per move: source, j - 1, target, jw_sign < 0, dagger
+    for k, (s, dagger) in enumerate(jobs):
+        for f, mask in enumerate(s.components, first[id(s)]):
+            for j in range(n):
+                if bool(mask >> j & 1) != dagger:
+                    t = targets.setdefault((k, mask ^ 1 << j), len(targets))
+                    moves += (f, j, t, fock.jw_sign(mask, j + 1) < 0, dagger)
+    move = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 5)
     bound = np.concatenate(([0], flat.size.cumsum()))[np.concatenate(([0], flat.count.cumsum()))]
     start, size = bound[move[:, 0]], bound[move[:, 0] + 1] - bound[move[:, 0]]
     kappas = pw._kappa_array(table, n)
-    masks, out = list(targets), {}
+    labels, out = list(targets), [{} for _ in jobs]
     with pw._array_guard():
         for lo, hi in pw._passes(np.bincount(move[:, 2], size, len(targets)).cumsum()):
             at = ((move[:, 2] >= lo) & (move[:, 2] < hi)).nonzero()[0]
-            out.update(_supercharge_pass(flat, table, kappas, sp, dagger, masks, move[at],
-                                         start[at], size[at]))
-    return SpinorFunction(s.n, out)
+            for (k, mask), f in _supercharge_pass(flat, table, kappas, sp, labels, move[at],
+                                                  start[at], size[at]).items():
+                out[k][mask] = f
+    return [SpinorFunction(n, comps) for comps in out]
 
 
 def _supercharge_pass(
     flat: pw._Flat, table: tuple[pw.Kappa, ...], kappas: np.ndarray, sp: Superpotential,
-    dagger: bool, masks: list[int], moves: np.ndarray, start: np.ndarray, size: np.ndarray,
-) -> dict[int, pw.RegionFunction]:
+    labels: list[tuple[int, int]], moves: np.ndarray, start: np.ndarray, size: np.ndarray,
+) -> dict[tuple[int, int], pw.RegionFunction]:
     """The targets of ``moves``, which hold every move into each of them, their
-    source terms being ``flat``'s ``start : start + size``: see ``_supercharge``."""
+    source terms being ``flat``'s ``start : start + size``: see ``_supercharges``."""
     n, rows, n_regions = sp.n, len(table), len(pw.regions(sp.n))
     m_j, m_t, m_odd = moves[:, 1], moves[:, 2], moves[:, 3]
+    m_sign = np.where(moves[:, 4], -1.0, 1.0)
     # the entries: each move's source terms, sorted by (target, chamber, id)
     # and stably, so each such group holds its entries in move order
     term, move = pw._runs(start, size)
@@ -240,7 +257,7 @@ def _supercharge_pass(
     key = (m_t[move] * n_regions + where) * rows + flat.ids[term]
     order = key.argsort(kind="stable")
     key, term, move, where = key[order], term[order], move[order], where[order]
-    er, ei = _coefficients(flat, kappas, sp, dagger, term, where, m_j[move], m_odd[move])
+    er, ei = _coefficients(flat, kappas, sp, m_sign[move], term, where, m_j[move], m_odd[move])
     mag = pw._magnitude(er, ei)
     over = np.count_nonzero(pw._overflowed(mag, er, ei))
     live = pw._kept(mag)
@@ -267,20 +284,20 @@ def _supercharge_pass(
     slot, ids = np.divmod(key[head[held]], rows)
     first = np.flatnonzero(np.diff(slot, prepend=-1))
     target, region = np.divmod(slot[first], n_regions)
-    per_target = np.bincount(target, minlength=len(masks))
-    return pw._unflatten(n, table, [masks[t] for t in per_target.nonzero()[0].tolist()], pw._Flat(
+    per_target = np.bincount(target, minlength=len(labels))
+    return pw._unflatten(n, table, [labels[t] for t in per_target.nonzero()[0].tolist()], pw._Flat(
         per_target[per_target > 0], region, np.diff(first, append=len(slot)), ids,
         vr[held], vi[held]))
 
 
 def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
     """Q = i sqrt(2) sum_j b_j (d_j + w_j); lowers the grade by one."""
-    return _supercharge(s, sp, dagger=False)
+    return _supercharges([(s, False)], sp)[0]
 
 
 def apply_q_dagger(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
     """Q^dag = i sqrt(2) sum_j b_j^dag (d_j - w_j); raises the grade by one."""
-    return _supercharge(s, sp, dagger=True)
+    return _supercharges([(s, True)], sp)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +376,8 @@ class EigenstateReport:
 def verify_eigenstate(s: SpinorFunction, e: float, sp: Superpotential) -> EigenstateReport:
     """Check H s = E s as bulk-per-chamber plus jump-per-wall residuals.
 
-    Bulk: every exponential term must satisfy -sum_j kappa_j^2 + shift = E.
+    Bulk: every exponential term must satisfy -sum_j kappa_j^2 + shift = E,
+    checked once per kappa that components on one table use.
     Walls: the component vector in the grade basis must satisfy the
     derivative-jump condition with the grade block of Lambda_ab.  Inputs with
     discontinuous components are rejected outright, and so is a spinor whose
@@ -370,7 +388,14 @@ def verify_eigenstate(s: SpinorFunction, e: float, sp: Superpotential) -> Eigens
     sector = sector_hamiltonian(grade, sp)
     shift = sector.shift
 
-    bulk = pw.nan_max(bethe.bulk_energy_residual(f, e - shift) for f in s.components.values())
+    # each kappa table once, with the ids its components use: a zero mode's
+    # components share one table and use the same ids
+    used: dict[int, tuple[tuple[pw.Kappa, ...], set[int]]] = {}
+    for f in s.components.values():
+        used.setdefault(id(f.kappas), (f.kappas, set()))[1].update(
+            i for ts in f.terms.values() for i, _ in ts)
+    bulk = pw.nan_max(bethe.kappa_energy_residual(table[i], e - shift)
+                      for table, ids in used.values() for i in sorted(ids))
 
     comps = [s.component(mask) for mask in sector.masks]
     wall = pw.matching_residuals(comps, sector.couplings)[1]
@@ -441,22 +466,22 @@ class WittenCensus:
 
 
 def annihilation_residuals(s: SpinorFunction, sp: Superpotential) -> tuple[float, float]:
-    """Max coefficients of Q s and Q^dag s."""
-    return (
-        spinor_max_coefficient(apply_q(s, sp)),
-        spinor_max_coefficient(apply_q_dagger(s, sp)),
-    )
+    """Max coefficients of Q s and Q^dag s, applied in one pass."""
+    return tuple(map(spinor_max_coefficient, _supercharges([(s, False), (s, True)], sp)))
 
 
 def witten_census(sp: Superpotential) -> WittenCensus:
     """Classify the two constructed zero modes by Klein parity.
 
-    A mode that fails the annihilation check (a NaN residual included) is
-    recorded but not counted, so the census fails (``passed``).
+    Q and Q^dag of both modes run in one pass.  A mode that fails the
+    annihilation check (a NaN residual included) is recorded but not
+    counted, so the census fails (``passed``).
     """
+    modes = zero_modes(sp)
+    images = _supercharges([(mode, dagger) for mode in modes for dagger in (False, True)], sp)
     records, counted = [], []
-    for mode in zero_modes(sp):
-        rq, rqd = annihilation_residuals(mode, sp)
+    for mode, q, qd in zip(modes, images[::2], images[1::2]):
+        rq, rqd = spinor_max_coefficient(q), spinor_max_coefficient(qd)
         grade = mode.pure_grade()
         if rq < ZERO_MODE_TOL and rqd < ZERO_MODE_TOL:
             counted.append((-1) ** grade)
@@ -537,19 +562,28 @@ def algebra_residuals(s: SpinorFunction, sp: Superpotential) -> AlgebraResiduals
 
     Delta-function content lives only on the walls and is invisible to the
     per-chamber coefficient algebra, which is exactly why the identity closes
-    without interface terms.  Q s and Q^dag s are computed once for all three.
+    without interface terms.  Two passes of ``_supercharges`` serve all
+    three: Q s and Q^dag s, then Q Q^dag s, Q^dag Q s, Q Q s and Q^dag Q^dag s.
     """
-    qs, qds = apply_q(s, sp), apply_q_dagger(s, sp)
-    lhs = spinor_scale(spinor_add(apply_q(qds, sp), apply_q_dagger(qs, sp)), 0.5)
-    shift = shift_constant(sp)
+    qs, qds = _supercharges([(s, False), (s, True)], sp)
+    try:
+        shift = shift_constant(sp)
+    except ValueError:
+        # refused after Q Q^dag s + Q^dag Q s is summed, before Q Q s is formed,
+        # so an overflow in that sum comes first
+        spinor_add(*_supercharges([(qds, False), (qs, True)], sp))
+        raise
+    q_qds, qd_qs, q_qs, qd_qds = _supercharges(
+        [(qds, False), (qs, True), (qs, False), (qds, True)], sp)
+    lhs = spinor_scale(spinor_add(q_qds, qd_qs), 0.5)
     rhs_comps = {
         mask: pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))
         for mask, f in s.components.items()
     }
     rhs = _prune(SpinorFunction(s.n, rhs_comps))
     return AlgebraResiduals(
-        q_squared=spinor_max_coefficient(apply_q(qs, sp)),
-        q_dagger_squared=spinor_max_coefficient(apply_q_dagger(qds, sp)),
+        q_squared=spinor_max_coefficient(q_qs),
+        q_dagger_squared=spinor_max_coefficient(qd_qds),
         anticommutator=spinor_distance(lhs, rhs),
     )
 
@@ -566,7 +600,8 @@ def random_spinor(
     nonempty set of masks), each holding the given number of random complex
     exponentials on every chamber.  One ``standard_normal`` call draws them in
     mask, chamber, term order (coefficient, then kappa; real, then imaginary
-    part), and the components share one kappa table (``pw.common_table``).
+    part), and the components share one kappa table (``pw.build_shared``),
+    the one ``pw.common_table`` gives them built one by one.
     """
     masks = fock.fock_basis(sp.n)
     if grade is not None:
@@ -575,12 +610,11 @@ def random_spinor(
         chosen = [m for m in masks if rng.random() < 0.5] or [int(rng.integers(0, len(masks)))]
     chambers = pw.regions(sp.n)
     draws = rng.standard_normal((len(chosen), len(chambers), terms_per_region, 2 * sp.n + 2))
-    table, terms = pw.common_table([
-        pw.build(sp.n, {r: [(t[0], tuple(t[1:])) for t in raw] for r, raw in zip(chambers, comp)})
+    funcs = pw.build_shared(sp.n, [
+        {r: [(t[0], tuple(t[1:])) for t in raw] for r, raw in zip(chambers, comp)}
         for comp in draws.view(complex).tolist()
     ])
-    comps = {m: pw.RegionFunction(sp.n, ts, table) for m, ts in zip(chosen, terms)}
-    return SpinorFunction(n=sp.n, components=comps)
+    return SpinorFunction(n=sp.n, components=dict(zip(chosen, funcs)))
 
 
 # ---------------------------------------------------------------------------

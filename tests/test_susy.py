@@ -52,7 +52,7 @@ def old_supercharge(s, sp, dagger):
 
 def image_chain_supercharge(s, sp, dagger, events=None):
     """Q or Q^dag as one image per move, folded in with ``pw.add``: the reference of
-    ``susy._supercharge``.
+    ``susy._supercharges``.
 
     Per source mask and movable mode j, ``map_coefficients`` builds the image
     c -> z * (c kappa_j + c sgn w_j) and ``add`` folds it into the target
@@ -312,7 +312,7 @@ def near_cancelling_spinor():
 
 
 class TestAccumulationKernel:
-    """``_supercharge`` equals the image-by-image chain bit for bit, and writes each
+    """``_supercharges`` equals the image-by-image chain bit for bit, and writes each
     target's chambers in region order."""
 
     SP = {n: susy.Superpotential(n=n, c=1.0) for n in (1, 2, 3, 4, 5)}
@@ -327,7 +327,7 @@ class TestAccumulationKernel:
     def test_equal_chain_on_pooled_spinors(self, n, dagger):
         sp = self.SP[n]
         for s in self.pooled(n, 10 * n + dagger):
-            got = susy._supercharge(s, sp, dagger)
+            got = susy._supercharges([(s, dagger)], sp)[0]
             assert bits(got) == bits(image_chain_supercharge(s, sp, dagger))
             assert all(list(f.terms) == sorted(f.terms) for f in got.components.values())
 
@@ -336,7 +336,7 @@ class TestAccumulationKernel:
         sp = susy.Superpotential(n=n, c=1.05)
         for mode in susy.zero_modes(sp):
             for dagger in (False, True):
-                assert bits(susy._supercharge(mode, sp, dagger)) == bits(
+                assert bits(susy._supercharges([(mode, dagger)], sp)[0]) == bits(
                     image_chain_supercharge(mode, sp, dagger)
                 )
 
@@ -347,7 +347,7 @@ class TestAccumulationKernel:
         for n in (3, 4):
             for dagger in (False, True):
                 for s in self.pooled(n, 100 + 10 * n + dagger, count=4):
-                    assert bits(susy._supercharge(s, self.SP[n], dagger)) == bits(
+                    assert bits(susy._supercharges([(s, dagger)], self.SP[n])[0]) == bits(
                         image_chain_supercharge(s, self.SP[n], dagger)
                     )
         sp = susy.Superpotential(n=5, c=1.05)
@@ -398,6 +398,80 @@ class TestAccumulationKernel:
         cases = ("sum dropped", "re-added after a drop", "chamber reappears",
                  "sum overflows", "-0.0 part")
         assert all(pooled[case] >= 10 for case in cases), pooled
+
+
+class TestBatchedSupercharges:
+    """``_supercharges`` of several jobs gives each job what the image chain
+    gives it alone, bit for bit."""
+
+    SP = TestAccumulationKernel.SP
+
+    @staticmethod
+    def assert_each_job_equals_chain(jobs, sp):
+        got = susy._supercharges(jobs, sp)
+        assert len(got) == len(jobs)
+        for (s, dagger), image in zip(jobs, got):
+            assert bits(image) == bits(image_chain_supercharge(s, sp, dagger))
+            assert all(list(f.terms) == sorted(f.terms) for f in image.components.values())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mixed_grades_share_target_masks(self, n):
+        # Q of one mask and Q^dag of another reach one mask, in different jobs
+        sp = self.SP[n]
+        rng = np.random.default_rng(200 + n)
+        shared = 0
+        for _ in range(4):
+            s, t = (susy.random_spinor(sp, rng) for _ in range(2))
+            q, qd = susy._supercharges([(s, False), (s, True)], sp)
+            shared += bool(q.components.keys() & qd.components.keys())
+            self.assert_each_job_equals_chain([(s, False), (s, True), (t, True), (t, False)], sp)
+        assert shared
+
+    def test_a_source_repeated_across_jobs(self):
+        sp = self.SP[3]
+        s = susy.random_spinor(sp, np.random.default_rng(5))
+        qs = susy.apply_q(s, sp)
+        self.assert_each_job_equals_chain(
+            [(s, False), (qs, True), (s, False), (s, True), (qs, False), (s, True)], sp)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sources_on_different_tables(self, n):
+        # each pooled component holds its own table, and so does each spinor
+        # drawn alone: one kappa table for all jobs is their union
+        sp = self.SP[n]
+        rng = np.random.default_rng(300 + n)
+        spinors = [*TestAccumulationKernel.pooled(n, 400 + n, count=3),
+                   susy.random_spinor(sp, rng), susy.zero_modes(susy.Superpotential(n, 1.0))[1]]
+        assert len({f.kappas for s in spinors for f in s.components.values()}) > 2
+        self.assert_each_job_equals_chain(
+            [(s, dagger) for s in spinors for dagger in (True, False)], sp)
+
+    def test_passes_split_across_jobs(self, monkeypatch):
+        monkeypatch.setattr(pw, "_PASS_SIZE", 16)
+        for n in (3, 4):
+            sp = self.SP[n]
+            pooled = TestAccumulationKernel.pooled(n, 500 + n, count=3)
+            mixed = susy.random_spinor(sp, np.random.default_rng(n))
+            self.assert_each_job_equals_chain(
+                [(pooled[0], False), (mixed, True), (pooled[1], True), (mixed, False),
+                 (pooled[2], False), (pooled[0], True)], sp)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_one_overflowing_job_raises_and_clears_errno(self, at):
+        # the lone mask-1 term of magnitude 1.3e308 lowers to an image of
+        # magnitude sqrt(2) * 1.3e308, whose parts are finite
+        sp = susy.Superpotential(1, 0.0)
+        r1 = pw.Region((1,))
+        huge = susy.SpinorFunction(1, {1: pw.build(1, {r1: [(0.92e308 + 0.92e308j, (1.0,))]})})
+        calm = susy.SpinorFunction(1, {1: pw.build(1, {r1: [(1.0, (0.5,))]}),
+                                       0: pw.build(1, {r1: [(2.0, (0.25,))]})})
+        jobs = [(calm, False), (calm, True), (calm, False)]
+        susy._supercharges(jobs, sp)
+        jobs[at] = (huge, False)
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            susy._supercharges(jobs, sp)
+        assert math.isnan(abs(complex(math.nan, 1.0)))
+        assert susy._supercharges([(huge, True)], sp)[0].components == {}
 
 
 class TestParticleCount:
@@ -504,6 +578,30 @@ class TestVerifyEigenstate:
         rep = susy.verify_eigenstate(s, e + 0.1, sp)
         assert not rep.accepted
         assert rep.bulk_residual == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bulk_evaluates_each_kappa_of_a_table_once(self, monkeypatch, n):
+        # the alternating zero mode's N components share one table and use
+        # every kappa of it; collision states of other momenta hold a table each
+        sp = susy.Superpotential(n=n, c=1.1)
+        _, mode = susy.zero_modes(sp)
+        drawn = susy.SpinorFunction(n, {
+            1 << j: bethe.collision_state([0.3 * j + k for k in range(n, 0, -1)], sp.c)
+            for j in range(n)
+        })
+        residual, calls = bethe.kappa_energy_residual, []
+        monkeypatch.setattr(bethe, "kappa_energy_residual",
+                            lambda kappa, e: calls.append(kappa) or residual(kappa, e))
+        shift = susy.shift_constant(sp)
+        once = pw.used_kappas(next(iter(mode.components.values())))
+        each = [k for f in drawn.components.values() for k in pw.used_kappas(f)]
+        for s, e, want in ((mode, 0.0, once), (drawn, 0.7, each)):
+            calls.clear()
+            got = susy.verify_eigenstate(s, e, sp).bulk_residual
+            assert calls == want
+            assert got == pw.nan_max(
+                bethe.bulk_energy_residual(f, e - shift) for f in s.components.values())
+        assert len(once) == math.factorial(n) and len(each) == n * math.factorial(n)
 
 
 class TestZeroModes:
@@ -676,6 +774,81 @@ class TestAlgebraChecks:
             assert tuple(susy.algebra_residuals(s, sp)) == want
 
 
+def chained_algebra(s, sp):
+    """``algebra_residuals`` with each supercharge its own call, in the order
+    its steps ran when each was its own array pass."""
+    q, qd = susy.apply_q, susy.apply_q_dagger
+    qs, qds = q(s, sp), qd(s, sp)
+    lhs = susy.spinor_scale(susy.spinor_add(q(qds, sp), qd(qs, sp)), 0.5)
+    shift = susy.shift_constant(sp)
+    rhs = susy.SpinorFunction(s.n, {
+        mask: pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))
+        for mask, f in s.components.items()
+    })
+    return susy.AlgebraResiduals(
+        susy.spinor_max_coefficient(q(qs, sp)),
+        susy.spinor_max_coefficient(qd(qds, sp)),
+        susy.spinor_distance(lhs, rhs),
+    )
+
+
+def chained_annihilation(s, sp):
+    return (susy.spinor_max_coefficient(susy.apply_q(s, sp)),
+            susy.spinor_max_coefficient(susy.apply_q_dagger(s, sp)))
+
+
+def chained_census(sp):
+    records, counted = [], []
+    for mode in susy.zero_modes(sp):
+        rq, rqd = chained_annihilation(mode, sp)
+        grade = mode.pure_grade()
+        if rq < susy.ZERO_MODE_TOL and rqd < susy.ZERO_MODE_TOL:
+            counted.append((-1) ** grade)
+        records.append(susy.ZeroModeRecord(grade, rq, rqd, (-1) ** grade))
+    n_b, n_f = counted.count(1), counted.count(-1)
+    return susy.WittenCensus(tuple(records), n_b, n_f, n_b - n_f)
+
+
+def outcome(fn, *args):
+    """The value's text (NaN equal to NaN), or the exception's type and message."""
+    try:
+        return "value", repr(fn(*args))
+    except (OverflowError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestFailureOrder:
+    """Batching the supercharges changes no outcome.  Where c^2 overflows
+    (c above about 1.34e154) and images of c^2 size overflow too, the
+    chained steps met one failure first, ``shift_constant``'s ValueError or
+    an ``abs`` OverflowError; the batched checks meet the same one.  At
+    N = 4, c = 10^154.7 the spinor of seed 1 reaches the case where
+    Q Q s overflows, but Q Q^dag s, Q^dag Q s and their sum do not."""
+
+    GRID = [10.0 ** (150 + k / 10) for k in range(101)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equal_outcomes_to_the_chained_steps(self, n):
+        outcomes = collections.Counter()
+        for c in self.GRID:
+            sp = susy.Superpotential(n, c)
+            rng = np.random.default_rng(1)
+            spinors = [susy.random_spinor(sp, rng)]
+            got = outcome(susy.witten_census, sp)
+            assert got == outcome(chained_census, sp)
+            outcomes[got[0]] += 1
+            if got[0] == "value":
+                spinors += susy.zero_modes(sp)
+            for s in spinors:
+                got = outcome(susy.algebra_residuals, s, sp)
+                assert got == outcome(chained_algebra, s, sp), (n, c)
+                outcomes[got[0]] += 1
+                got = outcome(susy.annihilation_residuals, s, sp)
+                assert got == outcome(chained_annihilation, s, sp), (n, c)
+                outcomes[got[0]] += 1
+        assert all(outcomes[kind] for kind in ("value", OverflowError, ValueError)), outcomes
+
+
 def scalar_draw_spinor(sp, rng, grade=None, terms_per_region=2):
     """A random spinor drawn one scalar at a time, each component on its own
     table: the reference stream of ``random_spinor``."""
@@ -711,7 +884,29 @@ class TestRandomSpinor:
             assert list(got.components) == list(want.components)
             for mask, f in got.components.items():
                 assert pw.to_json_obj(f) == pw.to_json_obj(want.components[mask])
+            (table,) = {f.kappas for f in got.components.values()}
+            assert table == pw.common_table(list(want.components.values()))[0]
             assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sorts_each_kappa_once(self, monkeypatch, n):
+        # the components are classified as one, so the table is sorted once
+        # and no union of component tables is sorted again
+        sort_key, calls = pw._sort_key, collections.Counter()
+
+        def counting(kappa):
+            calls[kappa] += 1
+            return sort_key(kappa)
+
+        monkeypatch.setattr(pw, "_sort_key", counting)
+        sp = susy.Superpotential(n=n, c=0.9)
+        rng = np.random.default_rng(n)
+        for grade in (None, None, 1):
+            calls.clear()
+            s = susy.random_spinor(sp, rng, grade=grade)
+            (table,) = {f.kappas for f in s.components.values()}
+            assert len(s.components) > 1
+            assert calls == collections.Counter(table)
 
     def test_one_standard_normal_call_after_the_mask_draws(self):
         calls = []

@@ -6,7 +6,7 @@ For N = 2 .. K it builds one collision state on seeded momenta (strictly
 decreasing reals in [-2, 2], at least 0.05 apart, and a coupling in
 [0.5, 2.5]), runs ``bethe.matching_report`` on it, and runs
 ``susy.verify_eigenstate`` and ``susy.annihilation_residuals`` (Q and Q^dag
-applied once each) on both zero modes of the superpotential with the same
+applied in one pass) on both zero modes of the superpotential with the same
 coupling.  Up to N = 5 (``ALGEBRA_MAX_N``, the limit of the symbolic susy
 commands) it also runs ``susy.algebra_residuals`` on one seeded random
 spinor.  Each N prints one JSON line:
