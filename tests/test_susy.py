@@ -456,6 +456,24 @@ class TestBatchedSupercharges:
                 [(pooled[0], False), (mixed, True), (pooled[1], True), (mixed, False),
                  (pooled[2], False), (pooled[0], True)], sp)
 
+    def test_array_passes_per_check(self, monkeypatch):
+        # an algebra trial takes 2 passes (it took 6), the annihilation
+        # check 1 (2), the census 1 (4) and a partner 1
+        calls = []
+        run = susy._supercharge_pass
+        monkeypatch.setattr(susy, "_supercharge_pass", lambda *a: calls.append(1) or run(*a))
+        sp = susy.Superpotential(n=3, c=1.1)
+        checks = [
+            (lambda: susy.algebra_residuals(susy.random_spinor(sp, np.random.default_rng(1)), sp), 2),
+            (lambda: susy.annihilation_residuals(susy.zero_modes(sp)[1], sp), 1),
+            (lambda: susy.witten_census(sp), 1),
+            (lambda: susy.susy_partner(grade0_collision((1.1, 0.3, -0.8), sp), "raise", sp), 1),
+        ]
+        for check, passes in checks:
+            calls.clear()
+            check()
+            assert len(calls) == passes
+
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_one_overflowing_job_raises_and_clears_errno(self, at):
         # the lone mask-1 term of magnitude 1.3e308 lowers to an image of
