@@ -812,11 +812,8 @@ def lattice_q_diagnostic(grid: Grid, sp: susy.Superpotential, seed: int = 0) -> 
         lowest = min(lowest, level.eigenvalues[0])
     q2 = (q_mat @ q_mat).tocoo()
     q2.eliminate_zeros()
-    band = 0
-    if q2.nnz:
-        for flat in np.concatenate([q2.row, q2.col]):
-            g = int(flat) % (m * m)
-            band = max(band, abs(g // m - g % m))
+    g = np.concatenate([q2.row, q2.col]) % (m * m)  # each entry's node, in either index
+    band = int(np.abs(g // m - g % m).max()) if q2.nnz else 0
     q2_max = float(np.abs(q2.data).max()) if q2.nnz else 0.0
     return QDiagnosticReport(
         min_eigenvalue=lowest,

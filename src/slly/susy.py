@@ -32,6 +32,7 @@ sign of its source.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Mapping, NamedTuple, Sequence
@@ -175,11 +176,32 @@ def _coefficients(
     return pw._product(zr, zi, kr + wr, ki + wi)
 
 
-def _supercharges(
-    jobs: Sequence[tuple[SpinorFunction, bool]], sp: Superpotential
-) -> list[SpinorFunction]:
-    """Q s, or Q^dag s if ``dagger``, of every job ``(s, dagger)``, in array
-    passes over the source terms of all jobs at once.
+class _Images(NamedTuple):
+    """Spinors as flat chambers (``pw._Flat``) on one kappa table: function k
+    of ``flat`` is the component of mask ``labels[k][1]`` of the spinor
+    ``labels[k][0]``.  The spinors come in order, and the components of
+    each in its order."""
+
+    table: tuple[pw.Kappa, ...]
+    labels: list[tuple[int, int]]
+    flat: pw._Flat
+
+
+def _flat_spinors(spinors: Sequence[SpinorFunction], sp: Superpotential) -> _Images:
+    """The components of the spinors on one kappa table (``pw.common_table``),
+    flattened once (``pw._flatten``)."""
+    for s in spinors:
+        _check_particles(s, sp)
+    table, chambers = pw.common_table([f for s in spinors for f in s.components.values()])
+    labels = [(k, mask) for k, s in enumerate(spinors) for mask in s.components]
+    return _Images(table, labels, pw._flatten(sp.n, chambers))
+
+
+def _images(sources: _Images, jobs: Sequence[tuple[int, bool]], sp: Superpotential) -> _Images:
+    """Q s, or Q^dag s if ``dagger``, of the spinor s numbered ``k`` in
+    ``sources`` for every job ``(k, dagger)``, in array passes over the
+    source terms of all jobs at once.  Spinor k of the images is job k's;
+    they hold the sources' kappa table.
 
     A move is a job, a source mask and a mode j it may move; its image, in
     the job's target ``mask ^ bit_j``, maps each term c to z (c kappa_j + c
@@ -200,27 +222,18 @@ def _supercharges(
     A target is a (job, mask); targets come in the order moves first reach
     them, each target's chambers in ``pw.regions(n)`` order and each chamber
     in ascending id; the chain of ``add`` holds the same chambers, in
-    another order.  The jobs share one kappa table (``pw.common_table`` of
-    every source component), one flat table of the distinct sources
-    (``pw._flatten``), its kappa array and one move table; the passes
-    (``pw._passes``) take whole targets, one pass unless they hold more than
-    ``pw._PASS_SIZE`` entries.  Every output component holds that table.
+    another order.  The jobs share the sources' flat table, its kappa array
+    (``pw._kappa_array``) and one move table; the passes (``pw._passes``)
+    take whole targets, one pass unless they hold more than ``pw._PASS_SIZE``
+    entries.
     """
-    for s, _ in jobs:
-        _check_particles(s, sp)
-    n = sp.n
-    first: dict[int, int] = {}  # per distinct source: the place of its first component
-    funcs: list[pw.RegionFunction] = []
-    for s, _ in jobs:
-        if id(s) not in first:
-            first[id(s)] = len(funcs)
-            funcs += s.components.values()
-    table, chambers = pw.common_table(funcs)
-    flat = pw._flatten(n, chambers)
+    n, (table, labels, flat) = sp.n, sources
     targets: dict[tuple[int, int], int] = {}  # (job, target mask) -> its place
     moves: list[int] = []  # per move: source, j - 1, target, jw_sign < 0, dagger
-    for k, (s, dagger) in enumerate(jobs):
-        for f, mask in enumerate(s.components, first[id(s)]):
+    for k, (source, dagger) in enumerate(jobs):
+        for f, (spinor, mask) in enumerate(labels):
+            if spinor != source:
+                continue
             for j in range(n):
                 if bool(mask >> j & 1) != dagger:
                     t = targets.setdefault((k, mask ^ 1 << j), len(targets))
@@ -229,22 +242,41 @@ def _supercharges(
     bound = np.concatenate(([0], flat.size.cumsum()))[np.concatenate(([0], flat.count.cumsum()))]
     start, size = bound[move[:, 0]], bound[move[:, 0] + 1] - bound[move[:, 0]]
     kappas = pw._kappa_array(table, n)
-    labels, out = list(targets), [{} for _ in jobs]
+    order, made, parts = list(targets), [], []
     with pw._array_guard():
         for lo, hi in pw._passes(np.bincount(move[:, 2], size, len(targets)).cumsum()):
             at = ((move[:, 2] >= lo) & (move[:, 2] < hi)).nonzero()[0]
-            for (k, mask), f in _supercharge_pass(flat, table, kappas, sp, labels, move[at],
-                                                  start[at], size[at]).items():
-                out[k][mask] = f
-    return [SpinorFunction(n, comps) for comps in out]
+            present, part = _supercharge_pass(flat, table, kappas, sp, move[at], start[at], size[at])
+            made += [order[t] for t in present.tolist()]
+            parts.append(part)
+    if len(parts) != 1:  # none, or several passes: one flat table of them all
+        parts = [pw._Flat(*map(np.concatenate, zip(pw._flatten(n, []), *parts)))]
+    return _Images(table, made, parts[0])
+
+
+def _supercharges(
+    jobs: Sequence[tuple[SpinorFunction, bool]], sp: Superpotential
+) -> list[SpinorFunction]:
+    """Q s, or Q^dag s if ``dagger``, of every job ``(s, dagger)``: ``_images``
+    of the distinct sources, flattened once, made into spinors.  Every output
+    component holds the one kappa table of the sources' components."""
+    spinors = list({id(s): s for s, _ in jobs}.values())
+    place = {id(s): k for k, s in enumerate(spinors)}
+    table, labels, flat = _images(
+        _flat_spinors(spinors, sp), [(place[id(s)], dagger) for s, dagger in jobs], sp)
+    out: list[dict[int, pw.RegionFunction]] = [{} for _ in jobs]
+    for (k, mask), f in pw._unflatten(sp.n, table, labels, flat).items():
+        out[k][mask] = f
+    return [SpinorFunction(sp.n, comps) for comps in out]
 
 
 def _supercharge_pass(
     flat: pw._Flat, table: tuple[pw.Kappa, ...], kappas: np.ndarray, sp: Superpotential,
-    labels: list[tuple[int, int]], moves: np.ndarray, start: np.ndarray, size: np.ndarray,
-) -> dict[tuple[int, int], pw.RegionFunction]:
+    moves: np.ndarray, start: np.ndarray, size: np.ndarray,
+) -> tuple[np.ndarray, pw._Flat]:
     """The targets of ``moves``, which hold every move into each of them, their
-    source terms being ``flat``'s ``start : start + size``: see ``_supercharges``."""
+    source terms being ``flat``'s ``start : start + size`` (see ``_images``):
+    the targets that hold a term, and their held sums as flat chambers."""
     n, rows, n_regions = sp.n, len(table), len(pw.regions(sp.n))
     m_j, m_t, m_odd = moves[:, 1], moves[:, 2], moves[:, 3]
     m_sign = np.where(moves[:, 4], -1.0, 1.0)
@@ -252,7 +284,7 @@ def _supercharge_pass(
     # and stably, so each such group holds its entries in move order
     term, move = pw._runs(start, size)
     if not len(term):
-        return {}
+        return np.zeros(0, dtype=np.intp), pw._flatten(n, [])
     where = flat.where[np.arange(len(flat.size)).repeat(flat.size)[term]]
     key = (m_t[move] * n_regions + where) * rows + flat.ids[term]
     order = key.argsort(kind="stable")
@@ -284,10 +316,10 @@ def _supercharge_pass(
     slot, ids = np.divmod(key[head[held]], rows)
     first = np.flatnonzero(np.diff(slot, prepend=-1))
     target, region = np.divmod(slot[first], n_regions)
-    per_target = np.bincount(target, minlength=len(labels))
-    return pw._unflatten(n, table, [labels[t] for t in per_target.nonzero()[0].tolist()], pw._Flat(
-        per_target[per_target > 0], region, np.diff(first, append=len(slot)), ids,
-        vr[held], vi[held]))
+    per_target = np.bincount(target)
+    present = per_target.nonzero()[0]
+    return present, pw._Flat(per_target[present], region, np.diff(first, append=len(slot)), ids,
+                             vr[held], vi[held])
 
 
 def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
@@ -298,6 +330,100 @@ def apply_q(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
 def apply_q_dagger(s: SpinorFunction, sp: Superpotential) -> SpinorFunction:
     """Q^dag = i sqrt(2) sum_j b_j^dag (d_j - w_j); raises the grade by one."""
     return _supercharges([(s, True)], sp)[0]
+
+
+# ---------------------------------------------------------------------------
+# the checks' reductions, on flat images
+# ---------------------------------------------------------------------------
+
+class _Slots(NamedTuple):
+    """Coefficients of spinors on one kappa table, each at its slot (``_slots``)."""
+
+    slot: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+
+def _slots(images: _Images, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spinor and the slot of each coefficient of ``images``: on chamber
+    ``pw.regions(n)[r]`` of the component of mask m, the id i has the slot
+    (m N! + r) rows + i, rows being the length of the kappa table."""
+    table, labels, flat = images
+    label = np.array(labels, dtype=np.intp).reshape(-1, 2).repeat(flat.count, axis=0)
+    slot = (label[:, 1] * len(pw.regions(n)) + flat.where).repeat(flat.size) * len(table) + flat.ids
+    return label[:, 0].repeat(flat.size), slot
+
+
+def _magnitudes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``abs`` of each coefficient (``pw._magnitude``), raising ``OverflowError``
+    where ``abs`` does."""
+    size = pw._magnitude(re, im)
+    if pw._overflowed(size, re, im).any():
+        raise OverflowError("absolute value too large")
+    return size
+
+
+def _max_coefficients(images: _Images, count: int) -> list[float]:
+    """``spinor_max_coefficient`` of each of the first ``count`` spinors of
+    ``images``: NaN once any magnitude is NaN (``np.maximum``, as ``pw.nan_max``),
+    0.0 for none."""
+    flat = images.flat
+    spinor = np.array([k for k, _ in images.labels], dtype=np.intp).repeat(flat.count)
+    out = np.zeros(count)
+    with pw._array_guard():
+        np.maximum.at(out, spinor.repeat(flat.size), _magnitudes(flat.re, flat.im))
+    return out.tolist()
+
+
+def _mapped(x: _Slots, re: np.ndarray, im: np.ndarray) -> _Slots:
+    """The slots of x holding the coefficients (re, im) instead, those of
+    magnitude at most ``DROP_TOL`` dropped, as ``pw.map_coefficients`` does."""
+    keep = pw._kept(_magnitudes(re, im))
+    return _Slots(x.slot[keep], re[keep], im[keep])
+
+
+def _scaled(x: _Slots, z: float) -> _Slots:
+    """``pw.scale`` by the float z, which CPython multiplies as complex(z, 0.0)."""
+    return _mapped(x, *pw._product(z, 0.0, x.re, x.im))
+
+
+def _add(x: _Slots, y: _Slots) -> _Slots:
+    """x + y as ``pw.add`` of their components: a slot both hold sums x's
+    coefficient and y's, in that order, and drops at magnitude at most
+    ``DROP_TOL``; any other slot passes through."""
+    slot = np.concatenate((x.slot, y.slot))
+    order = slot.argsort(kind="stable")  # in a slot both hold, x's first
+    slot = slot[order]
+    re, im = np.concatenate((x.re, y.re))[order], np.concatenate((x.im, y.im))[order]
+    pair = (slot[1:] == slot[:-1]).nonzero()[0]
+    re[pair] += re[pair + 1]
+    im[pair] += im[pair + 1]
+    keep = np.ones(len(slot), dtype=bool)
+    keep[pair] = pw._kept(_magnitudes(re[pair], im[pair]))
+    keep[pair + 1] = False
+    return _Slots(slot[keep], re[keep], im[keep])
+
+
+def _half_anticommutator(images: _Images, n: int) -> _Slots:
+    """(1/2)(Q Q^dag s + Q^dag Q s), from spinors 0 and 1 of ``images``, as
+    ``spinor_scale(spinor_add(...), 0.5)``."""
+    spinor, slot = _slots(images, n)
+    parts = [_Slots(slot[at], images.flat.re[at], images.flat.im[at])
+             for at in (spinor == 0, spinor == 1)]
+    return _scaled(_add(*parts), 0.5)
+
+
+def _bulk_hamiltonian(source: _Images, shift: float, n: int) -> _Slots:
+    """(-Laplacian + shift) s of the one spinor of ``source``, as
+    ``pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))`` of each
+    component f.  Laplacian's factor sum kappa_j^2 is read off the common
+    table, whose kappa may differ from f's own in the sign of a zero; that
+    changes signed zeros only, which no magnitude reads."""
+    table, _, flat = source
+    s = _Slots(_slots(source, n)[1], flat.re, flat.im)
+    factor = np.array([sum(map(operator.mul, k, k)) for k in table], dtype=complex)[flat.ids]
+    laplacian = _mapped(s, *pw._product(s.re, s.im, factor.real, factor.imag))
+    return _add(_scaled(laplacian, -1.0), _scaled(s, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +592,24 @@ class WittenCensus:
 
 
 def annihilation_residuals(s: SpinorFunction, sp: Superpotential) -> tuple[float, float]:
-    """Max coefficients of Q s and Q^dag s, applied in one pass."""
-    return tuple(map(spinor_max_coefficient, _supercharges([(s, False), (s, True)], sp)))
+    """Max coefficients of Q s and Q^dag s (``spinor_max_coefficient``), applied
+    in one pass and read off its flat images (``_max_coefficients``)."""
+    return tuple(_max_coefficients(_images(_flat_spinors([s], sp), [(0, False), (0, True)], sp), 2))
 
 
 def witten_census(sp: Superpotential) -> WittenCensus:
     """Classify the two constructed zero modes by Klein parity.
 
-    Q and Q^dag of both modes run in one pass.  A mode that fails the
-    annihilation check (a NaN residual included) is recorded but not
-    counted, so the census fails (``passed``).
+    Q and Q^dag of both modes run in one pass, and their residuals, as
+    ``annihilation_residuals`` gives them, are read off its flat images.  A
+    mode that fails the annihilation check (a NaN residual included) is
+    recorded but not counted, so the census fails (``passed``).
     """
     modes = zero_modes(sp)
-    images = _supercharges([(mode, dagger) for mode in modes for dagger in (False, True)], sp)
+    jobs = [(k, dagger) for k in range(len(modes)) for dagger in (False, True)]
+    residuals = _max_coefficients(_images(_flat_spinors(modes, sp), jobs, sp), len(jobs))
     records, counted = [], []
-    for mode, q, qd in zip(modes, images[::2], images[1::2]):
-        rq, rqd = spinor_max_coefficient(q), spinor_max_coefficient(qd)
+    for mode, rq, rqd in zip(modes, residuals[::2], residuals[1::2]):
         grade = mode.pure_grade()
         if rq < ZERO_MODE_TOL and rqd < ZERO_MODE_TOL:
             counted.append((-1) ** grade)
@@ -562,30 +690,37 @@ def algebra_residuals(s: SpinorFunction, sp: Superpotential) -> AlgebraResiduals
 
     Delta-function content lives only on the walls and is invisible to the
     per-chamber coefficient algebra, which is exactly why the identity closes
-    without interface terms.  Two passes of ``_supercharges`` serve all
-    three: Q s and Q^dag s, then Q Q^dag s, Q^dag Q s, Q Q s and Q^dag Q^dag s.
+    without interface terms.  Two passes of ``_images`` serve all three: Q s
+    and Q^dag s, then, from those flat images, Q Q^dag s, Q^dag Q s, Q Q s
+    and Q^dag Q^dag s.  No image is made into a function: the residuals
+    are reduced on the one kappa table of s's components, slot by slot
+    (mask, chamber, id), through the steps of the chain
+
+        lhs = spinor_scale(spinor_add(Q Q^dag s, Q^dag Q s), 0.5)
+        rhs = pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift)) per component f
+        anticommutator = spinor_distance(lhs, rhs)
+
+    and ``spinor_max_coefficient`` of Q Q s and Q^dag Q^dag s, in their
+    operand order and with their drops and overflows, so that each residual
+    is the chain's, bit for bit, and so is its failure.
     """
-    qs, qds = _supercharges([(s, False), (s, True)], sp)
+    source = _flat_spinors([s], sp)
+    first = _images(source, [(0, False), (0, True)], sp)  # Q s, Q^dag s
     try:
         shift = shift_constant(sp)
     except ValueError:
         # refused after Q Q^dag s + Q^dag Q s is summed, before Q Q s is formed,
-        # so an overflow in that sum comes first
-        spinor_add(*_supercharges([(qds, False), (qs, True)], sp))
+        # so an overflow in that sum comes first (its halving adds none)
+        with pw._array_guard():
+            _half_anticommutator(_images(first, [(1, False), (0, True)], sp), sp.n)
         raise
-    q_qds, qd_qs, q_qs, qd_qds = _supercharges(
-        [(qds, False), (qs, True), (qs, False), (qds, True)], sp)
-    lhs = spinor_scale(spinor_add(q_qds, qd_qs), 0.5)
-    rhs_comps = {
-        mask: pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))
-        for mask, f in s.components.items()
-    }
-    rhs = _prune(SpinorFunction(s.n, rhs_comps))
-    return AlgebraResiduals(
-        q_squared=spinor_max_coefficient(q_qs),
-        q_dagger_squared=spinor_max_coefficient(qd_qds),
-        anticommutator=spinor_distance(lhs, rhs),
-    )
+    second = _images(first, [(1, False), (0, True), (0, False), (1, True)], sp)
+    with pw._array_guard():
+        lhs = _half_anticommutator(second, sp.n)
+        distance = _add(lhs, _scaled(_bulk_hamiltonian(source, shift, sp.n), -1.0))
+        anticommutator = float(np.max(_magnitudes(distance.re, distance.im), initial=0.0))
+    q_squared, q_dagger_squared = _max_coefficients(second, 4)[2:]
+    return AlgebraResiduals(q_squared, q_dagger_squared, anticommutator)
 
 
 def random_spinor(

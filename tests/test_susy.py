@@ -474,6 +474,21 @@ class TestBatchedSupercharges:
             check()
             assert len(calls) == passes
 
+    def test_checks_make_no_image_functions(self, monkeypatch):
+        # the checks reduce the images as flat arrays; apply_q makes functions
+        calls = []
+        run = pw._unflatten
+        monkeypatch.setattr(pw, "_unflatten", lambda *a: calls.append(1) or run(*a))
+        sp = susy.Superpotential(n=3, c=1.1)
+        s = susy.random_spinor(sp, np.random.default_rng(1))
+        mode = susy.zero_modes(sp)[1]
+        susy.algebra_residuals(s, sp)
+        susy.annihilation_residuals(mode, sp)
+        susy.witten_census(sp)
+        assert not calls
+        susy.apply_q(s, sp)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_one_overflowing_job_raises_and_clears_errno(self, at):
         # the lone mask-1 term of magnitude 1.3e308 lowers to an image of
@@ -770,26 +785,64 @@ class TestAlgebraChecks:
             worst = max(worst, susy.algebra_residuals(s, sp).anticommutator)
         assert worst < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_residuals_equal_separate_checks(self, n):
-        """Each residual is the one its own Q/Q^dag chain gives, summed in the same order."""
+    @staticmethod
+    def spinors(n, rng):
+        """Random spinors, and spinors whose components sit on different kappa
+        tables: a collision state at the top grade, each zero mode, and one
+        mixing a zero mode's components with a collision state and a random
+        component; up to N=4, pooled spinors too, whose images overflow."""
         sp = susy.Superpotential(n=n, c=0.9)
-        rng = np.random.default_rng(n)
-        q, qd = susy.apply_q, susy.apply_q_dagger
-        for _ in range(4):
-            s = susy.random_spinor(sp, rng)
-            lhs = susy.spinor_scale(susy.spinor_add(q(qd(s, sp), sp), qd(q(s, sp), sp)), 0.5)
-            shift = susy.shift_constant(sp)
-            rhs = susy.SpinorFunction(n, {
-                mask: pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))
-                for mask, f in s.components.items()
-            })
-            want = (
-                susy.spinor_max_coefficient(q(q(s, sp), sp)),
-                susy.spinor_max_coefficient(qd(qd(s, sp), sp)),
-                susy.spinor_distance(lhs, rhs),
-            )
-            assert tuple(susy.algebra_residuals(s, sp)) == want
+        ks = tuple(1.7 - 0.9 * k for k in range(n))
+        collision = bethe.collision_state(ks, 0.9)
+        out = [susy.random_spinor(sp, rng) for _ in range(2 if n == 5 else 4)]
+        out.append(gradeN_state(collision, n))
+        if n >= 2:
+            modes = susy.zero_modes(sp)
+            drawn = susy.random_spinor(sp, rng, grade=1).components
+            out += [*modes, susy.SpinorFunction(n, {
+                **modes[1].components, 0: collision, 1: drawn[1]})]
+        if n <= 4:
+            out += TestAccumulationKernel.pooled(n, 600 + n, count=2)
+        return sp, out
+
+    @staticmethod
+    def boundary_spinors():
+        """One N=2 grade-1 spinor at 16 scales: on some, the anticommutator's
+        rounding differences all drop, at magnitude at most DROP_TOL; on
+        others one of them is kept just above it."""
+        sp = susy.Superpotential(n=2, c=0.9)
+        s = susy.random_spinor(sp, np.random.default_rng(3), grade=1, terms_per_region=1)
+        return sp, [susy.SpinorFunction(2, {m: pw.scale(f, 1 + k / 16) for m, f in s.components.items()})
+                    for k in range(16)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_residuals_equal_separate_checks(self, n):
+        """Each residual, or the failure, is the one its own Q/Q^dag chain gives,
+        summed in the same order."""
+        sp, spinors = self.spinors(n, np.random.default_rng(n))
+        assert len({f.kappas for s in spinors for f in s.components.values()}) > 2
+        for s in spinors:
+            assert outcome(susy.algebra_residuals, s, sp) == outcome(chained_algebra, s, sp)
+
+    def test_cancellation_at_the_drop_boundary(self):
+        sp, spinors = self.boundary_spinors()
+        residuals = []
+        for s in spinors:
+            got = outcome(susy.algebra_residuals, s, sp)
+            assert got == outcome(chained_algebra, s, sp)
+            residuals.append(susy.algebra_residuals(s, sp).anticommutator)
+        assert 0.0 in residuals
+        assert any(pw.DROP_TOL < r <= 1.5 * pw.DROP_TOL for r in residuals), residuals
+
+    def test_passes_of_a_few_targets(self, monkeypatch):
+        monkeypatch.setattr(pw, "_PASS_SIZE", 16)
+        for n in (3, 4):
+            sp, spinors = self.spinors(n, np.random.default_rng(700 + n))
+            for s in spinors[3:]:
+                assert outcome(susy.algebra_residuals, s, sp) == outcome(chained_algebra, s, sp)
+                assert outcome(susy.annihilation_residuals, s, sp) == outcome(
+                    chained_annihilation, s, sp)
+            assert outcome(susy.witten_census, sp) == outcome(chained_census, sp)
 
 
 def chained_algebra(s, sp):
