@@ -805,16 +805,6 @@ class TestAlgebraChecks:
             out += TestAccumulationKernel.pooled(n, 600 + n, count=2)
         return sp, out
 
-    @staticmethod
-    def boundary_spinors():
-        """One N=2 grade-1 spinor at 16 scales: on some, the anticommutator's
-        rounding differences all drop, at magnitude at most DROP_TOL; on
-        others one of them is kept just above it."""
-        sp = susy.Superpotential(n=2, c=0.9)
-        s = susy.random_spinor(sp, np.random.default_rng(3), grade=1, terms_per_region=1)
-        return sp, [susy.SpinorFunction(2, {m: pw.scale(f, 1 + k / 16) for m, f in s.components.items()})
-                    for k in range(16)]
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_residuals_equal_separate_checks(self, n):
         """Each residual, or the failure, is the one its own Q/Q^dag chain gives,
@@ -825,12 +815,16 @@ class TestAlgebraChecks:
             assert outcome(susy.algebra_residuals, s, sp) == outcome(chained_algebra, s, sp)
 
     def test_cancellation_at_the_drop_boundary(self):
-        sp, spinors = self.boundary_spinors()
+        """One N=2 grade-1 spinor at 16 scales: on some, the anticommutator's
+        rounding differences all drop, at magnitude at most DROP_TOL; on
+        others one of them is kept just above it."""
+        sp = susy.Superpotential(n=2, c=0.9)
+        s = susy.random_spinor(sp, np.random.default_rng(3), grade=1, terms_per_region=1)
         residuals = []
-        for s in spinors:
-            got = outcome(susy.algebra_residuals, s, sp)
-            assert got == outcome(chained_algebra, s, sp)
-            residuals.append(susy.algebra_residuals(s, sp).anticommutator)
+        for k in range(16):
+            scaled = susy.SpinorFunction(2, {m: pw.scale(f, 1 + k / 16) for m, f in s.components.items()})
+            assert outcome(susy.algebra_residuals, scaled, sp) == outcome(chained_algebra, scaled, sp)
+            residuals.append(susy.algebra_residuals(scaled, sp).anticommutator)
         assert 0.0 in residuals
         assert any(pw.DROP_TOL < r <= 1.5 * pw.DROP_TOL for r in residuals), residuals
 
