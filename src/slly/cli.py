@@ -327,7 +327,7 @@ def _susy_algebra(args) -> tuple[dict, bool, None]:
     rng = np.random.default_rng(args.seed)
     # the worst of each susy.AlgebraResiduals field, in field order
     names = ("max_q_squared", "max_q_dagger_squared", "max_anticommutator_residual")
-    trials = [susy.algebra_residuals(susy.random_spinor(sp, rng), sp) for _ in range(args.trials)]
+    trials = susy.algebra_trials(sp, rng, args.trials)
     worst = {key: piecewise.nan_max(values) for key, values in zip(names, zip(*trials))}
     return worst, all(value <= args.tol for value in worst.values()), None
 

@@ -142,10 +142,6 @@ def _sector_levels(grade: int, grid: Grid, sp: susy.Superpotential) -> int:
     if not (0.0 < h_squared < math.inf and 2.0 * grid.n / h_squared < math.inf):
         raise ValueError(f"box edge length {grid.box} gives a spacing h whose h^2 is out of range")
     shift = susy.shift_constant(sp)
-    if not math.isfinite(shift):
-        raise ValueError(
-            f"superpotential strength {sp.c} is too large: the shift c^2 N(N^2 - 1)/12 overflows"
-        )
     # a row holds the diagonal (the shift, 2N/h^2 and at most C(N, 2) contact
     # couplings 2|c|/h) and off-diagonal entries of no more than sqrt(N!)
     # times that: the orbit weights sqrt(|I|/|J|) on the 2N hops, and the

@@ -35,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Mapping, NamedTuple, Sequence
+from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,13 +77,19 @@ def grad_w(region: pw.Region, j: int, sp: Superpotential) -> float:
 def shift_constant(sp: Superpotential) -> float:
     """c^2 N(N^2 - 1)/12, the chamber-independent value of sum_j (dW/dx_j)^2.
 
-    A c whose square overflows is a configuration error (ValueError).
+    A c whose square, or whose shift, overflows is a configuration error
+    (ValueError).
     """
     try:
         c_squared = sp.c**2
     except OverflowError:
         raise ValueError(f"superpotential strength {sp.c} is too large: c^2 overflows") from None
-    return c_squared * sp.n * (sp.n**2 - 1) / 12.0
+    shift = c_squared * sp.n * (sp.n**2 - 1) / 12.0
+    if not math.isfinite(shift):
+        raise ValueError(
+            f"superpotential strength {sp.c} is too large: the shift c^2 N(N^2 - 1)/12 overflows"
+        )
+    return shift
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +157,17 @@ def _rank_weights(n: int) -> np.ndarray:
     """2 rank(j) - N - 1 on every chamber of ``pw.regions(n)`` (rows) for every
     mode j (columns), so that ``grad_w`` is (c/2) times it."""
     return 2 * (np.argsort(np.array(pw.regions(n)), axis=1) + 1) - n - 1
+
+
+@lru_cache(maxsize=None)
+def _mask_moves(n: int) -> tuple[tuple[tuple[tuple[int, int, bool], ...], ...], ...]:
+    """``[dagger][mask]``: the moves of a source mask under Q, or Q^dag if
+    ``dagger``, one per mode j it may move, in ascending j, as (j - 1, the
+    target ``mask ^ bit_j``, whether ``fock.jw_sign(mask, j)`` is -1)."""
+    return tuple(tuple(
+        tuple((j, mask ^ 1 << j, fock.jw_sign(mask, j + 1) < 0)
+              for j in range(n) if bool(mask >> j & 1) != dagger)
+        for mask in range(1 << n)) for dagger in (False, True))
 
 
 #: a move's z = i sqrt(2) jw_sign, as (re, im): row 0 for jw_sign +1, row 1 for -1
@@ -223,21 +240,22 @@ def _images(sources: _Images, jobs: Sequence[tuple[int, bool]], sp: Superpotenti
     them, each target's chambers in ``pw.regions(n)`` order and each chamber
     in ascending id; the chain of ``add`` holds the same chambers, in
     another order.  The jobs share the sources' flat table, its kappa array
-    (``pw._kappa_array``) and one move table; the passes (``pw._passes``)
-    take whole targets, one pass unless they hold more than ``pw._PASS_SIZE``
-    entries.
+    (``pw._kappa_array``) and one move table, built from an index of the
+    sources' functions by spinor and each mask's moves (``_mask_moves``);
+    the passes (``pw._passes``) take whole targets, one pass unless they
+    hold more than ``pw._PASS_SIZE`` entries.
     """
     n, (table, labels, flat) = sp.n, sources
+    functions: dict[int, list[tuple[int, int]]] = {}  # spinor -> its (function, mask)s
+    for f, (spinor, mask) in enumerate(labels):
+        functions.setdefault(spinor, []).append((f, mask))
     targets: dict[tuple[int, int], int] = {}  # (job, target mask) -> its place
     moves: list[int] = []  # per move: source, j - 1, target, jw_sign < 0, dagger
+    mask_moves = _mask_moves(n)
     for k, (source, dagger) in enumerate(jobs):
-        for f, (spinor, mask) in enumerate(labels):
-            if spinor != source:
-                continue
-            for j in range(n):
-                if bool(mask >> j & 1) != dagger:
-                    t = targets.setdefault((k, mask ^ 1 << j), len(targets))
-                    moves += (f, j, t, fock.jw_sign(mask, j + 1) < 0, dagger)
+        for f, mask in functions.get(source, ()):
+            for j, target, odd in mask_moves[dagger][mask]:
+                moves += (f, j, targets.setdefault((k, target), len(targets)), odd, dagger)
     move = np.fromiter(moves, np.intp, len(moves)).reshape(-1, 5)
     bound = np.concatenate(([0], flat.size.cumsum()))[np.concatenate(([0], flat.count.cumsum()))]
     start, size = bound[move[:, 0]], bound[move[:, 0] + 1] - bound[move[:, 0]]
@@ -344,14 +362,16 @@ class _Slots(NamedTuple):
     im: np.ndarray
 
 
-def _slots(images: _Images, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spinor and the slot of each coefficient of ``images``: on chamber
-    ``pw.regions(n)[r]`` of the component of mask m, the id i has the slot
-    (m N! + r) rows + i, rows being the length of the kappa table."""
+def _slots(images: _Images, n: int, per: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The role and the slot of each coefficient of ``images``, whose spinor k
+    is role k % per of trial k // per: on chamber ``pw.regions(n)[r]`` of the
+    component of mask m, the id i has the slot ((t 2^N + m) N! + r) rows + i
+    in trial t, rows being the length of the kappa table."""
     table, labels, flat = images
     label = np.array(labels, dtype=np.intp).reshape(-1, 2).repeat(flat.count, axis=0)
-    slot = (label[:, 1] * len(pw.regions(n)) + flat.where).repeat(flat.size) * len(table) + flat.ids
-    return label[:, 0].repeat(flat.size), slot
+    trial, role = np.divmod(label[:, 0], per)
+    slot = (((trial << n) + label[:, 1]) * len(pw.regions(n)) + flat.where).repeat(flat.size)
+    return role.repeat(flat.size), slot * len(table) + flat.ids
 
 
 def _magnitudes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -405,16 +425,17 @@ def _add(x: _Slots, y: _Slots) -> _Slots:
 
 
 def _half_anticommutator(images: _Images, n: int) -> _Slots:
-    """(1/2)(Q Q^dag s + Q^dag Q s), from spinors 0 and 1 of ``images``, as
+    """(1/2)(Q Q^dag s + Q^dag Q s) of each trial, from roles 0 and 1 of
+    ``images``' spinors, four per trial (``_slots``), as
     ``spinor_scale(spinor_add(...), 0.5)``."""
-    spinor, slot = _slots(images, n)
+    role, slot = _slots(images, n, 4)
     parts = [_Slots(slot[at], images.flat.re[at], images.flat.im[at])
-             for at in (spinor == 0, spinor == 1)]
+             for at in (role == 0, role == 1)]
     return _scaled(_add(*parts), 0.5)
 
 
 def _bulk_hamiltonian(source: _Images, shift: float, n: int) -> _Slots:
-    """(-Laplacian + shift) s of the one spinor of ``source``, as
+    """(-Laplacian + shift) s of each spinor s of ``source``, a trial each, as
     ``pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift))`` of each
     component f.  Laplacian's factor sum kappa_j^2 is read off the common
     table, whose kappa may differ from f's own in the sign of a zero; that
@@ -690,11 +711,34 @@ def algebra_residuals(s: SpinorFunction, sp: Superpotential) -> AlgebraResiduals
 
     Delta-function content lives only on the walls and is invisible to the
     per-chamber coefficient algebra, which is exactly why the identity closes
-    without interface terms.  Two passes of ``_images`` serve all three: Q s
-    and Q^dag s, then, from those flat images, Q Q^dag s, Q^dag Q s, Q Q s
-    and Q^dag Q^dag s.  No image is made into a function: the residuals
-    are reduced on the one kappa table of s's components, slot by slot
-    (mask, chamber, id), through the steps of the chain
+    without interface terms.  The one-spinor case of ``_algebra_checks``.
+    """
+    return _algebra_checks([s], sp)[0]
+
+
+def algebra_trials(
+    sp: Superpotential, rng: np.random.Generator, trials: int
+) -> list[AlgebraResiduals]:
+    """``algebra_residuals`` of ``trials`` spinors drawn one after another by
+    ``random_spinor``, drawn and checked in chunks (``_draw_chunks``), so
+    that a chunk's spinors are freed before the next chunk is built.  A
+    failing trial fails the call, with the error that the first failing
+    trial of a one-by-one loop raises."""
+    out: list[AlgebraResiduals] = []
+    for draws in _draw_chunks(sp, rng, trials):
+        out += _algebra_checks(_build_spinors(sp, draws), sp)
+    return out
+
+
+def _algebra_checks(
+    spinors: Sequence[SpinorFunction], sp: Superpotential
+) -> list[AlgebraResiduals]:
+    """``algebra_residuals`` of each spinor, a trial each.  Two passes of
+    ``_images`` serve every trial: Q s and Q^dag s, then, from those flat
+    images, Q Q^dag s, Q^dag Q s, Q Q s and Q^dag Q^dag s.  No image is made
+    into a function: the residuals are reduced on the one kappa table of the
+    spinors' components, slot by slot (trial, mask, chamber, id), through
+    the steps of the chain
 
         lhs = spinor_scale(spinor_add(Q Q^dag s, Q^dag Q s), 0.5)
         rhs = pw.add(pw.scale(pw.laplacian(f), -1.0), pw.scale(f, shift)) per component f
@@ -702,25 +746,41 @@ def algebra_residuals(s: SpinorFunction, sp: Superpotential) -> AlgebraResiduals
 
     and ``spinor_max_coefficient`` of Q Q s and Q^dag Q^dag s, in their
     operand order and with their drops and overflows, so that each residual
-    is the chain's, bit for bit, and so is its failure.
+    is the chain's, bit for bit.  Where ``shift_constant`` refuses, every
+    trial fails, and the first trial's failure is raised; otherwise every
+    failure is the same ``OverflowError``, raised when any trial's chain
+    raises it.
     """
-    source = _flat_spinors([s], sp)
-    first = _images(source, [(0, False), (0, True)], sp)  # Q s, Q^dag s
+    n, source = sp.n, _flat_spinors(spinors, sp)
     try:
         shift = shift_constant(sp)
     except ValueError:
-        # refused after Q Q^dag s + Q^dag Q s is summed, before Q Q s is formed,
-        # so an overflow in that sum comes first (its halving adds none)
+        # the first trial is refused after Q Q^dag s + Q^dag Q s is summed,
+        # before Q Q s is formed, so an overflow in that sum comes first (its
+        # halving adds none)
+        first = _images(source, [(0, False), (0, True)], sp)
         with pw._array_guard():
-            _half_anticommutator(_images(first, [(1, False), (0, True)], sp), sp.n)
+            _half_anticommutator(_images(first, [(1, False), (0, True)], sp), n)
         raise
-    second = _images(first, [(1, False), (0, True), (0, False), (1, True)], sp)
+    count = len(spinors)
+    first = _images(source, [(k, dagger) for k in range(count) for dagger in (False, True)], sp)
+    # per trial k, from Q s = 2k and Q^dag s = 2k + 1 of the first images:
+    # Q Q^dag s, Q^dag Q s, Q Q s and Q^dag Q^dag s
+    second = _images(first, [job for k in range(count) for job in (
+        (2 * k + 1, False), (2 * k, True), (2 * k, False), (2 * k + 1, True))], sp)
     with pw._array_guard():
-        lhs = _half_anticommutator(second, sp.n)
-        distance = _add(lhs, _scaled(_bulk_hamiltonian(source, shift, sp.n), -1.0))
-        anticommutator = float(np.max(_magnitudes(distance.re, distance.im), initial=0.0))
-    q_squared, q_dagger_squared = _max_coefficients(second, 4)[2:]
-    return AlgebraResiduals(q_squared, q_dagger_squared, anticommutator)
+        lhs = _half_anticommutator(second, n)
+        distance = _add(lhs, _scaled(_bulk_hamiltonian(source, shift, n), -1.0))
+        anticommutator = np.zeros(count)
+        trial = distance.slot // ((len(pw.regions(n)) << n) * len(source.table))
+        np.maximum.at(anticommutator, trial, _magnitudes(distance.re, distance.im))
+    squares = np.array(_max_coefficients(second, 4 * count)).reshape(-1, 4)[:, 2:].tolist()
+    return [AlgebraResiduals(q, qd, a) for (q, qd), a in zip(squares, anticommutator.tolist())]
+
+
+#: source terms a chunk of ``_draw_chunks`` may hold, unless one spinor
+#: alone holds more: it bounds the memory of the chunk's checks
+_CHUNK_TERMS = 256
 
 
 def random_spinor(
@@ -729,27 +789,89 @@ def random_spinor(
     grade: int | None = None,
     terms_per_region: int = 2,
 ) -> SpinorFunction:
-    """Random canonical spinor for fuzzing the algebra checks.
+    """Random canonical spinor for fuzzing the algebra checks: the one-spinor
+    case of ``_draw_chunks`` and ``_build_spinors``."""
+    (draws,) = _draw_chunks(sp, rng, 1, grade, terms_per_region)
+    return _build_spinors(sp, draws)[0]
+
+
+class _Draw(NamedTuple):
+    """The masks of a random spinor and its ``standard_normal`` draws."""
+
+    masks: list[int]
+    normals: np.ndarray
+
+
+def _draw_chunks(
+    sp: Superpotential,
+    rng: np.random.Generator,
+    count: int,
+    grade: int | None = None,
+    terms_per_region: int = 2,
+) -> Iterator[list[_Draw]]:
+    """The draws of ``count`` random spinors, one after another, in chunks of
+    consecutive spinors: a spinor whose terms would take its chunk's past
+    ``_CHUNK_TERMS`` starts the next chunk.
 
     Components populate every mask of the requested grade (or a random
     nonempty set of masks), each holding the given number of random complex
-    exponentials on every chamber.  One ``standard_normal`` call draws them in
-    mask, chamber, term order (coefficient, then kappa; real, then imaginary
-    part), and the components share one kappa table (``pw.build_shared``),
-    the one ``pw.common_table`` gives them built one by one.
+    exponentials on every chamber.  Per spinor, after its mask draws, one
+    ``standard_normal`` call draws them in mask, chamber, term order
+    (coefficient, then kappa; real, then imaginary part).
     """
     masks = fock.fock_basis(sp.n)
-    if grade is not None:
-        chosen = [m for m in masks if m.bit_count() == grade]
+    n_regions = len(pw.regions(sp.n))
+    chunk: list[_Draw] = []
+    held = 0
+    for _ in range(count):
+        if grade is not None:
+            chosen = [m for m in masks if m.bit_count() == grade]
+        else:
+            chosen = [m for m in masks if rng.random() < 0.5] or [int(rng.integers(0, len(masks)))]
+        terms = len(chosen) * n_regions * terms_per_region
+        if chunk and held + terms > _CHUNK_TERMS:
+            yield chunk
+            chunk, held = [], 0
+        shape = (len(chosen), n_regions, terms_per_region, 2 * sp.n + 2)
+        chunk.append(_Draw(chosen, rng.standard_normal(shape)))
+        held += terms
+    if chunk:
+        yield chunk
+
+
+def _build_spinors(sp: Superpotential, draws: Sequence[_Draw]) -> list[SpinorFunction]:
+    """The spinors of ``draws``, their components on one kappa table, as
+    ``pw.build_shared`` builds them: the table ``pw.common_table`` gives them
+    built one by one.  Unless two terms share a kappa or a coefficient lies
+    near ``DROP_TOL`` (then ``pw.build_shared`` builds them), every term is
+    a class of its own and none drops, so the table is the drawn kappas
+    sorted by ``pw._sort_key``, which one array sort finds."""
+    n, chambers = sp.n, pw.regions(sp.n)
+    rows = np.concatenate([draw.normals.reshape(-1, 2 * n + 2) for draw in draws])
+    terms = rows.view(complex)  # per term: its coefficient, then its kappa
+    keys = rows[:, 2:]  # per term: its kappa's ``pw._sort_key``
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    # twice DROP_TOL, as numpy's magnitude may differ from abs in the last bit
+    if (not len(rows) or (np.abs(terms[:, 0]) <= 2 * pw.DROP_TOL).any()
+            or (ranked[1:] == ranked[:-1]).all(axis=1).any()):
+        funcs = iter(pw.build_shared(n, [
+            {r: [(t[0], tuple(t[1:])) for t in raw] for r, raw in zip(chambers, comp)}
+            for draw in draws for comp in draw.normals.view(complex).tolist()
+        ]))
     else:
-        chosen = [m for m in masks if rng.random() < 0.5] or [int(rng.integers(0, len(masks)))]
-    chambers = pw.regions(sp.n)
-    draws = rng.standard_normal((len(chosen), len(chambers), terms_per_region, 2 * sp.n + 2))
-    funcs = pw.build_shared(sp.n, [
-        {r: [(t[0], tuple(t[1:])) for t in raw] for r, raw in zip(chambers, comp)}
-        for comp in draws.view(complex).tolist()
-    ])
-    return SpinorFunction(n=sp.n, components=dict(zip(chosen, funcs)))
+        table = tuple(map(tuple, terms[order, 1:].tolist()))
+        ids = np.empty(len(order), dtype=np.intp)
+        ids[order] = np.arange(len(order))
+        ids = ids.reshape(-1, draws[0].normals.shape[2])  # a row per (component, chamber)
+        by_id = ids.argsort(axis=1)
+        coefs = np.take_along_axis(terms[:, 0].reshape(ids.shape), by_id, 1).tolist()
+        ids = np.take_along_axis(ids, by_id, 1).tolist()
+        held = map(tuple, map(zip, ids, coefs))  # per (component, chamber): its terms
+        funcs = (pw.RegionFunction(n, dict(zip(chambers, held)), table)
+                 for draw in draws for _ in draw.masks)
+    return [SpinorFunction(n=sp.n, components={m: next(funcs) for m in draw.masks})
+            for draw in draws]
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,22 @@ class TestSusyCommands:
         assert proc.stdout == ""
         assert proc.stderr == f"slly: superpotential strength {c} is too large: c^2 overflows\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["susy", "sector", "--n", "3", "--grade", "1"],
+        ["susy", "zero-modes", "--n", "3"],
+        ["susy", "partner", "--n", "3", "--k=1.1,0.3,-0.8"],
+    ])
+    def test_overflowing_shift_is_one_stderr_line(self, capsys, argv):
+        # c^2 is finite, the shift c^2 N(N^2 - 1)/12 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([*argv, "--c", "1.2e154"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("slly: superpotential strength 1.2e+154 is too large:"
+                                " the shift c^2 N(N^2 - 1)/12 overflows\n")
+
     def test_census(self, capsys):
         code, out = run(["susy", "census", "--n", "3", "--c", "1"], capsys)
         assert code == 0

@@ -474,16 +474,20 @@ class TestPlantedStates:
             assert cli.main(["bethe", "trimer", "--p", "1e308", "--c", "-1.7e308"]) == 2
         assert capsys.readouterr() == ("", "slly: absolute value too large\n")
 
-    def test_cli_algebra_keeps_a_nan_from_a_later_trial(self, monkeypatch, capsys):
-        draw = susy.random_spinor
+    @pytest.mark.parametrize("chunk", [1, 1 << 20])
+    def test_cli_algebra_keeps_a_nan_from_a_later_trial(self, monkeypatch, capsys, chunk):
+        # the trials drawn in chunks of one, or all in one chunk
+        build = susy._build_spinors
         trials = []
 
-        def second_planted(sp, rng):
-            s = draw(sp, rng)
-            trials.append(s)
-            return plant_spinor(s, NAN) if len(trials) == 2 else s
+        def second_planted(sp, draws):
+            spinors = build(sp, draws)
+            trials.extend(spinors)
+            return [plant_spinor(s, NAN) if len(trials) - len(spinors) + k == 1 else s
+                    for k, s in enumerate(spinors)]
 
-        monkeypatch.setattr(susy, "random_spinor", second_planted)
+        monkeypatch.setattr(susy, "_CHUNK_TERMS", chunk)
+        monkeypatch.setattr(susy, "_build_spinors", second_planted)
         argv = ["susy", "algebra", "--n", "3", "--c", "0.8", "--trials", "3", "--seed", "2"]
         assert cli.main(argv) == 2
         assert len(trials) == 3

@@ -159,6 +159,13 @@ class TestSuperpotentialGradient:
         assert susy.shift_constant(susy.Superpotential(n=3, c=1.0)) == pytest.approx(2.0)
         assert susy.shift_constant(susy.Superpotential(n=1, c=5.0)) == 0.0
 
+    def test_overflowing_shift_refused(self):
+        # c^2 is finite, c^2 N(N^2 - 1)/12 is not
+        sp = susy.Superpotential(n=3, c=1.2e154)
+        assert math.isfinite(sp.c**2)
+        with pytest.raises(ValueError, match=r"1\.2e\+154 is too large: the shift c\^2 N"):
+            susy.shift_constant(sp)
+
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             susy.Superpotential(n=2, c=-1.0)
@@ -457,14 +464,16 @@ class TestBatchedSupercharges:
                  (pooled[2], False), (pooled[0], True)], sp)
 
     def test_array_passes_per_check(self, monkeypatch):
-        # an algebra trial takes 2 passes (it took 6), the annihilation
-        # check 1 (2), the census 1 (4) and a partner 1
+        # an algebra trial takes 2 passes (it took 6), and so does a chunk of
+        # trials (eight N=3 trials from seed 1 make chunks of 6 and 2); the
+        # annihilation check 1 (2), the census 1 (4) and a partner 1
         calls = []
         run = susy._supercharge_pass
         monkeypatch.setattr(susy, "_supercharge_pass", lambda *a: calls.append(1) or run(*a))
         sp = susy.Superpotential(n=3, c=1.1)
         checks = [
             (lambda: susy.algebra_residuals(susy.random_spinor(sp, np.random.default_rng(1)), sp), 2),
+            (lambda: susy.algebra_trials(sp, np.random.default_rng(1), 8), 4),
             (lambda: susy.annihilation_residuals(susy.zero_modes(sp)[1], sp), 1),
             (lambda: susy.witten_census(sp), 1),
             (lambda: susy.susy_partner(grade0_collision((1.1, 0.3, -0.8), sp), "raise", sp), 1),
@@ -883,12 +892,12 @@ def outcome(fn, *args):
 
 
 class TestFailureOrder:
-    """Batching the supercharges changes no outcome.  Where c^2 overflows
-    (c above about 1.34e154) and images of c^2 size overflow too, the
-    chained steps met one failure first, ``shift_constant``'s ValueError or
-    an ``abs`` OverflowError; the batched checks meet the same one.  At
-    N = 4, c = 10^154.7 the spinor of seed 1 reaches the case where
-    Q Q s overflows, but Q Q^dag s, Q^dag Q s and their sum do not."""
+    """Batching the supercharges changes no outcome.  Where the shift
+    c^2 N(N^2 - 1)/12 overflows (c above about 1.34e154 at N = 2, where c^2
+    overflows first, 9.5e153 at N = 3 and 6.0e153 at N = 4) and images of
+    c^2 size overflow too, the chained steps met one failure first,
+    ``shift_constant``'s ValueError or an ``abs`` OverflowError; the batched
+    checks meet the same one."""
 
     GRID = [10.0 ** (150 + k / 10) for k in range(101)]
 
@@ -912,6 +921,115 @@ class TestFailureOrder:
                 assert got == outcome(chained_annihilation, s, sp), (n, c)
                 outcomes[got[0]] += 1
         assert all(outcomes[kind] for kind in ("value", OverflowError, ValueError)), outcomes
+
+
+def looped_algebra(spinors, sp):
+    """The per-trial loop: ``chained_algebra`` of each spinor in turn, or the
+    first failing trial's error."""
+    return outcome(lambda: [chained_algebra(s, sp) for s in spinors])
+
+
+def drawn_loop(sp, seed, trials):
+    """The per-trial loop of the command: draw a spinor by ``random_spinor``,
+    check it, draw the next."""
+    rng = np.random.default_rng(seed)
+    return looped_algebra((susy.random_spinor(sp, rng) for _ in range(trials)), sp)
+
+
+class TestBatchedTrials:
+    """``algebra_trials`` draws its trials in chunks and checks each chunk in
+    one pair of passes (``_algebra_checks``): the outcome is the per-trial
+    loop's, every residual bit for bit, or the first failing trial's error."""
+
+    @staticmethod
+    def chunk_sizes(monkeypatch):
+        sizes = []
+        check = susy._algebra_checks
+        monkeypatch.setattr(susy, "_algebra_checks",
+                            lambda spinors, sp: sizes.append(len(spinors)) or check(spinors, sp))
+        return sizes
+
+    @pytest.mark.parametrize("n, trials", [(1, 40), (2, 30), (3, 12), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("chunk", [1, 60, 256])
+    def test_trials_equal_the_per_trial_loop(self, monkeypatch, n, trials, chunk):
+        monkeypatch.setattr(susy, "_CHUNK_TERMS", chunk)
+        sizes = self.chunk_sizes(monkeypatch)
+        sp = susy.Superpotential(n, 0.9)
+        got = outcome(susy.algebra_trials, sp, np.random.default_rng(n), trials)
+        assert got == drawn_loop(sp, n, trials)
+        assert got[0] == "value" and sum(sizes) == trials
+        if chunk == 1:
+            assert sizes == [1] * trials
+        elif (n, chunk) in ((1, 60), (2, 60), (3, 256)):  # several chunks of several trials
+            assert len(sizes) > 1 and max(sizes) > 1, sizes
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_passes_of_a_few_targets(self, monkeypatch, n):
+        monkeypatch.setattr(pw, "_PASS_SIZE", 16)
+        monkeypatch.setattr(susy, "_CHUNK_TERMS", 1 << 20)
+        sizes = self.chunk_sizes(monkeypatch)
+        sp = susy.Superpotential(n, 1.3)
+        assert outcome(susy.algebra_trials, sp, np.random.default_rng(n), 3) == drawn_loop(sp, n, 3)
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mixed_lists_equal_the_per_trial_loop(self, n):
+        """Lists of spinors on different kappa tables, with NaN residuals up to
+        N=4, and the same lists with their second spinor scaled by 3e307,
+        whose check overflows: the outcome is the loop's."""
+        sp, spinors = TestAlgebraChecks.spinors(n, np.random.default_rng(800 + n))
+        got = outcome(susy._algebra_checks, spinors, sp)
+        assert got == looped_algebra(spinors, sp)
+        assert outcome(susy._algebra_checks, spinors[::-1], sp) == looped_algebra(spinors[::-1], sp)
+        assert ("nan" in got[1]) == (n <= 4)
+        spinors[1] = susy.spinor_scale(spinors[1], 3e307)
+        got = outcome(susy._algebra_checks, spinors, sp)
+        assert got == looped_algebra(spinors, sp)
+        assert got[0] is OverflowError
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("chunk", [1, 1 << 20])
+    def test_failures_are_the_first_failing_trials(self, monkeypatch, n, chunk):
+        """Over ``TestFailureOrder``'s c grid, three trials in one chunk or
+        in three: where ``shift_constant`` refuses, the first trial's
+        ``ValueError`` or ``OverflowError`` comes out."""
+        monkeypatch.setattr(susy, "_CHUNK_TERMS", chunk)
+        outcomes = collections.Counter()
+        for c in TestFailureOrder.GRID:
+            sp = susy.Superpotential(n, c)
+            got = outcome(susy.algebra_trials, sp, np.random.default_rng(1), 3)
+            assert got == drawn_loop(sp, 1, 3), (n, c)
+            if outcome(susy.shift_constant, sp)[0] is ValueError:
+                first = susy.random_spinor(sp, np.random.default_rng(1))
+                assert got == outcome(chained_algebra, first, sp), (n, c)
+            outcomes[got[0]] += 1
+        assert all(outcomes[kind] for kind in ("value", OverflowError, ValueError)), outcomes
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_images_of_many_spinors_equal_one_spinor_calls(self, monkeypatch, n):
+        monkeypatch.setattr(susy, "_CHUNK_TERMS", 1 << 20)
+        sp = susy.Superpotential(n, 0.9)
+        (draws,) = susy._draw_chunks(sp, np.random.default_rng(n), 50)
+        spinors = susy._build_spinors(sp, draws)
+        assert len(spinors) == 50
+        jobs = [(k, dagger) for k in range(50) for dagger in (False, True)]
+        many = image_bits(susy._images(susy._flat_spinors(spinors, sp), jobs, sp), n)
+        rng = np.random.default_rng(n)
+        for k in range(50):
+            s = susy.random_spinor(sp, rng)
+            one = susy._images(susy._flat_spinors([s], sp), [(0, False), (0, True)], sp)
+            one = image_bits(one, n)
+            assert [many[2 * k], many[2 * k + 1]] == [one[0], one[1]]
+
+
+def image_bits(images, n):
+    """Each job's images: its masks in order, each with its chambers in order,
+    each chamber's coefficients as text beside their kappas."""
+    out = collections.defaultdict(list)
+    for (job, mask), f in pw._unflatten(n, images.table, images.labels, images.flat).items():
+        chambers = [(r.order, [(repr(c), k) for c, k in chamber(f, r)]) for r in f.terms]
+        out[job].append((mask, chambers))
+    return out
 
 
 def scalar_draw_spinor(sp, rng, grade=None, terms_per_region=2):
@@ -953,10 +1071,47 @@ class TestRandomSpinor:
             assert table == pw.common_table(list(want.components.values()))[0]
             assert rng.standard_normal() == ref.standard_normal()
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_sorts_each_kappa_once(self, monkeypatch, n):
-        # the components are classified as one, so the table is sorted once
-        # and no union of component tables is sorted again
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chunks_equal_one_by_one_draws(self, monkeypatch, n):
+        # a spinor that would take its chunk past _CHUNK_TERMS starts the
+        # next one; a chunk's components share the table of their union
+        sp = susy.Superpotential(n=n, c=0.9)
+        for grade, chunk in itertools.product([None, n // 2], [1, 100, 256]):
+            monkeypatch.setattr(susy, "_CHUNK_TERMS", chunk)
+            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+            chunks = [susy._build_spinors(sp, d) for d in susy._draw_chunks(sp, rng, 20, grade)]
+            assert sum(map(len, chunks)) == 20
+            terms = [[len(s.components) * math.factorial(n) * 2 for s in c] for c in chunks]
+            for k, held in enumerate(terms):
+                assert len(held) == 1 or sum(held) <= chunk
+                assert k == 0 or sum(terms[k - 1]) + held[0] > chunk
+            for spinors in chunks:
+                wanted = [scalar_draw_spinor(sp, ref, grade=grade) for _ in spinors]
+                for s, want in zip(spinors, wanted):
+                    assert list(s.components) == list(want.components)
+                    for mask, f in s.components.items():
+                        assert pw.to_json_obj(f) == pw.to_json_obj(want.components[mask])
+                (table,) = {f.kappas for s in spinors for f in s.components.values()}
+                assert table == pw.common_table(
+                    [f for want in wanted for f in want.components.values()])[0]
+            assert rng.standard_normal() == ref.standard_normal()
+
+    @staticmethod
+    def build_shared(sp, draws):
+        """``pw.build_shared`` of the draws' components: the reference of
+        ``susy._build_spinors``."""
+        funcs = iter(pw.build_shared(sp.n, [
+            {r: [(t[0], tuple(t[1:])) for t in raw] for r, raw in zip(pw.regions(sp.n), comp)}
+            for draw in draws for comp in draw.normals.view(complex).tolist()
+        ]))
+        return [susy.SpinorFunction(sp.n, {m: next(funcs) for m in draw.masks}) for draw in draws]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_build_equals_build_shared(self, monkeypatch, n):
+        """Drawn chunks are sorted as arrays, with no ``_sort_key`` call; a chunk
+        with a repeated kappa, or a coefficient that drops or lies near
+        ``DROP_TOL``, is built by ``pw.build_shared``, which sorts each kept
+        kappa once.  Either way the spinors and their table are its."""
         sort_key, calls = pw._sort_key, collections.Counter()
 
         def counting(kappa):
@@ -964,14 +1119,23 @@ class TestRandomSpinor:
             return sort_key(kappa)
 
         monkeypatch.setattr(pw, "_sort_key", counting)
+        monkeypatch.setattr(susy, "_CHUNK_TERMS", 1 << 20)
         sp = susy.Superpotential(n=n, c=0.9)
-        rng = np.random.default_rng(n)
-        for grade in (None, None, 1):
+        (drawn,) = susy._draw_chunks(sp, np.random.default_rng(n), 6)
+        cases = [(drawn, False)]
+        for at, value in (((0, 0, 1, slice(2, None)), None), ((0, 0, 0, slice(0, 2)), 0.5e-14),
+                          ((0, 0, 0, slice(0, 2)), 1.5e-14)):
+            draws = [susy._Draw(d.masks, d.normals.copy()) for d in drawn]
+            normals = draws[-1].normals
+            # the first term's kappa repeated in its chamber, or its coefficient replaced
+            normals[at] = normals[0, 0, 0, 2:] if value is None else (value, 0.0)
+            cases.append((draws, True))
+        for draws, sorted_once in cases:
             calls.clear()
-            s = susy.random_spinor(sp, rng, grade=grade)
-            (table,) = {f.kappas for f in s.components.values()}
-            assert len(s.components) > 1
-            assert calls == collections.Counter(table)
+            got = susy._build_spinors(sp, draws)
+            (table,) = {f.kappas for s in got for f in s.components.values()}
+            assert calls == (collections.Counter(table) if sorted_once else collections.Counter())
+            assert got == self.build_shared(sp, draws)
 
     def test_one_standard_normal_call_after_the_mask_draws(self):
         calls = []
